@@ -298,7 +298,8 @@ impl<T: Send> Drop for SubmitBatchFuture<'_, T> {
 /// replaced by a waker deposit.
 pub struct JoinFuture<'a, T: Send> {
     shared: &'a IngressShared<T>,
-    /// The scheduler's outstanding-task counter.
+    /// The scheduler's shared outstanding-task counter (credit-settled:
+    /// never below the truth, exact once the places have gone idle).
     pending: &'a crate::sync::atomic::AtomicU64,
     /// The pool's abort flag (a task panicked under `AbortRun`).
     abort: &'a crate::sync::atomic::AtomicBool,
@@ -323,6 +324,10 @@ impl<'a, T: Send> JoinFuture<'a, T> {
         }
     }
 
+    /// The same two-variable predicate as the blocking join, on the same
+    /// slot: both writers that can make it true — the lane drain that
+    /// takes `queued` to zero and the settle that takes `pending` to zero
+    /// — wake the control slot, whichever comes last.
     fn drained(&self) -> bool {
         use crate::sync::atomic::Ordering;
         self.shared.queued_count() == 0 && self.pending.load(Ordering::Acquire) == 0
@@ -362,7 +367,7 @@ impl<T: Send> Future for JoinFuture<'_, T> {
             if this.drained() {
                 // Post-drain abort re-check, as in the blocking join: a
                 // panicking task records its failure and raises the flag
-                // before its decrement.
+                // before its unit can leave the count.
                 if this.aborted() {
                     return Poll::Ready(Err(this.abort_error()));
                 }
@@ -396,6 +401,7 @@ impl<T: Send> Drop for JoinFuture<'_, T> {
 mod tests {
     use super::*;
     use crate::ingest::IngressLanes;
+    use crate::scheduler::Outstanding;
     // The facade type, so `drain_into` type-checks under `--cfg loom` too.
     use crate::sync::atomic::AtomicU64;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -454,9 +460,13 @@ mod tests {
         }
         let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
         assert_eq!(
-            lanes
-                .shared()
-                .drain_into(0, &mut Sink, &pending, &mut scratch, &mut kbatch),
+            lanes.shared().drain_into(
+                0,
+                &mut Sink,
+                &mut Outstanding::new(&pending),
+                &mut scratch,
+                &mut kbatch
+            ),
             1
         );
         assert_eq!(count.0.load(Ordering::SeqCst), 1, "drain must wake");

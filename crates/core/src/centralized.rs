@@ -181,6 +181,7 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             push_cursor: SegmentCursor::default(),
             probe_cursor: SegmentCursor::default(),
             pq: BinaryHeap::with_capacity(256),
+            refs: Vec::new(),
             cache: ItemCache::new(),
             rng: XorShift64::new(0xC3A5_0000 ^ place as u64),
             stats: PlaceStats::default(),
@@ -202,6 +203,9 @@ pub struct CentralizedHandle<T: Send + 'static> {
     push_cursor: SegmentCursor<T>,
     probe_cursor: SegmentCursor<T>,
     pq: BinaryHeap<ItemRef<T>>,
+    /// Scratch for [`PoolHandle::push_batch`] (empty between calls), so a
+    /// batch costs no allocation.
+    refs: Vec<ItemRef<T>>,
     /// Place-local stash of free items; refilled/flushed in batches so
     /// the shared free list is touched once per batch, not per task.
     cache: ItemCache<T>,
@@ -400,14 +404,15 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
         // One shared-free-list interaction for the whole batch.
         self.cache.prefetch(&self.shared.pool, n);
         let mut t = self.shared.tail.load(Ordering::Acquire);
-        let mut refs = Vec::with_capacity(n);
+        let mut refs = std::mem::take(&mut self.refs);
         for (prio, task) in batch.drain(..) {
             let ptr = self.cache.acquire(&self.shared.pool);
             // SAFETY: freshly acquired item, exclusively ours until placed.
             unsafe { (*ptr).init(self.place, k as u32, prio, task) };
             refs.push(self.place_item(ptr, prio, k, &mut t));
         }
-        self.pq.extend_batch(refs);
+        self.pq.extend_batch(refs.drain(..));
+        self.refs = refs;
     }
 
     /// Batch pop (Listing 2 amortized): one global-array scan serves up to

@@ -87,7 +87,7 @@
 //! release-or-stronger store pair orders all accesses).
 
 use crate::park::ParkSlot;
-use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use crate::sync::cell::UnsafeCell;
 use crate::sync::{hint, thread};
 use crossbeam_utils::CachePadded;
@@ -160,6 +160,9 @@ struct Slot<O, R> {
     state: AtomicU8,
     cell: UnsafeCell<SlotCell<O, R>>,
     park: ParkSlot,
+    /// Parks of this place so far; the cross-thread view of
+    /// [`CombineStats::parks`] (see [`Combiner::parks`]).
+    parks: AtomicU64,
 }
 
 struct SlotCell<O, R> {
@@ -176,6 +179,7 @@ impl<O, R> Slot<O, R> {
                 resp: None,
             }),
             park: ParkSlot::new(),
+            parks: AtomicU64::new(0),
         }
     }
 }
@@ -236,6 +240,19 @@ impl<S, O: CombineOp<S>> Combiner<S, O> {
     /// The tenure bound (combining passes per lock acquisition).
     pub fn max_passes(&self) -> usize {
         self.max_passes
+    }
+
+    /// How often `place` has parked waiting for a response so far. The
+    /// caller-owned [`CombineStats::parks`] counts the same events but is
+    /// borrowed by `execute` for the length of the wait; this is what
+    /// another thread can read *while* the place waits — a test can hold a
+    /// combiner busy until the loser is provably parked instead of
+    /// sleeping and hoping.
+    ///
+    /// # Panics
+    /// Panics if `place >= self.places()`.
+    pub fn parks(&self, place: usize) -> u64 {
+        self.slots[place].parks.load(Ordering::Relaxed)
     }
 
     /// Executes `op` on behalf of `place`, either directly (as the
@@ -314,6 +331,7 @@ impl<S, O: CombineOp<S>> Combiner<S, O> {
                 continue;
             }
             stats.parks += 1;
+            slot.parks.fetch_add(1, Ordering::Relaxed);
             slot.park.park_timeout(token, PARK_TIMEOUT);
         }
     }

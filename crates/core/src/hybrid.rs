@@ -30,9 +30,13 @@ use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
 use std::ptr;
 use std::sync::Arc;
 
-/// Items per list segment. Local lists hold up to `k` items, so a segment
-/// size well below common `k` values (512 in the paper) keeps publishing
-/// chains short while bounding per-segment slack.
+/// Most items per list segment. Local lists hold up to `k + 1` items, so a
+/// cap well below common `k` values (512 in the paper) keeps publishing
+/// chains short while bounding per-segment slack. A segment is allocated
+/// with exactly as many slots as its chain can still take before the
+/// publication budget forces it out (see `HybridHandle::insert_local`), up
+/// to this cap — segments live until the pool drops, and with a small `k`
+/// a full-size one per chain would be 2 KB for a dozen items.
 pub const HSEGMENT_LEN: usize = 256;
 
 /// Marker for "no last victim".
@@ -58,8 +62,8 @@ struct HSeg<T> {
 }
 
 impl<T> HSeg<T> {
-    fn boxed(owner: u32, incarnation: u64, base_tag: u64) -> Box<Self> {
-        let slots = (0..HSEGMENT_LEN)
+    fn boxed(owner: u32, incarnation: u64, base_tag: u64, slots: usize) -> Box<Self> {
+        let slots = (0..slots)
             .map(|_| AtomicPtr::new(ptr::null_mut()))
             .collect();
         Box::new(HSeg {
@@ -103,7 +107,7 @@ impl<T: Send + 'static> HybridKPriority<T> {
     /// Panics if `nplaces == 0`.
     pub fn new(nplaces: usize) -> Self {
         assert!(nplaces > 0, "need at least one place");
-        let sentinel = Box::into_raw(HSeg::boxed(SENTINEL_OWNER, 0, 0));
+        let sentinel = Box::into_raw(HSeg::boxed(SENTINEL_OWNER, 0, 0, 0));
         HybridKPriority {
             nplaces,
             global_head: AtomicPtr::new(sentinel),
@@ -206,6 +210,7 @@ impl<T: Send + 'static> TaskPool<T> for HybridKPriority<T> {
             next_local_idx: 0,
             remaining_k: u64::MAX,
             pq: BinaryHeap::with_capacity(256),
+            refs: Vec::new(),
             cache: ItemCache::new(),
             g_seg: self.global_head.load(Ordering::Acquire),
             g_idx: 0,
@@ -258,6 +263,9 @@ pub struct HybridHandle<T: Send + 'static> {
     /// Publication budget (Listing 3); `u64::MAX` plays the role of ∞.
     remaining_k: u64,
     pq: BinaryHeap<ItemRef<T>>,
+    /// Scratch for [`PoolHandle::push_batch`] (empty between calls), so a
+    /// batch costs no allocation.
+    refs: Vec<ItemRef<T>>,
     /// Place-local stash of free items; refilled/flushed in batches so
     /// the shared free list is touched once per batch, not per task.
     cache: ItemCache<T>,
@@ -280,10 +288,14 @@ impl<T: Send + 'static> HybridHandle<T> {
     }
 
     /// Appends an item to the local list, growing the chain by a segment
+    /// of `room` slots (what the chain can still take, this item included)
     /// when needed. Visible to spies as soon as `len` is published.
-    fn append_local(&mut self, item: *const Item<T>, tag: u64) {
-        if self.chain_tail.is_null() || self.tail_fill == HSEGMENT_LEN {
-            let seg = Box::into_raw(HSeg::boxed(self.place, self.incarnation, tag));
+    fn append_local(&mut self, item: *const Item<T>, tag: u64, room: usize) {
+        // SAFETY: chain_tail is null or owned by this handle until publish.
+        let tail_full =
+            unsafe { self.chain_tail.as_ref() }.is_none_or(|t| self.tail_fill == t.slots.len());
+        if tail_full {
+            let seg = Box::into_raw(HSeg::boxed(self.place, self.incarnation, tag, room));
             if self.chain_head.is_null() {
                 self.chain_head = seg;
                 self.shared.places[self.place as usize]
@@ -427,8 +439,12 @@ impl<T: Send + 'static> HybridHandle<T> {
         // Release store publishes the payload to any thread that later
         // observes this tag (spies and global readers revalidate via CAS).
         item.tag.store(tag, Ordering::Release);
-        self.append_local(ptr, tag);
         self.remaining_k = self.remaining_k.saturating_sub(1).min(k);
+        // The budget only ever falls by at least one per push, so after
+        // this item the chain takes at most `remaining_k` more before it
+        // is published: an exact bound on what a new segment can hold.
+        let room = (self.remaining_k + 1).min(HSEGMENT_LEN as u64) as usize;
+        self.append_local(ptr, tag, room);
         if self.remaining_k == 0 {
             self.publish();
             self.remaining_k = u64::MAX;
@@ -521,11 +537,12 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
         let k = (k as u64).min(u32::MAX as u64);
         // One shared-free-list refill round for the whole batch.
         self.cache.prefetch(&self.shared.pool, n);
-        let mut refs = Vec::with_capacity(n);
+        let mut refs = std::mem::take(&mut self.refs);
         for (prio, task) in batch.drain(..) {
             refs.push(self.insert_local(prio, k, task));
         }
-        self.pq.extend_batch(refs);
+        self.pq.extend_batch(refs.drain(..));
+        self.refs = refs;
     }
 
     /// Batch pop (Listing 4 amortized): one global-list read serves up to
@@ -720,6 +737,39 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, n);
+    }
+
+    /// Segments are sized by the publication budget: at k = 8 a chain is
+    /// published after 9 pushes, and its one segment must not carry a
+    /// full-size slot array to the end of the pool's life.
+    #[test]
+    fn small_k_chains_get_small_segments() {
+        let p = pool(2);
+        let mut h = p.handle(0);
+        let pushes = 900u64;
+        for i in 0..pushes {
+            h.push(i, 8, i);
+        }
+        drop(h); // publishes the partial last chain
+        let mut capacity = 0usize;
+        let mut seg = p.global_head.load(Ordering::Acquire);
+        while !seg.is_null() {
+            // SAFETY: global segments live until the structure drops.
+            let s = unsafe { &*seg };
+            capacity += s.slots.len();
+            seg = s.next.load(Ordering::Acquire);
+        }
+        assert!(capacity >= pushes as usize, "every task has a slot");
+        assert!(
+            capacity <= 2 * pushes as usize,
+            "{capacity} slots in the global list for {pushes} tasks"
+        );
+        let mut h1 = p.handle(1);
+        let mut got = Vec::new();
+        while let Some(t) = h1.pop() {
+            got.push(t);
+        }
+        assert_eq!(got, (0..pushes).collect::<Vec<_>>());
     }
 
     #[test]

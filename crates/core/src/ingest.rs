@@ -64,12 +64,25 @@
 //! that reads zero can never rise again, so all queued increments have
 //! happened (the `queued` increment sits *inside* the lane critical
 //! section of the submitting handle, which the producer refcount keeps
-//! live); a lane→pool transfer increments `pending` *before* decrementing
+//! live); a lane→pool transfer charges `pending` *before* decrementing
 //! `queued`, so a task is always visible to at least one of the two
 //! counters; reading `queued == 0` after `producers == 0` and
 //! `pending == 0` last therefore proves nothing is left anywhere. The
 //! `counters_never_hide_a_task_mid_transfer` test races all three roles
 //! and asserts exactly this invariant.
+//!
+//! The pending counter is the scheduler's **credit-settled** outstanding
+//! count (see the Termination bullet of [`crate::scheduler`]): it reads
+//! the outstanding tasks *plus* the credits places have not settled yet —
+//! never less than the truth, exact once every place has failed a pop.
+//! "Charges `pending`" above therefore means: the draining place covers
+//! the transfer from its credits — units that have been in the counter
+//! since the tasks they once stood for were charged, and were never
+//! taken out — and raises the counter for the rest, all before the push
+//! and before `queued` falls. Either way the units are in the counter
+//! before the task leaves the lane's count, which is all the read-order
+//! argument uses; an over-count can only delay the zero reading, to the
+//! settle of the place that holds the credits.
 //!
 //! # Parking and wake events
 //!
@@ -80,11 +93,23 @@
 //! | event                                  | wakes |
 //! |----------------------------------------|-------|
 //! | submission into lane `l`               | worker `l` (targeted) |
-//! | lane drain transferred `n > 0` tasks   | blocked producers (space freed) + idle workers (tasks became stealable/spyable) |
+//! | lane drain transferred `n > 0` tasks   | blocked producers (space freed) + idle workers (tasks became stealable/spyable; `queued` fell, so quiescence may hold) |
+//! | lane drain took `queued` to zero       | control slot (join waiters: the other half of their `queued == 0 ∧ pending == 0` predicate) |
 //! | in-pool spawn (streamed runs)          | idle workers (gated broadcast) |
-//! | pending counter reaches zero           | control slot (join waiters); all workers if also quiescent |
+//! | a place's settle takes the pending counter to zero | control slot (join waiters); all workers if also quiescent |
 //! | producer refcount reaches zero         | everything (workers re-check quiescence) |
 //! | abort / shutdown                       | everything |
+//!
+//! A finished task wakes nobody by itself: it becomes a credit of its
+//! place, and the place settles — one `fetch_sub`, then the wakes of the
+//! fifth row if that reached zero — when its next pop fails, which is
+//! before it checks the counter and before it parks. The wait predicate
+//! of a join has two variables, so it has two wake rows (third and
+//! fifth): whichever of `queued` and the pending counter reaches zero
+//! *last* is the write that makes the predicate true, and both writers
+//! wake the control slot — a pending → 0 wake that fires while `queued`
+//! is still up is not repeated, so without the third row
+//! [`crate::service::PoolService::join`] could sleep forever.
 //!
 //! Every waiter follows the register → re-check → park protocol of
 //! [`crate::park::ParkSlot`], so none of these can be lost to the
@@ -101,6 +126,7 @@
 
 use crate::park::Parker;
 use crate::pool::PoolHandle;
+use crate::scheduler::Outstanding;
 use crate::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use crossbeam_utils::CachePadded;
@@ -177,7 +203,7 @@ pub(crate) struct IngressShared<T: Send> {
     capacity: Option<usize>,
     /// Tasks submitted but not yet transferred into the pool. Updated
     /// *inside* the submitting handle's lane critical section; decremented
-    /// only after the pool push (the transfer increments the scheduler's
+    /// only after the pool push (the transfer charges the scheduler's
     /// pending counter first, so no task is ever invisible to both
     /// counters).
     queued: AtomicU64,
@@ -249,7 +275,9 @@ impl<T: Send> IngressShared<T> {
     }
 
     /// Moves the contents of lane `place` into `handle`, charging the
-    /// scheduler's `pending` counter before any task becomes poppable.
+    /// draining place's share of the scheduler's pending counter
+    /// (`outstanding`: credits first, the shared counter for the rest)
+    /// before any task becomes poppable.
     ///
     /// Tasks are pushed through [`PoolHandle::push_batch`] in maximal
     /// consecutive same-`k` runs, so a drained batch is charged
@@ -260,7 +288,9 @@ impl<T: Send> IngressShared<T> {
     ///
     /// A transfer of `n > 0` tasks is a wake event twice over: the lane
     /// has room again (blocked producers) and the pool gained tasks that
-    /// other places may steal or spy (idle workers).
+    /// other places may steal or spy (idle workers). One that empties the
+    /// lanes is a third: join waiters sleep on `queued == 0 ∧ pending ==
+    /// 0`, and the pending half may already have fired its wake.
     ///
     /// `scratch` and `kbatch` are caller-owned reusable buffers; both are
     /// left empty. Returns the number of tasks transferred.
@@ -268,7 +298,7 @@ impl<T: Send> IngressShared<T> {
         &self,
         place: usize,
         handle: &mut dyn PoolHandle<T>,
-        pending: &AtomicU64,
+        outstanding: &mut Outstanding<'_>,
         scratch: &mut Vec<Entry<T>>,
         kbatch: &mut Vec<(u64, T)>,
     ) -> u64 {
@@ -283,10 +313,10 @@ impl<T: Send> IngressShared<T> {
             std::mem::swap(&mut *lane, scratch);
         }
         let n = scratch.len() as u64;
-        // Pending rises before the tasks are poppable *and* before queued
-        // falls — the task stays visible to the termination check
+        // Pending is charged before the tasks are poppable *and* before
+        // queued falls — the task stays visible to the termination check
         // throughout the transfer.
-        pending.fetch_add(n, Ordering::AcqRel);
+        outstanding.charge(n);
         let mut run_k: Option<usize> = None;
         for (prio, k, task) in scratch.drain(..) {
             if run_k != Some(k) {
@@ -300,7 +330,7 @@ impl<T: Send> IngressShared<T> {
         if let Some(prev_k) = run_k {
             handle.push_batch(prev_k, kbatch);
         }
-        self.queued.fetch_sub(n, Ordering::AcqRel);
+        let emptied = self.queued.fetch_sub(n, Ordering::AcqRel) == n;
         // The lane has room again (only bounded lanes can have producers
         // parked on the space slot) and the pool has new (possibly
         // stealable) tasks.
@@ -308,6 +338,13 @@ impl<T: Send> IngressShared<T> {
             self.parker.space().wake_if_waiting();
         }
         self.parker.wake_workers_if_idle();
+        // `queued` just reached zero: if the tasks of this transfer are
+        // already finished and settled, the pending → 0 wake has come and
+        // gone while `queued` still read nonzero, and this is the write
+        // that makes a join's predicate true.
+        if emptied {
+            self.parker.control().wake_if_waiting();
+        }
         n
     }
 }
@@ -669,6 +706,24 @@ mod tests {
         }
     }
 
+    /// One lane drain the way a place with no credits in hand does it:
+    /// the whole transfer is charged to `pending`.
+    fn drain(
+        shared: &IngressShared<u64>,
+        place: usize,
+        rec: &mut RecordingHandle,
+        pending: &AtomicU64,
+    ) -> u64 {
+        let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
+        shared.drain_into(
+            place,
+            rec,
+            &mut Outstanding::new(pending),
+            &mut scratch,
+            &mut kbatch,
+        )
+    }
+
     #[test]
     fn producer_refcount_tracks_handles() {
         let lanes: IngressLanes<u64> = IngressLanes::new(2);
@@ -714,13 +769,8 @@ mod tests {
 
         let pending = AtomicU64::new(0);
         let mut rec = RecordingHandle::default();
-        let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
-        let n0 = lanes
-            .shared()
-            .drain_into(0, &mut rec, &pending, &mut scratch, &mut kbatch);
-        let n1 = lanes
-            .shared()
-            .drain_into(1, &mut rec, &pending, &mut scratch, &mut kbatch);
+        let n0 = drain(lanes.shared(), 0, &mut rec, &pending);
+        let n1 = drain(lanes.shared(), 1, &mut rec, &pending);
         assert_eq!((n0, n1), (3, 1), "round-robin: lanes 0, 1, 0");
         assert_eq!(pending.load(Ordering::Relaxed), 4);
         assert_eq!(lanes.queued(), 0);
@@ -741,13 +791,7 @@ mod tests {
         let lanes: IngressLanes<u64> = IngressLanes::new(1);
         let pending = AtomicU64::new(0);
         let mut rec = RecordingHandle::default();
-        let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
-        assert_eq!(
-            lanes
-                .shared()
-                .drain_into(0, &mut rec, &pending, &mut scratch, &mut kbatch),
-            0
-        );
+        assert_eq!(drain(lanes.shared(), 0, &mut rec, &pending), 0);
         assert_eq!(pending.load(Ordering::Relaxed), 0);
     }
 
@@ -768,10 +812,7 @@ mod tests {
         );
         let pending = AtomicU64::new(0);
         let mut rec = RecordingHandle::default();
-        let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
-        lanes
-            .shared()
-            .drain_into(0, &mut rec, &pending, &mut scratch, &mut kbatch);
+        drain(lanes.shared(), 0, &mut rec, &pending);
         assert!(lanes.shared().quiescent());
     }
 
@@ -811,23 +852,13 @@ mod tests {
         // Draining one lane frees room for exactly the lane capacity.
         let pending = AtomicU64::new(0);
         let mut rec = RecordingHandle::default();
-        let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
-        assert_eq!(
-            lanes
-                .shared()
-                .drain_into(0, &mut rec, &pending, &mut scratch, &mut kbatch),
-            2
-        );
+        assert_eq!(drain(lanes.shared(), 0, &mut rec, &pending), 2);
         assert_eq!(h.try_submit_batch(4, &mut batch), Ok(()));
         assert!(batch.is_empty());
         // Accepted multiset is exactly {100..104} ∪ {7, 8}: nothing lost,
         // the shed 999 never entered.
-        while lanes
-            .shared()
-            .drain_into(0, &mut rec, &pending, &mut scratch, &mut kbatch)
-            + lanes
-                .shared()
-                .drain_into(1, &mut rec, &pending, &mut scratch, &mut kbatch)
+        while drain(lanes.shared(), 0, &mut rec, &pending)
+            + drain(lanes.shared(), 1, &mut rec, &pending)
             > 0
         {}
         let mut got: Vec<u64> = rec.pushed.iter().map(|&(_, _, t)| t).collect();
@@ -894,9 +925,8 @@ mod tests {
         // couple of free-ups depending on interleaving).
         let pending = AtomicU64::new(0);
         let mut rec = RecordingHandle::default();
-        let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
         while rec.pushed.len() < 2 {
-            shared.drain_into(0, &mut rec, &pending, &mut scratch, &mut kbatch);
+            drain(&shared, 0, &mut rec, &pending);
             std::thread::yield_now();
         }
         producer.join().unwrap();
@@ -954,16 +984,9 @@ mod tests {
             let drain_pending = Arc::clone(&pending);
             s.spawn(move || {
                 let mut rec = RecordingHandle::default();
-                let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
                 let mut got = 0;
                 while got < N {
-                    got += drain_shared.drain_into(
-                        0,
-                        &mut rec,
-                        &drain_pending,
-                        &mut scratch,
-                        &mut kbatch,
-                    );
+                    got += drain(&drain_shared, 0, &mut rec, &drain_pending);
                 }
                 assert_eq!(rec.pushed.len() as u64, N);
             });

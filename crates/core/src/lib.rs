@@ -64,8 +64,9 @@
 //!   operations touch the shared free list once per
 //!   [`item::ItemCache::REFILL`] items;
 //! * [`scheduler::SpawnCtx::spawn_batch`] stores a task's children with
-//!   one pending-counter update and one `push_batch` — the spawn path for
-//!   executors that emit many children per task (SSSP node expansion).
+//!   one charge to the outstanding count and one `push_batch` — the spawn
+//!   path for executors that emit many children per task (SSSP node
+//!   expansion).
 //!
 //! ## How a batch is charged against `k`/ρ
 //!
@@ -93,7 +94,10 @@
 //!
 //! The paper's runtime is closed-world: all roots are known at
 //! [`scheduler::Scheduler::run`] time and termination is the
-//! outstanding-task counter hitting zero. The [`ingest`] module opens that
+//! outstanding-task counter hitting zero (a shared count the per-task
+//! path stays off: finished tasks become per-place credits that pay for
+//! later spawns and are settled when the place's pop fails — see the
+//! Termination bullet of [`scheduler`]). The [`ingest`] module opens that
 //! world without touching the ordering arguments:
 //!
 //! * [`ingest::IngressLanes`] shard ingestion one MPSC lane per place;
@@ -145,7 +149,9 @@
 //! park return immediately. The quiescence read-order argument (producers
 //! first, then queued, then pending — see [`ingest`]) extends to parking:
 //! every transition a sleeper could be waiting on (submission, drain,
-//! spawn, pending → 0, producers → 0, abort) is a wake event, and the
+//! spawn, pending → 0, queued → 0, producers → 0, abort) is a wake event
+//! ([`park`] tables each wait predicate with its writers and wake sites),
+//! and the
 //! re-check after registration observes any transition whose wake was
 //! skipped by the waiter-count gate (a seq-cst fence pairing; see
 //! [`park`] for the precise argument). Workers additionally rely on a
@@ -242,9 +248,10 @@
 //!
 //! Isolation preserves the pending-count read-order argument that
 //! quiescence termination rests on (see [`ingest`]): the failure is
-//! recorded *before* the panicking task's pending decrement, exactly
-//! where `AbortRun` raises the abort flag, and the decrement itself is
-//! the same release a successful completion performs. Any observer that
+//! recorded *before* the panicking task's unit of the count becomes a
+//! credit of its place, exactly where `AbortRun` raises the abort flag,
+//! and the settle that later releases it is the same one a successful
+//! completion's credit leaves through. Any observer that
 //! sees the counter reach zero (a joiner, a terminating worker) is
 //! therefore guaranteed to see every failure recorded by tasks that
 //! finished before the drain — a quarantined panic can neither strand
@@ -298,11 +305,14 @@
 //! | The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
 //! | The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
 //! | The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
+//! | Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet) | `models::credits_settle_before_quiescence` |
 //!
-//! Two **mutation self-checks** validate the checker itself: building with
-//! `--cfg loom_mutate_park_fence` (drops the `wake_if_waiting` fence) or
-//! `--cfg loom_mutate_combine_done` (flips response/`DONE` order) makes
-//! the corresponding model *fail*, which `tests/loom_models.rs` asserts.
+//! Three **mutation self-checks** validate the checker itself: building
+//! with `--cfg loom_mutate_park_fence` (drops the `wake_if_waiting`
+//! fence), `--cfg loom_mutate_combine_done` (flips response/`DONE` order)
+//! or `--cfg loom_mutate_credit_flush` (drops the settle in front of the
+//! termination check) makes the corresponding model *fail*, which
+//! `tests/loom_models.rs` asserts.
 //!
 //! Arguments that remain prose-only (not yet modeled): the async waker
 //! deposit/revoke exactly-once release ([`park::ParkSlot::park_as`]), the

@@ -15,12 +15,14 @@
 //! runner; the crate-level docs ("Model-checked properties") map each
 //! prose argument to its model.
 //!
-//! Two **mutation self-checks** keep the checker honest: building with
+//! Three **mutation self-checks** keep the checker honest: building with
 //! `--cfg loom_mutate_park_fence` removes the seq-cst fence in
-//! [`ParkSlot::wake_if_waiting`], and `--cfg loom_mutate_combine_done`
-//! flips the combiner's response-before-DONE store order. The runner then
-//! asserts that [`parker_no_lost_wakeup`] and
-//! [`combiner_exactly_once_handoff`] *fail* — a model suite that cannot
+//! [`ParkSlot::wake_if_waiting`], `--cfg loom_mutate_combine_done` flips
+//! the combiner's response-before-DONE store order, and
+//! `--cfg loom_mutate_credit_flush` drops the settle in front of the
+//! scheduler's termination check. The runner then asserts that
+//! [`parker_no_lost_wakeup`], [`combiner_exactly_once_handoff`] and
+//! [`credits_settle_before_quiescence`] *fail* — a model suite that cannot
 //! see a deliberately planted bug proves nothing about the real code.
 //!
 //! [`IngressShared`]: crate::ingest::IngressLanes
@@ -31,11 +33,12 @@ use crate::ingest::IngressLanes;
 use crate::item::ItemPool;
 use crate::multiqueue::RelaxedMultiQueue;
 use crate::park::ParkSlot;
-use crate::pool::{PoolHandle, TaskPool};
+use crate::pool::{FaultPolicy, PoolHandle, TaskPool};
+use crate::scheduler::{place_loop, FaultCell, Outstanding, SpawnCtx, TaskExecutor};
 use crate::stats::PlaceStats;
 use crate::structural::StructuralKPriority;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::thread;
+use crate::sync::{thread, Mutex};
 use std::sync::Arc;
 
 /// (a) Parker: register → re-check → park versus a concurrent
@@ -301,7 +304,13 @@ pub fn ingress_counters_never_hide_a_task() {
                 // lock, or has not submitted yet) is mopped up by the
                 // post-join drain below.
                 for _ in 0..2 {
-                    got += shared.drain_into(0, &mut rec, &pending, &mut scratch, &mut kbatch);
+                    got += shared.drain_into(
+                        0,
+                        &mut rec,
+                        &mut Outstanding::new(&pending),
+                        &mut scratch,
+                        &mut kbatch,
+                    );
                     if got > 0 {
                         break;
                     }
@@ -332,7 +341,13 @@ pub fn ingress_counters_never_hide_a_task() {
         if got == 0 {
             let mut rec = RecHandle::default();
             let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
-            got = shared.drain_into(0, &mut rec, &pending, &mut scratch, &mut kbatch);
+            got = shared.drain_into(
+                0,
+                &mut rec,
+                &mut Outstanding::new(&pending),
+                &mut scratch,
+                &mut kbatch,
+            );
         }
         assert_eq!(got, 1, "the submitted task must drain exactly once");
         assert_eq!(pending.load(Ordering::Acquire), 1);
@@ -376,5 +391,104 @@ pub fn structural_pop_vs_raid_exactly_once() {
             "pop-vs-raid must transfer the task to exactly one thread"
         );
         assert_eq!(owner.pop(), None, "nothing may remain after the transfer");
+    });
+}
+
+/// The smallest pool the scheduler can run on: one shared, locked bag that
+/// every place pushes into and pops the minimum from — no private
+/// component, so a failed pop means the bag was empty when it looked.
+struct SharedBag(Arc<Mutex<Vec<(u64, u64)>>>);
+
+impl PoolHandle<u64> for SharedBag {
+    fn push(&mut self, prio: u64, _k: usize, task: u64) {
+        self.0.lock().push((prio, task));
+    }
+    fn pop_entry(&mut self) -> Option<(u64, u64)> {
+        let mut bag = self.0.lock();
+        let best = (0..bag.len()).min_by_key(|&i| bag[i])?;
+        Some(bag.swap_remove(best))
+    }
+    fn stats(&self) -> PlaceStats {
+        PlaceStats::default()
+    }
+}
+
+/// Task `n` spawns task `n - 1`; `done` counts finished executions.
+struct CountDown {
+    done: AtomicU64,
+}
+
+impl TaskExecutor<u64> for CountDown {
+    fn execute(&self, task: u64, ctx: &mut SpawnCtx<'_, u64>) {
+        if task > 0 {
+            ctx.spawn(task - 1, 0, task - 1);
+        }
+        self.done.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// (g) Credit ledger: a place never sees the run drained out while a task
+/// is poppable or executing, and the run terminates.
+///
+/// Two places run the real [`place_loop`] (streamed flavor, so idle places
+/// park) over a countdown 2 → 1 → 0 seeded in a shared bag. Whichever
+/// place runs two of the three tasks back to back pays for the second
+/// spawn out of the credit the first task left — no read-modify-write on
+/// the shared count — while the other place may pop that child, fail a
+/// pop, check the count, register and park at any point in between. A
+/// place leaves its loop only when it has read the settled count as zero
+/// with the ingress side quiescent, so `done == 3` on every exit is the
+/// safety half (the count never reads zero early: a credit is a unit that
+/// is *still in* the count); the liveness half is the explorer's deadlock
+/// detector: parks are untimed, so if the settle that takes the count to
+/// zero did not wake the parked peer — or never happened — the execution
+/// deadlocks. Under `loom_mutate_credit_flush` the settle in front of the
+/// termination check is gone, the last credits are never released, and
+/// both places park on a count that stays above zero.
+pub fn credits_settle_before_quiescence() {
+    loom::model(|| {
+        const PLACES: usize = 2;
+        const CHAIN: u64 = 2;
+        // No producers and nothing queued: the ingress side is quiescent
+        // from the start and only the outstanding count keeps the run up.
+        let lanes: IngressLanes<u64> = IngressLanes::new(PLACES);
+        let bag = Arc::new(Mutex::new(vec![(CHAIN, CHAIN)]));
+        let pending = Arc::new(AtomicU64::new(1));
+        let abort = Arc::new(AtomicBool::new(false));
+        let faults = Arc::new(FaultCell::new(FaultPolicy::AbortRun));
+        let exec = Arc::new(CountDown {
+            done: AtomicU64::new(0),
+        });
+
+        let place = |place: usize| {
+            let shared = Arc::clone(lanes.shared());
+            let (bag, pending, abort) =
+                (Arc::clone(&bag), Arc::clone(&pending), Arc::clone(&abort));
+            let (faults, exec) = (Arc::clone(&faults), Arc::clone(&exec));
+            move || {
+                let mut handle = SharedBag(bag);
+                let (executed, dead) = place_loop(
+                    &mut handle,
+                    &*exec,
+                    &pending,
+                    &abort,
+                    &faults,
+                    Some(&*shared),
+                    place,
+                );
+                assert_eq!(
+                    exec.done.load(Ordering::SeqCst),
+                    CHAIN + 1,
+                    "place {place} saw the run drained out with a task outstanding"
+                );
+                assert_eq!(dead, 0);
+                executed
+            }
+        };
+        let peer = thread::spawn(place(1));
+        let own = place(0)();
+        let other = peer.join().unwrap();
+        assert_eq!(own + other, CHAIN + 1, "every task ran exactly once");
+        assert_eq!(pending.load(Ordering::SeqCst), 0, "all credits settled");
     });
 }

@@ -79,8 +79,9 @@
 //! Parking is only sound if every transition from "nothing to do" to
 //! "something to do" produces a wake event, and if a single re-check
 //! suffices to observe pool state. The scheduler's events are enumerated
-//! in [`crate::ingest`] (submissions, drains, spawns, the pending counter
-//! reaching zero, producer-count reaching zero, abort). The re-check is
+//! in [`crate::ingest`] (submissions, drains, spawns, a settle taking the
+//! pending counter to zero, producer-count reaching zero, abort). The
+//! re-check is
 //! reliable because of a structural invariant shared by the exact pool
 //! implementations: **a place's local component is filled only by its own
 //! worker** (pushes, steals, raids, and lane drains all land in the
@@ -94,6 +95,31 @@
 //! c·P queues before reporting empty (see [`crate::multiqueue`]). Either
 //! way, the "all workers parked with work remaining" state is
 //! unreachable.
+//!
+//! # Wait predicates, their writers, and their wake sites
+//!
+//! A parked wait is a predicate over one or more atomics, and it is
+//! lost-wakeup-free only if **every write that can turn the predicate
+//! true is followed by a wake of the slot its waiters sleep on** — the
+//! register → re-check → park protocol above covers the race with *one*
+//! write, not a write nobody announces. With two variables there are two
+//! such writes, whichever comes last. (Writes that can only turn a
+//! predicate false — submissions raising `queued`, charges raising the
+//! outstanding count — need no wake.)
+//!
+//! | predicate (waiters, slot) | writer that can turn it true | wake site |
+//! |---|---|---|
+//! | `drained` = `queued == 0 ∧ pending == 0` ([`crate::service::PoolService::join`], `join_async`; control slot) | `queued` falls in `IngressShared::drain_into` | same function, `control().wake_if_waiting()` when its `fetch_sub` took `queued` to zero |
+//! | | `pending` falls when a place settles its credits (`SpawnCtx::settle`, the only decrement of the shared count) | same function, `control().wake_if_waiting()` when the flush took the count to zero |
+//! | run quiescence = `producers == 0 ∧ queued == 0 ∧ pending == 0` (workers; their own slots) | `producers` falls in `IngestHandle::drop` | `wake_all()` on reaching zero |
+//! | | `queued` falls in `drain_into` | `wake_workers_if_idle()` after every transfer |
+//! | | `pending` falls in `SpawnCtx::settle` | `wake_all()` when the flush reached zero and the ingress side reads quiescent |
+//! | lane has room (blocked producers, pending submit futures; space slot) | `drain_into` swaps the lane out | `space().wake_if_waiting()` (bounded lanes only) |
+//!
+//! Abort and shutdown end every one of these waits through `wake_all()`.
+//! Both `drained` rows are load-bearing: a `pending → 0` wake that fires
+//! while `queued` is still up is not repeated, so a `join` that re-parks
+//! on it depends on the `queued → 0` wake.
 //!
 //! [`SeqCst`]: crate::sync::atomic::Ordering::SeqCst
 

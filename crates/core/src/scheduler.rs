@@ -8,14 +8,33 @@
 //!   fixed depth-first order cannot follow priorities.
 //! * **Termination**: "the scheduling system terminates when all tasks have
 //!   finished executing and no new tasks were created" — realized with a
-//!   global outstanding-task counter (incremented before push, decremented
-//!   after execution); workers whose pops fail spin with backoff until the
-//!   counter reaches zero. Streamed runs ([`Scheduler::run_stream`])
-//!   generalize this to *quiescence*: counter zero **and** empty ingress
-//!   lanes **and** zero live producers — see [`crate::ingest`]. Streamed
+//!   shared outstanding-task counter that the per-task path does not
+//!   touch. Each place keeps a private **credit ledger** (`Outstanding`):
+//!   a finished, dead or quarantined task leaves its unit in the shared
+//!   count and becomes one credit of its place; `spawn`, `spawn_batch`
+//!   and lane drains pay for the tasks they make poppable from those
+//!   credits first and raise the shared count (one `fetch_add`, before the
+//!   push) only for the remainder; whenever a place's pop fails it
+//!   *settles* — one `fetch_sub` of all its credits — before it looks at
+//!   the count, before it parks, and once more when its loop exits. What
+//!   this **over-counts**: the shared count is the number of outstanding
+//!   tasks plus every place's unsettled credits, so it is always ≥ the
+//!   truth and a task is never poppable while it can read zero (the unit
+//!   that covers a task was raised, or held as a credit, before the
+//!   push). Where it is **exact**: whenever no place holds credits, in
+//!   particular whenever every place is idle — a place holding credits
+//!   has just finished a task and has not yet failed a pop, so it is
+//!   about to pop again or to settle. A place that spawns as many tasks
+//!   as it finishes therefore does no shared read-modify-write at all.
+//!   Workers whose pops fail spin with backoff until the settled counter
+//!   reaches zero. Streamed runs ([`Scheduler::run_stream`]) generalize
+//!   this to *quiescence*: counter zero **and** empty ingress lanes
+//!   **and** zero live producers — see [`crate::ingest`]. Streamed
 //!   workers whose backoff is exhausted **park** (see [`crate::park`])
 //!   instead of sleeping in a poll loop; submissions, spawns, drains,
-//!   abort, and the quiescence transitions wake them.
+//!   abort, and the quiescence transitions wake them — the settle that
+//!   takes the count to zero is the one that wakes join waiters (and
+//!   every worker, if the ingress side is quiescent too).
 //! * **Dead-task elimination** (§5.1): tasks report deadness through
 //!   [`TaskExecutor::is_dead`]; dead tasks are dropped at pop time without
 //!   being executed, mirroring the lazy removal in the paper's structures.
@@ -107,11 +126,12 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`FaultPolicy`], the recorded [`FailureReport`]s, and — under
 /// `AbortRun` — the first panic payload for `Scheduler::run` to resume.
 ///
-/// Workers record into the cell *before* decrementing the pending count
-/// (see [`SpawnCtx::run_one`]); anyone who observes the count reach zero
-/// is therefore guaranteed to see every failure of a task that finished
-/// before the drain — the same read-order argument quiescence itself
-/// rests on (see [`crate::ingest`]).
+/// Workers record into the cell *before* the failing task's unit of the
+/// outstanding count becomes a credit, hence before any settle can release
+/// it (see [`SpawnCtx::run_one`]); anyone who observes the count reach
+/// zero is therefore guaranteed to see every failure of a task that
+/// finished before the drain — the same read-order argument quiescence
+/// itself rests on (see [`crate::ingest`]).
 pub(crate) struct FaultCell {
     policy: FaultPolicy,
     payload: crate::sync::Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -188,15 +208,60 @@ pub trait TaskExecutor<T: Send>: Sync {
     }
 }
 
+/// One place's share of the outstanding-task accounting: the counter all
+/// places share plus this place's private credits (see the Termination
+/// bullet of the module docs). The invariant it keeps:
+///
+/// > shared count = outstanding tasks + Σ over places of `credit`.
+///
+/// `finish` moves a unit from the first term to the second, `charge`
+/// moves units back (raising the count only for what the credits do not
+/// cover), `flush` drops the second term — none of the three can make the
+/// count read less than the number of outstanding tasks.
+pub(crate) struct Outstanding<'a> {
+    shared: &'a AtomicU64,
+    credit: u64,
+}
+
+impl<'a> Outstanding<'a> {
+    pub(crate) fn new(shared: &'a AtomicU64) -> Self {
+        Outstanding { shared, credit: 0 }
+    }
+
+    /// Accounts for `n` tasks about to become poppable. Must precede their
+    /// push: a task is never poppable while the count could read zero.
+    pub(crate) fn charge(&mut self, n: u64) {
+        let from_credit = n.min(self.credit);
+        self.credit -= from_credit;
+        if n > from_credit {
+            self.shared.fetch_add(n - from_credit, Ordering::AcqRel);
+        }
+    }
+
+    /// A popped task is over (executed, dead or quarantined): its unit
+    /// stays in the shared count as a credit of this place.
+    fn finish(&mut self) {
+        self.credit += 1;
+    }
+
+    /// Releases every credit with one `fetch_sub`; `true` exactly when
+    /// that took the shared count to zero.
+    fn flush(&mut self) -> bool {
+        let credit = std::mem::take(&mut self.credit);
+        credit > 0 && self.shared.fetch_sub(credit, Ordering::AcqRel) == credit
+    }
+}
+
 /// Per-task spawn context handed to [`TaskExecutor::execute`].
 pub struct SpawnCtx<'a, T: Send> {
     handle: &'a mut dyn PoolHandle<T>,
-    pending: &'a AtomicU64,
+    outstanding: Outstanding<'a>,
     executor: &'a dyn TaskExecutor<T>,
     /// Set when a task panicked under `FaultPolicy::AbortRun`: all workers
-    /// drain out and the panic is re-raised from `run` (without this, a
-    /// lost decrement would leave `pending` nonzero and deadlock the
-    /// remaining workers). Never raised under `FaultPolicy::Isolate`.
+    /// drain out and the panic is re-raised from `run` (without this, the
+    /// tasks nobody will run any more would keep the outstanding count
+    /// nonzero and deadlock the remaining workers). Never raised under
+    /// `FaultPolicy::Isolate`.
     abort: &'a AtomicBool,
     faults: &'a FaultCell,
     place: usize,
@@ -219,9 +284,9 @@ impl<'a, T: Send> SpawnCtx<'a, T> {
     /// Spawns a task with priority `prio` (smaller = higher) and per-task
     /// relaxation bound `k` (§2.2).
     pub fn spawn(&mut self, prio: u64, k: usize, task: T) {
-        // Increment before push: a task must never be poppable while the
+        // Charge before push: a task must never be poppable while the
         // counter could read zero.
-        self.pending.fetch_add(1, Ordering::AcqRel);
+        self.outstanding.charge(1);
         self.handle.push(prio, k, task);
         // Streamed runs park idle workers; a fresh task may be stealable
         // or spyable by any of them (gated: one fence + load when the
@@ -236,8 +301,8 @@ impl<'a, T: Send> SpawnCtx<'a, T> {
     ///
     /// Help-first semantics are unchanged — every task is stored for later
     /// execution — but the whole batch flows through
-    /// [`PoolHandle::push_batch`]: one pending-counter update and one
-    /// batched structure insertion instead of per-task trait calls. This
+    /// [`PoolHandle::push_batch`]: one charge to the outstanding count and
+    /// one batched structure insertion instead of per-task trait calls. This
     /// is the intended spawn path for executors that emit many children
     /// per task (e.g. SSSP node expansion); pair it with
     /// [`SpawnCtx::take_batch_buf`] to avoid allocating the batch.
@@ -245,8 +310,8 @@ impl<'a, T: Send> SpawnCtx<'a, T> {
         if tasks.is_empty() {
             return;
         }
-        // Increment before push, as in `spawn`.
-        self.pending.fetch_add(tasks.len() as u64, Ordering::AcqRel);
+        // Charge before push, as in `spawn`.
+        self.outstanding.charge(tasks.len() as u64);
         self.handle.push_batch(k, tasks);
         if let Some(ing) = self.ingress {
             ing.parker().wake_workers_if_idle();
@@ -351,7 +416,7 @@ impl<'a, T: Send> SpawnCtx<'a, T> {
         let n = ing.drain_into(
             self.place,
             &mut *self.handle,
-            self.pending,
+            &mut self.outstanding,
             &mut scratch,
             &mut kbatch,
         );
@@ -362,23 +427,48 @@ impl<'a, T: Send> SpawnCtx<'a, T> {
 
     /// The termination condition: quiescent ingress (no producers, empty
     /// lanes — trivially true in closed-world runs) checked *before* a
-    /// zero pending count. See the `ingest` module docs for why this read
-    /// order is sound.
-    fn drained_out(&self) -> bool {
+    /// zero outstanding count. See the `ingest` module docs for why this
+    /// read order is sound. Settles first: the count can only read zero
+    /// once this place's own credits are out of it, and every path from a
+    /// failed pop to a park goes through here.
+    fn drained_out(&mut self) -> bool {
+        // Mutation self-check (`--cfg loom_mutate_credit_flush`): a place
+        // that checks and parks on the count without settling keeps it
+        // above zero forever; `tests/loom_models.rs` asserts the model
+        // checker finds that deadlock.
+        #[cfg(not(loom_mutate_credit_flush))]
+        self.settle();
         self.ingress.is_none_or(IngressShared::quiescent)
-            && self.pending.load(Ordering::Acquire) == 0
+            && self.outstanding.shared.load(Ordering::Acquire) == 0
+    }
+
+    /// Releases this place's credits and, if that took the outstanding
+    /// count to zero, fires the quiescence wakes: join waiters always
+    /// re-check on a full drain, and if the ingress side is also quiescent
+    /// the whole run is over — every parked worker must observe that and
+    /// exit.
+    fn settle(&mut self) {
+        if self.outstanding.flush() {
+            if let Some(ing) = self.ingress {
+                ing.parker().control().wake_if_waiting();
+                if ing.quiescent() {
+                    ing.parker().wake_all();
+                }
+            }
+        }
     }
 
     fn run_one(&mut self, prio: u64, task: T) {
         if self.executor.is_dead(&task) {
             self.dead += 1;
-            self.finish_one();
+            self.outstanding.finish();
             return;
         }
-        // Contain panics: decrement `pending` either way so sibling workers
-        // cannot spin forever on a count that will never drain. The failure
-        // is recorded (and, under `AbortRun`, the abort flag raised)
-        // *before* the decrement so that anyone who observes the count
+        // Contain panics: the task's unit is released either way so sibling
+        // workers cannot spin forever on a count that will never drain. The
+        // failure is recorded (and, under `AbortRun`, the abort flag
+        // raised) *before* the unit becomes a credit, hence before the
+        // settle that releases it, so that anyone who observes the count
         // reach zero (e.g. `PoolService::join`) is guaranteed to see it on
         // a subsequent read — a drain caused by a panic can never
         // masquerade as a clean one, and an isolated failure is always
@@ -408,31 +498,16 @@ impl<'a, T: Send> SpawnCtx<'a, T> {
                 FaultPolicy::Isolate => {
                     // Quarantine: record and move on. Siblings, producers,
                     // and this very worker keep running; the panicking
-                    // task's pending unit is released below exactly as a
-                    // completion would release it, so quiescence
-                    // accounting stays exact.
+                    // task's unit becomes a credit below exactly as a
+                    // completion's would, so quiescence accounting stays
+                    // exact.
                     self.faults.record(report, None);
                 }
             }
         } else {
             self.executed += 1;
         }
-        self.finish_one();
-    }
-
-    /// Releases one unit of the pending counter and fires the quiescence
-    /// wakes when it hits zero: join waiters always re-check on a full
-    /// drain, and if the ingress side is also quiescent the whole run is
-    /// over — every parked worker must observe that and exit.
-    fn finish_one(&mut self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if let Some(ing) = self.ingress {
-                ing.parker().control().wake_if_waiting();
-                if ing.quiescent() {
-                    ing.parker().wake_all();
-                }
-            }
-        }
+        self.outstanding.finish();
     }
 }
 
@@ -519,7 +594,9 @@ const HELP_WAIT_CAP: Duration = Duration::from_micros(200);
 ///
 /// Shared by [`Scheduler::run`]/[`Scheduler::run_stream`] (scoped worker
 /// threads) and [`crate::service::PoolService`] (detached worker threads);
-/// returns `(executed, dead)` for this place.
+/// returns `(executed, dead)` for this place. `pending` is the outstanding
+/// count all places of the run share; this place's credits against it live
+/// in the loop's [`SpawnCtx`] and are settled before it returns.
 pub(crate) fn place_loop<T: Send>(
     handle: &mut dyn PoolHandle<T>,
     executor: &dyn TaskExecutor<T>,
@@ -531,7 +608,7 @@ pub(crate) fn place_loop<T: Send>(
 ) -> (u64, u64) {
     let mut ctx = SpawnCtx {
         handle,
-        pending,
+        outstanding: Outstanding::new(pending),
         executor,
         abort,
         faults,
@@ -561,7 +638,10 @@ pub(crate) fn place_loop<T: Send>(
                     break;
                 }
                 match ctx.ingress {
-                    Some(ing) if backoff.is_completed() => {
+                    // (Model time is free: under loom park at once, so the
+                    // explorer walks register → re-check → park instead of
+                    // a backoff's worth of spins.)
+                    Some(ing) if cfg!(loom) || backoff.is_completed() => {
                         // Backoff exhausted: park until an event instead of
                         // poll-sleeping. Register, re-check everything a
                         // wake could signal, then sleep on the slot.
@@ -595,6 +675,9 @@ pub(crate) fn place_loop<T: Send>(
             }
         }
     }
+    // An abort leaves the loop with credits in hand; release them so the
+    // shared count never outlives the places that inflated it.
+    ctx.settle();
     (ctx.executed, ctx.dead)
 }
 
@@ -721,7 +804,8 @@ impl<Pool> Scheduler<Pool> {
             stats.dead += dead;
             stats.pool.merge(&pool_stats);
         }
-        debug_assert_eq!(pending.load(Ordering::Acquire), 0);
+        // Every place settled on its way out, so the count is exact here.
+        assert_eq!(pending.load(Ordering::Acquire), 0);
         stats
     }
 }
@@ -992,6 +1076,88 @@ mod tests {
         let stats = sched.run_stream(&AllDead, Vec::new(), &ingress);
         assert_eq!(stats.executed, 0);
         assert_eq!(stats.dead, 30);
+    }
+
+    #[test]
+    fn charge_after_finish_leaves_the_shared_count_alone() {
+        let shared = AtomicU64::new(0);
+        let mut o = Outstanding::new(&shared);
+        o.charge(3); // no credits yet: all three from the shared count
+        assert_eq!(shared.load(Ordering::Relaxed), 3);
+        o.finish();
+        o.finish();
+        o.charge(1); // paid by a credit
+        assert_eq!((shared.load(Ordering::Relaxed), o.credit), (3, 1));
+        o.charge(4); // one credit, three from the shared count
+        assert_eq!((shared.load(Ordering::Relaxed), o.credit), (6, 0));
+    }
+
+    #[test]
+    fn flush_reports_zero_exactly_when_the_shared_count_gets_there() {
+        let shared = AtomicU64::new(0);
+        let (mut a, mut b) = (Outstanding::new(&shared), Outstanding::new(&shared));
+        assert!(!a.flush(), "nothing to release: not a zero crossing");
+        a.charge(2);
+        b.charge(1);
+        a.finish();
+        assert!(!a.flush(), "3 → 2");
+        a.finish();
+        b.finish();
+        assert!(!b.flush(), "2 → 1: the other place still holds a credit");
+        assert_eq!(shared.load(Ordering::Relaxed), 1);
+        assert!(a.flush(), "1 → 0");
+        assert!(!a.flush() && !b.flush(), "already settled");
+        assert_eq!(shared.load(Ordering::Relaxed), 0);
+    }
+
+    /// A task waiting in `help_while` runs other tasks on the same
+    /// `SpawnCtx`: the credits they leave must neither be lost nor let the
+    /// count reach zero under the still-running waiter.
+    #[test]
+    fn credits_survive_nested_help_while() {
+        struct Nested {
+            leaves_done: Counter,
+        }
+        impl TaskExecutor<u64> for Nested {
+            fn execute(&self, t: u64, ctx: &mut SpawnCtx<'_, u64>) {
+                match t {
+                    // Root: spawn an inner waiter, help until it is done.
+                    0 => {
+                        ctx.spawn(1, 4, 1);
+                        ctx.help_while(&|| self.leaves_done.load(Ordering::Acquire) < 8);
+                        // Everything below ran on this ctx inside the
+                        // root's execute; the root's own unit is still out.
+                        assert!(ctx.outstanding.shared.load(Ordering::Acquire) >= 1);
+                    }
+                    // Inner waiter: spawn the leaves, help until they ran.
+                    1 => {
+                        for i in 0..8 {
+                            ctx.spawn(2, 4, 2 + i);
+                        }
+                        ctx.help_while(&|| self.leaves_done.load(Ordering::Acquire) < 8);
+                        // The eight leaves ran nested inside this task and
+                        // left their credits on the shared ctx; the next
+                        // spawn is paid from them.
+                        let shared = ctx.outstanding.shared.load(Ordering::Acquire);
+                        assert_eq!((shared, ctx.outstanding.credit), (10, 8));
+                        ctx.spawn(3, 4, 100);
+                        let shared = ctx.outstanding.shared.load(Ordering::Acquire);
+                        assert_eq!((shared, ctx.outstanding.credit), (10, 7));
+                    }
+                    _ => {
+                        self.leaves_done.fetch_add(1, Ordering::AcqRel);
+                    }
+                }
+            }
+        }
+        let exec = Nested {
+            leaves_done: Counter::new(0),
+        };
+        let sched = Scheduler::from_pool(PriorityWorkStealing::new(1));
+        let stats = sched.run(&exec, vec![(0, 4, 0u64)]);
+        // root + waiter + 8 leaves + the late spawn; `run` itself asserts
+        // that the shared count ended at zero.
+        assert_eq!(stats.executed, 11);
     }
 
     #[test]

@@ -238,10 +238,15 @@ impl<T: Send + 'static> PoolService<T> {
     /// failures is still `Ok` — inspect [`PoolService::failed`].
     ///
     /// Event-driven: the caller parks on the control slot and is woken by
-    /// the pending counter reaching zero (the last task of a drain) or by
-    /// an abort — no polling. The register → re-check → park protocol
-    /// (see [`crate::park`]) closes the race against a drain that
-    /// completes between the check and the sleep.
+    /// whichever half of its predicate turns true last — a place's settle
+    /// taking the outstanding count to zero, or a lane drain taking the
+    /// queued count to zero — or by an abort; no polling. The count read
+    /// here is the shared, credit-settled one (see [`crate::scheduler`]):
+    /// it may read high while places still hold credits, never low, and
+    /// the place that holds the last credits settles on its next failed
+    /// pop. The register → re-check → park protocol (see [`crate::park`])
+    /// closes the race against a drain that completes between the check
+    /// and the sleep.
     pub fn join(&self) -> Result<(), PoolAborted> {
         let drained =
             |this: &Self| this.lanes.queued() == 0 && this.pending.load(Ordering::Acquire) == 0;
@@ -253,8 +258,8 @@ impl<T: Send + 'static> PoolService<T> {
             if drained(self) {
                 // Re-check after observing the drain: a panicking task
                 // records its failure and raises the abort flag before
-                // releasing its pending count, so a panic-caused drain is
-                // visible here.
+                // its unit can leave the outstanding count, so a
+                // panic-caused drain is visible here.
                 if self.abort.load(Ordering::Acquire) {
                     return Err(self.aborted());
                 }
@@ -289,7 +294,7 @@ impl<T: Send + 'static> PoolService<T> {
     /// condition short of dropping producers), or `Err(PoolAborted)` if
     /// the pool aborted on a task panic. The future deposits its waker on
     /// the control slot where the blocking join parks, so it is woken by
-    /// the same pending-counter-reaches-zero / abort events, and it
+    /// the same count-reaches-zero / lanes-emptied / abort events, and it
     /// revokes the deposit when dropped before the drain.
     pub fn join_async(&self) -> JoinFuture<'_, T> {
         JoinFuture::new(

@@ -233,6 +233,60 @@ fn quiescent_service_parks_making_no_idle_iterations() {
     assert_eq!(stats.executed, 10);
 }
 
+/// Regression for the join lost wakeup: a lane drain charges the
+/// outstanding count, pushes, and only then lowers `queued`. If another
+/// place ran the task in between, the count → 0 wake found the joiner's
+/// predicate (`queued == 0 ∧ count == 0`) still false, the joiner parked
+/// again, and nothing woke it when `queued` fell. `k = 0` makes the drained
+/// task visible to the other places at once, which is what opens that
+/// window; a stalled round fails the test through the watchdog instead of
+/// hanging it.
+#[test]
+fn submit_one_join_round_trips_never_sleep_through_the_drain() {
+    const ROUNDS: u64 = 20_000;
+    for kind in [PoolKind::Structural, PoolKind::Hybrid] {
+        for places in [2usize, 4] {
+            let done = Arc::new(AtomicU64::new(0));
+            let (finished_tx, finished_rx) = std::sync::mpsc::channel();
+            let rounds_done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let exec = Arc::new(Accumulate::default());
+                let mut svc = PoolBuilder::new(kind)
+                    .places(places)
+                    .service(Arc::clone(&exec));
+                for round in 1..=ROUNDS {
+                    // Payload 1 spawns nothing: one execution per round.
+                    svc.submit(round, 0, 1).unwrap();
+                    svc.join().unwrap();
+                    assert_eq!(exec.count.load(Ordering::Relaxed), round);
+                    rounds_done.store(round, Ordering::Release);
+                }
+                svc.shutdown().expect("clean shutdown");
+                finished_tx.send(()).unwrap();
+            });
+            // Watchdog: progress, not a total budget, so a slow box only
+            // makes the test slow.
+            let mut seen = 0;
+            loop {
+                match finished_rx.recv_timeout(Duration::from_secs(10)) {
+                    Ok(()) => break,
+                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                        let now = done.load(Ordering::Acquire);
+                        assert!(
+                            now > seen,
+                            "{kind:?} on {places} places: join() asleep since round {now}"
+                        );
+                        seen = now;
+                    }
+                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                        panic!("{kind:?} on {places} places: round-trip thread panicked")
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Producers that outrun a bounded service park in blocking `submit` and
 /// are released drain by drain; every submission still executes exactly
 /// once.

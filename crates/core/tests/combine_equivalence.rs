@@ -260,12 +260,14 @@ fn stress_handoff_no_request_lost_or_double_executed() {
 }
 
 /// Op for driving a raw `Combiner` over a `u64` accumulator: `Add` sums,
-/// `Block` holds the combiner inside an `apply` until the gate opens —
-/// long enough that any concurrent loser exhausts its spin budget and
-/// parks.
+/// `Block` announces that it is running (so the combiner lock is provably
+/// held) and then holds the combiner inside `apply` until the gate opens.
 enum GateOp {
     Add(u64),
-    Block(Arc<AtomicBool>),
+    Block {
+        entered: Arc<AtomicBool>,
+        gate: Arc<AtomicBool>,
+    },
 }
 
 impl CombineOp<u64> for GateOp {
@@ -276,9 +278,10 @@ impl CombineOp<u64> for GateOp {
                 *shared += v;
                 *shared
             }
-            GateOp::Block(gate) => {
+            GateOp::Block { entered, gate } => {
+                entered.store(true, Ordering::Release);
                 while !gate.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
+                    std::thread::yield_now();
                 }
                 *shared
             }
@@ -287,37 +290,45 @@ impl CombineOp<u64> for GateOp {
 }
 
 /// A loser that parked while the combiner was busy is woken by the
-/// response write: place 0 occupies the combiner inside a gated op for
-/// ~100 ms (far beyond the spin budget), place 1 publishes, parks, and
-/// must come back with the correct response and ≥ 1 recorded park.
+/// response write. Gated on state, not on sleeps: the loser publishes only
+/// once place 0 is inside its gated op (so the lock is held and the slow
+/// path is certain), and the gate opens only once the loser has parked at
+/// least once — while the gate is closed the loser's pre-park re-check
+/// (response written? lock free?) cannot succeed, so every trip through
+/// its spin budget ends in a park.
 #[test]
 fn parked_loser_is_woken_when_response_is_written() {
     let combiner: Arc<Combiner<u64, GateOp>> = Arc::new(Combiner::new(0, 2));
+    let entered = Arc::new(AtomicBool::new(false));
     let gate = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         let c = Arc::clone(&combiner);
-        let g = Arc::clone(&gate);
+        let op = GateOp::Block {
+            entered: Arc::clone(&entered),
+            gate: Arc::clone(&gate),
+        };
         let blocker = s.spawn(move || {
             let mut stats = CombineStats::default();
-            c.execute(0, GateOp::Block(g), &mut stats)
+            c.execute(0, op, &mut stats)
         });
+        while !entered.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         let c = Arc::clone(&combiner);
         let loser = s.spawn(move || {
-            // Give the blocker time to take the lock first.
-            std::thread::sleep(std::time::Duration::from_millis(10));
             let mut stats = CombineStats::default();
             let resp = c.execute(1, GateOp::Add(42), &mut stats);
             (resp, stats.parks)
         });
-        // Both threads are now committed: the blocker inside apply(), the
-        // loser published and (after its spin budget) parked.
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        while combiner.parks(1) == 0 {
+            std::thread::yield_now();
+        }
         gate.store(true, Ordering::Release);
         let (resp, parks) = loser.join().expect("loser thread");
         assert_eq!(resp, 42, "loser's Add must be applied exactly once");
         assert!(
             parks >= 1,
-            "loser should have parked while the combiner was gated (parks = {parks})"
+            "loser parked while the combiner was gated (parks = {parks})"
         );
         assert_eq!(blocker.join().expect("blocker thread"), 0);
     });

@@ -7,12 +7,13 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p priosched-core --test loom_models --release
 //! ```
 //!
-//! The two mutation self-checks run under an *additional* cfg that plants
-//! a deliberate bug in the library and assert the checker finds it:
+//! The three mutation self-checks run under an *additional* cfg that
+//! plants a deliberate bug in the library and assert the checker finds it:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom --cfg loom_mutate_park_fence"   cargo test -p priosched-core --test loom_models --release
 //! RUSTFLAGS="--cfg loom --cfg loom_mutate_combine_done" cargo test -p priosched-core --test loom_models --release
+//! RUSTFLAGS="--cfg loom --cfg loom_mutate_credit_flush" cargo test -p priosched-core --test loom_models --release
 //! ```
 //!
 //! The regular models are gated off in the mutated builds — the planted
@@ -22,7 +23,11 @@
 
 use priosched_core::models;
 
-#[cfg(not(any(loom_mutate_park_fence, loom_mutate_combine_done)))]
+#[cfg(not(any(
+    loom_mutate_park_fence,
+    loom_mutate_combine_done,
+    loom_mutate_credit_flush
+)))]
 mod checked {
     use super::models;
 
@@ -55,6 +60,11 @@ mod checked {
     fn structural_pop_vs_raid_exactly_once() {
         models::structural_pop_vs_raid_exactly_once();
     }
+
+    #[test]
+    fn credits_settle_before_quiescence() {
+        models::credits_settle_before_quiescence();
+    }
 }
 
 /// Self-check: with the `wake_if_waiting` fence removed, the parker model
@@ -80,5 +90,18 @@ fn mutation_combine_done_is_caught() {
     assert!(
         result.is_err(),
         "checker failed to find the planted DONE-before-response reorder"
+    );
+}
+
+/// Self-check: with the settle in front of the scheduler's termination
+/// check removed, the credit model must *fail* (the last credits are never
+/// released, the count stays above zero, and both places park for good).
+#[cfg(loom_mutate_credit_flush)]
+#[test]
+fn mutation_credit_flush_is_caught() {
+    let result = std::panic::catch_unwind(models::credits_settle_before_quiescence);
+    assert!(
+        result.is_err(),
+        "checker failed to find the planted deadlock (credits never settled)"
     );
 }
