@@ -1,4 +1,4 @@
-//! Deterministic chaos-injection harness (`schedbench --chaos`).
+//! Deterministic chaos-injection harness (driven by the `chaos` binary).
 //!
 //! Every fault the scheduler claims to tolerate is injected here on
 //! purpose, from a seed, and checked against an exact failure-aware
@@ -37,7 +37,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// SplitMix64: tiny, seedable, and good enough to scatter bombs —
 /// the harness needs reproducibility, not statistical quality.
@@ -117,7 +117,7 @@ impl ChaosCounters {
     }
 }
 
-/// One chaos cell's outcome: its counters plus wall-clock time.
+/// One chaos cell's outcome.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosReport {
     /// Scheduling structure the cell ran on.
@@ -126,8 +126,6 @@ pub struct ChaosReport {
     pub places: usize,
     /// The deterministic failure-mode counters.
     pub counters: ChaosCounters,
-    /// Wall-clock time of the cell (both determinism runs).
-    pub elapsed: Duration,
 }
 
 /// The chaos executor: a countdown chain (value `v` spawns `v - 1`)
@@ -406,7 +404,12 @@ fn scenario_net(rng: &mut ChaosRng, kind: PoolKind, places: usize, smoke: bool) 
         let mut reply = String::new();
         let mut request =
             |writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str| -> String {
-                writeln!(writer, "{line}").expect("send");
+                // One write per request: `writeln!` would send the line and
+                // its newline separately, and Nagle + delayed ACK can then hold
+                // the newline back past the server's started-line deadline.
+                writer
+                    .write_all(format!("{line}\n").as_bytes())
+                    .expect("send");
                 reply.clear();
                 reader.read_line(&mut reply).expect("reply");
                 reply.trim_end().to_string()
@@ -539,7 +542,7 @@ pub fn run_cell(seed: u64, kind: PoolKind, places: usize, smoke: bool) -> ChaosC
 
 /// Runs the full chaos sweep: every `kind × places` cell, **twice**,
 /// asserting the same-seed repeat produces identical counters. Returns
-/// one report per cell (elapsed covers both runs).
+/// one report per cell.
 pub fn chaos_sweep(
     seed: u64,
     kinds: &[PoolKind],
@@ -549,7 +552,6 @@ pub fn chaos_sweep(
     let mut reports = Vec::new();
     for &kind in kinds {
         for &places in places_list {
-            let start = Instant::now();
             let counters = run_cell(seed, kind, places, smoke);
             let repeat = run_cell(seed, kind, places, smoke);
             assert_eq!(
@@ -560,7 +562,6 @@ pub fn chaos_sweep(
                 kind,
                 places,
                 counters,
-                elapsed: start.elapsed(),
             });
         }
     }
@@ -599,7 +600,7 @@ mod tests {
     }
 
     /// One full cell on one structure: the in-repo smoke for the chaos
-    /// path (CI runs the full sweep via `schedbench --chaos`).
+    /// path (CI runs the full sweep via the `chaos` binary).
     #[test]
     fn chaos_cell_is_deterministic_on_hybrid() {
         let first = run_cell(7, PoolKind::Hybrid, 2, true);

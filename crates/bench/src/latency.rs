@@ -4,8 +4,8 @@
 //! produce: a *tail* change. Delegation turns "every thread occasionally
 //! eats a full lock-convoy stall" into "one combiner works while the
 //! others wait a bounded hand-off" — the mean barely moves, p99/p999 do.
-//! So the bench harnesses record every operation into a [`LatencyHist`]
-//! and report percentiles next to the mean.
+//! So a per-operation probe records every operation into a
+//! [`LatencyHist`] and reports percentiles next to the mean.
 //!
 //! The layout is the classic log-linear scheme (as popularized by
 //! HdrHistogram): values below 2^[`SUB_BITS`] get exact unit buckets;

@@ -20,6 +20,10 @@
 //!
 //! Output goes to stdout (human-readable tables) and `results/*.csv`
 //! (machine-readable, one row per point).
+//!
+//! Also here: the `chaos` fault-injection sweep (over [`chaos`]) and the
+//! `atomics_audit` CI gate. Throughput and latency numbers come from the
+//! standalone `benchmark/` package, not from this crate.
 
 use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
 use std::io::Write;

@@ -45,7 +45,7 @@ use std::sync::Arc;
 pub const DEFAULT_KMAX: u32 = 512;
 
 /// Placement policy for push (Listing 1 line 9 uses a random offset;
-/// `Linear` exists for the ablation bench that quantifies why).
+/// `Linear` is the ablation of that choice).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Placement {
     /// Paper behaviour: probe the k-window from a random offset —
@@ -81,7 +81,7 @@ impl<T: Send + 'static> CentralizedKPriority<T> {
     }
 
     /// As [`CentralizedKPriority::new`] with an explicit placement policy
-    /// (the `Linear` variant exists for ablation benchmarks).
+    /// (the `Linear` variant is the ablation of the random offset).
     pub fn with_placement(nplaces: usize, kmax: u32, placement: Placement) -> Self {
         assert!(nplaces > 0, "need at least one place");
         assert!(kmax > 0, "kmax must be positive");
@@ -413,65 +413,6 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
         }
         self.pq.extend_batch(refs.drain(..));
         self.refs = refs;
-    }
-
-    /// Batch pop (Listing 2 amortized): one global-array scan serves up to
-    /// `max` takes, and the taken items are recycled through the
-    /// place-local cache (one free-list CAS per flush, not per item).
-    ///
-    /// Each take individually honours ρ = k at the moment the batch
-    /// scanned the array; tasks pushed concurrently while the batch drains
-    /// are "newer than the batch" and may be served by the next call —
-    /// the same window a scalar pop exposes between its scan and its take.
-    fn try_pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut got = 0;
-        loop {
-            let scanned_to = self.ingest();
-            while got < max {
-                let Some(r) = self.pq.pop() else { break };
-                // SAFETY: pool-owned item.
-                let item = unsafe { &*r.ptr };
-                if item.is_live_at(r.tag) {
-                    if let Some(task) = item.try_take(r.tag) {
-                        // SAFETY: unique take winner returns the item.
-                        unsafe { self.cache.release(&self.shared.pool, r.ptr) };
-                        out.push(task);
-                        got += 1;
-                        continue;
-                    }
-                }
-                self.stats.stale_refs += 1;
-                if self.shared.tail.load(Ordering::Acquire) != scanned_to {
-                    self.ingest();
-                }
-            }
-            if got >= max {
-                break;
-            }
-            // Local queue drained below max: rescan if the tail moved,
-            // otherwise try the probe once (only for an empty batch — a
-            // partial batch is already a success).
-            let tail = self.shared.tail.load(Ordering::Acquire);
-            if tail != scanned_to {
-                continue;
-            }
-            if got == 0 {
-                if let Some((_prio, task)) = self.probe(tail) {
-                    out.push(task);
-                    got = 1;
-                }
-            }
-            break;
-        }
-        if got == 0 {
-            self.stats.failed_pops += 1;
-        } else {
-            self.stats.pops += got as u64;
-        }
-        got
     }
 
     fn stats(&self) -> PlaceStats {

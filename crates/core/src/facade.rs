@@ -10,11 +10,15 @@
 //!   the whole scheduling loop stays monomorphized per structure exactly as
 //!   if the concrete type had been named; or
 //! * call [`PoolKind::build`] / [`PoolBuilder::build`] when they need to
-//!   drive place handles themselves (lockstep runners, throughput benches)
+//!   drive place handles themselves (lockstep runners, raw-pool probes)
 //!   and receive an [`AnyPool`] — a thin enum over the five structures
-//!   whose [`PoolHandle`] forwards every operation, including the batched
-//!   ones, to the wrapped handle. The per-operation cost is one predictable
+//!   whose [`PoolHandle`] forwards every operation, `push_batch` included,
+//!   to the wrapped handle. The per-operation cost is one predictable
 //!   branch.
+//!
+//! Each structure's constructor is named exactly once, in
+//! [`PoolKind::build`]; the run helpers unwrap the built [`AnyPool`] back
+//! to its concrete type (`on_concrete!`) before the scheduler sees it.
 //!
 //! Construction semantics are fixed here once: the centralized structure
 //! consumes [`PoolParams::kmax`], the structural prototype consumes
@@ -54,6 +58,21 @@ pub enum AnyPool<T: Send + 'static> {
     MultiQueue(Arc<RelaxedMultiQueue<T>>),
 }
 
+/// Evaluates `$body` with `$pool` bound to the concrete `Arc<Structure>`
+/// inside an [`AnyPool`] — one arm, hence one monomorphization of `$body`,
+/// per structure.
+macro_rules! on_concrete {
+    ($any:expr, |$pool:ident| $body:expr) => {
+        match $any {
+            AnyPool::WorkStealing($pool) => $body,
+            AnyPool::Centralized($pool) => $body,
+            AnyPool::Hybrid($pool) => $body,
+            AnyPool::Structural($pool) => $body,
+            AnyPool::MultiQueue($pool) => $body,
+        }
+    };
+}
+
 impl<T: Send + 'static> AnyPool<T> {
     /// The kind this pool was built as.
     pub fn kind(&self) -> PoolKind {
@@ -68,7 +87,7 @@ impl<T: Send + 'static> AnyPool<T> {
 }
 
 /// One place's view of an [`AnyPool`]; forwards every operation — scalar
-/// and batched — to the wrapped concrete handle.
+/// and `push_batch` — to the wrapped concrete handle.
 pub enum AnyHandle<T: Send + 'static> {
     /// Handle of [`PriorityWorkStealing`].
     WorkStealing(WorkStealingHandle<T>),
@@ -86,13 +105,7 @@ impl<T: Send + 'static> TaskPool<T> for AnyPool<T> {
     type Handle = AnyHandle<T>;
 
     fn num_places(&self) -> usize {
-        match self {
-            AnyPool::WorkStealing(p) => p.num_places(),
-            AnyPool::Centralized(p) => p.num_places(),
-            AnyPool::Hybrid(p) => p.num_places(),
-            AnyPool::Structural(p) => p.num_places(),
-            AnyPool::MultiQueue(p) => p.num_places(),
-        }
+        on_concrete!(self, |p| p.num_places())
     }
 
     fn handle(self: &Arc<Self>, place: usize) -> AnyHandle<T> {
@@ -137,16 +150,6 @@ impl<T: Send + 'static> PoolHandle<T> for AnyHandle<T> {
         }
     }
 
-    fn try_pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        match self {
-            AnyHandle::WorkStealing(h) => h.try_pop_batch(out, max),
-            AnyHandle::Centralized(h) => h.try_pop_batch(out, max),
-            AnyHandle::Hybrid(h) => h.try_pop_batch(out, max),
-            AnyHandle::Structural(h) => h.try_pop_batch(out, max),
-            AnyHandle::MultiQueue(h) => h.try_pop_batch(out, max),
-        }
-    }
-
     fn stats(&self) -> PlaceStats {
         match self {
             AnyHandle::WorkStealing(h) => h.stats(),
@@ -176,9 +179,9 @@ impl PoolKind {
                 AnyPool::Centralized(Arc::new(CentralizedKPriority::new(places, params.kmax)))
             }
             PoolKind::Hybrid => AnyPool::Hybrid(Arc::new(HybridKPriority::new(places))),
-            PoolKind::Structural => AnyPool::Structural(Arc::new(
-                StructuralKPriority::with_combining(places, params.k, params.combine),
-            )),
+            PoolKind::Structural => {
+                AnyPool::Structural(Arc::new(StructuralKPriority::new(places, params.k)))
+            }
             PoolKind::MultiQueue => {
                 AnyPool::MultiQueue(Arc::new(RelaxedMultiQueue::from_params(places, &params)))
             }
@@ -191,8 +194,8 @@ impl PoolKind {
 /// Dispatch happens once, here: each arm monomorphizes
 /// [`Scheduler::run`] against the concrete structure, so the scheduling
 /// loop's codegen is identical to naming the type by hand — wall-clock
-/// measurements through this helper are comparable with older harnesses
-/// that carried their own match blocks.
+/// measurements through this helper are comparable with harnesses that
+/// name the structure themselves.
 pub fn run_on_kind<T, E>(
     kind: PoolKind,
     places: usize,
@@ -204,32 +207,11 @@ where
     T: Send + 'static,
     E: TaskExecutor<T>,
 {
-    let policy = params.fault_policy;
-    match kind {
-        PoolKind::WorkStealing => Scheduler::from_pool(PriorityWorkStealing::new(places))
-            .with_fault_policy(policy)
-            .run(executor, roots),
-        PoolKind::Centralized => {
-            Scheduler::from_pool(CentralizedKPriority::new(places, params.kmax))
-                .with_fault_policy(policy)
-                .run(executor, roots)
-        }
-        PoolKind::Hybrid => Scheduler::from_pool(HybridKPriority::new(places))
-            .with_fault_policy(policy)
-            .run(executor, roots),
-        PoolKind::Structural => Scheduler::from_pool(StructuralKPriority::with_combining(
-            places,
-            params.k,
-            params.combine,
-        ))
-        .with_fault_policy(policy)
-        .run(executor, roots),
-        PoolKind::MultiQueue => {
-            Scheduler::from_pool(RelaxedMultiQueue::from_params(places, &params))
-                .with_fault_policy(policy)
-                .run(executor, roots)
-        }
-    }
+    on_concrete!(kind.build(places, params), |pool| {
+        Scheduler::from_pool_arc(pool)
+            .with_fault_policy(params.fault_policy)
+            .run(executor, roots)
+    })
 }
 
 /// Streamed sibling of [`run_on_kind`]: runs `executor` over `roots` *plus*
@@ -251,32 +233,11 @@ where
     T: Send + 'static,
     E: TaskExecutor<T>,
 {
-    let policy = params.fault_policy;
-    match kind {
-        PoolKind::WorkStealing => Scheduler::from_pool(PriorityWorkStealing::new(places))
-            .with_fault_policy(policy)
-            .run_stream(executor, roots, ingress),
-        PoolKind::Centralized => {
-            Scheduler::from_pool(CentralizedKPriority::new(places, params.kmax))
-                .with_fault_policy(policy)
-                .run_stream(executor, roots, ingress)
-        }
-        PoolKind::Hybrid => Scheduler::from_pool(HybridKPriority::new(places))
-            .with_fault_policy(policy)
-            .run_stream(executor, roots, ingress),
-        PoolKind::Structural => Scheduler::from_pool(StructuralKPriority::with_combining(
-            places,
-            params.k,
-            params.combine,
-        ))
-        .with_fault_policy(policy)
-        .run_stream(executor, roots, ingress),
-        PoolKind::MultiQueue => {
-            Scheduler::from_pool(RelaxedMultiQueue::from_params(places, &params))
-                .with_fault_policy(policy)
-                .run_stream(executor, roots, ingress)
-        }
-    }
+    on_concrete!(kind.build(places, params), |pool| {
+        Scheduler::from_pool_arc(pool)
+            .with_fault_policy(params.fault_policy)
+            .run_stream(executor, roots, ingress)
+    })
 }
 
 /// Fluent front door over [`PoolKind::build`] / [`run_on_kind`].
@@ -348,14 +309,6 @@ impl PoolBuilder {
     /// [`PoolBuilder::run_stream`], and [`PoolBuilder::service`].
     pub fn fault_policy(mut self, policy: crate::FaultPolicy) -> Self {
         self.params.fault_policy = policy;
-        self
-    }
-
-    /// Toggles flat-combining delegation of the structural pool's shared
-    /// queue (default on; see [`PoolParams::combine`]). Other kinds ignore
-    /// it.
-    pub fn combining(mut self, combine: bool) -> Self {
-        self.params.combine = combine;
         self
     }
 
@@ -474,15 +427,9 @@ mod tests {
             h.push_batch(16, &mut batch);
             assert!(batch.is_empty(), "{kind}: push_batch must drain");
             let mut out = Vec::new();
-            let mut got = 0;
-            loop {
-                let n = h.try_pop_batch(&mut out, 2);
-                if n == 0 {
-                    break;
-                }
-                got += n;
+            while let Some(task) = h.pop() {
+                out.push(task);
             }
-            assert_eq!(got, 4, "{kind}");
             out.sort();
             assert_eq!(out, vec![1, 3, 5, 9], "{kind}");
             assert_eq!(h.stats().pushes, 4, "{kind}");
@@ -537,20 +484,6 @@ mod tests {
         // .lane_capacity() composes with the other knobs.
         let b = PoolBuilder::new(PoolKind::Hybrid).k(8).lane_capacity(32);
         assert_eq!(b.pool_params().lane_capacity, Some(32));
-    }
-
-    #[test]
-    fn builder_combining_toggle_reaches_the_structural_pool() {
-        for (toggle, want) in [(true, true), (false, false)] {
-            let pool: Arc<AnyPool<u64>> = PoolBuilder::new(PoolKind::Structural)
-                .places(2)
-                .combining(toggle)
-                .build();
-            match &*pool {
-                AnyPool::Structural(p) => assert_eq!(p.combining(), want),
-                other => panic!("expected structural, got {:?}", other.kind()),
-            }
-        }
     }
 
     #[test]

@@ -545,46 +545,6 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
         self.refs = refs;
     }
 
-    /// Batch pop (Listing 4 amortized): one global-list read serves up to
-    /// `max` takes; taken items recycle through the place-local cache.
-    /// Spying is attempted only when the batch would otherwise be empty —
-    /// a partial batch is already progress.
-    fn try_pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut got = 0;
-        loop {
-            self.process_global_list();
-            while got < max {
-                let Some(r) = self.pq.pop() else { break };
-                // SAFETY: pool-owned item.
-                let item = unsafe { &*r.ptr };
-                if item.is_live_at(r.tag) {
-                    if let Some(task) = item.try_take(r.tag) {
-                        // SAFETY: unique take winner returns the item.
-                        unsafe { self.cache.release(&self.shared.pool, r.ptr) };
-                        out.push(task);
-                        got += 1;
-                        continue;
-                    }
-                }
-                self.stats.stale_refs += 1;
-                self.process_global_list();
-            }
-            if got == 0 && self.spy() {
-                continue;
-            }
-            break;
-        }
-        if got == 0 {
-            self.stats.failed_pops += 1;
-        } else {
-            self.stats.pops += got as u64;
-        }
-        got
-    }
-
     fn stats(&self) -> PlaceStats {
         self.stats
     }

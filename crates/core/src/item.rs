@@ -27,8 +27,9 @@
 //! pushed with **one CAS** ([`ItemPool::acquire_batch`],
 //! [`ItemPool::release_batch`]). On top of that, [`ItemCache`] gives each
 //! place a private stash refilled/flushed in batches: the hot path of a
-//! batched `push_batch`/`try_pop_batch` touches the shared free-list head
-//! once per [`ItemCache::REFILL`] items instead of once per item.
+//! `push_batch` (and of the pops that recycle its items) touches the
+//! shared free-list head once per [`ItemCache::REFILL`] items instead of
+//! once per item.
 //!
 //! # Payload handoff
 //!

@@ -50,14 +50,16 @@
 //!
 //! # Batch operations
 //!
-//! Every hot path has a batched form that amortizes synchronization
-//! without weakening ordering guarantees:
+//! Every hot *insertion* path has a batched form that amortizes
+//! synchronization without weakening ordering guarantees (pops stay
+//! scalar — the paper's interface is "two functions, push and pop", and
+//! the [`scheduler`] module docs say why popping ahead of execution would
+//! cost ordering):
 //!
-//! * [`pool::PoolHandle::push_batch`] / [`pool::PoolHandle::try_pop_batch`]
-//!   move whole task batches through each structure — one lock
-//!   acquisition per batch (work-stealing), one window pass per ≤ k
-//!   placements plus one local-queue repair (centralized), one
-//!   publication CAS per exhausted budget (hybrid);
+//! * [`pool::PoolHandle::push_batch`] moves a whole task batch into each
+//!   structure — one lock acquisition per batch (work-stealing), one
+//!   window pass per ≤ k placements plus one local-queue repair
+//!   (centralized), one publication CAS per exhausted budget (hybrid);
 //! * [`item::ItemPool::acquire_batch`] / [`item::ItemPool::release_batch`]
 //!   pop/push whole free-list chains with a single CAS, and
 //!   [`item::ItemCache`] gives each place a private stash so scalar
@@ -83,12 +85,10 @@
 //!   *mid-batch* the moment the budget reaches zero — a batch is charged
 //!   as a unit of n sequential debits, so at most `k` tasks of a place
 //!   are ever unpublished, batch or no batch.
-//! * **Pops:** a batch pop returns what ≤ max consecutive scalar pops
-//!   would have returned against the state at its scan; in any sequential
-//!   interleaving the histories coincide exactly (property-tested in
-//!   `tests/proptests.rs`), and under concurrency tasks pushed while a
-//!   batch drains are simply "newer than the batch", the same window a
-//!   scalar pop exposes between its scan and its take-CAS.
+//!
+//! In any sequential interleaving a batched history pops the same
+//! multiset, under the same relaxation oracle, as its scalar expansion
+//! (property-tested in `tests/proptests.rs`).
 //!
 //! # Ingestion, backpressure, and quiescence
 //!
@@ -190,10 +190,9 @@
 //! # Delegation combining
 //!
 //! The structural pool's shared queue — one heap crossed by every
-//! overflow push, shared pop, and raid — is, by default, accessed through
-//! the flat-combining layer in [`combine`] rather than a plain mutex
-//! (toggle: [`PoolParams::combine`] / [`PoolBuilder::combining`]; the
-//! mutex path stays selectable for A/B). The protocol:
+//! overflow push, shared pop, and raid — is accessed through the
+//! flat-combining layer in [`combine`] rather than a plain mutex. The
+//! protocol:
 //!
 //! * each place owns one cache-padded **publication record** (op cell +
 //!   response cell + `EMPTY → PUBLISHED → DONE` state word + a
@@ -271,8 +270,8 @@
 //! [`AnyPool`] for callers that drive place handles themselves.
 //! Construction knobs travel in [`PoolParams`] (`k` for the structural
 //! prototype, `kmax` for the centralized structure, `mq_c` /
-//! `mq_stickiness` / `rank_error` for the MultiQueue), so sweeping
-//! harnesses cannot silently drop one.
+//! `mq_stickiness` / `rank_error` for the MultiQueue), so a caller
+//! sweeping kinds cannot silently drop one.
 //!
 //! The MultiQueue's relaxation semantics differ in kind, not just in
 //! degree: the paper's structures guarantee a **hard** bound on how many
@@ -330,8 +329,8 @@
 //! executor → sequential oracle → structured report). Every workload
 //! verifies each run against its oracle — including streamed runs, whose
 //! seeds arrive through [`ingest::IngressLanes`] instead of preseeding —
-//! and the `schedbench` binary in `priosched-bench` sweeps workload ×
-//! [`PoolKind`] × places × k × ingestion. New scenarios plug in by
+//! and `tests/oracle_matrix.rs` sweeps workload × [`PoolKind`] × places,
+//! preseeded and streamed. New scenarios plug in by
 //! implementing that trait; this crate deliberately knows nothing about
 //! them beyond the [`scheduler::TaskExecutor`] contract.
 

@@ -366,9 +366,9 @@ pub fn ingress_counters_never_hide_a_task() {
 /// counter; duplicating it would double-execute.
 pub fn structural_pop_vs_raid_exactly_once() {
     loom::model(|| {
-        // Two places, k = 2, mutex-backed shared queue (the combiner
-        // handoff has its own model above).
-        let sp = Arc::new(StructuralKPriority::<u64>::with_combining(2, 2, false));
+        // Two places, k = 2; the shared queue is the combiner whose
+        // handoff protocol is modelled on its own above.
+        let sp = Arc::new(StructuralKPriority::<u64>::new(2, 2));
         let mut owner = sp.handle(0);
         owner.push(5, 0, 50); // lands in place 0's local buffer
 

@@ -49,7 +49,7 @@
 //! [`PlaceStats`] (`rank_pops`/`rank_sum`/`rank_max` and a log₂ histogram
 //! for p99). The shadow lock serializes every operation, so the
 //! instrument is **off by default** and must never be enabled in a timing
-//! arm; benches run each cell twice (uninstrumented for time,
+//! arm; measure a cell twice instead (uninstrumented for time,
 //! instrumented for quality). Single-threaded the measurement is exact —
 //! with `c = 1` and one place it must read zero, the self-check
 //! `tests/multiqueue_quality.rs` pins — while under concurrency shadow
@@ -513,9 +513,7 @@ mod tests {
         h.push_batch(0, &mut batch);
         assert!(batch.is_empty());
         assert_eq!(h.stats().pushes, 40);
-        let mut out = Vec::new();
-        let n = h.try_pop_batch(&mut out, 64);
-        assert_eq!(n, 40);
+        let mut out: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
         out.sort();
         assert_eq!(out, (0..40).collect::<Vec<_>>());
     }

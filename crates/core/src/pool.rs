@@ -82,29 +82,6 @@ pub trait PoolHandle<T: Send>: Send {
         }
     }
 
-    /// Pops up to `max` tasks into `out`, returning how many were
-    /// appended. `0` means "nothing found right now" — possibly spuriously,
-    /// exactly like a `None` from [`PoolHandle::pop`].
-    ///
-    /// The tasks returned are those `max` consecutive scalar `pop`s could
-    /// have returned (each individually honouring the structure's ρ
-    /// bound); implementations amortize ingest/lock work across the batch.
-    ///
-    /// The default implementation loops over scalar `pop`.
-    fn try_pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut got = 0;
-        while got < max {
-            match self.pop() {
-                Some(task) => {
-                    out.push(task);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        got
-    }
-
     /// Snapshot of this place's operation counters.
     fn stats(&self) -> PlaceStats;
 }
@@ -133,11 +110,6 @@ pub struct PoolParams {
     /// What happens when a task panics — see [`FaultPolicy`]. Defaults to
     /// [`FaultPolicy::AbortRun`], the historical behavior.
     pub fault_policy: FaultPolicy,
-    /// Whether the structural pool delegates its shared-queue accesses
-    /// through the flat combiner (`priosched_core::combine`). Defaults to
-    /// `true`; `false` preserves the plain-mutex path for A/B comparison.
-    /// Ignored by the other structures (until they grow combining too).
-    pub combine: bool,
     /// Queues-per-place factor `c` of the relaxed MultiQueue (the pool
     /// keeps `c·P` queues). Defaults to [`DEFAULT_MQ_C`]; values below 1
     /// are clamped to 1 at construction. Ignored by the exact structures.
@@ -175,7 +147,6 @@ impl Default for PoolParams {
             kmax: DEFAULT_KMAX,
             lane_capacity: None,
             fault_policy: FaultPolicy::AbortRun,
-            combine: true,
             mq_c: DEFAULT_MQ_C,
             mq_stickiness: 0,
             rank_error: false,
@@ -199,13 +170,6 @@ impl PoolParams {
     /// [`PoolParams::lane_capacity`]).
     pub fn with_lane_capacity(mut self, capacity: Option<usize>) -> Self {
         self.lane_capacity = capacity;
-        self
-    }
-
-    /// The same parameters with flat combining toggled (see
-    /// [`PoolParams::combine`]).
-    pub fn with_combining(mut self, combine: bool) -> Self {
-        self.combine = combine;
         self
     }
 
@@ -312,8 +276,8 @@ impl PoolKind {
         }
     }
 
-    /// Snake-case identifier for machine-readable output (bench JSON ids,
-    /// CLI arguments).
+    /// Snake-case identifier for machine-readable output (benchmark metric
+    /// names, CLI arguments).
     pub fn id(self) -> &'static str {
         match self {
             PoolKind::WorkStealing => "work_stealing",
@@ -397,10 +361,6 @@ mod tests {
         let p = PoolParams::default();
         assert_eq!(p.k, 512);
         assert_eq!(p.kmax, 512);
-        // Flat combining is the default shared-queue mode; the mutex path
-        // stays reachable for A/B.
-        assert!(p.combine);
-        assert!(!p.with_combining(false).combine);
         // with_k keeps kmax wide enough to admit the requested k.
         assert_eq!(PoolParams::with_k(8).kmax, 512);
         assert_eq!(PoolParams::with_k(8192).kmax, 8192);

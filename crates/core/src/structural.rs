@@ -18,33 +18,27 @@
 //! `(P−1)·k` of them, so the structure is ρ-relaxed with ρ = (P−1)·k, and
 //! the bound holds for arbitrarily old buffered tasks (structural, not
 //! temporal). Pushes touch the shared queue only once every `k` tasks,
-//! which is where the scalability comes from. The ablation bench compares
-//! it against the paper's structures.
+//! which is where the scalability comes from.
 //!
 //! Tasks buffered at a place are visible to idle peers through *raiding*: a
 //! popper that finds both its buffer and the shared queue empty flushes a
 //! victim's buffer into the shared queue (taking the victim's buffer lock),
 //! so no task is ever stranded.
 //!
-//! # The shared queue: flat combining (default) or a plain mutex
+//! # The shared queue: one flat-combined heap
 //!
 //! Every overflow push, shared pop, and raid flush crosses the shared
-//! queue — one heap, all places. With `PoolParams::combine` **on** (the
-//! default) those accesses are delegated through a
+//! queue — one heap, all places. Those accesses are delegated through a
 //! [`crate::combine::Combiner`]: the accessing place publishes a [`HeapOp`]
 //! in its per-place slot and whichever place holds the combiner lock
 //! executes all published ops back-to-back against the heap, so the heap's
-//! cache lines stop migrating between cores under contention. With the
-//! toggle **off** the pre-combining mutex path is preserved verbatim for
-//! A/B measurement. Both modes execute the same [`HeapOp`] kernels against
-//! the same `BinaryHeap`, which is what the combining-on ≡ combining-off
-//! equivalence proptest pins.
+//! cache lines stop migrating between cores under contention.
 //!
 //! # Lock order
 //!
 //! Two lock classes exist: per-place **buffer locks** and the **shared
-//! queue** (the mutex, or the combiner lock standing in for it). The rule,
-//! relied on by the combiner's parking:
+//! queue** (the combiner lock). The rule, relied on by the combiner's
+//! parking:
 //!
 //! > **No thread ever holds a buffer lock while acquiring — or waiting
 //! > on — the shared queue.** Buffer state needed across a shared-queue
@@ -112,8 +106,7 @@ fn pop_if_better<T>(heap: &mut BinaryHeap<Entry<T>>, bound: Option<Key>) -> Opti
     }
 }
 
-/// A shared-queue operation, executed either under the plain mutex or
-/// delegated through the combiner — same kernel both ways.
+/// A shared-queue operation, delegated through the combiner.
 enum HeapOp<T> {
     /// Overflow push of a single entry.
     Push(Entry<T>),
@@ -121,10 +114,6 @@ enum HeapOp<T> {
     PushBatch(Vec<Entry<T>>),
     /// Pop the minimum if it beats `bound` (the caller's local minimum).
     Pop { bound: Option<Key> },
-    /// Pop up to `max` entries each beating `bound`; the response also
-    /// reports the heap's next minimum so the caller can drain its local
-    /// buffer up to that key without re-entering the shared queue.
-    PopBatch { max: usize, bound: Option<Key> },
     /// Raid flush: meld a victim's drained buffer into the heap, then pop
     /// the minimum — one delegation instead of a flush plus a pop.
     DrainInto(BinaryHeap<Entry<T>>),
@@ -133,10 +122,6 @@ enum HeapOp<T> {
 enum HeapResp<T> {
     Pushed,
     One(Option<Entry<T>>),
-    Batch {
-        taken: Vec<Entry<T>>,
-        next: Option<Key>,
-    },
 }
 
 impl<T: Send> CombineOp<BinaryHeap<Entry<T>>> for HeapOp<T> {
@@ -153,19 +138,6 @@ impl<T: Send> CombineOp<BinaryHeap<Entry<T>>> for HeapOp<T> {
                 HeapResp::Pushed
             }
             HeapOp::Pop { bound } => HeapResp::One(pop_if_better(heap, bound)),
-            HeapOp::PopBatch { max, bound } => {
-                let mut taken = Vec::new();
-                while taken.len() < max {
-                    match pop_if_better(heap, bound) {
-                        Some(e) => taken.push(e),
-                        None => break,
-                    }
-                }
-                HeapResp::Batch {
-                    taken,
-                    next: heap.peek().map(key),
-                }
-            }
             HeapOp::DrainInto(mut drained) => {
                 heap.append(&mut drained);
                 HeapResp::One(heap.pop())
@@ -177,58 +149,24 @@ impl<T: Send> CombineOp<BinaryHeap<Entry<T>>> for HeapOp<T> {
 /// A lockable heap padded to its own cache line.
 type PaddedHeap<T> = CachePadded<Mutex<BinaryHeap<Entry<T>>>>;
 
-/// The shared queue behind the `PoolParams::combine` toggle.
-enum SharedQueue<T: Send + 'static> {
-    /// Pre-combining path: one mutex-guarded heap.
-    Mutex(PaddedHeap<T>),
-    /// Flat-combining path: the same heap fronted by publication slots.
-    Combined(Combiner<BinaryHeap<Entry<T>>, HeapOp<T>>),
-}
-
-impl<T: Send + 'static> SharedQueue<T> {
-    fn apply(&self, place: usize, op: HeapOp<T>, cstats: &mut CombineStats) -> HeapResp<T> {
-        match self {
-            SharedQueue::Mutex(heap) => op.apply(&mut heap.lock()),
-            SharedQueue::Combined(combiner) => combiner.execute(place, op, cstats),
-        }
-    }
-}
-
 /// Shared component: the global heap plus every place's raidable buffer.
 pub struct StructuralKPriority<T: Send + 'static> {
     k: usize,
-    queue: SharedQueue<T>,
+    queue: Combiner<BinaryHeap<Entry<T>>, HeapOp<T>>,
     buffers: Box<[PaddedHeap<T>]>,
 }
 
 impl<T: Send + 'static> StructuralKPriority<T> {
     /// Creates the structure for `nplaces` places with per-place buffer
-    /// bound `k` (ρ = (P−1)·k) and the default shared-queue mode
-    /// (flat combining on).
+    /// bound `k` (ρ = (P−1)·k).
     ///
     /// # Panics
     /// Panics if `nplaces == 0`.
     pub fn new(nplaces: usize, k: usize) -> Self {
-        Self::with_combining(nplaces, k, true)
-    }
-
-    /// As [`StructuralKPriority::new`], selecting the shared-queue mode:
-    /// `combine = true` delegates shared-queue accesses through a
-    /// flat-combining [`Combiner`]; `false` keeps the plain mutex
-    /// (the A/B baseline).
-    ///
-    /// # Panics
-    /// Panics if `nplaces == 0`.
-    pub fn with_combining(nplaces: usize, k: usize, combine: bool) -> Self {
         assert!(nplaces > 0, "need at least one place");
-        let queue = if combine {
-            SharedQueue::Combined(Combiner::new(BinaryHeap::new(), nplaces))
-        } else {
-            SharedQueue::Mutex(CachePadded::new(Mutex::new(BinaryHeap::new())))
-        };
         StructuralKPriority {
             k,
-            queue,
+            queue: Combiner::new(BinaryHeap::new(), nplaces),
             buffers: (0..nplaces)
                 .map(|_| CachePadded::new(Mutex::new(BinaryHeap::new())))
                 .collect(),
@@ -238,11 +176,6 @@ impl<T: Send + 'static> StructuralKPriority<T> {
     /// The per-place buffer bound.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Whether shared-queue accesses go through the flat combiner.
-    pub fn combining(&self) -> bool {
-        matches!(self.queue, SharedQueue::Combined(_))
     }
 }
 
@@ -278,14 +211,14 @@ pub struct StructuralHandle<T: Send + 'static> {
 
 impl<T: Send + 'static> StructuralHandle<T> {
     fn queue(&mut self, op: HeapOp<T>) -> HeapResp<T> {
-        self.shared.queue.apply(self.place, op, &mut self.cstats)
+        self.shared.queue.execute(self.place, op, &mut self.cstats)
     }
 
     /// Pops the shared minimum if it beats `bound`.
     fn queue_pop(&mut self, bound: Option<Key>) -> Option<Entry<T>> {
         match self.queue(HeapOp::Pop { bound }) {
             HeapResp::One(e) => e,
-            _ => unreachable!("Pop answers One"),
+            HeapResp::Pushed => unreachable!("Pop answers One"),
         }
     }
 
@@ -317,7 +250,7 @@ impl<T: Send + 'static> StructuralHandle<T> {
             match self.queue(HeapOp::DrainInto(drained)) {
                 HeapResp::One(Some(e)) => return Some(e),
                 HeapResp::One(None) => unreachable!("non-empty meld pops an entry"),
-                _ => unreachable!("DrainInto answers One"),
+                HeapResp::Pushed => unreachable!("DrainInto answers One"),
             }
         }
         None
@@ -411,56 +344,6 @@ impl<T: Send + 'static> PoolHandle<T> for StructuralHandle<T> {
         }
     }
 
-    /// Batch pop: one bounded shared-queue batch (everything beating the
-    /// local minimum), then a local drain up to the shared queue's next
-    /// minimum — each returned task is one a scalar `pop` could have
-    /// returned at its point in the sequence, without ever holding the
-    /// buffer lock across the shared-queue operation. Raiding (the slow
-    /// path) is delegated to scalar `pop` when the batch comes up empty.
-    fn try_pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let bound = self.shared.buffers[self.place].lock().peek().map(key);
-        let (taken, next) = match self.queue(HeapOp::PopBatch { max, bound }) {
-            HeapResp::Batch { taken, next } => (taken, next),
-            _ => unreachable!("PopBatch answers Batch"),
-        };
-        let mut got = taken.len();
-        out.extend(taken.into_iter().map(|e| e.task));
-        if got < max && bound.is_some() {
-            // The shared side is exhausted below `next`; local entries
-            // beating `next` are exactly what consecutive scalar pops
-            // would take now. (Pushes racing into the shared queue are
-            // simply newer than this batch.)
-            let mut buf = self.shared.buffers[self.place].lock();
-            while got < max {
-                let take = match (buf.peek(), next) {
-                    (Some(b), Some(n)) => key(b) < n,
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                if !take {
-                    break;
-                }
-                out.push(buf.pop().expect("peeked entry pops").task);
-                got += 1;
-            }
-        }
-        if got > 0 {
-            self.stats.pops += got as u64;
-            return got;
-        }
-        // Empty fast path: fall back to the raiding scalar pop.
-        match self.pop() {
-            Some(task) => {
-                out.push(task);
-                1
-            }
-            None => 0,
-        }
-    }
-
     fn stats(&self) -> PlaceStats {
         let mut s = self.stats;
         s.combine_passes = self.cstats.passes;
@@ -479,65 +362,48 @@ mod tests {
         Arc::new(StructuralKPriority::new(n, k))
     }
 
-    /// Both shared-queue modes, so every test runs the mutex path too.
-    fn pools(n: usize, k: usize) -> [Arc<StructuralKPriority<u64>>; 2] {
-        [
-            Arc::new(StructuralKPriority::with_combining(n, k, true)),
-            Arc::new(StructuralKPriority::with_combining(n, k, false)),
-        ]
-    }
-
-    #[test]
-    fn default_mode_is_combining() {
-        assert!(pool(1, 4).combining());
-        assert!(!StructuralKPriority::<u64>::with_combining(1, 4, false).combining());
-    }
-
     #[test]
     fn single_place_priority_order() {
-        for p in pools(1, 4) {
-            let mut h = p.handle(0);
-            for &x in &[6u64, 2, 8, 1] {
-                h.push(x, 0, x);
-            }
-            let mut out = Vec::new();
-            while let Some(t) = h.pop() {
-                out.push(t);
-            }
-            assert_eq!(out, vec![1, 2, 6, 8]);
+        let p = pool(1, 4);
+        let mut h = p.handle(0);
+        for &x in &[6u64, 2, 8, 1] {
+            h.push(x, 0, x);
         }
+        let mut out = Vec::new();
+        while let Some(t) = h.pop() {
+            out.push(t);
+        }
+        assert_eq!(out, vec![1, 2, 6, 8]);
     }
 
     #[test]
     fn overflow_goes_to_shared_queue() {
-        for p in pools(2, 2) {
-            let mut h0 = p.handle(0);
-            for i in 0..5u64 {
-                h0.push(i, 0, i);
-            }
-            // Buffer holds 2, the rest went shared: place 1 sees them
-            // without raiding.
-            let mut h1 = p.handle(1);
-            assert!(h1.pop().is_some());
-            assert_eq!(h1.stats().steals, 0);
+        let p = pool(2, 2);
+        let mut h0 = p.handle(0);
+        for i in 0..5u64 {
+            h0.push(i, 0, i);
         }
+        // Buffer holds 2, the rest went shared: place 1 sees them
+        // without raiding.
+        let mut h1 = p.handle(1);
+        assert!(h1.pop().is_some());
+        assert_eq!(h1.stats().steals, 0);
     }
 
     #[test]
     fn raid_recovers_buffered_tasks() {
-        for p in pools(2, 64) {
-            let mut h0 = p.handle(0);
-            for i in 0..5u64 {
-                h0.push(i, 0, i); // all buffered at place 0
-            }
-            let mut h1 = p.handle(1);
-            let mut got = Vec::new();
-            while let Some(t) = h1.pop() {
-                got.push(t);
-            }
-            assert_eq!(got, vec![0, 1, 2, 3, 4]);
-            assert!(h1.stats().steals >= 1);
+        let p = pool(2, 64);
+        let mut h0 = p.handle(0);
+        for i in 0..5u64 {
+            h0.push(i, 0, i); // all buffered at place 0
         }
+        let mut h1 = p.handle(1);
+        let mut got = Vec::new();
+        while let Some(t) = h1.pop() {
+            got.push(t);
+        }
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        assert!(h1.stats().steals >= 1);
     }
 
     /// The structural bound: a pop may ignore only tasks buffered at other
@@ -547,71 +413,69 @@ mod tests {
     #[test]
     fn old_tasks_may_stay_buffered_but_bound_holds() {
         let k = 3;
-        for p in pools(2, k) {
-            let mut h0 = p.handle(0);
-            // k old, high-priority tasks stay in the buffer forever …
-            for i in 0..k as u64 {
-                h0.push(i, 0, i);
-            }
-            // … while newer, worse tasks overflow to the shared queue.
-            for i in 0..20u64 {
-                h0.push(100 + i, 0, 100 + i);
-            }
-            let mut h1 = p.handle(1);
-            // Place 1 pops the shared tasks; the k buffered ones are
-            // ignored — exactly the structural allowance, never more.
-            for i in 0..20u64 {
-                assert_eq!(h1.pop(), Some(100 + i));
-            }
-            // Raid finally liberates the buffered ones.
-            let mut rest = Vec::new();
-            while let Some(t) = h1.pop() {
-                rest.push(t);
-            }
-            assert_eq!(rest, vec![0, 1, 2]);
+        let p = pool(2, k);
+        let mut h0 = p.handle(0);
+        // k old, high-priority tasks stay in the buffer forever …
+        for i in 0..k as u64 {
+            h0.push(i, 0, i);
         }
+        // … while newer, worse tasks overflow to the shared queue.
+        for i in 0..20u64 {
+            h0.push(100 + i, 0, 100 + i);
+        }
+        let mut h1 = p.handle(1);
+        // Place 1 pops the shared tasks; the k buffered ones are
+        // ignored — exactly the structural allowance, never more.
+        for i in 0..20u64 {
+            assert_eq!(h1.pop(), Some(100 + i));
+        }
+        // Raid finally liberates the buffered ones.
+        let mut rest = Vec::new();
+        while let Some(t) = h1.pop() {
+            rest.push(t);
+        }
+        assert_eq!(rest, vec![0, 1, 2]);
     }
 
     #[test]
     fn concurrent_exactly_once() {
-        for p in pools(4, 16) {
-            let threads = 4usize;
-            let per = 2_000u64;
-            let popped = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let taken: Arc<Vec<std::sync::atomic::AtomicU32>> =
-                Arc::new((0..threads as u64 * per).map(|_| 0.into()).collect());
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let p = Arc::clone(&p);
-                    let taken = Arc::clone(&taken);
-                    let popped = Arc::clone(&popped);
-                    s.spawn(move || {
-                        use std::sync::atomic::Ordering;
-                        let mut h = p.handle(t);
-                        let mut rng = XorShift64::new(t as u64 + 13);
-                        let mut pushed = 0u64;
-                        loop {
-                            if pushed < per && rng.below(2) == 0 {
-                                h.push(rng.below(500), 0, t as u64 * per + pushed);
-                                pushed += 1;
-                            } else if let Some(got) = h.pop() {
-                                assert_eq!(taken[got as usize].fetch_add(1, Ordering::Relaxed), 0);
-                                popped.fetch_add(1, Ordering::Relaxed);
-                            } else if pushed == per
-                                && popped.load(Ordering::Relaxed) == threads as u64 * per
-                            {
-                                break;
-                            } else {
-                                std::thread::yield_now();
-                            }
+        let p = pool(4, 16);
+        let threads = 4usize;
+        let per = 2_000u64;
+        let popped = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let taken: Arc<Vec<std::sync::atomic::AtomicU32>> =
+            Arc::new((0..threads as u64 * per).map(|_| 0.into()).collect());
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let p = Arc::clone(&p);
+                let taken = Arc::clone(&taken);
+                let popped = Arc::clone(&popped);
+                s.spawn(move || {
+                    use std::sync::atomic::Ordering;
+                    let mut h = p.handle(t);
+                    let mut rng = XorShift64::new(t as u64 + 13);
+                    let mut pushed = 0u64;
+                    loop {
+                        if pushed < per && rng.below(2) == 0 {
+                            h.push(rng.below(500), 0, t as u64 * per + pushed);
+                            pushed += 1;
+                        } else if let Some(got) = h.pop() {
+                            assert_eq!(taken[got as usize].fetch_add(1, Ordering::Relaxed), 0);
+                            popped.fetch_add(1, Ordering::Relaxed);
+                        } else if pushed == per
+                            && popped.load(Ordering::Relaxed) == threads as u64 * per
+                        {
+                            break;
+                        } else {
+                            std::thread::yield_now();
                         }
-                    });
-                }
-            });
-            assert_eq!(
-                popped.load(std::sync::atomic::Ordering::Relaxed),
-                threads as u64 * per
-            );
-        }
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            popped.load(std::sync::atomic::Ordering::Relaxed),
+            threads as u64 * per
+        );
     }
 }

@@ -182,71 +182,6 @@ impl<T: Send + 'static> PoolHandle<T> for WorkStealingHandle<T> {
         self.stats.pushes += n;
     }
 
-    /// Batch pop: drains up to `max` tasks under a single lock
-    /// acquisition; falls back to steal-half when the local queue is
-    /// empty, serving the batch straight out of the stolen half.
-    fn try_pop_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut got = 0;
-        {
-            let mut q = self.shared.queues[self.place].lock();
-            while got < max {
-                match q.pop() {
-                    Some(e) => {
-                        out.push(e.task);
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-        if got > 0 {
-            self.stats.pops += got as u64;
-            return got;
-        }
-        // Local queue empty: steal half from a random victim (§3.1) and
-        // serve the batch from the stolen half before banking the rest.
-        let p = self.shared.queues.len();
-        if p > 1 {
-            let attempts = 2 * p;
-            for _ in 0..attempts {
-                let victim = self.rng.below(p as u64) as usize;
-                if victim == self.place {
-                    continue;
-                }
-                let Some(mut vq) = self.shared.queues[victim].try_lock() else {
-                    continue;
-                };
-                if vq.is_empty() {
-                    continue;
-                }
-                let mut stolen = vq.split_half();
-                drop(vq);
-                self.stats.steals += 1;
-                while got < max {
-                    match stolen.pop() {
-                        Some(e) => {
-                            out.push(e.task);
-                            got += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if !stolen.is_empty() {
-                    self.shared.queues[self.place].lock().append(&mut stolen);
-                }
-                if got > 0 {
-                    self.stats.pops += got as u64;
-                    return got;
-                }
-            }
-        }
-        self.stats.failed_pops += 1;
-        0
-    }
-
     fn stats(&self) -> PlaceStats {
         self.stats
     }

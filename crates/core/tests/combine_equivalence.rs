@@ -3,11 +3,10 @@
 //! Three properties pin the combiner (`priosched_core::combine`) under the
 //! structural pool:
 //!
-//! 1. **Equivalence** (proptest): the same op tape driven through a
-//!    combining-on pool, a combining-off (mutex) pool, and — for one
-//!    place, where the structural pool is exact — a sequential
-//!    `BinaryHeap` oracle produces identical pop streams, and no task is
-//!    lost or invented in either mode.
+//! 1. **Equivalence** (proptest): with one place the structural pool is
+//!    exact, so an op tape driven through it — every shared-queue op going
+//!    through the combiner — must match a sequential `BinaryHeap` oracle
+//!    pop for pop, losing and inventing nothing.
 //! 2. **Handoff stress**: with `k = 0` every push and pop crosses the
 //!    shared queue, and a tenure bound of 1 pass forces constant combiner
 //!    handoffs; no request may be lost or double-executed across them.
@@ -20,189 +19,78 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One step of a single-threaded op tape over `places` handles.
+/// One step of a single-threaded op tape over a one-place pool.
 #[derive(Clone, Debug)]
 enum Step {
-    Push { place: u8, prio: u16 },
-    PushBatch { place: u8, prios: Vec<u16> },
-    Pop { place: u8 },
-    PopBatch { place: u8, max: u8 },
+    Push(u16),
+    PushBatch(Vec<u16>),
+    Pop,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
-        (any::<u8>(), any::<u16>()).prop_map(|(place, prio)| Step::Push { place, prio }),
-        (any::<u8>(), proptest::collection::vec(any::<u16>(), 0..6))
-            .prop_map(|(place, prios)| Step::PushBatch { place, prios }),
-        any::<u8>().prop_map(|place| Step::Pop { place }),
-        (any::<u8>(), 0u8..5).prop_map(|(place, max)| Step::PopBatch { place, max }),
+        any::<u16>().prop_map(Step::Push),
+        proptest::collection::vec(any::<u16>(), 0..6).prop_map(Step::PushBatch),
+        Just(Step::Pop),
     ]
 }
 
-/// What one tape run observed: per pop-step results (one entry for each
-/// `Pop` / `PopBatch` in tape order — a batch that came back short is a
-/// legal spurious shortfall and is recorded as-is), then the final drain.
+/// What one tape run observed: the result of each `Pop` in tape order,
+/// then the final drain.
 #[derive(Debug, PartialEq, Eq)]
 struct TapeRun {
-    events: Vec<Vec<u64>>,
+    pops: Vec<Option<u64>>,
     drained: Vec<u64>,
 }
 
-impl TapeRun {
-    fn all_popped(&self) -> Vec<u64> {
-        let mut all: Vec<u64> = self.events.iter().flatten().copied().collect();
-        all.extend(&self.drained);
-        all
-    }
-}
-
-/// Runs the tape single-threaded. Single-threaded, so the outcome is
-/// deterministic per mode — and must be identical across modes.
-fn run_tape(combine: bool, places: usize, k: usize, tape: &[Step]) -> TapeRun {
-    let pool = Arc::new(StructuralKPriority::<u64>::with_combining(
-        places, k, combine,
-    ));
-    let mut handles: Vec<_> = (0..places).map(|p| pool.handle(p)).collect();
-    let mut events = Vec::new();
+/// Runs the tape on a single-place pool with buffer bound `k`.
+fn run_tape(k: usize, tape: &[Step]) -> TapeRun {
+    let pool = Arc::new(StructuralKPriority::<u64>::new(1, k));
+    let mut h = pool.handle(0);
+    let mut pops = Vec::new();
     for step in tape {
         match step {
-            Step::Push { place, prio } => {
-                let h = &mut handles[*place as usize % places];
-                h.push(*prio as u64, 0, *prio as u64);
-            }
-            Step::PushBatch { place, prios } => {
-                let h = &mut handles[*place as usize % places];
+            Step::Push(prio) => h.push(*prio as u64, 0, *prio as u64),
+            Step::PushBatch(prios) => {
                 let mut batch: Vec<(u64, u64)> =
                     prios.iter().map(|&p| (p as u64, p as u64)).collect();
                 h.push_batch(0, &mut batch);
             }
-            Step::Pop { place } => {
-                let got = handles[*place as usize % places].pop();
-                events.push(got.into_iter().collect());
-            }
-            Step::PopBatch { place, max } => {
-                let mut out = Vec::new();
-                handles[*place as usize % places].try_pop_batch(&mut out, *max as usize);
-                events.push(out);
-            }
+            Step::Pop => pops.push(h.pop()),
         }
     }
-    // Drain everything that is left, raids included.
-    let mut drained = Vec::new();
-    loop {
-        let mut any = false;
-        for h in handles.iter_mut() {
-            while let Some(t) = h.pop() {
-                drained.push(t);
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    TapeRun { events, drained }
+    let drained = std::iter::from_fn(|| h.pop()).collect();
+    TapeRun { pops, drained }
 }
 
-/// Every priority the tape pushes, in tape order.
-fn pushed(tape: &[Step]) -> Vec<u64> {
-    let mut all = Vec::new();
+/// The same tape against the exact sequential oracle.
+fn oracle(tape: &[Step]) -> TapeRun {
+    use std::cmp::Reverse;
+    let mut heap = std::collections::BinaryHeap::new();
+    let mut pops = Vec::new();
     for step in tape {
         match step {
-            Step::Push { prio, .. } => all.push(*prio as u64),
-            Step::PushBatch { prios, .. } => all.extend(prios.iter().map(|&p| p as u64)),
-            _ => {}
+            Step::Push(prio) => heap.push(Reverse(*prio as u64)),
+            Step::PushBatch(prios) => heap.extend(prios.iter().map(|&p| Reverse(p as u64))),
+            Step::Pop => pops.push(heap.pop().map(|Reverse(p)| p)),
         }
     }
-    all
-}
-
-/// Checks a single-place run against the exact sequential oracle: every
-/// value the pool returned must be the global minimum of everything pushed
-/// so far and not yet popped, scalar pops and drains must not miss work,
-/// and a batch pop must return at least one task when the pool is
-/// non-empty (it may legally come back short of `max`, because the local
-/// drain stops at the shared queue's next-min key — the remainder is
-/// observable by the next pop).
-fn check_single_place_against_oracle(tape: &[Step], run: &TapeRun) -> Result<(), TestCaseError> {
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<u64>> =
-        std::collections::BinaryHeap::new();
-    let mut events = run.events.iter();
-    for step in tape {
-        match step {
-            Step::Push { prio, .. } => heap.push(std::cmp::Reverse(*prio as u64)),
-            Step::PushBatch { prios, .. } => {
-                for &p in prios {
-                    heap.push(std::cmp::Reverse(p as u64));
-                }
-            }
-            Step::Pop { .. } => {
-                let got = events.next().expect("one event per pop step");
-                let want: Vec<u64> = heap
-                    .pop()
-                    .map(|std::cmp::Reverse(p)| p)
-                    .into_iter()
-                    .collect();
-                prop_assert_eq!(got, &want, "scalar pop must return the exact minimum");
-            }
-            Step::PopBatch { max, .. } => {
-                let got = events.next().expect("one event per pop step");
-                prop_assert!(got.len() <= *max as usize, "batch overshot max");
-                prop_assert!(
-                    !heap.is_empty() || got.is_empty(),
-                    "batch invented tasks from an empty pool"
-                );
-                if *max > 0 && !heap.is_empty() {
-                    prop_assert!(!got.is_empty(), "non-empty pool must yield ≥ 1 batch task");
-                }
-                for &v in got {
-                    let std::cmp::Reverse(want) = heap.pop().expect("oracle ran dry");
-                    prop_assert_eq!(v, want, "batch element must be the exact minimum");
-                }
-            }
-        }
-    }
-    let mut rest: Vec<u64> = Vec::new();
-    while let Some(std::cmp::Reverse(p)) = heap.pop() {
-        rest.push(p);
-    }
-    prop_assert_eq!(
-        &run.drained,
-        &rest,
-        "final drain must empty the pool in exact order"
-    );
-    Ok(())
+    let drained = std::iter::from_fn(|| heap.pop().map(|Reverse(p)| p)).collect();
+    TapeRun { pops, drained }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Combining on ≡ combining off, on 1–3 places with a tiny buffer
-    /// bound (k = 2 keeps the shared queue hot), and neither mode loses or
-    /// invents a task.
-    #[test]
-    fn combining_on_off_equivalence(
-        tape in proptest::collection::vec(step_strategy(), 0..64),
-        places in 1usize..4,
-    ) {
-        let on = run_tape(true, places, 2, &tape);
-        let off = run_tape(false, places, 2, &tape);
-        prop_assert_eq!(&on, &off, "pop streams diverge between modes");
-        let mut multiset = on.all_popped();
-        multiset.sort_unstable();
-        let mut want = pushed(&tape);
-        want.sort_unstable();
-        prop_assert_eq!(multiset, want, "popped multiset != pushed multiset");
-    }
-
-    /// With one place the structural pool is exact — both modes must match
-    /// the sequential heap oracle pop for pop.
+    /// With one place the structural pool is exact: every pop returns the
+    /// minimum of everything pushed and not yet popped, no pop misses
+    /// work, and the final drain empties the pool in exact order. The tiny
+    /// buffer bound (k = 2) keeps the combined shared queue hot.
     #[test]
     fn combining_single_place_matches_sequential_oracle(
         tape in proptest::collection::vec(step_strategy(), 0..64),
     ) {
-        check_single_place_against_oracle(&tape, &run_tape(true, 1, 2, &tape))?;
-        check_single_place_against_oracle(&tape, &run_tape(false, 1, 2, &tape))?;
+        prop_assert_eq!(run_tape(2, &tape), oracle(&tape));
     }
 }
 
@@ -214,7 +102,7 @@ proptest! {
 fn stress_handoff_no_request_lost_or_double_executed() {
     let threads = 4usize;
     let per = 4_000u64;
-    let pool = Arc::new(StructuralKPriority::<u64>::with_combining(threads, 0, true));
+    let pool = Arc::new(StructuralKPriority::<u64>::new(threads, 0));
     let popped = Arc::new(AtomicU64::new(0));
     let taken: Arc<Vec<AtomicU32>> =
         Arc::new((0..threads as u64 * per).map(|_| 0.into()).collect());

@@ -36,8 +36,6 @@ enum Op {
     Pop { place: u8 },
     /// Batched push of several priorities from place (index % 2).
     PushBatch { place: u8, prios: Vec<u16> },
-    /// Batched pop of up to `max % 8 + 1` tasks from place (index % 2).
-    PopBatch { place: u8, max: u8 },
 }
 
 fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
@@ -47,7 +45,6 @@ fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
             2 => any::<u8>().prop_map(|place| Op::Pop { place }),
             1 => (any::<u8>(), proptest::collection::vec(any::<u16>(), 0..24))
                 .prop_map(|(place, prios)| Op::PushBatch { place, prios }),
-            1 => (any::<u8>(), any::<u8>()).prop_map(|(place, max)| Op::PopBatch { place, max }),
         ],
         0..max_len,
     )
@@ -128,9 +125,6 @@ fn run_model_check<P: TaskPool<u64>>(
     let mut next_payload = 0u64;
     let mut prio_of: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
 
-    // Shared oracle for scalar and batched pops: each returned task is
-    // checked exactly as one scalar pop would be (a batch is defined as
-    // the sequence of scalar pops it replaces).
     fn check_popped(
         payload: u64,
         model: &mut Model,
@@ -159,7 +153,6 @@ fn run_model_check<P: TaskPool<u64>>(
         Ok(())
     }
 
-    let mut pop_buf: Vec<u64> = Vec::new();
     for op in ops {
         match op {
             Op::Push { place, prio } => {
@@ -190,17 +183,6 @@ fn run_model_check<P: TaskPool<u64>>(
                 }
                 handles[place].push_batch(push_k, &mut batch);
                 prop_assert!(batch.is_empty(), "push_batch must drain its input");
-            }
-            Op::PopBatch { place, max } => {
-                let place = (place % 2) as usize;
-                let max = (*max % 8) as usize + 1;
-                pop_buf.clear();
-                let got = handles[place].try_pop_batch(&mut pop_buf, max);
-                prop_assert_eq!(got, pop_buf.len());
-                prop_assert!(got <= max);
-                for &payload in &pop_buf {
-                    check_popped(payload, &mut model, &prio_of, relaxation)?;
-                }
             }
         }
     }
@@ -284,20 +266,18 @@ proptest! {
         )?;
     }
 
-    /// Batch/scalar equivalence: pushing via `push_batch` and draining via
-    /// `try_pop_batch` yields a permutation of the scalar history — and
-    /// with one place, the exact same sorted sequence.
+    /// Batch/scalar equivalence: pushing via `push_batch` yields a
+    /// permutation of the scalar-push history — and with one place, the
+    /// exact same sorted sequence.
     #[test]
     fn batched_ops_are_permutation_of_scalar(
         prios in proptest::collection::vec(any::<u16>(), 0..150),
         chunk in 1usize..48,
-        pop_chunk in 1usize..48,
     ) {
         fn check<P: TaskPool<u64>>(
             pool: Arc<P>,
             prios: &[u16],
             chunk: usize,
-            pop_chunk: usize,
         ) -> Result<(), TestCaseError> {
             // Scalar reference on place 0 of a fresh pool: push + drain.
             let mut scalar_out = Vec::new();
@@ -311,7 +291,7 @@ proptest! {
                 }
             }
             // Batched run on place 1 (same pool, now empty): chunked
-            // push_batch + chunked try_pop_batch.
+            // push_batch, scalar drain.
             let mut batch_out = Vec::new();
             {
                 let mut h = pool.handle(1);
@@ -328,13 +308,8 @@ proptest! {
                     h.push_batch(4, &mut batch);
                     prop_assert!(batch.is_empty());
                 }
-                let mut buf = Vec::new();
-                loop {
-                    buf.clear();
-                    if h.try_pop_batch(&mut buf, pop_chunk) == 0 {
-                        break;
-                    }
-                    batch_out.extend(buf.iter().map(|x| x >> 32));
+                while let Some(x) = h.pop() {
+                    batch_out.push(x >> 32);
                 }
             }
             // Both drains saw every task exactly once (permutation) …
@@ -352,10 +327,10 @@ proptest! {
             prop_assert_eq!(&batch_out, &expect);
             Ok(())
         }
-        check(Arc::new(PriorityWorkStealing::new(2)), &prios, chunk, pop_chunk)?;
-        check(Arc::new(CentralizedKPriority::new(2, 64)), &prios, chunk, pop_chunk)?;
-        check(Arc::new(HybridKPriority::new(2)), &prios, chunk, pop_chunk)?;
-        check(Arc::new(StructuralKPriority::new(2, 8)), &prios, chunk, pop_chunk)?;
+        check(Arc::new(PriorityWorkStealing::new(2)), &prios, chunk)?;
+        check(Arc::new(CentralizedKPriority::new(2, 64)), &prios, chunk)?;
+        check(Arc::new(HybridKPriority::new(2)), &prios, chunk)?;
+        check(Arc::new(StructuralKPriority::new(2, 8)), &prios, chunk)?;
     }
 
     /// Single place: strict priority order for every structure.

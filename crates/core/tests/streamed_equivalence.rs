@@ -10,8 +10,8 @@
 //!
 //! Also pins the [`PoolKind`] string surface: `FromStr` must round-trip
 //! both [`PoolKind::id`] and [`PoolKind::label`] over [`PoolKind::ALL`],
-//! ids must be unique (they key bench JSON records), and `Display` must
-//! match the figure legends.
+//! ids must be unique (they key the benchmark's metric names), and
+//! `Display` must match the figure legends.
 
 use priosched_core::{
     run_on_kind, run_stream_on_kind, IngressLanes, PoolKind, PoolParams, SpawnCtx, TaskExecutor,
@@ -139,7 +139,7 @@ fn pool_kind_ids_labels_and_from_str_round_trip() {
         );
         // Display is the figure-legend label.
         assert_eq!(kind.to_string(), kind.label());
-        // ids are snake_case (they key bench JSON and CLI flags).
+        // ids are snake_case (they key benchmark metrics and CLI flags).
         assert!(
             kind.id()
                 .chars()

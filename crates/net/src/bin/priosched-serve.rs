@@ -19,7 +19,8 @@
 //!   (condvar-gated — no polling); without it the server runs until its
 //!   stdin closes.
 //! * Malformed flags are **usage errors**: a diagnostic on stderr and
-//!   exit code 2, never a panic — the same convention as `schedbench`.
+//!   exit code 2, never a panic — the same convention as the `chaos`
+//!   binary.
 
 use priosched_net::{Server, ServerConfig};
 use std::io::{Read, Write};

@@ -49,7 +49,8 @@
 //! count, so a client can verify the server end-to-end:
 //! `DONE <executed>` after quiescence must equal
 //! `Σ (value_i + 1)` over everything accepted — the oracle the round-trip
-//! tests and the `schedbench --net` axis check.
+//! tests, the chaos harness and the benchmark's `net_pipeline` workload
+//! check.
 //!
 //! # Shutdown
 //!

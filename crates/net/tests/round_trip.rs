@@ -43,7 +43,11 @@ impl Client {
     }
 
     fn request(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("send");
+        // One write per request, so Nagle cannot split the line from its
+        // newline across a started-line read deadline.
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("reply");
         reply.trim_end().to_string()
@@ -286,9 +290,9 @@ fn half_open_request_hits_the_read_deadline() {
     assert_eq!(errors, 1, "exactly the deadline error: {summary:?}");
 }
 
-/// The malformed-CLI satellite: the `priosched-serve` binary mirrors
-/// schedbench's usage-error convention — diagnostic on stderr, exit code
-/// 2, no panic.
+/// The malformed-CLI satellite: the `priosched-serve` binary follows the
+/// repo's usage-error convention — diagnostic on stderr, exit code 2, no
+/// panic.
 #[test]
 fn serve_binary_rejects_malformed_flags_with_exit_2() {
     let bin = env!("CARGO_BIN_EXE_priosched-serve");

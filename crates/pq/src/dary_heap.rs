@@ -5,8 +5,9 @@
 //! heap with d = 4 or 8 trades a shallower tree (cheaper `pop`
 //! sift-downs, the dominant operation in scheduling queues that are
 //! popped as often as pushed) for more comparisons per level, and its
-//! children sit in one cache line. The ablation bench compares it against
-//! [`crate::BinaryHeap`] and [`crate::PairingHeap`].
+//! children sit in one cache line. The benchmark's `pq.*` per-layer
+//! metrics price it against [`crate::BinaryHeap`] and
+//! [`crate::PairingHeap`].
 
 use crate::SequentialPriorityQueue;
 

@@ -37,12 +37,6 @@ pub struct SsspExecutor<'g> {
     /// dead task relies on the in-task re-check alone (ablation: quantifies
     /// what lazy elimination in the data structures buys, §5.1).
     eliminate_dead: bool,
-    /// Spawn-batch chunk bound: flush the relaxation batch every this many
-    /// children instead of once per node expansion. `0` (the default) keeps
-    /// one batch per expansion — the maximally amortized form. Nonzero
-    /// values trade amortization for earlier visibility of spawned tasks;
-    /// `schedbench` sweeps this axis.
-    spawn_chunk: usize,
 }
 
 impl<'g> SsspExecutor<'g> {
@@ -52,7 +46,7 @@ impl<'g> SsspExecutor<'g> {
     }
 
     /// As [`SsspExecutor::new`], optionally disabling the scheduler-side
-    /// dead-task elimination (ablation benches).
+    /// dead-task elimination (ablation runs).
     pub fn with_elimination(
         graph: &'g CsrGraph,
         source: u32,
@@ -68,14 +62,7 @@ impl<'g> SsspExecutor<'g> {
             relaxed: AtomicU64::new(0),
             late_dead: AtomicU64::new(0),
             eliminate_dead,
-            spawn_chunk: 0,
         }
-    }
-
-    /// Sets the spawn-batch chunk bound (`0` = one batch per expansion).
-    pub fn spawn_chunk(mut self, chunk: usize) -> Self {
-        self.spawn_chunk = chunk;
-        self
     }
 
     /// The root task for the source node.
@@ -145,9 +132,6 @@ impl<'g> TaskExecutor<SsspTask> for SsspExecutor<'g> {
                         dist_bits: new_bits,
                     },
                 ));
-                if self.spawn_chunk > 0 && batch.len() >= self.spawn_chunk {
-                    ctx.spawn_batch(self.k, &mut batch);
-                }
             }
         }
         ctx.spawn_batch(self.k, &mut batch);
@@ -194,22 +178,6 @@ mod tests {
             dist_bits: 1.0f64.to_bits(),
         };
         assert!(!exec.is_dead(&live));
-    }
-
-    #[test]
-    fn spawn_chunk_does_not_change_results() {
-        let g = diamond();
-        for chunk in [0usize, 1, 2, 64] {
-            let exec = SsspExecutor::new(&g, 0, 4).spawn_chunk(chunk);
-            let sched = Scheduler::from_pool_arc(Arc::new(PriorityWorkStealing::new(1)));
-            sched.run(&exec, vec![exec.root(0)]);
-            assert_eq!(
-                exec.distances().snapshot(),
-                vec![0.0, 1.0, 2.5, 2.0],
-                "chunk={chunk}"
-            );
-            assert_eq!(exec.relaxed(), 4, "chunk={chunk}");
-        }
     }
 
     #[test]

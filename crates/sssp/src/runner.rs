@@ -21,9 +21,6 @@ pub struct SsspConfig {
     /// Scheduler-side dead-task elimination (§5.1); `false` only for
     /// ablation runs.
     pub eliminate_dead: bool,
-    /// Spawn-batch chunk bound forwarded to the executor (`0` = one batch
-    /// per node expansion; see [`SsspExecutor::spawn_chunk`]).
-    pub spawn_chunk: usize,
 }
 
 impl Default for SsspConfig {
@@ -32,7 +29,6 @@ impl Default for SsspConfig {
             places: 4,
             pool: PoolParams::default(),
             eliminate_dead: true,
-            spawn_chunk: 0,
         }
     }
 }
@@ -82,7 +78,6 @@ pub struct SsspResult {
 fn executor_for<'g>(graph: &'g CsrGraph, source: u32, cfg: &SsspConfig) -> SsspExecutor<'g> {
     assert!((source as usize) < graph.num_nodes(), "source out of range");
     SsspExecutor::with_elimination(graph, source, cfg.pool.k, cfg.eliminate_dead)
-        .spawn_chunk(cfg.spawn_chunk)
 }
 
 /// Folds scheduler stats and executor counters into an [`SsspResult`].

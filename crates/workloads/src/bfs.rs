@@ -78,7 +78,8 @@ impl BfsWorkload {
     }
 
     /// Seeded Erdős–Rényi instance with `nsources` evenly spread sources —
-    /// the wide-frontier shape used by the `--ingest` sweep.
+    /// the wide-frontier shape the streamed oracle matrix feeds through
+    /// the ingestion lanes.
     ///
     /// # Panics
     /// Panics if `nsources` is zero or exceeds `n`.

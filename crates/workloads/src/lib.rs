@@ -42,10 +42,6 @@
 //! distances, a non-optimal knapsack value, an incomplete Pareto front),
 //! not just slower runs. The `oracle_matrix` integration test pins every
 //! workload × every [`PoolKind`] × {1, 4} places to its oracle.
-//!
-//! Sweeping is the job of the `schedbench` binary in `priosched-bench`,
-//! which iterates [`DynWorkload`] trait objects over workload × kind ×
-//! places × k × spawn-chunk and emits `BENCH_*.json`-format records.
 
 pub mod bfs;
 pub mod cholesky;
@@ -143,45 +139,6 @@ impl WorkloadReport {
         }
         self
     }
-
-    /// One record in the committed `BENCH_*.json` format (`group`/`id`/
-    /// `mean_ns`/`min_ns`/`max_ns`/`elements`); a single run reports its
-    /// elapsed time as mean = min = max.
-    pub fn json_record(&self) -> String {
-        bench_record(std::slice::from_ref(self), "")
-    }
-}
-
-/// Aggregates repeated runs of one sweep cell into a single record in the
-/// committed `BENCH_*.json` format (`group`/`id`/`mean_ns`/`min_ns`/
-/// `max_ns`/`elements`). All reports must come from the same cell;
-/// `id_suffix` extends the id with extra axes (e.g. `"_c8"` for a
-/// spawn-chunk tag). This is the **only** definition of the record shape —
-/// `schedbench` and single-run callers both go through it.
-///
-/// # Panics
-/// Panics on an empty slice.
-pub fn bench_record(reports: &[WorkloadReport], id_suffix: &str) -> String {
-    let first = reports
-        .first()
-        .expect("bench_record needs at least one run");
-    let ns: Vec<f64> = reports
-        .iter()
-        .map(|r| r.elapsed.as_nanos() as f64)
-        .collect();
-    let mean = ns.iter().sum::<f64>() / ns.len() as f64;
-    let min = ns.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = ns.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    format!(
-        "{{\"group\": \"schedbench_{}\", \"id\": \"{}/p{}_k{}{id_suffix}\", \
-         \"mean_ns\": {mean:.1}, \"min_ns\": {min:.1}, \"max_ns\": {max:.1}, \
-         \"elements\": {}}}",
-        first.workload,
-        first.kind.id(),
-        first.places,
-        first.params.k,
-        first.executed
-    )
 }
 
 /// Runs `workload` once on a fresh pool of `kind` and verifies the result.
@@ -353,27 +310,6 @@ impl SplitRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_record_matches_bench_format() {
-        let report = WorkloadReport {
-            workload: "sssp",
-            kind: PoolKind::Hybrid,
-            places: 4,
-            params: PoolParams::with_k(64),
-            executed: 123,
-            dead: 1,
-            elapsed: Duration::from_micros(1500),
-            pool: PlaceStats::default(),
-            verify: Ok(()),
-            metrics: Vec::new(),
-        };
-        let rec = report.json_record();
-        assert!(rec.contains("\"group\": \"schedbench_sssp\""), "{rec}");
-        assert!(rec.contains("\"id\": \"hybrid/p4_k64\""), "{rec}");
-        assert!(rec.contains("\"mean_ns\": 1500000.0"), "{rec}");
-        assert!(rec.contains("\"elements\": 123"), "{rec}");
-    }
 
     #[test]
     #[should_panic(expected = "oracle mismatch")]

@@ -94,7 +94,6 @@ pub fn reference_fronts(graph: &CsrGraph, source: u32) -> Vec<Vec<BiPriority>> {
 pub struct MoSsspWorkload {
     graph: CsrGraph,
     source: u32,
-    spawn_chunk: usize,
     oracle: Vec<Vec<BiPriority>>,
 }
 
@@ -112,7 +111,6 @@ impl MoSsspWorkload {
         MoSsspWorkload {
             graph,
             source,
-            spawn_chunk: 0,
             oracle,
         }
     }
@@ -120,12 +118,6 @@ impl MoSsspWorkload {
     /// Seeded Erdős–Rényi instance with source 0.
     pub fn random(n: usize, p: f64, seed: u64) -> Self {
         Self::new(erdos_renyi(&ErdosRenyiConfig { n, p, seed }), 0)
-    }
-
-    /// Sets the spawn-batch chunk bound forwarded to the executor.
-    pub fn spawn_chunk(mut self, chunk: usize) -> Self {
-        self.spawn_chunk = chunk;
-        self
     }
 
     /// The per-node Pareto fronts this workload verifies against (sorted).
@@ -141,7 +133,6 @@ pub struct MoSsspExec<'w> {
     expanded: AtomicU64,
     superseded: AtomicU64,
     k: usize,
-    spawn_chunk: usize,
 }
 
 impl MoSsspExec<'_> {
@@ -195,9 +186,6 @@ impl TaskExecutor<Label> for MoSsspExec<'_> {
                         costs,
                     },
                 ));
-                if self.spawn_chunk > 0 && batch.len() >= self.spawn_chunk {
-                    ctx.spawn_batch(self.k, &mut batch);
-                }
             }
         }
         ctx.spawn_batch(self.k, &mut batch);
@@ -227,7 +215,6 @@ impl Workload for MoSsspWorkload {
             expanded: AtomicU64::new(0),
             superseded: AtomicU64::new(0),
             k: params.k,
-            spawn_chunk: self.spawn_chunk,
         }
     }
 

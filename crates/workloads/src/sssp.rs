@@ -12,7 +12,6 @@ pub struct SsspWorkload {
     graph: CsrGraph,
     source: u32,
     eliminate_dead: bool,
-    spawn_chunk: usize,
     oracle: Vec<f64>,
     reachable: u64,
 }
@@ -30,7 +29,6 @@ impl SsspWorkload {
             graph,
             source,
             eliminate_dead: true,
-            spawn_chunk: 0,
             oracle,
             reachable,
         }
@@ -40,12 +38,6 @@ impl SsspWorkload {
     /// shape).
     pub fn random(n: usize, p: f64, seed: u64) -> Self {
         Self::new(erdos_renyi(&ErdosRenyiConfig { n, p, seed }), 0)
-    }
-
-    /// Sets the spawn-batch chunk bound forwarded to the executor.
-    pub fn spawn_chunk(mut self, chunk: usize) -> Self {
-        self.spawn_chunk = chunk;
-        self
     }
 
     /// Disables scheduler-side dead-task elimination (ablation runs).
@@ -78,7 +70,6 @@ impl Workload for SsspWorkload {
 
     fn executor(&self, params: &PoolParams) -> SsspExecutor<'_> {
         SsspExecutor::with_elimination(&self.graph, self.source, params.k, self.eliminate_dead)
-            .spawn_chunk(self.spawn_chunk)
     }
 
     fn seed(&self, exec: &SsspExecutor<'_>, _params: &PoolParams) -> Vec<(u64, usize, SsspTask)> {
@@ -135,19 +126,6 @@ mod tests {
             .metrics
             .iter()
             .any(|(name, v)| *name == "relaxed" && *v >= 120.0));
-    }
-
-    #[test]
-    fn spawn_chunk_variants_all_verify() {
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 80,
-            p: 0.15,
-            seed: 11,
-        });
-        for chunk in [0usize, 1, 4] {
-            let w = SsspWorkload::new(g.clone(), 0).spawn_chunk(chunk);
-            run_workload(&w, PoolKind::Centralized, 2, PoolParams::with_k(32)).expect_verified();
-        }
     }
 
     #[test]

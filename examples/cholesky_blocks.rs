@@ -8,7 +8,7 @@
 //! k-priority structures solve. The workload implementation (tile
 //! POTRF/TRSM/SYRK/GEMM kernels, per-task dependency counters,
 //! critical-path priorities, dense sequential oracle) lives in
-//! `crates/workloads`, where tests and `schedbench` exercise it across
+//! `crates/workloads`, where the oracle-matrix tests exercise it across
 //! every structure; this example just runs and narrates it.
 //!
 //! Run with: `cargo run --release --example cholesky_blocks`

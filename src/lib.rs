@@ -18,9 +18,8 @@
 //! * [`sim`] — phase simulator + Theorem 5 bounds;
 //! * [`workloads`] — first-class benchmark workloads (SSSP, BFS, tile
 //!   Cholesky, branch-and-bound knapsack, bi-objective SSSP, MST), each
-//!   verified against a sequential oracle and sweepable by the `schedbench`
-//!   harness, preseeded or through sharded ingestion
-//!   (`run_workload_streamed`).
+//!   verified against a sequential oracle on every structure, preseeded
+//!   or through sharded ingestion (`run_workload_streamed`).
 //!
 //! The `priosched-net` crate (not re-exported here — it is a frontend, not
 //! a library layer) serves the pool over TCP: `priosched-serve` accepts
