@@ -7,43 +7,42 @@
 //! that adapter: [`AsyncIngestHandle`] wraps an [`IngestHandle`] from the
 //! **same refcounted producer lineage** (it counts toward quiescence
 //! exactly like its blocking siblings, and cloning it clones the
-//! underlying handle) and exposes `submit` / `submit_batch` as futures.
+//! underlying handle) and exposes `submit` / `submit_batch` as futures;
+//! [`JoinFuture`] does the same for a service's drain.
 //!
-//! # `Full` becomes `Poll::Pending`
+//! # Same body, `Waiter::Waker`
 //!
-//! The futures run the *same* register → re-check → park protocol as the
-//! blocking path (see [`crate::park`]), with one substitution at the final
-//! step: where a thread would sleep on the space slot's condvar, the
-//! future deposits the task's [`std::task::Waker`]
-//! ([`crate::park::Waiter::Waker`]) and returns [`Poll::Pending`]. The
-//! drain that frees lane space fires the deposited waker through the
-//! identical `wake_all` broadcast that unparks blocked threads, so the
-//! lost-wakeup argument carries over verbatim; a registration that races
-//! the wake observes a stale epoch token and retries instead of sleeping.
-//! Poisoned lanes resolve the future to [`SubmitError::Aborted`] /
-//! [`SubmitError::ShutDown`] with the payload handed back — the abort
-//! broadcast wakes deposited wakers exactly like parked producers, so an
-//! async submitter can never pend forever against workers that are gone.
+//! Each `poll` here is one call of the body its blocking sibling runs —
+//! [`IngestHandle::submit`]'s, [`IngestHandle::submit_batch`]'s,
+//! [`PoolService::join`]'s — with [`Waiter::Waker`] for [`Waiter::Thread`]:
+//! [`crate::park::ParkSlot::poll_until`] deposits the task's waker where
+//! it would have put the thread to sleep, and the future returns
+//! [`Poll::Pending`]. Drains, abort and shutdown fire deposited wakers
+//! through the same wakes that unpark threads, so everything [`crate::park`]
+//! argues holds for both; poisoned lanes resolve a submit future to
+//! [`SubmitError::Aborted`] / [`SubmitError::ShutDown`] with the payload
+//! handed back.
 //!
 //! # Cancel safety
 //!
 //! Dropping a pending future revokes its deposited waker (releasing the
-//! slot registration) and, for batches, hands every not-yet-submitted item
-//! back to the caller's vector. What was already accepted into a lane
-//! stays accepted — the same at-most-once boundary the blocking batch path
-//! has across its internal chunks.
+//! slot registration). A batch leaves the caller's vector only inside the
+//! lane that accepts it, so a cancelled — or failed — batch future leaves
+//! exactly the unsubmitted items there: the untouched prefix, in order.
+//! What was already accepted stays accepted, the same at-most-once
+//! boundary the blocking batch path has across its chunks.
 //!
 //! No runtime is prescribed: the futures only need a `Waker` that is
 //! `Send` (workers fire it from their drain path). The in-tree
 //! `futures-executor` shim (`block_on` + `LocalPool`) is enough to drive
 //! them; so is any external executor.
 
-use crate::ingest::{IngestHandle, IngressShared, SubmitError};
-use crate::park::{ParkSlot, Parked, Waiter, WakerId};
-use crate::scheduler::{FailureReport, FaultCell, PoolAborted};
+use crate::ingest::{IngestHandle, SubmitError};
+use crate::park::{Waiter, WakerId};
+use crate::scheduler::PoolAborted;
+use crate::service::PoolService;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
 use std::task::{Context, Poll};
 
 /// An async producer's capability to submit tasks into a running pool.
@@ -63,11 +62,6 @@ impl<T: Send> AsyncIngestHandle<T> {
         AsyncIngestHandle { inner }
     }
 
-    /// Unwraps back into the blocking handle (same producer slot).
-    pub fn into_inner(self) -> IngestHandle<T> {
-        self.inner
-    }
-
     /// Submits one task with priority `prio` (smaller = higher) and
     /// relaxation bound `k`, resolving once a lane accepted it. While
     /// every bounded lane is full the future is `Pending` with its waker
@@ -79,16 +73,16 @@ impl<T: Send> AsyncIngestHandle<T> {
             prio,
             k,
             task: Some(task),
-            reg: None,
+            deposit: None,
         }
     }
 
     /// Submits a batch of `(prio, task)` pairs sharing relaxation bound
-    /// `k`, draining `batch` as chunks are accepted (batches larger than
-    /// the lane capacity are split, like the blocking
+    /// `k`, draining `batch` from the back as chunks are accepted (batches
+    /// larger than the lane capacity are split, like the blocking
     /// [`IngestHandle::submit_batch`]). On `Err` — and on drop of a
-    /// pending future — every not-yet-submitted item is handed back in
-    /// `batch`, in unspecified order.
+    /// pending future — `batch` holds exactly the unsubmitted items: its
+    /// untouched prefix, in the original order.
     pub fn submit_batch<'a>(
         &'a mut self,
         k: usize,
@@ -98,19 +92,8 @@ impl<T: Send> AsyncIngestHandle<T> {
             handle: &mut self.inner,
             k,
             batch,
-            chunk: Vec::new(),
-            reg: None,
+            deposit: None,
         }
-    }
-
-    /// Number of lanes this handle shards over.
-    pub fn num_lanes(&self) -> usize {
-        self.inner.num_lanes()
-    }
-
-    /// The per-lane capacity (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.inner.capacity()
     }
 }
 
@@ -118,25 +101,6 @@ impl<T: Send> Clone for AsyncIngestHandle<T> {
     fn clone(&self) -> Self {
         AsyncIngestHandle {
             inner: self.inner.clone(),
-        }
-    }
-}
-
-/// A waker deposit on one slot, revocable exactly once.
-///
-/// Shared helper of the futures below: `arm` runs the register → re-check
-/// → park-as-waker step, `clear` revokes a still-deposited waker (re-poll
-/// or drop).
-struct SlotReg {
-    id: WakerId,
-}
-
-impl SlotReg {
-    fn clear(reg: &mut Option<SlotReg>, slot: &ParkSlot) {
-        if let Some(r) = reg.take() {
-            // `false` means a wake already consumed the deposit (and
-            // released the registration); either way it is gone now.
-            let _ = slot.revoke_waker(r.id);
         }
     }
 }
@@ -151,7 +115,7 @@ pub struct SubmitFuture<'a, T: Send> {
     k: usize,
     /// `Some` while unsubmitted; taken on completion.
     task: Option<T>,
-    reg: Option<SlotReg>,
+    deposit: Option<WakerId>,
 }
 
 // No self-references: every field is an ordinary borrow or owned value.
@@ -162,54 +126,15 @@ impl<T: Send> Future for SubmitFuture<'_, T> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let shared = Arc::clone(this.handle.shared());
-        let space = shared.parker().space();
-        // A re-poll while deposited (spurious, or woken by the drain)
-        // starts from a clean registration.
-        SlotReg::clear(&mut this.reg, space);
-        let mut task = this
-            .task
-            .take()
-            .expect("SubmitFuture polled after completion");
-        loop {
-            match this.handle.try_submit(this.prio, this.k, task) {
-                Ok(()) => return Poll::Ready(Ok(())),
-                Err(SubmitError::Full(t)) => {
-                    // Register → re-check → park-as-waker (module docs).
-                    let token = space.prepare();
-                    match this.handle.try_submit(this.prio, this.k, t) {
-                        Ok(()) => {
-                            space.cancel();
-                            return Poll::Ready(Ok(()));
-                        }
-                        Err(SubmitError::Full(t)) => {
-                            match space.park_as(token, Waiter::Waker(cx.waker())) {
-                                Parked::Woken => task = t, // stale: retry now
-                                Parked::Registered(id) => {
-                                    this.task = Some(t);
-                                    this.reg = Some(SlotReg { id });
-                                    return Poll::Pending;
-                                }
-                            }
-                        }
-                        Err(other) => {
-                            space.cancel();
-                            return Poll::Ready(Err(other));
-                        }
-                    }
-                }
-                Err(other) => return Poll::Ready(Err(other)),
-            }
-        }
+        let waiter = Waiter::Waker(cx.waker());
+        this.handle
+            .poll_submit(waiter, &mut this.deposit, this.prio, this.k, &mut this.task)
     }
 }
 
 impl<T: Send> Drop for SubmitFuture<'_, T> {
     fn drop(&mut self) {
-        if self.reg.is_some() {
-            let shared = Arc::clone(self.handle.shared());
-            SlotReg::clear(&mut self.reg, shared.parker().space());
-        }
+        self.handle.space().revoke(&mut self.deposit);
     }
 }
 
@@ -217,14 +142,12 @@ impl<T: Send> Drop for SubmitFuture<'_, T> {
 ///
 /// Accepts the batch chunk by chunk (capacity-sized on bounded lanes);
 /// resolves to `Ok(())` with the caller's vector drained, or to a
-/// [`SubmitError`] with the unsubmitted remainder handed back in it.
+/// [`SubmitError`] with the unsubmitted prefix still in it.
 pub struct SubmitBatchFuture<'a, T: Send> {
     handle: &'a mut IngestHandle<T>,
     k: usize,
     batch: &'a mut Vec<(u64, T)>,
-    /// The chunk currently being offered (split off `batch`'s tail).
-    chunk: Vec<(u64, T)>,
-    reg: Option<SlotReg>,
+    deposit: Option<WakerId>,
 }
 
 impl<T: Send> Unpin for SubmitBatchFuture<'_, T> {}
@@ -234,57 +157,15 @@ impl<T: Send> Future for SubmitBatchFuture<'_, T> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let shared = Arc::clone(this.handle.shared());
-        let space = shared.parker().space();
-        SlotReg::clear(&mut this.reg, space);
-        let chunk_cap = this.handle.capacity().unwrap_or(usize::MAX);
-        loop {
-            if this.chunk.is_empty() {
-                if this.batch.is_empty() {
-                    return Poll::Ready(Ok(()));
-                }
-                let n = this.batch.len().min(chunk_cap);
-                this.chunk = this.batch.split_off(this.batch.len() - n);
-            }
-            match this.handle.try_submit_batch(this.k, &mut this.chunk) {
-                Ok(()) => continue, // next chunk (or done)
-                Err(SubmitError::Full(())) => {
-                    let token = space.prepare();
-                    match this.handle.try_submit_batch(this.k, &mut this.chunk) {
-                        Ok(()) => space.cancel(),
-                        Err(SubmitError::Full(())) => {
-                            match space.park_as(token, Waiter::Waker(cx.waker())) {
-                                Parked::Woken => {} // stale: retry now
-                                Parked::Registered(id) => {
-                                    this.reg = Some(SlotReg { id });
-                                    return Poll::Pending;
-                                }
-                            }
-                        }
-                        Err(other) => {
-                            space.cancel();
-                            this.batch.append(&mut this.chunk);
-                            return Poll::Ready(Err(other));
-                        }
-                    }
-                }
-                Err(other) => {
-                    this.batch.append(&mut this.chunk);
-                    return Poll::Ready(Err(other));
-                }
-            }
-        }
+        let waiter = Waiter::Waker(cx.waker());
+        this.handle
+            .poll_submit_batch(waiter, &mut this.deposit, this.k, this.batch)
     }
 }
 
 impl<T: Send> Drop for SubmitBatchFuture<'_, T> {
     fn drop(&mut self) {
-        if self.reg.is_some() {
-            let shared = Arc::clone(self.handle.shared());
-            SlotReg::clear(&mut self.reg, shared.parker().space());
-        }
-        // Hand unsubmitted items back on cancellation.
-        self.batch.append(&mut self.chunk);
+        self.handle.space().revoke(&mut self.deposit);
     }
 }
 
@@ -293,107 +174,38 @@ impl<T: Send> Drop for SubmitBatchFuture<'_, T> {
 ///
 /// Resolves to `Ok(())` once everything submitted so far has executed
 /// (lanes empty, pending counter zero), or `Err(PoolAborted)` if the pool
-/// aborted on a task panic — the same contract as the blocking
-/// [`crate::service::PoolService::join`], with the control-slot park
+/// aborted on a task panic — the blocking
+/// [`crate::service::PoolService::join`] with the control-slot park
 /// replaced by a waker deposit.
-pub struct JoinFuture<'a, T: Send> {
-    shared: &'a IngressShared<T>,
-    /// The scheduler's shared outstanding-task counter (credit-settled:
-    /// never below the truth, exact once the places have gone idle).
-    pending: &'a crate::sync::atomic::AtomicU64,
-    /// The pool's abort flag (a task panicked under `AbortRun`).
-    abort: &'a crate::sync::atomic::AtomicBool,
-    /// The service's failure state (source of the typed abort outcome).
-    faults: &'a FaultCell,
-    reg: Option<SlotReg>,
+pub struct JoinFuture<'a, T: Send + 'static> {
+    service: &'a PoolService<T>,
+    deposit: Option<WakerId>,
 }
 
-impl<'a, T: Send> JoinFuture<'a, T> {
-    pub(crate) fn new(
-        shared: &'a IngressShared<T>,
-        pending: &'a crate::sync::atomic::AtomicU64,
-        abort: &'a crate::sync::atomic::AtomicBool,
-        faults: &'a FaultCell,
-    ) -> Self {
+impl<'a, T: Send + 'static> JoinFuture<'a, T> {
+    pub(crate) fn new(service: &'a PoolService<T>) -> Self {
         JoinFuture {
-            shared,
-            pending,
-            abort,
-            faults,
-            reg: None,
-        }
-    }
-
-    /// The same two-variable predicate as the blocking join, on the same
-    /// slot: both writers that can make it true — the lane drain that
-    /// takes `queued` to zero and the settle that takes `pending` to zero
-    /// — wake the control slot, whichever comes last.
-    fn drained(&self) -> bool {
-        use crate::sync::atomic::Ordering;
-        self.shared.queued_count() == 0 && self.pending.load(Ordering::Acquire) == 0
-    }
-
-    fn aborted(&self) -> bool {
-        self.abort.load(crate::sync::atomic::Ordering::Acquire)
-    }
-
-    /// The typed abort outcome; the failure record precedes the abort
-    /// flag, so an observed abort implies a visible report (the fallback
-    /// covers abortive teardown without a panicking task).
-    fn abort_error(&self) -> PoolAborted {
-        PoolAborted {
-            failure: self.faults.first_failure().unwrap_or(FailureReport {
-                place: 0,
-                prio: 0,
-                message: "pool aborted".to_string(),
-            }),
+            service,
+            deposit: None,
         }
     }
 }
 
-impl<T: Send> Unpin for JoinFuture<'_, T> {}
+impl<T: Send + 'static> Unpin for JoinFuture<'_, T> {}
 
-impl<T: Send> Future for JoinFuture<'_, T> {
+impl<T: Send + 'static> Future for JoinFuture<'_, T> {
     type Output = Result<(), PoolAborted>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let control = this.shared.parker().control();
-        SlotReg::clear(&mut this.reg, control);
-        loop {
-            if this.aborted() {
-                return Poll::Ready(Err(this.abort_error()));
-            }
-            if this.drained() {
-                // Post-drain abort re-check, as in the blocking join: a
-                // panicking task records its failure and raises the flag
-                // before its unit can leave the count.
-                if this.aborted() {
-                    return Poll::Ready(Err(this.abort_error()));
-                }
-                return Poll::Ready(Ok(()));
-            }
-            let token = control.prepare();
-            if this.aborted() || this.drained() {
-                control.cancel();
-                continue; // loop head resolves which of the two it was
-            }
-            match control.park_as(token, Waiter::Waker(cx.waker())) {
-                Parked::Woken => {} // stale: re-check now
-                Parked::Registered(id) => {
-                    this.reg = Some(SlotReg { id });
-                    return Poll::Pending;
-                }
-            }
-        }
+        this.service
+            .poll_join(Waiter::Waker(cx.waker()), &mut this.deposit)
     }
 }
 
-impl<T: Send> Drop for JoinFuture<'_, T> {
+impl<T: Send + 'static> Drop for JoinFuture<'_, T> {
     fn drop(&mut self) {
-        if self.reg.is_some() {
-            SlotReg::clear(&mut self.reg, self.shared.parker().control());
-        }
+        self.service.control().revoke(&mut self.deposit);
     }
 }
 
@@ -405,6 +217,7 @@ mod tests {
     // The facade type, so `drain_into` type-checks under `--cfg loom` too.
     use crate::sync::atomic::AtomicU64;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use std::task::Waker;
 
     struct CountWake(AtomicUsize);
@@ -529,6 +342,11 @@ mod tests {
             "cancelled batch must hand back exactly the unsubmitted items"
         );
         assert_eq!(lanes.queued(), 2, "one capacity-sized chunk accepted");
+        assert_eq!(
+            batch,
+            vec![(0, 0), (1, 1), (2, 2)],
+            "chunks go from the back: the untouched prefix stays, in order"
+        );
         assert_eq!(lanes.shared().parker().space().waiters(), 0);
     }
 

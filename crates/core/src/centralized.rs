@@ -44,18 +44,6 @@ use std::sync::Arc;
 /// implementation").
 pub const DEFAULT_KMAX: u32 = 512;
 
-/// Placement policy for push (Listing 1 line 9 uses a random offset;
-/// `Linear` is the ablation of that choice).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Placement {
-    /// Paper behaviour: probe the k-window from a random offset —
-    /// "Randomization is used to improve scalability" (§4.1).
-    Random,
-    /// Ablation: always probe from the window start; every pusher contends
-    /// on the same slot.
-    Linear,
-}
-
 /// The shared (global) component of the centralized k-priority structure.
 ///
 /// Create with [`CentralizedKPriority::new`], wrap in an `Arc`, then create
@@ -63,7 +51,6 @@ pub enum Placement {
 pub struct CentralizedKPriority<T: Send + 'static> {
     nplaces: usize,
     kmax: u32,
-    placement: Placement,
     tail: CachePadded<AtomicU64>,
     array: GlobalArray<T>,
     pool: ItemPool<T>,
@@ -77,18 +64,11 @@ impl<T: Send + 'static> CentralizedKPriority<T> {
     /// # Panics
     /// Panics if `nplaces == 0` or `kmax == 0`.
     pub fn new(nplaces: usize, kmax: u32) -> Self {
-        Self::with_placement(nplaces, kmax, Placement::Random)
-    }
-
-    /// As [`CentralizedKPriority::new`] with an explicit placement policy
-    /// (the `Linear` variant is the ablation of the random offset).
-    pub fn with_placement(nplaces: usize, kmax: u32, placement: Placement) -> Self {
         assert!(nplaces > 0, "need at least one place");
         assert!(kmax > 0, "kmax must be positive");
         CentralizedKPriority {
             nplaces,
             kmax,
-            placement,
             tail: CachePadded::new(AtomicU64::new(0)),
             array: GlobalArray::new(),
             pool: ItemPool::new(),
@@ -291,10 +271,9 @@ impl<T: Send + 'static> CentralizedHandle<T> {
         // SAFETY: the item is exclusively ours until the publishing CAS.
         let item = unsafe { &*ptr };
         loop {
-            let offset = match self.shared.placement {
-                Placement::Random => self.rng.below(k),
-                Placement::Linear => 0,
-            };
+            // Listing 1 line 9: probe the k-window from a random offset —
+            // "Randomization is used to improve scalability" (§4.1).
+            let offset = self.rng.below(k);
             for i in 0..k {
                 let pos = *t + (offset + i) % k;
                 let slot = self.shared.array.slot_or_grow(pos, &mut self.push_cursor);

@@ -41,6 +41,17 @@
 //!   larger than the lane capacity are split into capacity-sized chunks
 //!   internally.
 //!
+//! All four — and the two async futures of [`crate::async_ingest`] — enter
+//! a lane through one function, `IngressShared::place` (gate, round-robin
+//! scan, capacity test, fill and `queued` bump inside the lane's critical
+//! section, targeted worker wake). The shedding flavors are one call of
+//! it; the waiting flavors repeat it until it stops answering `Full`,
+//! inside [`crate::park::ParkSlot::poll_until`] on the space slot, as a
+//! thread or as a waker. A batch is offered tail first and leaves the
+//! caller's vector only inside the accepting lane's critical section, so
+//! whatever a failed or cancelled batch submit leaves behind is the
+//! batch's untouched prefix, in order.
+//!
 //! Capacity bounds *lane occupancy*: a lane whose contents were just
 //! swapped out by a drain has room again even while the drained tasks are
 //! still being pushed into the pool (they are accounted by the pending
@@ -111,8 +122,10 @@
 //! is still up is not repeated, so without the third row
 //! [`crate::service::PoolService::join`] could sleep forever.
 //!
-//! Every waiter follows the register → re-check → park protocol of
-//! [`crate::park::ParkSlot`], so none of these can be lost to the
+//! Producers and join waiters wait through
+//! [`crate::park::ParkSlot::poll_until`] and workers through the same
+//! register → re-check → park steps written out in `place_loop` (the
+//! [`crate::park`] table says why), so none of these can be lost to the
 //! check-then-sleep race.
 //!
 //! [`IngressLanes::handle`] *can* re-arm a drained set of lanes (the count
@@ -124,13 +137,14 @@
 //! blocked producers are woken into that error, so no producer can park
 //! forever against workers that no longer exist.
 
-use crate::park::Parker;
+use crate::park::{thread_ready, ParkSlot, Parker, Waiter, WakerId};
 use crate::pool::PoolHandle;
 use crate::scheduler::Outstanding;
-use crate::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
+use std::task::Poll;
 
 /// One queued submission: priority, relaxation bound, payload.
 type Entry<T> = (u64, usize, T);
@@ -237,10 +251,32 @@ impl<T: Send> IngressShared<T> {
         self.queued.load(Ordering::Relaxed)
     }
 
-    /// Tasks submitted but not yet transferred into the pool (acquire
-    /// read; the drain-side counterpart of [`IngressLanes::queued`]).
-    pub(crate) fn queued_count(&self) -> u64 {
-        self.queued.load(Ordering::Acquire)
+    /// The drain wait behind [`crate::service::PoolService::join`] and
+    /// `join_async`: waits on the control slot, as `waiter`, until
+    /// everything submitted so far has been executed — `queued == 0 ∧
+    /// pending == 0`, `pending` being the scheduler's credit-settled
+    /// outstanding count — and answers `true`, or `false` as soon as
+    /// `abort` is up. Both writers that can make the predicate true wake
+    /// the control slot (module docs, third and fifth event rows).
+    pub(crate) fn poll_drained(
+        &self,
+        waiter: Waiter<'_>,
+        deposit: &mut Option<WakerId>,
+        pending: &AtomicU64,
+        abort: &AtomicBool,
+    ) -> Poll<bool> {
+        let aborted = || abort.load(Ordering::Acquire);
+        self.parker.control().poll_until(waiter, deposit, || {
+            if aborted() {
+                return Some(false);
+            }
+            let drained =
+                self.queued.load(Ordering::Acquire) == 0 && pending.load(Ordering::Acquire) == 0;
+            // Looked at again after the drain: a panicking task records
+            // its failure and raises the flag before its unit can leave
+            // the count, so a drain caused by a panic shows here.
+            drained.then(|| !aborted())
+        })
     }
 
     /// The parking fabric (scheduler and service side).
@@ -270,8 +306,49 @@ impl<T: Send> IngressShared<T> {
         self.parker.wake_all();
     }
 
-    fn gate(&self) -> u8 {
-        self.gate.load(Ordering::Acquire)
+    /// The one way into a lane. Offers `n` entries to the lane under
+    /// `cursor` and then to every other lane in round-robin order; the
+    /// first one with room for all `n` gets them from `fill`, inside its
+    /// critical section, and its worker is woken. `payload` goes to `fill`
+    /// on acceptance and comes back in the error otherwise ([`Full`] when
+    /// no lane has room, [`Aborted`]/[`ShutDown`] once the gate is up).
+    ///
+    /// [`Full`]: SubmitError::Full
+    /// [`Aborted`]: SubmitError::Aborted
+    /// [`ShutDown`]: SubmitError::ShutDown
+    fn place<X>(
+        &self,
+        cursor: &mut usize,
+        n: usize,
+        payload: X,
+        fill: impl FnOnce(&mut Vec<Entry<T>>, X),
+    ) -> Result<(), SubmitError<X>> {
+        match self.gate.load(Ordering::Acquire) {
+            GATE_ABORTED => return Err(SubmitError::Aborted(payload)),
+            GATE_SHUT_DOWN => return Err(SubmitError::ShutDown(payload)),
+            _ => {}
+        }
+        let n_lanes = self.lanes.len();
+        let start = *cursor;
+        *cursor = (start + 1) % n_lanes;
+        for idx in (start..n_lanes).chain(0..start) {
+            let mut lane = self.lanes[idx].lock();
+            if self
+                .capacity
+                .is_some_and(|cap| cap.saturating_sub(lane.len()) < n)
+            {
+                continue;
+            }
+            fill(&mut lane, payload);
+            // Inside the lane critical section: a quiescence check can
+            // never observe the queued count and the lane contents out of
+            // step by more than the producer refcount already covers.
+            self.queued.fetch_add(n as u64, Ordering::AcqRel);
+            drop(lane);
+            self.parker.wake_worker(idx);
+            return Ok(());
+        }
+        Err(SubmitError::Full(payload))
     }
 
     /// Moves the contents of lane `place` into `handle`, charging the
@@ -342,7 +419,9 @@ impl<T: Send> IngressShared<T> {
         // already finished and settled, the pending → 0 wake has come and
         // gone while `queued` still read nonzero, and this is the write
         // that makes a join's predicate true.
-        if emptied {
+        // (`--cfg loom_mutate_drain_wake` leaves this wake out;
+        // `tests/loom_models.rs` asserts the join model then deadlocks.)
+        if emptied && !cfg!(loom_mutate_drain_wake) {
             self.parker.control().wake_if_waiting();
         }
         n
@@ -461,8 +540,9 @@ impl<T: Send> IngressLanes<T> {
 ///
 /// Submission comes in shedding ([`IngestHandle::try_submit`] /
 /// [`IngestHandle::try_submit_batch`]) and blocking
-/// ([`IngestHandle::submit`] / [`IngestHandle::submit_batch`]) flavors;
-/// on unbounded lanes the two coincide (only abort/shutdown can fail).
+/// ([`IngestHandle::submit`] / [`IngestHandle::submit_batch`]) flavors —
+/// blocking is the shedding call repeated under a wait — and on unbounded
+/// lanes the two coincide (only abort/shutdown can fail).
 pub struct IngestHandle<T: Send> {
     shared: Arc<IngressShared<T>>,
     /// Lane cursor, advanced round-robin per submission.
@@ -476,65 +556,42 @@ impl<T: Send> IngestHandle<T> {
     /// capacity (or the pool aborted / shut down) the task is handed
     /// back in the error.
     pub fn try_submit(&mut self, prio: u64, k: usize, task: T) -> Result<(), SubmitError<T>> {
-        match self.shared.gate() {
-            GATE_ABORTED => return Err(SubmitError::Aborted(task)),
-            GATE_SHUT_DOWN => return Err(SubmitError::ShutDown(task)),
-            _ => {}
-        }
-        let n_lanes = self.shared.lanes.len();
-        let start = self.advance();
-        for i in 0..n_lanes {
-            let idx = (start + i) % n_lanes;
-            let mut lane = self.shared.lanes[idx].lock();
-            if self.shared.capacity.is_some_and(|cap| lane.len() >= cap) {
-                continue;
-            }
-            lane.push((prio, k, task));
-            // Inside the lane critical section: a quiescence check can
-            // never observe the queued count and the lane contents out of
-            // step by more than the producer refcount already covers.
-            self.shared.queued.fetch_add(1, Ordering::AcqRel);
-            drop(lane);
-            self.shared.parker.wake_worker(idx);
-            return Ok(());
-        }
-        Err(SubmitError::Full(task))
+        self.shared.place(&mut self.lane, 1, task, |lane, task| {
+            lane.push((prio, k, task))
+        })
     }
 
     /// Submits one task, **blocking** (parking, not spinning) while every
     /// lane is at capacity until a worker's drain frees room. Returns the
     /// task back in `Err` only if the pool aborted or shut down — a live
     /// pool always accepts eventually.
-    pub fn submit(&mut self, prio: u64, k: usize, mut task: T) -> Result<(), SubmitError<T>> {
-        loop {
-            match self.try_submit(prio, k, task) {
-                Ok(()) => return Ok(()),
-                Err(SubmitError::Full(t)) => {
-                    // Register → re-check → park: a drain between the
-                    // failed attempt and the registration would otherwise
-                    // be a lost wakeup. (The Arc clone decouples the slot
-                    // borrow from `self` for the re-check.)
-                    let shared = Arc::clone(&self.shared);
-                    let space = shared.parker.space();
-                    let token = space.prepare();
-                    match self.try_submit(prio, k, t) {
-                        Ok(()) => {
-                            space.cancel();
-                            return Ok(());
-                        }
-                        Err(SubmitError::Full(t)) => {
-                            space.park(token);
-                            task = t;
-                        }
-                        Err(other) => {
-                            space.cancel();
-                            return Err(other);
-                        }
-                    }
+    pub fn submit(&mut self, prio: u64, k: usize, task: T) -> Result<(), SubmitError<T>> {
+        thread_ready(self.poll_submit(Waiter::Thread, &mut None, prio, k, &mut Some(task)))
+    }
+
+    /// [`IngestHandle::try_submit`] until it stops answering `Full`,
+    /// waiting on the space slot as `waiter` in between (the body behind
+    /// the blocking and the async `submit`). `task` is taken when the
+    /// submission resolves and left in place across a `Pending`.
+    pub(crate) fn poll_submit(
+        &mut self,
+        waiter: Waiter<'_>,
+        deposit: &mut Option<WakerId>,
+        prio: u64,
+        k: usize,
+        task: &mut Option<T>,
+    ) -> Poll<Result<(), SubmitError<T>>> {
+        let (shared, cursor) = (&*self.shared, &mut self.lane);
+        shared.parker.space().poll_until(waiter, deposit, || {
+            let offered = task.take().expect("submit polled after completion");
+            match shared.place(cursor, 1, offered, |lane, task| lane.push((prio, k, task))) {
+                Err(SubmitError::Full(back)) => {
+                    *task = Some(back);
+                    None
                 }
-                Err(other) => return Err(other),
+                done => Some(done),
             }
-        }
+        })
     }
 
     /// Attempts to submit a batch of `(prio, task)` pairs sharing the
@@ -556,102 +613,60 @@ impl<T: Send> IngestHandle<T> {
         if batch.is_empty() {
             return Ok(());
         }
-        match self.shared.gate() {
-            GATE_ABORTED => return Err(SubmitError::Aborted(())),
-            GATE_SHUT_DOWN => return Err(SubmitError::ShutDown(())),
-            _ => {}
-        }
-        let n_lanes = self.shared.lanes.len();
-        let start = self.advance();
-        for i in 0..n_lanes {
-            let idx = (start + i) % n_lanes;
-            let mut lane = self.shared.lanes[idx].lock();
-            if self
-                .shared
-                .capacity
-                .is_some_and(|cap| cap - lane.len().min(cap) < batch.len())
-            {
-                continue;
-            }
-            self.shared
-                .queued
-                .fetch_add(batch.len() as u64, Ordering::AcqRel);
-            lane.extend(batch.drain(..).map(|(prio, task)| (prio, k, task)));
-            drop(lane);
-            self.shared.parker.wake_worker(idx);
-            return Ok(());
-        }
-        Err(SubmitError::Full(()))
+        self.shared
+            .place(&mut self.lane, batch.len(), (), |lane, ()| {
+                lane.extend(batch.drain(..).map(|(prio, task)| (prio, k, task)))
+            })
     }
 
     /// Submits a batch, **blocking** while the lanes are full. Batches
-    /// larger than the lane capacity are split into capacity-sized chunks
-    /// (chunks are taken from the back of `batch`; the submitted multiset
-    /// is exactly `batch`'s contents). On `Err` (abort/shutdown) every
-    /// not-yet-submitted item is handed back in `batch`, in unspecified
-    /// order.
+    /// larger than the lane capacity go in capacity-sized chunks, taken
+    /// from the back of `batch` and leaving it only inside the accepting
+    /// lane's critical section. On `Err` (abort/shutdown) what is left in
+    /// `batch` is exactly what was not submitted: its untouched prefix,
+    /// in the original order.
     pub fn submit_batch(&mut self, k: usize, batch: &mut Vec<(u64, T)>) -> Result<(), SubmitError> {
-        let chunk_cap = self.shared.capacity.unwrap_or(usize::MAX);
-        while !batch.is_empty() {
-            let n = batch.len().min(chunk_cap);
-            let mut chunk = batch.split_off(batch.len() - n);
-            loop {
-                match self.try_submit_batch(k, &mut chunk) {
-                    Ok(()) => break,
-                    Err(SubmitError::Full(())) => {
-                        let shared = Arc::clone(&self.shared);
-                        let space = shared.parker.space();
-                        let token = space.prepare();
-                        match self.try_submit_batch(k, &mut chunk) {
-                            Ok(()) => {
-                                space.cancel();
-                                break;
-                            }
-                            Err(SubmitError::Full(())) => space.park(token),
-                            Err(other) => {
-                                space.cancel();
-                                batch.append(&mut chunk);
-                                return Err(other);
-                            }
-                        }
-                    }
-                    Err(other) => {
-                        batch.append(&mut chunk);
-                        return Err(other);
-                    }
+        thread_ready(self.poll_submit_batch(Waiter::Thread, &mut None, k, batch))
+    }
+
+    /// Offers `batch`'s tail, chunk by chunk, until it is empty, waiting
+    /// on the space slot as `waiter` whenever a chunk finds every lane
+    /// full (the body behind the blocking and the async `submit_batch`).
+    pub(crate) fn poll_submit_batch(
+        &mut self,
+        waiter: Waiter<'_>,
+        deposit: &mut Option<WakerId>,
+        k: usize,
+        batch: &mut Vec<(u64, T)>,
+    ) -> Poll<Result<(), SubmitError>> {
+        let (shared, cursor) = (&*self.shared, &mut self.lane);
+        let chunk_cap = shared.capacity.unwrap_or(usize::MAX);
+        shared.parker.space().poll_until(waiter, deposit, || {
+            while !batch.is_empty() {
+                let n = batch.len().min(chunk_cap);
+                let tail = batch.len() - n;
+                match shared.place(cursor, n, (), |lane, ()| {
+                    lane.extend(batch.drain(tail..).map(|(prio, task)| (prio, k, task)))
+                }) {
+                    Ok(()) => {}
+                    Err(SubmitError::Full(())) => return None,
+                    Err(gone) => return Some(Err(gone)),
                 }
             }
-        }
-        Ok(())
+            Some(Ok(()))
+        })
     }
 
-    /// Number of lanes this handle shards over.
-    pub fn num_lanes(&self) -> usize {
-        self.shared.lanes.len()
-    }
-
-    /// Wraps this handle for async submission: the same producer slot,
-    /// with `Full` mapped to `Poll::Pending` instead of a parked thread.
-    /// See [`crate::async_ingest::AsyncIngestHandle`].
+    /// Wraps this handle for async submission: the same producer slot and
+    /// the same wait, with the task's waker deposited where a thread would
+    /// sleep. See [`crate::async_ingest::AsyncIngestHandle`].
     pub fn into_async(self) -> crate::async_ingest::AsyncIngestHandle<T> {
         crate::async_ingest::AsyncIngestHandle::new(self)
     }
 
-    /// The shared ingress state (async futures park their wakers on its
-    /// parking fabric).
-    pub(crate) fn shared(&self) -> &Arc<IngressShared<T>> {
-        &self.shared
-    }
-
-    /// The per-lane capacity (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.shared.capacity
-    }
-
-    fn advance(&mut self) -> usize {
-        let lane = self.lane;
-        self.lane = (self.lane + 1) % self.shared.lanes.len();
-        lane
+    /// The space slot (a dropped submit future revokes its deposit there).
+    pub(crate) fn space(&self) -> &ParkSlot {
+        self.shared.parker.space()
     }
 }
 
@@ -901,6 +916,26 @@ mod tests {
         assert_eq!(batch.len(), 1, "batch handed back");
         assert_eq!(h.submit_batch(4, &mut batch), Err(SubmitError::Aborted(())));
         assert_eq!(batch.len(), 1, "blocking batch handed back on abort");
+        // A chunked blocking batch that is cut off by an abort keeps its
+        // untouched prefix, in the original order: chunks of 2 go from the
+        // back into the two capacity-2 lanes, the third finds them full.
+        let bounded: IngressLanes<u64> = IngressLanes::with_capacity(2, Some(2));
+        let mut hb = bounded.handle();
+        let shared = Arc::clone(bounded.shared());
+        let mut batch: Vec<(u64, u64)> = (0..7u64).map(|i| (i, 10 + i)).collect();
+        let aborter = std::thread::spawn(move || {
+            while shared.parker().space().waiters() == 0 {
+                std::thread::yield_now();
+            }
+            shared.abort_and_wake();
+        });
+        assert_eq!(
+            hb.submit_batch(4, &mut batch),
+            Err(SubmitError::Aborted(()))
+        );
+        aborter.join().unwrap();
+        assert_eq!(bounded.queued(), 4);
+        assert_eq!(batch, vec![(0, 10), (1, 11), (2, 12)]);
         // Shutdown wins over abort in reporting once raised.
         lanes.shared().shut_down_and_wake();
         assert_eq!(
@@ -940,21 +975,17 @@ mod tests {
         let lanes: IngressLanes<u64> = IngressLanes::with_capacity(1, Some(1));
         let mut h = lanes.handle();
         h.submit(0, 4, 0).unwrap();
-        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let producer = {
-            let started = Arc::clone(&started);
-            std::thread::spawn(move || {
-                let mut h = h;
-                started.store(true, Ordering::Release);
-                // Parks (lane full, nobody drains) until the abort below.
-                let err = h.submit(1, 4, 1).unwrap_err();
-                assert!(matches!(err, SubmitError::Aborted(1)));
-            })
-        };
-        while !started.load(Ordering::Acquire) {
+        let producer = std::thread::spawn(move || {
+            let mut h = h;
+            // Parks (lane full, nobody drains) until the abort below.
+            let err = h.submit(1, 4, 1).unwrap_err();
+            assert!(matches!(err, SubmitError::Aborted(1)));
+        });
+        // Gate on state, not on time: abort once the producer is
+        // registered on the space slot (parked, or about to).
+        while lanes.shared().parker().space().waiters() == 0 {
             std::thread::yield_now();
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
         lanes.shared().abort_and_wake();
         producer.join().unwrap();
     }

@@ -146,7 +146,12 @@
 //! it registers as a waiter, re-checks its wait condition, and only then
 //! sleeps — while wakers always advance the slot's epoch before
 //! notifying, so an event that fires inside the race window makes the
-//! park return immediately. The quiescence read-order argument (producers
+//! park return immediately. Those three steps are written once,
+//! [`park::ParkSlot::poll_until`], and every predicate wait — blocking
+//! and async `submit`/`submit_batch`, `join` and `join_async` — hands it
+//! its condition as a closure; only the worker and combiner parks, whose
+//! re-check does more than test a condition, spell them out (the [`park`]
+//! table says why). The quiescence read-order argument (producers
 //! first, then queued, then pending — see [`ingest`]) extends to parking:
 //! every transition a sleeper could be waiting on (submission, drain,
 //! spawn, pending → 0, queued → 0, producers → 0, abort) is a wake event
@@ -169,17 +174,18 @@
 //! [`ingest::IngestHandle`] from the same refcounted lineage (obtained
 //! via [`ingest::IngestHandle::into_async`] or
 //! [`service::PoolService::async_ingest_handle`]); its `submit` /
-//! `submit_batch` futures run the identical register → re-check → park
-//! protocol as the blocking path, except that where a thread would sleep
-//! on the space slot's condvar, the future deposits the task's
-//! [`std::task::Waker`] ([`park::Waiter::Waker`]) and returns
-//! `Poll::Pending` — **`Full` becomes `Pending`**, and the drain that
-//! frees lane space fires the deposited waker through the same
-//! `wake_all` that unparks blocked threads. Abort/shutdown resolve
-//! pending futures to the typed [`ingest::SubmitError`] with the payload
-//! handed back, and dropping a pending future revokes its waker
-//! (cancel-safe). [`service::PoolService::join_async`] is the drain wait
-//! as a future on the control slot. The `async_equivalence` integration
+//! `submit_batch` futures are the blocking path's body with
+//! [`park::Waiter::Waker`] for [`park::Waiter::Thread`]: where a thread
+//! would sleep on the space slot's condvar, the task's
+//! [`std::task::Waker`] is deposited and the future returns
+//! `Poll::Pending`, and the drain that frees lane space fires the
+//! deposited waker through the same `wake_all` that unparks blocked
+//! threads. Abort/shutdown resolve pending futures to the typed
+//! [`ingest::SubmitError`] with the payload handed back (a batch keeps
+//! its unsubmitted prefix, in order), and dropping a pending future
+//! revokes its waker (cancel-safe).
+//! [`service::PoolService::join_async`] is the drain wait of `join`, same
+//! body, as a future on the control slot. The `async_equivalence` integration
 //! test pins async-submitted ≡ blocking-submitted ≡ preseeded on all five
 //! structures under a tiny lane capacity; no runtime is prescribed — the
 //! in-tree `futures-executor` shim (`block_on` + `LocalPool`) or any
@@ -298,25 +304,28 @@
 //!
 //! | Prose argument | Model |
 //! |---|---|
-//! | Parking's register → re-check → park never loses a wakeup against the waiter-count-gated `wake_if_waiting` (the seq-cst fence pairing in [`park`]) | `models::parker_no_lost_wakeup` |
-//! | The combiner's publish / combine / park handoff applies each op exactly once, writes the response **before** the `DONE` flip, and never strands a waiter despite the unfenced post-unlock wake-walk ([`combine`]) | `models::combiner_exactly_once_handoff` |
-//! | The item free list's versioned head defeats ABA on multi-node pops ([`item`], §4.1.3/§4.2.3 tag discipline) | `models::free_list_no_aba_double_pop` |
-//! | The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
-//! | The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
-//! | The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
-//! | Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet) | `models::credits_settle_before_quiescence` |
+//! | (a) Parking's register → re-check → park — [`park::ParkSlot::wait_until`], the one body every predicate wait runs — never loses a wakeup against the waiter-count-gated `wake_if_waiting` (the seq-cst fence pairing in [`park`]) | `models::parker_no_lost_wakeup` |
+//! | (a′) The same body polled as an async task ([`park::Waiter::Waker`]): a deposited waker is fired by the wake or the poll retries, and its registration is released exactly once between the wake and the re-poll's revoke | `models::waker_deposit_no_lost_wakeup` |
+//! | (b) The combiner's publish / combine / park handoff applies each op exactly once, writes the response **before** the `DONE` flip, and never strands a waiter despite the unfenced post-unlock wake-walk ([`combine`]) | `models::combiner_exactly_once_handoff` |
+//! | (c) The item free list's versioned head defeats ABA on multi-node pops ([`item`], §4.1.3/§4.2.3 tag discipline) | `models::free_list_no_aba_double_pop` |
+//! | (d) The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
+//! | (e) The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
+//! | (f) The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
+//! | (g) Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet) | `models::credits_settle_before_quiescence` |
+//! | (h) A join's two-variable predicate (`queued == 0 ∧ pending == 0`) is woken by whichever write comes last: a drain whose task another place finishes and settles before `queued` falls still ends the wait ([`park`] predicate table, [`ingest`] event table) | `models::join_wakes_on_the_last_of_drain_and_finish` |
 //!
-//! Three **mutation self-checks** validate the checker itself: building
+//! Four **mutation self-checks** validate the checker itself: building
 //! with `--cfg loom_mutate_park_fence` (drops the `wake_if_waiting`
-//! fence), `--cfg loom_mutate_combine_done` (flips response/`DONE` order)
-//! or `--cfg loom_mutate_credit_flush` (drops the settle in front of the
-//! termination check) makes the corresponding model *fail*, which
+//! fence; both (a) and (a′) must fail), `--cfg loom_mutate_combine_done`
+//! (flips response/`DONE` order), `--cfg loom_mutate_credit_flush` (drops
+//! the settle in front of the termination check) or
+//! `--cfg loom_mutate_drain_wake` (drops the lane drain's `queued → 0`
+//! control-slot wake) makes the corresponding model *fail*, which
 //! `tests/loom_models.rs` asserts.
 //!
-//! Arguments that remain prose-only (not yet modeled): the async waker
-//! deposit/revoke exactly-once release ([`park::ParkSlot::park_as`]), the
-//! hybrid spy/publish protocol, the centralized window walk, and the
-//! scheduler's abort/failure accounting — see ROADMAP.md.
+//! Arguments that remain prose-only (not yet modeled): the hybrid
+//! spy/publish protocol, the centralized window walk, and the scheduler's
+//! abort/failure accounting — see ROADMAP.md.
 //!
 //! # Workloads
 //!

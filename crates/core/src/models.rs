@@ -15,15 +15,19 @@
 //! runner; the crate-level docs ("Model-checked properties") map each
 //! prose argument to its model.
 //!
-//! Three **mutation self-checks** keep the checker honest: building with
+//! Four **mutation self-checks** keep the checker honest: building with
 //! `--cfg loom_mutate_park_fence` removes the seq-cst fence in
 //! [`ParkSlot::wake_if_waiting`], `--cfg loom_mutate_combine_done` flips
-//! the combiner's response-before-DONE store order, and
+//! the combiner's response-before-DONE store order,
 //! `--cfg loom_mutate_credit_flush` drops the settle in front of the
-//! scheduler's termination check. The runner then asserts that
-//! [`parker_no_lost_wakeup`], [`combiner_exactly_once_handoff`] and
-//! [`credits_settle_before_quiescence`] *fail* — a model suite that cannot
-//! see a deliberately planted bug proves nothing about the real code.
+//! scheduler's termination check, and `--cfg loom_mutate_drain_wake` drops
+//! the control-slot wake of the lane drain that takes `queued` to zero.
+//! The runner then asserts that [`parker_no_lost_wakeup`] and
+//! [`waker_deposit_no_lost_wakeup`], [`combiner_exactly_once_handoff`],
+//! [`credits_settle_before_quiescence`] and
+//! [`join_wakes_on_the_last_of_drain_and_finish`] *fail* — a model suite
+//! that cannot see a deliberately planted bug proves nothing about the
+//! real code.
 //!
 //! [`IngressShared`]: crate::ingest::IngressLanes
 //! [`ParkSlot::wake_if_waiting`]: crate::park::ParkSlot::wake_if_waiting
@@ -32,22 +36,24 @@ use crate::combine::{CombineOp, CombineStats, Combiner};
 use crate::ingest::IngressLanes;
 use crate::item::ItemPool;
 use crate::multiqueue::RelaxedMultiQueue;
-use crate::park::ParkSlot;
+use crate::park::{ParkSlot, Waiter};
 use crate::pool::{FaultPolicy, PoolHandle, TaskPool};
 use crate::scheduler::{place_loop, FaultCell, Outstanding, SpawnCtx, TaskExecutor};
 use crate::stats::PlaceStats;
 use crate::structural::StructuralKPriority;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{thread, Mutex};
+use crate::sync::{stdsync, thread, Mutex};
 use std::sync::Arc;
+use std::task::Poll;
 
-/// (a) Parker: register → re-check → park versus a concurrent
+/// (a) Parker, thread flavor: [`ParkSlot::wait_until`] — the crate's one
+/// register → re-check → park body — versus a concurrent
 /// `wake_if_waiting` never loses the wakeup.
 ///
 /// The waker publishes an event (a flag store) and calls the gated wake;
-/// the waiter registers, re-checks the flag, and parks untimed only if it
-/// saw no event. The seq-cst fence in `wake_if_waiting` pairing with the
-/// fence in `prepare` is exactly what makes this safe: without it (the
+/// the waiter waits for the flag, parking untimed whenever it has not seen
+/// it. The seq-cst fence in `wake_if_waiting` pairing with the fence in
+/// `prepare` is exactly what makes this safe: without it (the
 /// `loom_mutate_park_fence` build) the waker's flag store can sit in its
 /// store buffer while it reads a pre-registration `waiters == 0`, the
 /// waiter's re-check misses the flag, and the untimed park deadlocks.
@@ -58,28 +64,87 @@ pub fn parker_no_lost_wakeup() {
 
         let waiter = {
             let (slot, flag) = (Arc::clone(&slot), Arc::clone(&flag));
+            // Untimed parks: if the wake is lost, this blocks forever and
+            // the explorer reports a deadlock.
+            thread::spawn(move || slot.wait_until(|| flag.load(Ordering::Acquire).then_some(())))
+        };
+        let waker = {
+            let slot = Arc::clone(&slot);
             thread::spawn(move || {
-                let token = slot.prepare();
-                if flag.load(Ordering::Acquire) {
-                    slot.cancel();
-                } else {
-                    // Untimed park: if the wake is lost, this blocks
-                    // forever and the explorer reports a deadlock.
-                    slot.park(token);
-                    assert!(
-                        flag.load(Ordering::Acquire),
-                        "woken waiter must observe the event that woke it"
-                    );
-                }
+                flag.store(true, Ordering::Release);
+                slot.wake_if_waiting();
             })
         };
-        let waker = thread::spawn(move || {
-            flag.store(true, Ordering::Release);
-            slot.wake_if_waiting();
-        });
 
         waiter.join().unwrap();
         waker.join().unwrap();
+        assert_eq!(slot.waiters(), 0, "the wait released its registration");
+    });
+}
+
+/// A one-task executor for model (a′): `wake` raises a flag under a mutex
+/// and notifies; the task's thread sleeps on the condvar between polls.
+#[derive(Default)]
+struct Notify {
+    woken: stdsync::Mutex<bool>,
+    condvar: stdsync::Condvar,
+}
+
+impl std::task::Wake for Notify {
+    fn wake(self: Arc<Self>) {
+        *self.woken.lock().unwrap() = true;
+        self.condvar.notify_all();
+    }
+}
+
+/// (a′) Parker, waker flavor: the same body polled with
+/// [`Waiter::Waker`] — what every submit and join future runs — versus a
+/// concurrent `wake_if_waiting`.
+///
+/// A `Pending` poll sleeps (untimed) until the deposited waker fires and
+/// polls again, so a deposit that no wake ever fires deadlocks — under
+/// `loom_mutate_park_fence` exactly as in (a). The deposit/revoke
+/// bookkeeping is checked at the exit: a wake and the re-poll's revoke
+/// both try to release the deposit's registration, and `waiters() == 0`
+/// holds only if exactly one of them did (a double release wraps the
+/// count, a missed one leaves it at 1).
+pub fn waker_deposit_no_lost_wakeup() {
+    loom::model(|| {
+        let slot = Arc::new(ParkSlot::new());
+        let flag = Arc::new(AtomicBool::new(false));
+
+        let waiter = {
+            let (slot, flag) = (Arc::clone(&slot), Arc::clone(&flag));
+            thread::spawn(move || {
+                let notify = Arc::new(Notify::default());
+                let waker = std::task::Waker::from(Arc::clone(&notify));
+                let mut deposit = None;
+                while slot
+                    .poll_until(Waiter::Waker(&waker), &mut deposit, || {
+                        flag.load(Ordering::Acquire).then_some(())
+                    })
+                    .is_pending()
+                {
+                    let mut woken = notify.woken.lock().unwrap();
+                    while !*woken {
+                        woken = notify.condvar.wait(woken).unwrap();
+                    }
+                    *woken = false;
+                }
+                assert!(deposit.is_none(), "a finished wait holds no deposit");
+            })
+        };
+        let waker = {
+            let slot = Arc::clone(&slot);
+            thread::spawn(move || {
+                flag.store(true, Ordering::Release);
+                slot.wake_if_waiting();
+            })
+        };
+
+        waiter.join().unwrap();
+        waker.join().unwrap();
+        assert_eq!(slot.waiters(), 0, "deposit released exactly once");
     });
 }
 
@@ -427,6 +492,61 @@ impl TaskExecutor<u64> for CountDown {
     }
 }
 
+/// What the places of models (g) and (h) share: two lanes, a [`SharedBag`]
+/// pool, the outstanding count and a [`CountDown`] executor.
+struct TwoPlaceRun {
+    lanes: IngressLanes<u64>,
+    bag: Arc<Mutex<Vec<(u64, u64)>>>,
+    pending: Arc<AtomicU64>,
+    abort: Arc<AtomicBool>,
+    faults: Arc<FaultCell>,
+    exec: Arc<CountDown>,
+}
+
+impl TwoPlaceRun {
+    /// A run with `seeded` already in the pool (and charged).
+    fn new(seeded: Vec<(u64, u64)>) -> Self {
+        TwoPlaceRun {
+            lanes: IngressLanes::new(2),
+            pending: Arc::new(AtomicU64::new(seeded.len() as u64)),
+            bag: Arc::new(Mutex::new(seeded)),
+            abort: Arc::new(AtomicBool::new(false)),
+            faults: Arc::new(FaultCell::new(FaultPolicy::AbortRun)),
+            exec: Arc::new(CountDown {
+                done: AtomicU64::new(0),
+            }),
+        }
+    }
+
+    /// The body of place `place`: the real [`place_loop`] (streamed
+    /// flavor, so idle places park untimed), which must not return before
+    /// all `tasks` executions of the run are done. Returns its own count.
+    fn place(&self, place: usize, tasks: u64) -> impl FnOnce() -> u64 {
+        let shared = Arc::clone(self.lanes.shared());
+        let mut handle = SharedBag(Arc::clone(&self.bag));
+        let (pending, abort) = (Arc::clone(&self.pending), Arc::clone(&self.abort));
+        let (faults, exec) = (Arc::clone(&self.faults), Arc::clone(&self.exec));
+        move || {
+            let (executed, dead) = place_loop(
+                &mut handle,
+                &*exec,
+                &pending,
+                &abort,
+                &faults,
+                Some(&*shared),
+                place,
+            );
+            assert_eq!(
+                exec.done.load(Ordering::SeqCst),
+                tasks,
+                "place {place} saw the run drained out with a task outstanding"
+            );
+            assert_eq!(dead, 0);
+            executed
+        }
+    }
+}
+
 /// (g) Credit ledger: a place never sees the run drained out while a task
 /// is poppable or executing, and the run terminates.
 ///
@@ -447,48 +567,61 @@ impl TaskExecutor<u64> for CountDown {
 /// both places park on a count that stays above zero.
 pub fn credits_settle_before_quiescence() {
     loom::model(|| {
-        const PLACES: usize = 2;
         const CHAIN: u64 = 2;
         // No producers and nothing queued: the ingress side is quiescent
         // from the start and only the outstanding count keeps the run up.
-        let lanes: IngressLanes<u64> = IngressLanes::new(PLACES);
-        let bag = Arc::new(Mutex::new(vec![(CHAIN, CHAIN)]));
-        let pending = Arc::new(AtomicU64::new(1));
-        let abort = Arc::new(AtomicBool::new(false));
-        let faults = Arc::new(FaultCell::new(FaultPolicy::AbortRun));
-        let exec = Arc::new(CountDown {
-            done: AtomicU64::new(0),
-        });
-
-        let place = |place: usize| {
-            let shared = Arc::clone(lanes.shared());
-            let (bag, pending, abort) =
-                (Arc::clone(&bag), Arc::clone(&pending), Arc::clone(&abort));
-            let (faults, exec) = (Arc::clone(&faults), Arc::clone(&exec));
-            move || {
-                let mut handle = SharedBag(bag);
-                let (executed, dead) = place_loop(
-                    &mut handle,
-                    &*exec,
-                    &pending,
-                    &abort,
-                    &faults,
-                    Some(&*shared),
-                    place,
-                );
-                assert_eq!(
-                    exec.done.load(Ordering::SeqCst),
-                    CHAIN + 1,
-                    "place {place} saw the run drained out with a task outstanding"
-                );
-                assert_eq!(dead, 0);
-                executed
-            }
-        };
-        let peer = thread::spawn(place(1));
-        let own = place(0)();
+        let run = TwoPlaceRun::new(vec![(CHAIN, CHAIN)]);
+        let peer = thread::spawn(run.place(1, CHAIN + 1));
+        let own = run.place(0, CHAIN + 1)();
         let other = peer.join().unwrap();
         assert_eq!(own + other, CHAIN + 1, "every task ran exactly once");
-        assert_eq!(pending.load(Ordering::SeqCst), 0, "all credits settled");
+        assert_eq!(run.pending.load(Ordering::SeqCst), 0, "all credits settled");
+    });
+}
+
+/// (h) Join ∥ drain ∥ last finish: a join never sleeps through the drain
+/// it waits for, whichever of `queued` and `pending` reaches zero last.
+///
+/// One task sits in lane 0 and the producer handle stays alive, so the
+/// run cannot quiesce. Place 0 (the main thread) drains the lane — charge
+/// `pending`, push, *then* lower `queued` — while place 1 may pop the task
+/// out of the shared bag, finish it and settle `pending` to zero in the
+/// window before `queued` falls; a third thread waits in the drain wait of
+/// [`crate::service::PoolService::join`]. In that interleaving the
+/// settle's control-slot wake comes while `queued` still reads 1, the
+/// joiner re-parks on it, and only `drain_into`'s own wake — fired when
+/// its `fetch_sub` takes `queued` to zero — can end the wait. Parks are
+/// untimed, so under `loom_mutate_drain_wake` (that wake removed) the
+/// joiner sleeps for good, both places park behind it, and the explorer
+/// reports the deadlock: PR 14's 1-in-1500 join hang.
+pub fn join_wakes_on_the_last_of_drain_and_finish() {
+    loom::model(|| {
+        let run = TwoPlaceRun::new(Vec::new());
+        let mut producer = run.lanes.handle();
+        producer.submit(0, 0, 0).unwrap(); // first handle, first lane: 0
+
+        let peer = thread::spawn(run.place(1, 1));
+        let joiner = {
+            let shared = Arc::clone(run.lanes.shared());
+            let (pending, abort) = (Arc::clone(&run.pending), Arc::clone(&run.abort));
+            let exec = Arc::clone(&run.exec);
+            thread::spawn(move || {
+                let drained = shared.poll_drained(Waiter::Thread, &mut None, &pending, &abort);
+                assert_eq!(drained, Poll::Ready(true));
+                assert_eq!(
+                    exec.done.load(Ordering::SeqCst),
+                    1,
+                    "join returned before the submitted task had run"
+                );
+                // The producers' "no more input": the places quiesce and
+                // exit.
+                drop(producer);
+            })
+        };
+        let own = run.place(0, 1)();
+        let other = peer.join().unwrap();
+        joiner.join().unwrap();
+        assert_eq!(own + other, 1, "the submitted task ran exactly once");
+        assert_eq!(run.pending.load(Ordering::SeqCst), 0, "all credits settled");
     });
 }

@@ -14,7 +14,12 @@
 //! between the check and the sleep, and nobody will ever wake the sleeper.
 //! [`ParkSlot`] is an *eventcount* (a sequence lock for sleeping): waiters
 //! follow a register → re-check → park protocol and wakers always
-//! advance an epoch, so the race window closes:
+//! advance an epoch, so the race window closes. The protocol has **one
+//! implementation**, [`ParkSlot::poll_until`] (blocking callers reach it
+//! through [`ParkSlot::wait_until`]): every wait on a predicate — lane
+//! space behind `submit`, the drain behind `join`, in both their blocking
+//! and their async flavor — hands it the predicate as a closure and never
+//! touches the three steps itself. Those steps are:
 //!
 //! 1. **Register:** [`ParkSlot::prepare`] increments the waiter count,
 //!    issues a [`SeqCst`] fence, and reads the current epoch as a token.
@@ -40,10 +45,10 @@
 //! ([`Waiter::Thread`]), which sleeps on the slot's condvar, and an
 //! **async task** ([`Waiter::Waker`]), which deposits its
 //! [`std::task::Waker`] in the slot and returns to its executor. Both
-//! flavors follow the *same* register → re-check → park protocol through
-//! [`ParkSlot::prepare`] / [`ParkSlot::park_as`]; they differ only in how
-//! the final "sleep" is realized, so the lost-wakeup argument above covers
-//! them uniformly:
+//! flavors run the *same* body — [`ParkSlot::poll_until`] takes the
+//! [`Waiter`] as an argument and passes it to [`ParkSlot::park_as`]; they
+//! differ only in how the final "sleep" is realized, so the lost-wakeup
+//! argument above covers them uniformly:
 //!
 //! * a thread re-checks the epoch under the slot mutex before each condvar
 //!   wait;
@@ -59,7 +64,8 @@
 //!
 //! A registered waker keeps its `prepare` registration held until it is
 //! either fired by a wake (which releases the count) or revoked by
-//! [`ParkSlot::revoke_waker`] (future re-polled or dropped). Wakers are
+//! [`ParkSlot::revoke_waker`] — `poll_until` does that at the head of
+//! every re-poll, [`ParkSlot::revoke`] when the future is dropped. Wakers are
 //! invoked *outside* the slot mutex — an executor may run arbitrary code
 //! in `wake` — after the count has already been released under it.
 //!
@@ -107,14 +113,20 @@
 //! predicate false — submissions raising `queued`, charges raising the
 //! outstanding count — need no wake.)
 //!
-//! | predicate (waiters, slot) | writer that can turn it true | wake site |
-//! |---|---|---|
-//! | `drained` = `queued == 0 ∧ pending == 0` ([`crate::service::PoolService::join`], `join_async`; control slot) | `queued` falls in `IngressShared::drain_into` | same function, `control().wake_if_waiting()` when its `fetch_sub` took `queued` to zero |
-//! | | `pending` falls when a place settles its credits (`SpawnCtx::settle`, the only decrement of the shared count) | same function, `control().wake_if_waiting()` when the flush took the count to zero |
-//! | run quiescence = `producers == 0 ∧ queued == 0 ∧ pending == 0` (workers; their own slots) | `producers` falls in `IngestHandle::drop` | `wake_all()` on reaching zero |
-//! | | `queued` falls in `drain_into` | `wake_workers_if_idle()` after every transfer |
-//! | | `pending` falls in `SpawnCtx::settle` | `wake_all()` when the flush reached zero and the ingress side reads quiescent |
-//! | lane has room (blocked producers, pending submit futures; space slot) | `drain_into` swaps the lane out | `space().wake_if_waiting()` (bounded lanes only) |
+//! | predicate (waiters, slot) | writer that can turn it true | wake site | waits through |
+//! |---|---|---|---|
+//! | `drained` = `queued == 0 ∧ pending == 0` ([`crate::service::PoolService::join`], `join_async`; control slot) | `queued` falls in `IngressShared::drain_into` | same function, `control().wake_if_waiting()` when its `fetch_sub` took `queued` to zero | `poll_until` (`IngressShared::poll_drained`) |
+//! | | `pending` falls when a place settles its credits (`SpawnCtx::settle`, the only decrement of the shared count) | same function, `control().wake_if_waiting()` when the flush took the count to zero | |
+//! | lane has room (blocked producers, pending submit futures; space slot) | `drain_into` swaps the lane out | `space().wake_if_waiting()` (bounded lanes only) | `poll_until` (`IngestHandle::poll_submit`, `poll_submit_batch`) |
+//! | run quiescence = `producers == 0 ∧ queued == 0 ∧ pending == 0`, or a task to pop (workers; their own slots) | `producers` falls in `IngestHandle::drop` | `wake_all()` on reaching zero | hand-written in `place_loop` and `help_while` (`Parker::worker_prepare`): the re-check *pops a task*, and the worker must leave `idle_workers` before it runs it, not after; `help_while`'s park is also timed, its `cond` being executor state no wake announces |
+//! | | `queued` falls in `drain_into` | `wake_workers_if_idle()` after every transfer | |
+//! | | `pending` falls in `SpawnCtx::settle` | `wake_all()` when the flush reached zero and the ingress side reads quiescent | |
+//! | | a task lands in the worker's lane, or is spawned or drained into the pool | `wake_worker(lane)` in `IngressShared::place`; `wake_workers_if_idle()` after spawns and transfers | |
+//! | own op is `DONE`, or the combiner lock is free (a place that published an op; its own combiner slot) | the combining place stores `DONE` | `wake_if_waiting()` on that slot | hand-written in `Combiner::execute`: the park is timed, because the second writer's wake — the walk after the lock release — is deliberately unfenced (see [`crate::combine`]) |
+//! | | the combining place releases the lock | its post-unlock wake walk over the still-pending slots | |
+//!
+//! The hand-written waits are the ones loom models (g) and (b) run as they
+//! stand; `poll_until` itself is what models (a), (a′) and (h) run.
 //!
 //! Abort and shutdown end every one of these waits through `wake_all()`.
 //! Both `drained` rows are load-bearing: a `pending → 0` wake that fires
@@ -126,12 +138,13 @@
 use crate::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::stdsync::{Condvar, Mutex, MutexGuard};
 use crossbeam_utils::CachePadded;
-use std::task::Waker;
+use std::task::{Poll, Waker};
 use std::time::Duration;
 #[cfg(not(loom))]
 use std::time::Instant;
 
 /// The two flavors of waiter a [`ParkSlot`] can hold (see module docs).
+#[derive(Clone, Copy)]
 pub enum Waiter<'a> {
     /// The calling OS thread: blocks on the slot's condvar until a wake.
     Thread,
@@ -172,6 +185,15 @@ fn lock_ignore_poison(mutex: &Mutex<WakerSet>) -> MutexGuard<'_, WakerSet> {
     match mutex.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
+    }
+}
+
+/// Unwraps a [`ParkSlot::poll_until`] made with [`Waiter::Thread`], which
+/// parks in place and therefore never returns `Pending`.
+pub(crate) fn thread_ready<R>(poll: Poll<R>) -> R {
+    match poll {
+        Poll::Ready(done) => done,
+        Poll::Pending => unreachable!("a thread waiter parks in place"),
     }
 }
 
@@ -260,6 +282,59 @@ impl ParkSlot {
                 guard.entries.push((id, waker.clone()));
                 Parked::Registered(WakerId(id))
             }
+        }
+    }
+
+    /// The register → re-check → park protocol of the module docs, as the
+    /// one body every predicate wait in this crate runs: `attempt` is the
+    /// wait condition (and whatever acting on it means — taking lane space,
+    /// reading two counters) and returns `Some` once there is nothing left
+    /// to wait for.
+    ///
+    /// A deposit left in `deposit` by an earlier `Pending` is revoked
+    /// first, so a re-poll starts from a clean registration. Then: attempt;
+    /// [`ParkSlot::prepare`]; attempt again, [`ParkSlot::cancel`]ling on
+    /// success; [`ParkSlot::park_as`]. [`Waiter::Thread`] sleeps right
+    /// there and goes round again, so it never sees `Pending`;
+    /// [`Waiter::Waker`] returns `Pending` with its deposit recorded in
+    /// `deposit` — or goes round again at once if the token was already
+    /// stale. Whoever drops a pending wait calls [`ParkSlot::revoke`].
+    pub fn poll_until<R>(
+        &self,
+        waiter: Waiter<'_>,
+        deposit: &mut Option<WakerId>,
+        mut attempt: impl FnMut() -> Option<R>,
+    ) -> Poll<R> {
+        self.revoke(deposit);
+        loop {
+            if let Some(done) = attempt() {
+                return Poll::Ready(done);
+            }
+            let token = self.prepare();
+            if let Some(done) = attempt() {
+                self.cancel();
+                return Poll::Ready(done);
+            }
+            if let Parked::Registered(id) = self.park_as(token, waiter) {
+                *deposit = Some(id);
+                return Poll::Pending;
+            }
+        }
+    }
+
+    /// [`ParkSlot::poll_until`] for the calling thread: blocks until
+    /// `attempt` returns `Some`.
+    pub fn wait_until<R>(&self, attempt: impl FnMut() -> Option<R>) -> R {
+        thread_ready(self.poll_until(Waiter::Thread, &mut None, attempt))
+    }
+
+    /// Revokes the deposit a pending [`ParkSlot::poll_until`] left in
+    /// `deposit`, if any (re-poll, or drop of the future that held it).
+    pub fn revoke(&self, deposit: &mut Option<WakerId>) {
+        if let Some(id) = deposit.take() {
+            // `false` means a wake already consumed the deposit (and
+            // released the registration); either way it is gone now.
+            let _ = self.revoke_waker(id);
         }
     }
 

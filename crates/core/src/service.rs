@@ -16,7 +16,7 @@
 //! "drop that last handle, then join" — quiescence, the same condition
 //! `run_stream` uses, becomes the orderly shutdown protocol.
 //!
-//! With [`PoolService::start_with_capacity`] (or
+//! With a lane capacity ([`PoolService::start_with_policy`], or
 //! [`crate::PoolBuilder::lane_capacity`]) the ingress lanes are bounded:
 //! [`PoolService::try_submit`] sheds with a typed [`SubmitError`] when
 //! every lane is full, while the blocking [`PoolService::submit`] parks
@@ -28,15 +28,24 @@
 //! discarded at shutdown. Start with [`PoolService::start_with_policy`]
 //! and `FaultPolicy::Isolate` to quarantine panicking tasks instead of
 //! aborting — see the "Failure handling" section of the crate docs.
+//!
+//! The service adds no wait of its own. Its submit methods are its own
+//! [`IngestHandle`]'s; [`PoolService::join`] and
+//! [`PoolService::join_async`] are one drain wait
+//! (`IngressShared::poll_drained`, on the control slot, through
+//! [`crate::park::ParkSlot::poll_until`]) taken as a thread or as a
+//! waker, with the abort outcome typed on the way out.
 
 use crate::async_ingest::{AsyncIngestHandle, JoinFuture};
 use crate::ingest::{IngestHandle, IngressLanes, SubmitError};
+use crate::park::{thread_ready, ParkSlot, Waiter, WakerId};
 use crate::pool::{FaultPolicy, PoolHandle, TaskPool};
 use crate::scheduler::{place_loop, FailureReport, FaultCell, PoolAborted, RunStats, TaskExecutor};
 use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::thread;
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::Instant;
 
 /// Error from [`PoolService::shutdown`] when the pool aborted
@@ -88,32 +97,16 @@ impl<T: Send + 'static> PoolService<T> {
         P: TaskPool<T>,
         E: TaskExecutor<T> + Send + Sync + 'static,
     {
-        Self::start_with_capacity(pool, executor, None)
+        Self::start_with_policy(pool, executor, None, FaultPolicy::AbortRun)
     }
 
     /// Like [`PoolService::start`], with a per-lane ingress capacity
-    /// (`None` = unbounded): submissions shed ([`PoolService::try_submit`])
-    /// or block ([`PoolService::submit`]) once a lane is full, giving the
-    /// service real backpressure against producers that outpace the
-    /// workers.
-    ///
-    /// # Panics
-    /// Panics if `lane_capacity` is `Some(0)`.
-    pub fn start_with_capacity<P, E>(
-        pool: Arc<P>,
-        executor: Arc<E>,
-        lane_capacity: Option<usize>,
-    ) -> Self
-    where
-        P: TaskPool<T>,
-        E: TaskExecutor<T> + Send + Sync + 'static,
-    {
-        Self::start_with_policy(pool, executor, lane_capacity, FaultPolicy::AbortRun)
-    }
-
-    /// Like [`PoolService::start_with_capacity`], additionally selecting
-    /// what the workers do when a task panics (see [`FaultPolicy`]). Under
-    /// `Isolate` a panicking task is quarantined into a [`FailureReport`]
+    /// (`None` = unbounded) and a choice of what the workers do when a
+    /// task panics (see [`FaultPolicy`]). Once a bounded lane is full,
+    /// submissions shed ([`PoolService::try_submit`]) or block
+    /// ([`PoolService::submit`]) — real backpressure against producers
+    /// that outpace the workers. Under `Isolate` a panicking task is
+    /// quarantined into a [`FailureReport`]
     /// ([`PoolService::failed`]/[`PoolService::shutdown`] stats) and the
     /// service keeps serving.
     ///
@@ -198,20 +191,11 @@ impl<T: Send + 'static> PoolService<T> {
     /// Submits a batch sharing relaxation bound `k` (one lane, one lock;
     /// element-wise `k`/ρ accounting on drain), draining `batch` on
     /// success; blocks while full, chunking batches larger than the lane
-    /// capacity. On `Err` the unsubmitted items are handed back in
-    /// `batch`. Same abort/shutdown semantics as [`PoolService::submit`].
+    /// capacity. On `Err` what is left in `batch` is what was not
+    /// submitted (its untouched prefix). Same abort/shutdown semantics as
+    /// [`PoolService::submit`].
     pub fn submit_batch(&mut self, k: usize, batch: &mut Vec<(u64, T)>) -> Result<(), SubmitError> {
         self.own_handle().submit_batch(k, batch)
-    }
-
-    /// Non-blocking [`PoolService::submit_batch`]: all-or-nothing, with
-    /// the whole batch handed back on [`SubmitError::Full`].
-    pub fn try_submit_batch(
-        &mut self,
-        k: usize,
-        batch: &mut Vec<(u64, T)>,
-    ) -> Result<(), SubmitError> {
-        self.own_handle().try_submit_batch(k, batch)
     }
 
     /// Mints an [`IngestHandle`] for an external producer thread. The
@@ -241,51 +225,43 @@ impl<T: Send + 'static> PoolService<T> {
     /// whichever half of its predicate turns true last — a place's settle
     /// taking the outstanding count to zero, or a lane drain taking the
     /// queued count to zero — or by an abort; no polling. The count read
-    /// here is the shared, credit-settled one (see [`crate::scheduler`]):
-    /// it may read high while places still hold credits, never low, and
-    /// the place that holds the last credits settles on its next failed
-    /// pop. The register → re-check → park protocol (see [`crate::park`])
-    /// closes the race against a drain that completes between the check
-    /// and the sleep.
+    /// is the shared, credit-settled one (see [`crate::scheduler`]): it
+    /// may read high while places still hold credits, never low, and the
+    /// place that holds the last credits settles on its next failed pop.
     pub fn join(&self) -> Result<(), PoolAborted> {
-        let drained =
-            |this: &Self| this.lanes.queued() == 0 && this.pending.load(Ordering::Acquire) == 0;
-        let control = self.lanes.shared().parker().control();
-        loop {
-            if self.abort.load(Ordering::Acquire) {
-                return Err(self.aborted());
-            }
-            if drained(self) {
-                // Re-check after observing the drain: a panicking task
-                // records its failure and raises the abort flag before
-                // its unit can leave the outstanding count, so a
-                // panic-caused drain is visible here.
-                if self.abort.load(Ordering::Acquire) {
-                    return Err(self.aborted());
-                }
-                return Ok(());
-            }
-            let token = control.prepare();
-            if self.abort.load(Ordering::Acquire) || drained(self) {
-                control.cancel();
-                continue; // loop head resolves which of the two it was
-            }
-            control.park(token);
-        }
+        thread_ready(self.poll_join(Waiter::Thread, &mut None))
     }
 
-    /// The typed abort outcome: the first recorded failure. The abort flag
-    /// is raised *after* the failure record (see `SpawnCtx::run_one`), so
-    /// an observed abort implies a visible report; the fallback covers
-    /// only abortive teardown paths that never had a panicking task.
-    fn aborted(&self) -> PoolAborted {
-        PoolAborted {
-            failure: self.faults.first_failure().unwrap_or(FailureReport {
-                place: 0,
-                prio: 0,
-                message: "pool aborted".to_string(),
-            }),
-        }
+    /// The drain wait of [`PoolService::join`] (`Waiter::Thread`) and
+    /// [`PoolService::join_async`] (`Waiter::Waker`), with the abort
+    /// outcome typed: the first recorded failure. The abort flag is raised
+    /// *after* the failure record (see `SpawnCtx::run_one`), so an
+    /// observed abort implies a visible report; the fallback covers only
+    /// abortive teardown paths that never had a panicking task.
+    pub(crate) fn poll_join(
+        &self,
+        waiter: Waiter<'_>,
+        deposit: &mut Option<WakerId>,
+    ) -> Poll<Result<(), PoolAborted>> {
+        self.lanes
+            .shared()
+            .poll_drained(waiter, deposit, &self.pending, &self.abort)
+            .map(|drained| match drained {
+                true => Ok(()),
+                false => Err(PoolAborted {
+                    failure: self.faults.first_failure().unwrap_or(FailureReport {
+                        place: 0,
+                        prio: 0,
+                        message: "pool aborted".to_string(),
+                    }),
+                }),
+            })
+    }
+
+    /// The control slot (a dropped [`JoinFuture`] revokes its deposit
+    /// there).
+    pub(crate) fn control(&self) -> &ParkSlot {
+        self.lanes.shared().parker().control()
     }
 
     /// Async sibling of [`PoolService::join`]: a future that resolves to
@@ -297,12 +273,7 @@ impl<T: Send + 'static> PoolService<T> {
     /// the same count-reaches-zero / lanes-emptied / abort events, and it
     /// revokes the deposit when dropped before the drain.
     pub fn join_async(&self) -> JoinFuture<'_, T> {
-        JoinFuture::new(
-            self.lanes.shared(),
-            &self.pending,
-            &self.abort,
-            &self.faults,
-        )
+        JoinFuture::new(self)
     }
 
     /// Number of task failures recorded so far: quarantined panics under
@@ -348,7 +319,11 @@ impl<T: Send + 'static> PoolService<T> {
     // failure) is worth more to callers than a boxed indirection.
     #[allow(clippy::result_large_err)]
     pub fn shutdown(mut self) -> Result<RunStats, ShutdownError> {
-        let per_place = self.shutdown_inner();
+        let per_place: Vec<_> = self
+            .stop_workers()
+            .into_iter()
+            .map(|joined| joined.expect("pool-service worker thread itself panicked"))
+            .collect();
         // The payload is intentionally dropped: failures surface as typed
         // results here, not as a resumed panic.
         let _ = self.faults.take_payload();
@@ -378,21 +353,18 @@ impl<T: Send + 'static> PoolService<T> {
             .expect("PoolService handle present until shutdown")
     }
 
-    fn shutdown_inner(&mut self) -> Vec<(u64, u64, PlaceStats)> {
-        self.handle = None; // release the service's producer slot
-        let per_place = self
-            .workers
-            .drain(..)
-            .map(|j| {
-                j.join()
-                    .expect("pool-service worker thread itself panicked")
-            })
-            .collect();
+    /// Releases the service's producer slot and joins every worker; a
+    /// worker that died outside `run_one`'s `catch_unwind` (a pool or
+    /// scheduler assertion) comes back as `None`, for the caller to raise
+    /// ([`PoolService::shutdown`]) or discard (`Drop`).
+    fn stop_workers(&mut self) -> Vec<Option<(u64, u64, PlaceStats)>> {
+        self.handle = None;
+        let joined = self.workers.drain(..).map(|j| j.join().ok()).collect();
         // The workers are gone; nothing will ever drain these lanes again.
         // Mark them so any straggling submission fails with `ShutDown`
         // instead of queueing into the void.
         self.lanes.shared().shut_down_and_wake();
-        per_place
+        joined
     }
 }
 
@@ -404,7 +376,8 @@ impl<T: Send + 'static> Drop for PoolService<T> {
     /// drop — including one during a panic unwind — from hanging forever
     /// on external [`IngestHandle`]s that will never be dropped; only the
     /// explicit `shutdown` waits for full quiescence. No panic payload is
-    /// re-raised — dropping is not the place to unwind.
+    /// re-raised, a dead worker's included — dropping is not the place to
+    /// unwind, and during an unwind a second panic aborts the process.
     fn drop(&mut self) {
         if !self.workers.is_empty() {
             self.abort.store(true, Ordering::Release);
@@ -412,7 +385,7 @@ impl<T: Send + 'static> Drop for PoolService<T> {
             // observe the abort to exit, and producers blocked on full
             // lanes must fail with `Aborted` rather than sleep forever.
             self.lanes.shared().abort_and_wake();
-            let _ = self.shutdown_inner();
+            let _ = self.stop_workers();
         }
     }
 }
@@ -576,6 +549,44 @@ mod tests {
         // holds a producer slot (quiescence would wait on it forever).
         drop(svc);
         drop(external);
+    }
+
+    /// A pool whose pops panic: its workers die outside `run_one`'s
+    /// `catch_unwind`, the way a pool or scheduler assertion kills them.
+    struct BrokenPool;
+    struct BrokenHandle;
+    impl TaskPool<u64> for BrokenPool {
+        type Handle = BrokenHandle;
+        fn num_places(&self) -> usize {
+            1
+        }
+        fn handle(self: &Arc<Self>, _place: usize) -> BrokenHandle {
+            BrokenHandle
+        }
+    }
+    impl PoolHandle<u64> for BrokenHandle {
+        fn push(&mut self, _prio: u64, _k: usize, _task: u64) {}
+        fn pop_entry(&mut self) -> Option<(u64, u64)> {
+            panic!("pool invariant violated")
+        }
+        fn stats(&self) -> PlaceStats {
+            PlaceStats::default()
+        }
+    }
+
+    #[test]
+    fn dropping_service_with_a_dead_worker_does_not_panic() {
+        let exec = Arc::new(CountDown(AtomicU64::new(0)));
+        let svc: PoolService<u64> = PoolService::start(Arc::new(BrokenPool), exec);
+        // Gate on state: the worker must be dead, not merely about to see
+        // the abort flag that `Drop` raises.
+        while !svc.workers[0].is_finished() {
+            std::thread::yield_now();
+        }
+        // Drop may run during an unwind, where a second panic aborts the
+        // process: it joins the dead worker and discards its payload.
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(svc)));
+        assert!(dropped.is_ok(), "Drop re-raised a dead worker's panic");
     }
 
     #[test]

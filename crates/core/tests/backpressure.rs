@@ -17,8 +17,8 @@
 //!    `SubmitError::Aborted` instead of silently vanishing.
 
 use priosched_core::{
-    run_on_kind, run_stream_on_kind, HybridKPriority, IngressLanes, PoolBuilder, PoolKind,
-    PoolParams, PoolService, PriorityWorkStealing, SpawnCtx, SubmitError, TaskExecutor,
+    run_on_kind, run_stream_on_kind, FaultPolicy, HybridKPriority, IngressLanes, PoolBuilder,
+    PoolKind, PoolParams, PoolService, PriorityWorkStealing, SpawnCtx, SubmitError, TaskExecutor,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -381,10 +381,11 @@ fn dropped_service_releases_blocked_producers() {
             std::thread::sleep(Duration::from_millis(20));
         }
     }
-    let svc: PoolService<u64> = PoolService::start_with_capacity(
+    let svc: PoolService<u64> = PoolService::start_with_policy(
         Arc::new(HybridKPriority::new(1)),
         Arc::new(Stall),
         Some(1),
+        FaultPolicy::AbortRun,
     );
     let mut h = svc.ingest_handle();
     let producer = std::thread::spawn(move || {

@@ -7,13 +7,14 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p priosched-core --test loom_models --release
 //! ```
 //!
-//! The three mutation self-checks run under an *additional* cfg that
+//! The four mutation self-checks run under an *additional* cfg that
 //! plants a deliberate bug in the library and assert the checker finds it:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom --cfg loom_mutate_park_fence"   cargo test -p priosched-core --test loom_models --release
 //! RUSTFLAGS="--cfg loom --cfg loom_mutate_combine_done" cargo test -p priosched-core --test loom_models --release
 //! RUSTFLAGS="--cfg loom --cfg loom_mutate_credit_flush" cargo test -p priosched-core --test loom_models --release
+//! RUSTFLAGS="--cfg loom --cfg loom_mutate_drain_wake"   cargo test -p priosched-core --test loom_models --release
 //! ```
 //!
 //! The regular models are gated off in the mutated builds — the planted
@@ -26,7 +27,8 @@ use priosched_core::models;
 #[cfg(not(any(
     loom_mutate_park_fence,
     loom_mutate_combine_done,
-    loom_mutate_credit_flush
+    loom_mutate_credit_flush,
+    loom_mutate_drain_wake
 )))]
 mod checked {
     use super::models;
@@ -34,6 +36,11 @@ mod checked {
     #[test]
     fn parker_no_lost_wakeup() {
         models::parker_no_lost_wakeup();
+    }
+
+    #[test]
+    fn waker_deposit_no_lost_wakeup() {
+        models::waker_deposit_no_lost_wakeup();
     }
 
     #[test]
@@ -65,18 +72,29 @@ mod checked {
     fn credits_settle_before_quiescence() {
         models::credits_settle_before_quiescence();
     }
+
+    #[test]
+    fn join_wakes_on_the_last_of_drain_and_finish() {
+        models::join_wakes_on_the_last_of_drain_and_finish();
+    }
 }
 
-/// Self-check: with the `wake_if_waiting` fence removed, the parker model
-/// must *fail* (the explorer finds the lost-wakeup deadlock). A green run
-/// here would mean the checker is blind.
+/// Self-check: with the `wake_if_waiting` fence removed, both parker
+/// models must *fail* (the explorer finds the lost-wakeup deadlock, for a
+/// parked thread and for a deposited waker). A green run here would mean
+/// the checker is blind.
 #[cfg(loom_mutate_park_fence)]
 #[test]
 fn mutation_park_fence_is_caught() {
-    let result = std::panic::catch_unwind(models::parker_no_lost_wakeup);
+    let thread_flavor = std::panic::catch_unwind(models::parker_no_lost_wakeup);
     assert!(
-        result.is_err(),
+        thread_flavor.is_err(),
         "checker failed to find the planted lost-wakeup (missing fence)"
+    );
+    let waker_flavor = std::panic::catch_unwind(models::waker_deposit_no_lost_wakeup);
+    assert!(
+        waker_flavor.is_err(),
+        "checker failed to find the planted lost-wakeup of a deposited waker"
     );
 }
 
@@ -103,5 +121,18 @@ fn mutation_credit_flush_is_caught() {
     assert!(
         result.is_err(),
         "checker failed to find the planted deadlock (credits never settled)"
+    );
+}
+
+/// Self-check: with `drain_into`'s `queued → 0` control-slot wake removed,
+/// the join model must *fail* (the settle's wake fires while `queued` is
+/// still up, and nothing wakes the joiner when it falls).
+#[cfg(loom_mutate_drain_wake)]
+#[test]
+fn mutation_drain_wake_is_caught() {
+    let result = std::panic::catch_unwind(models::join_wakes_on_the_last_of_drain_and_finish);
+    assert!(
+        result.is_err(),
+        "checker failed to find the planted join hang (drain wake removed)"
     );
 }

@@ -33,26 +33,11 @@ pub struct SsspExecutor<'g> {
     /// Tasks that passed the scheduler's dead check but lost the race in
     /// the in-task re-check (Listing 5 lines 2–6).
     late_dead: AtomicU64,
-    /// When `false`, the scheduler-side dead check is disabled and every
-    /// dead task relies on the in-task re-check alone (ablation: quantifies
-    /// what lazy elimination in the data structures buys, §5.1).
-    eliminate_dead: bool,
 }
 
 impl<'g> SsspExecutor<'g> {
     /// Prepares a run from `source`; distances start at ∞ except the source.
     pub fn new(graph: &'g CsrGraph, source: u32, k: usize) -> Self {
-        Self::with_elimination(graph, source, k, true)
-    }
-
-    /// As [`SsspExecutor::new`], optionally disabling the scheduler-side
-    /// dead-task elimination (ablation runs).
-    pub fn with_elimination(
-        graph: &'g CsrGraph,
-        source: u32,
-        k: usize,
-        eliminate_dead: bool,
-    ) -> Self {
         let dist = AtomicDistances::new(graph.num_nodes());
         dist.store(source, 0.0);
         SsspExecutor {
@@ -61,7 +46,6 @@ impl<'g> SsspExecutor<'g> {
             k,
             relaxed: AtomicU64::new(0),
             late_dead: AtomicU64::new(0),
-            eliminate_dead,
         }
     }
 
@@ -97,7 +81,7 @@ impl<'g> SsspExecutor<'g> {
 impl<'g> TaskExecutor<SsspTask> for SsspExecutor<'g> {
     /// Lazy dead-task elimination (§5.1): the node's distance moved on.
     fn is_dead(&self, task: &SsspTask) -> bool {
-        self.eliminate_dead && self.dist.load_bits(task.node) != task.dist_bits
+        self.dist.load_bits(task.node) != task.dist_bits
     }
 
     /// Listing 5's `relaxNode`, with batched spawning: the whole node

@@ -18,9 +18,6 @@ pub struct SsspConfig {
     /// [`priosched_core::PoolParams`], so a runtime-selected structure
     /// cannot silently drop either knob.
     pub pool: PoolParams,
-    /// Scheduler-side dead-task elimination (§5.1); `false` only for
-    /// ablation runs.
-    pub eliminate_dead: bool,
 }
 
 impl Default for SsspConfig {
@@ -28,20 +25,17 @@ impl Default for SsspConfig {
         SsspConfig {
             places: 4,
             pool: PoolParams::default(),
-            eliminate_dead: true,
         }
     }
 }
 
 impl SsspConfig {
     /// Config for `places` places and relaxation bound `k`, with `kmax`
-    /// widened to admit `k` (see [`PoolParams::with_k`]); dead-task
-    /// elimination on.
+    /// widened to admit `k` (see [`PoolParams::with_k`]).
     pub fn new(places: usize, k: usize) -> Self {
         SsspConfig {
             places,
             pool: PoolParams::with_k(k),
-            ..SsspConfig::default()
         }
     }
 
@@ -77,7 +71,7 @@ pub struct SsspResult {
 /// entry points).
 fn executor_for<'g>(graph: &'g CsrGraph, source: u32, cfg: &SsspConfig) -> SsspExecutor<'g> {
     assert!((source as usize) < graph.num_nodes(), "source out of range");
-    SsspExecutor::with_elimination(graph, source, cfg.pool.k, cfg.eliminate_dead)
+    SsspExecutor::new(graph, source, cfg.pool.k)
 }
 
 /// Folds scheduler stats and executor counters into an [`SsspResult`].

@@ -11,7 +11,6 @@ use priosched_sssp::{SsspExecutor, SsspTask};
 pub struct SsspWorkload {
     graph: CsrGraph,
     source: u32,
-    eliminate_dead: bool,
     oracle: Vec<f64>,
     reachable: u64,
 }
@@ -28,7 +27,6 @@ impl SsspWorkload {
         SsspWorkload {
             graph,
             source,
-            eliminate_dead: true,
             oracle,
             reachable,
         }
@@ -38,12 +36,6 @@ impl SsspWorkload {
     /// shape).
     pub fn random(n: usize, p: f64, seed: u64) -> Self {
         Self::new(erdos_renyi(&ErdosRenyiConfig { n, p, seed }), 0)
-    }
-
-    /// Disables scheduler-side dead-task elimination (ablation runs).
-    pub fn without_dead_elimination(mut self) -> Self {
-        self.eliminate_dead = false;
-        self
     }
 
     /// The underlying graph.
@@ -69,7 +61,7 @@ impl Workload for SsspWorkload {
     }
 
     fn executor(&self, params: &PoolParams) -> SsspExecutor<'_> {
-        SsspExecutor::with_elimination(&self.graph, self.source, params.k, self.eliminate_dead)
+        SsspExecutor::new(&self.graph, self.source, params.k)
     }
 
     fn seed(&self, exec: &SsspExecutor<'_>, _params: &PoolParams) -> Vec<(u64, usize, SsspTask)> {
