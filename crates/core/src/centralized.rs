@@ -37,7 +37,7 @@ use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
+use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
 use std::sync::Arc;
 
 /// Default maximum per-task `k` (§4.1.2: "We chose kmax = 512 for our
@@ -103,7 +103,7 @@ impl<T: Send + 'static> CentralizedKPriority<T> {
     /// every slot's item has been taken (its tag no longer matches the
     /// slot position — a recycled tag counts as taken, which is exactly
     /// the ABA-safe reading). This is the quiescent-point realization of
-    /// §4.1.3's reclamation scheme; see DESIGN.md §4.
+    /// §4.1.3's reclamation scheme (see [`GlobalArray::reclaim_prefix`]).
     ///
     /// # Panics
     /// Panics if any place handle is live: reclamation requires
@@ -160,7 +160,7 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             scan_cursor: SegmentCursor::default(),
             push_cursor: SegmentCursor::default(),
             probe_cursor: SegmentCursor::default(),
-            pq: BinaryHeap::with_capacity(256),
+            pq: QuaternaryHeap::with_capacity(256),
             refs: Vec::new(),
             cache: ItemCache::new(),
             rng: XorShift64::new(0xC3A5_0000 ^ place as u64),
@@ -182,7 +182,7 @@ pub struct CentralizedHandle<T: Send + 'static> {
     scan_cursor: SegmentCursor<T>,
     push_cursor: SegmentCursor<T>,
     probe_cursor: SegmentCursor<T>,
-    pq: BinaryHeap<ItemRef<T>>,
+    pq: QuaternaryHeap<ItemRef<T>>,
     /// Scratch for [`PoolHandle::push_batch`] (empty between calls), so a
     /// batch costs no allocation.
     refs: Vec<ItemRef<T>>,
@@ -247,8 +247,9 @@ impl<T: Send + 'static> CentralizedHandle<T> {
         let item = unsafe { &*ptr };
         // Eligibility: the item must still be inside its own k-window
         // relative to the tail we read, so taking it ignores no task beyond
-        // what its own relaxation bound permits (see DESIGN.md §3.2 for why
-        // we read Listing 2's guard this way).
+        // what its own relaxation bound permits. The guard of Listing 2 is
+        // read against the item's k, not the probing place's, because k
+        // is supplied per task (§1).
         if (item.k.load(Ordering::Relaxed) as u64) <= offset {
             return None;
         }

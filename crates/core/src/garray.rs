@@ -12,8 +12,10 @@
 //!
 //! Reclamation: the paper frees exhausted segments through a GC scheme \[18\]
 //! plus per-place reference counts. Here segments are owned by the array and
-//! freed on drop (see DESIGN.md §4); place handles therefore may cache raw
-//! segment pointers as cursor hints without any epoch protection.
+//! freed on drop, or at a quiescent point through
+//! [`GlobalArray::reclaim_prefix`]; no segment is ever freed while a place
+//! handle is live, so handles may cache raw segment pointers as cursor
+//! hints without any epoch protection.
 
 use crate::item::Item;
 use crate::sync::atomic::{AtomicPtr, Ordering};
@@ -157,7 +159,7 @@ impl<T: Send> GlobalArray<T> {
     /// `true`, stopping at the first survivor; at least one segment is
     /// always retained. Returns `(segments_freed, new_base_index)`.
     ///
-    /// Quiescent-point reclamation (see DESIGN.md §4): the paper reclaims
+    /// Quiescent-point reclamation: the paper reclaims
     /// exhausted arrays concurrently via a GC scheme \[18\] plus per-place
     /// reference counts on the head indices; we instead reclaim at points
     /// where the *caller* guarantees exclusivity (no live place handles —

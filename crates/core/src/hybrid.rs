@@ -26,7 +26,7 @@ use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
+use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
 use std::ptr;
 use std::sync::Arc;
 
@@ -142,7 +142,9 @@ impl<T: Send + 'static> HybridKPriority<T> {
     /// items taken). Returns the number of segments freed.
     ///
     /// Quiescent-point counterpart of the paper's concurrent reclamation
-    /// (§4.2.3 refers to the same scheme as §4.1.3); see DESIGN.md §4.
+    /// (§4.2.3 refers to the same scheme as §4.1.3): instead of a GC
+    /// scheme plus per-place reference counts, segments are freed only
+    /// while no handle can hold a pointer into them.
     /// New handles start reading at the sentinel, so reclaimed prefixes
     /// are never re-visited.
     ///
@@ -209,7 +211,7 @@ impl<T: Send + 'static> TaskPool<T> for HybridKPriority<T> {
             tail_fill: 0,
             next_local_idx: 0,
             remaining_k: u64::MAX,
-            pq: BinaryHeap::with_capacity(256),
+            pq: QuaternaryHeap::with_capacity(256),
             refs: Vec::new(),
             cache: ItemCache::new(),
             g_seg: self.global_head.load(Ordering::Acquire),
@@ -262,7 +264,7 @@ pub struct HybridHandle<T: Send + 'static> {
     next_local_idx: u64,
     /// Publication budget (Listing 3); `u64::MAX` plays the role of ∞.
     remaining_k: u64,
-    pq: BinaryHeap<ItemRef<T>>,
+    pq: QuaternaryHeap<ItemRef<T>>,
     /// Scratch for [`PoolHandle::push_batch`] (empty between calls), so a
     /// batch costs no allocation.
     refs: Vec<ItemRef<T>>,

@@ -45,8 +45,10 @@
 //! The paper relies on a wait-free memory manager \[18\]. Here, task *items*
 //! live in a pool that recycles them through a lock-free free list and only
 //! releases memory when the data structure is dropped; position-derived tags
-//! make recycling ABA-safe exactly as in §4.1.3/§4.2.3. See DESIGN.md §4 for
-//! the substitution rationale.
+//! make recycling ABA-safe exactly as in §4.1.3/§4.2.3. The substitution
+//! trades memory held until drop for hot paths with no epoch or
+//! hazard-pointer traffic; global segments follow the same rule (freed on
+//! drop or at a quiescent `reclaim`).
 //!
 //! # Batch operations
 //!

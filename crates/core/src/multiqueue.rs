@@ -63,7 +63,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
+use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -100,14 +100,14 @@ impl<T> Ord for MqEntry<T> {
 /// lock-free mirror of its best priority (`u64::MAX` = empty), padded to
 /// its own cache line so two-choice peeks never false-share.
 struct MqQueue<T> {
-    heap: Mutex<BinaryHeap<MqEntry<T>>>,
+    heap: Mutex<QuaternaryHeap<MqEntry<T>>>,
     top: AtomicU64,
 }
 
 impl<T> MqQueue<T> {
     fn new() -> Self {
         MqQueue {
-            heap: Mutex::new(BinaryHeap::new()),
+            heap: Mutex::new(QuaternaryHeap::new()),
             top: AtomicU64::new(u64::MAX),
         }
     }
@@ -115,7 +115,7 @@ impl<T> MqQueue<T> {
     /// Refreshes the top mirror from the (locked) heap. Callers must hold
     /// the heap lock — the store is only correct while the heap cannot
     /// move underneath it.
-    fn refresh_top(&self, heap: &BinaryHeap<MqEntry<T>>) {
+    fn refresh_top(&self, heap: &QuaternaryHeap<MqEntry<T>>) {
         let top = heap.peek().map_or(u64::MAX, |e| e.prio);
         self.top.store(top, Ordering::Release);
     }

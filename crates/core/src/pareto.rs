@@ -3,8 +3,8 @@
 //! The paper's conclusion announces "k-relaxed Pareto priority queues with
 //! guarantees that can then be used for parallelization of a multi-objective
 //! shortest path search" as planned future work. This module is a working
-//! prototype of that direction, scoped as DESIGN.md §7 states (a tested
-//! structure, not a paper-level evaluation).
+//! prototype of that direction: a tested structure, not a paper-level
+//! evaluation.
 //!
 //! With vector-valued priorities there is no single minimum; the natural
 //! pop contract returns a **Pareto-optimal** element: one not *dominated*

@@ -642,15 +642,21 @@ mod tests {
         parker.worker_park(1, token); // stale token, returns
                                       // Gated broadcast: with nobody idle this is one fence + load.
         parker.wake_workers_if_idle();
-        // With an idle worker it must wake it.
+        // With an idle worker it must wake it. Wait for the token, not for
+        // `idle_workers`: that rises before `prepare` reads the epoch, and
+        // a wake landing in between would hand the worker a fresh token
+        // with no event left to end its park.
+        let prepared = Arc::new(AtomicBool::new(false));
         let t = {
             let parker = Arc::clone(&parker);
+            let prepared = Arc::clone(&prepared);
             std::thread::spawn(move || {
                 let token = parker.worker_prepare(0);
+                prepared.store(true, Ordering::Release);
                 parker.worker_park(0, token);
             })
         };
-        while parker.idle_workers.load(Ordering::Acquire) == 0 {
+        while !prepared.load(Ordering::Acquire) {
             std::hint::spin_loop();
         }
         parker.wake_workers_if_idle();

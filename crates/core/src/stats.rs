@@ -4,6 +4,58 @@
 //! folds them into a [`PlaceStats`] snapshot on request; the scheduler
 //! aggregates snapshots across places into the run statistics reported by
 //! the figure harness (nodes relaxed, dead tasks, steal/spy activity, …).
+//! Executors, which are shared by all places, count their per-task events
+//! in a [`PlaceCounter`].
+
+use crate::sync::atomic::{AtomicU64, Ordering};
+use crossbeam_utils::CachePadded;
+
+/// Stripes of a [`PlaceCounter`]; places beyond this share a stripe
+/// (`place % PLACE_COUNTER_STRIPES`).
+const PLACE_COUNTER_STRIPES: usize = 16;
+
+/// An event counter that executors bump once per task from every place.
+///
+/// A single shared `AtomicU64` puts one cache line under every worker's
+/// `fetch_add`; here each place adds to a cache line of its own
+/// (`ctx.place()` picks the stripe) and a reader sums the stripes.
+///
+/// Adds and loads are `Relaxed`: the counter publishes nothing but
+/// itself. [`PlaceCounter::sum`] is a racy snapshot while places run and
+/// exact once the run has joined — every place settles its completion
+/// credits with an `AcqRel` RMW after its last task, and `join` /
+/// `Scheduler::run` return only after an `Acquire` load has seen the
+/// last of them.
+#[derive(Debug)]
+pub struct PlaceCounter {
+    stripes: [CachePadded<AtomicU64>; PLACE_COUNTER_STRIPES],
+}
+
+impl Default for PlaceCounter {
+    fn default() -> Self {
+        PlaceCounter {
+            stripes: std::array::from_fn(|_| CachePadded::new(AtomicU64::new(0))),
+        }
+    }
+}
+
+impl PlaceCounter {
+    /// A counter at zero.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `n` on behalf of `place`.
+    #[inline]
+    pub fn add(&self, place: usize, n: u64) {
+        self.stripes[place % PLACE_COUNTER_STRIPES].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Total over all places.
+    pub fn sum(&self) -> u64 {
+        self.stripes.iter().map(|s| s.load(Ordering::Relaxed)).sum()
+    }
+}
 
 /// Number of log₂ buckets in [`PlaceStats::rank_hist`]: bucket 0 holds
 /// exact pops (rank 0), bucket *i* ≥ 1 holds ranks in `[2^(i-1), 2^i)`,
@@ -131,6 +183,24 @@ impl PlaceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn place_counter_sums_across_places_and_wraps_stripes() {
+        let c = PlaceCounter::new();
+        assert_eq!(c.sum(), 0);
+        std::thread::scope(|s| {
+            for place in 0..4 {
+                let c = &c;
+                s.spawn(move || {
+                    for _ in 0..1000 {
+                        c.add(place, 1);
+                    }
+                });
+            }
+        });
+        c.add(PLACE_COUNTER_STRIPES + 3, 5);
+        assert_eq!(c.sum(), 4005);
+    }
 
     #[test]
     fn merge_sums_fields() {

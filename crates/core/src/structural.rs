@@ -61,7 +61,7 @@ use crate::stats::PlaceStats;
 use crate::sync::Mutex;
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
+use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
 use std::sync::Arc;
 
 /// Entry ordered by `(prio, seq)`.
@@ -98,7 +98,7 @@ fn key<T>(e: &Entry<T>) -> Key {
 /// Pops the heap minimum only if it is strictly better than `bound`
 /// (`None` = unconditional). Ties keep the bound's side — the local buffer
 /// wins ties, matching the historical two-lock comparison `b < s`.
-fn pop_if_better<T>(heap: &mut BinaryHeap<Entry<T>>, bound: Option<Key>) -> Option<Entry<T>> {
+fn pop_if_better<T>(heap: &mut QuaternaryHeap<Entry<T>>, bound: Option<Key>) -> Option<Entry<T>> {
     match (heap.peek(), bound) {
         (None, _) => None,
         (Some(e), Some(b)) if key(e) >= b => None,
@@ -116,7 +116,7 @@ enum HeapOp<T> {
     Pop { bound: Option<Key> },
     /// Raid flush: meld a victim's drained buffer into the heap, then pop
     /// the minimum — one delegation instead of a flush plus a pop.
-    DrainInto(BinaryHeap<Entry<T>>),
+    DrainInto(QuaternaryHeap<Entry<T>>),
 }
 
 enum HeapResp<T> {
@@ -124,10 +124,10 @@ enum HeapResp<T> {
     One(Option<Entry<T>>),
 }
 
-impl<T: Send> CombineOp<BinaryHeap<Entry<T>>> for HeapOp<T> {
+impl<T: Send> CombineOp<QuaternaryHeap<Entry<T>>> for HeapOp<T> {
     type Resp = HeapResp<T>;
 
-    fn apply(self, heap: &mut BinaryHeap<Entry<T>>) -> HeapResp<T> {
+    fn apply(self, heap: &mut QuaternaryHeap<Entry<T>>) -> HeapResp<T> {
         match self {
             HeapOp::Push(e) => {
                 heap.push(e);
@@ -147,12 +147,12 @@ impl<T: Send> CombineOp<BinaryHeap<Entry<T>>> for HeapOp<T> {
 }
 
 /// A lockable heap padded to its own cache line.
-type PaddedHeap<T> = CachePadded<Mutex<BinaryHeap<Entry<T>>>>;
+type PaddedHeap<T> = CachePadded<Mutex<QuaternaryHeap<Entry<T>>>>;
 
 /// Shared component: the global heap plus every place's raidable buffer.
 pub struct StructuralKPriority<T: Send + 'static> {
     k: usize,
-    queue: Combiner<BinaryHeap<Entry<T>>, HeapOp<T>>,
+    queue: Combiner<QuaternaryHeap<Entry<T>>, HeapOp<T>>,
     buffers: Box<[PaddedHeap<T>]>,
 }
 
@@ -166,9 +166,9 @@ impl<T: Send + 'static> StructuralKPriority<T> {
         assert!(nplaces > 0, "need at least one place");
         StructuralKPriority {
             k,
-            queue: Combiner::new(BinaryHeap::new(), nplaces),
+            queue: Combiner::new(QuaternaryHeap::new(), nplaces),
             buffers: (0..nplaces)
-                .map(|_| CachePadded::new(Mutex::new(BinaryHeap::new())))
+                .map(|_| CachePadded::new(Mutex::new(QuaternaryHeap::new())))
                 .collect(),
         }
     }

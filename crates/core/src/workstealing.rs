@@ -12,16 +12,17 @@
 //! live in the authors' earlier Pheet papers. This realization guards each
 //! place's queue with a `parking_lot::Mutex`: owner operations take an
 //! uncontended lock (a single CAS in the fast path), and thieves use
-//! `try_lock` so they skip busy victims instead of blocking — a documented
-//! substitution (DESIGN.md §4) that preserves the scheduling policy the
-//! evaluation measures (local priority order + random steal-half).
+//! `try_lock` so they skip busy victims instead of blocking. The
+//! substitution preserves the scheduling policy the evaluation measures
+//! (local priority order + random steal-half): which tasks a place sees,
+//! and in what order, does not depend on how the queue is guarded.
 
 use crate::pool::{PoolHandle, TaskPool};
 use crate::stats::PlaceStats;
 use crate::sync::Mutex;
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
+use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
 use std::sync::Arc;
 
 /// Queue entry: priority, per-place insertion sequence (deterministic
@@ -50,7 +51,7 @@ impl<T> Ord for WsEntry<T> {
 }
 
 /// One place's lockable queue, padded to its own cache line.
-type PlaceQueue<T> = CachePadded<Mutex<BinaryHeap<WsEntry<T>>>>;
+type PlaceQueue<T> = CachePadded<Mutex<QuaternaryHeap<WsEntry<T>>>>;
 
 /// Shared component: one lockable priority queue per place.
 pub struct PriorityWorkStealing<T: Send + 'static> {
@@ -66,7 +67,7 @@ impl<T: Send + 'static> PriorityWorkStealing<T> {
         assert!(nplaces > 0, "need at least one place");
         PriorityWorkStealing {
             queues: (0..nplaces)
-                .map(|_| CachePadded::new(Mutex::new(BinaryHeap::new())))
+                .map(|_| CachePadded::new(Mutex::new(QuaternaryHeap::new())))
                 .collect(),
         }
     }

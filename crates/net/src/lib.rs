@@ -96,12 +96,13 @@
 //! [`ServeSummary::run`] rather than poisoning shutdown.
 
 use priosched_core::async_ingest::AsyncIngestHandle;
+use priosched_core::stats::PlaceCounter;
 use priosched_core::{
     panic_message, PoolBuilder, PoolKind, PoolService, RunStats, SpawnCtx, TaskExecutor,
 };
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -110,7 +111,7 @@ use std::time::{Duration, Instant};
 /// executions — the server's verifiable oracle.
 pub struct CountdownExec {
     k: usize,
-    executed: AtomicU64,
+    executed: PlaceCounter,
 }
 
 impl CountdownExec {
@@ -118,13 +119,14 @@ impl CountdownExec {
     pub fn new(k: usize) -> Self {
         CountdownExec {
             k,
-            executed: AtomicU64::new(0),
+            executed: PlaceCounter::new(),
         }
     }
 
-    /// Jobs executed so far, across all connections.
+    /// Jobs executed so far, across all connections (exact after a
+    /// `join`: the `DONE` reply is computed behind one).
     pub fn executed(&self) -> u64 {
-        self.executed.load(Ordering::Acquire)
+        self.executed.sum()
     }
 
     /// The oracle: executions a submission of `value` contributes.
@@ -135,7 +137,7 @@ impl CountdownExec {
 
 impl TaskExecutor<u64> for CountdownExec {
     fn execute(&self, value: u64, ctx: &mut SpawnCtx<'_, u64>) {
-        self.executed.fetch_add(1, Ordering::AcqRel);
+        self.executed.add(ctx.place(), 1);
         if value > 0 {
             ctx.spawn(value - 1, self.k, value - 1);
         }

@@ -1,22 +1,54 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Sequential priority queues used as place-local components.
 //!
-//! All three scheduling data structures of Wimmer et al. (PPoPP 2014) keep a
-//! *sequential* priority queue per place (thread): the paper notes in §4.1
-//! that "any sequential implementation of a priority queue can be used, since
-//! each priority queue is only accessed in the context of a single place".
+//! All five pools keep *sequential* priority queues per place (thread) or
+//! behind a lock: the paper notes in §4.1 that "any sequential
+//! implementation of a priority queue can be used, since each priority
+//! queue is only accessed in the context of a single place".
 //!
-//! This crate provides two such implementations behind a common trait:
+//! What exists:
 //!
-//! * [`BinaryHeap`] — array-backed binary min-heap; the default everywhere.
-//! * [`PairingHeap`] — pointer-based pairing heap with two-pass melding;
-//!   useful as an independent implementation for differential testing and as
-//!   a better fit for workloads with heavy `meld`/bulk insertion.
+//! * [`DaryHeap`] — the one array-backed heap, arity as a const generic,
+//!   hole-based sifts and a bottom-up `pop` (see [`dary_heap`]). Two
+//!   aliases name the arities in use: [`QuaternaryHeap`] (`D = 4`) is the
+//!   queue under all five pools; [`BinaryHeap`] (`D = 2`) serves the
+//!   sequential oracles (Dijkstra, the benchmark's tape oracle) and is the
+//!   arity baseline of the benchmark's `pq.*` metrics.
+//! * [`PairingHeap`] — pointer-based pairing heap with two-pass melding; a
+//!   structurally independent implementation kept as the differential
+//!   oracle of the proptests (and priced by the benchmark's
+//!   `pq.*.pairing` metrics). No pool uses it.
 //!
-//! Both are **min**-queues: `pop` returns the smallest element, matching the
-//! paper's convention for the SSSP evaluation ("priority, smaller is
-//! better" in Listing 5).
+//! The pools' arity was chosen on the scheduler's own access pattern, the
+//! *hold model*: a heap held at a fixed size, one `pop` then one `push`
+//! of a fresh uniformly random key per step, 32-byte entries (a pool's
+//! `(priority, sequence, pointer)` reference). ns per pop + push on the
+//! 2-core shared box, range over five alternating runs:
+//!
+//! | heap                                     | 4 096 entries | 65 536 entries |
+//! |------------------------------------------|---------------|----------------|
+//! | binary, `swap`-based top-down (replaced) | 76–97         | 108–140        |
+//! | 4-ary, `swap`-based top-down (replaced)  | 54–66         | 84–109         |
+//! | `DaryHeap<_, 2>`, hole + bottom-up       | 61–82         | 97–130         |
+//! | `DaryHeap<_, 4>`, hole + bottom-up       | 34–47         | 54–68          |
+//! | `DaryHeap<_, 8>`, hole + bottom-up       | 39–50         | 67–86          |
+//!
+//! With monotone keys (each push is the popped key plus a random
+//! increment, the shape SSSP produces) the arities sit closer and the
+//! binary instance is ahead while the heap is small: `D = 2` 57–73 /
+//! 136–180, `D = 4` 66–88 / 118–160, `D = 8` 84–110 / 130–188 ns, against
+//! 89–115 / 140–186 for the replaced binary heap. The pools' verdict was
+//! therefore taken end to end on all four benchmark workloads (CHANGES.md,
+//! PR 21); arity is a constant named at each pool's import, not a knob.
+//!
+//! All queues are **min**-queues: `pop` returns the smallest element,
+//! matching the paper's convention for the SSSP evaluation ("priority,
+//! smaller is better" in Listing 5). Over a strict total order every
+//! implementation (and every arity) pops the same sequence; only ties and
+//! `split_half`'s choice of half depend on the layout.
 //!
 //! Beyond the textbook operations, the trait carries two operations the
 //! scheduler needs:
@@ -29,24 +61,10 @@
 //!   to be scheduled. This backs the lazy dead-task elimination described in
 //!   §5.1.
 
-pub mod binary_heap;
 pub mod dary_heap;
 pub mod pairing_heap;
 
-/// Shared bulk-insertion repair policy for the array-backed heaps:
-/// `true` when Floyd's O(n) heapify beats sifting up each of the `added`
-/// elements individually (O(added · log n)). The crossover is
-/// approximated as `added ≥ n / log₂(n)`; an empty original heap always
-/// rebuilds. Kept in one place so the binary and d-ary heaps cannot
-/// silently diverge on the policy.
-pub(crate) fn bulk_repair_prefers_heapify(old: usize, added: usize, n: usize) -> bool {
-    debug_assert_eq!(old + added, n);
-    let log_n = (usize::BITS - n.leading_zeros()).max(1) as usize;
-    old == 0 || added >= n / log_n
-}
-
-pub use binary_heap::BinaryHeap;
-pub use dary_heap::{DaryHeap, QuaternaryHeap};
+pub use dary_heap::{BinaryHeap, DaryHeap, QuaternaryHeap};
 pub use pairing_heap::PairingHeap;
 
 /// A sequential min-priority queue.
@@ -167,5 +185,129 @@ mod trait_tests {
     fn dary_heap_basics() {
         exercise::<QuaternaryHeap<i64>>();
         exercise_extend_batch::<QuaternaryHeap<i64>>();
+    }
+}
+
+/// The unit tests `binary_heap.rs` carried before [`BinaryHeap`] became an
+/// alias of [`DaryHeap`], run unchanged against the alias (the module
+/// path keeps their names).
+#[cfg(test)]
+mod binary_heap {
+    mod tests {
+        use crate::{BinaryHeap, SequentialPriorityQueue};
+
+        fn popped(mut h: BinaryHeap<i64>) -> Vec<i64> {
+            let mut out = Vec::new();
+            while let Some(x) = h.pop() {
+                out.push(x);
+            }
+            out
+        }
+
+        #[test]
+        fn pops_in_sorted_order() {
+            let h: BinaryHeap<i64> = [9, 4, 7, 1, -3, 7, 0].into_iter().collect();
+            assert_eq!(popped(h), vec![-3, 0, 1, 4, 7, 7, 9]);
+        }
+
+        #[test]
+        fn duplicates_are_kept() {
+            let h: BinaryHeap<i64> = [5, 5, 5].into_iter().collect();
+            assert_eq!(popped(h), vec![5, 5, 5]);
+        }
+
+        #[test]
+        fn from_vec_heapifies() {
+            let h = BinaryHeap::from_vec(vec![10, 9, 8, 7, 6, 5, 4, 3, 2, 1]);
+            assert!(h.is_valid_heap());
+        }
+
+        #[test]
+        fn peek_matches_pop() {
+            let mut h: BinaryHeap<i64> = [3, 1, 2].into_iter().collect();
+            assert_eq!(h.peek().copied(), Some(1));
+            assert_eq!(h.pop(), Some(1));
+            assert_eq!(h.peek().copied(), Some(2));
+        }
+
+        #[test]
+        fn split_half_sizes() {
+            for n in 0..40usize {
+                let mut h: BinaryHeap<usize> = (0..n).collect();
+                let stolen = h.split_half();
+                assert_eq!(stolen.len(), n.div_ceil(2), "n={n}");
+                assert_eq!(h.len(), n / 2, "n={n}");
+                assert!(h.is_valid_heap());
+                assert!(stolen.is_valid_heap());
+            }
+        }
+
+        #[test]
+        fn split_half_preserves_multiset() {
+            let mut h: BinaryHeap<i64> = [4, 4, 8, 1, 0, 0, 9, -2].into_iter().collect();
+            let stolen = h.split_half();
+            let mut all = popped(h);
+            all.extend(popped(stolen));
+            all.sort();
+            assert_eq!(all, vec![-2, 0, 0, 1, 4, 4, 8, 9]);
+        }
+
+        #[test]
+        fn split_of_singleton_takes_the_element() {
+            let mut h: BinaryHeap<i64> = [42].into_iter().collect();
+            let stolen = h.split_half();
+            assert!(h.is_empty());
+            assert_eq!(popped(stolen), vec![42]);
+        }
+
+        #[test]
+        fn split_of_empty_is_empty() {
+            let mut h: BinaryHeap<i64> = BinaryHeap::new();
+            let stolen = h.split_half();
+            assert!(h.is_empty() && stolen.is_empty());
+        }
+
+        #[test]
+        fn retain_drops_and_reheapifies() {
+            let mut h: BinaryHeap<i64> = (0..20).collect();
+            h.retain(|x| x % 3 == 0);
+            assert!(h.is_valid_heap());
+            assert_eq!(popped(h), vec![0, 3, 6, 9, 12, 15, 18]);
+        }
+
+        #[test]
+        fn append_merges_and_empties_other() {
+            let mut a: BinaryHeap<i64> = [5, 1].into_iter().collect();
+            let mut b: BinaryHeap<i64> = [4, 2, 0].into_iter().collect();
+            a.append(&mut b);
+            assert!(b.is_empty());
+            assert_eq!(popped(a), vec![0, 1, 2, 4, 5]);
+        }
+
+        #[test]
+        fn clear_empties() {
+            let mut h: BinaryHeap<i64> = (0..10).collect();
+            h.clear();
+            assert!(h.is_empty());
+            assert_eq!(h.pop(), None);
+        }
+
+        #[test]
+        fn interleaved_push_pop_stays_sorted() {
+            let mut h = BinaryHeap::new();
+            let mut reference = std::collections::BinaryHeap::new(); // max-heap
+            let ops: Vec<i64> = vec![5, -1, 3, 3, 9, -7, 2, 8, 8, 0];
+            for (i, &x) in ops.iter().enumerate() {
+                h.push(x);
+                reference.push(std::cmp::Reverse(x));
+                if i % 3 == 2 {
+                    assert_eq!(h.pop(), reference.pop().map(|r| r.0));
+                }
+            }
+            while let Some(x) = h.pop() {
+                assert_eq!(Some(x), reference.pop().map(|r| r.0));
+            }
+            assert!(reference.is_empty());
+        }
     }
 }

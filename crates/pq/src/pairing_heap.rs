@@ -1,9 +1,10 @@
 //! Pointer-based pairing heap with two-pass melding.
 //!
 //! A second, structurally independent implementation of
-//! [`SequentialPriorityQueue`]. The scheduler uses it for differential
-//! testing against [`crate::BinaryHeap`], and it is a reasonable choice for
-//! workloads dominated by `push` and `append` (both O(1)).
+//! [`SequentialPriorityQueue`]: the differential oracle the proptests run
+//! [`crate::DaryHeap`] against. No pool uses it — `push` and `append` are
+//! O(1), but a `pop` costs an order of magnitude more than the array
+//! heap's.
 
 use crate::SequentialPriorityQueue;
 

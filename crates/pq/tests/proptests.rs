@@ -1,9 +1,12 @@
 //! Property-based tests for the sequential priority queues.
 //!
-//! Both implementations are model-checked against `std::collections::BinaryHeap`
+//! Every implementation is model-checked against `std::collections::BinaryHeap`
 //! (wrapped as a min-heap) over arbitrary operation sequences, and the
 //! scheduler-facing extras (`split_half`, `retain`, `append`) are checked for
-//! multiset preservation and invariant maintenance.
+//! multiset preservation and invariant maintenance. The `owning` module
+//! replays the same tapes over an element that owns memory and counts its
+//! live instances — with and without a comparator that panics mid-sift —
+//! because `DaryHeap`'s sifts move elements through raw pointers.
 
 use priosched_pq::{BinaryHeap, PairingHeap, SequentialPriorityQueue};
 use proptest::prelude::*;
@@ -17,6 +20,18 @@ enum Op {
     RetainEven,
     AppendBatch(Vec<i32>),
     ExtendBatch(Vec<i32>),
+    Clear,
+}
+
+/// What the op tapes store: built from the tape's `i32`, ordered by it.
+trait Elem: Ord + From<i32> {
+    fn key(&self) -> i32;
+}
+
+impl Elem for i32 {
+    fn key(&self) -> i32 {
+        *self
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -27,6 +42,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::RetainEven),
         1 => proptest::collection::vec(any::<i32>(), 0..8).prop_map(Op::AppendBatch),
         2 => proptest::collection::vec(any::<i32>(), 0..40).prop_map(Op::ExtendBatch),
+        // About one op in a hundred: a tape that keeps clearing its heap
+        // never builds one deep enough to be worth sifting.
+        1 => (0u32..8).prop_map(|x| if x == 0 { Op::Clear } else { Op::Pop }),
     ]
 }
 
@@ -50,56 +68,73 @@ impl Model {
     }
 }
 
-fn run_ops<Q: SequentialPriorityQueue<i32>>(ops: &[Op]) {
+/// Applies one op to the queue and the model, checking what the op itself
+/// promises (pop value, split sizes).
+fn apply_op<E: Elem, Q: SequentialPriorityQueue<E>>(q: &mut Q, model: &mut Model, op: &Op) {
+    match op {
+        Op::Push(x) => {
+            q.push(E::from(*x));
+            model.push(*x);
+        }
+        Op::Pop => {
+            assert_eq!(q.pop().map(|e| e.key()), model.pop());
+        }
+        Op::SplitHalf => {
+            let mut stolen = q.split_half();
+            // Steal-half is a structural operation with no model analog;
+            // check the size contract and put everything back.
+            let total = q.len() + stolen.len();
+            assert_eq!(total, model.heap.len());
+            assert!(stolen.len() >= q.len());
+            assert!(stolen.len() - q.len() <= 1);
+            q.append(&mut stolen);
+            assert!(stolen.is_empty());
+        }
+        Op::RetainEven => {
+            q.retain(|x| x.key() % 2 == 0);
+            let kept: Vec<i32> = model.sorted().into_iter().filter(|x| x % 2 == 0).collect();
+            model.heap = kept.iter().map(|&x| Reverse(x)).collect();
+        }
+        Op::AppendBatch(batch) => {
+            let mut other = Q::new();
+            for &x in batch {
+                other.push(E::from(x));
+                model.push(x);
+            }
+            q.append(&mut other);
+        }
+        Op::ExtendBatch(batch) => {
+            q.extend_batch(batch.iter().map(|&x| E::from(x)));
+            for &x in batch {
+                model.push(x);
+            }
+        }
+        Op::Clear => {
+            q.clear();
+            model.heap.clear();
+        }
+    }
+}
+
+/// Replays a tape against the model, checking length and minimum after
+/// every op; returns the queue and the model as the tape left them.
+fn apply_ops<E: Elem, Q: SequentialPriorityQueue<E>>(ops: &[Op]) -> (Q, Model) {
     let mut q = Q::new();
     let mut model = Model::default();
     for op in ops {
-        match op {
-            Op::Push(x) => {
-                q.push(*x);
-                model.push(*x);
-            }
-            Op::Pop => {
-                assert_eq!(q.pop(), model.pop());
-            }
-            Op::SplitHalf => {
-                let mut stolen = q.split_half();
-                // Steal-half is a structural operation with no model analog;
-                // check the size contract and put everything back.
-                let total = q.len() + stolen.len();
-                assert_eq!(total, model.heap.len());
-                assert!(stolen.len() >= q.len());
-                assert!(stolen.len() - q.len() <= 1);
-                q.append(&mut stolen);
-                assert!(stolen.is_empty());
-            }
-            Op::RetainEven => {
-                q.retain(|x| x % 2 == 0);
-                let kept: Vec<i32> = model.sorted().into_iter().filter(|x| x % 2 == 0).collect();
-                model.heap = kept.iter().map(|&x| Reverse(x)).collect();
-            }
-            Op::AppendBatch(batch) => {
-                let mut other = Q::new();
-                for &x in batch {
-                    other.push(x);
-                    model.push(x);
-                }
-                q.append(&mut other);
-            }
-            Op::ExtendBatch(batch) => {
-                q.extend_batch(batch.iter().copied());
-                for &x in batch {
-                    model.push(x);
-                }
-            }
-        }
+        apply_op(&mut q, &mut model, op);
         assert_eq!(q.len(), model.heap.len());
-        assert_eq!(q.peek().copied(), model.sorted().first().copied());
+        assert_eq!(q.peek().map(|e| e.key()), model.sorted().first().copied());
     }
+    (q, model)
+}
+
+fn run_ops<E: Elem, Q: SequentialPriorityQueue<E>>(ops: &[Op]) {
+    let (mut q, mut model) = apply_ops::<E, Q>(ops);
     // Drain both and compare the full pop order.
     let mut q_out = Vec::new();
     while let Some(x) = q.pop() {
-        q_out.push(x);
+        q_out.push(x.key());
     }
     let mut m_out = Vec::new();
     while let Some(x) = model.pop() {
@@ -113,12 +148,12 @@ proptest! {
 
     #[test]
     fn binary_heap_matches_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
-        run_ops::<BinaryHeap<i32>>(&ops);
+        run_ops::<i32, BinaryHeap<i32>>(&ops);
     }
 
     #[test]
     fn pairing_heap_matches_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
-        run_ops::<PairingHeap<i32>>(&ops);
+        run_ops::<i32, PairingHeap<i32>>(&ops);
     }
 
     #[test]
@@ -255,12 +290,12 @@ mod dary {
 
         #[test]
         fn dary4_matches_model(ops in proptest::collection::vec(super::op_strategy(), 0..120)) {
-            run_ops::<DaryHeap<i32, 4>>(&ops);
+            run_ops::<i32, DaryHeap<i32, 4>>(&ops);
         }
 
         #[test]
         fn dary8_matches_model(ops in proptest::collection::vec(super::op_strategy(), 0..120)) {
-            run_ops::<DaryHeap<i32, 8>>(&ops);
+            run_ops::<i32, DaryHeap<i32, 8>>(&ops);
         }
 
         #[test]
@@ -277,6 +312,229 @@ mod dary {
                 }
                 prev = Some(x);
             }
+        }
+    }
+}
+
+/// The op tapes over an element that owns heap memory, for `DaryHeap`'s
+/// pointer-moving sifts: a ledger of live instances catches a leak or a
+/// double drop, and a fuse in the comparator makes the *n*-th comparison
+/// unwind out of whatever sift is running.
+mod owning {
+    use super::*;
+    use priosched_pq::DaryHeap;
+    use std::cell::{Cell, RefCell};
+    use std::collections::BTreeSet;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+    thread_local! {
+        /// Ids of the `Tracked` values alive on this thread.
+        static LIVE: RefCell<BTreeSet<u64>> = const { RefCell::new(BTreeSet::new()) };
+        static NEXT_ID: Cell<u64> = const { Cell::new(0) };
+        /// Drops of an id that was not live.
+        static DOUBLE_DROPS: Cell<u64> = const { Cell::new(0) };
+        /// Comparisons left before `Tracked::cmp` unwinds; `None` = never.
+        static FUSE: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    struct Tracked {
+        key: Box<i32>,
+        id: u64,
+    }
+
+    impl From<i32> for Tracked {
+        fn from(x: i32) -> Self {
+            let id = NEXT_ID.with(|n| n.replace(n.get() + 1));
+            LIVE.with(|l| l.borrow_mut().insert(id));
+            Tracked {
+                key: Box::new(x),
+                id,
+            }
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            if !LIVE.with(|l| l.borrow_mut().remove(&self.id)) {
+                DOUBLE_DROPS.with(|d| d.set(d.get() + 1));
+            }
+        }
+    }
+
+    impl Elem for Tracked {
+        fn key(&self) -> i32 {
+            *self.key
+        }
+    }
+
+    impl Ord for Tracked {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            if let Some(left) = FUSE.get() {
+                if left == 0 {
+                    FUSE.set(None);
+                    // Unwinds like a panic, without the hook's stderr line.
+                    resume_unwind(Box::new("fuse"));
+                }
+                FUSE.set(Some(left - 1));
+            }
+            self.key.cmp(&other.key)
+        }
+    }
+    impl PartialOrd for Tracked {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl PartialEq for Tracked {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other).is_eq()
+        }
+    }
+    impl Eq for Tracked {}
+
+    fn live() -> BTreeSet<u64> {
+        LIVE.with(|l| l.borrow().clone())
+    }
+
+    fn assert_ledger_settled() {
+        assert_eq!(live(), BTreeSet::new(), "leaked elements");
+        assert_eq!(DOUBLE_DROPS.get(), 0, "double-dropped elements");
+    }
+
+    /// The whole tape, then half the heap popped and the rest dropped
+    /// with the heap: nothing may outlive it, nothing may drop twice.
+    fn tape_leaves_nothing_behind<const D: usize>(ops: &[Op]) {
+        assert_ledger_settled();
+        let (mut q, mut model) = apply_ops::<Tracked, DaryHeap<Tracked, D>>(ops);
+        assert_eq!(live().len(), q.len());
+        for _ in 0..q.len() / 2 {
+            assert_eq!(q.pop().map(|e| e.key()), model.pop());
+        }
+        drop(q);
+        assert_ledger_settled();
+    }
+
+    /// The tape with the `fuse`-th comparison unwinding: whatever op it
+    /// interrupts, the heap afterwards holds exactly the elements that
+    /// are still alive, each once (`Hole`'s `Drop` wrote the one in
+    /// flight back), and dropping it settles the ledger.
+    fn tape_survives_a_panicking_comparator<const D: usize>(ops: &[Op], fuse: u64) {
+        assert_ledger_settled();
+        let mut q: DaryHeap<Tracked, D> = DaryHeap::new();
+        let mut model = Model::default();
+        FUSE.set(Some(fuse));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            for op in ops {
+                apply_op(&mut q, &mut model, op);
+            }
+        }))
+        .is_err();
+        // A tape with fewer comparisons than the fuse runs to its end.
+        assert_eq!(unwound, FUSE.take().is_none());
+        let held: Vec<u64> = q.as_slice().iter().map(|e| e.id).collect();
+        let distinct: BTreeSet<u64> = held.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            held.len(),
+            "an element is in the heap twice"
+        );
+        assert_eq!(distinct, live());
+        assert_eq!(DOUBLE_DROPS.get(), 0);
+        drop(q);
+        assert_ledger_settled();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn owning_tapes_leak_and_double_drop_nothing(
+            ops in proptest::collection::vec(op_strategy(), 0..120),
+        ) {
+            tape_leaves_nothing_behind::<2>(&ops);
+            tape_leaves_nothing_behind::<4>(&ops);
+            tape_leaves_nothing_behind::<8>(&ops);
+        }
+
+        #[test]
+        fn panicking_comparator_leaves_every_element_owned_once(
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+            fuse in 0u64..600,
+        ) {
+            tape_survives_a_panicking_comparator::<2>(&ops, fuse);
+            tape_survives_a_panicking_comparator::<4>(&ops, fuse);
+            tape_survives_a_panicking_comparator::<8>(&ops, fuse);
+        }
+    }
+}
+
+/// Over a strict total order the pop sequence is a function of the op
+/// tape alone, not of the heap's arity or layout — what lets the pools
+/// change arity without changing the order tasks are handed out in.
+mod arity_independence {
+    use super::*;
+    use priosched_pq::DaryHeap;
+
+    /// `(priority, unique sequence number)`: few priorities, so ties on
+    /// the first component are everywhere, and no two keys are equal.
+    type Key = (u8, u32);
+
+    #[derive(Clone, Debug)]
+    enum KeyOp {
+        Push(u8),
+        Pop,
+        ExtendBatch(Vec<u8>),
+    }
+
+    fn key_op_strategy() -> impl Strategy<Value = KeyOp> {
+        prop_oneof![
+            4 => (0u8..6).prop_map(KeyOp::Push),
+            3 => Just(KeyOp::Pop),
+            2 => proptest::collection::vec(0u8..6, 0..40).prop_map(KeyOp::ExtendBatch),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn binary_quaternary_and_std_pop_identical_sequences(
+            ops in proptest::collection::vec(key_op_strategy(), 0..200),
+        ) {
+            let mut two: DaryHeap<Key, 2> = DaryHeap::new();
+            let mut four: DaryHeap<Key, 4> = DaryHeap::new();
+            let mut std_heap = std::collections::BinaryHeap::new();
+            let mut seq = 0u32;
+            let mut fresh = |prio: u8| {
+                seq += 1;
+                (prio, seq)
+            };
+            for op in &ops {
+                match op {
+                    KeyOp::Push(prio) => {
+                        let key = fresh(*prio);
+                        two.push(key);
+                        four.push(key);
+                        std_heap.push(Reverse(key));
+                    }
+                    KeyOp::Pop => {
+                        let expect = std_heap.pop().map(|r| r.0);
+                        prop_assert_eq!(two.pop(), expect);
+                        prop_assert_eq!(four.pop(), expect);
+                    }
+                    KeyOp::ExtendBatch(prios) => {
+                        let keys: Vec<Key> = prios.iter().map(|&p| fresh(p)).collect();
+                        two.extend_batch(keys.iter().copied());
+                        four.extend_batch(keys.iter().copied());
+                        std_heap.extend(keys.into_iter().map(Reverse));
+                    }
+                }
+            }
+            while let Some(Reverse(expect)) = std_heap.pop() {
+                prop_assert_eq!(two.pop(), Some(expect));
+                prop_assert_eq!(four.pop(), Some(expect));
+            }
+            prop_assert!(two.is_empty() && four.is_empty());
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The node-relaxation task (Listing 5).
 
 use crate::distances::AtomicDistances;
+use priosched_core::stats::PlaceCounter;
 use priosched_core::{SpawnCtx, TaskExecutor};
 use priosched_graph::CsrGraph;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One pending node relaxation: "each node that has to be relaxed
 /// corresponds to a task in the scheduling system" (§5.1).
@@ -29,10 +29,10 @@ pub struct SsspExecutor<'g> {
     k: usize,
     /// Nodes actually relaxed (edge lists scanned). Greater than the number
     /// of reachable nodes exactly when useless work happened.
-    relaxed: AtomicU64,
+    relaxed: PlaceCounter,
     /// Tasks that passed the scheduler's dead check but lost the race in
     /// the in-task re-check (Listing 5 lines 2–6).
-    late_dead: AtomicU64,
+    late_dead: PlaceCounter,
 }
 
 impl<'g> SsspExecutor<'g> {
@@ -44,8 +44,8 @@ impl<'g> SsspExecutor<'g> {
             graph,
             dist,
             k,
-            relaxed: AtomicU64::new(0),
-            late_dead: AtomicU64::new(0),
+            relaxed: PlaceCounter::new(),
+            late_dead: PlaceCounter::new(),
         }
     }
 
@@ -62,14 +62,15 @@ impl<'g> SsspExecutor<'g> {
         )
     }
 
-    /// Nodes relaxed so far.
+    /// Nodes relaxed so far (exact once the run has joined).
     pub fn relaxed(&self) -> u64 {
-        self.relaxed.load(Ordering::Relaxed)
+        self.relaxed.sum()
     }
 
-    /// Tasks found dead by the in-task re-check.
+    /// Tasks found dead by the in-task re-check (exact once the run has
+    /// joined).
     pub fn late_dead(&self) -> u64 {
-        self.late_dead.load(Ordering::Relaxed)
+        self.late_dead.sum()
     }
 
     /// The distance array (snapshot after the run).
@@ -97,10 +98,10 @@ impl<'g> TaskExecutor<SsspTask> for SsspExecutor<'g> {
         // is_dead ran earlier and the value may have improved since.
         let d_bits = self.dist.load_bits(task.node);
         if d_bits != task.dist_bits {
-            self.late_dead.fetch_add(1, Ordering::Relaxed);
+            self.late_dead.add(ctx.place(), 1);
             return;
         }
-        self.relaxed.fetch_add(1, Ordering::Relaxed);
+        self.relaxed.add(ctx.place(), 1);
         let d = f64::from_bits(d_bits);
         let mut batch = ctx.take_batch_buf();
         for e in self.graph.neighbors(task.node) {

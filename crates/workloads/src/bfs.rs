@@ -12,10 +12,11 @@
 //! which is exactly what the oracle comparison catches.
 
 use crate::Workload;
+use priosched_core::stats::PlaceCounter;
 use priosched_core::{PoolParams, RunStats, SpawnCtx, TaskExecutor};
 use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Hop depth marking an unreached node.
 pub const UNREACHED: u32 = u32::MAX;
@@ -129,14 +130,14 @@ pub struct BfsExec<'w> {
     depth: Vec<AtomicU32>,
     k: usize,
     /// Nodes actually expanded (adjacency lists scanned).
-    expanded: AtomicU64,
+    expanded: PlaceCounter,
 }
 
 impl BfsExec<'_> {
     /// Nodes expanded so far; exceeds the reachable count exactly when
     /// useless work happened (a node re-expanded at a stale depth).
     pub fn expanded(&self) -> u64 {
-        self.expanded.load(Ordering::Relaxed)
+        self.expanded.sum()
     }
 
     /// Snapshot of the depth array.
@@ -172,7 +173,7 @@ impl TaskExecutor<BfsTask> for BfsExec<'_> {
         if self.depth[task.node as usize].load(Ordering::Relaxed) < task.depth {
             return;
         }
-        self.expanded.fetch_add(1, Ordering::Relaxed);
+        self.expanded.add(ctx.place(), 1);
         let next = task.depth + 1;
         let mut batch = ctx.take_batch_buf();
         for e in self.graph.neighbors(task.node) {
@@ -213,7 +214,7 @@ impl Workload for BfsWorkload {
             graph: &self.graph,
             depth,
             k: params.k,
-            expanded: AtomicU64::new(0),
+            expanded: PlaceCounter::new(),
         }
     }
 

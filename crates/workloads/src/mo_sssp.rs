@@ -20,9 +20,9 @@
 use crate::Workload;
 use parking_lot::Mutex;
 use priosched_core::pareto::{dominates, BiPriority};
+use priosched_core::stats::PlaceCounter;
 use priosched_core::{PoolParams, RunStats, SpawnCtx, TaskExecutor};
 use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A search label: reached `node` with accumulated (time, cost).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,8 +130,8 @@ impl MoSsspWorkload {
 pub struct MoSsspExec<'w> {
     graph: &'w CsrGraph,
     fronts: Vec<Mutex<Vec<BiPriority>>>,
-    expanded: AtomicU64,
-    superseded: AtomicU64,
+    expanded: PlaceCounter,
+    superseded: PlaceCounter,
     k: usize,
 }
 
@@ -165,10 +165,10 @@ impl TaskExecutor<Label> for MoSsspExec<'_> {
             .lock()
             .contains(&label.costs)
         {
-            self.superseded.fetch_add(1, Ordering::Relaxed);
+            self.superseded.add(ctx.place(), 1);
             return;
         }
-        self.expanded.fetch_add(1, Ordering::Relaxed);
+        self.expanded.add(ctx.place(), 1);
         let mut batch = ctx.take_batch_buf();
         for e in self.graph.neighbors(label.node) {
             let costs = [
@@ -212,8 +212,8 @@ impl Workload for MoSsspWorkload {
         MoSsspExec {
             graph: &self.graph,
             fronts,
-            expanded: AtomicU64::new(0),
-            superseded: AtomicU64::new(0),
+            expanded: PlaceCounter::new(),
+            superseded: PlaceCounter::new(),
             k: params.k,
         }
     }
@@ -244,8 +244,8 @@ impl Workload for MoSsspWorkload {
     fn metrics(&self, exec: &MoSsspExec<'_>, _run: &RunStats) -> Vec<(&'static str, f64)> {
         let front_total: usize = self.oracle.iter().map(|f| f.len()).sum();
         vec![
-            ("expanded", exec.expanded.load(Ordering::Relaxed) as f64),
-            ("superseded", exec.superseded.load(Ordering::Relaxed) as f64),
+            ("expanded", exec.expanded.sum() as f64),
+            ("superseded", exec.superseded.sum() as f64),
             ("front_labels", front_total as f64),
         ]
     }

@@ -26,7 +26,7 @@
 use crate::Workload;
 use priosched_core::{priority_from_f64, PoolParams, RunStats, SpawnCtx, TaskExecutor};
 use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One component-advance step: `rep` is a vertex that was the
 /// representative (union-find root) of its component when the task was
@@ -223,8 +223,6 @@ pub struct MstExec<'w> {
     /// `merged[v]` rises (permanently) when root `v` loses a union — the
     /// lock-free `is_dead` hint for tasks referencing it.
     merged: Vec<AtomicBool>,
-    /// Merge commits performed (diagnostics).
-    merges: AtomicU64,
     k: usize,
 }
 
@@ -236,9 +234,9 @@ impl MstExec<'_> {
         chosen
     }
 
-    /// Merge commits performed.
+    /// Merge commits performed: one chosen edge each.
     pub fn merges(&self) -> u64 {
-        self.merges.load(Ordering::Relaxed)
+        self.forest.lock().chosen.len() as u64
     }
 }
 
@@ -285,7 +283,6 @@ impl TaskExecutor<MstTask> for MstExec<'_> {
             f.chosen.push(id);
             f.components -= 1;
             self.merged[loser as usize].store(true, Ordering::Release);
-            self.merges.fetch_add(1, Ordering::Relaxed);
             (
                 (f.components > 1).then_some(MstTask { rep: winner }),
                 priority_from_f64(w as f64),
@@ -321,7 +318,6 @@ impl Workload for MstWorkload {
                 components: n,
             }),
             merged: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            merges: AtomicU64::new(0),
             k: params.k,
         }
     }
