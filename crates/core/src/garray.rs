@@ -8,7 +8,10 @@
 //! Slots hold item pointers and are written at most once (null → item); they
 //! are never cleared — *taking* a task flips the item's tag, not the slot.
 //! Consequently every slot below the published `tail` of the centralized
-//! structure is non-null forever, which §4.1's pop relies on.
+//! structure is non-null forever, which §4.1's pop relies on — and a slot
+//! once seen non-null stays non-null, which is what lets a pusher remember
+//! how far it has walked a k-window instead of re-reading it
+//! ([`crate::centralized`], "The window walk").
 //!
 //! Reclamation: the paper frees exhausted segments through a GC scheme \[18\]
 //! plus per-place reference counts. Here segments are owned by the array and
@@ -59,7 +62,12 @@ pub struct GlobalArray<T> {
 }
 
 /// A per-place cursor caching the segment that served the last access, so
-/// sequential scans cost O(1) amortized instead of walking from the head.
+/// an access near the previous one finds its segment without walking from
+/// the head. A place keeps one per access pattern: the scan of
+/// `[head, tail)` takes whole segment runs ([`GlobalArray::run`]: one cursor
+/// check per segment), the push walk takes single slots that follow one
+/// another inside a k-window ([`GlobalArray::slot_or_grow`]), and the
+/// fallback probe jumps about above the tail.
 pub struct SegmentCursor<T> {
     seg: *const Segment<T>,
 }
@@ -84,9 +92,12 @@ impl<T: Send> GlobalArray<T> {
         }
     }
 
-    /// Returns the slot at `pos` if its segment already exists; never
-    /// allocates. Used by scans and the random fallback probe.
-    pub fn slot(&self, pos: u64, cursor: &mut SegmentCursor<T>) -> Option<&AtomicPtr<Item<T>>> {
+    /// Returns the slots from `pos` to the end of the segment holding it, if
+    /// that segment already exists; never allocates. The run is never
+    /// empty and `run[i]` is the slot at `pos + i`, so a scan of `[a, b)`
+    /// pays the cursor check once per segment instead of once per
+    /// position.
+    pub fn run(&self, pos: u64, cursor: &mut SegmentCursor<T>) -> Option<&[AtomicPtr<Item<T>>]> {
         let mut seg = cursor.seg;
         // (Re)start from the head when the cursor is unset or ahead of pos.
         // SAFETY: a non-null cursor points into this array's segment list,
@@ -99,7 +110,7 @@ impl<T: Send> GlobalArray<T> {
             let s = unsafe { &*seg };
             if s.contains(pos) {
                 cursor.seg = seg;
-                return Some(&s.slots[(pos - s.base) as usize]);
+                return Some(&s.slots[(pos - s.base) as usize..]);
             }
             let next = s.next.load(Ordering::Acquire);
             if next.is_null() {
@@ -108,6 +119,12 @@ impl<T: Send> GlobalArray<T> {
             }
             seg = next;
         }
+    }
+
+    /// Returns the slot at `pos` if its segment already exists; never
+    /// allocates. Used by the push walk and the random fallback probe.
+    pub fn slot(&self, pos: u64, cursor: &mut SegmentCursor<T>) -> Option<&AtomicPtr<Item<T>>> {
+        self.run(pos, cursor)?.first()
     }
 
     /// Returns the slot at `pos`, growing the array as needed (push path).
@@ -309,6 +326,22 @@ mod boundary_tests {
         let _ = arr.slot_or_grow(boundary, &mut cur);
         assert!(arr.slot(boundary - 1, &mut cur).is_some());
         assert!(arr.slot(boundary, &mut cur).is_some());
+        assert_eq!(arr.segment_count(), 2);
+    }
+
+    #[test]
+    fn run_ends_at_its_segment_and_indexes_from_pos() {
+        let arr: GlobalArray<u32> = GlobalArray::new();
+        let mut cur = SegmentCursor::default();
+        let len = SEGMENT_LEN as u64;
+        let _ = arr.slot_or_grow(len, &mut cur);
+        for (pos, want) in [(0, len), (3, len - 3), (len - 1, 1), (len, len)] {
+            let run = arr.run(pos, &mut cur).expect("segment exists");
+            assert_eq!(run.len() as u64, want, "pos {pos}");
+            let first = arr.slot(pos, &mut cur).unwrap();
+            assert!(ptr::eq(first, &run[0]), "run[0] is the slot at pos {pos}");
+        }
+        assert!(arr.run(2 * len, &mut cur).is_none(), "never allocates");
         assert_eq!(arr.segment_count(), 2);
     }
 

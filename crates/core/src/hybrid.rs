@@ -217,6 +217,7 @@ impl<T: Send + 'static> TaskPool<T> for HybridKPriority<T> {
             g_seg: self.global_head.load(Ordering::Acquire),
             g_idx: 0,
             last_victim: NO_VICTIM,
+            walked: vec![false; self.nplaces],
             rng: XorShift64::new(0x4B1D_0000 ^ place as u64),
             stats: PlaceStats::default(),
             shared: Arc::clone(self),
@@ -275,6 +276,9 @@ pub struct HybridHandle<T: Send + 'static> {
     g_seg: *const HSeg<T>,
     g_idx: usize,
     last_victim: usize,
+    /// Scratch for [`HybridHandle::spy`]: the victims it has already walked
+    /// in the current call.
+    walked: Vec<bool>,
     rng: XorShift64,
     stats: PlaceStats,
 }
@@ -458,6 +462,11 @@ impl<T: Send + 'static> HybridHandle<T> {
     /// Victim selection: last successful victim first, chasing each empty
     /// victim's own `last_victim` (§4.2.3), falling back to random places.
     /// Allowed to fail spuriously.
+    ///
+    /// A victim whose chain turned up nothing is not walked again in the
+    /// same call (at P = 2 every attempt names the one other place); the
+    /// attempt still counts and the chase goes on as if the walk had come
+    /// back empty, so the `rng` draws do not depend on the skip.
     fn spy(&mut self) -> bool {
         let p = self.shared.nplaces;
         if p == 1 {
@@ -466,6 +475,7 @@ impl<T: Send + 'static> HybridHandle<T> {
         let me = self.place as usize;
         let mut candidate = self.last_victim;
         let attempts = (2 * p).max(4);
+        self.walked.fill(false);
         for _ in 0..attempts {
             if candidate >= p || candidate == me {
                 candidate = self.rng.below(p as u64) as usize;
@@ -473,7 +483,7 @@ impl<T: Send + 'static> HybridHandle<T> {
                     continue;
                 }
             }
-            if self.spy_on(candidate) > 0 {
+            if !std::mem::replace(&mut self.walked[candidate], true) && self.spy_on(candidate) > 0 {
                 self.last_victim = candidate;
                 self.shared.places[me]
                     .last_victim

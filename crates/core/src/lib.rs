@@ -315,6 +315,7 @@
 //! | (f) The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
 //! | (g) Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet) | `models::credits_settle_before_quiescence` |
 //! | (h) A join's two-variable predicate (`queued == 0 ∧ pending == 0`) is woken by whichever write comes last: a drain whose task another place finishes and settles before `queued` falls still ends the wait ([`park`] predicate table, [`ingest`] event table) | `models::join_wakes_on_the_last_of_drain_and_finish` |
+//! | (i) The centralized window walk: two pushers resuming from their hints (same window, a window seen full, a tail the peer has moved) and a concurrent popper lose no task and deliver none twice, and the tail only ever passes windows without a null slot ([`centralized`], "The window walk") | `models::centralized_window_walk_exactly_once` |
 //!
 //! Four **mutation self-checks** validate the checker itself: building
 //! with `--cfg loom_mutate_park_fence` (drops the `wake_if_waiting`
@@ -326,8 +327,8 @@
 //! `tests/loom_models.rs` asserts.
 //!
 //! Arguments that remain prose-only (not yet modeled): the hybrid
-//! spy/publish protocol, the centralized window walk, and the scheduler's
-//! abort/failure accounting — see ROADMAP.md.
+//! spy/publish protocol and the scheduler's abort/failure accounting —
+//! see ROADMAP.md.
 //!
 //! # Workloads
 //!

@@ -32,6 +32,7 @@
 //! [`IngressShared`]: crate::ingest::IngressLanes
 //! [`ParkSlot::wake_if_waiting`]: crate::park::ParkSlot::wake_if_waiting
 
+use crate::centralized::CentralizedKPriority;
 use crate::combine::{CombineOp, CombineStats, Combiner};
 use crate::ingest::IngressLanes;
 use crate::item::ItemPool;
@@ -623,5 +624,60 @@ pub fn join_wakes_on_the_last_of_drain_and_finish() {
         joiner.join().unwrap();
         assert_eq!(own + other, 1, "the submitted task ran exactly once");
         assert_eq!(run.pending.load(Ordering::SeqCst), 0, "all credits settled");
+    });
+}
+
+/// (i) Centralized window walk: two pushers resuming from their walk hints
+/// and a concurrent popper lose no task, deliver none twice, and the tail
+/// only ever passes full windows.
+///
+/// A real [`CentralizedKPriority`] with k = kmax = 3 (segments are 8 slots
+/// under the model). On the main thread each pusher places one task, which
+/// leaves it a hint into the window `[0, 3)` with one slot still free (and
+/// fills its item cache, so the racing pushes touch no shared free list).
+/// Then both push concurrently — a scalar push and a one-element
+/// `push_batch` each, six tasks in all — so every placement starts from a
+/// hint: for the current window (resume after the slot last filled; both
+/// may go for the one free slot and one loses the slot CAS), for a window
+/// the walk has seen full (`left == 0`: straight to the tail CAS, which
+/// only one wins), or for a tail the peer has moved on since. The popper
+/// pops twice while they run: its `ingest` panics on a null slot below the
+/// tail, which is how a tail advanced over a window with a hole — a hint
+/// claiming a slot full that is not — would show. Afterwards every handle
+/// is drained (an owner's local queue holds a reference to everything it
+/// pushed): each of the six tasks must come out exactly once — a slot CAS
+/// that overwrote an item would lose one, a walk that placed an item twice
+/// would double one — the drain's scans re-check every slot below the
+/// final tail, and six pushes fill exactly two windows, so the tail must
+/// have passed exactly the first.
+pub fn centralized_window_walk_exactly_once() {
+    loom::model(|| {
+        const K: usize = 3;
+        let pool = Arc::new(CentralizedKPriority::<u64>::new(3, K as u32));
+        let mut popper = pool.handle(2);
+        let pusher = |place: usize, first: u64| {
+            let mut h = pool.handle(place);
+            h.push(first, K, first);
+            move || {
+                h.push(first + 1, K, first + 1);
+                h.push_batch(K, &mut vec![(first + 2, first + 2)]);
+                h
+            }
+        };
+        let (a, b) = (pusher(0, 10), pusher(1, 20));
+        let (a, b) = (thread::spawn(a), thread::spawn(b));
+        let mut taken: Vec<u64> = (0..2).filter_map(|_| popper.pop()).collect();
+
+        let mut handles = [a.join().unwrap(), b.join().unwrap(), popper];
+        for h in handles.iter_mut() {
+            taken.extend(std::iter::from_fn(|| h.pop()));
+        }
+        taken.sort_unstable();
+        assert_eq!(
+            taken,
+            [10, 11, 12, 20, 21, 22],
+            "each task taken exactly once"
+        );
+        assert_eq!(pool.tail(), K as u64, "six pushes fill two windows");
     });
 }

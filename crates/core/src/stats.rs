@@ -96,6 +96,10 @@ pub struct PlaceStats {
     pub probe_hits: u64,
     /// Global-array/global-list entries ingested into the local queue.
     pub ingested: u64,
+    /// Slot loads made while walking k-windows for a free slot
+    /// (centralized). `window_probes / pushes` is the walk's length per
+    /// push.
+    pub window_probes: u64,
     /// Flat-combining passes this place ran that served at least one
     /// delegated op (structural, combining on).
     pub combine_passes: u64,
@@ -137,6 +141,7 @@ impl PlaceStats {
         self.publishes += other.publishes;
         self.probe_hits += other.probe_hits;
         self.ingested += other.ingested;
+        self.window_probes += other.window_probes;
         self.combine_passes += other.combine_passes;
         self.combine_ops += other.combine_ops;
         self.combine_pass_max = self.combine_pass_max.max(other.combine_pass_max);
@@ -214,6 +219,7 @@ mod tests {
             publishes: 7,
             probe_hits: 8,
             ingested: 9,
+            window_probes: 17,
             combine_passes: 10,
             combine_ops: 11,
             combine_pass_max: 12,
@@ -228,6 +234,7 @@ mod tests {
         assert_eq!(a.pushes, 2);
         assert_eq!(a.pops, 4);
         assert_eq!(a.ingested, 18);
+        assert_eq!(a.window_probes, 34);
         assert_eq!(a.combine_passes, 20);
         assert_eq!(a.combine_ops, 22);
         assert_eq!(a.combine_parks, 26);

@@ -77,6 +77,11 @@ mod checked {
     fn join_wakes_on_the_last_of_drain_and_finish() {
         models::join_wakes_on_the_last_of_drain_and_finish();
     }
+
+    #[test]
+    fn centralized_window_walk_exactly_once() {
+        models::centralized_window_walk_exactly_once();
+    }
 }
 
 /// Self-check: with the `wake_if_waiting` fence removed, both parker

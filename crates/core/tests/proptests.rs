@@ -30,31 +30,39 @@ use std::sync::Arc;
 
 #[derive(Clone, Debug)]
 enum Op {
-    /// Push with the given priority from place (index % 2).
-    Push { place: u8, prio: u16 },
+    /// Push with the given priority from place (index % 2), with the k the
+    /// run's choices hold at `kpick` (index % choices).
+    Push { place: u8, prio: u16, kpick: u8 },
     /// Pop from place (index % 2).
     Pop { place: u8 },
-    /// Batched push of several priorities from place (index % 2).
-    PushBatch { place: u8, prios: Vec<u16> },
+    /// Batched push of several priorities from place (index % 2), all with
+    /// the k at `kpick`.
+    PushBatch {
+        place: u8,
+        prios: Vec<u16>,
+        kpick: u8,
+    },
 }
 
 fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            3 => (any::<u8>(), any::<u16>()).prop_map(|(place, prio)| Op::Push { place, prio }),
+            3 => (any::<u8>(), any::<u16>(), any::<u8>())
+                .prop_map(|(place, prio, kpick)| Op::Push { place, prio, kpick }),
             2 => any::<u8>().prop_map(|place| Op::Pop { place }),
-            1 => (any::<u8>(), proptest::collection::vec(any::<u16>(), 0..24))
-                .prop_map(|(place, prios)| Op::PushBatch { place, prios }),
+            1 => (any::<u8>(), proptest::collection::vec(any::<u16>(), 0..24), any::<u8>())
+                .prop_map(|(place, prios, kpick)| Op::PushBatch { place, prios, kpick }),
         ],
         0..max_len,
     )
 }
 
-/// A live entry: payload, global push sequence, pushing place, and the
-/// pushing place's local sequence at push time.
+/// A live entry: payload, the k it was pushed with, global push sequence,
+/// pushing place, and the pushing place's local sequence at push time.
 #[derive(Clone, Copy, Debug)]
 struct LiveEntry {
     payload: u64,
+    k: u64,
     global_seq: u64,
     place: usize,
     local_seq: u64,
@@ -69,9 +77,10 @@ struct Model {
 }
 
 impl Model {
-    fn push(&mut self, prio: u64, payload: u64, place: usize) {
+    fn push(&mut self, prio: u64, payload: u64, place: usize, k: u64) {
         self.live.entry(prio).or_default().push(LiveEntry {
             payload,
+            k,
             global_seq: self.pushes,
             place,
             local_seq: self.place_pushes[place],
@@ -112,13 +121,18 @@ enum RelaxationScope {
     PerPlace,
 }
 
-/// Runs ops on a pool; checks conservation, and, when `relaxation_k` is
-/// given, the global temporal relaxation bound.
+/// How many later pushes (in the scope's count) a pop may have let pass an
+/// ignored task, given the k that task was pushed with.
+type Allowed = fn(u64) -> u64;
+
+/// Runs ops on a pool, each push with the k its `kpick` selects from `ks`;
+/// checks conservation, and, when `relaxation` is given, the temporal
+/// relaxation bound.
 fn run_model_check<P: TaskPool<u64>>(
     pool: Arc<P>,
     ops: &[Op],
-    push_k: usize,
-    relaxation: Option<(RelaxationScope, u64)>,
+    ks: &[usize],
+    relaxation: Option<(RelaxationScope, Allowed)>,
 ) -> Result<(), TestCaseError> {
     let mut handles = [pool.handle(0), pool.handle(1)];
     let mut model = Model::default();
@@ -129,13 +143,14 @@ fn run_model_check<P: TaskPool<u64>>(
         payload: u64,
         model: &mut Model,
         prio_of: &std::collections::HashMap<u64, u64>,
-        relaxation: Option<(RelaxationScope, u64)>,
+        relaxation: Option<(RelaxationScope, Allowed)>,
     ) -> Result<(), TestCaseError> {
         let prio = *prio_of.get(&payload).expect("popped task was never pushed");
         let better = model.better_than(prio);
         model.remove(prio, payload);
-        if let Some((scope, k)) = relaxation {
+        if let Some((scope, allowed)) = relaxation {
             for b in better {
+                let k = allowed(b.k);
                 // Pushes after the ignored task, in the scope the
                 // structure's guarantee speaks about.
                 let after = match scope {
@@ -155,14 +170,15 @@ fn run_model_check<P: TaskPool<u64>>(
 
     for op in ops {
         match op {
-            Op::Push { place, prio } => {
+            Op::Push { place, prio, kpick } => {
                 let place = (place % 2) as usize;
                 let prio = *prio as u64;
+                let k = ks[*kpick as usize % ks.len()];
                 let payload = next_payload;
                 next_payload += 1;
-                handles[place].push(prio, push_k, payload);
+                handles[place].push(prio, k, payload);
                 prio_of.insert(payload, prio);
-                model.push(prio, payload, place);
+                model.push(prio, payload, place, k as u64);
             }
             Op::Pop { place } => {
                 let place = (place % 2) as usize;
@@ -170,8 +186,13 @@ fn run_model_check<P: TaskPool<u64>>(
                     check_popped(payload, &mut model, &prio_of, relaxation)?;
                 }
             }
-            Op::PushBatch { place, prios } => {
+            Op::PushBatch {
+                place,
+                prios,
+                kpick,
+            } => {
                 let place = (place % 2) as usize;
+                let k = ks[*kpick as usize % ks.len()];
                 let mut batch: Vec<(u64, u64)> = Vec::with_capacity(prios.len());
                 for &prio in prios {
                     let prio = prio as u64;
@@ -179,9 +200,9 @@ fn run_model_check<P: TaskPool<u64>>(
                     next_payload += 1;
                     batch.push((prio, payload));
                     prio_of.insert(payload, prio);
-                    model.push(prio, payload, place);
+                    model.push(prio, payload, place, k as u64);
                 }
-                handles[place].push_batch(push_k, &mut batch);
+                handles[place].push_batch(k, &mut batch);
                 prop_assert!(batch.is_empty(), "push_batch must drain its input");
             }
         }
@@ -213,22 +234,22 @@ proptest! {
 
     #[test]
     fn workstealing_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(PriorityWorkStealing::new(2)), &ops, 4, None)?;
+        run_model_check(Arc::new(PriorityWorkStealing::new(2)), &ops, &[4], None)?;
     }
 
     #[test]
     fn centralized_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(CentralizedKPriority::new(2, 16)), &ops, 4, None)?;
+        run_model_check(Arc::new(CentralizedKPriority::new(2, 16)), &ops, &[4], None)?;
     }
 
     #[test]
     fn hybrid_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(HybridKPriority::new(2)), &ops, 4, None)?;
+        run_model_check(Arc::new(HybridKPriority::new(2)), &ops, &[4], None)?;
     }
 
     #[test]
     fn structural_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(StructuralKPriority::new(2, 4)), &ops, 4, None)?;
+        run_model_check(Arc::new(StructuralKPriority::new(2, 4)), &ops, &[4], None)?;
     }
 
     /// The relaxed MultiQueue has no ρ bound to check, but conservation
@@ -237,7 +258,7 @@ proptest! {
     /// exhaustive fallback scan.
     #[test]
     fn multiqueue_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(RelaxedMultiQueue::new(2, 2)), &ops, 4, None)?;
+        run_model_check(Arc::new(RelaxedMultiQueue::new(2, 2)), &ops, &[4], None)?;
     }
 
     /// §2.2's temporal bound for the centralized structure, with uniform
@@ -248,8 +269,26 @@ proptest! {
         run_model_check(
             Arc::new(CentralizedKPriority::new(2, 16)),
             &ops,
-            4,
-            Some((RelaxationScope::Global, 4)),
+            &[4],
+            Some((RelaxationScope::Global, |k| k)),
+        )?;
+    }
+
+    /// The same with k chosen per push from {1, 2, 4, 16} (k is a per-task
+    /// parameter, §1), which also changes k under the pushing place's walk
+    /// hint from one push to the next. Windows of different sizes overlap,
+    /// so the bound is wider than k: a task ignored by a pop sits at
+    /// `p ≥ tail`, the tail stood above `p - k` when it was placed, and
+    /// every later push landed at or above that tail and below
+    /// `tail + K`, K the largest k in use — at most `k + K - 2` slots
+    /// besides its own.
+    #[test]
+    fn centralized_relaxation_oracle_mixed_k(ops in ops_strategy(200)) {
+        run_model_check(
+            Arc::new(CentralizedKPriority::new(2, 16)),
+            &ops,
+            &[1, 2, 4, 16],
+            Some((RelaxationScope::Global, |k| k + 16 - 2)),
         )?;
     }
 
@@ -261,8 +300,8 @@ proptest! {
         run_model_check(
             Arc::new(HybridKPriority::new(2)),
             &ops,
-            4,
-            Some((RelaxationScope::PerPlace, 4)),
+            &[4],
+            Some((RelaxationScope::PerPlace, |k| k)),
         )?;
     }
 

@@ -20,6 +20,10 @@
 //!   fence, any RMW, lock edges, spawn, thread exit) or until the
 //!   scheduler chooses to drain them — so the window in which a Release
 //!   store is invisible to other threads is explored, not assumed away.
+//!   Drains are decided in front of the operations that can observe them
+//!   (an access to the stored location), not at every scheduling point:
+//!   the other placements are equivalent and would only multiply
+//!   executions.
 //! - **Blocking**: untimed condvar waits have *no* spurious wakeups, so
 //!   a lost wakeup becomes a detected deadlock. Timed waits can be woken
 //!   by a scheduler-chosen timeout (bounded per thread, forced when it
@@ -149,6 +153,100 @@ mod tests {
             "store buffering must allow (0,0); saw {seen:?}"
         );
         assert!(seen.contains(&(1, 1)) || seen.contains(&(0, 1)) || seen.contains(&(1, 0)));
+    }
+
+    /// Every result `f` returns over the whole exploration.
+    fn outcomes<T>(f: impl Fn() -> T + Send + Sync + 'static) -> HashSet<T>
+    where
+        T: std::hash::Hash + Eq + Send + 'static,
+    {
+        let seen = Arc::new(StdMutex::new(HashSet::new()));
+        let sink = Arc::clone(&seen);
+        super::model(move || {
+            let r = f();
+            sink.lock().unwrap().insert(r);
+        });
+        let mut seen = seen.lock().unwrap();
+        std::mem::take(&mut *seen)
+    }
+
+    /// Drains are decided only in front of an operation that could tell
+    /// (`rt::settle_drains`); these litmus programs pin that nothing TSO
+    /// allows went missing with the rest, and nothing it forbids came in.
+    #[test]
+    fn lazy_drains_reach_exactly_the_tso_outcomes() {
+        // Store buffering: all four.
+        let sb = outcomes(|| {
+            let x = Arc::new(AtomicU64::new(0));
+            let y = Arc::new(AtomicU64::new(0));
+            let (x1, y1) = (Arc::clone(&x), Arc::clone(&y));
+            let t = super::thread::spawn(move || {
+                x1.store(1, Ordering::Relaxed);
+                y1.load(Ordering::Relaxed)
+            });
+            y.store(1, Ordering::Relaxed);
+            let r2 = x.load(Ordering::Relaxed);
+            (t.join().unwrap(), r2)
+        });
+        assert_eq!(sb, HashSet::from([(0, 0), (0, 1), (1, 0), (1, 1)]));
+
+        // A buffered store may land before, between or after two loads of
+        // its location, and never un-lands.
+        let between = outcomes(|| {
+            let x = Arc::new(AtomicU64::new(0));
+            let x1 = Arc::clone(&x);
+            let t = super::thread::spawn(move || x1.store(1, Ordering::Relaxed));
+            let r = (x.load(Ordering::Relaxed), x.load(Ordering::Relaxed));
+            t.join().unwrap();
+            r
+        });
+        assert_eq!(between, HashSet::from([(0, 0), (0, 1), (1, 1)]));
+
+        // The buffer is FIFO: the older store can be seen without the
+        // younger one, never the other way round.
+        let fifo = outcomes(|| {
+            let x = Arc::new(AtomicU64::new(0));
+            let y = Arc::new(AtomicU64::new(0));
+            let (x1, y1) = (Arc::clone(&x), Arc::clone(&y));
+            let t = super::thread::spawn(move || {
+                x1.store(1, Ordering::Relaxed);
+                y1.store(1, Ordering::Relaxed);
+            });
+            let r = (y.load(Ordering::Relaxed), x.load(Ordering::Relaxed));
+            t.join().unwrap();
+            r
+        });
+        assert_eq!(fifo, HashSet::from([(0, 0), (0, 1), (1, 1)]));
+
+        // Two buffered stores to one location land in either order — also
+        // when one of them is flushed by a mutex unlock, which is not a
+        // decision point of its own.
+        let coherence = outcomes(|| {
+            let x = Arc::new(AtomicU64::new(0));
+            let m = Arc::new(Mutex::new(()));
+            let x1 = Arc::clone(&x);
+            let t1 = super::thread::spawn(move || x1.store(1, Ordering::Relaxed));
+            let (x2, m2) = (Arc::clone(&x), Arc::clone(&m));
+            let t2 = super::thread::spawn(move || {
+                let _g = m2.lock().unwrap();
+                x2.store(2, Ordering::Relaxed);
+            });
+            t1.join().unwrap();
+            t2.join().unwrap();
+            x.load(Ordering::Relaxed)
+        });
+        assert_eq!(coherence, HashSet::from([1, 2]));
+
+        // A read-modify-write sees a buffered store or overwrites under it.
+        let rmw = outcomes(|| {
+            let x = Arc::new(AtomicU64::new(0));
+            let x1 = Arc::clone(&x);
+            let t = super::thread::spawn(move || x1.store(1, Ordering::Relaxed));
+            let old = x.fetch_add(10, Ordering::AcqRel);
+            t.join().unwrap();
+            (old, x.load(Ordering::Relaxed))
+        });
+        assert_eq!(rmw, HashSet::from([(0, 1), (1, 11)]));
     }
 
     /// With SeqCst stores the (0,0) outcome must be impossible.

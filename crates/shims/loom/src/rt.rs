@@ -7,7 +7,9 @@
 //! runs at any time. Before each visible operation (atomic access, fence,
 //! cell access, mutex/condvar op, spawn/join/yield) the active thread
 //! reaches a *decision point*: it computes the set of enabled actions and
-//! consults the DFS trail to pick one. Actions are:
+//! consults the DFS trail to pick one — first which thread runs, then,
+//! once that thread holds the baton, which buffered stores land in front
+//! of its operation. Actions are:
 //!
 //! - `Run(t)` — hand the baton to thread `t` (possibly itself),
 //! - `Drain(t)` — flush the oldest entry of thread `t`'s store buffer to
@@ -27,6 +29,13 @@
 //! an arbitrary window — exactly the reordering x86 exhibits. Acquire and
 //! Release need no additional modeling on TSO: loads are never reordered
 //! with other loads, stores never with other stores.
+//!
+//! A drain is a decision only in front of an operation that can tell
+//! whether it happened (`settle_drains`: an access to the stored location,
+//! or an operation of a thread that has a buffered store to it); all other
+//! placements of the same drain read the same values everywhere and are
+//! not explored twice. A store never stays buffered for ever: when no
+//! thread can run, draining is a step of its own.
 //!
 //! # Exploration
 //!
@@ -258,6 +267,12 @@ fn flush_buffer(st: &mut RtState, t: usize) {
     }
 }
 
+/// Lands thread `t`'s oldest buffered store in shared memory.
+fn drain_one(st: &mut RtState, t: usize) {
+    let (loc, v) = st.buffers[t].pop_front().expect("drain of empty buffer");
+    st.mem[loc] = v;
+}
+
 fn contend(st: &mut RtState, t: usize, m: usize) {
     st.threads[t].status = if st.mutex_owner[m].is_none() {
         Status::Ready
@@ -289,8 +304,9 @@ fn enabled_actions(st: &RtState, me: usize) -> Vec<Action> {
     let mut acts = Vec::new();
 
     if cap_hit && me_ready {
-        // No preemption budget left: the decider must keep running, but
-        // other threads' buffered stores may still land under it.
+        // No preemption budget left: the decider must keep running (other
+        // threads' buffered stores may still land under it, see
+        // `settle_drains`).
         acts.push(Action::Run(me));
     } else {
         let any_ready = st.threads.iter().any(|t| matches!(t.status, Status::Ready));
@@ -304,12 +320,16 @@ fn enabled_actions(st: &RtState, me: usize) -> Vec<Action> {
         }
     }
 
-    // The decider's own drains are invisible to it (store forwarding) and
-    // remain available at every other thread's decision points, so they
-    // are pruned here without losing schedules.
-    for (i, b) in st.buffers.iter().enumerate() {
-        if i != me && !b.is_empty() {
-            acts.push(Action::Drain(i));
+    // Which buffered stores land in front of which operation is decided by
+    // the thread about to operate (`settle_drains`). Only when no thread
+    // can run is a drain a step of its own: a store does not stay buffered
+    // for ever, and a blocked thread's buffered store may be all that a
+    // timed waiter's next re-check is waiting for.
+    if acts.is_empty() {
+        for (i, b) in st.buffers.iter().enumerate() {
+            if i != me && !b.is_empty() {
+                acts.push(Action::Drain(i));
+            }
         }
     }
 
@@ -399,10 +419,7 @@ fn decide_to_run(st: &mut RtState, me: usize) -> usize {
             );
         }
         match pick(st, &enabled) {
-            Action::Drain(t) => {
-                let (loc, v) = st.buffers[t].pop_front().expect("drain of empty buffer");
-                st.mem[loc] = v;
-            }
+            Action::Drain(t) => drain_one(st, t),
             Action::TimeoutWake(t) => {
                 st.threads[t].timed_out = true;
                 st.threads[t].timeout_wakes += 1;
@@ -436,21 +453,62 @@ fn wait_baton(mut st: Guard, me: usize) -> Guard {
     }
 }
 
-/// Hand the baton to some other thread (the decider `me` is blocked,
-/// yielded, or chose to switch) and wait to be scheduled again.
-fn yield_to_other(mut st: Guard, me: usize) -> Guard {
-    let next = decide_to_run(&mut st, me);
-    if next == me {
-        return st;
+/// Decide which of the other threads' buffered stores land before `me`,
+/// holding the baton, performs its next operation — an access to `loc`,
+/// if it is an atomic access.
+///
+/// A drain is offered only where the operation could tell: thread `t`'s
+/// buffer may drain (front first, one entry per decision) while it holds a
+/// store to `loc`, or to a location `me` has a buffered store of its own
+/// to (the two stores' order in memory is still open, and `me` may flush
+/// without a further decision point, as a mutex unlock does). Every other
+/// drain commutes with the operation, so the schedule that makes it later
+/// — in front of the first operation that does meet this rule, or folded
+/// into `t`'s own flush — reads the same values at every load and leaves
+/// the same memory; exploring it here as well would only multiply
+/// executions (by `C(ops + entries, entries)` per preempted thread with
+/// buffered entries). `me`'s own drains are invisible to it (store
+/// forwarding) and are decided at the other threads' operations.
+fn settle_drains(st: &mut RtState, me: usize, loc: Option<usize>) {
+    loop {
+        let tells = |&(l, _): &(usize, u64)| {
+            Some(l) == loc || st.buffers[me].iter().any(|&(mine, _)| mine == l)
+        };
+        let mut enabled = vec![Action::Run(me)];
+        for (t, buf) in st.buffers.iter().enumerate() {
+            if t != me && buf.iter().any(tells) {
+                enabled.push(Action::Drain(t));
+            }
+        }
+        if enabled.len() == 1 {
+            return;
+        }
+        match pick(st, &enabled) {
+            Action::Drain(t) => drain_one(st, t),
+            _ => return,
+        }
     }
-    st.active = next;
-    rt().cv.notify_all();
-    wait_baton(st, me)
 }
 
-/// Decision point before a visible operation. Returns with the state lock
-/// held, this thread active, and the operation free to proceed.
-fn op_point() -> Guard {
+/// Hand the baton to some other thread (the decider `me` is blocked,
+/// yielded, or chose to switch), wait to be scheduled again, and settle
+/// the drains in front of the operation `me` resumes with (on `loc`, if it
+/// is an atomic access).
+fn yield_to_other(mut st: Guard, me: usize, loc: Option<usize>) -> Guard {
+    let next = decide_to_run(&mut st, me);
+    if next != me {
+        st.active = next;
+        rt().cv.notify_all();
+        st = wait_baton(st, me);
+    }
+    settle_drains(&mut st, me, loc);
+    st
+}
+
+/// Decision point before a visible operation (on `loc`, if it is an atomic
+/// access). Returns with the state lock held, this thread active, and the
+/// operation free to proceed.
+fn op_point(loc: Option<usize>) -> Guard {
     let me = cur();
     let mut st = lock_rt();
     if std::thread::panicking() {
@@ -469,7 +527,7 @@ fn op_point() -> Guard {
         );
         abort_with(&mut st, msg);
     }
-    yield_to_other(st, me)
+    yield_to_other(st, me, loc)
 }
 
 // ---------------------------------------------------------------------------
@@ -491,7 +549,7 @@ pub(crate) fn atomic_register(init: u64) -> Loc {
 
 pub(crate) fn atomic_load(loc: Loc, _order: Ordering) -> u64 {
     let me = cur();
-    let st = op_point();
+    let st = op_point(Some(loc.idx));
     check_loc(&st, loc);
     // Store forwarding: newest own-buffer entry for this location wins.
     if let Some(&(_, v)) = st.buffers[me].iter().rev().find(|&&(l, _)| l == loc.idx) {
@@ -502,7 +560,7 @@ pub(crate) fn atomic_load(loc: Loc, _order: Ordering) -> u64 {
 
 pub(crate) fn atomic_store(loc: Loc, v: u64, order: Ordering) {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(Some(loc.idx));
     check_loc(&st, loc);
     if matches!(order, Ordering::SeqCst) || passthrough(&st) {
         flush_buffer(&mut st, me);
@@ -514,7 +572,7 @@ pub(crate) fn atomic_store(loc: Loc, v: u64, order: Ordering) {
 
 pub(crate) fn atomic_rmw(loc: Loc, f: impl FnOnce(u64) -> u64) -> u64 {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(Some(loc.idx));
     check_loc(&st, loc);
     flush_buffer(&mut st, me);
     let old = st.mem[loc.idx];
@@ -524,7 +582,7 @@ pub(crate) fn atomic_rmw(loc: Loc, f: impl FnOnce(u64) -> u64) -> u64 {
 
 pub(crate) fn atomic_cas(loc: Loc, expected: u64, new: u64) -> Result<u64, u64> {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(Some(loc.idx));
     check_loc(&st, loc);
     flush_buffer(&mut st, me);
     let curval = st.mem[loc.idx];
@@ -549,7 +607,7 @@ pub(crate) fn atomic_unsync_read(loc: Loc) -> u64 {
 
 pub(crate) fn fence(order: Ordering) {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(None);
     if matches!(order, Ordering::SeqCst) {
         flush_buffer(&mut st, me);
     }
@@ -559,7 +617,7 @@ pub(crate) fn fence(order: Ordering) {
 /// lives natively (immediately visible); the point exists so schedules can
 /// preempt between a cell write and neighbouring atomic publishes.
 pub(crate) fn cell_access() {
-    drop(op_point());
+    drop(op_point(None));
 }
 
 // ---------------------------------------------------------------------------
@@ -581,7 +639,7 @@ pub(crate) fn mutex_register() -> Loc {
 
 pub(crate) fn mutex_lock(m: Loc) {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(None);
     check_loc(&st, m);
     if passthrough(&st) {
         st.mutex_owner[m.idx] = Some(me);
@@ -599,13 +657,13 @@ pub(crate) fn mutex_lock(m: Loc) {
             "deadlock: recursive lock of a loom mutex"
         );
         st.threads[me].status = Status::Blocked(Wait::Mutex(m.idx));
-        st = yield_to_other(st, me);
+        st = yield_to_other(st, me, None);
     }
 }
 
 pub(crate) fn mutex_try_lock(m: Loc) -> bool {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(None);
     check_loc(&st, m);
     if st.mutex_owner[m.idx].is_none() {
         st.mutex_owner[m.idx] = Some(me);
@@ -652,7 +710,7 @@ pub(crate) fn condvar_register() -> Loc {
 /// ended via `TimeoutWake` (only possible when `timed`).
 pub(crate) fn condvar_wait(cv: Loc, m: Loc, timed: bool) -> bool {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(None);
     check_loc(&st, cv);
     check_loc(&st, m);
     if passthrough(&st) {
@@ -672,7 +730,7 @@ pub(crate) fn condvar_wait(cv: Loc, m: Loc, timed: bool) -> bool {
         mutex: m.idx,
         timed,
     });
-    st = yield_to_other(st, me);
+    st = yield_to_other(st, me, None);
     // Scheduled again: reacquire the mutex.
     loop {
         if st.mutex_owner[m.idx].is_none() {
@@ -681,7 +739,7 @@ pub(crate) fn condvar_wait(cv: Loc, m: Loc, timed: bool) -> bool {
             break;
         }
         st.threads[me].status = Status::Blocked(Wait::Mutex(m.idx));
-        st = yield_to_other(st, me);
+        st = yield_to_other(st, me, None);
     }
     let timed_out = st.threads[me].timed_out;
     st.threads[me].timed_out = false;
@@ -689,7 +747,7 @@ pub(crate) fn condvar_wait(cv: Loc, m: Loc, timed: bool) -> bool {
 }
 
 pub(crate) fn condvar_notify(cv: Loc, all: bool) {
-    let mut st = op_point();
+    let mut st = op_point(None);
     check_loc(&st, cv);
     let waiters: Vec<(usize, usize)> = st
         .threads
@@ -732,7 +790,7 @@ pub(crate) fn yield_now() {
         abort_with(&mut st, msg);
     }
     st.threads[me].status = Status::Yielded;
-    let st = yield_to_other(st, me);
+    let st = yield_to_other(st, me, None);
     drop(st);
 }
 
@@ -766,7 +824,7 @@ fn thread_main(id: usize, body: Box<dyn FnOnce() + Send>) {
         let _ = panic::catch_unwind(AssertUnwindSafe(|| {
             let st = lock_rt();
             if st.abort.is_none() && !st.buffers[id].is_empty() {
-                drop(yield_to_other(st, id));
+                drop(yield_to_other(st, id, None));
             }
         }));
     }
@@ -799,7 +857,7 @@ fn thread_main(id: usize, body: Box<dyn FnOnce() + Send>) {
 /// Spawn a model thread from within the model (a visible operation).
 pub(crate) fn spawn_model(body: Box<dyn FnOnce() + Send>) -> usize {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(None);
     // Spawn synchronizes-with the child's first operation.
     flush_buffer(&mut st, me);
     let id = alloc_thread(&mut st);
@@ -813,13 +871,13 @@ pub(crate) fn spawn_model(body: Box<dyn FnOnce() + Send>) -> usize {
 
 pub(crate) fn join_model(t: usize) {
     let me = cur();
-    let mut st = op_point();
+    let mut st = op_point(None);
     if passthrough(&st) {
         return;
     }
     while !matches!(st.threads[t].status, Status::Finished) {
         st.threads[me].status = Status::Blocked(Wait::Join(t));
-        st = yield_to_other(st, me);
+        st = yield_to_other(st, me, None);
     }
 }
 
