@@ -320,6 +320,54 @@ pub fn multiqueue_scan_finds_present_item() {
     });
 }
 
+/// (d′) MultiQueue insertion buffer: a pusher whose first push is
+/// buffered, whose second flushes both, and whose handle is then dropped
+/// hides nothing from a quiescent pool.
+///
+/// Sibling of (d) at `k = 2`: the racing pusher's first task exists only
+/// in its handle's buffer until the second push lands the pair under one
+/// queue lock — racing the popper's try-lock and top-mirror reads — and
+/// the drop must find the buffer empty (or flush it). After both join the
+/// handle is gone, so nothing may be left in a buffer: the home pop finds
+/// every survivor on its first scan and the three payloads are seen
+/// exactly once.
+pub fn multiqueue_buffer_flush_hides_nothing() {
+    loom::model(|| {
+        let mq = Arc::new(RelaxedMultiQueue::<u64>::with_options(1, 1, 0, false));
+        let mut home = mq.handle(0);
+        home.push(1, 0, 10);
+
+        let pusher = {
+            let mq = Arc::clone(&mq);
+            thread::spawn(move || {
+                let mut h = mq.handle(0);
+                h.push(2, 2, 20);
+                h.push(3, 2, 30);
+            })
+        };
+        let popper = {
+            let mq = Arc::clone(&mq);
+            thread::spawn(move || mq.handle(0).pop())
+        };
+
+        let popped = popper.join().unwrap();
+        pusher.join().unwrap();
+
+        let mut seen: Vec<u64> = popped.into_iter().collect();
+        for survivor in seen.len()..3 {
+            let next = home.pop();
+            assert!(
+                next.is_some(),
+                "scan missed survivor {survivor} of a quiescent pool"
+            );
+            seen.extend(next);
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, [10, 20, 30], "buffered push lost or duplicated");
+        assert_eq!(home.pop(), None, "pool must be empty after three pops");
+    });
+}
+
 /// Minimal recording pool handle for the ingress model.
 #[derive(Default)]
 struct RecHandle {

@@ -8,14 +8,16 @@
 //! `c·P` plain sequential priority queues (`c` ≥ 1 per place, default
 //! [`DEFAULT_MQ_C`]), each behind its own cache-padded try-lock, and
 //!
-//! * **push** picks a random queue, preferring one whose lock is free
-//!   (bounded try-lock probing, then a blocking fallback — a push never
-//!   fails);
-//! * **pop** peeks the cached tops of **two** random queues and pops the
-//!   better one, retrying with fresh queues when the lock is taken or the
-//!   top was stale. The classic two-choice argument keeps the *expected*
-//!   rank error O(P) — but the worst case is unbounded, which is exactly
-//!   the trade this structure makes against the paper's ρ-bounded designs.
+//! * **push** appends to the place's private insertion buffer and, once
+//!   `min(k, 16)` tasks are buffered, lands them all on one random queue,
+//!   preferring one whose lock is free (bounded try-lock probing, then a
+//!   blocking fallback — a push never fails);
+//! * **pop** peeks the cached tops of **two** random queues and takes the
+//!   best of those two and the buffer's own minimum, retrying with fresh
+//!   queues when the lock is taken or the top was stale. The classic
+//!   two-choice argument keeps the *expected* rank error O(P) — but the
+//!   worst case is unbounded, which is exactly the trade this structure
+//!   makes against the paper's ρ-bounded designs.
 //!
 //! **Stickiness** (§4 of the Multi-Queues paper, a tunable here —
 //! [`PoolParams::mq_stickiness`]): after a successful pop a place keeps
@@ -32,13 +34,59 @@
 //! empty queues (or lost its locks) falls back to an **exhaustive scan**
 //! of all `c·P` queues before giving up. That scan is what makes the
 //! scheduler's parking machinery safe on this structure: a parked worker
-//! holds no queue lock, so when the last awake worker scans, every queue
-//! holding a stranded task is either lockable (the scan finds the task)
-//! or held by another *awake* worker (which is making progress). `None`
+//! holds no queue lock (and no buffered task — next section), so when the
+//! last awake worker scans, every queue holding a stranded task is either
+//! lockable (the scan finds the task) or held by another *awake* worker
+//! (which is making progress). `None`
 //! is therefore only ever returned in states where retrying can observe
 //! the missing tasks — the contract [`TaskPool`] requires — and
 //! quiescence itself comes from the scheduler's pending counter, never
 //! from this structure's emptiness.
+//!
+//! # Per-place insertion buffer
+//!
+//! A scalar push that locks a random queue writes heap lines the other
+//! core wrote last, and the pop that follows does it again: 257/583 ns per
+//! push/pop on the harness's `service_stream` against 34 ns per item
+//! batched. The Multi-Queues paper closes that gap with per-thread
+//! insertion buffers, and the source paper's temporal ρ-relaxation (arXiv
+//! 1312.2501 §2.2, "the last k items added may be ignored") says how large
+//! one may be: the `k` every push carries.
+//!
+//! * **Bound.** A push (or a `push_batch`) that would bring the buffer to
+//!   `min(k, 16)` entries lands the buffer and itself on one queue under
+//!   one lock instead, so between calls a buffer holds at most
+//!   `min(k, 16) − 1` tasks — the place's *latest* pushes — and all `P`
+//!   places together hide at most `P·(min(k, 16) − 1)` from one another.
+//!   `k ≤ 1` never buffers. The bound is the pushing call's `k`; runs
+//!   that mix bounds get the flush of whichever push reaches its own.
+//! * **Pop.** The buffer's minimum (a scan of ≤ 15 priorities) competes
+//!   with the two-choice winner's cached top and is taken, with no lock
+//!   and no shared cache line touched, when it is no worse — ties go to
+//!   the buffer, and an empty-looking pair loses to any buffered task. A
+//!   pop therefore sees *more* than it did without the buffer (buffer ∪
+//!   two tops), never less, and a single place with `c = 1` is exact at
+//!   every `k`. A spawned child that is the best task its place knows of
+//!   runs without leaving the core — what hybrid's local list buys.
+//! * **`None` ⇒ own buffer empty.** When every two-choice draw showed a
+//!   better top whose lock was then lost, the buffered minimum is served
+//!   *before* the exhaustive scan. So a pop fails only with nothing
+//!   buffered, a worker that parks after a failed pop has an empty buffer,
+//!   and the parking argument above ("a parked worker holds nothing")
+//!   stands: every remaining task is on a shared queue or in the buffer of
+//!   an *awake* worker, whose next pop serves it.
+//! * **Drop flushes**, so a handle dropped mid-run (abort, service
+//!   shutdown) hands its buffered tasks back to a queue.
+//!   [`PlaceStats::publishes`] counts the flushes of a non-empty buffer.
+//!
+//! There is deliberately **no deletion buffer**. Popping the 16 best of
+//! one queue into a private buffer reached 12 M items/s on
+//! `service_stream` (insertion buffer alone: 6.6 M) but takes the 16 best
+//! of *one* of `c·P` queues for the best overall, and dropped
+//! `useful_frac.multiqueue` on `sssp_dense` from 0.9986 to 0.936. A
+//! guarded variant — keep batching only while the next entry still beats
+//! the losing top — measured no gain over the insertion buffer alone
+//! (6.63 vs 6.58 M/s).
 //!
 //! # Rank-error instrument
 //!
@@ -50,17 +98,19 @@
 //! for p99). The shadow lock serializes every operation, so the
 //! instrument is **off by default** and must never be enabled in a timing
 //! arm; measure a cell twice instead (uninstrumented for time,
-//! instrumented for quality). Single-threaded the measurement is exact —
-//! with `c = 1` and one place it must read zero, the self-check
-//! `tests/multiqueue_quality.rs` pins — while under concurrency shadow
-//! updates are ordered insert-before-push / remove-after-pop, so a
-//! measured rank can transiently count an element another thread is still
-//! committing: a conservative (never understating) estimate.
+//! instrumented for quality). Buffered tasks are in the shadow from the
+//! push on, so the rank prices what the buffers hide. Single-threaded the
+//! measurement is exact — with `c = 1` and one place it must read zero,
+//! the self-check `tests/multiqueue_quality.rs` pins — while under
+//! concurrency shadow updates are ordered insert-before-push /
+//! remove-after-pop, so a measured rank can transiently count an element
+//! another thread is still committing: a conservative (never
+//! understating) estimate.
 
 use crate::pool::{PoolHandle, PoolParams, TaskPool};
 use crate::stats::{rank_bucket, PlaceStats};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, MutexGuard};
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
 use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
@@ -70,6 +120,12 @@ use std::sync::Arc;
 /// Default queues-per-place factor `c` (the Multi-Queues paper finds
 /// small constants ≥ 2 sufficient to keep contention negligible).
 pub const DEFAULT_MQ_C: usize = 2;
+
+/// Cap on a place's insertion buffer: a push with relaxation bound `k`
+/// flushes once `min(k, MQ_BUFFER_MAX)` entries are buffered. 16 keeps
+/// the pop's linear scan for the buffer's minimum at 15 compares and the
+/// hidden set at `P·15` however large `k` is.
+const MQ_BUFFER_MAX: usize = 16;
 
 /// Queue entry: priority, per-place insertion sequence (deterministic
 /// tiebreak within a place), task.
@@ -100,9 +156,11 @@ impl<T> Ord for MqEntry<T> {
 /// lock-free mirror of its best priority (`u64::MAX` = empty), padded to
 /// its own cache line so two-choice peeks never false-share.
 struct MqQueue<T> {
-    heap: Mutex<QuaternaryHeap<MqEntry<T>>>,
+    heap: Mutex<MqHeap<T>>,
     top: AtomicU64,
 }
+
+type MqHeap<T> = QuaternaryHeap<MqEntry<T>>;
 
 impl<T> MqQueue<T> {
     fn new() -> Self {
@@ -115,7 +173,7 @@ impl<T> MqQueue<T> {
     /// Refreshes the top mirror from the (locked) heap. Callers must hold
     /// the heap lock — the store is only correct while the heap cannot
     /// move underneath it.
-    fn refresh_top(&self, heap: &QuaternaryHeap<MqEntry<T>>) {
+    fn refresh_top(&self, heap: &MqHeap<T>) {
         let top = heap.peek().map_or(u64::MAX, |e| e.prio);
         self.top.store(top, Ordering::Release);
     }
@@ -218,8 +276,26 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
     }
 
     /// Total tasks currently queued across all queues (diagnostics; racy).
+    /// Does not count the insertion buffers of live handles — a dropped
+    /// handle's buffer has been flushed to a queue and is counted.
     pub fn queued(&self) -> usize {
         self.queues.iter().map(|q| q.heap.lock().len()).sum()
+    }
+
+    /// Picks the queue a push lands on and returns it locked: bounded
+    /// try-lock probing of random queues, then blocking on a random one —
+    /// a push must never fail, and with c·P queues the blocking fallback
+    /// is rare even under full contention.
+    fn lock_for_push(&self, rng: &mut XorShift64) -> (&MqQueue<T>, MutexGuard<'_, MqHeap<T>>) {
+        let nq = self.queues.len();
+        for _ in 0..2 * nq {
+            let q = &self.queues[rng.below(nq as u64) as usize];
+            if let Some(heap) = q.heap.try_lock() {
+                return (q, heap);
+            }
+        }
+        let q = &self.queues[rng.below(nq as u64) as usize];
+        (q, q.heap.lock())
     }
 }
 
@@ -239,6 +315,7 @@ impl<T: Send + 'static> TaskPool<T> for RelaxedMultiQueue<T> {
             stats: PlaceStats::default(),
             sticky: usize::MAX,
             sticky_left: 0,
+            buffer: Vec::with_capacity(MQ_BUFFER_MAX),
             shared: Arc::clone(self),
         }
     }
@@ -255,6 +332,10 @@ pub struct MultiQueueHandle<T: Send + 'static> {
     sticky: usize,
     /// Remaining pops allowed to reuse `sticky` before re-probing.
     sticky_left: usize,
+    /// Insertion buffer: this place's latest pushes, in push order, not
+    /// yet on any queue (see the module docs). Holds fewer than
+    /// [`MQ_BUFFER_MAX`] entries between calls.
+    buffer: Vec<MqEntry<T>>,
 }
 
 impl<T: Send + 'static> MultiQueueHandle<T> {
@@ -286,19 +367,67 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
         entry.map(|e| (e.prio, e.task))
     }
 
-    /// Bookkeeping shared by every successful pop path.
+    /// Bookkeeping shared by every successful queue pop.
     fn commit_pop(&mut self, idx: usize, prio: u64) {
         self.sticky = idx;
         self.sticky_left = self.shared.stickiness;
         self.stats.pops += 1;
         self.record_rank(prio);
     }
+
+    /// Index and priority of the best buffered entry — the oldest among
+    /// equals, the buffer being in push order.
+    fn buffer_min(&self) -> Option<(usize, u64)> {
+        let prios = self.buffer.iter().map(|e| e.prio).enumerate();
+        prios.min_by_key(|&(_, prio)| prio)
+    }
+
+    /// Pops buffered entry `at`: no lock, no shared line touched.
+    fn take_buffered(&mut self, at: usize) -> (u64, T) {
+        let entry = self.buffer.remove(at);
+        self.stats.pops += 1;
+        self.record_rank(entry.prio);
+        (entry.prio, entry.task)
+    }
+
+    /// Takes in `n` pushed entries: buffered while that leaves the buffer
+    /// under its `min(k, 16)` bound, otherwise landed behind it.
+    fn admit(&mut self, k: usize, n: usize, entries: impl Iterator<Item = MqEntry<T>>) {
+        self.seq += n as u64;
+        self.stats.pushes += n as u64;
+        if self.buffer.len() + n < k.min(MQ_BUFFER_MAX) {
+            self.buffer.extend(entries);
+        } else {
+            self.land(entries);
+        }
+    }
+
+    /// Lands the buffer followed by `more` on one queue under one lock
+    /// and one top refresh. A non-empty buffer makes it a publish.
+    fn land(&mut self, more: impl Iterator<Item = MqEntry<T>>) {
+        let (q, mut heap) = self.shared.lock_for_push(&mut self.rng);
+        self.stats.publishes += u64::from(!self.buffer.is_empty());
+        heap.extend_batch(self.buffer.drain(..).chain(more));
+        q.refresh_top(&heap);
+    }
+}
+
+/// Hands buffered tasks back to the shared queues, so a handle dropped
+/// mid-run (abort, service shutdown) leaves every task it was given where
+/// another place's pop finds it.
+impl<T: Send + 'static> Drop for MultiQueueHandle<T> {
+    fn drop(&mut self) {
+        if !self.buffer.is_empty() {
+            self.land(std::iter::empty());
+        }
+    }
 }
 
 impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
-    /// Pushes to a random queue, preferring an unlocked one; `k` is
-    /// ignored — the MultiQueue has no relaxation bound to parameterize.
-    fn push(&mut self, prio: u64, _k: usize, task: T) {
+    /// Buffers the task and, once `min(k, 16)` are buffered, lands the
+    /// buffer on a random queue, preferring an unlocked one. `k ≤ 1`
+    /// therefore lands every push at once.
+    fn push(&mut self, prio: u64, k: usize, task: T) {
         if let Some(shadow) = &self.shared.shadow {
             shadow.lock().insert(prio);
         }
@@ -307,37 +436,22 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
             seq: self.seq,
             task,
         };
-        self.seq += 1;
-        let nq = self.shared.queues.len();
-        // Bounded probing for a free lock, then block on a random queue —
-        // a push must never fail, and with c·P queues the blocking
-        // fallback is rare even under full contention.
-        let attempts = 2 * nq;
-        for _ in 0..attempts {
-            let i = self.rng.below(nq as u64) as usize;
-            let q = &self.shared.queues[i];
-            if let Some(mut heap) = q.heap.try_lock() {
-                heap.push(entry);
-                q.refresh_top(&heap);
-                self.stats.pushes += 1;
-                return;
-            }
-        }
-        let i = self.rng.below(nq as u64) as usize;
-        let q = &self.shared.queues[i];
-        let mut heap = q.heap.lock();
-        heap.push(entry);
-        q.refresh_top(&heap);
-        drop(heap);
-        self.stats.pushes += 1;
+        self.admit(k, 1, std::iter::once(entry));
     }
 
     fn pop_entry(&mut self) -> Option<(u64, T)> {
         let nq = self.shared.queues.len();
+        let local = self.buffer_min();
+        // The buffered best is taken when no worse than the queue top it
+        // is up against (`u64::MAX` = empty, so it beats an empty queue).
+        let local_wins = |top: u64| local.filter(|&(_, prio)| prio <= top);
         // Stickiness (§4): keep draining the queue that last served us.
         if self.sticky_left > 0 && self.sticky < nq {
             self.sticky_left -= 1;
             let idx = self.sticky;
+            if let Some((at, _)) = local_wins(self.shared.queues[idx].top.load(Ordering::Acquire)) {
+                return Some(self.take_buffered(at));
+            }
             if let Some((prio, task)) = self.try_pop_from(idx) {
                 self.stats.pops += 1;
                 self.record_rank(prio);
@@ -354,6 +468,9 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
             let ti = self.shared.queues[i].top.load(Ordering::Acquire);
             let tj = self.shared.queues[j].top.load(Ordering::Acquire);
             let (idx, top) = if ti <= tj { (i, ti) } else { (j, tj) };
+            if let Some((at, _)) = local_wins(top) {
+                return Some(self.take_buffered(at));
+            }
             if top == u64::MAX {
                 // Both drawn queues look empty; draw again (the scan below
                 // is the authoritative emptiness check).
@@ -369,6 +486,11 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
                 None => self.stats.stale_refs += 1,
             }
         }
+        // Every draw showed a better top whose lock was then lost: serve
+        // the buffer rather than scan, so `None` implies it is empty.
+        if let Some((at, _)) = local {
+            return Some(self.take_buffered(at));
+        }
         // Exhaustive fallback: scan every queue from a random offset. This
         // is the path that keeps parking safe — see the module docs.
         let start = self.rng.below(nq as u64) as usize;
@@ -379,14 +501,17 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
                 return Some((prio, task));
             }
         }
+        debug_assert!(self.buffer.is_empty(), "None with tasks buffered");
         self.stats.failed_pops += 1;
         None
     }
 
-    /// Batch push: the whole batch lands on one queue under a single lock
-    /// acquisition and one top refresh — coarser mixing than scalar
-    /// pushes, which the MultiQueue's unbounded relaxation already admits.
-    fn push_batch(&mut self, _k: usize, batch: &mut Vec<(u64, T)>) {
+    /// Batch push: a batch that leaves the buffer under its `min(k, 16)`
+    /// bound is buffered; any other lands, behind whatever was buffered,
+    /// on one queue under a single lock acquisition and one top refresh —
+    /// coarser mixing than scalar pushes, which the MultiQueue's
+    /// unbounded relaxation already admits.
+    fn push_batch(&mut self, k: usize, batch: &mut Vec<(u64, T)>) {
         if batch.is_empty() {
             return;
         }
@@ -395,36 +520,17 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
                 .lock()
                 .insert_all(batch.iter().map(|(prio, _)| *prio));
         }
-        let n = batch.len() as u64;
+        let n = batch.len();
         let base_seq = self.seq;
-        self.seq += n;
-        let nq = self.shared.queues.len();
-        let attempts = 2 * nq;
-        let mut locked = None;
-        for _ in 0..attempts {
-            let i = self.rng.below(nq as u64) as usize;
-            if let Some(heap) = self.shared.queues[i].heap.try_lock() {
-                locked = Some((i, heap));
-                break;
-            }
-        }
-        let (i, mut heap) = locked.unwrap_or_else(|| {
-            let i = self.rng.below(nq as u64) as usize;
-            (i, self.shared.queues[i].heap.lock())
-        });
-        heap.extend_batch(
-            batch
-                .drain(..)
-                .enumerate()
-                .map(|(o, (prio, task))| MqEntry {
-                    prio,
-                    seq: base_seq + o as u64,
-                    task,
-                }),
-        );
-        self.shared.queues[i].refresh_top(&heap);
-        drop(heap);
-        self.stats.pushes += n;
+        let entries = batch
+            .drain(..)
+            .enumerate()
+            .map(|(o, (prio, task))| MqEntry {
+                prio,
+                seq: base_seq + o as u64,
+                task,
+            });
+        self.admit(k, n, entries);
     }
 
     fn stats(&self) -> PlaceStats {
@@ -591,6 +697,89 @@ mod tests {
         assert_eq!(p.num_places(), 2);
         assert_eq!(p.stickiness(), 5);
         assert!(p.rank_error_enabled());
+    }
+
+    #[test]
+    fn buffered_push_is_popped_locally_when_it_beats_the_queue_top() {
+        // One queue, so the two-choice draw always sees its top.
+        let p = pool(1, 1);
+        let mut h = p.handle(0);
+        let mut far: Vec<(u64, u64)> = (100..140).map(|i| (i, i)).collect();
+        h.push_batch(512, &mut far); // too large for the buffer: lands
+        assert_eq!(p.queued(), 40);
+        h.push(7, 512, 7); // buffered: on no queue
+        assert_eq!(p.queued(), 40);
+        assert_eq!(h.pop(), Some(7), "the buffered task is the best known");
+        h.push(500, 512, 500); // worse than every queued task
+        let next = h.pop().expect("40 queued");
+        assert!((100..140).contains(&next), "queue top beats the buffer");
+        assert_eq!(h.stats().publishes, 0, "nothing was flushed");
+    }
+
+    #[test]
+    fn dropped_handle_flushes_its_buffer_to_a_queue() {
+        let p = pool(2, 2);
+        let mut h0 = p.handle(0);
+        for i in 0..5u64 {
+            h0.push(i, 512, i);
+        }
+        assert_eq!(p.queued(), 0, "five tasks sit in place 0's buffer");
+        drop(h0);
+        assert_eq!(p.queued(), 5);
+        let mut h1 = p.handle(1);
+        let mut got: Vec<u64> = std::iter::from_fn(|| h1.pop()).collect();
+        got.sort();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn flushes_are_counted_as_publishes_and_bounded() {
+        // k = 0 and k = 1 never buffer, so never publish.
+        for k in [0usize, 1] {
+            let p = pool(2, 2);
+            let mut h = p.handle(0);
+            for i in 0..100u64 {
+                h.push(i, k, i);
+            }
+            h.push_batch(k, &mut (0..40).map(|i| (i, i)).collect());
+            assert_eq!(p.queued(), 140, "k = {k} lands every push at once");
+            assert_eq!(h.stats().publishes, 0);
+        }
+        // Scalar pushes only: exactly one flush per full buffer.
+        for (k, bound) in [(2usize, 2u64), (8, 8), (16, 16), (512, 16)] {
+            let p = pool(2, 2);
+            let mut h = p.handle(0);
+            for i in 0..100u64 {
+                h.push(i, k, i);
+            }
+            let s = h.stats();
+            assert_eq!(s.publishes, 100 / bound, "k = {k}");
+            assert_eq!(p.queued() as u64, 100 / bound * bound);
+        }
+        // Mixed with batches that do not fit (each may flush a partly
+        // filled buffer) and the final drop.
+        let p = pool(2, 2);
+        let mut h = p.handle(0);
+        let mut oversized = 0u64;
+        for round in 0..50u64 {
+            for i in 0..round % 7 {
+                h.push(i, 512, i);
+            }
+            h.push_batch(512, &mut (0..round % 5).map(|i| (i, i)).collect());
+            if round % 10 == 0 {
+                h.push_batch(512, &mut (0..20).map(|i| (i, i)).collect());
+                oversized += 1;
+            }
+        }
+        let s = h.stats();
+        assert!(
+            s.publishes <= s.pushes.div_ceil(16) + oversized,
+            "{} publishes for {} pushes",
+            s.publishes,
+            s.pushes
+        );
+        drop(h);
+        assert_eq!(p.queued() as u64, s.pushes);
     }
 
     #[test]

@@ -95,12 +95,13 @@
 //! failed, so a parked worker's local component is empty and stays empty;
 //! any remaining task is therefore in an *awake* worker's local component
 //! (its next pop finds it) or in a shared component that pops scan
-//! deterministically. The relaxed MultiQueue satisfies the invariant
-//! vacuously — it has no per-place private component at all; every queue
-//! is shared, and its pop ends with an exhaustive try-lock scan of all
-//! c·P queues before reporting empty (see [`crate::multiqueue`]). Either
-//! way, the "all workers parked with work remaining" state is
-//! unreachable.
+//! deterministically. The relaxed MultiQueue's only private component is
+//! its insertion buffer (the place's last < 16 pushes), filled by its own
+//! worker alone and served by a pop before the pop may fail — `None`
+//! implies the buffer is empty; every queue is shared, and its pop ends
+//! with an exhaustive try-lock scan of all c·P queues before reporting
+//! empty (see [`crate::multiqueue`]). Either way, the "all workers parked
+//! with work remaining" state is unreachable.
 //!
 //! # Wait predicates, their writers, and their wake sites
 //!

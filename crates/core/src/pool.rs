@@ -47,7 +47,8 @@ pub trait PoolHandle<T: Send>: Send {
     /// `prio`: priority key, smaller = higher priority.
     /// `k`: per-task relaxation bound (§2.2); how it is interpreted is
     /// structure-specific (window size for centralized, publication budget
-    /// for hybrid, ignored by work-stealing).
+    /// for hybrid, size of the place's insertion buffer — capped at 16 —
+    /// for the MultiQueue, ignored by work-stealing).
     fn push(&mut self, prio: u64, k: usize, task: T);
 
     /// Retrieves some task together with its priority key and removes it

@@ -590,7 +590,9 @@ const HELP_WAIT_CAP: Duration = Duration::from_micros(200);
 /// local component is only ever filled by its own worker, so a parked
 /// worker's component is empty and any remaining task is either in an
 /// *awake* worker's component or in a shared component that pops scan
-/// deterministically (see [`crate::park`]).
+/// deterministically (see [`crate::park`]). The MultiQueue's local
+/// component is its insertion buffer, which a pop serves before it may
+/// fail.
 ///
 /// Shared by [`Scheduler::run`]/[`Scheduler::run_stream`] (scoped worker
 /// threads) and [`crate::service::PoolService`] (detached worker threads);

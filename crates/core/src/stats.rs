@@ -90,7 +90,9 @@ pub struct PlaceStats {
     pub steals: u64,
     /// Spy operations that found at least one reference (hybrid).
     pub spies: u64,
-    /// Local lists published to the global list (hybrid).
+    /// Place-local batches published to the shared component: local lists
+    /// to the global list (hybrid), non-empty insertion buffers flushed
+    /// to a queue (MultiQueue).
     pub publishes: u64,
     /// Items taken through the random fallback probe (centralized).
     pub probe_hits: u64,

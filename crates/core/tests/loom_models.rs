@@ -59,6 +59,11 @@ mod checked {
     }
 
     #[test]
+    fn multiqueue_buffer_flush_hides_nothing() {
+        models::multiqueue_buffer_flush_hides_nothing();
+    }
+
+    #[test]
     fn ingress_counters_never_hide_a_task() {
         models::ingress_counters_never_hide_a_task();
     }

@@ -6,15 +6,21 @@
 //!
 //! 1. **Conservation under real concurrency** — every submitted task is
 //!    popped exactly once (no loss, no duplication) with concurrent
-//!    push/pop on every place count, across the c and stickiness knobs.
-//!    The single-threaded oracle matrix cannot see lock races on the
-//!    `c·P` queues or stale top-mirror reads; this suite drives them
-//!    directly.
+//!    push/pop on every place count, across the c and stickiness knobs
+//!    and the push bound k ∈ {0, 8, 512} (unbuffered, buffer of 8, buffer
+//!    at its cap of 16). The single-threaded oracle matrix cannot see
+//!    lock races on the `c·P` queues or stale top-mirror reads; this
+//!    suite drives them directly.
 //! 2. **Instrument self-validation** — the rank-error shadow must read
 //!    *zero* in the one configuration where the structure is exact
 //!    (c = 1, one place: a single sequential queue), and must account
 //!    for every pop whenever it is on. A measurement layer that can't
 //!    pass its own null experiment can't be trusted on the real one.
+//! 3. **The insertion buffer's price** — a single place stays exact at any
+//!    k (buffer minimum against queue top), what one place cannot see of
+//!    the others is at most their `min(k, 16) − 1` buffered pushes each,
+//!    and the measured mean rank at k = 512 stays within that hidden set
+//!    of the unbuffered mean.
 
 use priosched_core::{PoolBuilder, PoolHandle, PoolKind, PoolParams, RelaxedMultiQueue, TaskPool};
 use proptest::prelude::*;
@@ -22,11 +28,11 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Drives one concurrent worker per place over one MultiQueue, each
-/// pushing `per` uniquely-payloaded tasks at pseudo-random priorities
-/// while popping, until everything pushed has been popped exactly once.
-/// Panics (inside a worker) on any duplicated pop, and afterwards on any
-/// task not taken exactly once.
-fn concurrent_exactly_once(places: usize, c: usize, stickiness: usize, per: u64) {
+/// pushing `per` uniquely-payloaded tasks at pseudo-random priorities with
+/// bound `k` while popping, until everything pushed has been popped
+/// exactly once. Panics (inside a worker) on any duplicated pop, and
+/// afterwards on any task not taken exactly once.
+fn concurrent_exactly_once(places: usize, c: usize, stickiness: usize, k: usize, per: u64) {
     let pool = Arc::new(RelaxedMultiQueue::<u64>::with_options(
         places, c, stickiness, false,
     ));
@@ -52,10 +58,10 @@ fn concurrent_exactly_once(places: usize, c: usize, stickiness: usize, per: u64)
                         if step.is_multiple_of(5) {
                             batch.push((prio, payload));
                             if batch.len() >= 8 {
-                                h.push_batch(0, &mut batch);
+                                h.push_batch(k, &mut batch);
                             }
                         } else {
-                            h.push(prio, 0, payload);
+                            h.push(prio, k, payload);
                         }
                         pushed += 1;
                     } else if let Some(got) = h.pop() {
@@ -64,7 +70,7 @@ fn concurrent_exactly_once(places: usize, c: usize, stickiness: usize, per: u64)
                         popped.fetch_add(1, Ordering::Relaxed);
                     } else if pushed == per {
                         if !batch.is_empty() {
-                            h.push_batch(0, &mut batch);
+                            h.push_batch(k, &mut batch);
                             continue;
                         }
                         if popped.load(Ordering::Relaxed) == total {
@@ -86,8 +92,10 @@ fn concurrent_exactly_once(places: usize, c: usize, stickiness: usize, per: u64)
 fn concurrent_exactly_once_on_all_place_counts() {
     for places in [1usize, 2, 4] {
         for (c, stickiness) in [(1usize, 0usize), (2, 0), (2, 8), (4, 4)] {
-            let per = 4_000 / places as u64;
-            concurrent_exactly_once(places, c, stickiness, per);
+            for k in [0usize, 8, 512] {
+                let per = 4_000 / places as u64;
+                concurrent_exactly_once(places, c, stickiness, k, per);
+            }
         }
     }
 }
@@ -171,6 +179,79 @@ fn facade_run_reports_rank_stats_on_run_stats() {
     );
 }
 
+/// Mean rank error of a single-threaded tape over 8 places taking turns
+/// (each turn: two pushes at bound `k`, one pop), then a round-robin
+/// drain, with the shadow instrument on.
+fn round_robin_mean_rank(k: usize) -> f64 {
+    let places = 8;
+    let pool = Arc::new(RelaxedMultiQueue::<u64>::with_options(places, 2, 0, true));
+    let mut handles: Vec<_> = (0..places).map(|p| pool.handle(p)).collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for turn in 0..4_000usize {
+        let h = &mut handles[turn % places];
+        for _ in 0..2 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            h.push(x >> 44, k, x);
+        }
+        h.pop().expect("two tasks were just pushed");
+    }
+    while handles.iter_mut().filter_map(|h| h.pop()).count() > 0 {}
+    let (pops, sum) = handles.iter().fold((0, 0), |(pops, sum), h| {
+        let s = h.stats();
+        (pops + s.rank_pops, sum + s.rank_sum)
+    });
+    assert_eq!(pops, 8_000, "every pop measured, every task popped");
+    sum as f64 / pops as f64
+}
+
+#[test]
+fn buffered_mean_rank_stays_within_the_hidden_set_of_unbuffered() {
+    // At k = 512 each of the 8 places may hide 15 pushes from the others;
+    // a pop can be wrong by at most those on top of the two-choice error.
+    let unbuffered = round_robin_mean_rank(0);
+    let buffered = round_robin_mean_rank(512);
+    println!("mean rank error: k = 0 {unbuffered:.2}, k = 512 {buffered:.2}");
+    assert!(
+        buffered <= unbuffered + (8 * 15) as f64,
+        "k = 512 mean rank {buffered} vs k = 0 {unbuffered}"
+    );
+}
+
+/// One step of a single-threaded op tape.
+#[derive(Clone, Debug)]
+enum Step {
+    Push(u16),
+    PushBatch(Vec<u16>),
+    Pop,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        any::<u16>().prop_map(Step::Push),
+        // Up to 24: batches that fit the buffer's room and ones that don't.
+        proptest::collection::vec(any::<u16>(), 0..24).prop_map(Step::PushBatch),
+        Just(Step::Pop),
+    ]
+}
+
+fn k_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), 1usize..24, Just(512usize)]
+}
+
+/// Applies a push step to `h` (payload = priority); `Pop` is the caller's.
+fn push_step(h: &mut impl PoolHandle<u64>, k: usize, step: &Step) {
+    match step {
+        Step::Push(prio) => h.push(*prio as u64, k, *prio as u64),
+        Step::PushBatch(prios) => h.push_batch(
+            k,
+            &mut prios.iter().map(|&p| (p as u64, p as u64)).collect(),
+        ),
+        Step::Pop => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -181,10 +262,11 @@ proptest! {
         places_idx in 0usize..3,
         c in 1usize..4,
         stickiness in 0usize..8,
+        k in k_strategy(),
         per in 200u64..1_200,
     ) {
         let places = [1usize, 2, 4][places_idx];
-        concurrent_exactly_once(places, c, stickiness, per);
+        concurrent_exactly_once(places, c, stickiness, k, per);
     }
 
     /// The null experiment as a property: any priority sequence, pushed
@@ -214,5 +296,74 @@ proptest! {
         prop_assert_eq!(s.rank_pops as usize, prios.len());
         prop_assert_eq!(s.rank_sum, 0);
         prop_assert_eq!(s.rank_max, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One place with c = 1 is exact at any k: the pop compares the
+    /// buffer's minimum with the one queue's top, so every pop returns
+    /// the minimum priority of everything pushed and not yet popped, and
+    /// `None` only when nothing is — pop for pop the sequential oracle.
+    #[test]
+    fn buffered_single_place_matches_sequential_oracle(
+        k in k_strategy(),
+        tape in proptest::collection::vec(step_strategy(), 0..96),
+    ) {
+        use std::cmp::Reverse;
+        let pool = Arc::new(RelaxedMultiQueue::<u64>::new(1, 1));
+        let mut h = pool.handle(0);
+        let mut oracle = std::collections::BinaryHeap::new();
+        for step in &tape {
+            push_step(&mut h, k, step);
+            match step {
+                Step::Push(prio) => oracle.push(Reverse(*prio as u64)),
+                Step::PushBatch(prios) => {
+                    oracle.extend(prios.iter().map(|&p| Reverse(p as u64)))
+                }
+                Step::Pop => prop_assert_eq!(h.pop(), oracle.pop().map(|Reverse(p)| p)),
+            }
+        }
+        let drained: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
+        let expect: Vec<u64> =
+            std::iter::from_fn(|| oracle.pop().map(|Reverse(p)| p)).collect();
+        prop_assert_eq!(drained, expect);
+    }
+
+    /// The hidden set is the other places' buffers and nothing else:
+    /// after places 0 and 1 pushed (and popped) at bound k, place 2 pops
+    /// everything but at most `min(k, 16) − 1` tasks of each, and those
+    /// two then pop exactly that remainder.
+    #[test]
+    fn other_places_hide_at_most_their_buffers(
+        k in k_strategy(),
+        tape in proptest::collection::vec((0usize..2, step_strategy()), 0..96),
+    ) {
+        let pool = Arc::new(RelaxedMultiQueue::<u64>::new(3, 2));
+        let mut owners = [pool.handle(0), pool.handle(1)];
+        let (mut pushed, mut popped) = (Vec::new(), Vec::new());
+        for (place, step) in &tape {
+            push_step(&mut owners[*place], k, step);
+            match step {
+                Step::Push(prio) => pushed.push(*prio as u64),
+                Step::PushBatch(prios) => pushed.extend(prios.iter().map(|&p| p as u64)),
+                Step::Pop => popped.extend(owners[*place].pop()),
+            }
+        }
+        let mut h2 = pool.handle(2);
+        popped.extend(std::iter::from_fn(|| h2.pop()));
+        let hidden = pushed.len() - popped.len();
+        prop_assert!(
+            hidden <= 2 * k.min(16).saturating_sub(1),
+            "{} tasks hidden at k = {}", hidden, k
+        );
+        prop_assert_eq!(pool.queued(), 0);
+        for h in owners.iter_mut() {
+            popped.extend(std::iter::from_fn(|| h.pop()));
+        }
+        popped.sort();
+        pushed.sort();
+        prop_assert_eq!(popped, pushed);
     }
 }
