@@ -164,9 +164,10 @@
 //! [`park`] for the precise argument). Workers additionally rely on a
 //! structural invariant of the exact pools — a place's local component is
 //! filled only by its own worker (the MultiQueue's is its insertion
-//! buffer, served before a pop may fail; it scans every shared queue
-//! before reporting empty) — so a parked worker's component is empty and
-//! remaining work always stays reachable by an awake one.
+//! buffer, served before a pop may fail; it scans every shared queue and
+//! every other place's buffer before reporting empty) — so a parked
+//! worker's component is empty and remaining work always stays reachable
+//! by an awake one.
 //!
 //! # Async ingestion
 //!
@@ -311,7 +312,7 @@
 //! | (b) The combiner's publish / combine / park handoff applies each op exactly once, writes the response **before** the `DONE` flip, and never strands a waiter despite the unfenced post-unlock wake-walk ([`combine`]) | `models::combiner_exactly_once_handoff` |
 //! | (c) The item free list's versioned head defeats ABA on multi-node pops ([`item`], §4.1.3/§4.2.3 tag discipline) | `models::free_list_no_aba_double_pop` |
 //! | (d) The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
-//! | (d′) The MultiQueue's insertion buffer hides nothing past its handle: a pusher whose first push is buffered and whose second lands both under one queue lock, racing a popper, then drops its handle — the quiescent pool's scan finds every survivor, each task exactly once ([`multiqueue`], "Per-place insertion buffer") | `models::multiqueue_buffer_flush_hides_nothing` |
+//! | (d′) What a place buffered in the MultiQueue's insertion buffer is never out of another place's reach: a place-1 pusher whose first push is buffered, whose second lands both under the buffer lock and one queue lock, and whose third is still buffered when its handle drops, races a place-0 popper whose failing scan try-locks that buffer — each task exactly once, and the quiescent pool's scan finds every survivor ([`multiqueue`], "Per-place insertion buffer") | `models::multiqueue_buffer_is_reachable_by_other_places` |
 //! | (e) The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
 //! | (f) The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
 //! | (g) Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet) | `models::credits_settle_before_quiescence` |

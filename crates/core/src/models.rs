@@ -320,29 +320,31 @@ pub fn multiqueue_scan_finds_present_item() {
     });
 }
 
-/// (d′) MultiQueue insertion buffer: a pusher whose first push is
-/// buffered, whose second flushes both, and whose handle is then dropped
-/// hides nothing from a quiescent pool.
+/// (d′) MultiQueue insertion buffer: what a place buffered is never out
+/// of another place's reach, while it is buffered, while it lands, and
+/// after its handle is gone.
 ///
-/// Sibling of (d) at `k = 2`: the racing pusher's first task exists only
-/// in its handle's buffer until the second push lands the pair under one
-/// queue lock — racing the popper's try-lock and top-mirror reads — and
-/// the drop must find the buffer empty (or flush it). After both join the
-/// handle is gone, so nothing may be left in a buffer: the home pop finds
-/// every survivor on its first scan and the three payloads are seen
-/// exactly once.
-pub fn multiqueue_buffer_flush_hides_nothing() {
+/// Sibling of (d) on two places at `k = 2`: place 1's first push exists
+/// only in its buffer, the second lands the pair on a queue under the
+/// buffer lock and one queue lock, the third is buffered again and still
+/// is when the handle drops. Place 0's popper races all three: its
+/// two-choice reads the top mirrors, its scan try-locks both queues and
+/// then place 1's buffer. Each payload must be seen exactly once, and
+/// once both have joined the home pop finds every survivor — the one left
+/// in the dropped handle's buffer included — on its first scan.
+pub fn multiqueue_buffer_is_reachable_by_other_places() {
     loom::model(|| {
-        let mq = Arc::new(RelaxedMultiQueue::<u64>::with_options(1, 1, 0, false));
+        let mq = Arc::new(RelaxedMultiQueue::<u64>::with_options(2, 1, 0, false));
         let mut home = mq.handle(0);
         home.push(1, 0, 10);
 
         let pusher = {
             let mq = Arc::clone(&mq);
             thread::spawn(move || {
-                let mut h = mq.handle(0);
+                let mut h = mq.handle(1);
                 h.push(2, 2, 20);
                 h.push(3, 2, 30);
+                h.push(4, 2, 40);
             })
         };
         let popper = {
@@ -354,7 +356,7 @@ pub fn multiqueue_buffer_flush_hides_nothing() {
         pusher.join().unwrap();
 
         let mut seen: Vec<u64> = popped.into_iter().collect();
-        for survivor in seen.len()..3 {
+        for survivor in seen.len()..4 {
             let next = home.pop();
             assert!(
                 next.is_some(),
@@ -363,8 +365,8 @@ pub fn multiqueue_buffer_flush_hides_nothing() {
             seen.extend(next);
         }
         seen.sort_unstable();
-        assert_eq!(seen, [10, 20, 30], "buffered push lost or duplicated");
-        assert_eq!(home.pop(), None, "pool must be empty after three pops");
+        assert_eq!(seen, [10, 20, 30, 40], "buffered push lost or duplicated");
+        assert_eq!(home.pop(), None, "pool must be empty after four pops");
     });
 }
 

@@ -8,7 +8,7 @@
 //! `c·P` plain sequential priority queues (`c` ≥ 1 per place, default
 //! [`DEFAULT_MQ_C`]), each behind its own cache-padded try-lock, and
 //!
-//! * **push** appends to the place's private insertion buffer and, once
+//! * **push** appends to the place's insertion buffer and, once
 //!   `min(k, 16)` tasks are buffered, lands them all on one random queue,
 //!   preferring one whose lock is free (bounded try-lock probing, then a
 //!   blocking fallback — a push never fails);
@@ -32,14 +32,16 @@
 //! mutation, so the two-choice peek is a pair of loads — no locking on
 //! the compare, locking only to take. A pop that drew two apparently
 //! empty queues (or lost its locks) falls back to an **exhaustive scan**
-//! of all `c·P` queues before giving up. That scan is what makes the
+//! of all `c·P` queues and then of the other places' non-empty insertion
+//! buffers (next section) before giving up. That scan is what makes the
 //! scheduler's parking machinery safe on this structure: a parked worker
-//! holds no queue lock (and no buffered task — next section), so when the
-//! last awake worker scans, every queue holding a stranded task is either
-//! lockable (the scan finds the task) or held by another *awake* worker
-//! (which is making progress). `None`
-//! is therefore only ever returned in states where retrying can observe
-//! the missing tasks — the contract [`TaskPool`] requires — and
+//! holds no lock, so when the last awake worker scans, every queue or
+//! buffer holding a stranded task is either lockable (the scan finds the
+//! task) or held by another *awake* worker (which is making progress);
+//! a buffer's length mirror is stored before its lock is released, so a
+//! buffer read as empty was empty or is in an awake worker's hands.
+//! `None` is therefore only ever returned in states where retrying can
+//! observe the missing tasks — the contract [`TaskPool`] requires — and
 //! quiescence itself comes from the scheduler's pending counter, never
 //! from this structure's emptiness.
 //!
@@ -48,36 +50,52 @@
 //! A scalar push that locks a random queue writes heap lines the other
 //! core wrote last, and the pop that follows does it again: 257/583 ns per
 //! push/pop on the harness's `service_stream` against 34 ns per item
-//! batched. The Multi-Queues paper closes that gap with per-thread
-//! insertion buffers, and the source paper's temporal ρ-relaxation (arXiv
-//! 1312.2501 §2.2, "the last k items added may be ignored") says how large
-//! one may be: the `k` every push carries.
+//! batched. The Multi-Queues paper closes that gap with insertion
+//! buffers, and the source paper's temporal ρ-relaxation (arXiv 1312.2501
+//! §2.2, "the last k items added may be ignored") says how large one may
+//! be: the `k` every push carries. Each place has one, on a cache line of
+//! its own: a lock that only that place takes as long as every place
+//! finds work on the queues, and a lock-free mirror of its length (the
+//! queues' top mirror, for a buffer). A push or pop that stays in the
+//! buffer writes no line another core reads, and one that finds it empty
+//! pays a load.
 //!
-//! * **Bound.** A push (or a `push_batch`) that would bring the buffer to
-//!   `min(k, 16)` entries lands the buffer and itself on one queue under
-//!   one lock instead, so between calls a buffer holds at most
-//!   `min(k, 16) − 1` tasks — the place's *latest* pushes — and all `P`
-//!   places together hide at most `P·(min(k, 16) − 1)` from one another.
-//!   `k ≤ 1` never buffers. The bound is the pushing call's `k`; runs
-//!   that mix bounds get the flush of whichever push reaches its own.
+//! * **Bound.** A push that would bring the buffer to `min(k, 16)`
+//!   entries lands the buffer and itself on one queue under one lock
+//!   instead, `k` being the smallest bound of the call and of anything
+//!   still buffered: a task pushed at `k` never waits behind
+//!   `min(k, 16) − 1` later pushes, whatever bounds those carry. Between
+//!   calls a buffer holds at most `min(k, 16) − 1` tasks — the place's
+//!   *latest* pushes — and all `P` places together keep at most
+//!   `P·(min(k, 16) − 1)` out of one another's two-choice draws. `k ≤ 1`
+//!   never buffers, and neither does a `push_batch`: it lands at once and
+//!   takes the buffer along. Its items share one queue lock as it is;
+//!   buffering the batches that would fit measured ×1.00 on `sssp_sparse`
+//!   (~8 neighbours per relaxation at k = 8) while the buffer was free to
+//!   touch and ×0.97 behind the lock that keeps it reachable.
 //! * **Pop.** The buffer's minimum (a scan of ≤ 15 priorities) competes
-//!   with the two-choice winner's cached top and is taken, with no lock
-//!   and no shared cache line touched, when it is no worse — ties go to
-//!   the buffer, and an empty-looking pair loses to any buffered task. A
-//!   pop therefore sees *more* than it did without the buffer (buffer ∪
+//!   with the two-choice winner's cached top and is taken, with no queue
+//!   lock and no shared cache line touched, when it is no worse — ties go
+//!   to the buffer, and an empty-looking pair loses to any buffered task.
+//!   A pop therefore sees *more* than it did without the buffer (buffer ∪
 //!   two tops), never less, and a single place with `c = 1` is exact at
 //!   every `k`. A spawned child that is the best task its place knows of
 //!   runs without leaving the core — what hybrid's local list buys.
+//! * **Out of sight, not out of reach.** The relaxation is about order
+//!   only. A place that found nothing on any queue takes the best entry
+//!   of another place's buffer before its pop may fail, as a thief steals
+//!   from a deque and hybrid spies a local list: roots seeded through one
+//!   place, or a handful of coarse children, spread over idle places
+//!   instead of running serially behind the place that pushed them, and a
+//!   task waiting on its own buffered child is served. The buffers live
+//!   in the shared structure, so a dropped handle's tasks stay where they
+//!   are and stay reachable. [`PlaceStats::publishes`] counts the
+//!   landings of a non-empty buffer.
 //! * **`None` ⇒ own buffer empty.** When every two-choice draw showed a
 //!   better top whose lock was then lost, the buffered minimum is served
-//!   *before* the exhaustive scan. So a pop fails only with nothing
-//!   buffered, a worker that parks after a failed pop has an empty buffer,
-//!   and the parking argument above ("a parked worker holds nothing")
-//!   stands: every remaining task is on a shared queue or in the buffer of
-//!   an *awake* worker, whose next pop serves it.
-//! * **Drop flushes**, so a handle dropped mid-run (abort, service
-//!   shutdown) hands its buffered tasks back to a queue.
-//!   [`PlaceStats::publishes`] counts the flushes of a non-empty buffer.
+//!   *before* the exhaustive scan. So a worker that parks after a failed
+//!   pop leaves nothing in its own buffer — were it the last one awake,
+//!   nobody would be left to come for it.
 //!
 //! There is deliberately **no deletion buffer**. Popping the 16 best of
 //! one queue into a private buffer reached 12 M items/s on
@@ -109,7 +127,7 @@
 
 use crate::pool::{PoolHandle, PoolParams, TaskPool};
 use crate::stats::{rank_bucket, PlaceStats};
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Mutex, MutexGuard};
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
@@ -210,10 +228,59 @@ impl Shadow {
     }
 }
 
-/// Shared component: `c·P` lockable sequential queues plus the optional
-/// rank-error shadow.
+/// One place's insertion buffer (see the module docs) behind its lock,
+/// plus the lock-free mirror of its length, padded to its own cache line:
+/// an empty buffer costs its place one load per operation and an idle
+/// place's scan writes no line of a buffer it takes nothing from.
+struct MqBuffer<T> {
+    slots: Mutex<MqSlots<T>>,
+    len: AtomicUsize,
+}
+
+/// The buffered pushes, in push order, on no queue yet.
+struct MqSlots<T> {
+    entries: Vec<MqEntry<T>>,
+    /// Smallest `min(k, MQ_BUFFER_MAX)` among the pushes of `entries`.
+    bound: usize,
+}
+
+impl<T> MqBuffer<T> {
+    fn new() -> Self {
+        MqBuffer {
+            slots: Mutex::new(MqSlots {
+                entries: Vec::with_capacity(MQ_BUFFER_MAX),
+                bound: MQ_BUFFER_MAX,
+            }),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// Refreshes the length mirror from the (locked) slots, as
+    /// [`MqQueue::refresh_top`] does the top's.
+    fn refresh_len(&self, slots: &MqSlots<T>) {
+        self.len.store(slots.entries.len(), Ordering::Release);
+    }
+
+    /// Removes entry `at` of the (locked) slots.
+    fn take(&self, slots: &mut MqSlots<T>, at: usize) -> MqEntry<T> {
+        let entry = slots.entries.remove(at);
+        self.refresh_len(slots);
+        entry
+    }
+}
+
+/// Index and priority of the best entry of `entries` — the oldest among
+/// equals, a buffer being in push order.
+fn buffer_min<T>(entries: &[MqEntry<T>]) -> Option<(usize, u64)> {
+    let prios = entries.iter().map(|e| e.prio).enumerate();
+    prios.min_by_key(|&(_, prio)| prio)
+}
+
+/// Shared component: `c·P` lockable sequential queues, one insertion
+/// buffer per place, plus the optional rank-error shadow.
 pub struct RelaxedMultiQueue<T: Send + 'static> {
     queues: Box<[CachePadded<MqQueue<T>>]>,
+    buffers: Box<[CachePadded<MqBuffer<T>>]>,
     nplaces: usize,
     stickiness: usize,
     shadow: Option<Mutex<Shadow>>,
@@ -242,6 +309,9 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
         RelaxedMultiQueue {
             queues: (0..nplaces * c)
                 .map(|_| CachePadded::new(MqQueue::new()))
+                .collect(),
+            buffers: (0..nplaces)
+                .map(|_| CachePadded::new(MqBuffer::new()))
                 .collect(),
             nplaces,
             stickiness,
@@ -275,11 +345,20 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
         self.shadow.is_some()
     }
 
-    /// Total tasks currently queued across all queues (diagnostics; racy).
-    /// Does not count the insertion buffers of live handles — a dropped
-    /// handle's buffer has been flushed to a queue and is counted.
+    /// Total tasks currently held, on the queues and in the insertion
+    /// buffers (diagnostics; racy).
     pub fn queued(&self) -> usize {
-        self.queues.iter().map(|q| q.heap.lock().len()).sum()
+        let on_queues: usize = self.queues.iter().map(|q| q.heap.lock().len()).sum();
+        let buffered: usize = (0..self.nplaces).map(|p| self.buffered(p)).sum();
+        on_queues + buffered
+    }
+
+    /// Tasks in `place`'s insertion buffer (diagnostics; racy).
+    ///
+    /// # Panics
+    /// Panics if `place` is out of range.
+    pub fn buffered(&self, place: usize) -> usize {
+        self.buffers[place].slots.lock().entries.len()
     }
 
     /// Picks the queue a push lands on and returns it locked: bounded
@@ -296,6 +375,48 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
         }
         let q = &self.queues[rng.below(nq as u64) as usize];
         (q, q.heap.lock())
+    }
+
+    /// Lands `entries` on one queue under one lock and one top refresh.
+    fn land(&self, rng: &mut XorShift64, entries: impl Iterator<Item = MqEntry<T>>) {
+        let (q, mut heap) = self.lock_for_push(rng);
+        heap.extend_batch(entries);
+        q.refresh_top(&heap);
+    }
+
+    /// Takes the best entry of queue `idx` if its lock is free and it is
+    /// non-empty; refreshes the top mirror either way.
+    fn try_pop_from(&self, idx: usize) -> Option<MqEntry<T>> {
+        let q = &self.queues[idx];
+        let mut heap = q.heap.try_lock()?;
+        let entry = heap.pop();
+        q.refresh_top(&heap);
+        entry
+    }
+
+    /// The authoritative emptiness check behind a failing pop of `place`:
+    /// every queue from offset `start` under a try-lock, then every other
+    /// place's insertion buffer that is not empty, likewise. Returns the
+    /// entry and the queue it came from.
+    fn scan(&self, place: usize, start: usize) -> Option<(MqEntry<T>, Option<usize>)> {
+        let nq = self.queues.len();
+        for idx in (0..nq).map(|off| (start + off) % nq) {
+            if let Some(entry) = self.try_pop_from(idx) {
+                return Some((entry, Some(idx)));
+            }
+        }
+        for other in (1..self.nplaces).map(|off| (place + off) % self.nplaces) {
+            let buffer = &self.buffers[other];
+            if buffer.len.load(Ordering::Acquire) == 0 {
+                continue;
+            }
+            if let Some(mut theirs) = buffer.slots.try_lock() {
+                if let Some((at, _)) = buffer_min(&theirs.entries) {
+                    return Some((buffer.take(&mut theirs, at), None));
+                }
+            }
+        }
+        None
     }
 }
 
@@ -315,7 +436,6 @@ impl<T: Send + 'static> TaskPool<T> for RelaxedMultiQueue<T> {
             stats: PlaceStats::default(),
             sticky: usize::MAX,
             sticky_left: 0,
-            buffer: Vec::with_capacity(MQ_BUFFER_MAX),
             shared: Arc::clone(self),
         }
     }
@@ -332,10 +452,6 @@ pub struct MultiQueueHandle<T: Send + 'static> {
     sticky: usize,
     /// Remaining pops allowed to reuse `sticky` before re-probing.
     sticky_left: usize,
-    /// Insertion buffer: this place's latest pushes, in push order, not
-    /// yet on any queue (see the module docs). Holds fewer than
-    /// [`MQ_BUFFER_MAX`] entries between calls.
-    buffer: Vec<MqEntry<T>>,
 }
 
 impl<T: Send + 'static> MultiQueueHandle<T> {
@@ -356,70 +472,98 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
         }
     }
 
-    /// Takes the best entry of queue `idx` if its lock is free and it is
-    /// non-empty; refreshes the top mirror either way.
-    fn try_pop_from(&mut self, idx: usize) -> Option<(u64, T)> {
-        let q = &self.shared.queues[idx];
-        let mut heap = q.heap.try_lock()?;
-        let entry = heap.pop();
-        q.refresh_top(&heap);
-        drop(heap);
-        entry.map(|e| (e.prio, e.task))
-    }
-
-    /// Bookkeeping shared by every successful queue pop.
-    fn commit_pop(&mut self, idx: usize, prio: u64) {
-        self.sticky = idx;
-        self.sticky_left = self.shared.stickiness;
-        self.stats.pops += 1;
-        self.record_rank(prio);
-    }
-
-    /// Index and priority of the best buffered entry — the oldest among
-    /// equals, the buffer being in push order.
-    fn buffer_min(&self) -> Option<(usize, u64)> {
-        let prios = self.buffer.iter().map(|e| e.prio).enumerate();
-        prios.min_by_key(|&(_, prio)| prio)
-    }
-
-    /// Pops buffered entry `at`: no lock, no shared line touched.
-    fn take_buffered(&mut self, at: usize) -> (u64, T) {
-        let entry = self.buffer.remove(at);
-        self.stats.pops += 1;
-        self.record_rank(entry.prio);
-        (entry.prio, entry.task)
-    }
-
-    /// Takes in `n` pushed entries: buffered while that leaves the buffer
-    /// under its `min(k, 16)` bound, otherwise landed behind it.
-    fn admit(&mut self, k: usize, n: usize, entries: impl Iterator<Item = MqEntry<T>>) {
+    /// Takes in `n` pushed entries under `bound` — a scalar push's
+    /// `min(k, 16)`, 0 for a batch: buffered while that leaves the buffer
+    /// under `bound` and under the bound of anything in it, otherwise
+    /// landed behind it on one queue under one lock. Landing a non-empty
+    /// buffer is a publish.
+    fn admit(&mut self, bound: usize, n: usize, entries: impl Iterator<Item = MqEntry<T>>) {
         self.seq += n as u64;
         self.stats.pushes += n as u64;
-        if self.buffer.len() + n < k.min(MQ_BUFFER_MAX) {
-            self.buffer.extend(entries);
+        let shared = &*self.shared;
+        let buffer = &shared.buffers[self.place];
+        if n >= bound && buffer.len.load(Ordering::Acquire) == 0 {
+            // Not to be buffered, and nothing buffered to take along.
+            return shared.land(&mut self.rng, entries);
+        }
+        let mut own = buffer.slots.lock();
+        let bound = if own.entries.is_empty() {
+            bound
         } else {
-            self.land(entries);
+            bound.min(own.bound)
+        };
+        if own.entries.len() + n < bound {
+            own.bound = bound;
+            own.entries.extend(entries);
+        } else {
+            self.stats.publishes += u64::from(!own.entries.is_empty());
+            shared.land(&mut self.rng, own.entries.drain(..).chain(entries));
         }
+        buffer.refresh_len(&own);
     }
 
-    /// Lands the buffer followed by `more` on one queue under one lock
-    /// and one top refresh. A non-empty buffer makes it a publish.
-    fn land(&mut self, more: impl Iterator<Item = MqEntry<T>>) {
-        let (q, mut heap) = self.shared.lock_for_push(&mut self.rng);
-        self.stats.publishes += u64::from(!self.buffer.is_empty());
-        heap.extend_batch(self.buffer.drain(..).chain(more));
-        q.refresh_top(&heap);
-    }
-}
-
-/// Hands buffered tasks back to the shared queues, so a handle dropped
-/// mid-run (abort, service shutdown) leaves every task it was given where
-/// another place's pop finds it.
-impl<T: Send + 'static> Drop for MultiQueueHandle<T> {
-    fn drop(&mut self) {
-        if !self.buffer.is_empty() {
-            self.land(std::iter::empty());
+    /// The pop's search: the entry taken and, when a fresh probe or the
+    /// scan chose its queue, that queue (the next sticky one).
+    fn take_best(&mut self) -> Option<(MqEntry<T>, Option<usize>)> {
+        let shared = &*self.shared;
+        let nq = shared.queues.len();
+        let buffer = &shared.buffers[self.place];
+        // Locked for the whole search, but only when something is in it.
+        let mut own = (buffer.len.load(Ordering::Acquire) > 0).then(|| buffer.slots.lock());
+        let local = own.as_ref().and_then(|own| buffer_min(&own.entries));
+        // The buffered best is taken when no worse than the queue top it
+        // is up against (`u64::MAX` = empty, so it beats an empty queue).
+        let local_wins = |top: u64| local.filter(|&(_, prio)| prio <= top);
+        let mut take_local = |at: usize| {
+            let own = own
+                .as_mut()
+                .expect("a buffered minimum was found under the lock");
+            Some((buffer.take(own, at), None))
+        };
+        // Stickiness (§4): keep draining the queue that last served us.
+        if self.sticky_left > 0 && self.sticky < nq {
+            self.sticky_left -= 1;
+            let idx = self.sticky;
+            if let Some((at, _)) = local_wins(shared.queues[idx].top.load(Ordering::Acquire)) {
+                return take_local(at);
+            }
+            if let Some(entry) = shared.try_pop_from(idx) {
+                return Some((entry, None));
+            }
+            // Lost the lock or the queue ran dry: fall through to probing.
+            self.sticky_left = 0;
         }
+        // Classic two-choice: peek two random tops, take the better one.
+        for _ in 0..2 * nq {
+            let i = self.rng.below(nq as u64) as usize;
+            let j = self.rng.below(nq as u64) as usize;
+            let ti = shared.queues[i].top.load(Ordering::Acquire);
+            let tj = shared.queues[j].top.load(Ordering::Acquire);
+            let (idx, top) = if ti <= tj { (i, ti) } else { (j, tj) };
+            if let Some((at, _)) = local_wins(top) {
+                return take_local(at);
+            }
+            if top == u64::MAX {
+                // Both drawn queues look empty; draw again (the scan below
+                // is the authoritative emptiness check).
+                continue;
+            }
+            match shared.try_pop_from(idx) {
+                Some(entry) => return Some((entry, Some(idx))),
+                // Lock taken or top was stale (queue drained since the
+                // peek): count the stale observation and retry.
+                None => self.stats.stale_refs += 1,
+            }
+        }
+        // Every draw showed a better top whose lock was then lost: serve
+        // the buffer rather than scan, so `None` implies it is empty.
+        if let Some((at, _)) = local {
+            return take_local(at);
+        }
+        drop(own);
+        // Exhaustive fallback from a random offset. This is the path that
+        // keeps parking safe — see the module docs.
+        shared.scan(self.place, self.rng.below(nq as u64) as usize)
     }
 }
 
@@ -436,82 +580,29 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
             seq: self.seq,
             task,
         };
-        self.admit(k, 1, std::iter::once(entry));
+        self.admit(k.min(MQ_BUFFER_MAX), 1, std::iter::once(entry));
     }
 
     fn pop_entry(&mut self) -> Option<(u64, T)> {
-        let nq = self.shared.queues.len();
-        let local = self.buffer_min();
-        // The buffered best is taken when no worse than the queue top it
-        // is up against (`u64::MAX` = empty, so it beats an empty queue).
-        let local_wins = |top: u64| local.filter(|&(_, prio)| prio <= top);
-        // Stickiness (§4): keep draining the queue that last served us.
-        if self.sticky_left > 0 && self.sticky < nq {
-            self.sticky_left -= 1;
-            let idx = self.sticky;
-            if let Some((at, _)) = local_wins(self.shared.queues[idx].top.load(Ordering::Acquire)) {
-                return Some(self.take_buffered(at));
-            }
-            if let Some((prio, task)) = self.try_pop_from(idx) {
-                self.stats.pops += 1;
-                self.record_rank(prio);
-                return Some((prio, task));
-            }
-            // Lost the lock or the queue ran dry: fall through to probing.
-            self.sticky_left = 0;
+        let Some((entry, fresh_queue)) = self.take_best() else {
+            self.stats.failed_pops += 1;
+            return None;
+        };
+        if let Some(idx) = fresh_queue {
+            self.sticky = idx;
+            self.sticky_left = self.shared.stickiness;
         }
-        // Classic two-choice: peek two random tops, take the better one.
-        let attempts = 2 * nq;
-        for _ in 0..attempts {
-            let i = self.rng.below(nq as u64) as usize;
-            let j = self.rng.below(nq as u64) as usize;
-            let ti = self.shared.queues[i].top.load(Ordering::Acquire);
-            let tj = self.shared.queues[j].top.load(Ordering::Acquire);
-            let (idx, top) = if ti <= tj { (i, ti) } else { (j, tj) };
-            if let Some((at, _)) = local_wins(top) {
-                return Some(self.take_buffered(at));
-            }
-            if top == u64::MAX {
-                // Both drawn queues look empty; draw again (the scan below
-                // is the authoritative emptiness check).
-                continue;
-            }
-            match self.try_pop_from(idx) {
-                Some((prio, task)) => {
-                    self.commit_pop(idx, prio);
-                    return Some((prio, task));
-                }
-                // Lock taken or top was stale (queue drained since the
-                // peek): count the stale observation and retry.
-                None => self.stats.stale_refs += 1,
-            }
-        }
-        // Every draw showed a better top whose lock was then lost: serve
-        // the buffer rather than scan, so `None` implies it is empty.
-        if let Some((at, _)) = local {
-            return Some(self.take_buffered(at));
-        }
-        // Exhaustive fallback: scan every queue from a random offset. This
-        // is the path that keeps parking safe — see the module docs.
-        let start = self.rng.below(nq as u64) as usize;
-        for off in 0..nq {
-            let idx = (start + off) % nq;
-            if let Some((prio, task)) = self.try_pop_from(idx) {
-                self.commit_pop(idx, prio);
-                return Some((prio, task));
-            }
-        }
-        debug_assert!(self.buffer.is_empty(), "None with tasks buffered");
-        self.stats.failed_pops += 1;
-        None
+        self.stats.pops += 1;
+        self.record_rank(entry.prio);
+        Some((entry.prio, entry.task))
     }
 
-    /// Batch push: a batch that leaves the buffer under its `min(k, 16)`
-    /// bound is buffered; any other lands, behind whatever was buffered,
-    /// on one queue under a single lock acquisition and one top refresh —
+    /// Batch push: the batch lands, behind whatever was buffered, on one
+    /// queue under a single lock acquisition and one top refresh —
     /// coarser mixing than scalar pushes, which the MultiQueue's
-    /// unbounded relaxation already admits.
-    fn push_batch(&mut self, k: usize, batch: &mut Vec<(u64, T)>) {
+    /// unbounded relaxation already admits. A batch already shares its
+    /// queue lock among its items, which is all the buffer would buy it.
+    fn push_batch(&mut self, _k: usize, batch: &mut Vec<(u64, T)>) {
         if batch.is_empty() {
             return;
         }
@@ -530,7 +621,7 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
                 seq: base_seq + o as u64,
                 task,
             });
-        self.admit(k, n, entries);
+        self.admit(0, n, entries);
     }
 
     fn stats(&self) -> PlaceStats {
@@ -705,10 +796,10 @@ mod tests {
         let p = pool(1, 1);
         let mut h = p.handle(0);
         let mut far: Vec<(u64, u64)> = (100..140).map(|i| (i, i)).collect();
-        h.push_batch(512, &mut far); // too large for the buffer: lands
-        assert_eq!(p.queued(), 40);
+        h.push_batch(512, &mut far); // a batch lands
+        assert_eq!((p.queued(), p.buffered(0)), (40, 0));
         h.push(7, 512, 7); // buffered: on no queue
-        assert_eq!(p.queued(), 40);
+        assert_eq!((p.queued(), p.buffered(0)), (41, 1));
         assert_eq!(h.pop(), Some(7), "the buffered task is the best known");
         h.push(500, 512, 500); // worse than every queued task
         let next = h.pop().expect("40 queued");
@@ -717,19 +808,65 @@ mod tests {
     }
 
     #[test]
-    fn dropped_handle_flushes_its_buffer_to_a_queue() {
+    fn a_failing_scan_takes_from_another_places_buffer() {
+        // Work conservation: what a busy place buffered is out of the
+        // two-choice draw's sight, not out of an idle place's reach.
+        let p = pool(3, 2);
+        let mut h0 = p.handle(0);
+        for prio in [5u64, 3, 9] {
+            h0.push(prio, 512, prio);
+        }
+        assert_eq!(p.buffered(0), 3, "all three sit in place 0's buffer");
+        let mut h1 = p.handle(1);
+        let mut h2 = p.handle(2);
+        assert_eq!(
+            h1.pop(),
+            Some(3),
+            "place 0 holds its handle and is not popping"
+        );
+        assert_eq!(h2.pop(), Some(5));
+        assert_eq!(h0.pop(), Some(9));
+        assert_eq!([h0.pop(), h1.pop(), h2.pop()], [None; 3]);
+        assert_eq!(
+            h0.stats().publishes,
+            0,
+            "taken from the buffer, never landed"
+        );
+    }
+
+    #[test]
+    fn a_dropped_handles_buffer_stays_reachable() {
         let p = pool(2, 2);
         let mut h0 = p.handle(0);
         for i in 0..5u64 {
             h0.push(i, 512, i);
         }
-        assert_eq!(p.queued(), 0, "five tasks sit in place 0's buffer");
         drop(h0);
-        assert_eq!(p.queued(), 5);
+        assert_eq!((p.queued(), p.buffered(0)), (5, 5));
         let mut h1 = p.handle(1);
-        let mut got: Vec<u64> = std::iter::from_fn(|| h1.pop()).collect();
-        got.sort();
+        let got: Vec<u64> = std::iter::from_fn(|| h1.pop()).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn the_smallest_bound_buffered_decides_the_flush() {
+        let p = pool(2, 2);
+        let mut h = p.handle(0);
+        h.push(1, 4, 1); // may sit behind at most two later pushes
+        h.push(2, 512, 2);
+        h.push(3, 512, 3);
+        assert_eq!(p.buffered(0), 3);
+        h.push(4, 512, 4); // the fourth: the k = 4 task's bound is reached
+        assert_eq!((p.queued(), p.buffered(0)), (4, 0));
+        // An emptied buffer forgets the bound of what left it.
+        for i in 0..15u64 {
+            h.push(i, 512, i);
+        }
+        assert_eq!(p.buffered(0), 15);
+        // k ≤ 1 lands at once and takes the buffer with it.
+        h.push(0, 0, 0);
+        assert_eq!((p.queued(), p.buffered(0)), (20, 0));
+        assert_eq!(h.stats().publishes, 2);
     }
 
     #[test]
@@ -742,7 +879,7 @@ mod tests {
                 h.push(i, k, i);
             }
             h.push_batch(k, &mut (0..40).map(|i| (i, i)).collect());
-            assert_eq!(p.queued(), 140, "k = {k} lands every push at once");
+            assert_eq!((p.queued(), p.buffered(0)), (140, 0), "k = {k}");
             assert_eq!(h.stats().publishes, 0);
         }
         // Scalar pushes only: exactly one flush per full buffer.
@@ -754,31 +891,30 @@ mod tests {
             }
             let s = h.stats();
             assert_eq!(s.publishes, 100 / bound, "k = {k}");
-            assert_eq!(p.queued() as u64, 100 / bound * bound);
+            assert_eq!(p.buffered(0) as u64, 100 % bound);
         }
-        // Mixed with batches that do not fit (each may flush a partly
-        // filled buffer) and the final drop.
+        // Mixed with batches: each lands and takes a partly filled buffer
+        // along, an empty one (round % 5 == 0) touches nothing.
         let p = pool(2, 2);
         let mut h = p.handle(0);
-        let mut oversized = 0u64;
+        let mut batches = 0u64;
         for round in 0..50u64 {
             for i in 0..round % 7 {
                 h.push(i, 512, i);
             }
             h.push_batch(512, &mut (0..round % 5).map(|i| (i, i)).collect());
-            if round % 10 == 0 {
-                h.push_batch(512, &mut (0..20).map(|i| (i, i)).collect());
-                oversized += 1;
+            if round % 5 > 0 {
+                batches += 1;
+                assert_eq!(p.buffered(0), 0);
             }
         }
         let s = h.stats();
         assert!(
-            s.publishes <= s.pushes.div_ceil(16) + oversized,
+            s.publishes <= s.pushes.div_ceil(16) + batches,
             "{} publishes for {} pushes",
             s.publishes,
             s.pushes
         );
-        drop(h);
         assert_eq!(p.queued() as u64, s.pushes);
     }
 

@@ -95,13 +95,14 @@
 //! failed, so a parked worker's local component is empty and stays empty;
 //! any remaining task is therefore in an *awake* worker's local component
 //! (its next pop finds it) or in a shared component that pops scan
-//! deterministically. The relaxed MultiQueue's only private component is
-//! its insertion buffer (the place's last < 16 pushes), filled by its own
-//! worker alone and served by a pop before the pop may fail — `None`
+//! deterministically. The relaxed MultiQueue's only per-place component
+//! is its insertion buffer (the place's last < 16 pushes), filled by its
+//! own worker alone and served by a pop before the pop may fail — `None`
 //! implies the buffer is empty; every queue is shared, and its pop ends
-//! with an exhaustive try-lock scan of all c·P queues before reporting
-//! empty (see [`crate::multiqueue`]). Either way, the "all workers parked
-//! with work remaining" state is unreachable.
+//! with an exhaustive try-lock scan of all c·P queues and of the other
+//! places' buffers before reporting empty (see [`crate::multiqueue`]).
+//! Either way, the "all workers parked with work remaining" state is
+//! unreachable.
 //!
 //! # Wait predicates, their writers, and their wake sites
 //!

@@ -289,8 +289,9 @@ impl<'a, T: Send> SpawnCtx<'a, T> {
         self.outstanding.charge(1);
         self.handle.push(prio, k, task);
         // Streamed runs park idle workers; a fresh task may be stealable
-        // or spyable by any of them (gated: one fence + load when the
-        // fleet is busy).
+        // or spyable by any of them — on the MultiQueue, within reach of
+        // their scan while it sits in this place's insertion buffer
+        // (gated: one fence + load when the fleet is busy).
         if let Some(ing) = self.ingress {
             ing.parker().wake_workers_if_idle();
         }
@@ -592,7 +593,7 @@ const HELP_WAIT_CAP: Duration = Duration::from_micros(200);
 /// *awake* worker's component or in a shared component that pops scan
 /// deterministically (see [`crate::park`]). The MultiQueue's local
 /// component is its insertion buffer, which a pop serves before it may
-/// fail.
+/// fail and which an idle place's failing scan reaches like a steal.
 ///
 /// Shared by [`Scheduler::run`]/[`Scheduler::run_stream`] (scoped worker
 /// threads) and [`crate::service::PoolService`] (detached worker threads);

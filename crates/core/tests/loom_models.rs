@@ -59,8 +59,8 @@ mod checked {
     }
 
     #[test]
-    fn multiqueue_buffer_flush_hides_nothing() {
-        models::multiqueue_buffer_flush_hides_nothing();
+    fn multiqueue_buffer_is_reachable_by_other_places() {
+        models::multiqueue_buffer_is_reachable_by_other_places();
     }
 
     #[test]
