@@ -1,11 +1,9 @@
 //! HDR-style per-operation latency histogram.
 //!
-//! Throughput means hide exactly the effect flat combining exists to
-//! produce: a *tail* change. Delegation turns "every thread occasionally
-//! eats a full lock-convoy stall" into "one combiner works while the
-//! others wait a bounded hand-off" — the mean barely moves, p99/p999 do.
-//! So a per-operation probe records every operation into a
-//! [`LatencyHist`] and reports percentiles next to the mean.
+//! Throughput means hide *tail* changes: a lock convoy that stalls every
+//! thread now and then barely moves the mean, while p99/p999 do. So a
+//! per-operation probe records every operation into a [`LatencyHist`] and
+//! reports percentiles next to the mean.
 //!
 //! The layout is the classic log-linear scheme (as popularized by
 //! HdrHistogram): values below 2^[`SUB_BITS`] get exact unit buckets;

@@ -11,7 +11,7 @@
 //!   if the concrete type had been named; or
 //! * call [`PoolKind::build`] / [`PoolBuilder::build`] when they need to
 //!   drive place handles themselves (lockstep runners, raw-pool probes)
-//!   and receive an [`AnyPool`] — a thin enum over the five structures
+//!   and receive an [`AnyPool`] — a thin enum over the five kinds
 //!   whose [`PoolHandle`] forwards every operation, `push_batch` included,
 //!   to the wrapped handle. The per-operation cost is one predictable
 //!   branch.
@@ -21,12 +21,15 @@
 //! to its concrete type (`on_concrete!`) before the scheduler sees it.
 //!
 //! Construction semantics are fixed here once: the centralized structure
-//! consumes [`PoolParams::kmax`], the structural prototype consumes
-//! [`PoolParams::k`], the MultiQueue consumes [`PoolParams::mq_c`] /
-//! [`PoolParams::mq_stickiness`] / [`PoolParams::rank_error`], and the
-//! other two take only the place count — a caller can no longer forget
-//! one of those knobs (which is exactly how `kmax` used to silently
-//! default in hand-rolled match blocks).
+//! consumes [`PoolParams::kmax`], the MultiQueue consumes
+//! [`PoolParams::mq_c`] / [`PoolParams::mq_stickiness`] /
+//! [`PoolParams::rank_error`], the structural kind — the MultiQueue's
+//! exact configuration, one queue per place — consumes only
+//! [`PoolParams::rank_error`] and ignores `kmax`, `mq_c` and
+//! `mq_stickiness`, and the other two take only the place count. No kind
+//! reads [`PoolParams::k`] at construction: `k` arrives with every push. A
+//! caller can no longer forget one of those knobs (which is exactly how
+//! `kmax` used to silently default in hand-rolled match blocks).
 
 use crate::centralized::{CentralizedHandle, CentralizedKPriority};
 use crate::hybrid::{HybridHandle, HybridKPriority};
@@ -36,11 +39,10 @@ use crate::pool::{PoolHandle, PoolKind, PoolParams, TaskPool};
 use crate::scheduler::{RunStats, Scheduler, TaskExecutor};
 use crate::service::PoolService;
 use crate::stats::PlaceStats;
-use crate::structural::{StructuralHandle, StructuralKPriority};
 use crate::workstealing::{PriorityWorkStealing, WorkStealingHandle};
 use std::sync::Arc;
 
-/// A [`TaskPool`] of any of the five structures, selected at runtime.
+/// A [`TaskPool`] of any of the five kinds, selected at runtime.
 ///
 /// Obtained from [`PoolKind::build`]. Useful when the caller needs the pool
 /// itself (handle-level drivers); when the pool is only scheduled over,
@@ -52,8 +54,8 @@ pub enum AnyPool<T: Send + 'static> {
     Centralized(Arc<CentralizedKPriority<T>>),
     /// §3.3/§4.2 hybrid k-priority.
     Hybrid(Arc<HybridKPriority<T>>),
-    /// §5.3 structural prototype.
-    Structural(Arc<StructuralKPriority<T>>),
+    /// §5.3 structural relaxation: [`RelaxedMultiQueue::structural`].
+    Structural(Arc<RelaxedMultiQueue<T>>),
     /// Relaxed MultiQueue (arXiv 2109.00657).
     MultiQueue(Arc<RelaxedMultiQueue<T>>),
 }
@@ -67,8 +69,7 @@ macro_rules! on_concrete {
             AnyPool::WorkStealing($pool) => $body,
             AnyPool::Centralized($pool) => $body,
             AnyPool::Hybrid($pool) => $body,
-            AnyPool::Structural($pool) => $body,
-            AnyPool::MultiQueue($pool) => $body,
+            AnyPool::Structural($pool) | AnyPool::MultiQueue($pool) => $body,
         }
     };
 }
@@ -95,8 +96,8 @@ pub enum AnyHandle<T: Send + 'static> {
     Centralized(CentralizedHandle<T>),
     /// Handle of [`HybridKPriority`].
     Hybrid(HybridHandle<T>),
-    /// Handle of [`StructuralKPriority`].
-    Structural(StructuralHandle<T>),
+    /// Handle of the structural [`RelaxedMultiQueue`].
+    Structural(MultiQueueHandle<T>),
     /// Handle of [`RelaxedMultiQueue`].
     MultiQueue(MultiQueueHandle<T>),
 }
@@ -125,8 +126,7 @@ impl<T: Send + 'static> PoolHandle<T> for AnyHandle<T> {
             AnyHandle::WorkStealing(h) => h.push(prio, k, task),
             AnyHandle::Centralized(h) => h.push(prio, k, task),
             AnyHandle::Hybrid(h) => h.push(prio, k, task),
-            AnyHandle::Structural(h) => h.push(prio, k, task),
-            AnyHandle::MultiQueue(h) => h.push(prio, k, task),
+            AnyHandle::Structural(h) | AnyHandle::MultiQueue(h) => h.push(prio, k, task),
         }
     }
 
@@ -135,8 +135,7 @@ impl<T: Send + 'static> PoolHandle<T> for AnyHandle<T> {
             AnyHandle::WorkStealing(h) => h.pop_entry(),
             AnyHandle::Centralized(h) => h.pop_entry(),
             AnyHandle::Hybrid(h) => h.pop_entry(),
-            AnyHandle::Structural(h) => h.pop_entry(),
-            AnyHandle::MultiQueue(h) => h.pop_entry(),
+            AnyHandle::Structural(h) | AnyHandle::MultiQueue(h) => h.pop_entry(),
         }
     }
 
@@ -145,8 +144,7 @@ impl<T: Send + 'static> PoolHandle<T> for AnyHandle<T> {
             AnyHandle::WorkStealing(h) => h.push_batch(k, batch),
             AnyHandle::Centralized(h) => h.push_batch(k, batch),
             AnyHandle::Hybrid(h) => h.push_batch(k, batch),
-            AnyHandle::Structural(h) => h.push_batch(k, batch),
-            AnyHandle::MultiQueue(h) => h.push_batch(k, batch),
+            AnyHandle::Structural(h) | AnyHandle::MultiQueue(h) => h.push_batch(k, batch),
         }
     }
 
@@ -155,8 +153,7 @@ impl<T: Send + 'static> PoolHandle<T> for AnyHandle<T> {
             AnyHandle::WorkStealing(h) => h.stats(),
             AnyHandle::Centralized(h) => h.stats(),
             AnyHandle::Hybrid(h) => h.stats(),
-            AnyHandle::Structural(h) => h.stats(),
-            AnyHandle::MultiQueue(h) => h.stats(),
+            AnyHandle::Structural(h) | AnyHandle::MultiQueue(h) => h.stats(),
         }
     }
 }
@@ -165,11 +162,11 @@ impl PoolKind {
     /// Builds a pool of this kind for `places` places.
     ///
     /// The parameter routing is the contract: `params.kmax` configures the
-    /// centralized structure, `params.k` the structural prototype,
-    /// `params.mq_c`/`params.mq_stickiness`/`params.rank_error` the
-    /// MultiQueue; work-stealing and hybrid take only the place count
-    /// (their relaxation behaviour is governed by the per-task `k` of
-    /// each push).
+    /// centralized structure, `params.mq_c`/`params.mq_stickiness`/
+    /// `params.rank_error` the MultiQueue, `params.rank_error` alone the
+    /// structural kind; work-stealing and hybrid take only the place count
+    /// (every kind's relaxation is governed by the per-task `k` of each
+    /// push).
     pub fn build<T: Send + 'static>(self, places: usize, params: PoolParams) -> AnyPool<T> {
         match self {
             PoolKind::WorkStealing => {
@@ -179,9 +176,10 @@ impl PoolKind {
                 AnyPool::Centralized(Arc::new(CentralizedKPriority::new(places, params.kmax)))
             }
             PoolKind::Hybrid => AnyPool::Hybrid(Arc::new(HybridKPriority::new(places))),
-            PoolKind::Structural => {
-                AnyPool::Structural(Arc::new(StructuralKPriority::new(places, params.k)))
-            }
+            PoolKind::Structural => AnyPool::Structural(Arc::new(RelaxedMultiQueue::structural(
+                places,
+                params.rank_error,
+            ))),
             PoolKind::MultiQueue => {
                 AnyPool::MultiQueue(Arc::new(RelaxedMultiQueue::from_params(places, &params)))
             }
@@ -513,6 +511,17 @@ mod tests {
                 assert!(!p.rank_error_enabled());
             }
             other => panic!("expected multiqueue, got {:?}", other.kind()),
+        }
+        // The structural kind takes the shadow and ignores the rest.
+        let structural = PoolBuilder::new(PoolKind::Structural)
+            .mq_c(4)
+            .mq_stickiness(8);
+        match &*structural.rank_error(true).build::<u64>() {
+            AnyPool::Structural(p) => assert_eq!(
+                (p.c(), p.stickiness(), p.rank_error_enabled()),
+                (1, 0, true)
+            ),
+            other => panic!("expected structural, got {:?}", other.kind()),
         }
     }
 

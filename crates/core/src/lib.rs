@@ -151,8 +151,8 @@
 //! park return immediately. Those three steps are written once,
 //! [`park::ParkSlot::poll_until`], and every predicate wait — blocking
 //! and async `submit`/`submit_batch`, `join` and `join_async` — hands it
-//! its condition as a closure; only the worker and combiner parks, whose
-//! re-check does more than test a condition, spell them out (the [`park`]
+//! its condition as a closure; only the worker park, whose re-check pops
+//! a task rather than testing a condition, spells them out (the [`park`]
 //! table says why). The quiescence read-order argument (producers
 //! first, then queued, then pending — see [`ingest`]) extends to parking:
 //! every transition a sleeper could be waiting on (submission, drain,
@@ -161,11 +161,11 @@
 //! and the
 //! re-check after registration observes any transition whose wake was
 //! skipped by the waiter-count gate (a seq-cst fence pairing; see
-//! [`park`] for the precise argument). Workers additionally rely on a
-//! structural invariant of the exact pools — a place's local component is
-//! filled only by its own worker (the MultiQueue's is its insertion
-//! buffer, served before a pop may fail; it scans every shared queue and
-//! every other place's buffer before reporting empty) — so a parked
+//! [`park`] for the precise argument). Workers additionally rely on an
+//! invariant of the pools — a place's local component is filled only by
+//! its own worker (for both MultiQueue configurations it is the insertion
+//! buffer, served before a pop may fail; the pop scans every shared queue
+//! and every other place's buffer before reporting empty) — so a parked
 //! worker's component is empty and remaining work always stays reachable
 //! by an awake one.
 //!
@@ -195,42 +195,6 @@
 //! external executor can drive the futures. The `priosched-net` crate
 //! builds the `priosched-serve` TCP frontend on exactly this surface:
 //! one connection actor per socket, each owning an async handle.
-//!
-//! # Delegation combining
-//!
-//! The structural pool's shared queue — one heap crossed by every
-//! overflow push, shared pop, and raid — is accessed through the
-//! flat-combining layer in [`combine`] rather than a plain mutex. The
-//! protocol:
-//!
-//! * each place owns one cache-padded **publication record** (op cell +
-//!   response cell + `EMPTY → PUBLISHED → DONE` state word + a
-//!   [`park::ParkSlot`]);
-//! * an accessing place first `try_lock`s the **combiner lock**; on
-//!   success it applies its op directly and then runs **combining
-//!   passes**, walking all records and executing every published op
-//!   back-to-back against the sequential heap — the heap's cache lines
-//!   stay put while the operations travel, which is the whole trick;
-//! * on failure it publishes its op and waits: spin briefly, re-try the
-//!   lock, then park on the record's [`park::ParkSlot`] via the same
-//!   register → re-check → park protocol as every other sleeper in the
-//!   crate — bounded by [`combine::PARK_TIMEOUT`], so the deliberately
-//!   unfenced post-unlock wake-walk (see [`combine`]'s module docs) can
-//!   stay off the uncontended fast path's cost.
-//!
-//! A combiner's tenure is **bounded** (passes per lock acquisition,
-//! [`combine::Combiner::max_passes`]) so one place is never stuck
-//! combining for a queue-length of others — when the bound trips, the
-//! leaving combiner unlocks first and then wakes every still-published
-//! waiter, one of which takes the lock over. Responses are **written
-//! before** the `DONE` flip and the wake: the wake carries no data, so a
-//! woken waiter must be able to trust that observing `DONE` (acquire)
-//! means its response cell is populated — waking earlier would at best
-//! re-park the loser and at worst hand it an empty cell. Combiner
-//! telemetry (passes, ops executed while combining, max ops per pass,
-//! parks) lands on [`stats::PlaceStats`] and aggregates into
-//! [`RunStats`]. The combiner is generic over the protected structure
-//! ([`combine::CombineOp`]), so the hybrid global list can adopt it next.
 //!
 //! # Failure handling
 //!
@@ -269,28 +233,33 @@
 //!
 //! # Runtime structure selection
 //!
-//! [`PoolKind`] names the five structures — the paper's three, the
-//! structural prototype, and the relaxed MultiQueue
-//! ([`multiqueue::RelaxedMultiQueue`], arXiv 2109.00657); the [`facade`]
-//! module is the single place a kind becomes a pool. [`run_on_kind`]
-//! schedules an executor on a freshly built pool with **one** dispatch
-//! before the run (the scheduling loop stays monomorphized per
-//! structure); [`PoolKind::build`] / [`PoolBuilder`] return a type-erased
-//! [`AnyPool`] for callers that drive place handles themselves.
-//! Construction knobs travel in [`PoolParams`] (`k` for the structural
-//! prototype, `kmax` for the centralized structure, `mq_c` /
-//! `mq_stickiness` / `rank_error` for the MultiQueue), so a caller
-//! sweeping kinds cannot silently drop one.
+//! [`PoolKind`] names five kinds over four structures — the paper's
+//! three, and the relaxed MultiQueue ([`multiqueue::RelaxedMultiQueue`],
+//! arXiv 2109.00657) in two configurations: `MultiQueue` (`c` queues per
+//! place, a pop between two random tops) and `Structural` (one queue per
+//! place, a pop over every top — [`RelaxedMultiQueue::structural`], the
+//! paper's §5.3 structural relaxation). The [`facade`] module is the
+//! single place a kind becomes a pool. [`run_on_kind`] schedules an
+//! executor on a freshly built pool with **one** dispatch before the run
+//! (the scheduling loop stays monomorphized per structure);
+//! [`PoolKind::build`] / [`PoolBuilder`] return a type-erased [`AnyPool`]
+//! for callers that drive place handles themselves. Construction knobs
+//! travel in [`PoolParams`] (`kmax` for the centralized structure, `mq_c`
+//! / `mq_stickiness` / `rank_error` for the MultiQueue, `rank_error` for
+//! the structural kind), so a caller sweeping kinds cannot silently drop
+//! one; `k` travels with every push.
 //!
-//! The MultiQueue's relaxation semantics differ in kind, not just in
-//! degree: the paper's structures guarantee a **hard** bound on how many
-//! newer tasks a pop may skip (ρ = k centralized, ρ = P·k hybrid; the
-//! structural prototype bounds rank structurally), while the MultiQueue's
-//! two-choice pop is only **probabilistically** close to the best — the
-//! expected rank error stays O(P) but the worst case is unbounded. Its
-//! rank-error instrument ([`PoolParams::rank_error`], reported on
-//! [`stats::PlaceStats`]) makes that trade measurable instead of
-//! anecdotal.
+//! The two MultiQueue configurations differ in the kind of bound, not
+//! just its size. The paper's structures bound how many *newer* tasks a
+//! pop may skip (ρ = k centralized, ρ = P·k hybrid). The structural kind
+//! bounds how many tasks of *any* age it may skip: a single-threaded pop
+//! misses only the other places' buffered tasks, ρ = (P−1)·(min(k, 16)−1).
+//! The MultiQueue's two-choice pop is only **probabilistically** close to
+//! the best — the expected rank error stays O(P) but the worst case is
+//! unbounded. The rank-error instrument ([`PoolParams::rank_error`],
+//! reported on [`stats::PlaceStats`]) measures either configuration; the
+//! structural bound is checked against it pop by pop in
+//! `tests/multiqueue_quality.rs`.
 //!
 //! # Model-checked properties
 //!
@@ -309,20 +278,19 @@
 //! |---|---|
 //! | (a) Parking's register → re-check → park — [`park::ParkSlot::wait_until`], the one body every predicate wait runs — never loses a wakeup against the waiter-count-gated `wake_if_waiting` (the seq-cst fence pairing in [`park`]) | `models::parker_no_lost_wakeup` |
 //! | (a′) The same body polled as an async task ([`park::Waiter::Waker`]): a deposited waker is fired by the wake or the poll retries, and its registration is released exactly once between the wake and the re-poll's revoke | `models::waker_deposit_no_lost_wakeup` |
-//! | (b) The combiner's publish / combine / park handoff applies each op exactly once, writes the response **before** the `DONE` flip, and never strands a waiter despite the unfenced post-unlock wake-walk ([`combine`]) | `models::combiner_exactly_once_handoff` |
+//! | (b) The structural kind's exact pop takes a queue's minimum only after re-checking it, under the queue lock, against the runner-up top it read: two places popping once each from queues holding {10, 30} and {20} take 10 and 20, never 30, whatever went stale between the read and the lock ([`multiqueue`], "Exact configuration") | `models::structural_pop_takes_a_true_minimum` |
 //! | (c) The item free list's versioned head defeats ABA on multi-node pops ([`item`], §4.1.3/§4.2.3 tag discipline) | `models::free_list_no_aba_double_pop` |
 //! | (d) The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
 //! | (d′) What a place buffered in the MultiQueue's insertion buffer is never out of another place's reach: a place-1 pusher whose first push is buffered, whose second lands both under the buffer lock and one queue lock, and whose third is still buffered when its handle drops, races a place-0 popper whose failing scan try-locks that buffer — each task exactly once, and the quiescent pool's scan finds every survivor ([`multiqueue`], "Per-place insertion buffer") | `models::multiqueue_buffer_is_reachable_by_other_places` |
 //! | (e) The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
-//! | (f) The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
 //! | (g) Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet) | `models::credits_settle_before_quiescence` |
 //! | (h) A join's two-variable predicate (`queued == 0 ∧ pending == 0`) is woken by whichever write comes last: a drain whose task another place finishes and settles before `queued` falls still ends the wait ([`park`] predicate table, [`ingest`] event table) | `models::join_wakes_on_the_last_of_drain_and_finish` |
 //! | (i) The centralized window walk: two pushers resuming from their hints (same window, a window seen full, a tail the peer has moved) and a concurrent popper lose no task and deliver none twice, and the tail only ever passes windows without a null slot ([`centralized`], "The window walk") | `models::centralized_window_walk_exactly_once` |
 //!
 //! Four **mutation self-checks** validate the checker itself: building
 //! with `--cfg loom_mutate_park_fence` (drops the `wake_if_waiting`
-//! fence; both (a) and (a′) must fail), `--cfg loom_mutate_combine_done`
-//! (flips response/`DONE` order), `--cfg loom_mutate_credit_flush` (drops
+//! fence; both (a) and (a′) must fail), `--cfg loom_mutate_exact_recheck`
+//! (skips (b)'s re-check under the lock), `--cfg loom_mutate_credit_flush` (drops
 //! the settle in front of the termination check) or
 //! `--cfg loom_mutate_drain_wake` (drops the lane drain's `queued → 0`
 //! control-slot wake) makes the corresponding model *fail*, which
@@ -350,7 +318,6 @@
 
 pub mod async_ingest;
 pub mod centralized;
-pub mod combine;
 pub mod facade;
 pub mod garray;
 pub mod hybrid;
@@ -365,7 +332,6 @@ pub mod pool;
 pub mod scheduler;
 pub mod service;
 pub mod stats;
-pub mod structural;
 pub mod sync;
 pub mod task;
 pub(crate) mod util;
@@ -373,7 +339,6 @@ pub mod workstealing;
 
 pub use async_ingest::{AsyncIngestHandle, JoinFuture, SubmitBatchFuture, SubmitFuture};
 pub use centralized::CentralizedKPriority;
-pub use combine::{CombineOp, CombineStats, Combiner};
 pub use facade::{run_on_kind, run_stream_on_kind, AnyHandle, AnyPool, PoolBuilder};
 pub use hybrid::HybridKPriority;
 pub use ingest::{IngestHandle, IngressLanes, SubmitError};
@@ -383,7 +348,6 @@ pub use scheduler::{
     panic_message, FailureReport, PoolAborted, RunStats, Scheduler, SpawnCtx, TaskExecutor,
 };
 pub use service::{PoolService, ShutdownError};
-pub use structural::StructuralKPriority;
 pub use workstealing::PriorityWorkStealing;
 
 /// Maps a non-negative, non-NaN `f64` to a `u64` key with the same order.

@@ -17,13 +17,13 @@
 //!
 //! Four **mutation self-checks** keep the checker honest: building with
 //! `--cfg loom_mutate_park_fence` removes the seq-cst fence in
-//! [`ParkSlot::wake_if_waiting`], `--cfg loom_mutate_combine_done` flips
-//! the combiner's response-before-DONE store order,
+//! [`ParkSlot::wake_if_waiting`], `--cfg loom_mutate_exact_recheck` skips
+//! the structural pop's re-check under the queue lock,
 //! `--cfg loom_mutate_credit_flush` drops the settle in front of the
 //! scheduler's termination check, and `--cfg loom_mutate_drain_wake` drops
 //! the control-slot wake of the lane drain that takes `queued` to zero.
 //! The runner then asserts that [`parker_no_lost_wakeup`] and
-//! [`waker_deposit_no_lost_wakeup`], [`combiner_exactly_once_handoff`],
+//! [`waker_deposit_no_lost_wakeup`], [`structural_pop_takes_a_true_minimum`],
 //! [`credits_settle_before_quiescence`] and
 //! [`join_wakes_on_the_last_of_drain_and_finish`] *fail* — a model suite
 //! that cannot see a deliberately planted bug proves nothing about the
@@ -33,7 +33,6 @@
 //! [`ParkSlot::wake_if_waiting`]: crate::park::ParkSlot::wake_if_waiting
 
 use crate::centralized::CentralizedKPriority;
-use crate::combine::{CombineOp, CombineStats, Combiner};
 use crate::ingest::IngressLanes;
 use crate::item::ItemPool;
 use crate::multiqueue::RelaxedMultiQueue;
@@ -41,7 +40,6 @@ use crate::park::{ParkSlot, Waiter};
 use crate::pool::{FaultPolicy, PoolHandle, TaskPool};
 use crate::scheduler::{place_loop, FaultCell, Outstanding, SpawnCtx, TaskExecutor};
 use crate::stats::PlaceStats;
-use crate::structural::StructuralKPriority;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{stdsync, thread, Mutex};
 use std::sync::Arc;
@@ -149,48 +147,32 @@ pub fn waker_deposit_no_lost_wakeup() {
     });
 }
 
-/// Test op for the combiner model: push a value into a `Vec<u64>` and
-/// answer the vector's new length.
-struct PushOp(u64);
-
-impl CombineOp<Vec<u64>> for PushOp {
-    type Resp = u64;
-    fn apply(self, shared: &mut Vec<u64>) -> u64 {
-        shared.push(self.0);
-        shared.len() as u64
-    }
-}
-
-/// (b) Combiner: publish / combine / park handoff applies each op exactly
-/// once and never strands a waiter.
+/// (b) Structural exact pop: a queue's minimum is taken only if, under
+/// its lock, it is still no worse than the runner-up top the pop read.
 ///
-/// Two places race one op each; whichever wins the combiner lock may serve
-/// the other's published op. The responses are the structure's length at
-/// apply time, so `{1, 2}` as a set certifies both ops applied exactly
-/// once in *some* order. Waiter parks are timeout-bounded, so the unfenced
-/// post-unlock wake-walk (see [`crate::combine`] docs, point 3) cannot
-/// deadlock — the explorer verifies that too. Under
-/// `loom_mutate_combine_done` the DONE flip precedes the response write
-/// and a woken waiter can read an empty response cell
-/// (`expect("response for DONE slot")` panics in some schedule).
-pub fn combiner_exactly_once_handoff() {
+/// Two places, one queue each: queue 0 holds {10, 30}, queue 1 holds
+/// {20}, placed on the main thread. Each place pops once, concurrently.
+/// Both may read queue 0's top as 10 before either locks it; the loser
+/// then finds 30 under the lock, which loses to the runner-up 20 it read,
+/// and reads the tops again. So 10 and 20 are each taken once and 30 never
+/// is — a single pop of an exact pool would not take 30 either. Under
+/// `loom_mutate_exact_recheck` the loser takes 30.
+pub fn structural_pop_takes_a_true_minimum() {
     loom::model(|| {
-        let c = Arc::new(Combiner::<Vec<u64>, PushOp>::new(Vec::new(), 2));
+        let sp = Arc::new(RelaxedMultiQueue::<u64>::structural(2, false));
+        sp.land_on(0, [(10, 10), (30, 30)]);
+        sp.land_on(1, [(20, 20)]);
 
         let peer = {
-            let c = Arc::clone(&c);
-            thread::spawn(move || {
-                let mut stats = CombineStats::default();
-                c.execute(1, PushOp(20), &mut stats)
-            })
+            let sp = Arc::clone(&sp);
+            thread::spawn(move || sp.handle(1).pop())
         };
-        let mut stats = CombineStats::default();
-        let own = c.execute(0, PushOp(10), &mut stats);
+        let own = sp.handle(0).pop();
         let other = peer.join().unwrap();
 
-        let mut resps = [own, other];
-        resps.sort_unstable();
-        assert_eq!(resps, [1, 2], "each op must apply exactly once");
+        let mut popped: Vec<u64> = own.into_iter().chain(other).collect();
+        popped.sort_unstable();
+        assert_eq!(popped, [10, 20], "each pop must take a true minimum");
     });
 }
 
@@ -468,45 +450,6 @@ pub fn ingress_counters_never_hide_a_task() {
         assert_eq!(got, 1, "the submitted task must drain exactly once");
         assert_eq!(pending.load(Ordering::Acquire), 1);
         assert!(shared.quiescent());
-    });
-}
-
-/// (f) Structural pool: the pop-side double-lock window versus a raider.
-///
-/// A pop snapshots its local minimum as a bound, *releases* the buffer
-/// lock, queries the shared queue, and only then re-takes the buffer —
-/// the window in which a raider may have drained the buffer into the
-/// shared queue. The retry ladder (local pop miss → unbounded shared
-/// retry) must hand the task to exactly one of the two threads: losing it
-/// (both `None`) would strand a task against the scheduler's pending
-/// counter; duplicating it would double-execute.
-pub fn structural_pop_vs_raid_exactly_once() {
-    loom::model(|| {
-        // Two places, k = 2; the shared queue is the combiner whose
-        // handoff protocol is modelled on its own above.
-        let sp = Arc::new(StructuralKPriority::<u64>::new(2, 2));
-        let mut owner = sp.handle(0);
-        owner.push(5, 0, 50); // lands in place 0's local buffer
-
-        let raider = {
-            let sp = Arc::clone(&sp);
-            thread::spawn(move || {
-                let mut h = sp.handle(1);
-                // Local buffer and shared queue are empty for place 1, so
-                // this goes through the raid path against place 0.
-                h.pop()
-            })
-        };
-        let own = owner.pop();
-        let stolen = raider.join().unwrap();
-
-        let picked: Vec<u64> = own.into_iter().chain(stolen).collect();
-        assert_eq!(
-            picked,
-            [50],
-            "pop-vs-raid must transfer the task to exactly one thread"
-        );
-        assert_eq!(owner.pop(), None, "nothing may remain after the transfer");
     });
 }
 

@@ -19,6 +19,9 @@
 //!   worst case is unbounded, which is exactly the trade this structure
 //!   makes against the paper's ρ-bounded designs.
 //!
+//! Its second configuration, one queue per place and a pop over every
+//! top, trades back: a deterministic ρ (see "Exact configuration").
+//!
 //! **Stickiness** (§4 of the Multi-Queues paper, a tunable here —
 //! [`PoolParams::mq_stickiness`]): after a successful pop a place keeps
 //! popping the *same* queue for the next `stickiness` pops before probing
@@ -105,6 +108,58 @@
 //! guarded variant — keep batching only while the next entry still beats
 //! the losing top — measured no gain over the insertion buffer alone
 //! (6.63 vs 6.58 M/s).
+//!
+//! # Exact configuration
+//!
+//! [`RelaxedMultiQueue::structural`] is `PoolKind::Structural`: the
+//! source paper's §5.3 *structural* ρ-relaxation ("a pop never ignores
+//! more than ρ items, regardless of their age"). It keeps one queue per
+//! place and no stickiness, and its pushes are the MultiQueue's: buffered
+//! up to `min(k, 16)`, then landed on a random queue; batches land at
+//! once. Only the pop's choice set differs — every queue's top instead of
+//! two random ones:
+//!
+//! 1. the buffered minimum is taken when it is no worse than the least
+//!    top (ties go to the buffer);
+//! 2. otherwise the least top's queue is locked, and its minimum is taken
+//!    only if it is still no worse than the runner-up top that was read
+//!    and strictly better than the buffered minimum; otherwise the tops
+//!    are read again;
+//! 3. after `2·P` tops gone stale, every queue is locked in index order
+//!    and the least head is taken — nothing else waits for a queue lock
+//!    while holding one, so the order cannot deadlock;
+//! 4. only when every top reads empty does the pop go on to the buffer and
+//!    the scan.
+//!
+//! **ρ.** A single-threaded pop sees every queue's true minimum and its own
+//! buffer, so the only tasks it can miss are those in the other places'
+//! buffers. Each buffer holds at most `min(k, 16) − 1` tasks, for the
+//! least `k` buffered there, however old they are. So
+//! ρ = (P − 1)·(min(k, 16) − 1), deterministic, and one place is exact at
+//! any `k`. `tests/multiqueue_quality.rs` checks this pop by pop against
+//! the rank-error shadow. Under concurrency step 2's re-check keeps a pop
+//! from taking a top that went stale between the read and the lock (loom
+//! model (b)). Step 3 locks every queue rather than only the least top
+//! that was read: that top can be just as stale, and model (b) finds the
+//! schedule in which taking its minimum unchecked hands out 30 before 20.
+//! Step 2 blocks rather than try-locks as the two-choice pop does: with
+//! every place after the same top, a try-lock loser re-read the tops and
+//! retried the lock while the winner popped — `pool.pop_ns.structural`
+//! 1 150 ns against 650–850 ns blocking, and `sssp_sparse` items/s ×0.85
+//! of the flat-combined heap's against ×0.99 blocking (two cores).
+//!
+//! This replaced a flat-combined shared heap with one buffer of up to `k`
+//! per place. Three other replacements were measured against that heap
+//! (items/s on `service_stream` and `sssp_sparse`, paired runs, two
+//! cores) and rejected:
+//!
+//! * one shared queue behind a plain mutex: ×1.75 and ×0.81 (0/4 pairs) —
+//!   on a single queue the combiner beats a lock;
+//! * the combined heap plus a cached shared top: ×1.5 and ×0.9;
+//! * `P` queues with this pop, but a try-lock scan instead of step 3 under
+//!   contention: ×1.5 on `sssp_sparse`, but a pop then takes tops that are
+//!   not minimal, so there is no deterministic ρ — that is the MultiQueue
+//!   with `c = 1`.
 //!
 //! # Rank-error instrument
 //!
@@ -276,6 +331,16 @@ fn buffer_min<T>(entries: &[MqEntry<T>]) -> Option<(usize, u64)> {
     prios.min_by_key(|&(_, prio)| prio)
 }
 
+/// Which queue tops a pop chooses among; fixed by the constructor.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Choice {
+    /// Two random tops per draw: the MultiQueue.
+    TwoRandom,
+    /// Every top: the structural configuration (see "Exact
+    /// configuration" in the module docs).
+    Exact,
+}
+
 /// Shared component: `c·P` lockable sequential queues, one insertion
 /// buffer per place, plus the optional rank-error shadow.
 pub struct RelaxedMultiQueue<T: Send + 'static> {
@@ -283,6 +348,7 @@ pub struct RelaxedMultiQueue<T: Send + 'static> {
     buffers: Box<[CachePadded<MqBuffer<T>>]>,
     nplaces: usize,
     stickiness: usize,
+    choice: Choice,
     shadow: Option<Mutex<Shadow>>,
 }
 
@@ -315,7 +381,22 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
                 .collect(),
             nplaces,
             stickiness,
+            choice: Choice::TwoRandom,
             shadow: rank_error.then(|| Mutex::new(Shadow::default())),
+        }
+    }
+
+    /// Creates the structural configuration (arXiv 1312.2501 §5.3): one
+    /// queue per place, no stickiness, and a pop that chooses among every
+    /// queue's top, so a single-threaded pop ignores only the other places'
+    /// buffered tasks (see "Exact configuration" in the module docs).
+    ///
+    /// # Panics
+    /// Panics if `nplaces == 0`.
+    pub fn structural(nplaces: usize, rank_error: bool) -> Self {
+        RelaxedMultiQueue {
+            choice: Choice::Exact,
+            ..Self::with_options(nplaces, 1, 0, rank_error)
         }
     }
 
@@ -392,6 +473,73 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
         let entry = heap.pop();
         q.refresh_top(&heap);
         entry
+    }
+
+    /// The least top mirror, its queue, and the least of the others
+    /// (`u64::MAX` = empty).
+    fn best_tops(&self) -> (usize, u64, u64) {
+        let tops = self.queues.iter().map(|q| q.top.load(Ordering::Acquire));
+        let least = (0, u64::MAX, u64::MAX);
+        tops.enumerate()
+            .fold(least, |(best, top, runner_up), (idx, t)| {
+                if t < top {
+                    (idx, t, top)
+                } else {
+                    (best, top, runner_up.min(t))
+                }
+            })
+    }
+
+    /// The exact configuration's queue pop against the buffered minimum
+    /// `local`: the queue with the least top is locked, and its minimum
+    /// taken only while it is no worse than the runner-up top read and
+    /// strictly better than `local`; otherwise the tops are read again.
+    /// After `2·P` tops gone stale, every queue is locked in index order and
+    /// the least head taken. `None` means the buffer's minimum is no worse
+    /// than every top, or every top read empty.
+    fn pop_exact(&self, local: Option<u64>, stale_refs: &mut u64) -> Option<MqEntry<T>> {
+        let beats_local = |prio: u64| local.is_none_or(|l| prio < l);
+        for _ in 0..2 * self.queues.len() {
+            let (best, top, runner_up) = self.best_tops();
+            if top == u64::MAX || !beats_local(top) {
+                return None;
+            }
+            let q = &self.queues[best];
+            let mut heap = q.heap.lock();
+            // The plant of the loom self-check: no re-check under the lock.
+            let skip_recheck = cfg!(loom_mutate_exact_recheck);
+            // Under the lock the mirror is the heap's top.
+            let now = q.top.load(Ordering::Relaxed);
+            if now != u64::MAX && (skip_recheck || now <= runner_up) && beats_local(now) {
+                let entry = heap.pop();
+                q.refresh_top(&heap);
+                return entry;
+            }
+            *stale_refs += 1;
+        }
+        // Nothing else waits for a queue lock while holding one, and this
+        // takes them in index order: no cycle.
+        let mut heaps: Vec<_> = self.queues.iter().map(|q| q.heap.lock()).collect();
+        let heads = heaps.iter().enumerate();
+        let (prio, idx) = heads.filter_map(|(i, h)| Some((h.peek()?.prio, i))).min()?;
+        if !beats_local(prio) {
+            return None;
+        }
+        let entry = heaps[idx].pop();
+        self.queues[idx].refresh_top(&heaps[idx]);
+        entry
+    }
+
+    /// Lands `entries` on queue `idx`, for models that need a placement the
+    /// random landing cannot promise.
+    #[cfg(loom)]
+    pub(crate) fn land_on(&self, idx: usize, entries: impl IntoIterator<Item = (u64, T)>) {
+        let q = &self.queues[idx];
+        let mut heap = q.heap.lock();
+        let seqs = heap.len() as u64..;
+        let entries = entries.into_iter().zip(seqs);
+        heap.extend_batch(entries.map(|((prio, task), seq)| MqEntry { prio, seq, task }));
+        q.refresh_top(&heap);
     }
 
     /// The authoritative emptiness check behind a failing pop of `place`:
@@ -520,43 +668,51 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
                 .expect("a buffered minimum was found under the lock");
             Some((buffer.take(own, at), None))
         };
-        // Stickiness (§4): keep draining the queue that last served us.
-        if self.sticky_left > 0 && self.sticky < nq {
-            self.sticky_left -= 1;
-            let idx = self.sticky;
-            if let Some((at, _)) = local_wins(shared.queues[idx].top.load(Ordering::Acquire)) {
-                return take_local(at);
-            }
-            if let Some(entry) = shared.try_pop_from(idx) {
+        if shared.choice == Choice::Exact {
+            let local = local.map(|(_, prio)| prio);
+            if let Some(entry) = shared.pop_exact(local, &mut self.stats.stale_refs) {
                 return Some((entry, None));
             }
-            // Lost the lock or the queue ran dry: fall through to probing.
-            self.sticky_left = 0;
+        } else {
+            // Stickiness (§4): keep draining the queue that last served us.
+            if self.sticky_left > 0 && self.sticky < nq {
+                self.sticky_left -= 1;
+                let idx = self.sticky;
+                if let Some((at, _)) = local_wins(shared.queues[idx].top.load(Ordering::Acquire)) {
+                    return take_local(at);
+                }
+                if let Some(entry) = shared.try_pop_from(idx) {
+                    return Some((entry, None));
+                }
+                // Lost the lock or the queue ran dry: fall through to probing.
+                self.sticky_left = 0;
+            }
+            // Classic two-choice: peek two random tops, take the better one.
+            for _ in 0..2 * nq {
+                let i = self.rng.below(nq as u64) as usize;
+                let j = self.rng.below(nq as u64) as usize;
+                let ti = shared.queues[i].top.load(Ordering::Acquire);
+                let tj = shared.queues[j].top.load(Ordering::Acquire);
+                let (idx, top) = if ti <= tj { (i, ti) } else { (j, tj) };
+                if let Some((at, _)) = local_wins(top) {
+                    return take_local(at);
+                }
+                if top == u64::MAX {
+                    // Both drawn queues look empty; draw again (the scan below
+                    // is the authoritative emptiness check).
+                    continue;
+                }
+                match shared.try_pop_from(idx) {
+                    Some(entry) => return Some((entry, Some(idx))),
+                    // Lock taken or top was stale (queue drained since the
+                    // peek): count the stale observation and retry.
+                    None => self.stats.stale_refs += 1,
+                }
+            }
         }
-        // Classic two-choice: peek two random tops, take the better one.
-        for _ in 0..2 * nq {
-            let i = self.rng.below(nq as u64) as usize;
-            let j = self.rng.below(nq as u64) as usize;
-            let ti = shared.queues[i].top.load(Ordering::Acquire);
-            let tj = shared.queues[j].top.load(Ordering::Acquire);
-            let (idx, top) = if ti <= tj { (i, ti) } else { (j, tj) };
-            if let Some((at, _)) = local_wins(top) {
-                return take_local(at);
-            }
-            if top == u64::MAX {
-                // Both drawn queues look empty; draw again (the scan below
-                // is the authoritative emptiness check).
-                continue;
-            }
-            match shared.try_pop_from(idx) {
-                Some(entry) => return Some((entry, Some(idx))),
-                // Lock taken or top was stale (queue drained since the
-                // peek): count the stale observation and retry.
-                None => self.stats.stale_refs += 1,
-            }
-        }
-        // Every draw showed a better top whose lock was then lost: serve
-        // the buffer rather than scan, so `None` implies it is empty.
+        // Every draw showed a better top whose lock was then lost (exact:
+        // the buffer won or every top read empty): serve the buffer rather
+        // than scan, so `None` implies it is empty.
         if let Some((at, _)) = local {
             return take_local(at);
         }
@@ -918,11 +1074,91 @@ mod tests {
         assert_eq!(p.queued() as u64, s.pushes);
     }
 
+    fn structural(places: usize) -> Arc<RelaxedMultiQueue<u64>> {
+        Arc::new(RelaxedMultiQueue::structural(places, true))
+    }
+
+    #[test]
+    fn structural_single_place_pops_in_priority_order() {
+        for k in [0usize, 4, 512] {
+            let p = structural(1);
+            let mut h = p.handle(0);
+            for &x in &[6u64, 2, 8, 1, 9, 3] {
+                h.push(x, k, x);
+            }
+            let out: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
+            assert_eq!(out, vec![1, 2, 3, 6, 8, 9], "k = {k}");
+            assert_eq!(h.stats().rank_max, 0);
+        }
+    }
+
+    #[test]
+    fn structural_landed_tasks_are_popped_by_other_places_from_the_queues() {
+        let p = structural(2);
+        let mut h0 = p.handle(0);
+        for i in 0..5u64 {
+            h0.push(i, 2, i); // every second push lands the pair
+        }
+        assert_eq!((p.queued(), p.buffered(0)), (5, 1));
+        let mut h1 = p.handle(1);
+        assert_eq!(h1.pop(), Some(0), "the least landed task");
+        assert_eq!(p.buffered(0), 1, "taken from a queue, not the buffer");
+    }
+
+    #[test]
+    fn structural_buffered_tasks_are_reachable_by_an_idle_places_scan() {
+        let p = structural(2);
+        let mut h0 = p.handle(0);
+        for i in 0..5u64 {
+            h0.push(i, 512, i); // all buffered at place 0
+        }
+        assert_eq!(p.buffered(0), 5);
+        let mut h1 = p.handle(1);
+        let got: Vec<u64> = std::iter::from_fn(|| h1.pop()).collect();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// The structural bound: a pop may ignore only tasks buffered at other
+    /// places, however old — here ρ = (P−1)·(min(k, 16)−1) = 3.
+    #[test]
+    fn structural_old_buffered_tasks_may_stay_hidden_but_only_inside_the_bound() {
+        let k = 4;
+        let p = structural(2);
+        let mut h0 = p.handle(0);
+        // Three old, high-priority tasks sit in place 0's buffer …
+        for i in 0..3u64 {
+            h0.push(i, k, i);
+        }
+        // … while newer, worse ones land from place 1.
+        let mut h1 = p.handle(1);
+        for i in 0..20u64 {
+            h1.push(100 + i, 0, 100 + i);
+        }
+        for i in 0..20u64 {
+            assert_eq!(h1.pop(), Some(100 + i));
+        }
+        assert_eq!(h1.stats().rank_max, 3, "all three hidden, no more");
+        // An empty view of the queues sends the pop to place 0's buffer.
+        let rest: Vec<u64> = std::iter::from_fn(|| h1.pop()).collect();
+        assert_eq!(rest, vec![0, 1, 2]);
+    }
+
     #[test]
     fn concurrent_stress_exactly_once() {
+        let mq = RelaxedMultiQueue::<u64>::with_options(4, 2, 4, false);
+        stress_exactly_once(Arc::new(mq), 0);
+    }
+
+    #[test]
+    fn structural_concurrent_stress_exactly_once() {
+        stress_exactly_once(Arc::new(RelaxedMultiQueue::structural(4, false)), 16);
+    }
+
+    /// Four places pushing at bound `k` and popping until every task was
+    /// popped exactly once.
+    fn stress_exactly_once(p: Arc<RelaxedMultiQueue<u64>>, k: usize) {
         let threads = 4usize;
         let per = 5_000u64;
-        let p = Arc::new(RelaxedMultiQueue::<u64>::with_options(threads, 2, 4, false));
         let taken: Arc<Vec<std::sync::atomic::AtomicU32>> =
             Arc::new((0..threads as u64 * per).map(|_| 0.into()).collect());
         let popped = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -937,7 +1173,7 @@ mod tests {
                     let mut pushed = 0u64;
                     loop {
                         if pushed < per && rng.below(2) == 0 {
-                            h.push(rng.below(1000), 0, t as u64 * per + pushed);
+                            h.push(rng.below(1000), k, t as u64 * per + pushed);
                             pushed += 1;
                         } else if let Some(got) = h.pop() {
                             use std::sync::atomic::Ordering;

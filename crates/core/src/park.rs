@@ -90,16 +90,17 @@
 //! re-check is
 //! reliable because of a structural invariant shared by the exact pool
 //! implementations: **a place's local component is filled only by its own
-//! worker** (pushes, steals, raids, and lane drains all land in the
-//! *executing* place's component). A worker only parks after its own pop
+//! worker** (pushes, steals, and lane drains all land in the *executing*
+//! place's component). A worker only parks after its own pop
 //! failed, so a parked worker's local component is empty and stays empty;
 //! any remaining task is therefore in an *awake* worker's local component
 //! (its next pop finds it) or in a shared component that pops scan
-//! deterministically. The relaxed MultiQueue's only per-place component
-//! is its insertion buffer (the place's last < 16 pushes), filled by its
-//! own worker alone and served by a pop before the pop may fail — `None`
+//! deterministically. The relaxed MultiQueue's only per-place component,
+//! in both of its configurations (`MultiQueue` and `Structural`), is its
+//! insertion buffer (the place's last < 16 pushes), filled by its own
+//! worker alone and served by a pop before the pop may fail — `None`
 //! implies the buffer is empty; every queue is shared, and its pop ends
-//! with an exhaustive try-lock scan of all c·P queues and of the other
+//! with an exhaustive try-lock scan of all queues and of the other
 //! places' buffers before reporting empty (see [`crate::multiqueue`]).
 //! Either way, the "all workers parked with work remaining" state is
 //! unreachable.
@@ -124,11 +125,9 @@
 //! | | `queued` falls in `drain_into` | `wake_workers_if_idle()` after every transfer | |
 //! | | `pending` falls in `SpawnCtx::settle` | `wake_all()` when the flush reached zero and the ingress side reads quiescent | |
 //! | | a task lands in the worker's lane, or is spawned or drained into the pool | `wake_worker(lane)` in `IngressShared::place`; `wake_workers_if_idle()` after spawns and transfers | |
-//! | own op is `DONE`, or the combiner lock is free (a place that published an op; its own combiner slot) | the combining place stores `DONE` | `wake_if_waiting()` on that slot | hand-written in `Combiner::execute`: the park is timed, because the second writer's wake — the walk after the lock release — is deliberately unfenced (see [`crate::combine`]) |
-//! | | the combining place releases the lock | its post-unlock wake walk over the still-pending slots | |
 //!
-//! The hand-written waits are the ones loom models (g) and (b) run as they
-//! stand; `poll_until` itself is what models (a), (a′) and (h) run.
+//! The hand-written wait is the one loom model (g) runs as it stands;
+//! `poll_until` itself is what models (a), (a′) and (h) run.
 //!
 //! Abort and shutdown end every one of these waits through `wake_all()`.
 //! Both `drained` rows are load-bearing: a `pending → 0` wake that fires

@@ -45,10 +45,8 @@ pub trait PoolHandle<T: Send>: Send {
     /// Stores a task for later execution (§2.1 `push`).
     ///
     /// `prio`: priority key, smaller = higher priority.
-    /// `k`: per-task relaxation bound (§2.2); how it is interpreted is
-    /// structure-specific (window size for centralized, publication budget
-    /// for hybrid, size of the place's insertion buffer — capped at 16 —
-    /// for the MultiQueue, ignored by work-stealing).
+    /// `k`: per-task relaxation bound (§2.2); what it means per kind is
+    /// listed under [`PoolParams::k`].
     fn push(&mut self, prio: u64, k: usize, task: T);
 
     /// Retrieves some task together with its priority key and removes it
@@ -90,14 +88,22 @@ pub trait PoolHandle<T: Send>: Send {
 /// Structure-tuning parameters shared by every pool-construction site.
 ///
 /// Collects the knobs that used to be threaded separately through each
-/// harness config (`kmax` for the centralized structure, construction-time
-/// `k` for the structural prototype), so a runtime-selected build — see
+/// harness config (`kmax` for the centralized structure, the MultiQueue's
+/// `c` and stickiness), so a runtime-selected build — see
 /// [`PoolKind::build`] — cannot silently drop one of them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PoolParams {
     /// Relaxation parameter `k` (§2.2): the per-task bound spawners pass
-    /// with every push, and the per-place buffer bound the structural
-    /// prototype fixes at construction.
+    /// with every push. No kind reads it at construction. Per kind:
+    ///
+    /// * work-stealing ignores it;
+    /// * centralized places the task within the `k` slots past the tail
+    ///   (the k-window), `k` clamped to [`PoolParams::kmax`];
+    /// * hybrid keeps the task in its place's unpublished local list for
+    ///   at most `k` of that place's later pushes;
+    /// * the MultiQueue and the structural kind let the task wait in the
+    ///   place's insertion buffer behind at most `min(k, 16) − 1` others;
+    ///   `k ≤ 1` lands it on a queue at once.
     pub k: usize,
     /// `kmax` for the centralized structure (paper: 512); per-task `k`
     /// values are clamped to it.
@@ -113,20 +119,22 @@ pub struct PoolParams {
     pub fault_policy: FaultPolicy,
     /// Queues-per-place factor `c` of the relaxed MultiQueue (the pool
     /// keeps `c·P` queues). Defaults to [`DEFAULT_MQ_C`]; values below 1
-    /// are clamped to 1 at construction. Ignored by the exact structures.
+    /// are clamped to 1 at construction. Ignored by the other kinds (the
+    /// structural kind keeps one queue per place).
     pub mq_c: usize,
     /// MultiQueue stickiness (§4 of the Multi-Queues paper): after a
     /// successful pop a place keeps popping the same queue for this many
     /// further pops before probing two fresh random queues. 0 (the
-    /// default) is the classic two-choice pop. Ignored by the exact
-    /// structures.
+    /// default) is the classic two-choice pop. Ignored by the other
+    /// kinds.
     pub mq_stickiness: usize,
     /// Enables the MultiQueue's rank-error instrument: a shadow exact
     /// multiset records, for every pop, how many strictly better
     /// priorities were queued ([`crate::stats::PlaceStats::rank_pops`]
     /// and friends). The shadow serializes every operation — keep this
-    /// off (the default) in any timing measurement. Ignored by the exact
-    /// structures, whose rank behaviour is ρ-bounded by construction.
+    /// off (the default) in any timing measurement. Honoured by the
+    /// MultiQueue and the structural kind; ignored by the paper's three,
+    /// whose rank behaviour is ρ-bounded by construction.
     pub rank_error: bool,
 }
 
@@ -238,7 +246,10 @@ pub enum PoolKind {
     Centralized,
     /// §3.3/§4.2 — local lists + global list + spying; ρ = P·k.
     Hybrid,
-    /// §5.3 prototype — structural (non-temporal) ρ-relaxation.
+    /// §5.3 structural relaxation: the MultiQueue's exact configuration
+    /// ([`crate::RelaxedMultiQueue::structural`]) — one queue per place, a
+    /// pop over every top; a pop ignores at most the other places'
+    /// buffered tasks, of any age: ρ = (P−1)·(min(k, 16)−1).
     Structural,
     /// Relaxed MultiQueue (arXiv 2109.00657) — c·P sequential queues with
     /// two-choice pop; probabilistic relaxation, **no** ρ bound.
@@ -246,16 +257,16 @@ pub enum PoolKind {
 }
 
 impl PoolKind {
-    /// All kinds evaluated in the paper's figures (the structural prototype
-    /// is an extension and not part of the paper's evaluation).
+    /// All kinds evaluated in the paper's figures (the structural kind is
+    /// the paper's future work and not part of its evaluation).
     pub const PAPER: [PoolKind; 3] = [
         PoolKind::WorkStealing,
         PoolKind::Centralized,
         PoolKind::Hybrid,
     ];
 
-    /// Every structure in the crate, including the structural prototype
-    /// and the relaxed MultiQueue — the sweep set for correctness
+    /// Every kind in the crate, including the structural kind and the
+    /// relaxed MultiQueue — the sweep set for correctness
     /// matrices and the workload harness. Use [`PoolKind::PAPER`] where
     /// figure parity matters.
     pub const ALL: [PoolKind; 5] = [

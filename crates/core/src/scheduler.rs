@@ -1202,17 +1202,6 @@ impl std::fmt::Display for RunStats {
             self.pool.spies,
             self.pool.publishes,
         )?;
-        if self.pool.combine_passes > 0 {
-            write!(
-                f,
-                "; combine: {} passes, {} ops ({:.1}/pass mean, {} max), {} parks",
-                self.pool.combine_passes,
-                self.pool.combine_ops,
-                self.pool.combine_ops as f64 / self.pool.combine_passes as f64,
-                self.pool.combine_pass_max,
-                self.pool.combine_parks,
-            )?;
-        }
         if self.pool.rank_pops > 0 {
             write!(
                 f,

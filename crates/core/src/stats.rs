@@ -102,17 +102,14 @@ pub struct PlaceStats {
     /// (centralized). `window_probes / pushes` is the walk's length per
     /// push.
     pub window_probes: u64,
-    /// Flat-combining passes this place ran that served at least one
-    /// delegated op (structural, combining on).
+    /// Always 0: no pool combines any more. Kept, with
+    /// [`PlaceStats::combine_ops`] and [`PlaceStats::combine_parks`], only
+    /// while the benchmark harness still reads them for its
+    /// `pool.combine_*.structural` metrics; a harness change drops those.
     pub combine_passes: u64,
-    /// Shared-queue ops this place executed while holding the combiner
-    /// lock — its own plus delegated ones. `combine_ops / combine_passes`
-    /// approximates the ops-per-pass mean.
+    /// Always 0; see [`PlaceStats::combine_passes`].
     pub combine_ops: u64,
-    /// Most delegated ops this place served in a single combining pass.
-    /// Aggregates with `max`, not `+`.
-    pub combine_pass_max: u64,
-    /// Times this place parked waiting for a combiner response.
+    /// Always 0; see [`PlaceStats::combine_passes`].
     pub combine_parks: u64,
     /// Pops measured by the rank-error instrument (multiqueue, with
     /// `PoolParams::rank_error` set). Zero when the instrument is off.
@@ -130,9 +127,8 @@ pub struct PlaceStats {
 }
 
 impl PlaceStats {
-    /// Element-wise sum — except [`PlaceStats::combine_pass_max`] and
-    /// [`PlaceStats::rank_max`], which take the maximum (they are
-    /// high-water marks, not counts).
+    /// Element-wise sum — except [`PlaceStats::rank_max`], which takes the
+    /// maximum (it is a high-water mark, not a count).
     pub fn merge(&mut self, other: &PlaceStats) {
         self.pushes += other.pushes;
         self.pops += other.pops;
@@ -146,7 +142,6 @@ impl PlaceStats {
         self.window_probes += other.window_probes;
         self.combine_passes += other.combine_passes;
         self.combine_ops += other.combine_ops;
-        self.combine_pass_max = self.combine_pass_max.max(other.combine_pass_max);
         self.combine_parks += other.combine_parks;
         self.rank_pops += other.rank_pops;
         self.rank_sum += other.rank_sum;
@@ -224,7 +219,6 @@ mod tests {
             window_probes: 17,
             combine_passes: 10,
             combine_ops: 11,
-            combine_pass_max: 12,
             combine_parks: 13,
             rank_pops: 14,
             rank_sum: 15,
@@ -298,23 +292,5 @@ mod tests {
         s.rank_hist[rank_bucket(7)] += 1;
         s.rank_sum += 7;
         assert_eq!(s.rank_p99(), 7, "two outliers push p99 into their bucket");
-    }
-
-    #[test]
-    fn merge_takes_max_of_pass_high_water_mark() {
-        let mut a = PlaceStats {
-            combine_pass_max: 3,
-            ..PlaceStats::default()
-        };
-        a.merge(&PlaceStats {
-            combine_pass_max: 7,
-            ..PlaceStats::default()
-        });
-        assert_eq!(a.combine_pass_max, 7);
-        a.merge(&PlaceStats {
-            combine_pass_max: 2,
-            ..PlaceStats::default()
-        });
-        assert_eq!(a.combine_pass_max, 7);
     }
 }

@@ -1,7 +1,7 @@
 //! Synchronization facade: the one place this crate names a concurrency
 //! primitive.
 //!
-//! Every atomic, fence, `UnsafeCell`, lock, condvar, spin hint, and
+//! Every atomic, fence, `UnsafeCell`, lock, condvar, and
 //! thread operation in `priosched-core` routes through this module.
 //! Normal builds re-export `std` / `parking_lot` types one-to-one — the
 //! facade compiles away entirely and the hot paths are byte-for-byte
@@ -19,8 +19,8 @@
 //!
 //! * [`thread::scope`] is always `std`'s. The scheduler's scoped worker
 //!   fleets drive whole runs — far past any model's state budget; loom
-//!   models target the leaf protocols (parker, combiner, free list,
-//!   MultiQueue pop) instead, and those use plain [`thread::spawn`].
+//!   models target the leaf protocols (parker, free list, MultiQueue
+//!   pop) instead, and those use plain [`thread::spawn`].
 //! * `Arc` — refcounts are not part of the checked state (real loom
 //!   models them to catch leaks; the shim does not).
 
@@ -107,15 +107,6 @@ pub mod thread {
     // Scoped worker fleets are not modeled (see the module docs): real
     // OS threads under both cfgs.
     pub use std::thread::scope;
-}
-
-/// Spin-loop hint; a yield point under the model so spinning cannot
-/// monopolise an explored schedule.
-pub mod hint {
-    #[cfg(loom)]
-    pub use loom::hint::spin_loop;
-    #[cfg(not(loom))]
-    pub use std::hint::spin_loop;
 }
 
 #[cfg(not(loom))]

@@ -8,7 +8,7 @@
 
 use priosched_core::{
     CentralizedKPriority, HybridKPriority, IngressLanes, PoolHandle, PriorityWorkStealing,
-    Scheduler, SpawnCtx, StructuralKPriority, TaskExecutor, TaskPool,
+    RelaxedMultiQueue, Scheduler, SpawnCtx, TaskExecutor, TaskPool,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,7 +90,11 @@ fn hybrid_drops_exactly_once() {
 
 #[test]
 fn structural_drops_exactly_once() {
-    check_drops(|| Arc::new(StructuralKPriority::new(2, 8)), 100, 40);
+    check_drops(
+        || Arc::new(RelaxedMultiQueue::structural(2, false)),
+        100,
+        40,
+    );
 }
 
 #[test]

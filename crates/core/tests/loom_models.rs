@@ -11,10 +11,10 @@
 //! plants a deliberate bug in the library and assert the checker finds it:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom --cfg loom_mutate_park_fence"   cargo test -p priosched-core --test loom_models --release
-//! RUSTFLAGS="--cfg loom --cfg loom_mutate_combine_done" cargo test -p priosched-core --test loom_models --release
-//! RUSTFLAGS="--cfg loom --cfg loom_mutate_credit_flush" cargo test -p priosched-core --test loom_models --release
-//! RUSTFLAGS="--cfg loom --cfg loom_mutate_drain_wake"   cargo test -p priosched-core --test loom_models --release
+//! RUSTFLAGS="--cfg loom --cfg loom_mutate_park_fence"    cargo test -p priosched-core --test loom_models --release
+//! RUSTFLAGS="--cfg loom --cfg loom_mutate_exact_recheck" cargo test -p priosched-core --test loom_models --release
+//! RUSTFLAGS="--cfg loom --cfg loom_mutate_credit_flush"  cargo test -p priosched-core --test loom_models --release
+//! RUSTFLAGS="--cfg loom --cfg loom_mutate_drain_wake"    cargo test -p priosched-core --test loom_models --release
 //! ```
 //!
 //! The regular models are gated off in the mutated builds — the planted
@@ -26,7 +26,7 @@ use priosched_core::models;
 
 #[cfg(not(any(
     loom_mutate_park_fence,
-    loom_mutate_combine_done,
+    loom_mutate_exact_recheck,
     loom_mutate_credit_flush,
     loom_mutate_drain_wake
 )))]
@@ -44,8 +44,8 @@ mod checked {
     }
 
     #[test]
-    fn combiner_exactly_once_handoff() {
-        models::combiner_exactly_once_handoff();
+    fn structural_pop_takes_a_true_minimum() {
+        models::structural_pop_takes_a_true_minimum();
     }
 
     #[test]
@@ -66,11 +66,6 @@ mod checked {
     #[test]
     fn ingress_counters_never_hide_a_task() {
         models::ingress_counters_never_hide_a_task();
-    }
-
-    #[test]
-    fn structural_pop_vs_raid_exactly_once() {
-        models::structural_pop_vs_raid_exactly_once();
     }
 
     #[test]
@@ -108,16 +103,16 @@ fn mutation_park_fence_is_caught() {
     );
 }
 
-/// Self-check: with the combiner's DONE store moved before the response
-/// write, the handoff model must *fail* (a woken waiter reads an empty
-/// response cell in some schedule).
-#[cfg(loom_mutate_combine_done)]
+/// Self-check: with the structural pop's re-check under the queue lock
+/// skipped, the exact-pop model must *fail* (a pop that read a top gone
+/// stale takes 30 in some schedule).
+#[cfg(loom_mutate_exact_recheck)]
 #[test]
-fn mutation_combine_done_is_caught() {
-    let result = std::panic::catch_unwind(models::combiner_exactly_once_handoff);
+fn mutation_exact_recheck_is_caught() {
+    let result = std::panic::catch_unwind(models::structural_pop_takes_a_true_minimum);
     assert!(
         result.is_err(),
-        "checker failed to find the planted DONE-before-response reorder"
+        "checker failed to find the planted stale-top pop (re-check skipped)"
     );
 }
 

@@ -1,16 +1,18 @@
-//! Quality gates for the relaxed MultiQueue (`PoolKind::MultiQueue`).
+//! Quality gates for the relaxed MultiQueue in both of its configurations
+//! (`PoolKind::MultiQueue`, and `PoolKind::Structural`: one queue per
+//! place, a pop over every top).
 //!
 //! The MultiQueue trades the paper's hard ρ bounds for probabilistic
-//! relaxation, so its correctness story rests on two pillars, pinned
+//! relaxation, so its correctness story rests on these pillars, pinned
 //! here:
 //!
 //! 1. **Conservation under real concurrency** — every submitted task is
 //!    popped exactly once (no loss, no duplication) with concurrent
 //!    push/pop on every place count, across the c and stickiness knobs
-//!    and the push bound k ∈ {0, 8, 512} (unbuffered, buffer of 8, buffer
-//!    at its cap of 16). The single-threaded oracle matrix cannot see
-//!    lock races on the `c·P` queues or stale top-mirror reads; this
-//!    suite drives them directly.
+//!    and the structural configuration, and the push bound k ∈ {0, 8,
+//!    512} (unbuffered, buffer of 8, buffer at its cap of 16). The
+//!    single-threaded oracle matrix cannot see lock races on the queues or
+//!    stale top-mirror reads; this suite drives them directly.
 //! 2. **Instrument self-validation** — the rank-error shadow must read
 //!    *zero* in the one configuration where the structure is exact
 //!    (c = 1, one place: a single sequential queue), and must account
@@ -24,21 +26,24 @@
 //!    roots seeded through one place spread over four, and a task waiting
 //!    on its buffered child is served by the other place); and on a fixed
 //!    tape the measured mean rank at k = 512 is no worse than at k = 0.
+//! 4. **The structural bound as a history check** — on the structural
+//!    configuration every single-threaded pop's measured rank is at most
+//!    the other places' buffered tasks, and those are at most
+//!    (P−1)·(min(k, 16)−1): §5.3's ρ for tasks of any age.
 
 use priosched_core::{PoolBuilder, PoolHandle, PoolKind, PoolParams, RelaxedMultiQueue, TaskPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Drives one concurrent worker per place over one MultiQueue, each
-/// pushing `per` uniquely-payloaded tasks at pseudo-random priorities with
-/// bound `k` while popping, until everything pushed has been popped
-/// exactly once. Panics (inside a worker) on any duplicated pop, and
-/// afterwards on any task not taken exactly once.
-fn concurrent_exactly_once(places: usize, c: usize, stickiness: usize, k: usize, per: u64) {
-    let pool = Arc::new(RelaxedMultiQueue::<u64>::with_options(
-        places, c, stickiness, false,
-    ));
+/// Drives one concurrent worker per place over `pool`, each pushing `per`
+/// uniquely-payloaded tasks at pseudo-random priorities with bound `k`
+/// while popping, until everything pushed has been popped exactly once.
+/// Panics (inside a worker) on any duplicated pop, and afterwards on any
+/// task not taken exactly once.
+fn concurrent_exactly_once(pool: RelaxedMultiQueue<u64>, k: usize, per: u64) {
+    let places = pool.num_places();
+    let pool = Arc::new(pool);
     let total = places as u64 * per;
     let taken: Arc<Vec<AtomicU32>> = Arc::new((0..total).map(|_| 0.into()).collect());
     let popped = Arc::new(AtomicU64::new(0));
@@ -91,13 +96,28 @@ fn concurrent_exactly_once(places: usize, c: usize, stickiness: usize, k: usize,
     }
 }
 
+/// The MultiQueue with `(c, stickiness)`, or the structural configuration
+/// for `None`.
+fn configured(places: usize, knobs: Option<(usize, usize)>) -> RelaxedMultiQueue<u64> {
+    match knobs {
+        Some((c, stickiness)) => RelaxedMultiQueue::with_options(places, c, stickiness, false),
+        None => RelaxedMultiQueue::structural(places, false),
+    }
+}
+
 #[test]
 fn concurrent_exactly_once_on_all_place_counts() {
     for places in [1usize, 2, 4] {
-        for (c, stickiness) in [(1usize, 0usize), (2, 0), (2, 8), (4, 4)] {
+        for knobs in [
+            Some((1usize, 0usize)),
+            Some((2, 0)),
+            Some((2, 8)),
+            Some((4, 4)),
+            None,
+        ] {
             for k in [0usize, 8, 512] {
                 let per = 4_000 / places as u64;
-                concurrent_exactly_once(places, c, stickiness, k, per);
+                concurrent_exactly_once(configured(places, knobs), k, per);
             }
         }
     }
@@ -238,17 +258,17 @@ fn sleeping_roots_seeded_through_one_place_spread_over_all() {
             std::thread::sleep(std::time::Duration::from_millis(30));
         }
     }
-    let roots = (0..8u64).map(|i| (i, 512, i)).collect();
-    let stats = PoolBuilder::new(PoolKind::MultiQueue)
-        .places(4)
-        .run(&Sleep, roots);
-    assert_eq!(stats.executed, 8);
-    let per_place = &stats.per_place_executed;
-    let busy = per_place.iter().filter(|&&e| e > 0).count();
-    assert!(
-        busy >= 3 && per_place.iter().all(|&e| e <= 4),
-        "eight 30 ms roots ran as {per_place:?} over four places"
-    );
+    for kind in [PoolKind::MultiQueue, PoolKind::Structural] {
+        let roots = (0..8u64).map(|i| (i, 512, i)).collect();
+        let stats = PoolBuilder::new(kind).places(4).run(&Sleep, roots);
+        assert_eq!(stats.executed, 8);
+        let per_place = &stats.per_place_executed;
+        let busy = per_place.iter().filter(|&&e| e > 0).count();
+        assert!(
+            busy >= 3 && per_place.iter().all(|&e| e <= 4),
+            "{kind}: eight 30 ms roots ran as {per_place:?} over four places"
+        );
+    }
 }
 
 /// A task that waits on its own child outside `help_while` finishes only
@@ -274,11 +294,13 @@ fn a_task_waiting_on_its_buffered_child_is_served_by_another_place() {
             }
         }
     }
-    let stats = PoolBuilder::new(PoolKind::MultiQueue)
-        .places(2)
-        .run(&Wait(AtomicBool::new(false)), vec![(1, 512, 1u64)]);
-    assert_eq!(stats.executed, 2);
-    assert_eq!(stats.per_place_executed, vec![1, 1]);
+    for kind in [PoolKind::MultiQueue, PoolKind::Structural] {
+        let stats = PoolBuilder::new(kind)
+            .places(2)
+            .run(&Wait(AtomicBool::new(false)), vec![(1, 512, 1u64)]);
+        assert_eq!(stats.executed, 2, "{kind}");
+        assert_eq!(stats.per_place_executed, vec![1, 1], "{kind}");
+    }
 }
 
 /// One step of a single-threaded op tape.
@@ -317,18 +339,20 @@ fn push_step(h: &mut impl PoolHandle<u64>, k: usize, step: &Step) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Concurrent exactly-once as a property: random place count, c,
-    /// stickiness, and load — no loss, no duplication, ever.
+    /// Concurrent exactly-once as a property: random place count,
+    /// configuration, and load — no loss, no duplication, ever.
     #[test]
     fn concurrent_exactly_once_prop(
         places_idx in 0usize..3,
-        c in 1usize..4,
+        c in 0usize..4,
         stickiness in 0usize..8,
         k in k_strategy(),
         per in 200u64..1_200,
     ) {
+        // c = 0 stands for the structural configuration.
         let places = [1usize, 2, 4][places_idx];
-        concurrent_exactly_once(places, c, stickiness, k, per);
+        let knobs = (c > 0).then_some((c, stickiness));
+        concurrent_exactly_once(configured(places, knobs), k, per);
     }
 
     /// The null experiment as a property: any priority sequence, pushed
@@ -446,5 +470,82 @@ proptest! {
         popped.sort();
         pushed.sort();
         prop_assert_eq!(popped, pushed);
+    }
+}
+
+/// A bound a history check draws per step, from the per-tape set `ks`.
+fn structural_ks() -> impl Strategy<Value = Vec<usize>> {
+    // 512 most often: a tape needs long runs of pushes past 16 to find a
+    // buffer that outgrows its bound.
+    let k = (0usize..8).prop_map(|i| [0, 1, 2, 8, 16, 512, 512, 512][i]);
+    proptest::collection::vec(k, 1..3)
+}
+
+/// Pushes outweigh pops so that buffers fill; batches are rare, as each
+/// one empties its place's buffer.
+fn history_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        6 => any::<u16>().prop_map(Step::Push),
+        1 => proptest::collection::vec(any::<u16>(), 0..24).prop_map(Step::PushBatch),
+        3 => Just(Step::Pop),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// §5.3's structural ρ as a history check. Single-threaded handles of
+    /// the structural configuration take turns round-robin over a tape,
+    /// each step's k drawn from the tape's set, with the rank-error shadow
+    /// on. Before every pop, the tasks the pop may miss are the other
+    /// places' buffered ones, at most `min(k, 16) − 1` per place for the
+    /// least k buffered there: the pop's measured rank must not exceed
+    /// them, nor they that bound — ρ = (P−1)·(min(k, 16)−1) for tasks of
+    /// any age. One place misses nothing: exact at any k.
+    #[test]
+    fn structural_pop_rank_is_bounded_by_the_other_places_buffers(
+        places in 1usize..4,
+        ks in structural_ks(),
+        tape in proptest::collection::vec((any::<u8>(), history_step()), 0..160),
+    ) {
+        let pool = Arc::new(RelaxedMultiQueue::<u64>::structural(places, true));
+        let mut handles: Vec<_> = (0..places).map(|p| pool.handle(p)).collect();
+        // Least k of the scalar pushes in each place's buffer.
+        let mut least_k: Vec<Option<usize>> = vec![None; places];
+        for (turn, (kpick, step)) in tape.iter().enumerate() {
+            let place = turn % places;
+            let k = ks[*kpick as usize % ks.len()];
+            if let Step::Pop = step {
+                let others = (0..places).filter(|&q| q != place);
+                let hidden: usize = others.clone().map(|q| pool.buffered(q)).sum();
+                let bound: usize = others
+                    .map(|q| least_k[q].map_or(0, |k| k.min(16).saturating_sub(1)))
+                    .sum();
+                prop_assert!(
+                    hidden <= bound,
+                    "{} tasks buffered out of place {}'s sight, bound {}", hidden, place, bound
+                );
+                let before = handles[place].stats().rank_sum;
+                if let Some(prio) = handles[place].pop() {
+                    let rank = (handles[place].stats().rank_sum - before) as usize;
+                    prop_assert!(
+                        rank <= hidden,
+                        "place {} popped {} at rank {} with {} hidden", place, prio, rank, hidden
+                    );
+                }
+            } else {
+                push_step(&mut handles[place], k, step);
+                if let Step::Push(_) = step {
+                    least_k[place] = Some(least_k[place].map_or(k, |least| least.min(k)));
+                }
+            }
+            for (q, least) in least_k.iter_mut().enumerate() {
+                if pool.buffered(q) == 0 {
+                    *least = None;
+                }
+            }
+        }
+        while handles[0].pop().is_some() {}
+        prop_assert_eq!(pool.queued(), 0, "one place's pops reach every task");
     }
 }

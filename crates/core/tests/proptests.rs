@@ -21,8 +21,7 @@
 
 use priosched_core::{
     run_on_kind, CentralizedKPriority, HybridKPriority, PoolBuilder, PoolHandle, PoolKind,
-    PoolParams, PriorityWorkStealing, RelaxedMultiQueue, SpawnCtx, StructuralKPriority,
-    TaskExecutor, TaskPool,
+    PoolParams, PriorityWorkStealing, RelaxedMultiQueue, SpawnCtx, TaskExecutor, TaskPool,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -249,7 +248,7 @@ proptest! {
 
     #[test]
     fn structural_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(StructuralKPriority::new(2, 4)), &ops, &[4], None)?;
+        run_model_check(Arc::new(RelaxedMultiQueue::structural(2, false)), &ops, &[4], None)?;
     }
 
     /// The relaxed MultiQueue has no ρ bound to check, but conservation
@@ -369,7 +368,7 @@ proptest! {
         check(Arc::new(PriorityWorkStealing::new(2)), &prios, chunk)?;
         check(Arc::new(CentralizedKPriority::new(2, 64)), &prios, chunk)?;
         check(Arc::new(HybridKPriority::new(2)), &prios, chunk)?;
-        check(Arc::new(StructuralKPriority::new(2, 8)), &prios, chunk)?;
+        check(Arc::new(RelaxedMultiQueue::structural(2, false)), &prios, chunk)?;
     }
 
     /// Single place: strict priority order for every structure.
@@ -394,7 +393,7 @@ proptest! {
         check(Arc::new(PriorityWorkStealing::new(1)), &prios)?;
         check(Arc::new(CentralizedKPriority::new(1, 32)), &prios)?;
         check(Arc::new(HybridKPriority::new(1)), &prios)?;
-        check(Arc::new(StructuralKPriority::new(1, 8)), &prios)?;
+        check(Arc::new(RelaxedMultiQueue::structural(1, false)), &prios)?;
         // MultiQueue: only exact in the degenerate c = 1 single-place
         // configuration (one queue) — which is precisely the setup the
         // rank-error instrument self-validates against.

@@ -54,15 +54,6 @@ pub mod thread;
 
 pub mod sync;
 
-/// Hints that lower scheduling priority, mirroring `loom::hint`.
-pub mod hint {
-    /// In a spin loop the model must let other threads run; identical to
-    /// [`crate::thread::yield_now`].
-    pub fn spin_loop() {
-        crate::rt::yield_now();
-    }
-}
-
 pub use rt::Config;
 
 /// Configure exploration bounds before running a model.

@@ -110,8 +110,8 @@ where
 ///
 /// Goes through [`PoolKind::build`] (wall-clock from this runner is
 /// meaningless anyway, so the erased pool's per-op branch costs nothing
-/// that matters); `cfg.pool` supplies the structural `k` and centralized
-/// `kmax` knobs.
+/// that matters); `cfg.pool` supplies the centralized `kmax` and the
+/// MultiQueue knobs.
 pub fn run_sssp_lockstep_kind(
     kind: PoolKind,
     graph: &CsrGraph,
