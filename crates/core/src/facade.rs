@@ -20,21 +20,18 @@
 //! [`PoolKind::build`]; the run helpers unwrap the built [`AnyPool`] back
 //! to its concrete type (`on_concrete!`) before the scheduler sees it.
 //!
-//! Construction semantics are fixed here once: the centralized structure
-//! consumes [`PoolParams::kmax`], the MultiQueue consumes
-//! [`PoolParams::mq_c`] / [`PoolParams::mq_stickiness`] /
-//! [`PoolParams::rank_error`], the structural kind — the MultiQueue's
-//! exact configuration, one queue per place — consumes only
-//! [`PoolParams::rank_error`] and ignores `kmax`, `mq_c` and
-//! `mq_stickiness`, and the other two take only the place count. No kind
-//! reads [`PoolParams::k`] at construction: `k` arrives with every push. A
-//! caller can no longer forget one of those knobs (which is exactly how
-//! `kmax` used to silently default in hand-rolled match blocks).
+//! Construction semantics are fixed here once, and no caller can set them
+//! otherwise: the centralized structure is built for
+//! `kmax = max(`[`PoolParams::k`]`, 512)` (§4.1.2's kmax, widened when a
+//! sweep asks for more), the MultiQueue with [`DEFAULT_MQ_C`] queues per
+//! place, the structural kind — the MultiQueue's exact configuration — with
+//! one, and the other two take only the place count. For every kind but
+//! centralized, `k` arrives with each push alone.
 
-use crate::centralized::{CentralizedHandle, CentralizedKPriority};
+use crate::centralized::{CentralizedHandle, CentralizedKPriority, DEFAULT_KMAX};
 use crate::hybrid::{HybridHandle, HybridKPriority};
 use crate::ingest::IngressLanes;
-use crate::multiqueue::{MultiQueueHandle, RelaxedMultiQueue};
+use crate::multiqueue::{MultiQueueHandle, RelaxedMultiQueue, DEFAULT_MQ_C};
 use crate::pool::{PoolHandle, PoolKind, PoolParams, TaskPool};
 use crate::scheduler::{RunStats, Scheduler, TaskExecutor};
 use crate::service::PoolService;
@@ -161,27 +158,29 @@ impl<T: Send + 'static> PoolHandle<T> for AnyHandle<T> {
 impl PoolKind {
     /// Builds a pool of this kind for `places` places.
     ///
-    /// The parameter routing is the contract: `params.kmax` configures the
-    /// centralized structure, `params.mq_c`/`params.mq_stickiness`/
-    /// `params.rank_error` the MultiQueue, `params.rank_error` alone the
-    /// structural kind; work-stealing and hybrid take only the place count
-    /// (every kind's relaxation is governed by the per-task `k` of each
-    /// push).
+    /// The routing is the contract: the centralized structure gets
+    /// `kmax = max(params.k, 512)` (clamped to `u32`), so it admits the
+    /// requested `k` and never probes less than the paper's window; the
+    /// MultiQueue gets [`DEFAULT_MQ_C`] queues per place and the structural
+    /// kind one; work-stealing and hybrid take only the place count. Every
+    /// kind's relaxation is governed by the per-task `k` of each push.
     pub fn build<T: Send + 'static>(self, places: usize, params: PoolParams) -> AnyPool<T> {
         match self {
             PoolKind::WorkStealing => {
                 AnyPool::WorkStealing(Arc::new(PriorityWorkStealing::new(places)))
             }
             PoolKind::Centralized => {
-                AnyPool::Centralized(Arc::new(CentralizedKPriority::new(places, params.kmax)))
+                let kmax = u32::try_from(params.k)
+                    .unwrap_or(u32::MAX)
+                    .max(DEFAULT_KMAX);
+                AnyPool::Centralized(Arc::new(CentralizedKPriority::new(places, kmax)))
             }
             PoolKind::Hybrid => AnyPool::Hybrid(Arc::new(HybridKPriority::new(places))),
-            PoolKind::Structural => AnyPool::Structural(Arc::new(RelaxedMultiQueue::structural(
-                places,
-                params.rank_error,
-            ))),
+            PoolKind::Structural => {
+                AnyPool::Structural(Arc::new(RelaxedMultiQueue::structural(places)))
+            }
             PoolKind::MultiQueue => {
-                AnyPool::MultiQueue(Arc::new(RelaxedMultiQueue::from_params(places, &params)))
+                AnyPool::MultiQueue(Arc::new(RelaxedMultiQueue::new(places, DEFAULT_MQ_C)))
             }
         }
     }
@@ -274,18 +273,9 @@ impl PoolBuilder {
         self
     }
 
-    /// Sets the relaxation bound `k`, raising `kmax` only if it would
-    /// otherwise clamp `k` — an explicitly pinned [`PoolBuilder::kmax`] or
-    /// [`PoolBuilder::params`] survives regardless of call order.
+    /// Sets the relaxation bound `k` (see [`PoolParams::k`]).
     pub fn k(mut self, k: usize) -> Self {
         self.params.k = k;
-        self.params.kmax = self.params.kmax.max(k.min(u32::MAX as usize) as u32);
-        self
-    }
-
-    /// Overrides `kmax` for the centralized structure.
-    pub fn kmax(mut self, kmax: u32) -> Self {
-        self.params.kmax = kmax;
         self
     }
 
@@ -307,29 +297,6 @@ impl PoolBuilder {
     /// [`PoolBuilder::run_stream`], and [`PoolBuilder::service`].
     pub fn fault_policy(mut self, policy: crate::FaultPolicy) -> Self {
         self.params.fault_policy = policy;
-        self
-    }
-
-    /// Sets the MultiQueue's queues-per-place factor `c` (see
-    /// [`PoolParams::mq_c`]). Other kinds ignore it.
-    pub fn mq_c(mut self, c: usize) -> Self {
-        self.params.mq_c = c;
-        self
-    }
-
-    /// Sets the MultiQueue's stickiness — consecutive pops served from
-    /// the last successful queue before re-probing (see
-    /// [`PoolParams::mq_stickiness`]). Other kinds ignore it.
-    pub fn mq_stickiness(mut self, stickiness: usize) -> Self {
-        self.params.mq_stickiness = stickiness;
-        self
-    }
-
-    /// Toggles the MultiQueue's rank-error instrument (default off — it
-    /// serializes every operation through the shadow heap; see
-    /// [`PoolParams::rank_error`]). Other kinds ignore it.
-    pub fn rank_error(mut self, enabled: bool) -> Self {
-        self.params.rank_error = enabled;
         self
     }
 
@@ -462,67 +429,30 @@ mod tests {
         }
     }
 
+    /// What `build` derives or fixes per kind: centralized `kmax` =
+    /// max(k, 512), the MultiQueue's `c` = 2, the structural kind's 1, and
+    /// the rank shadow off.
     #[test]
-    fn builder_k_respects_pinned_kmax_in_any_order() {
-        let params = |k: usize, kmax: u32| PoolParams {
-            k,
-            kmax,
-            ..PoolParams::default()
-        };
-        // An explicit kmax survives a later .k() that it still admits…
-        let b = PoolBuilder::new(PoolKind::Centralized).kmax(64).k(8);
-        assert_eq!(b.pool_params(), params(8, 64));
-        // …but .k() raises kmax when it would otherwise clamp.
-        let b = PoolBuilder::new(PoolKind::Centralized).kmax(64).k(8192);
-        assert_eq!(b.pool_params(), params(8192, 8192));
-        // .params() is preserved by a later .k().
-        let custom = params(1, 99);
-        let b = PoolBuilder::new(PoolKind::Hybrid).params(custom).k(8);
-        assert_eq!(b.pool_params(), params(8, 99));
-        // .lane_capacity() composes with the other knobs.
+    fn default_built_pools_keep_their_configuration() {
+        for k in [0usize, 8, 512, 8192] {
+            let build = |kind: PoolKind| kind.build::<u64>(2, PoolParams::with_k(k));
+            match build(PoolKind::Centralized) {
+                AnyPool::Centralized(p) => assert_eq!(p.kmax() as usize, k.max(512)),
+                other => panic!("expected centralized, got {:?}", other.kind()),
+            }
+            match build(PoolKind::MultiQueue) {
+                AnyPool::MultiQueue(p) => assert_eq!((p.c(), p.rank_error_enabled()), (2, false)),
+                other => panic!("expected multiqueue, got {:?}", other.kind()),
+            }
+            match build(PoolKind::Structural) {
+                AnyPool::Structural(p) => assert_eq!((p.c(), p.rank_error_enabled()), (1, false)),
+                other => panic!("expected structural, got {:?}", other.kind()),
+            }
+        }
+        // The builder's setters compose into the same parameter block.
         let b = PoolBuilder::new(PoolKind::Hybrid).k(8).lane_capacity(32);
-        assert_eq!(b.pool_params().lane_capacity, Some(32));
-    }
-
-    #[test]
-    fn builder_mq_knobs_reach_the_multiqueue_pool() {
-        let pool: Arc<AnyPool<u64>> = PoolBuilder::new(PoolKind::MultiQueue)
-            .places(2)
-            .mq_c(4)
-            .mq_stickiness(8)
-            .rank_error(true)
-            .build();
-        match &*pool {
-            AnyPool::MultiQueue(p) => {
-                assert_eq!(p.c(), 4);
-                assert_eq!(p.stickiness(), 8);
-                assert!(p.rank_error_enabled());
-            }
-            other => panic!("expected multiqueue, got {:?}", other.kind()),
-        }
-        // Default construction clamps mq_c to ≥ 1 and keeps the shadow off.
-        let pool: Arc<AnyPool<u64>> = PoolBuilder::new(PoolKind::MultiQueue)
-            .places(1)
-            .mq_c(0)
-            .build();
-        match &*pool {
-            AnyPool::MultiQueue(p) => {
-                assert_eq!(p.c(), 1);
-                assert!(!p.rank_error_enabled());
-            }
-            other => panic!("expected multiqueue, got {:?}", other.kind()),
-        }
-        // The structural kind takes the shadow and ignores the rest.
-        let structural = PoolBuilder::new(PoolKind::Structural)
-            .mq_c(4)
-            .mq_stickiness(8);
-        match &*structural.rank_error(true).build::<u64>() {
-            AnyPool::Structural(p) => assert_eq!(
-                (p.c(), p.stickiness(), p.rank_error_enabled()),
-                (1, 0, true)
-            ),
-            other => panic!("expected structural, got {:?}", other.kind()),
-        }
+        let want = PoolParams::with_k(8).with_lane_capacity(Some(32));
+        assert_eq!(b.pool_params(), want);
     }
 
     #[test]

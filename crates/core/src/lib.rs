@@ -243,11 +243,14 @@
 //! executor on a freshly built pool with **one** dispatch before the run
 //! (the scheduling loop stays monomorphized per structure);
 //! [`PoolKind::build`] / [`PoolBuilder`] return a type-erased [`AnyPool`]
-//! for callers that drive place handles themselves. Construction knobs
-//! travel in [`PoolParams`] (`kmax` for the centralized structure, `mq_c`
-//! / `mq_stickiness` / `rank_error` for the MultiQueue, `rank_error` for
-//! the structural kind), so a caller sweeping kinds cannot silently drop
-//! one; `k` travels with every push.
+//! for callers that drive place handles themselves. [`PoolParams`] carries
+//! the only construction knobs — `k`, the lane capacity and the fault
+//! policy — and `k` also travels with every push; the rest is fixed per
+//! kind by [`PoolKind::build`] (centralized `kmax = max(k, 512)`, the
+//! MultiQueue's `c = 2`, one queue per place for the structural kind).
+//! Another `c`, or the rank-error shadow, means constructing
+//! [`RelaxedMultiQueue`] directly and handing it to
+//! [`Scheduler::from_pool`].
 //!
 //! The two MultiQueue configurations differ in the kind of bound, not
 //! just its size. The paper's structures bound how many *newer* tasks a
@@ -256,8 +259,9 @@
 //! misses only the other places' buffered tasks, ρ = (P−1)·(min(k, 16)−1).
 //! The MultiQueue's two-choice pop is only **probabilistically** close to
 //! the best — the expected rank error stays O(P) but the worst case is
-//! unbounded. The rank-error instrument ([`PoolParams::rank_error`],
-//! reported on [`stats::PlaceStats`]) measures either configuration; the
+//! unbounded. The rank-error instrument
+//! ([`RelaxedMultiQueue::with_rank_error`], reported on
+//! [`stats::PlaceStats`]) measures either configuration; the
 //! structural bound is checked against it pop by pop in
 //! `tests/multiqueue_quality.rs`.
 //!
@@ -326,7 +330,6 @@ pub mod item;
 #[cfg(loom)]
 pub mod models;
 pub mod multiqueue;
-pub mod pareto;
 pub mod park;
 pub mod pool;
 pub mod scheduler;

@@ -159,7 +159,7 @@ pub fn waker_deposit_no_lost_wakeup() {
 /// `loom_mutate_exact_recheck` the loser takes 30.
 pub fn structural_pop_takes_a_true_minimum() {
     loom::model(|| {
-        let sp = Arc::new(RelaxedMultiQueue::<u64>::structural(2, false));
+        let sp = Arc::new(RelaxedMultiQueue::<u64>::structural(2));
         sp.land_on(0, [(10, 10), (30, 30)]);
         sp.land_on(1, [(20, 20)]);
 
@@ -256,7 +256,7 @@ pub fn multiqueue_scan_finds_present_item() {
     loom::model(|| {
         // One place, c = 1 → a single queue: `rng.below(1)` is always 0,
         // keeping the schedule exploration deterministic.
-        let mq = Arc::new(RelaxedMultiQueue::<u64>::with_options(1, 1, 0, false));
+        let mq = Arc::new(RelaxedMultiQueue::<u64>::new(1, 1));
         let mut home = mq.handle(0);
         home.push(1, 0, 10);
 
@@ -316,7 +316,7 @@ pub fn multiqueue_scan_finds_present_item() {
 /// in the dropped handle's buffer included — on its first scan.
 pub fn multiqueue_buffer_is_reachable_by_other_places() {
     loom::model(|| {
-        let mq = Arc::new(RelaxedMultiQueue::<u64>::with_options(2, 1, 0, false));
+        let mq = Arc::new(RelaxedMultiQueue::<u64>::new(2, 1));
         let mut home = mq.handle(0);
         home.push(1, 0, 10);
 

@@ -5,8 +5,9 @@
 //! Where the paper's structures buy scalability with a *hard* ρ-bound on
 //! how far a pop may stray from the true best task (ρ = k centralized,
 //! ρ = P·k hybrid), the MultiQueue drops the bound entirely: it keeps
-//! `c·P` plain sequential priority queues (`c` ≥ 1 per place, default
-//! [`DEFAULT_MQ_C`]), each behind its own cache-padded try-lock, and
+//! `c·P` plain sequential priority queues (`c` ≥ 1 per place, a
+//! constructor parameter; `PoolKind::MultiQueue` uses [`DEFAULT_MQ_C`]),
+//! each behind its own cache-padded try-lock, and
 //!
 //! * **push** appends to the place's insertion buffer and, once
 //!   `min(k, 16)` tasks are buffered, lands them all on one random queue,
@@ -21,12 +22,6 @@
 //!
 //! Its second configuration, one queue per place and a pop over every
 //! top, trades back: a deterministic ρ (see "Exact configuration").
-//!
-//! **Stickiness** (§4 of the Multi-Queues paper, a tunable here —
-//! [`PoolParams::mq_stickiness`]): after a successful pop a place keeps
-//! popping the *same* queue for the next `stickiness` pops before probing
-//! two fresh queues again. This trades ordering quality for locality:
-//! consecutive pops hit a lock and heap already in this core's cache.
 //!
 //! # Top caching and the empty path
 //!
@@ -114,9 +109,8 @@
 //! [`RelaxedMultiQueue::structural`] is `PoolKind::Structural`: the
 //! source paper's §5.3 *structural* ρ-relaxation ("a pop never ignores
 //! more than ρ items, regardless of their age"). It keeps one queue per
-//! place and no stickiness, and its pushes are the MultiQueue's: buffered
-//! up to `min(k, 16)`, then landed on a random queue; batches land at
-//! once. Only the pop's choice set differs — every queue's top instead of
+//! place, and its pushes are the MultiQueue's: buffered up to
+//! `min(k, 16)`, then landed on a random queue; batches land at once. Only the pop's choice set differs — every queue's top instead of
 //! two random ones:
 //!
 //! 1. the buffered minimum is taken when it is no worse than the least
@@ -163,16 +157,17 @@
 //!
 //! # Rank-error instrument
 //!
-//! With [`PoolParams::rank_error`] set, the pool additionally maintains a
-//! **shadow multiset** of every queued priority behind one global mutex.
-//! Each pop then reports its *rank error* — how many strictly better
-//! priorities were queued at the moment it committed — onto
-//! [`PlaceStats`] (`rank_pops`/`rank_sum`/`rank_max` and a log₂ histogram
-//! for p99). The shadow lock serializes every operation, so the
-//! instrument is **off by default** and must never be enabled in a timing
-//! arm; measure a cell twice instead (uninstrumented for time,
-//! instrumented for quality). Buffered tasks are in the shadow from the
-//! push on, so the rank prices what the buffers hide. Single-threaded the
+//! Built with [`RelaxedMultiQueue::with_rank_error`], the pool additionally
+//! maintains a **shadow multiset** of every queued priority behind one
+//! global mutex. Each pop then reports its *rank error* — how many
+//! strictly better priorities were queued at the moment it committed —
+//! onto [`PlaceStats`] (`rank_pops`/`rank_sum`/`rank_max` and a log₂
+//! histogram for p99). The shadow lock serializes every operation, so the
+//! instrument is **off by default**, no pool the facade builds has it, and
+//! it must never be enabled in a timing arm; measure a cell twice instead
+//! (uninstrumented for time, instrumented for quality). Buffered tasks are
+//! in the shadow from the push on, so the rank prices what the buffers
+//! hide. Single-threaded the
 //! measurement is exact — with `c = 1` and one place it must read zero,
 //! the self-check `tests/multiqueue_quality.rs` pins — while under
 //! concurrency shadow updates are ordered insert-before-push /
@@ -180,7 +175,7 @@
 //! another thread is still committing: a conservative (never
 //! understating) estimate.
 
-use crate::pool::{PoolHandle, PoolParams, TaskPool};
+use crate::pool::{PoolHandle, TaskPool};
 use crate::stats::{rank_bucket, PlaceStats};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Mutex, MutexGuard};
@@ -347,29 +342,17 @@ pub struct RelaxedMultiQueue<T: Send + 'static> {
     queues: Box<[CachePadded<MqQueue<T>>]>,
     buffers: Box<[CachePadded<MqBuffer<T>>]>,
     nplaces: usize,
-    stickiness: usize,
     choice: Choice,
     shadow: Option<Mutex<Shadow>>,
 }
 
 impl<T: Send + 'static> RelaxedMultiQueue<T> {
-    /// Creates the structure for `nplaces` places with `c` queues per
-    /// place, no stickiness, and the rank instrument off.
+    /// Creates the MultiQueue for `nplaces` places with `c` queues per
+    /// place and the rank instrument off.
     ///
     /// # Panics
     /// Panics if `nplaces == 0` or `c == 0`.
     pub fn new(nplaces: usize, c: usize) -> Self {
-        Self::with_options(nplaces, c, 0, false)
-    }
-
-    /// Creates the structure with every knob explicit: `c` queues per
-    /// place, `stickiness` consecutive same-queue pops after a success
-    /// (0 = classic two-choice on every pop), and optionally the shadow
-    /// rank-error instrument (serializes all ops — measurement runs only).
-    ///
-    /// # Panics
-    /// Panics if `nplaces == 0` or `c == 0`.
-    pub fn with_options(nplaces: usize, c: usize, stickiness: usize, rank_error: bool) -> Self {
         assert!(nplaces > 0, "need at least one place");
         assert!(c > 0, "need at least one queue per place");
         RelaxedMultiQueue {
@@ -380,45 +363,36 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
                 .map(|_| CachePadded::new(MqBuffer::new()))
                 .collect(),
             nplaces,
-            stickiness,
             choice: Choice::TwoRandom,
-            shadow: rank_error.then(|| Mutex::new(Shadow::default())),
+            shadow: None,
         }
     }
 
     /// Creates the structural configuration (arXiv 1312.2501 §5.3): one
-    /// queue per place, no stickiness, and a pop that chooses among every
-    /// queue's top, so a single-threaded pop ignores only the other places'
-    /// buffered tasks (see "Exact configuration" in the module docs).
+    /// queue per place and a pop that chooses among every queue's top, so
+    /// a single-threaded pop ignores only the other places' buffered tasks
+    /// (see "Exact configuration" in the module docs).
     ///
     /// # Panics
     /// Panics if `nplaces == 0`.
-    pub fn structural(nplaces: usize, rank_error: bool) -> Self {
+    pub fn structural(nplaces: usize) -> Self {
         RelaxedMultiQueue {
             choice: Choice::Exact,
-            ..Self::with_options(nplaces, 1, 0, rank_error)
+            ..Self::new(nplaces, 1)
         }
     }
 
-    /// Builds from the facade's parameter block: `mq_c` queues per place
-    /// (clamped to ≥ 1), `mq_stickiness`, `rank_error`.
-    pub fn from_params(nplaces: usize, params: &PoolParams) -> Self {
-        Self::with_options(
-            nplaces,
-            params.mq_c.max(1),
-            params.mq_stickiness,
-            params.rank_error,
-        )
+    /// The same structure with the rank-error shadow on (see
+    /// "Rank-error instrument" in the module docs): it serializes every
+    /// operation, so measurement runs only.
+    pub fn with_rank_error(mut self) -> Self {
+        self.shadow = Some(Mutex::new(Shadow::default()));
+        self
     }
 
     /// The configured queues-per-place factor `c`.
     pub fn c(&self) -> usize {
         self.queues.len() / self.nplaces
-    }
-
-    /// The configured stickiness (pops per queue after a success).
-    pub fn stickiness(&self) -> usize {
-        self.stickiness
     }
 
     /// Whether the rank-error shadow instrument is active.
@@ -544,13 +518,12 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
 
     /// The authoritative emptiness check behind a failing pop of `place`:
     /// every queue from offset `start` under a try-lock, then every other
-    /// place's insertion buffer that is not empty, likewise. Returns the
-    /// entry and the queue it came from.
-    fn scan(&self, place: usize, start: usize) -> Option<(MqEntry<T>, Option<usize>)> {
+    /// place's insertion buffer that is not empty, likewise.
+    fn scan(&self, place: usize, start: usize) -> Option<MqEntry<T>> {
         let nq = self.queues.len();
         for idx in (0..nq).map(|off| (start + off) % nq) {
             if let Some(entry) = self.try_pop_from(idx) {
-                return Some((entry, Some(idx)));
+                return Some(entry);
             }
         }
         for other in (1..self.nplaces).map(|off| (place + off) % self.nplaces) {
@@ -560,7 +533,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
             }
             if let Some(mut theirs) = buffer.slots.try_lock() {
                 if let Some((at, _)) = buffer_min(&theirs.entries) {
-                    return Some((buffer.take(&mut theirs, at), None));
+                    return Some(buffer.take(&mut theirs, at));
                 }
             }
         }
@@ -582,8 +555,6 @@ impl<T: Send + 'static> TaskPool<T> for RelaxedMultiQueue<T> {
             seq: 0,
             rng: XorShift64::new(0x4D51_0000 ^ place as u64),
             stats: PlaceStats::default(),
-            sticky: usize::MAX,
-            sticky_left: 0,
             shared: Arc::clone(self),
         }
     }
@@ -596,10 +567,6 @@ pub struct MultiQueueHandle<T: Send + 'static> {
     seq: u64,
     rng: XorShift64,
     stats: PlaceStats,
-    /// Queue index of the last successful pop (`usize::MAX` = none).
-    sticky: usize,
-    /// Remaining pops allowed to reuse `sticky` before re-probing.
-    sticky_left: usize,
 }
 
 impl<T: Send + 'static> MultiQueueHandle<T> {
@@ -650,43 +617,26 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
         buffer.refresh_len(&own);
     }
 
-    /// The pop's search: the entry taken and, when a fresh probe or the
-    /// scan chose its queue, that queue (the next sticky one).
-    fn take_best(&mut self) -> Option<(MqEntry<T>, Option<usize>)> {
+    /// The pop's search: the buffered minimum, a queue's, or the scan's.
+    fn take_best(&mut self) -> Option<MqEntry<T>> {
         let shared = &*self.shared;
         let nq = shared.queues.len();
         let buffer = &shared.buffers[self.place];
         // Locked for the whole search, but only when something is in it.
         let mut own = (buffer.len.load(Ordering::Acquire) > 0).then(|| buffer.slots.lock());
         let local = own.as_ref().and_then(|own| buffer_min(&own.entries));
-        // The buffered best is taken when no worse than the queue top it
-        // is up against (`u64::MAX` = empty, so it beats an empty queue).
-        let local_wins = |top: u64| local.filter(|&(_, prio)| prio <= top);
         let mut take_local = |at: usize| {
             let own = own
                 .as_mut()
                 .expect("a buffered minimum was found under the lock");
-            Some((buffer.take(own, at), None))
+            Some(buffer.take(own, at))
         };
         if shared.choice == Choice::Exact {
             let local = local.map(|(_, prio)| prio);
             if let Some(entry) = shared.pop_exact(local, &mut self.stats.stale_refs) {
-                return Some((entry, None));
+                return Some(entry);
             }
         } else {
-            // Stickiness (§4): keep draining the queue that last served us.
-            if self.sticky_left > 0 && self.sticky < nq {
-                self.sticky_left -= 1;
-                let idx = self.sticky;
-                if let Some((at, _)) = local_wins(shared.queues[idx].top.load(Ordering::Acquire)) {
-                    return take_local(at);
-                }
-                if let Some(entry) = shared.try_pop_from(idx) {
-                    return Some((entry, None));
-                }
-                // Lost the lock or the queue ran dry: fall through to probing.
-                self.sticky_left = 0;
-            }
             // Classic two-choice: peek two random tops, take the better one.
             for _ in 0..2 * nq {
                 let i = self.rng.below(nq as u64) as usize;
@@ -694,7 +644,9 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
                 let ti = shared.queues[i].top.load(Ordering::Acquire);
                 let tj = shared.queues[j].top.load(Ordering::Acquire);
                 let (idx, top) = if ti <= tj { (i, ti) } else { (j, tj) };
-                if let Some((at, _)) = local_wins(top) {
+                // The buffered best is taken when no worse than that top
+                // (`u64::MAX` = empty, so it beats an empty queue).
+                if let Some((at, _)) = local.filter(|&(_, prio)| prio <= top) {
                     return take_local(at);
                 }
                 if top == u64::MAX {
@@ -703,7 +655,7 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
                     continue;
                 }
                 match shared.try_pop_from(idx) {
-                    Some(entry) => return Some((entry, Some(idx))),
+                    Some(entry) => return Some(entry),
                     // Lock taken or top was stale (queue drained since the
                     // peek): count the stale observation and retry.
                     None => self.stats.stale_refs += 1,
@@ -740,14 +692,10 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
     }
 
     fn pop_entry(&mut self) -> Option<(u64, T)> {
-        let Some((entry, fresh_queue)) = self.take_best() else {
+        let Some(entry) = self.take_best() else {
             self.stats.failed_pops += 1;
             return None;
         };
-        if let Some(idx) = fresh_queue {
-            self.sticky = idx;
-            self.sticky_left = self.shared.stickiness;
-        }
         self.stats.pops += 1;
         self.record_rank(entry.prio);
         Some((entry.prio, entry.task))
@@ -884,7 +832,7 @@ mod tests {
         // c=2 on one place, pushes spread over two queues: the two-choice
         // pop sometimes takes the worse top, and the instrument must
         // price that exactly against the shadow.
-        let p = Arc::new(RelaxedMultiQueue::with_options(1, 2, 0, true));
+        let p = Arc::new(RelaxedMultiQueue::new(1, 2).with_rank_error());
         assert!(p.rank_error_enabled());
         let mut h = p.handle(0);
         for i in 0..200u64 {
@@ -904,7 +852,7 @@ mod tests {
 
     #[test]
     fn c1_single_place_measures_zero_rank_error() {
-        let p = Arc::new(RelaxedMultiQueue::with_options(1, 1, 0, true));
+        let p = Arc::new(RelaxedMultiQueue::new(1, 1).with_rank_error());
         let mut h = p.handle(0);
         for i in 0..100u64 {
             h.push((i * 7919) % 257, 0, i);
@@ -916,34 +864,6 @@ mod tests {
         assert_eq!(s.rank_max, 0);
         assert_eq!(s.rank_mean(), 0.0);
         assert_eq!(s.rank_p99(), 0);
-    }
-
-    #[test]
-    fn stickiness_reuses_the_last_queue() {
-        let p = Arc::new(RelaxedMultiQueue::with_options(1, 4, 8, false));
-        assert_eq!(p.stickiness(), 8);
-        let mut h = p.handle(0);
-        for i in 0..64u64 {
-            h.push(i, 0, i);
-        }
-        let mut got = 0;
-        while h.pop().is_some() {
-            got += 1;
-        }
-        assert_eq!(got, 64);
-    }
-
-    #[test]
-    fn from_params_routes_the_mq_knobs() {
-        let params = PoolParams::default()
-            .with_mq_c(3)
-            .with_mq_stickiness(5)
-            .with_rank_error(true);
-        let p: RelaxedMultiQueue<u64> = RelaxedMultiQueue::from_params(2, &params);
-        assert_eq!(p.c(), 3);
-        assert_eq!(p.num_places(), 2);
-        assert_eq!(p.stickiness(), 5);
-        assert!(p.rank_error_enabled());
     }
 
     #[test]
@@ -1075,7 +995,7 @@ mod tests {
     }
 
     fn structural(places: usize) -> Arc<RelaxedMultiQueue<u64>> {
-        Arc::new(RelaxedMultiQueue::structural(places, true))
+        Arc::new(RelaxedMultiQueue::structural(places).with_rank_error())
     }
 
     #[test]
@@ -1145,13 +1065,12 @@ mod tests {
 
     #[test]
     fn concurrent_stress_exactly_once() {
-        let mq = RelaxedMultiQueue::<u64>::with_options(4, 2, 4, false);
-        stress_exactly_once(Arc::new(mq), 0);
+        stress_exactly_once(Arc::new(RelaxedMultiQueue::new(4, 2)), 0);
     }
 
     #[test]
     fn structural_concurrent_stress_exactly_once() {
-        stress_exactly_once(Arc::new(RelaxedMultiQueue::structural(4, false)), 16);
+        stress_exactly_once(Arc::new(RelaxedMultiQueue::structural(4)), 16);
     }
 
     /// Four places pushing at bound `k` and popping until every task was

@@ -85,29 +85,25 @@ pub trait PoolHandle<T: Send>: Send {
     fn stats(&self) -> PlaceStats;
 }
 
-/// Structure-tuning parameters shared by every pool-construction site.
-///
-/// Collects the knobs that used to be threaded separately through each
-/// harness config (`kmax` for the centralized structure, the MultiQueue's
-/// `c` and stickiness), so a runtime-selected build — see
-/// [`PoolKind::build`] — cannot silently drop one of them.
+/// The parameters every pool-construction site shares: the relaxation
+/// bound, the ingress lanes' capacity and the fault policy. Whatever else a
+/// kind needs at construction, [`PoolKind::build`] derives or fixes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PoolParams {
     /// Relaxation parameter `k` (§2.2): the per-task bound spawners pass
-    /// with every push. No kind reads it at construction. Per kind:
+    /// with every push. Only the centralized kind reads it at construction.
+    /// Per kind:
     ///
     /// * work-stealing ignores it;
     /// * centralized places the task within the `k` slots past the tail
-    ///   (the k-window), `k` clamped to [`PoolParams::kmax`];
+    ///   (the k-window), `k` clamped to `max(k, 512)`, the bound the pool is
+    ///   built for;
     /// * hybrid keeps the task in its place's unpublished local list for
     ///   at most `k` of that place's later pushes;
     /// * the MultiQueue and the structural kind let the task wait in the
     ///   place's insertion buffer behind at most `min(k, 16) − 1` others;
     ///   `k ≤ 1` lands it on a queue at once.
     pub k: usize,
-    /// `kmax` for the centralized structure (paper: 512); per-task `k`
-    /// values are clamped to it.
-    pub kmax: u32,
     /// Per-lane capacity of the ingress lanes in streamed runs and
     /// services (`None` = unbounded). With a bound set, `try_submit`
     /// sheds when every lane is full and blocking `submit` parks until a
@@ -117,61 +113,26 @@ pub struct PoolParams {
     /// What happens when a task panics — see [`FaultPolicy`]. Defaults to
     /// [`FaultPolicy::AbortRun`], the historical behavior.
     pub fault_policy: FaultPolicy,
-    /// Queues-per-place factor `c` of the relaxed MultiQueue (the pool
-    /// keeps `c·P` queues). Defaults to [`DEFAULT_MQ_C`]; values below 1
-    /// are clamped to 1 at construction. Ignored by the other kinds (the
-    /// structural kind keeps one queue per place).
-    pub mq_c: usize,
-    /// MultiQueue stickiness (§4 of the Multi-Queues paper): after a
-    /// successful pop a place keeps popping the same queue for this many
-    /// further pops before probing two fresh random queues. 0 (the
-    /// default) is the classic two-choice pop. Ignored by the other
-    /// kinds.
-    pub mq_stickiness: usize,
-    /// Enables the MultiQueue's rank-error instrument: a shadow exact
-    /// multiset records, for every pop, how many strictly better
-    /// priorities were queued ([`crate::stats::PlaceStats::rank_pops`]
-    /// and friends). The shadow serializes every operation — keep this
-    /// off (the default) in any timing measurement. Honoured by the
-    /// MultiQueue and the structural kind; ignored by the paper's three,
-    /// whose rank behaviour is ρ-bounded by construction.
-    pub rank_error: bool,
 }
 
 /// The paper's default relaxation parameter (k = 512, found to be a good
 /// compromise on the 80-core testbed).
 pub const DEFAULT_K: usize = 512;
 
-/// The paper's `kmax` for the centralized structure.
-pub const DEFAULT_KMAX: u32 = 512;
-
-/// Default MultiQueue queues-per-place factor (re-exported from
-/// [`crate::multiqueue`] for parameter-block callers).
-pub use crate::multiqueue::DEFAULT_MQ_C;
-
 impl Default for PoolParams {
     fn default() -> Self {
-        PoolParams {
-            k: DEFAULT_K,
-            kmax: DEFAULT_KMAX,
-            lane_capacity: None,
-            fault_policy: FaultPolicy::AbortRun,
-            mq_c: DEFAULT_MQ_C,
-            mq_stickiness: 0,
-            rank_error: false,
-        }
+        PoolParams::with_k(DEFAULT_K)
     }
 }
 
 impl PoolParams {
-    /// Parameters for relaxation bound `k`, with `kmax` widened so the
-    /// centralized structure admits the requested `k` (Figure 5 sweeps `k`
-    /// beyond the paper's fixed `kmax = 512`, which would otherwise clamp).
+    /// Parameters for relaxation bound `k`, with unbounded lanes and
+    /// [`FaultPolicy::AbortRun`].
     pub fn with_k(k: usize) -> Self {
         PoolParams {
             k,
-            kmax: (k.min(u32::MAX as usize) as u32).max(DEFAULT_KMAX),
-            ..PoolParams::default()
+            lane_capacity: None,
+            fault_policy: FaultPolicy::AbortRun,
         }
     }
 
@@ -185,27 +146,6 @@ impl PoolParams {
     /// The same parameters with a fault policy (see [`FaultPolicy`]).
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.fault_policy = policy;
-        self
-    }
-
-    /// The same parameters with the MultiQueue's queues-per-place factor
-    /// (see [`PoolParams::mq_c`]).
-    pub fn with_mq_c(mut self, c: usize) -> Self {
-        self.mq_c = c;
-        self
-    }
-
-    /// The same parameters with the MultiQueue's stickiness (see
-    /// [`PoolParams::mq_stickiness`]).
-    pub fn with_mq_stickiness(mut self, stickiness: usize) -> Self {
-        self.mq_stickiness = stickiness;
-        self
-    }
-
-    /// The same parameters with the rank-error instrument toggled (see
-    /// [`PoolParams::rank_error`]).
-    pub fn with_rank_error(mut self, enabled: bool) -> Self {
-        self.rank_error = enabled;
         self
     }
 }
@@ -371,17 +311,9 @@ mod tests {
     #[test]
     fn pool_params_defaults_match_paper() {
         let p = PoolParams::default();
-        assert_eq!(p.k, 512);
-        assert_eq!(p.kmax, 512);
-        // with_k keeps kmax wide enough to admit the requested k.
-        assert_eq!(PoolParams::with_k(8).kmax, 512);
-        assert_eq!(PoolParams::with_k(8192).kmax, 8192);
+        assert_eq!(p, PoolParams::with_k(512));
+        assert_eq!(p.lane_capacity, None);
+        assert_eq!(p.fault_policy, FaultPolicy::AbortRun);
         assert_eq!(PoolParams::with_k(8192).k, 8192);
-        // MultiQueue knobs: c = 2, no stickiness, instrument off.
-        assert_eq!(p.mq_c, DEFAULT_MQ_C);
-        assert_eq!(p.mq_stickiness, 0);
-        assert!(!p.rank_error);
-        let q = p.with_mq_c(4).with_mq_stickiness(8).with_rank_error(true);
-        assert_eq!((q.mq_c, q.mq_stickiness, q.rank_error), (4, 8, true));
     }
 }

@@ -111,8 +111,9 @@ pub struct PlaceStats {
     pub combine_ops: u64,
     /// Always 0; see [`PlaceStats::combine_passes`].
     pub combine_parks: u64,
-    /// Pops measured by the rank-error instrument (multiqueue, with
-    /// `PoolParams::rank_error` set). Zero when the instrument is off.
+    /// Pops measured by the rank-error instrument (a MultiQueue of either
+    /// configuration built with `RelaxedMultiQueue::with_rank_error`). Zero
+    /// when the instrument is off, as it is in every pool the facade builds.
     pub rank_pops: u64,
     /// Sum of measured rank errors — how many strictly better priorities
     /// were queued at each measured pop. `rank_sum / rank_pops` is the

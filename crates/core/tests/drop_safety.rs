@@ -90,11 +90,7 @@ fn hybrid_drops_exactly_once() {
 
 #[test]
 fn structural_drops_exactly_once() {
-    check_drops(
-        || Arc::new(RelaxedMultiQueue::structural(2, false)),
-        100,
-        40,
-    );
+    check_drops(|| Arc::new(RelaxedMultiQueue::structural(2)), 100, 40);
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //!
 //! 1. **Conservation under real concurrency** — every submitted task is
 //!    popped exactly once (no loss, no duplication) with concurrent
-//!    push/pop on every place count, across the c and stickiness knobs
-//!    and the structural configuration, and the push bound k ∈ {0, 8,
+//!    push/pop on every place count, for c ∈ {1, 2, 4} and the
+//!    structural configuration, and the push bound k ∈ {0, 8,
 //!    512} (unbuffered, buffer of 8, buffer at its cap of 16). The
 //!    single-threaded oracle matrix cannot see lock races on the queues or
 //!    stale top-mirror reads; this suite drives them directly.
@@ -31,7 +31,7 @@
 //!    the other places' buffered tasks, and those are at most
 //!    (P−1)·(min(k, 16)−1): §5.3's ρ for tasks of any age.
 
-use priosched_core::{PoolBuilder, PoolHandle, PoolKind, PoolParams, RelaxedMultiQueue, TaskPool};
+use priosched_core::{PoolBuilder, PoolHandle, PoolKind, RelaxedMultiQueue, TaskPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -96,28 +96,22 @@ fn concurrent_exactly_once(pool: RelaxedMultiQueue<u64>, k: usize, per: u64) {
     }
 }
 
-/// The MultiQueue with `(c, stickiness)`, or the structural configuration
-/// for `None`.
-fn configured(places: usize, knobs: Option<(usize, usize)>) -> RelaxedMultiQueue<u64> {
-    match knobs {
-        Some((c, stickiness)) => RelaxedMultiQueue::with_options(places, c, stickiness, false),
-        None => RelaxedMultiQueue::structural(places, false),
+/// The MultiQueue with `c` queues per place, or the structural
+/// configuration for `c = 0`.
+fn configured(places: usize, c: usize) -> RelaxedMultiQueue<u64> {
+    match c {
+        0 => RelaxedMultiQueue::structural(places),
+        c => RelaxedMultiQueue::new(places, c),
     }
 }
 
 #[test]
 fn concurrent_exactly_once_on_all_place_counts() {
     for places in [1usize, 2, 4] {
-        for knobs in [
-            Some((1usize, 0usize)),
-            Some((2, 0)),
-            Some((2, 8)),
-            Some((4, 4)),
-            None,
-        ] {
+        for c in [1usize, 2, 4, 0] {
             for k in [0usize, 8, 512] {
                 let per = 4_000 / places as u64;
-                concurrent_exactly_once(configured(places, knobs), k, per);
+                concurrent_exactly_once(configured(places, c), k, per);
             }
         }
     }
@@ -128,7 +122,7 @@ fn c1_single_place_measures_zero_rank_error_against_oracle() {
     // One place × c = 1 is a single sequential queue: pops must come out
     // in exact priority order AND the instrument must price every one of
     // them at rank zero — the null experiment for the rank-error shadow.
-    let pool: Arc<_> = Arc::new(RelaxedMultiQueue::<u64>::with_options(1, 1, 0, true));
+    let pool: Arc<_> = Arc::new(RelaxedMultiQueue::<u64>::new(1, 1).with_rank_error());
     let mut h = pool.handle(0);
     let prios: Vec<u64> = (0..500u64).map(|i| (i * 7919) % 263).collect();
     for (i, &p) in prios.iter().enumerate() {
@@ -155,7 +149,7 @@ fn instrument_accounts_for_every_pop_with_relaxation() {
     // c = 4 on one place misorders freely, but the instrument must still
     // balance: every pop measured, histogram mass == rank_pops, and the
     // summary statistics mutually consistent.
-    let pool: Arc<_> = Arc::new(RelaxedMultiQueue::<u64>::with_options(1, 4, 2, true));
+    let pool: Arc<_> = Arc::new(RelaxedMultiQueue::<u64>::new(1, 4).with_rank_error());
     let mut h = pool.handle(0);
     for i in 0..1_000u64 {
         h.push((i * 2654435761) % 4096, 0, i);
@@ -177,7 +171,7 @@ fn facade_run_reports_rank_stats_on_run_stats() {
     // End-to-end through the scheduler: an instrumented MultiQueue run
     // must surface rank accounting on RunStats.pool (pops measured ==
     // pool pops), proving the stats plumbing crosses the facade.
-    use priosched_core::{SpawnCtx, TaskExecutor};
+    use priosched_core::{Scheduler, SpawnCtx, TaskExecutor};
     struct Fan;
     impl TaskExecutor<u64> for Fan {
         fn execute(&self, task: u64, ctx: &mut SpawnCtx<'_, u64>) {
@@ -186,11 +180,8 @@ fn facade_run_reports_rank_stats_on_run_stats() {
             }
         }
     }
-    let stats = PoolBuilder::new(PoolKind::MultiQueue)
-        .places(2)
-        .mq_c(2)
-        .rank_error(true)
-        .run(&Fan, vec![(64, 8, 64u64)]);
+    let pool = RelaxedMultiQueue::new(2, 2).with_rank_error();
+    let stats = Scheduler::from_pool(pool).run(&Fan, vec![(64, 8, 64u64)]);
     assert_eq!(stats.executed, 65);
     assert_eq!(
         stats.pool.rank_pops, stats.pool.pops,
@@ -207,7 +198,7 @@ fn facade_run_reports_rank_stats_on_run_stats() {
 /// drain, with the shadow instrument on.
 fn round_robin_mean_rank(k: usize) -> f64 {
     let places = 8;
-    let pool = Arc::new(RelaxedMultiQueue::<u64>::with_options(places, 2, 0, true));
+    let pool = Arc::new(RelaxedMultiQueue::<u64>::new(places, 2).with_rank_error());
     let mut handles: Vec<_> = (0..places).map(|p| pool.handle(p)).collect();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for turn in 0..4_000usize {
@@ -344,15 +335,14 @@ proptest! {
     #[test]
     fn concurrent_exactly_once_prop(
         places_idx in 0usize..3,
-        c in 0usize..4,
-        stickiness in 0usize..8,
+        c_idx in 0usize..4,
         k in k_strategy(),
         per in 200u64..1_200,
     ) {
-        // c = 0 stands for the structural configuration.
         let places = [1usize, 2, 4][places_idx];
-        let knobs = (c > 0).then_some((c, stickiness));
-        concurrent_exactly_once(configured(places, knobs), k, per);
+        // c = 0 stands for the structural configuration.
+        let c = [0usize, 1, 2, 4][c_idx];
+        concurrent_exactly_once(configured(places, c), k, per);
     }
 
     /// The null experiment as a property: any priority sequence, pushed
@@ -363,8 +353,7 @@ proptest! {
         prios in proptest::collection::vec(any::<u16>(), 1..200),
         chunk in 1usize..16,
     ) {
-        let params = PoolParams::default().with_mq_c(1).with_rank_error(true);
-        let pool: Arc<_> = Arc::new(RelaxedMultiQueue::<u64>::from_params(1, &params));
+        let pool: Arc<_> = Arc::new(RelaxedMultiQueue::<u64>::new(1, 1).with_rank_error());
         let mut h = pool.handle(0);
         for group in prios.chunks(chunk) {
             let mut batch: Vec<(u64, u64)> =
@@ -508,7 +497,7 @@ proptest! {
         ks in structural_ks(),
         tape in proptest::collection::vec((any::<u8>(), history_step()), 0..160),
     ) {
-        let pool = Arc::new(RelaxedMultiQueue::<u64>::structural(places, true));
+        let pool = Arc::new(RelaxedMultiQueue::<u64>::structural(places).with_rank_error());
         let mut handles: Vec<_> = (0..places).map(|p| pool.handle(p)).collect();
         // Least k of the scalar pushes in each place's buffer.
         let mut least_k: Vec<Option<usize>> = vec![None; places];

@@ -24,13 +24,11 @@
 
 pub mod bellman_ford;
 pub mod csr;
-pub mod delta_stepping;
 pub mod dijkstra;
 pub mod gen;
 
 pub use bellman_ford::bellman_ford;
 pub use csr::{CsrGraph, Edge};
-pub use delta_stepping::{delta_stepping, DeltaSteppingResult};
 pub use dijkstra::{dijkstra, DijkstraResult};
 pub use gen::{erdos_renyi, ErdosRenyiConfig};
 

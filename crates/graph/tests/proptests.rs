@@ -93,35 +93,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Δ-stepping computes Dijkstra's distances for any positive bucket
-    /// width, on arbitrary graphs.
-    #[test]
-    fn delta_stepping_equals_dijkstra(
-        (n, edges) in graph_strategy(),
-        delta in 0.01f64..5.0,
-    ) {
-        use priosched_graph::delta_stepping;
-        let g = CsrGraph::from_undirected_edges(n, &edges);
-        let expect = dijkstra(&g, 0).dist;
-        let got = delta_stepping(&g, 0, delta).dist;
-        prop_assert_eq!(got, expect);
-    }
-
-    /// Relaxation counts never fall below the reachable-node count, for any
-    /// delta (every reachable node must be relaxed at least once).
-    #[test]
-    fn delta_stepping_relaxation_lower_bound(
-        (n, edges) in graph_strategy(),
-        delta in 0.01f64..5.0,
-    ) {
-        use priosched_graph::delta_stepping;
-        let g = CsrGraph::from_undirected_edges(n, &edges);
-        let reachable = dijkstra(&g, 0).dist.iter().filter(|d| d.is_finite()).count();
-        let r = delta_stepping(&g, 0, delta);
-        prop_assert!(r.relaxations >= reachable);
-    }
-}

@@ -110,8 +110,7 @@ where
 ///
 /// Goes through [`PoolKind::build`] (wall-clock from this runner is
 /// meaningless anyway, so the erased pool's per-op branch costs nothing
-/// that matters); `cfg.pool` supplies the centralized `kmax` and the
-/// MultiQueue knobs.
+/// that matters); `cfg.pool` is what the pool is built from.
 pub fn run_sssp_lockstep_kind(
     kind: PoolKind,
     graph: &CsrGraph,

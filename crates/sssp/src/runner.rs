@@ -13,10 +13,8 @@ pub struct SsspConfig {
     /// Number of places (worker threads), the paper's `P`.
     pub places: usize,
     /// Structure parameters: the relaxation bound `k` passed with every
-    /// task (§2.2) plus the centralized structure's `kmax` — shared with
-    /// every other pool-construction site via
-    /// [`priosched_core::PoolParams`], so a runtime-selected structure
-    /// cannot silently drop either knob.
+    /// task (§2.2), which the kind-selected runners also build the pool
+    /// from (see [`priosched_core::PoolKind::build`]).
     pub pool: PoolParams,
 }
 
@@ -30,19 +28,12 @@ impl Default for SsspConfig {
 }
 
 impl SsspConfig {
-    /// Config for `places` places and relaxation bound `k`, with `kmax`
-    /// widened to admit `k` (see [`PoolParams::with_k`]).
+    /// Config for `places` places and relaxation bound `k`.
     pub fn new(places: usize, k: usize) -> Self {
         SsspConfig {
             places,
             pool: PoolParams::with_k(k),
         }
-    }
-
-    /// Overrides the centralized structure's `kmax`.
-    pub fn kmax(mut self, kmax: u32) -> Self {
-        self.pool.kmax = kmax;
-        self
     }
 
     /// The per-task relaxation bound `k`.
@@ -126,7 +117,7 @@ mod tests {
             p: 0.15,
             seed: 3,
         });
-        let cfg = SsspConfig::new(2, 8).kmax(64);
+        let cfg = SsspConfig::new(2, 8);
         let res = run_sssp(Arc::new(HybridKPriority::new(cfg.places)), &g, 0, &cfg);
         assert_eq!(res.dist, dijkstra(&g, 0).dist);
         assert!(res.relaxed >= 80);

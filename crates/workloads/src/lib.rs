@@ -143,9 +143,8 @@ impl WorkloadReport {
 
 /// Runs `workload` once on a fresh pool of `kind` and verifies the result.
 ///
-/// The same `params` value configures the pool (centralized `kmax`, the
-/// MultiQueue knobs) *and* the executor's per-task `k` — the
-/// anti-knob-drop guarantee the workload layer is built on.
+/// The same `params` value builds the pool (see [`PoolKind::build`]) *and*
+/// gives the executor its per-task `k`, so the two cannot disagree.
 pub fn run_workload<W: Workload + ?Sized>(
     workload: &W,
     kind: PoolKind,

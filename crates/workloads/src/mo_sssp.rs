@@ -4,11 +4,11 @@
 //!
 //! The paper's conclusion names "k-relaxed Pareto priority queues … for
 //! parallelization of a multi-objective shortest path search" as planned
-//! future work. `priosched_core::pareto` prototypes the queue itself; this
-//! workload runs the *search* on the ordinary scalar-priority scheduler, so
-//! it sweeps across all five structures like every other workload. That is
-//! sound because label-correcting with dead-label elimination converges to
-//! the exact fronts under **any** pop order — pop order (here: a
+//! future work. This workload runs the *search* on the ordinary
+//! scalar-priority scheduler instead, so it sweeps across all five
+//! structures like every other workload. That is sound because
+//! label-correcting with dead-label elimination converges to the exact
+//! fronts under **any** pop order — pop order (here: a
 //! scalarized priority, the sum of both objectives) only shifts how much
 //! superseded work is performed, which is exactly the relaxation-quality
 //! signal the harness measures.
@@ -19,10 +19,19 @@
 
 use crate::Workload;
 use parking_lot::Mutex;
-use priosched_core::pareto::{dominates, BiPriority};
 use priosched_core::stats::PlaceCounter;
 use priosched_core::{PoolParams, RunStats, SpawnCtx, TaskExecutor};
 use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
+
+/// A bi-objective priority, e.g. (travel time, cost). Smaller is better in
+/// both components.
+pub type BiPriority = [u64; 2];
+
+/// `a` dominates `b`: no worse in both objectives, strictly better in one.
+#[inline]
+pub fn dominates(a: BiPriority, b: BiPriority) -> bool {
+    a[0] <= b[0] && a[1] <= b[1] && (a[0] < b[0] || a[1] < b[1])
+}
 
 /// A search label: reached `node` with accumulated (time, cost).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -256,6 +265,15 @@ mod tests {
     use super::*;
     use crate::run_workload;
     use priosched_core::PoolKind;
+
+    #[test]
+    fn dominance_relation() {
+        assert!(dominates([1, 1], [2, 2]));
+        assert!(dominates([1, 2], [1, 3]));
+        assert!(!dominates([1, 1], [1, 1]), "equal does not dominate");
+        assert!(!dominates([1, 3], [2, 1]), "incomparable");
+        assert!(!dominates([2, 2], [1, 1]));
+    }
 
     #[test]
     fn update_front_keeps_pareto_invariant() {

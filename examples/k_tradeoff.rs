@@ -70,12 +70,9 @@ fn main() {
     );
     println!("{:->8}-+-{:->24}-+-{:->24}", "", "", "");
     for k in [1usize, 4, 16, 64, 256, 1024] {
-        // kmax = k pins the centralized window to exactly the swept bound
-        // (PoolBuilder::k alone would widen it to the paper's 512 floor).
         let centralized = PoolBuilder::new(PoolKind::Centralized)
             .places(2)
             .k(k)
-            .kmax(k.max(1) as u32)
             .build::<u64>();
         let (c_mean, c_max) = measure(centralized, k, ops);
         let hybrid = PoolBuilder::new(PoolKind::Hybrid)

@@ -8,8 +8,8 @@
 //! dead-label elimination, exhaustive sequential oracle) lives in
 //! `crates/workloads` and runs on the ordinary scalar-priority scheduler —
 //! label correction converges to the exact fronts under any pop order, so
-//! every structure can be swept; `priosched::core::pareto` separately
-//! prototypes the vector-priority queue the paper envisions.
+//! every structure can be swept without the vector-priority queue the
+//! paper envisions.
 //!
 //! Run with: `cargo run --release --example multi_objective_sssp`
 

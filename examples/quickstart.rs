@@ -12,8 +12,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use priosched::core::multiqueue::DEFAULT_MQ_C;
 use priosched::core::{
-    run_on_kind, PoolBuilder, PoolKind, PoolParams, SpawnCtx, SubmitError, TaskExecutor,
+    run_on_kind, PoolBuilder, PoolKind, PoolParams, RelaxedMultiQueue, Scheduler, SpawnCtx,
+    SubmitError, TaskExecutor,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -182,18 +184,17 @@ fn run_with(kind: PoolKind, places: usize) {
 /// sequential queues, random push, pop from the better of two randomly
 /// probed queues — rank error is O(P) only *in expectation* and
 /// unbounded in the worst case, in exchange for contention that falls as
-/// c grows. The shadow instrument (`rank_error(true)`; a global exact
+/// c grows. The shadow instrument (`with_rank_error()`; a global exact
 /// multiset, so keep it off hot production paths) prices the trade: it
-/// reports how many strictly-better tasks were queued at each pop.
+/// reports how many strictly-better tasks were queued at each pop. The
+/// facade never builds it, so the pool is constructed directly.
 fn multiqueue_demo(places: usize) {
     let exec = TreeWalk {
         executed: AtomicU64::new(0),
     };
-    let stats = PoolBuilder::new(PoolKind::MultiQueue)
-        .places(places)
-        .mq_c(2) // 2 queues per place — the usual sweet spot
-        .rank_error(true)
-        .run(&exec, vec![(0u64, K, (0u64, 0u64))]);
+    // DEFAULT_MQ_C = 2 queues per place, what `PoolKind::MultiQueue` uses.
+    let pool = RelaxedMultiQueue::new(places, DEFAULT_MQ_C).with_rank_error();
+    let stats = Scheduler::from_pool(pool).run(&exec, vec![(0u64, K, (0u64, 0u64))]);
     let expected: u64 = (0..=MAX_DEPTH).map(|d| FANOUT.pow(d as u32)).sum();
     assert_eq!(stats.executed, expected);
     println!(

@@ -76,7 +76,7 @@ fn sparse_and_dense_graph_families() {
         let g = erdos_renyi(&ErdosRenyiConfig { n, p, seed });
         let expect = dijkstra(&g, 0).dist;
         for kind in PoolKind::PAPER {
-            let cfg = SsspConfig::new(2, 8).kmax(64);
+            let cfg = SsspConfig::new(2, 8);
             let res = run_sssp_kind(kind, &g, 0, &cfg);
             assert_eq!(res.dist, expect, "{kind} n={n} p={p}");
         }
@@ -93,7 +93,7 @@ fn pathological_graphs() {
         let g = CsrGraph::from_undirected_edges(n, &edges);
         let expect = dijkstra(&g, 0).dist;
         for kind in PoolKind::PAPER {
-            let cfg = SsspConfig::new(3, 4).kmax(64);
+            let cfg = SsspConfig::new(3, 4);
             let res = run_sssp_kind(kind, &g, 0, &cfg);
             assert_eq!(res.dist, expect, "{kind} on {name}");
         }
