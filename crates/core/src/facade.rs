@@ -211,19 +211,17 @@ where
     })
 }
 
-/// Streamed sibling of [`run_on_kind`]: runs `executor` over `roots` *plus*
-/// everything submitted through `ingress` handles while the pool drains,
+/// Streamed sibling of [`run_on_kind`]: runs `executor` over everything
+/// submitted through `ingress` handles, before or while the pool drains,
 /// returning at quiescence (see [`Scheduler::run_stream`]).
 ///
 /// Like [`run_on_kind`], dispatch happens once, before the run — every arm
-/// monomorphizes `run_stream` against the concrete structure, so all five
-/// structures get the streamed lifecycle with zero per-operation cost.
+/// monomorphizes `run_stream` against the concrete structure.
 pub fn run_stream_on_kind<T, E>(
     kind: PoolKind,
     places: usize,
     params: PoolParams,
     executor: &E,
-    roots: Vec<(u64, usize, T)>,
     ingress: &IngressLanes<T>,
 ) -> RunStats
 where
@@ -233,7 +231,7 @@ where
     on_concrete!(kind.build(places, params), |pool| {
         Scheduler::from_pool_arc(pool)
             .with_fault_policy(params.fault_policy)
-            .run_stream(executor, roots, ingress)
+            .run_stream(executor, ingress)
     })
 }
 
@@ -282,19 +280,19 @@ impl PoolBuilder {
     /// Bounds each ingress lane of a [`PoolBuilder::service`] built from
     /// this builder to `capacity` queued tasks (backpressure: `try_submit`
     /// sheds, blocking `submit` parks — see [`crate::ingest`]). Only
-    /// paths that *construct* lanes honor it: `service` here, and
-    /// sweep harnesses that build lanes from [`PoolParams`].
-    /// [`PoolBuilder::run_stream`] drains caller-constructed lanes, whose
-    /// bound is fixed at [`crate::IngressLanes::with_capacity`] time;
-    /// closed-world runs have no lanes at all.
+    /// `service` and sweep harnesses that build lanes from [`PoolParams`]
+    /// honor it: [`run_stream_on_kind`] drains caller-constructed lanes,
+    /// whose bound is fixed at [`crate::IngressLanes::with_capacity`] time,
+    /// and [`PoolBuilder::run`]'s lanes are unbounded and hold only its
+    /// roots, submitted before any worker starts.
     pub fn lane_capacity(mut self, capacity: usize) -> Self {
         self.params.lane_capacity = Some(capacity);
         self
     }
 
     /// Selects what workers do when a task panics (see
-    /// [`crate::FaultPolicy`]): honored by [`PoolBuilder::run`],
-    /// [`PoolBuilder::run_stream`], and [`PoolBuilder::service`].
+    /// [`crate::FaultPolicy`]): honored by [`PoolBuilder::run`] and
+    /// [`PoolBuilder::service`].
     pub fn fault_policy(mut self, policy: crate::FaultPolicy) -> Self {
         self.params.fault_policy = policy;
         self
@@ -324,27 +322,6 @@ impl PoolBuilder {
         E: TaskExecutor<T>,
     {
         run_on_kind(self.kind, self.places, self.params, executor, roots)
-    }
-
-    /// Streamed sibling of [`PoolBuilder::run`] (see [`run_stream_on_kind`]).
-    pub fn run_stream<T, E>(
-        &self,
-        executor: &E,
-        roots: Vec<(u64, usize, T)>,
-        ingress: &IngressLanes<T>,
-    ) -> RunStats
-    where
-        T: Send + 'static,
-        E: TaskExecutor<T>,
-    {
-        run_stream_on_kind(
-            self.kind,
-            self.places,
-            self.params,
-            executor,
-            roots,
-            ingress,
-        )
     }
 
     /// Starts a long-lived [`PoolService`] over a freshly built pool of

@@ -8,7 +8,11 @@
 //! funnelling through one contended entry point — and without a fast
 //! producer being able to queue unboundedly ahead of the consumers.
 //!
-//! This module supplies the open-world half:
+//! Every run goes through lanes, and the lanes hold what the run's places
+//! share: the outstanding count and the abort gate. A closed-world run is
+//! the special case of lanes whose one producer submitted the roots and
+//! dropped its handle before the workers started; it ends exactly like a
+//! streamed run whose producers are gone.
 //!
 //! * [`IngressLanes`] — one MPSC lane per place, each with an optional
 //!   **capacity** ([`IngressLanes::with_capacity`]). Producers append under
@@ -106,7 +110,7 @@
 //! | submission into lane `l`               | worker `l` (targeted) |
 //! | lane drain transferred `n > 0` tasks   | blocked producers (space freed) + idle workers (tasks became stealable/spyable; `queued` fell, so quiescence may hold) |
 //! | lane drain took `queued` to zero       | control slot (join waiters: the other half of their `queued == 0 ∧ pending == 0` predicate) |
-//! | in-pool spawn (streamed runs)          | idle workers (gated broadcast) |
+//! | in-pool spawn                          | idle workers (gated broadcast) |
 //! | a place's settle takes the pending counter to zero | control slot (join waiters); all workers if also quiescent |
 //! | producer refcount reaches zero         | everything (workers re-check quiescence) |
 //! | abort / shutdown                       | everything |
@@ -124,9 +128,9 @@
 //!
 //! Producers and join waiters wait through
 //! [`crate::park::ParkSlot::poll_until`] and workers through the same
-//! register → re-check → park steps written out in `place_loop` (the
-//! [`crate::park`] table says why), so none of these can be lost to the
-//! check-then-sleep race.
+//! register → re-check → park steps written out once in
+//! `SpawnCtx::park_idle` (the [`crate::park`] table says why), so none of
+//! these can be lost to the check-then-sleep race.
 //!
 //! [`IngressLanes::handle`] *can* re-arm a drained set of lanes (the count
 //! goes 0 → 1 again); that is how the same lanes feed a *subsequent*
@@ -140,7 +144,7 @@
 use crate::park::{thread_ready, ParkSlot, Parker, Waiter, WakerId};
 use crate::pool::PoolHandle;
 use crate::scheduler::Outstanding;
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
@@ -229,8 +233,13 @@ pub(crate) struct IngressShared<T: Send> {
     producers: AtomicUsize,
     /// Round-robin seed so successive handles start on different lanes.
     next_lane: AtomicUsize,
+    /// The scheduler's credit-settled outstanding-task count (see the
+    /// Termination bullet of [`crate::scheduler`]), shared by every place
+    /// of the run or service these lanes feed.
+    pending: CachePadded<AtomicU64>,
     /// Lifecycle gate: open / aborted / shut down. Monotonic — once
-    /// raised it never clears; submissions check it first.
+    /// raised it never clears; submissions check it first, and
+    /// [`GATE_ABORTED`] is the run's abort flag.
     gate: AtomicU8,
     /// The parking fabric shared by workers, join waiters, and blocked
     /// producers (see the module-docs event table).
@@ -240,8 +249,7 @@ pub(crate) struct IngressShared<T: Send> {
 impl<T: Send> IngressShared<T> {
     /// `true` when no producer can ever submit again and every lane has
     /// been transferred into the pool. Combined with `pending == 0` (read
-    /// *after* this, see module docs) this is the streamed termination
-    /// condition.
+    /// *after* this, see module docs) this is the termination condition.
     pub(crate) fn quiescent(&self) -> bool {
         self.producers.load(Ordering::Acquire) == 0 && self.queued.load(Ordering::Acquire) == 0
     }
@@ -251,31 +259,37 @@ impl<T: Send> IngressShared<T> {
         self.queued.load(Ordering::Relaxed)
     }
 
+    /// The outstanding-task count of the run these lanes feed.
+    pub(crate) fn pending(&self) -> &AtomicU64 {
+        &self.pending
+    }
+
+    /// `true` once the run aborted ([`IngressShared::abort_and_wake`]).
+    pub(crate) fn aborted(&self) -> bool {
+        self.gate.load(Ordering::Acquire) == GATE_ABORTED
+    }
+
     /// The drain wait behind [`crate::service::PoolService::join`] and
     /// `join_async`: waits on the control slot, as `waiter`, until
     /// everything submitted so far has been executed — `queued == 0 ∧
-    /// pending == 0`, `pending` being the scheduler's credit-settled
-    /// outstanding count — and answers `true`, or `false` as soon as
-    /// `abort` is up. Both writers that can make the predicate true wake
-    /// the control slot (module docs, third and fifth event rows).
+    /// pending == 0` — and answers `true`, or `false` as soon as the run
+    /// has aborted. Both writers that can make the predicate true wake the
+    /// control slot (module docs, third and fifth event rows).
     pub(crate) fn poll_drained(
         &self,
         waiter: Waiter<'_>,
         deposit: &mut Option<WakerId>,
-        pending: &AtomicU64,
-        abort: &AtomicBool,
     ) -> Poll<bool> {
-        let aborted = || abort.load(Ordering::Acquire);
         self.parker.control().poll_until(waiter, deposit, || {
-            if aborted() {
+            if self.aborted() {
                 return Some(false);
             }
-            let drained =
-                self.queued.load(Ordering::Acquire) == 0 && pending.load(Ordering::Acquire) == 0;
+            let drained = self.queued.load(Ordering::Acquire) == 0
+                && self.pending.load(Ordering::Acquire) == 0;
             // Looked at again after the drain: a panicking task records
-            // its failure and raises the flag before its unit can leave
+            // its failure and raises the gate before its unit can leave
             // the count, so a drain caused by a panic shows here.
-            drained.then(|| !aborted())
+            drained.then(|| !self.aborted())
         })
     }
 
@@ -284,25 +298,27 @@ impl<T: Send> IngressShared<T> {
         &self.parker
     }
 
-    /// Poisons the lanes (abort) and wakes everything: parked workers
-    /// observe the abort flag, join waiters return `false`, blocked
-    /// producers fail with [`SubmitError::Aborted`] instead of parking
-    /// against workers that are gone.
+    /// Aborts the run: poisons the lanes and wakes everything — parked
+    /// workers exit, join waiters return `false`, blocked producers fail
+    /// with [`SubmitError::Aborted`] instead of parking against workers
+    /// that are gone.
     pub(crate) fn abort_and_wake(&self) {
-        // Never downgrade a shutdown; both states end the lanes' life.
-        let _ = self.gate.compare_exchange(
-            GATE_OPEN,
-            GATE_ABORTED,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        );
-        self.parker.wake_all();
+        self.raise_gate(GATE_ABORTED);
     }
 
-    /// Marks the lanes shut down (after the service's workers exited
-    /// cleanly) and wakes any straggler.
+    /// Marks the lanes shut down (after the service's workers exited) and
+    /// wakes any straggler.
     pub(crate) fn shut_down_and_wake(&self) {
-        self.gate.store(GATE_SHUT_DOWN, Ordering::Release);
+        self.raise_gate(GATE_SHUT_DOWN);
+    }
+
+    /// Raises the gate from open to `state` and wakes everything. The
+    /// first state raised stays: an aborted run's shutdown still reports
+    /// the abort, and a shut-down service cannot abort.
+    fn raise_gate(&self, state: u8) {
+        let _ = self
+            .gate
+            .compare_exchange(GATE_OPEN, state, Ordering::AcqRel, Ordering::Relaxed);
         self.parker.wake_all();
     }
 
@@ -352,9 +368,9 @@ impl<T: Send> IngressShared<T> {
     }
 
     /// Moves the contents of lane `place` into `handle`, charging the
-    /// draining place's share of the scheduler's pending counter
-    /// (`outstanding`: credits first, the shared counter for the rest)
-    /// before any task becomes poppable.
+    /// draining place's share of the pending counter (`outstanding`:
+    /// credits first, the shared counter for the rest) before any task
+    /// becomes poppable.
     ///
     /// Tasks are pushed through [`PoolHandle::push_batch`] in maximal
     /// consecutive same-`k` runs, so a drained batch is charged
@@ -428,13 +444,19 @@ impl<T: Send> IngressShared<T> {
     }
 }
 
-/// The per-place ingress lanes of one pool run (or service).
+/// The per-place ingress lanes of one pool run (or service), and the state
+/// that run's places share: its outstanding-task count and its abort gate.
 ///
 /// Create one with as many lanes as the pool has places, mint
 /// [`IngestHandle`]s for every producer **before** starting the streamed
 /// run (a run that observes zero producers and empty lanes terminates),
 /// then hand it to [`crate::Scheduler::run_stream`] /
-/// [`crate::facade::run_stream_on_kind`].
+/// [`crate::facade::run_stream_on_kind`]. [`crate::Scheduler::run`] builds
+/// its own, with the roots already submitted and no producer left.
+///
+/// A run that aborts leaves its lanes poisoned for good: submissions fail
+/// with [`SubmitError::Aborted`], and a later run over the same lanes
+/// exits at once.
 ///
 /// Tasks still sitting in lanes when the lanes (and all handles) are
 /// dropped are dropped exactly once, like any owned value — lanes store
@@ -478,6 +500,7 @@ impl<T: Send> IngressLanes<T> {
                 queued: AtomicU64::new(0),
                 producers: AtomicUsize::new(0),
                 next_lane: AtomicUsize::new(0),
+                pending: CachePadded::new(AtomicU64::new(0)),
                 gate: AtomicU8::new(GATE_OPEN),
                 parker: Parker::new(lanes),
             }),
@@ -936,10 +959,20 @@ mod tests {
         aborter.join().unwrap();
         assert_eq!(bounded.queued(), 4);
         assert_eq!(batch, vec![(0, 10), (1, 11), (2, 12)]);
-        // Shutdown wins over abort in reporting once raised.
+        // The gate keeps the first state raised: a shutdown after the
+        // abort still reports the abort, and a shut-down gate cannot abort.
         lanes.shared().shut_down_and_wake();
+        assert!(lanes.shared().aborted());
         assert_eq!(
             h.try_submit(3, 4, "z".into()).unwrap_err().kind(),
+            SubmitError::Aborted(())
+        );
+        let closed: IngressLanes<u64> = IngressLanes::new(1);
+        closed.shared().shut_down_and_wake();
+        closed.shared().abort_and_wake();
+        assert!(!closed.shared().aborted());
+        assert_eq!(
+            closed.handle().try_submit(3, 4, 3).unwrap_err().kind(),
             SubmitError::ShutDown(())
         );
     }

@@ -20,7 +20,10 @@
 //!   read-only *spying* instead of stealing. A pop may ignore at most the
 //!   `k` newest items *of each place* (ρ = P·k).
 //!
-//! All three implement the [`pool::TaskPool`] interface used by the
+//! Beside them sits the relaxed MultiQueue
+//! ([`multiqueue::RelaxedMultiQueue`], arXiv 2109.00657), in two
+//! configurations. That makes five [`PoolKind`]s over four structures,
+//! and all five implement the [`pool::TaskPool`] interface used by the
 //! [`scheduler::Scheduler`] (places, help-first spawning, termination
 //! detection, finish regions — §2 of the paper).
 //!
@@ -125,18 +128,19 @@
 //!   scalar is untouched);
 //! * termination generalizes to **quiescence**: counter zero *and* empty
 //!   lanes *and* zero live producer handles (a refcount — dropping the
-//!   last handle is the producers' "no more input" signal). Exposed as
-//!   [`scheduler::Scheduler::run_stream`] / [`facade::run_stream_on_kind`]
-//!   for one-shot streamed runs, and as [`service::PoolService`] (or
-//!   [`PoolBuilder::service`]) for a long-lived pool you can
-//!   `submit`/`join` repeatedly — the service holds its own producer
-//!   handle, so its workers stay alive through gaps instead of
-//!   terminating, and shutdown is nothing but dropping that handle and
-//!   waiting for quiescence.
+//!   last handle is the producers' "no more input" signal). Every run
+//!   ends this way: [`scheduler::Scheduler::run`] submits its roots
+//!   through one handle into fresh lanes and drops it before the workers
+//!   start; [`scheduler::Scheduler::run_stream`] /
+//!   [`facade::run_stream_on_kind`] run over caller-built lanes; and
+//!   [`service::PoolService`] (or [`PoolBuilder::service`]) is a
+//!   long-lived pool you can `submit`/`join` repeatedly — it holds its
+//!   own producer handle, so its workers stay alive through gaps, and
+//!   shutdown is dropping that handle and waiting for quiescence.
 //!
 //! ## Parking: idle without burning a core
 //!
-//! Every streamed idle path — workers whose pops fail,
+//! Every idle path — workers whose pops fail (in every run),
 //! [`service::PoolService::join`], producers blocked on full lanes —
 //! *parks* on the [`park`] subsystem instead of spinning or poll-sleeping.
 //! A quiescent service consumes no CPU: its worker loops make **zero**
@@ -152,8 +156,9 @@
 //! [`park::ParkSlot::poll_until`], and every predicate wait — blocking
 //! and async `submit`/`submit_batch`, `join` and `join_async` — hands it
 //! its condition as a closure; only the worker park, whose re-check pops
-//! a task rather than testing a condition, spells them out (the [`park`]
-//! table says why). The quiescence read-order argument (producers
+//! a task rather than testing a condition, spells them out, once, for
+//! both the worker loop and `help_while` (the [`park`] table says why).
+//! The quiescence read-order argument (producers
 //! first, then queued, then pending — see [`ingest`]) extends to parking:
 //! every transition a sleeper could be waiting on (submission, drain,
 //! spawn, pending → 0, queued → 0, producers → 0, abort) is a wake event
@@ -204,11 +209,13 @@
 //! [`service::PoolService::start_with_policy`] /
 //! [`PoolBuilder::fault_policy`]). Under the default
 //! [`pool::FaultPolicy::AbortRun`], the worker records a
-//! [`scheduler::FailureReport`], raises the abort flag, poisons the
-//! lanes (blocked and future producers fail with
-//! [`ingest::SubmitError::Aborted`], payloads handed back), and every
-//! worker drains out; closed-world `run`/`run_stream` resume the panic on
-//! the caller, while [`service::PoolService::join`]/`join_async` return
+//! [`scheduler::FailureReport`] and raises the lanes' abort gate, which
+//! poisons them (blocked and future producers fail with
+//! [`ingest::SubmitError::Aborted`], payloads handed back) and drains
+//! every worker out; [`Scheduler::run`] and
+//! [`Scheduler::run_stream`], whose callers wait for the run to end,
+//! resume the panic on the caller, while
+//! [`service::PoolService::join`]/`join_async` return
 //! `Err(`[`scheduler::PoolAborted`]`)` and
 //! [`service::PoolService::shutdown`] returns a typed
 //! [`service::ShutdownError`] — a failure never poisons teardown. Under
@@ -221,7 +228,7 @@
 //! Isolation preserves the pending-count read-order argument that
 //! quiescence termination rests on (see [`ingest`]): the failure is
 //! recorded *before* the panicking task's unit of the count becomes a
-//! credit of its place, exactly where `AbortRun` raises the abort flag,
+//! credit of its place, exactly where `AbortRun` raises the abort gate,
 //! and the settle that later releases it is the same one a successful
 //! completion's credit leaves through. Any observer that
 //! sees the counter reach zero (a joiner, a terminating worker) is
@@ -287,7 +294,7 @@
 //! | (d) The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
 //! | (d′) What a place buffered in the MultiQueue's insertion buffer is never out of another place's reach: a place-1 pusher whose first push is buffered, whose second lands both under the buffer lock and one queue lock, and whose third is still buffered when its handle drops, races a place-0 popper whose failing scan try-locks that buffer — each task exactly once, and the quiescent pool's scan finds every survivor ([`multiqueue`], "Per-place insertion buffer") | `models::multiqueue_buffer_is_reachable_by_other_places` |
 //! | (e) The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
-//! | (g) Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet) | `models::credits_settle_before_quiescence` |
+//! | (g) Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet). A closed-world [`Scheduler::run`] now has exactly this model's shape: a root submitted through a handle dropped before the two places start, then the real place loops parking untimed | `models::credits_settle_before_quiescence` |
 //! | (h) A join's two-variable predicate (`queued == 0 ∧ pending == 0`) is woken by whichever write comes last: a drain whose task another place finishes and settles before `queued` falls still ends the wait ([`park`] predicate table, [`ingest`] event table) | `models::join_wakes_on_the_last_of_drain_and_finish` |
 //! | (i) The centralized window walk: two pushers resuming from their hints (same window, a window seen full, a tail the peer has moved) and a concurrent popper lose no task and deliver none twice, and the tail only ever passes windows without a null slot ([`centralized`], "The window walk") | `models::centralized_window_walk_exactly_once` |
 //!

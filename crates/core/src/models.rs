@@ -486,25 +486,21 @@ impl TaskExecutor<u64> for CountDown {
     }
 }
 
-/// What the places of models (g) and (h) share: two lanes, a [`SharedBag`]
-/// pool, the outstanding count and a [`CountDown`] executor.
+/// What the places of models (g) and (h) share: two lanes (which hold the
+/// outstanding count and the abort gate), a [`SharedBag`] pool and a
+/// [`CountDown`] executor.
 struct TwoPlaceRun {
     lanes: IngressLanes<u64>,
     bag: Arc<Mutex<Vec<(u64, u64)>>>,
-    pending: Arc<AtomicU64>,
-    abort: Arc<AtomicBool>,
     faults: Arc<FaultCell>,
     exec: Arc<CountDown>,
 }
 
 impl TwoPlaceRun {
-    /// A run with `seeded` already in the pool (and charged).
-    fn new(seeded: Vec<(u64, u64)>) -> Self {
+    fn new() -> Self {
         TwoPlaceRun {
             lanes: IngressLanes::new(2),
-            pending: Arc::new(AtomicU64::new(seeded.len() as u64)),
-            bag: Arc::new(Mutex::new(seeded)),
-            abort: Arc::new(AtomicBool::new(false)),
+            bag: Arc::new(Mutex::new(Vec::new())),
             faults: Arc::new(FaultCell::new(FaultPolicy::AbortRun)),
             exec: Arc::new(CountDown {
                 done: AtomicU64::new(0),
@@ -512,24 +508,15 @@ impl TwoPlaceRun {
         }
     }
 
-    /// The body of place `place`: the real [`place_loop`] (streamed
-    /// flavor, so idle places park untimed), which must not return before
-    /// all `tasks` executions of the run are done. Returns its own count.
+    /// The body of place `place`: the real [`place_loop`], idle places
+    /// parking untimed, which must not return before all `tasks`
+    /// executions of the run are done. Returns its own count.
     fn place(&self, place: usize, tasks: u64) -> impl FnOnce() -> u64 {
         let shared = Arc::clone(self.lanes.shared());
         let mut handle = SharedBag(Arc::clone(&self.bag));
-        let (pending, abort) = (Arc::clone(&self.pending), Arc::clone(&self.abort));
         let (faults, exec) = (Arc::clone(&self.faults), Arc::clone(&self.exec));
         move || {
-            let (executed, dead) = place_loop(
-                &mut handle,
-                &*exec,
-                &pending,
-                &abort,
-                &faults,
-                Some(&*shared),
-                place,
-            );
+            let (executed, dead) = place_loop(&mut handle, &*exec, &shared, &faults, place);
             assert_eq!(
                 exec.done.load(Ordering::SeqCst),
                 tasks,
@@ -539,37 +526,45 @@ impl TwoPlaceRun {
             executed
         }
     }
+
+    /// The outstanding count, read once the places have joined.
+    fn pending(&self) -> u64 {
+        self.lanes.shared().pending().load(Ordering::SeqCst)
+    }
 }
 
 /// (g) Credit ledger: a place never sees the run drained out while a task
 /// is poppable or executing, and the run terminates.
 ///
-/// Two places run the real [`place_loop`] (streamed flavor, so idle places
-/// park) over a countdown 2 → 1 → 0 seeded in a shared bag. Whichever
-/// place runs two of the three tasks back to back pays for the second
-/// spawn out of the credit the first task left — no read-modify-write on
-/// the shared count — while the other place may pop that child, fail a
-/// pop, check the count, register and park at any point in between. A
-/// place leaves its loop only when it has read the settled count as zero
-/// with the ingress side quiescent, so `done == 3` on every exit is the
-/// safety half (the count never reads zero early: a credit is a unit that
-/// is *still in* the count); the liveness half is the explorer's deadlock
-/// detector: parks are untimed, so if the settle that takes the count to
-/// zero did not wake the parked peer — or never happened — the execution
-/// deadlocks. Under `loom_mutate_credit_flush` the settle in front of the
-/// termination check is gone, the last credits are never released, and
-/// both places park on a count that stays above zero.
+/// This is a closed-world run's exact shape: [`crate::Scheduler::run`]
+/// submits the root of a countdown 2 → 1 → 0 through one handle and drops
+/// it, and two places run the real [`place_loop`] over the lanes and a
+/// shared bag. Place 0 drains the root out of its lane. Whichever place
+/// runs two of the three tasks back to back pays for the second spawn out
+/// of the credit the first task left — no read-modify-write on the shared
+/// count — while the other place may pop that child, fail a pop, check the
+/// count, register and park at any point in between. A place leaves its
+/// loop only when it has read the settled count as zero with the ingress
+/// side quiescent, so `done == 3` on every exit is the safety half (the
+/// count never reads zero early: a credit is a unit that is *still in* the
+/// count); the liveness half is the explorer's deadlock detector: parks
+/// are untimed, so if the settle that takes the count to zero did not wake
+/// the parked peer — or never happened — the execution deadlocks. Under
+/// `loom_mutate_credit_flush` the settle in front of the termination check
+/// is gone, the last credits are never released, and both places park on
+/// a count that stays above zero.
 pub fn credits_settle_before_quiescence() {
     loom::model(|| {
         const CHAIN: u64 = 2;
-        // No producers and nothing queued: the ingress side is quiescent
-        // from the start and only the outstanding count keeps the run up.
-        let run = TwoPlaceRun::new(vec![(CHAIN, CHAIN)]);
+        let run = TwoPlaceRun::new();
+        // First handle, first lane: 0. No producer is left once it drops,
+        // so only the lane and the outstanding count keep the run up.
+        run.lanes.handle().submit(CHAIN, 0, CHAIN).unwrap();
         let peer = thread::spawn(run.place(1, CHAIN + 1));
         let own = run.place(0, CHAIN + 1)();
         let other = peer.join().unwrap();
         assert_eq!(own + other, CHAIN + 1, "every task ran exactly once");
-        assert_eq!(run.pending.load(Ordering::SeqCst), 0, "all credits settled");
+        assert_eq!(run.pending(), 0, "all credits settled");
     });
 }
 
@@ -590,17 +585,16 @@ pub fn credits_settle_before_quiescence() {
 /// reports the deadlock: PR 14's 1-in-1500 join hang.
 pub fn join_wakes_on_the_last_of_drain_and_finish() {
     loom::model(|| {
-        let run = TwoPlaceRun::new(Vec::new());
+        let run = TwoPlaceRun::new();
         let mut producer = run.lanes.handle();
         producer.submit(0, 0, 0).unwrap(); // first handle, first lane: 0
 
         let peer = thread::spawn(run.place(1, 1));
         let joiner = {
             let shared = Arc::clone(run.lanes.shared());
-            let (pending, abort) = (Arc::clone(&run.pending), Arc::clone(&run.abort));
             let exec = Arc::clone(&run.exec);
             thread::spawn(move || {
-                let drained = shared.poll_drained(Waiter::Thread, &mut None, &pending, &abort);
+                let drained = shared.poll_drained(Waiter::Thread, &mut None);
                 assert_eq!(drained, Poll::Ready(true));
                 assert_eq!(
                     exec.done.load(Ordering::SeqCst),
@@ -616,7 +610,7 @@ pub fn join_wakes_on_the_last_of_drain_and_finish() {
         let other = peer.join().unwrap();
         joiner.join().unwrap();
         assert_eq!(own + other, 1, "the submitted task ran exactly once");
-        assert_eq!(run.pending.load(Ordering::SeqCst), 0, "all credits settled");
+        assert_eq!(run.pending(), 0, "all credits settled");
     });
 }
 

@@ -1,10 +1,10 @@
 //! Parker/waker subsystem: blocking idle instead of burning a core.
 //!
-//! Every idle path in the streamed runtime — workers whose pops fail,
-//! [`crate::service::PoolService::join`] waiting for a drain, producers
-//! blocked on a full ingress lane — used to spin with capped backoff
-//! (sleep 50 µs, poll, repeat). This module replaces that with real
-//! parking: an idle thread sleeps on a condvar until an *event* (a
+//! Every idle path of the runtime — workers whose pops fail, in a
+//! closed-world run as in a service, [`crate::service::PoolService::join`]
+//! waiting for a drain, producers blocked on a full ingress lane — would
+//! otherwise spin with capped backoff (sleep, poll, repeat). This module
+//! parks instead: an idle thread sleeps on a condvar until an *event* (a
 //! submission, a spawn, a drain, abort, quiescence) wakes it, so a
 //! quiescent pool consumes no CPU at all.
 //!
@@ -121,13 +121,14 @@
 //! | `drained` = `queued == 0 ∧ pending == 0` ([`crate::service::PoolService::join`], `join_async`; control slot) | `queued` falls in `IngressShared::drain_into` | same function, `control().wake_if_waiting()` when its `fetch_sub` took `queued` to zero | `poll_until` (`IngressShared::poll_drained`) |
 //! | | `pending` falls when a place settles its credits (`SpawnCtx::settle`, the only decrement of the shared count) | same function, `control().wake_if_waiting()` when the flush took the count to zero | |
 //! | lane has room (blocked producers, pending submit futures; space slot) | `drain_into` swaps the lane out | `space().wake_if_waiting()` (bounded lanes only) | `poll_until` (`IngestHandle::poll_submit`, `poll_submit_batch`) |
-//! | run quiescence = `producers == 0 ∧ queued == 0 ∧ pending == 0`, or a task to pop (workers; their own slots) | `producers` falls in `IngestHandle::drop` | `wake_all()` on reaching zero | hand-written in `place_loop` and `help_while` (`Parker::worker_prepare`): the re-check *pops a task*, and the worker must leave `idle_workers` before it runs it, not after; `help_while`'s park is also timed, its `cond` being executor state no wake announces |
+//! | run quiescence = `producers == 0 ∧ queued == 0 ∧ pending == 0`, or a task to pop (workers; their own slots) | `producers` falls in `IngestHandle::drop` | `wake_all()` on reaching zero | `SpawnCtx::park_idle` (`Parker::worker_prepare`), the one worker wait — untimed from `place_loop`, capped at 200 µs from `help_while`, whose `cond` is executor state no wake announces. It is written by hand because its re-check *pops a task*, and the worker must leave `idle_workers` before it runs it, not after |
 //! | | `queued` falls in `drain_into` | `wake_workers_if_idle()` after every transfer | |
 //! | | `pending` falls in `SpawnCtx::settle` | `wake_all()` when the flush reached zero and the ingress side reads quiescent | |
 //! | | a task lands in the worker's lane, or is spawned or drained into the pool | `wake_worker(lane)` in `IngressShared::place`; `wake_workers_if_idle()` after spawns and transfers | |
 //!
-//! The hand-written wait is the one loom model (g) runs as it stands;
-//! `poll_until` itself is what models (a), (a′) and (h) run.
+//! The worker wait is what loom models (g) and (h) run inside the real
+//! `place_loop`; `poll_until` itself is what models (a), (a′) and (h)'s
+//! joiner run.
 //!
 //! Abort and shutdown end every one of these waits through `wake_all()`.
 //! Both `drained` rows are load-bearing: a `pending → 0` wake that fires
@@ -462,7 +463,7 @@ impl ParkSlot {
     }
 }
 
-/// The parking fabric of one streamed pool (or service): one slot per
+/// The parking fabric of one run (or service): one slot per
 /// place for its worker, one control slot for join/shutdown waiters, and
 /// one space slot for producers blocked on full ingress lanes.
 ///
@@ -510,15 +511,13 @@ impl Parker {
         self.idle_workers.fetch_sub(1, Ordering::Release);
     }
 
-    /// Parks worker `place` on its slot until an event.
-    pub fn worker_park(&self, place: usize, token: u64) {
-        self.workers[place].park(token);
-        self.idle_workers.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Bounded park for worker `place` (see [`ParkSlot::park_timeout`]).
-    pub fn worker_park_timeout(&self, place: usize, token: u64, timeout: Duration) {
-        self.workers[place].park_timeout(token, timeout);
+    /// Parks worker `place` on its slot until an event, or for at most
+    /// `cap` (see [`ParkSlot::park_timeout`]).
+    pub fn worker_park(&self, place: usize, token: u64, cap: Option<Duration>) {
+        match cap {
+            None => self.workers[place].park(token),
+            Some(cap) => _ = self.workers[place].park_timeout(token, cap),
+        }
         self.idle_workers.fetch_sub(1, Ordering::Release);
     }
 
@@ -640,8 +639,9 @@ mod tests {
         // Targeted: a registered worker is woken by its own slot.
         let token = parker.worker_prepare(1);
         parker.wake_worker(1);
-        parker.worker_park(1, token); // stale token, returns
-                                      // Gated broadcast: with nobody idle this is one fence + load.
+        // Stale token: returns at once.
+        parker.worker_park(1, token, None);
+        // Gated broadcast: with nobody idle this is one fence + load.
         parker.wake_workers_if_idle();
         // With an idle worker it must wake it. Wait for the token, not for
         // `idle_workers`: that rises before `prepare` reads the epoch, and
@@ -654,7 +654,7 @@ mod tests {
             std::thread::spawn(move || {
                 let token = parker.worker_prepare(0);
                 prepared.store(true, Ordering::Release);
-                parker.worker_park(0, token);
+                parker.worker_park(0, token, None);
             })
         };
         while !prepared.load(Ordering::Acquire) {

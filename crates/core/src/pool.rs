@@ -108,7 +108,8 @@ pub struct PoolParams {
     /// services (`None` = unbounded). With a bound set, `try_submit`
     /// sheds when every lane is full and blocking `submit` parks until a
     /// drain frees room — see `priosched_core::ingest`. Ignored by
-    /// closed-world (preseeded) runs, which have no lanes.
+    /// closed-world runs, whose lanes hold only the roots, submitted
+    /// before any worker starts.
     pub lane_capacity: Option<usize>,
     /// What happens when a task panics — see [`FaultPolicy`]. Defaults to
     /// [`FaultPolicy::AbortRun`], the historical behavior.
@@ -159,7 +160,7 @@ impl PoolParams {
 /// (see `priosched_core::ingest`) holds in the presence of failures.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum FaultPolicy {
-    /// A single panicking task aborts the whole run: the abort flag is
+    /// A single panicking task aborts the whole run: the abort gate is
     /// raised before the panicked task's pending decrement, sibling
     /// workers stop at the next loop head, blocked and future producers
     /// get `SubmitError::Aborted`, and the panic payload is re-surfaced —

@@ -1,20 +1,22 @@
 //! A long-lived pool service: workers that outlive any single drain.
 //!
-//! [`crate::Scheduler::run_stream`] still has a closed lifecycle — it
-//! returns at quiescence and the worker threads die with it. A service
-//! frontend (async runtime, network ingress) wants the opposite shape:
-//! start the workers once, then [`PoolService::submit`] and
-//! [`PoolService::join`] repeatedly, paying thread startup never and pool
-//! construction once.
+//! [`crate::Scheduler::run`] and [`crate::Scheduler::run_stream`] have a
+//! closed lifecycle — they return at quiescence and the worker threads die
+//! with them. A service frontend (async runtime, network ingress) wants the
+//! opposite shape: start the workers once, then [`PoolService::submit`]
+//! and [`PoolService::join`] repeatedly, paying thread startup never and
+//! pool construction once.
 //!
-//! The trick is that the service *is* a producer: it holds one
+//! The service runs the same worker body over the same lanes as those
+//! runs; what differs is that the service *is* a producer: it holds one
 //! [`IngestHandle`] of its own, so the producer refcount that gates
-//! streamed termination (see [`crate::ingest`]) never reaches zero while
-//! the service lives. Workers therefore **park** (see [`crate::park`])
-//! through arbitrarily long gaps between submissions — a quiescent
-//! service consumes no CPU — and [`PoolService::shutdown`] is nothing but
-//! "drop that last handle, then join" — quiescence, the same condition
-//! `run_stream` uses, becomes the orderly shutdown protocol.
+//! termination (see [`crate::ingest`]) never reaches zero while the
+//! service lives. Workers therefore **park** (see [`crate::park`]) through
+//! arbitrarily long gaps between submissions — a quiescent service
+//! consumes no CPU — and [`PoolService::shutdown`] is nothing but "drop
+//! that last handle, then join": quiescence, the condition every run ends
+//! on, becomes the orderly shutdown protocol. The outstanding count and
+//! the abort gate live in the lanes, as they do for a run.
 //!
 //! With a lane capacity ([`PoolService::start_with_policy`], or
 //! [`crate::PoolBuilder::lane_capacity`]) the ingress lanes are bounded:
@@ -39,10 +41,10 @@
 use crate::async_ingest::{AsyncIngestHandle, JoinFuture};
 use crate::ingest::{IngestHandle, IngressLanes, SubmitError};
 use crate::park::{thread_ready, ParkSlot, Waiter, WakerId};
-use crate::pool::{FaultPolicy, PoolHandle, TaskPool};
-use crate::scheduler::{place_loop, FailureReport, FaultCell, PoolAborted, RunStats, TaskExecutor};
-use crate::stats::PlaceStats;
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::pool::{FaultPolicy, TaskPool};
+use crate::scheduler::{
+    worker, FailureReport, FaultCell, PlaceOutcome, PoolAborted, RunStats, TaskExecutor,
+};
 use crate::sync::thread;
 use std::sync::Arc;
 use std::task::Poll;
@@ -54,7 +56,7 @@ use std::time::Instant;
 /// resumes the panic on the caller.
 #[derive(Debug)]
 pub struct ShutdownError {
-    /// The failure that raised the abort flag.
+    /// The failure that raised the abort gate.
     pub failure: FailureReport,
     /// Lifetime statistics up to the abort (`failed`/`failures`
     /// populated).
@@ -78,16 +80,14 @@ pub struct PoolService<T: Send + 'static> {
     lanes: IngressLanes<T>,
     /// The service's own producer slot; taken (dropped) at shutdown.
     handle: Option<IngestHandle<T>>,
-    pending: Arc<AtomicU64>,
-    abort: Arc<AtomicBool>,
     faults: Arc<FaultCell>,
-    workers: Vec<thread::JoinHandle<(u64, u64, PlaceStats)>>,
+    workers: Vec<thread::JoinHandle<PlaceOutcome>>,
     started: Instant,
 }
 
 impl<T: Send + 'static> PoolService<T> {
     /// Starts one worker thread per place of `pool`, all running the
-    /// streamed §2 loop against `executor`.
+    /// §2 loop against `executor`.
     ///
     /// The workers keep running — through any number of drains — until
     /// [`PoolService::shutdown`] (or drop) releases the service's producer
@@ -128,40 +128,20 @@ impl<T: Send + 'static> PoolService<T> {
         // producer count: a worker started against zero producers would
         // terminate immediately.
         let handle = lanes.handle();
-        let pending = Arc::new(AtomicU64::new(0));
-        let abort = Arc::new(AtomicBool::new(false));
         let faults = Arc::new(FaultCell::new(fault_policy));
-        let mut workers = Vec::with_capacity(nplaces);
-        for place in 0..nplaces {
-            let pool = Arc::clone(&pool);
-            let executor = Arc::clone(&executor);
-            let pending = Arc::clone(&pending);
-            let abort = Arc::clone(&abort);
-            let faults = Arc::clone(&faults);
-            let shared = Arc::clone(lanes.shared());
-            let join = thread::Builder::new()
-                .name(format!("priosched-place-{place}"))
-                .spawn(move || {
-                    let mut handle = pool.handle(place);
-                    let (executed, dead) = place_loop(
-                        &mut handle,
-                        &*executor,
-                        &pending,
-                        &abort,
-                        &faults,
-                        Some(&shared),
-                        place,
-                    );
-                    (executed, dead, handle.stats())
-                })
-                .expect("failed to spawn pool-service worker thread");
-            workers.push(join);
-        }
+        let workers = (0..nplaces)
+            .map(|place| {
+                let (pool, executor) = (Arc::clone(&pool), Arc::clone(&executor));
+                let (shared, faults) = (Arc::clone(lanes.shared()), Arc::clone(&faults));
+                thread::Builder::new()
+                    .name(format!("priosched-place-{place}"))
+                    .spawn(move || worker(&pool, &*executor, &shared, &faults, place))
+                    .expect("failed to spawn pool-service worker thread")
+            })
+            .collect();
         PoolService {
             lanes,
             handle: Some(handle),
-            pending,
-            abort,
             faults,
             workers,
             started: Instant::now(),
@@ -234,7 +214,7 @@ impl<T: Send + 'static> PoolService<T> {
 
     /// The drain wait of [`PoolService::join`] (`Waiter::Thread`) and
     /// [`PoolService::join_async`] (`Waiter::Waker`), with the abort
-    /// outcome typed: the first recorded failure. The abort flag is raised
+    /// outcome typed: the first recorded failure. The abort gate is raised
     /// *after* the failure record (see `SpawnCtx::run_one`), so an
     /// observed abort implies a visible report; the fallback covers only
     /// abortive teardown paths that never had a panicking task.
@@ -245,7 +225,7 @@ impl<T: Send + 'static> PoolService<T> {
     ) -> Poll<Result<(), PoolAborted>> {
         self.lanes
             .shared()
-            .poll_drained(waiter, deposit, &self.pending, &self.abort)
+            .poll_drained(waiter, deposit)
             .map(|drained| match drained {
                 true => Ok(()),
                 false => Err(PoolAborted {
@@ -327,19 +307,9 @@ impl<T: Send + 'static> PoolService<T> {
         // The payload is intentionally dropped: failures surface as typed
         // results here, not as a resumed panic.
         let _ = self.faults.take_payload();
-        let mut stats = RunStats {
-            elapsed: self.started.elapsed(),
-            failed: self.faults.failed(),
-            failures: self.faults.take_failures(),
-            per_place_executed: per_place.iter().map(|(e, _, _)| *e).collect(),
-            ..RunStats::default()
-        };
-        for (executed, dead, pool_stats) in per_place {
-            stats.executed += executed;
-            stats.dead += dead;
-            stats.pool.merge(&pool_stats);
-        }
-        if self.abort.load(Ordering::Acquire) {
+        let stats = RunStats::collect(per_place, &self.faults, self.started.elapsed());
+        // The gate keeps an abort through the shutdown `stop_workers` marked.
+        if self.lanes.shared().aborted() {
             if let Some(failure) = stats.failures.first().cloned() {
                 return Err(ShutdownError { failure, stats });
             }
@@ -357,7 +327,7 @@ impl<T: Send + 'static> PoolService<T> {
     /// worker that died outside `run_one`'s `catch_unwind` (a pool or
     /// scheduler assertion) comes back as `None`, for the caller to raise
     /// ([`PoolService::shutdown`]) or discard (`Drop`).
-    fn stop_workers(&mut self) -> Vec<Option<(u64, u64, PlaceStats)>> {
+    fn stop_workers(&mut self) -> Vec<Option<PlaceOutcome>> {
         self.handle = None;
         let joined = self.workers.drain(..).map(|j| j.join().ok()).collect();
         // The workers are gone; nothing will ever drain these lanes again.
@@ -370,7 +340,7 @@ impl<T: Send + 'static> PoolService<T> {
 
 impl<T: Send + 'static> Drop for PoolService<T> {
     /// Dropping without [`PoolService::shutdown`] is an *abortive* stop:
-    /// the abort flag is raised so workers exit after their current task
+    /// the abort gate is raised so workers exit after their current task
     /// (not-yet-executed submissions are discarded with the pool), then
     /// the workers are joined. Raising abort is what keeps an implicit
     /// drop — including one during a panic unwind — from hanging forever
@@ -380,7 +350,6 @@ impl<T: Send + 'static> Drop for PoolService<T> {
     /// unwind, and during an unwind a second panic aborts the process.
     fn drop(&mut self) {
         if !self.workers.is_empty() {
-            self.abort.store(true, Ordering::Release);
             // Poison the lanes and wake everything: parked workers must
             // observe the abort to exit, and producers blocked on full
             // lanes must fail with `Aborted` rather than sleep forever.
@@ -394,7 +363,10 @@ impl<T: Send + 'static> Drop for PoolService<T> {
 mod tests {
     use super::*;
     use crate::hybrid::HybridKPriority;
+    use crate::pool::PoolHandle;
     use crate::scheduler::SpawnCtx;
+    use crate::stats::PlaceStats;
+    use crate::sync::atomic::{AtomicU64, Ordering};
     use crate::workstealing::PriorityWorkStealing;
 
     /// Counts executions; spawns a countdown chain below each submitted
@@ -579,7 +551,7 @@ mod tests {
         let exec = Arc::new(CountDown(AtomicU64::new(0)));
         let svc: PoolService<u64> = PoolService::start(Arc::new(BrokenPool), exec);
         // Gate on state: the worker must be dead, not merely about to see
-        // the abort flag that `Drop` raises.
+        // the abort gate that `Drop` raises.
         while !svc.workers[0].is_finished() {
             std::thread::yield_now();
         }

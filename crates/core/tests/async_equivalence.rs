@@ -104,7 +104,7 @@ fn run_async_streamed(
             }
             pool.run();
         });
-        run_stream_on_kind(kind, places, params, &exec, Vec::new(), &ingress)
+        run_stream_on_kind(kind, places, params, &exec, &ingress)
     });
     (
         exec.count.load(Ordering::Relaxed),
@@ -135,7 +135,7 @@ fn run_blocking_streamed(
                 }
             });
         }
-        run_stream_on_kind(kind, places, params, &exec, Vec::new(), &ingress)
+        run_stream_on_kind(kind, places, params, &exec, &ingress)
     });
     (
         exec.count.load(Ordering::Relaxed),

@@ -89,7 +89,7 @@ fn run_streamed(
                 }
             });
         }
-        run_stream_on_kind(kind, places, params, &exec, Vec::new(), &ingress)
+        run_stream_on_kind(kind, places, params, &exec, &ingress)
     });
     (
         exec.count.load(Ordering::Relaxed),
@@ -183,7 +183,6 @@ fn shed_path_hands_rejected_items_back_intact() {
         2,
         PoolParams::with_k(8),
         &Unbox(&exec),
-        Vec::new(),
         &lanes,
     );
     assert_eq!(stats.executed, 4);

@@ -198,7 +198,7 @@ fn aborted_stream_run_drops_lane_and_pool_tasks_once() {
 
     let sched = Scheduler::from_pool(HybridKPriority::new(2));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sched.run_stream(&PanicOnFirst, Vec::new(), &lanes)
+        sched.run_stream(&PanicOnFirst, &lanes)
     }));
     assert!(result.is_err(), "the task panic must propagate");
     // The one popped task was dropped by the panic unwind; the rest sit in

@@ -22,8 +22,8 @@
 //!    k (buffer minimum against queue top); a buffer never holds a task
 //!    together with `min(k, 16) − 1` others, `k` the smallest bound of
 //!    anything in it; a place that finds no queued work takes the rest
-//!    out of the other places' buffers (work conservation — eight sleeping
-//!    roots seeded through one place spread over four, and a task waiting
+//!    out of the other places' buffers (work conservation — eight sleepers
+//!    spawned into one place's buffer spread over four, and a task waiting
 //!    on its buffered child is served by the other place); and on a fixed
 //!    tape the measured mean rank at k = 512 is no worse than at k = 0.
 //! 4. **The structural bound as a history check** — on the structural
@@ -236,28 +236,37 @@ fn buffered_mean_rank_is_no_worse_than_unbuffered() {
     );
 }
 
-/// Closed-world load balance: `Scheduler::run` seeds every root through
-/// place 0's handle, so at k = 512 all eight sit in one insertion buffer.
-/// The other three places find no queued work and must take theirs out of
-/// that buffer instead of idling while place 0 sleeps through all eight.
+/// Load balance out of one buffer: a root spawns eight sleepers with
+/// scalar spawns at k = 512, so all eight sit in its place's insertion
+/// buffer. The other three places find no queued work and must take theirs
+/// out of that buffer instead of idling while one place sleeps through all
+/// eight.
 #[test]
-fn sleeping_roots_seeded_through_one_place_spread_over_all() {
+fn sleepers_spawned_at_one_place_spread_over_all() {
     use priosched_core::{SpawnCtx, TaskExecutor};
+    const ROOT: u64 = u64::MAX;
     struct Sleep;
     impl TaskExecutor<u64> for Sleep {
-        fn execute(&self, _task: u64, _ctx: &mut SpawnCtx<'_, u64>) {
-            std::thread::sleep(std::time::Duration::from_millis(30));
+        fn execute(&self, task: u64, ctx: &mut SpawnCtx<'_, u64>) {
+            if task == ROOT {
+                for i in 0..8u64 {
+                    ctx.spawn(i, 512, i);
+                }
+            } else {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
         }
     }
     for kind in [PoolKind::MultiQueue, PoolKind::Structural] {
-        let roots = (0..8u64).map(|i| (i, 512, i)).collect();
-        let stats = PoolBuilder::new(kind).places(4).run(&Sleep, roots);
-        assert_eq!(stats.executed, 8);
+        let stats = PoolBuilder::new(kind)
+            .places(4)
+            .run(&Sleep, vec![(0, 512, ROOT)]);
+        assert_eq!(stats.executed, 9);
         let per_place = &stats.per_place_executed;
         let busy = per_place.iter().filter(|&&e| e > 0).count();
         assert!(
             busy >= 3 && per_place.iter().all(|&e| e <= 4),
-            "{kind}: eight 30 ms roots ran as {per_place:?} over four places"
+            "{kind}: a root and eight 30 ms sleepers ran as {per_place:?} over four places"
         );
     }
 }

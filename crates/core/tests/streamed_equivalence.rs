@@ -103,7 +103,7 @@ proptest! {
                         }
                     });
                 }
-                run_stream_on_kind(kind, places, params, &streamed, Vec::new(), &ingress)
+                run_stream_on_kind(kind, places, params, &streamed, &ingress)
             });
             prop_assert_eq!(stats.executed, want_count, "streamed {}", kind);
             prop_assert_eq!(streamed.count.load(Ordering::Relaxed), want_count);

@@ -229,7 +229,7 @@ pub fn run_workload_streamed<W: Workload + ?Sized>(
                 }
             });
         }
-        run_stream_on_kind(kind, places, params, &exec, Vec::new(), &ingress)
+        run_stream_on_kind(kind, places, params, &exec, &ingress)
     });
     let verify = workload.verify(&exec, &run);
     let metrics = workload.metrics(&exec, &run);
