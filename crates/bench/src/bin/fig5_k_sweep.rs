@@ -6,40 +6,54 @@
 //! sequential relaxation count as reference lines.
 
 use priosched_bench::{fig5_k_sweep, mean, write_csv, HarnessConfig};
-use priosched_core::PoolKind;
-use priosched_graph::dijkstra;
-use priosched_sssp::{run_sssp_kind, run_sssp_lockstep_kind, SsspConfig};
+use priosched_core::{PoolKind, PoolParams};
+use priosched_workloads::{run_workload, SsspWorkload, WorkloadReport};
+
+/// Nodes relaxed by a run that matched Dijkstra.
+fn relaxed(report: &WorkloadReport) -> f64 {
+    let metrics = &report.expect_verified().metrics;
+    let relaxed = metrics.iter().find(|(n, _)| *n == "relaxed");
+    relaxed.expect("an SSSP report carries `relaxed`").1
+}
 
 fn main() {
     let cfg = HarnessConfig::from_args();
     cfg.banner("Figure 5: time & nodes relaxed vs k (fixed P)");
-    let graphs = cfg.graph_set();
+    let workloads: Vec<SsspWorkload> = cfg
+        .graph_set()
+        .into_iter()
+        .map(|g| SsspWorkload::new(g, 0))
+        .collect();
     let places = cfg.places;
     let ks = fig5_k_sweep(cfg.full);
 
-    let seq_n = mean(graphs.iter().map(|g| dijkstra(g, 0).relaxations as f64));
+    // Sequential Dijkstra relaxes each reachable node once.
+    let seq_n = mean(
+        workloads
+            .iter()
+            .map(|w| w.oracle().iter().filter(|d| d.is_finite()).count() as f64),
+    );
     println!("sequential reference: {seq_n:.0} nodes relaxed (each node once)\n");
 
     let mut rows = Vec::new();
 
     // Work-stealing ignores k: measure once, print as the flat reference.
-    // As in fig4_scaling: wall time from the threaded runner, relaxation
-    // counts from the deterministic lockstep runner.
+    // As in fig4_scaling: wall time from the threaded run, relaxation
+    // counts from the deterministic lockstep run.
     {
         let mut times = Vec::new();
-        let mut relaxed = Vec::new();
-        for g in &graphs {
-            let ws_cfg = SsspConfig::new(places, 0);
-            let timed = run_sssp_kind(PoolKind::WorkStealing, g, 0, &ws_cfg);
-            times.push(timed.elapsed.as_secs_f64());
-            let ordered = run_sssp_lockstep_kind(PoolKind::WorkStealing, g, 0, &ws_cfg);
-            relaxed.push(ordered.relaxed as f64);
+        let mut nodes = Vec::new();
+        let (ws, ws_params) = (PoolKind::WorkStealing, PoolParams::with_k(0));
+        for w in &workloads {
+            let timed = run_workload(w, ws, places, ws_params);
+            times.push(timed.expect_verified().elapsed.as_secs_f64());
+            nodes.push(relaxed(&w.lockstep(ws, places, ws_params)));
         }
         let t = mean(times.iter().copied());
-        let n = mean(relaxed.iter().copied());
+        let n = mean(nodes.iter().copied());
         println!(
             "{:<12} (any k)  time {:>9.4}s  relaxed {:>9.0}   [flat reference]",
-            PoolKind::WorkStealing.label(),
+            ws.label(),
             t,
             n
         );
@@ -50,18 +64,17 @@ fn main() {
         println!();
         for &k in &ks {
             let mut times = Vec::new();
-            let mut relaxed = Vec::new();
-            for g in &graphs {
-                // The centralized pool is built for kmax = max(k, 512), so
-                // it admits a swept k beyond the paper's fixed kmax = 512.
-                let k_cfg = SsspConfig::new(places, k);
-                let timed = run_sssp_kind(kind, g, 0, &k_cfg);
-                times.push(timed.elapsed.as_secs_f64());
-                let ordered = run_sssp_lockstep_kind(kind, g, 0, &k_cfg);
-                relaxed.push(ordered.relaxed as f64);
+            let mut nodes = Vec::new();
+            // The centralized pool is built for kmax = max(k, 512), so it
+            // admits a swept k beyond the paper's fixed kmax = 512.
+            let params = PoolParams::with_k(k);
+            for w in &workloads {
+                let timed = run_workload(w, kind, places, params);
+                times.push(timed.expect_verified().elapsed.as_secs_f64());
+                nodes.push(relaxed(&w.lockstep(kind, places, params)));
             }
             let t = mean(times.iter().copied());
-            let n = mean(relaxed.iter().copied());
+            let n = mean(nodes.iter().copied());
             println!(
                 "{:<12} k={:<6} time {:>9.4}s  relaxed {:>9.0}  (+{:.1}% useless)",
                 kind.label(),

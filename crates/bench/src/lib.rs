@@ -5,13 +5,18 @@
 //! Every figure of the paper's evaluation (§5.4.1, §5.5) has a binary in
 //! `src/bin/` that regenerates its series:
 //!
-//! | binary            | paper figure | series |
-//! |-------------------|--------------|--------|
-//! | `fig3_simulation` | Figure 3     | settled/phase, h*_t/phase, theory-vs-simulation |
-//! | `fig4_scaling`    | Figure 4     | time & nodes relaxed vs P (k = 512) |
-//! | `fig5_k_sweep`    | Figure 5     | time & nodes relaxed vs k (P fixed) |
+//! | binary            | paper figure | series | runs |
+//! |-------------------|--------------|--------|------|
+//! | `fig3_simulation` | Figure 3     | settled/phase, h*_t/phase, theory-vs-simulation | `priosched_sim` phase model |
+//! | `fig4_scaling`    | Figure 4     | time & nodes relaxed vs P (k = 512) | one `SsspWorkload` per graph |
+//! | `fig5_k_sweep`    | Figure 5     | time & nodes relaxed vs k (P fixed) | one `SsspWorkload` per graph |
 //!
-//! All binaries accept the same flags (parsed by [`HarnessConfig`]):
+//! For the SSSP figures, time comes from the threaded `run_workload` and
+//! "nodes relaxed" from the deterministic `SsspWorkload::lockstep`
+//! (`priosched_workloads`); every run is checked against Dijkstra.
+//!
+//! All binaries accept the same flags (parsed by [`HarnessConfig`]; a bad
+//! flag is a usage error, exit code 2):
 //!
 //! * `--full` — the paper's workload: n = 10000, p = 0.5, 20 graphs
 //!   (several GiB of CSR and minutes of runtime; the default is a scaled
@@ -27,7 +32,9 @@
 
 use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
 use std::io::Write;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 pub mod chaos;
 pub mod latency;
@@ -67,15 +74,29 @@ impl Default for HarnessConfig {
     }
 }
 
+const USAGE: &str =
+    "flags: --full | --n N (≥ 1) | --p P (in [0, 1]) | --graphs G (≥ 1) | --places P (≥ 1) | --out DIR";
+
 impl HarnessConfig {
-    /// Parses process arguments; unknown flags abort with usage help.
-    pub fn from_args() -> Self {
+    /// Parses the arguments after the program name. `Ok(None)` means
+    /// `--help` was asked for; `Err` carries a usage diagnostic.
+    pub fn parse(argv: &[String]) -> Result<Option<Self>, String> {
+        fn num<T: FromStr + PartialOrd>(
+            flag: &str,
+            v: &str,
+            ok: RangeInclusive<T>,
+        ) -> Result<T, String> {
+            match v.parse() {
+                Ok(x) if ok.contains(&x) => Ok(x),
+                _ => Err(format!("{flag}: bad value {v:?}")),
+            }
+        }
         let mut cfg = HarnessConfig::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = argv.iter();
         while let Some(arg) = args.next() {
-            let mut take = |name: &str| -> String {
+            let mut take = |name: &str| -> Result<&String, String> {
                 args.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
+                    .ok_or_else(|| format!("{name} requires a value"))
             };
             match arg.as_str() {
                 "--full" => {
@@ -85,25 +106,34 @@ impl HarnessConfig {
                     cfg.graphs = 20;
                     cfg.places = 80;
                 }
-                "--n" => cfg.n = take("--n").parse().expect("--n wants an integer"),
-                "--p" => cfg.p = take("--p").parse().expect("--p wants a float"),
-                "--graphs" => {
-                    cfg.graphs = take("--graphs").parse().expect("--graphs wants an integer")
-                }
-                "--places" => {
-                    cfg.places = take("--places").parse().expect("--places wants an integer")
-                }
-                "--out" => cfg.out_dir = PathBuf::from(take("--out")),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --full | --n N | --p P | --graphs G | --places P | --out DIR"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}; try --help"),
+                "--n" => cfg.n = num("--n", take("--n")?, 1..=usize::MAX)?,
+                "--p" => cfg.p = num("--p", take("--p")?, 0.0..=1.0)?,
+                "--graphs" => cfg.graphs = num("--graphs", take("--graphs")?, 1..=usize::MAX)?,
+                "--places" => cfg.places = num("--places", take("--places")?, 1..=usize::MAX)?,
+                "--out" => cfg.out_dir = PathBuf::from(take("--out")?),
+                "--help" | "-h" => return Ok(None),
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        cfg
+        Ok(Some(cfg))
+    }
+
+    /// [`HarnessConfig::parse`] over the process arguments: `--help` prints
+    /// the usage line and exits 0; a bad flag prints the diagnostic and the
+    /// usage line on stderr and exits 2.
+    pub fn from_args() -> Self {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        match Self::parse(&argv) {
+            Ok(Some(cfg)) => cfg,
+            Ok(None) => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            Err(e) => {
+                eprintln!("error: {e}\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// Generates the replicated graph set (seeded, reproducible).
@@ -220,6 +250,32 @@ mod tests {
         assert!(cfg.n < 10_000);
         assert!(cfg.graphs < 20);
         assert!(!cfg.full);
+    }
+
+    fn parse(line: &str) -> Result<Option<HarnessConfig>, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        HarnessConfig::parse(&argv)
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let cfg = parse("--n 300 --p 0.25 --graphs 2 --places 4 --out x")
+            .unwrap()
+            .unwrap();
+        assert_eq!((cfg.n, cfg.p, cfg.graphs, cfg.places), (300, 0.25, 2, 4));
+        assert_eq!(cfg.out_dir, PathBuf::from("x"));
+        let full = parse("--full").unwrap().unwrap();
+        assert!(full.full && full.n == 10_000 && full.places == 80);
+        assert!(parse("--help").unwrap().is_none());
+        assert!(parse("-h").unwrap().is_none());
+    }
+
+    #[test]
+    fn bad_flags_are_usage_errors_not_panics() {
+        let bad_lines = "--n 0|--graphs 0|--places 0|--p 1.5|--p NaN|--n ten|--places|--bogus";
+        for bad in bad_lines.split('|') {
+            assert!(!parse(bad).expect_err(bad).is_empty());
+        }
     }
 
     #[test]

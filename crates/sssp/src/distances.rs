@@ -22,16 +22,6 @@ impl AtomicDistances {
         }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// `true` when the array is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
     /// Raw bit pattern of `node`'s tentative distance.
     #[inline]
     pub fn load_bits(&self, node: u32) -> u64 {

@@ -2,8 +2,10 @@
 
 use crate::distances::AtomicDistances;
 use priosched_core::stats::PlaceCounter;
-use priosched_core::{SpawnCtx, TaskExecutor};
+use priosched_core::{PoolHandle, RunStats, SpawnCtx, TaskExecutor, TaskPool};
 use priosched_graph::CsrGraph;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One pending node relaxation: "each node that has to be relaxed
 /// corresponds to a task in the scheduling system" (§5.1).
@@ -77,6 +79,82 @@ impl<'g> SsspExecutor<'g> {
     pub fn distances(&self) -> &AtomicDistances {
         &self.dist
     }
+
+    /// Listing 5's `relaxNode` at `place`: re-checks `task` against the
+    /// distance now stored, which may have improved since the dead check (a
+    /// loser counts as late-dead), then appends each edge's decrease to `batch`.
+    #[inline]
+    fn relax(&self, place: usize, task: SsspTask, batch: &mut Vec<(u64, SsspTask)>) {
+        let d_bits = self.dist.load_bits(task.node);
+        if d_bits != task.dist_bits {
+            self.late_dead.add(place, 1);
+            return;
+        }
+        self.relaxed.add(place, 1);
+        let d = f64::from_bits(d_bits);
+        for e in self.graph.neighbors(task.node) {
+            let new_bits = (d + e.weight as f64).to_bits();
+            // "Check if path through this node is shorter … try to update
+            // distance value" — the CAS loop lives in try_decrease.
+            if self.dist.try_decrease(e.target, new_bits) {
+                batch.push((
+                    new_bits, // priority, smaller is better
+                    SsspTask {
+                        node: e.target,
+                        dist_bits: new_bits,
+                    },
+                ));
+            }
+        }
+    }
+
+    /// The scheduler's loop (§2) on the calling thread: the places of
+    /// `pool` take one pop each per round, round-robin, until nothing is
+    /// pending; `roots` go in through place 0. OS timeslicing on a host
+    /// with few cores runs each worker alone for long stretches and hides
+    /// the interleaving that produces useless work on the paper's 80 cores;
+    /// this loop restores it deterministically, the task-granular analog of
+    /// "in each phase up to P nodes are relaxed" (§5.2.1). The counts repeat
+    /// exactly; the wall time means nothing.
+    pub fn run_lockstep<P: TaskPool<SsspTask>>(
+        &self,
+        pool: &Arc<P>,
+        roots: Vec<(u64, usize, SsspTask)>,
+    ) -> RunStats {
+        let start = Instant::now();
+        let mut handles: Vec<P::Handle> = (0..pool.num_places()).map(|p| pool.handle(p)).collect();
+        let mut pending = roots.len() as u64;
+        for (prio, k, task) in roots {
+            handles[0].push(prio, k, task);
+        }
+        let mut stats = RunStats {
+            per_place_executed: vec![0; handles.len()],
+            ..RunStats::default()
+        };
+        let mut batch = Vec::new();
+        while pending > 0 {
+            for (place, h) in handles.iter_mut().enumerate() {
+                let Some(task) = h.pop() else { continue };
+                pending -= 1;
+                // With one thread, the dead check and the in-task re-check
+                // see the same distance: `relax` never finds a late-dead task.
+                if self.is_dead(&task) {
+                    stats.dead += 1;
+                    continue;
+                }
+                stats.per_place_executed[place] += 1;
+                self.relax(place, task, &mut batch);
+                pending += batch.len() as u64;
+                h.push_batch(self.k, &mut batch);
+            }
+        }
+        stats.executed = stats.per_place_executed.iter().sum();
+        for h in &handles {
+            stats.pool.merge(&h.stats());
+        }
+        stats.elapsed = start.elapsed();
+        stats
+    }
 }
 
 impl<'g> TaskExecutor<SsspTask> for SsspExecutor<'g> {
@@ -94,31 +172,8 @@ impl<'g> TaskExecutor<SsspTask> for SsspExecutor<'g> {
     /// are unchanged: a scalar run would push the same task multiset at
     /// the same point between pops.
     fn execute(&self, task: SsspTask, ctx: &mut SpawnCtx<'_, SsspTask>) {
-        // Re-check under the distance actually stored now; the scheduler's
-        // is_dead ran earlier and the value may have improved since.
-        let d_bits = self.dist.load_bits(task.node);
-        if d_bits != task.dist_bits {
-            self.late_dead.add(ctx.place(), 1);
-            return;
-        }
-        self.relaxed.add(ctx.place(), 1);
-        let d = f64::from_bits(d_bits);
         let mut batch = ctx.take_batch_buf();
-        for e in self.graph.neighbors(task.node) {
-            let new_d = d + e.weight as f64;
-            let new_bits = new_d.to_bits();
-            // "Check if path through this node is shorter … try to update
-            // distance value" — the CAS loop lives in try_decrease.
-            if self.dist.try_decrease(e.target, new_bits) {
-                batch.push((
-                    new_bits, // priority, smaller is better
-                    SsspTask {
-                        node: e.target,
-                        dist_bits: new_bits,
-                    },
-                ));
-            }
-        }
+        self.relax(ctx.place(), task, &mut batch);
         ctx.spawn_batch(self.k, &mut batch);
         ctx.put_batch_buf(batch);
     }

@@ -15,119 +15,91 @@
 //! choice of scheduling data structure controls, and what Figures 4–5
 //! measure as "nodes relaxed" beyond the graph's `n`.
 //!
-//! Entry points: [`run_sssp`] over any [`priosched_core::TaskPool`], and [`run_sssp_kind`]
-//! selecting a paper structure by [`priosched_core::PoolKind`].
+//! This crate is Listing 5 and nothing else: [`SsspTask`], the relaxation
+//! in [`SsspExecutor`] (written once, shared by the threaded `execute` and
+//! [`SsspExecutor::run_lockstep`]) and [`AtomicDistances`]. Runs go through
+//! `priosched_workloads::SsspWorkload`, which holds the Dijkstra oracle:
+//! `run_workload` runs it threaded, `SsspWorkload::lockstep` on one thread,
+//! and both verify.
 
 pub mod distances;
 pub mod executor;
-pub mod lockstep;
-pub mod runner;
 
 pub use distances::AtomicDistances;
 pub use executor::{SsspExecutor, SsspTask};
-pub use lockstep::{run_sssp_lockstep, run_sssp_lockstep_kind};
-pub use runner::{run_sssp, run_sssp_kind, SsspConfig, SsspResult};
 
 #[cfg(test)]
 mod integration_tests {
     use super::*;
-    use priosched_core::PoolKind;
+    use priosched_core::{run_on_kind, PoolKind, PoolParams};
     use priosched_graph::{dijkstra, erdos_renyi, CsrGraph, ErdosRenyiConfig};
 
-    fn check_against_dijkstra(
-        graph: &CsrGraph,
-        source: u32,
-        kind: PoolKind,
-        places: usize,
-        k: usize,
-    ) {
-        let cfg = SsspConfig::new(places, k);
-        let res = run_sssp_kind(kind, graph, source, &cfg);
-        let expect = dijkstra(graph, source);
+    fn graph(n: usize, p: f64, seed: u64) -> CsrGraph {
+        erdos_renyi(&ErdosRenyiConfig { n, p, seed })
+    }
+
+    /// Runs Listing 5 threaded on `kind` and checks it against Dijkstra;
+    /// returns (nodes relaxed, reachable nodes).
+    fn check(g: &CsrGraph, source: u32, kind: PoolKind, places: usize, k: usize) -> (u64, u64) {
+        let exec = SsspExecutor::new(g, source, k);
+        let roots = vec![exec.root(source)];
+        run_on_kind(kind, places, PoolParams::with_k(k), &exec, roots);
+        let expect = dijkstra(g, source).dist;
+        let dist = exec.distances().snapshot();
         assert_eq!(
-            res.dist, expect.dist,
+            dist, expect,
             "{kind} places={places} k={k}: distances diverge"
         );
-        let reachable = expect.dist.iter().filter(|d| d.is_finite()).count() as u64;
+        let reachable = expect.iter().filter(|d| d.is_finite()).count() as u64;
         assert!(
-            res.relaxed >= reachable,
-            "{kind}: fewer relaxations than reachable nodes"
+            exec.relaxed() >= reachable,
+            "{kind}: fewer relaxations than reachable"
         );
+        (exec.relaxed(), reachable)
     }
 
     #[test]
     fn all_structures_match_dijkstra_small_graph() {
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 150,
-            p: 0.08,
-            seed: 21,
-        });
+        let g = graph(150, 0.08, 21);
         for kind in PoolKind::ALL {
-            check_against_dijkstra(&g, 0, kind, 2, 16);
+            check(&g, 0, kind, 2, 16);
         }
     }
 
     #[test]
     fn all_structures_match_dijkstra_various_sources() {
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 120,
-            p: 0.1,
-            seed: 33,
-        });
+        let g = graph(120, 0.1, 33);
         for source in [0u32, 7, 119] {
             for kind in PoolKind::PAPER {
-                check_against_dijkstra(&g, source, kind, 3, 8);
+                check(&g, source, kind, 3, 8);
             }
         }
     }
 
+    /// With one place every paper structure is a strict priority queue,
+    /// i.e. Dijkstra's order: relaxations == reachable.
     #[test]
     fn single_place_performs_no_useless_work() {
-        // With one place every structure degenerates to a strict sequential
-        // priority queue, i.e. Dijkstra's order: relaxations == reachable.
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 200,
-            p: 0.05,
-            seed: 5,
-        });
-        let expect = dijkstra(&g, 0);
-        let reachable = expect.dist.iter().filter(|d| d.is_finite()).count() as u64;
+        let g = graph(200, 0.05, 5);
         for kind in PoolKind::PAPER {
-            let cfg = SsspConfig::new(1, 512);
-            let res = run_sssp_kind(kind, &g, 0, &cfg);
-            assert_eq!(res.dist, expect.dist);
-            assert_eq!(
-                res.relaxed, reachable,
-                "{kind}: single place must relax each node exactly once"
-            );
+            let (relaxed, reachable) = check(&g, 0, kind, 1, 512);
+            assert_eq!(relaxed, reachable, "{kind}: a node relaxed twice");
         }
     }
 
     #[test]
     fn disconnected_graph_leaves_infinities() {
         let g = CsrGraph::from_undirected_edges(5, &[(0, 1, 1.0), (2, 3, 1.0)]);
-        let cfg = SsspConfig::new(2, 4);
-        let res = run_sssp_kind(PoolKind::Hybrid, &g, 0, &cfg);
-        assert_eq!(res.dist[0], 0.0);
-        assert_eq!(res.dist[1], 1.0);
-        assert!(res.dist[2].is_infinite());
-        assert!(res.dist[3].is_infinite());
-        assert!(res.dist[4].is_infinite());
+        // Dijkstra leaves nodes 2–4 at ∞, and `check` compares every node.
+        assert_eq!(check(&g, 0, PoolKind::Hybrid, 2, 4).1, 2);
     }
 
     #[test]
     fn k_extremes_still_correct() {
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 100,
-            p: 0.1,
-            seed: 77,
-        });
-        let expect = dijkstra(&g, 0).dist;
+        let g = graph(100, 0.1, 77);
         for k in [0usize, 1, 32768] {
             for kind in PoolKind::PAPER {
-                let cfg = SsspConfig::new(4, k);
-                let res = run_sssp_kind(kind, &g, 0, &cfg);
-                assert_eq!(res.dist, expect, "{kind} k={k}");
+                check(&g, 0, kind, 4, k);
             }
         }
     }

@@ -9,7 +9,10 @@
 //! scenario in the repo a verifiable, benchmarkable citizen instead of a
 //! one-off example:
 //!
-//! * [`SsspWorkload`] — the paper's evaluation application (§5.1);
+//! * [`SsspWorkload`] — the paper's evaluation application (§5.1), and
+//!   the one way to run it: threaded through [`run_workload`], or
+//!   round-robin on one thread through [`SsspWorkload::lockstep`] (the
+//!   figures' deterministic "nodes relaxed" count) — both oracle-checked;
 //! * [`BfsWorkload`] — unit-weight BFS à la the Multi-Queues evaluation:
 //!   dense equal-priority frontiers, verified against sequential BFS;
 //! * [`CholeskyWorkload`] — tile Cholesky as a prioritized task DAG, the
@@ -154,20 +157,7 @@ pub fn run_workload<W: Workload + ?Sized>(
     let exec = workload.executor(&params);
     let roots = workload.seed(&exec, &params);
     let run = run_on_kind(kind, places, params, &exec, roots);
-    let verify = workload.verify(&exec, &run);
-    let metrics = workload.metrics(&exec, &run);
-    WorkloadReport {
-        workload: workload.name(),
-        kind,
-        places,
-        params,
-        executed: run.executed,
-        dead: run.dead,
-        elapsed: run.elapsed,
-        pool: run.pool,
-        verify,
-        metrics,
-    }
+    report(workload, &exec, kind, places, params, run)
 }
 
 /// Streamed variant of [`run_workload`]: the instance's seeds reach the
@@ -231,8 +221,19 @@ pub fn run_workload_streamed<W: Workload + ?Sized>(
         }
         run_stream_on_kind(kind, places, params, &exec, &ingress)
     });
-    let verify = workload.verify(&exec, &run);
-    let metrics = workload.metrics(&exec, &run);
+    report(workload, &exec, kind, places, params, run)
+}
+
+/// Verifies `run` against the workload's oracle and folds it into a
+/// [`WorkloadReport`] — the one place a report is built.
+pub(crate) fn report<W: Workload + ?Sized>(
+    workload: &W,
+    exec: &W::Exec<'_>,
+    kind: PoolKind,
+    places: usize,
+    params: PoolParams,
+    run: RunStats,
+) -> WorkloadReport {
     WorkloadReport {
         workload: workload.name(),
         kind,
@@ -241,9 +242,9 @@ pub fn run_workload_streamed<W: Workload + ?Sized>(
         executed: run.executed,
         dead: run.dead,
         elapsed: run.elapsed,
+        verify: workload.verify(exec, &run),
+        metrics: workload.metrics(exec, &run),
         pool: run.pool,
-        verify,
-        metrics,
     }
 }
 

@@ -1,11 +1,13 @@
 //! The paper's evaluation workload (§5.1) as a [`Workload`]: parallel SSSP
 //! where every node relaxation is a task, verified against sequential
-//! Dijkstra.
+//! Dijkstra. Threaded runs go through [`crate::run_workload`], lockstep runs
+//! through [`SsspWorkload::lockstep`].
 
-use crate::Workload;
-use priosched_core::{PoolParams, RunStats};
+use crate::{report, Workload, WorkloadReport};
+use priosched_core::{PoolKind, PoolParams, RunStats};
 use priosched_graph::{dijkstra, erdos_renyi, CsrGraph, ErdosRenyiConfig};
 use priosched_sssp::{SsspExecutor, SsspTask};
+use std::sync::Arc;
 
 /// An SSSP instance (graph + source) with its Dijkstra oracle.
 pub struct SsspWorkload {
@@ -46,6 +48,18 @@ impl SsspWorkload {
     /// The Dijkstra distances this workload verifies against.
     pub fn oracle(&self) -> &[f64] {
         &self.oracle
+    }
+
+    /// Runs the workload once on `places` handles of a fresh pool of
+    /// `kind`, serviced round-robin on the calling thread (see
+    /// [`SsspExecutor::run_lockstep`]), and verifies it like
+    /// [`crate::run_workload`]. Its counts repeat exactly; its wall time
+    /// means nothing.
+    pub fn lockstep(&self, kind: PoolKind, places: usize, params: PoolParams) -> WorkloadReport {
+        let exec = self.executor(&params);
+        let pool = Arc::new(kind.build(places, params));
+        let run = exec.run_lockstep(&pool, self.seed(&exec, &params));
+        report(self, &exec, kind, places, params, run)
     }
 }
 
@@ -106,7 +120,6 @@ impl Workload for SsspWorkload {
 mod tests {
     use super::*;
     use crate::run_workload;
-    use priosched_core::PoolKind;
 
     #[test]
     fn sssp_workload_verifies_on_hybrid() {
@@ -118,6 +131,38 @@ mod tests {
             .metrics
             .iter()
             .any(|(name, v)| *name == "relaxed" && *v >= 120.0));
+    }
+
+    /// Nodes relaxed by a run that matched Dijkstra.
+    fn relaxed(report: &WorkloadReport) -> f64 {
+        let metrics = &report.expect_verified().metrics;
+        metrics.iter().find(|(n, _)| *n == "relaxed").unwrap().1
+    }
+
+    #[test]
+    fn lockstep_is_deterministic_and_matches_dijkstra_on_every_kind() {
+        let w = SsspWorkload::random(150, 0.08, 44);
+        for kind in PoolKind::ALL {
+            let pass = || {
+                let report = w.lockstep(kind, 8, PoolParams::with_k(32));
+                (relaxed(&report), report.dead)
+            };
+            assert_eq!(pass(), pass(), "{kind}");
+        }
+    }
+
+    /// One place makes every structure but the MultiQueue a strict priority
+    /// queue (the MultiQueue's c = 2 queues stay relaxed even at one place),
+    /// so the lockstep run is Dijkstra's order.
+    #[test]
+    fn lockstep_single_place_is_dijkstra_order() {
+        let w = SsspWorkload::random(200, 0.05, 45);
+        for kind in PoolKind::ALL {
+            if kind != PoolKind::MultiQueue {
+                let report = w.lockstep(kind, 1, PoolParams::with_k(512));
+                assert_eq!(relaxed(&report), w.reachable as f64, "{kind}");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example sssp_random_graph [n] [p]`
 
-use priosched::core::PoolKind;
+use priosched::core::{PoolKind, PoolParams};
 use priosched::graph::{dijkstra, erdos_renyi, ErdosRenyiConfig};
-use priosched::sssp::{run_sssp_kind, run_sssp_lockstep_kind, SsspConfig};
+use priosched::workloads::{run_workload, SsspWorkload};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -34,19 +34,25 @@ fn main() {
         "Sequential", seq_time, seq.relaxations
     );
 
-    let cfg = SsspConfig::new(places, k);
+    // One workload per graph: it holds the Dijkstra oracle every run below
+    // is verified against.
+    let workload = SsspWorkload::new(graph, 0);
+    let params = PoolParams::with_k(k);
     for kind in PoolKind::PAPER {
         // Threaded run: correctness + wall time on this host.
-        let res = run_sssp_kind(kind, &graph, 0, &cfg);
-        assert_eq!(res.dist, seq.dist, "{kind}: wrong distances!");
+        let res = run_workload(&workload, kind, places, params);
+        res.expect_verified();
         // Lockstep run: deterministic interleaving, the useless-work signal.
-        let ordered = run_sssp_lockstep_kind(kind, &graph, 0, &cfg);
-        let useless = ordered.relaxed as i64 - reachable as i64;
+        let ordered = workload.lockstep(kind, places, params);
+        let metrics = &ordered.expect_verified().metrics;
+        let relaxed = metrics.iter().find(|(n, _)| *n == "relaxed");
+        let relaxed = relaxed.expect("an SSSP report carries `relaxed`").1 as i64;
+        let useless = relaxed - reachable as i64;
         println!(
             "{:<14} {:>10.2?}  relaxed {:>7}  (+{useless} useless under {places}-way interleaving, dead {})",
             kind.label(),
             res.elapsed,
-            ordered.relaxed,
+            relaxed,
             ordered.dead,
         );
     }

@@ -14,7 +14,11 @@
 //! * [`core`] — the data structures and scheduler;
 //! * [`pq`] — sequential priority queues (place-local components);
 //! * [`graph`] — Erdős–Rényi graphs + sequential Dijkstra baseline;
-//! * [`sssp`] — the parallel SSSP application;
+//! * [`sssp`] — the paper's SSSP application, exactly Listing 5: the
+//!   node-relaxation task, its executor and the shared distances; run it
+//!   through [`workloads::SsspWorkload`] (threaded via
+//!   `workloads::run_workload`, round-robin on one thread via
+//!   `SsspWorkload::lockstep`), which checks every run against Dijkstra;
 //! * [`sim`] — phase simulator + Theorem 5 bounds;
 //! * [`workloads`] — first-class benchmark workloads (SSSP, BFS, tile
 //!   Cholesky, branch-and-bound knapsack, bi-objective SSSP, MST), each

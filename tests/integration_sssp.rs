@@ -3,25 +3,18 @@
 //! configurations and graph families — the correctness backbone behind
 //! Figures 4 and 5.
 
-use priosched::core::PoolKind;
-use priosched::graph::{bellman_ford, dijkstra, erdos_renyi, CsrGraph, ErdosRenyiConfig};
+use priosched::core::{PoolKind, PoolParams};
+use priosched::graph::{bellman_ford, erdos_renyi, CsrGraph, ErdosRenyiConfig};
 use priosched::sim::{simulate_sssp, SimConfig};
-use priosched::sssp::{run_sssp_kind, run_sssp_lockstep_kind, SsspConfig};
+use priosched::workloads::{run_workload, SsspWorkload};
 
 #[test]
 fn grid_of_structures_places_and_k() {
-    let g = erdos_renyi(&ErdosRenyiConfig {
-        n: 180,
-        p: 0.08,
-        seed: 501,
-    });
-    let expect = dijkstra(&g, 0).dist;
+    let w = SsspWorkload::random(180, 0.08, 501);
     for kind in PoolKind::ALL {
         for places in [1usize, 2, 4] {
             for k in [1usize, 16, 512] {
-                let cfg = SsspConfig::new(places, k);
-                let res = run_sssp_kind(kind, &g, 0, &cfg);
-                assert_eq!(res.dist, expect, "{kind} P={places} k={k}");
+                run_workload(&w, kind, places, PoolParams::with_k(k)).expect_verified();
             }
         }
     }
@@ -29,16 +22,11 @@ fn grid_of_structures_places_and_k() {
 
 #[test]
 fn lockstep_and_threaded_agree_with_each_other() {
-    let g = erdos_renyi(&ErdosRenyiConfig {
-        n: 150,
-        p: 0.1,
-        seed: 502,
-    });
+    let w = SsspWorkload::random(150, 0.1, 502);
+    let params = PoolParams::with_k(64);
     for kind in PoolKind::PAPER {
-        let cfg = SsspConfig::new(4, 64);
-        let threaded = run_sssp_kind(kind, &g, 0, &cfg);
-        let lockstep = run_sssp_lockstep_kind(kind, &g, 0, &cfg);
-        assert_eq!(threaded.dist, lockstep.dist, "{kind}");
+        run_workload(&w, kind, 4, params).expect_verified();
+        w.lockstep(kind, 4, params).expect_verified();
     }
 }
 
@@ -47,16 +35,20 @@ fn three_independent_solvers_agree() {
     // Dijkstra (pq-based), Bellman–Ford (sweep-based), the parallel
     // scheduler (hybrid), and the phase simulator all compute the same
     // distances on the same graph.
-    let g = erdos_renyi(&ErdosRenyiConfig {
-        n: 140,
-        p: 0.09,
-        seed: 503,
-    });
-    let a = dijkstra(&g, 3).dist;
-    let b = bellman_ford(&g, 3);
-    let c = run_sssp_kind(PoolKind::Hybrid, &g, 3, &SsspConfig::new(3, 32)).dist;
+    let w = SsspWorkload::new(
+        erdos_renyi(&ErdosRenyiConfig {
+            n: 140,
+            p: 0.09,
+            seed: 503,
+        }),
+        3,
+    );
+    let a = w.oracle();
+    let b = bellman_ford(w.graph(), 3);
+    // The scheduler's run is checked against the same Dijkstra distances.
+    run_workload(&w, PoolKind::Hybrid, 3, PoolParams::with_k(32)).expect_verified();
     let d = simulate_sssp(
-        &g,
+        w.graph(),
         3,
         &SimConfig {
             p: 8,
@@ -66,19 +58,15 @@ fn three_independent_solvers_agree() {
     )
     .dist;
     assert_eq!(a, b);
-    assert_eq!(a, c);
     assert_eq!(a, d);
 }
 
 #[test]
 fn sparse_and_dense_graph_families() {
     for (n, p, seed) in [(300usize, 0.03f64, 504u64), (80, 0.6, 505), (40, 1.0, 506)] {
-        let g = erdos_renyi(&ErdosRenyiConfig { n, p, seed });
-        let expect = dijkstra(&g, 0).dist;
+        let w = SsspWorkload::random(n, p, seed);
         for kind in PoolKind::PAPER {
-            let cfg = SsspConfig::new(2, 8);
-            let res = run_sssp_kind(kind, &g, 0, &cfg);
-            assert_eq!(res.dist, expect, "{kind} n={n} p={p}");
+            run_workload(&w, kind, 2, PoolParams::with_k(8)).expect_verified();
         }
     }
 }
@@ -90,12 +78,10 @@ fn pathological_graphs() {
     // Star: maximal fanout from the source.
     let star: Vec<(u32, u32, f32)> = (1..200).map(|i| (0, i, 1.0 / i as f32)).collect();
     for (name, n, edges) in [("path", 200usize, path), ("star", 200, star)] {
-        let g = CsrGraph::from_undirected_edges(n, &edges);
-        let expect = dijkstra(&g, 0).dist;
+        let w = SsspWorkload::new(CsrGraph::from_undirected_edges(n, &edges), 0);
         for kind in PoolKind::PAPER {
-            let cfg = SsspConfig::new(3, 4);
-            let res = run_sssp_kind(kind, &g, 0, &cfg);
-            assert_eq!(res.dist, expect, "{kind} on {name}");
+            let report = run_workload(&w, kind, 3, PoolParams::with_k(4));
+            assert!(report.verified(), "{kind} on {name}: {:?}", report.verify);
         }
     }
 }
@@ -104,15 +90,15 @@ fn pathological_graphs() {
 fn useless_work_ordering_between_structures_holds_deterministically() {
     // The paper's headline (Fig. 4 right): work-stealing performs the most
     // useless work; the k-structures bound it. Deterministic via lockstep.
-    let g = erdos_renyi(&ErdosRenyiConfig {
-        n: 400,
-        p: 0.5,
-        seed: 507,
-    });
-    let cfg = SsspConfig::new(32, 64);
-    let ws = run_sssp_lockstep_kind(PoolKind::WorkStealing, &g, 0, &cfg).relaxed;
-    let ce = run_sssp_lockstep_kind(PoolKind::Centralized, &g, 0, &cfg).relaxed;
-    let hy = run_sssp_lockstep_kind(PoolKind::Hybrid, &g, 0, &cfg).relaxed;
+    let w = SsspWorkload::random(400, 0.5, 507);
+    let relaxed = |kind| {
+        let report = w.lockstep(kind, 32, PoolParams::with_k(64));
+        let metrics = &report.expect_verified().metrics;
+        metrics.iter().find(|(n, _)| *n == "relaxed").unwrap().1
+    };
+    let ws = relaxed(PoolKind::WorkStealing);
+    let ce = relaxed(PoolKind::Centralized);
+    let hy = relaxed(PoolKind::Hybrid);
     assert!(ws > ce, "ws={ws} centralized={ce}");
     assert!(ws > hy, "ws={ws} hybrid={hy}");
 }
