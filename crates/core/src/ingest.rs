@@ -45,16 +45,15 @@
 //!   larger than the lane capacity are split into capacity-sized chunks
 //!   internally.
 //!
-//! All four — and the two async futures of [`crate::async_ingest`] — enter
-//! a lane through one function, `IngressShared::place` (gate, round-robin
-//! scan, capacity test, fill and `queued` bump inside the lane's critical
-//! section, targeted worker wake). The shedding flavors are one call of
-//! it; the waiting flavors repeat it until it stops answering `Full`,
-//! inside [`crate::park::ParkSlot::poll_until`] on the space slot, as a
-//! thread or as a waker. A batch is offered tail first and leaves the
-//! caller's vector only inside the accepting lane's critical section, so
-//! whatever a failed or cancelled batch submit leaves behind is the
-//! batch's untouched prefix, in order.
+//! All four enter a lane through one function, `IngressShared::place`
+//! (gate, round-robin scan, capacity test, fill and `queued` bump inside
+//! the lane's critical section, targeted worker wake). The shedding
+//! flavors are one call of it; the blocking flavors repeat it until it
+//! stops answering `Full`, inside [`crate::park::ParkSlot::wait_until`] on
+//! the space slot. A batch is offered tail first and leaves the caller's
+//! vector only inside the accepting lane's critical section, so whatever
+//! a failed batch submit leaves behind is the batch's untouched prefix,
+//! in order.
 //!
 //! Capacity bounds *lane occupancy*: a lane whose contents were just
 //! swapped out by a drain has room again even while the drained tasks are
@@ -127,7 +126,7 @@
 //! [`crate::service::PoolService::join`] could sleep forever.
 //!
 //! Producers and join waiters wait through
-//! [`crate::park::ParkSlot::poll_until`] and workers through the same
+//! [`crate::park::ParkSlot::wait_until`] and workers through the same
 //! register → re-check → park steps written out once in
 //! `SpawnCtx::park_idle` (the [`crate::park`] table says why), so none of
 //! these can be lost to the check-then-sleep race.
@@ -141,14 +140,13 @@
 //! blocked producers are woken into that error, so no producer can park
 //! forever against workers that no longer exist.
 
-use crate::park::{thread_ready, ParkSlot, Parker, Waiter, WakerId};
+use crate::park::Parker;
 use crate::pool::PoolHandle;
 use crate::scheduler::Outstanding;
 use crate::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
-use std::task::Poll;
 
 /// One queued submission: priority, relaxation bound, payload.
 type Entry<T> = (u64, usize, T);
@@ -269,18 +267,14 @@ impl<T: Send> IngressShared<T> {
         self.gate.load(Ordering::Acquire) == GATE_ABORTED
     }
 
-    /// The drain wait behind [`crate::service::PoolService::join`] and
-    /// `join_async`: waits on the control slot, as `waiter`, until
-    /// everything submitted so far has been executed — `queued == 0 ∧
-    /// pending == 0` — and answers `true`, or `false` as soon as the run
-    /// has aborted. Both writers that can make the predicate true wake the
-    /// control slot (module docs, third and fifth event rows).
-    pub(crate) fn poll_drained(
-        &self,
-        waiter: Waiter<'_>,
-        deposit: &mut Option<WakerId>,
-    ) -> Poll<bool> {
-        self.parker.control().poll_until(waiter, deposit, || {
+    /// The drain wait behind [`crate::service::PoolService::join`]: waits
+    /// on the control slot until everything submitted so far has been
+    /// executed — `queued == 0 ∧ pending == 0` — and answers `true`, or
+    /// `false` as soon as the run has aborted. Both writers that can make
+    /// the predicate true wake the control slot (module docs, third and
+    /// fifth event rows).
+    pub(crate) fn wait_drained(&self) -> bool {
+        self.parker.control().wait_until(|| {
             if self.aborted() {
                 return Some(false);
             }
@@ -589,27 +583,13 @@ impl<T: Send> IngestHandle<T> {
     /// task back in `Err` only if the pool aborted or shut down — a live
     /// pool always accepts eventually.
     pub fn submit(&mut self, prio: u64, k: usize, task: T) -> Result<(), SubmitError<T>> {
-        thread_ready(self.poll_submit(Waiter::Thread, &mut None, prio, k, &mut Some(task)))
-    }
-
-    /// [`IngestHandle::try_submit`] until it stops answering `Full`,
-    /// waiting on the space slot as `waiter` in between (the body behind
-    /// the blocking and the async `submit`). `task` is taken when the
-    /// submission resolves and left in place across a `Pending`.
-    pub(crate) fn poll_submit(
-        &mut self,
-        waiter: Waiter<'_>,
-        deposit: &mut Option<WakerId>,
-        prio: u64,
-        k: usize,
-        task: &mut Option<T>,
-    ) -> Poll<Result<(), SubmitError<T>>> {
         let (shared, cursor) = (&*self.shared, &mut self.lane);
-        shared.parker.space().poll_until(waiter, deposit, || {
-            let offered = task.take().expect("submit polled after completion");
+        let mut task = Some(task);
+        shared.parker.space().wait_until(|| {
+            let offered = task.take().expect("a resolved submit is not retried");
             match shared.place(cursor, 1, offered, |lane, task| lane.push((prio, k, task))) {
                 Err(SubmitError::Full(back)) => {
-                    *task = Some(back);
+                    task = Some(back);
                     None
                 }
                 done => Some(done),
@@ -649,22 +629,9 @@ impl<T: Send> IngestHandle<T> {
     /// `batch` is exactly what was not submitted: its untouched prefix,
     /// in the original order.
     pub fn submit_batch(&mut self, k: usize, batch: &mut Vec<(u64, T)>) -> Result<(), SubmitError> {
-        thread_ready(self.poll_submit_batch(Waiter::Thread, &mut None, k, batch))
-    }
-
-    /// Offers `batch`'s tail, chunk by chunk, until it is empty, waiting
-    /// on the space slot as `waiter` whenever a chunk finds every lane
-    /// full (the body behind the blocking and the async `submit_batch`).
-    pub(crate) fn poll_submit_batch(
-        &mut self,
-        waiter: Waiter<'_>,
-        deposit: &mut Option<WakerId>,
-        k: usize,
-        batch: &mut Vec<(u64, T)>,
-    ) -> Poll<Result<(), SubmitError>> {
         let (shared, cursor) = (&*self.shared, &mut self.lane);
         let chunk_cap = shared.capacity.unwrap_or(usize::MAX);
-        shared.parker.space().poll_until(waiter, deposit, || {
+        shared.parker.space().wait_until(|| {
             while !batch.is_empty() {
                 let n = batch.len().min(chunk_cap);
                 let tail = batch.len() - n;
@@ -678,18 +645,6 @@ impl<T: Send> IngestHandle<T> {
             }
             Some(Ok(()))
         })
-    }
-
-    /// Wraps this handle for async submission: the same producer slot and
-    /// the same wait, with the task's waker deposited where a thread would
-    /// sleep. See [`crate::async_ingest::AsyncIngestHandle`].
-    pub fn into_async(self) -> crate::async_ingest::AsyncIngestHandle<T> {
-        crate::async_ingest::AsyncIngestHandle::new(self)
-    }
-
-    /// The space slot (a dropped submit future revokes its deposit there).
-    pub(crate) fn space(&self) -> &ParkSlot {
-        self.shared.parker.space()
     }
 }
 

@@ -153,9 +153,8 @@
 //! sleeps — while wakers always advance the slot's epoch before
 //! notifying, so an event that fires inside the race window makes the
 //! park return immediately. Those three steps are written once,
-//! [`park::ParkSlot::poll_until`], and every predicate wait — blocking
-//! and async `submit`/`submit_batch`, `join` and `join_async` — hands it
-//! its condition as a closure; only the worker park, whose re-check pops
+//! [`park::ParkSlot::wait_until`], and every predicate wait — `submit`,
+//! `submit_batch` and `join` — hands it its condition as a closure; only the worker park, whose re-check pops
 //! a task rather than testing a condition, spells them out, once, for
 //! both the worker loop and `help_while` (the [`park`] table says why).
 //! The quiescence read-order argument (producers
@@ -174,33 +173,6 @@
 //! worker's component is empty and remaining work always stays reachable
 //! by an awake one.
 //!
-//! # Async ingestion
-//!
-//! The [`async_ingest`] module lifts the producer side into futures, so a
-//! network or async frontend can run thousands of logical producers
-//! without a thread each. [`async_ingest::AsyncIngestHandle`] wraps an
-//! [`ingest::IngestHandle`] from the same refcounted lineage (obtained
-//! via [`ingest::IngestHandle::into_async`] or
-//! [`service::PoolService::async_ingest_handle`]); its `submit` /
-//! `submit_batch` futures are the blocking path's body with
-//! [`park::Waiter::Waker`] for [`park::Waiter::Thread`]: where a thread
-//! would sleep on the space slot's condvar, the task's
-//! [`std::task::Waker`] is deposited and the future returns
-//! `Poll::Pending`, and the drain that frees lane space fires the
-//! deposited waker through the same `wake_all` that unparks blocked
-//! threads. Abort/shutdown resolve pending futures to the typed
-//! [`ingest::SubmitError`] with the payload handed back (a batch keeps
-//! its unsubmitted prefix, in order), and dropping a pending future
-//! revokes its waker (cancel-safe).
-//! [`service::PoolService::join_async`] is the drain wait of `join`, same
-//! body, as a future on the control slot. The `async_equivalence` integration
-//! test pins async-submitted ≡ blocking-submitted ≡ preseeded on all five
-//! structures under a tiny lane capacity; no runtime is prescribed — the
-//! in-tree `futures-executor` shim (`block_on` + `LocalPool`) or any
-//! external executor can drive the futures. The `priosched-net` crate
-//! builds the `priosched-serve` TCP frontend on exactly this surface:
-//! one connection actor per socket, each owning an async handle.
-//!
 //! # Failure handling
 //!
 //! A task's `execute` may panic; what happens next is the
@@ -215,7 +187,7 @@
 //! every worker out; [`Scheduler::run`] and
 //! [`Scheduler::run_stream`], whose callers wait for the run to end,
 //! resume the panic on the caller, while
-//! [`service::PoolService::join`]/`join_async` return
+//! [`service::PoolService::join`] returns
 //! `Err(`[`scheduler::PoolAborted`]`)` and
 //! [`service::PoolService::shutdown`] returns a typed
 //! [`service::ShutdownError`] — a failure never poisons teardown. Under
@@ -288,7 +260,6 @@
 //! | Prose argument | Model |
 //! |---|---|
 //! | (a) Parking's register → re-check → park — [`park::ParkSlot::wait_until`], the one body every predicate wait runs — never loses a wakeup against the waiter-count-gated `wake_if_waiting` (the seq-cst fence pairing in [`park`]) | `models::parker_no_lost_wakeup` |
-//! | (a′) The same body polled as an async task ([`park::Waiter::Waker`]): a deposited waker is fired by the wake or the poll retries, and its registration is released exactly once between the wake and the re-poll's revoke | `models::waker_deposit_no_lost_wakeup` |
 //! | (b) The structural kind's exact pop takes a queue's minimum only after re-checking it, under the queue lock, against the runner-up top it read: two places popping once each from queues holding {10, 30} and {20} take 10 and 20, never 30, whatever went stale between the read and the lock ([`multiqueue`], "Exact configuration") | `models::structural_pop_takes_a_true_minimum` |
 //! | (c) The item free list's versioned head defeats ABA on multi-node pops ([`item`], §4.1.3/§4.2.3 tag discipline) | `models::free_list_no_aba_double_pop` |
 //! | (d) The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
@@ -300,7 +271,7 @@
 //!
 //! Four **mutation self-checks** validate the checker itself: building
 //! with `--cfg loom_mutate_park_fence` (drops the `wake_if_waiting`
-//! fence; both (a) and (a′) must fail), `--cfg loom_mutate_exact_recheck`
+//! fence; (a) must fail), `--cfg loom_mutate_exact_recheck`
 //! (skips (b)'s re-check under the lock), `--cfg loom_mutate_credit_flush` (drops
 //! the settle in front of the termination check) or
 //! `--cfg loom_mutate_drain_wake` (drops the lane drain's `queued → 0`
@@ -327,7 +298,6 @@
 //! implementing that trait; this crate deliberately knows nothing about
 //! them beyond the [`scheduler::TaskExecutor`] contract.
 
-pub mod async_ingest;
 pub mod centralized;
 pub mod facade;
 pub mod garray;
@@ -347,7 +317,6 @@ pub mod task;
 pub(crate) mod util;
 pub mod workstealing;
 
-pub use async_ingest::{AsyncIngestHandle, JoinFuture, SubmitBatchFuture, SubmitFuture};
 pub use centralized::CentralizedKPriority;
 pub use facade::{run_on_kind, run_stream_on_kind, AnyHandle, AnyPool, PoolBuilder};
 pub use hybrid::HybridKPriority;

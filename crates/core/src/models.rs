@@ -22,8 +22,8 @@
 //! `--cfg loom_mutate_credit_flush` drops the settle in front of the
 //! scheduler's termination check, and `--cfg loom_mutate_drain_wake` drops
 //! the control-slot wake of the lane drain that takes `queued` to zero.
-//! The runner then asserts that [`parker_no_lost_wakeup`] and
-//! [`waker_deposit_no_lost_wakeup`], [`structural_pop_takes_a_true_minimum`],
+//! The runner then asserts that [`parker_no_lost_wakeup`],
+//! [`structural_pop_takes_a_true_minimum`],
 //! [`credits_settle_before_quiescence`] and
 //! [`join_wakes_on_the_last_of_drain_and_finish`] *fail* — a model suite
 //! that cannot see a deliberately planted bug proves nothing about the
@@ -36,16 +36,15 @@ use crate::centralized::CentralizedKPriority;
 use crate::ingest::IngressLanes;
 use crate::item::ItemPool;
 use crate::multiqueue::RelaxedMultiQueue;
-use crate::park::{ParkSlot, Waiter};
+use crate::park::ParkSlot;
 use crate::pool::{FaultPolicy, PoolHandle, TaskPool};
 use crate::scheduler::{place_loop, FaultCell, Outstanding, SpawnCtx, TaskExecutor};
 use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{stdsync, thread, Mutex};
+use crate::sync::{thread, Mutex};
 use std::sync::Arc;
-use std::task::Poll;
 
-/// (a) Parker, thread flavor: [`ParkSlot::wait_until`] — the crate's one
+/// (a) Parker: [`ParkSlot::wait_until`] — the crate's one
 /// register → re-check → park body — versus a concurrent
 /// `wake_if_waiting` never loses the wakeup.
 ///
@@ -78,72 +77,6 @@ pub fn parker_no_lost_wakeup() {
         waiter.join().unwrap();
         waker.join().unwrap();
         assert_eq!(slot.waiters(), 0, "the wait released its registration");
-    });
-}
-
-/// A one-task executor for model (a′): `wake` raises a flag under a mutex
-/// and notifies; the task's thread sleeps on the condvar between polls.
-#[derive(Default)]
-struct Notify {
-    woken: stdsync::Mutex<bool>,
-    condvar: stdsync::Condvar,
-}
-
-impl std::task::Wake for Notify {
-    fn wake(self: Arc<Self>) {
-        *self.woken.lock().unwrap() = true;
-        self.condvar.notify_all();
-    }
-}
-
-/// (a′) Parker, waker flavor: the same body polled with
-/// [`Waiter::Waker`] — what every submit and join future runs — versus a
-/// concurrent `wake_if_waiting`.
-///
-/// A `Pending` poll sleeps (untimed) until the deposited waker fires and
-/// polls again, so a deposit that no wake ever fires deadlocks — under
-/// `loom_mutate_park_fence` exactly as in (a). The deposit/revoke
-/// bookkeeping is checked at the exit: a wake and the re-poll's revoke
-/// both try to release the deposit's registration, and `waiters() == 0`
-/// holds only if exactly one of them did (a double release wraps the
-/// count, a missed one leaves it at 1).
-pub fn waker_deposit_no_lost_wakeup() {
-    loom::model(|| {
-        let slot = Arc::new(ParkSlot::new());
-        let flag = Arc::new(AtomicBool::new(false));
-
-        let waiter = {
-            let (slot, flag) = (Arc::clone(&slot), Arc::clone(&flag));
-            thread::spawn(move || {
-                let notify = Arc::new(Notify::default());
-                let waker = std::task::Waker::from(Arc::clone(&notify));
-                let mut deposit = None;
-                while slot
-                    .poll_until(Waiter::Waker(&waker), &mut deposit, || {
-                        flag.load(Ordering::Acquire).then_some(())
-                    })
-                    .is_pending()
-                {
-                    let mut woken = notify.woken.lock().unwrap();
-                    while !*woken {
-                        woken = notify.condvar.wait(woken).unwrap();
-                    }
-                    *woken = false;
-                }
-                assert!(deposit.is_none(), "a finished wait holds no deposit");
-            })
-        };
-        let waker = {
-            let slot = Arc::clone(&slot);
-            thread::spawn(move || {
-                flag.store(true, Ordering::Release);
-                slot.wake_if_waiting();
-            })
-        };
-
-        waiter.join().unwrap();
-        waker.join().unwrap();
-        assert_eq!(slot.waiters(), 0, "deposit released exactly once");
     });
 }
 
@@ -594,8 +527,7 @@ pub fn join_wakes_on_the_last_of_drain_and_finish() {
             let shared = Arc::clone(run.lanes.shared());
             let exec = Arc::clone(&run.exec);
             thread::spawn(move || {
-                let drained = shared.poll_drained(Waiter::Thread, &mut None);
-                assert_eq!(drained, Poll::Ready(true));
+                assert!(shared.wait_drained(), "a live run drains");
                 assert_eq!(
                     exec.done.load(Ordering::SeqCst),
                     1,

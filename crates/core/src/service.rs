@@ -2,7 +2,7 @@
 //!
 //! [`crate::Scheduler::run`] and [`crate::Scheduler::run_stream`] have a
 //! closed lifecycle — they return at quiescence and the worker threads die
-//! with them. A service frontend (async runtime, network ingress) wants the
+//! with them. A service frontend (a network ingress, say) wants the
 //! opposite shape: start the workers once, then [`PoolService::submit`]
 //! and [`PoolService::join`] repeatedly, paying thread startup never and
 //! pool construction once.
@@ -32,22 +32,18 @@
 //! aborting — see the "Failure handling" section of the crate docs.
 //!
 //! The service adds no wait of its own. Its submit methods are its own
-//! [`IngestHandle`]'s; [`PoolService::join`] and
-//! [`PoolService::join_async`] are one drain wait
-//! (`IngressShared::poll_drained`, on the control slot, through
-//! [`crate::park::ParkSlot::poll_until`]) taken as a thread or as a
-//! waker, with the abort outcome typed on the way out.
+//! [`IngestHandle`]'s; [`PoolService::join`] is the lanes' drain wait
+//! (`IngressShared::wait_drained`, on the control slot, through
+//! [`crate::park::ParkSlot::wait_until`]), with the abort outcome typed on
+//! the way out.
 
-use crate::async_ingest::{AsyncIngestHandle, JoinFuture};
 use crate::ingest::{IngestHandle, IngressLanes, SubmitError};
-use crate::park::{thread_ready, ParkSlot, Waiter, WakerId};
 use crate::pool::{FaultPolicy, TaskPool};
 use crate::scheduler::{
     worker, FailureReport, FaultCell, PlaceOutcome, PoolAborted, RunStats, TaskExecutor,
 };
 use crate::sync::thread;
 use std::sync::Arc;
-use std::task::Poll;
 use std::time::Instant;
 
 /// Error from [`PoolService::shutdown`] when the pool aborted
@@ -185,15 +181,6 @@ impl<T: Send + 'static> PoolService<T> {
         self.lanes.handle()
     }
 
-    /// Mints an [`AsyncIngestHandle`] for an async producer (connection
-    /// actor, request handler): same producer lineage and refcount as
-    /// [`PoolService::ingest_handle`], but `Full` lanes make the submit
-    /// futures `Pending` (waker deposited where the blocking path parks a
-    /// thread) instead of blocking. See [`crate::async_ingest`].
-    pub fn async_ingest_handle(&self) -> AsyncIngestHandle<T> {
-        self.lanes.handle().into_async()
-    }
-
     /// Blocks until everything submitted so far has been executed (lanes
     /// empty, outstanding-task counter zero) — the workers stay running
     /// for the next round of submissions. Returns `Err(PoolAborted)` with
@@ -208,52 +195,22 @@ impl<T: Send + 'static> PoolService<T> {
     /// is the shared, credit-settled one (see [`crate::scheduler`]): it
     /// may read high while places still hold credits, never low, and the
     /// place that holds the last credits settles on its next failed pop.
-    pub fn join(&self) -> Result<(), PoolAborted> {
-        thread_ready(self.poll_join(Waiter::Thread, &mut None))
-    }
-
-    /// The drain wait of [`PoolService::join`] (`Waiter::Thread`) and
-    /// [`PoolService::join_async`] (`Waiter::Waker`), with the abort
-    /// outcome typed: the first recorded failure. The abort gate is raised
-    /// *after* the failure record (see `SpawnCtx::run_one`), so an
-    /// observed abort implies a visible report; the fallback covers only
+    ///
+    /// The abort is typed with the first recorded failure. The abort gate
+    /// is raised *after* the failure record (see `SpawnCtx::run_one`), so
+    /// an observed abort implies a visible report; the fallback covers only
     /// abortive teardown paths that never had a panicking task.
-    pub(crate) fn poll_join(
-        &self,
-        waiter: Waiter<'_>,
-        deposit: &mut Option<WakerId>,
-    ) -> Poll<Result<(), PoolAborted>> {
-        self.lanes
-            .shared()
-            .poll_drained(waiter, deposit)
-            .map(|drained| match drained {
-                true => Ok(()),
-                false => Err(PoolAborted {
-                    failure: self.faults.first_failure().unwrap_or(FailureReport {
-                        place: 0,
-                        prio: 0,
-                        message: "pool aborted".to_string(),
-                    }),
-                }),
-            })
-    }
-
-    /// The control slot (a dropped [`JoinFuture`] revokes its deposit
-    /// there).
-    pub(crate) fn control(&self) -> &ParkSlot {
-        self.lanes.shared().parker().control()
-    }
-
-    /// Async sibling of [`PoolService::join`]: a future that resolves to
-    /// `Ok(())` once everything submitted so far has been executed (lanes
-    /// empty, outstanding-task counter zero — the service's quiescence
-    /// condition short of dropping producers), or `Err(PoolAborted)` if
-    /// the pool aborted on a task panic. The future deposits its waker on
-    /// the control slot where the blocking join parks, so it is woken by
-    /// the same count-reaches-zero / lanes-emptied / abort events, and it
-    /// revokes the deposit when dropped before the drain.
-    pub fn join_async(&self) -> JoinFuture<'_, T> {
-        JoinFuture::new(self)
+    pub fn join(&self) -> Result<(), PoolAborted> {
+        if self.lanes.shared().wait_drained() {
+            return Ok(());
+        }
+        Err(PoolAborted {
+            failure: self.faults.first_failure().unwrap_or(FailureReport {
+                place: 0,
+                prio: 0,
+                message: "pool aborted".to_string(),
+            }),
+        })
     }
 
     /// Number of task failures recorded so far: quarantined panics under

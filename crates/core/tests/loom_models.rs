@@ -39,11 +39,6 @@ mod checked {
     }
 
     #[test]
-    fn waker_deposit_no_lost_wakeup() {
-        models::waker_deposit_no_lost_wakeup();
-    }
-
-    #[test]
     fn structural_pop_takes_a_true_minimum() {
         models::structural_pop_takes_a_true_minimum();
     }
@@ -84,22 +79,16 @@ mod checked {
     }
 }
 
-/// Self-check: with the `wake_if_waiting` fence removed, both parker
-/// models must *fail* (the explorer finds the lost-wakeup deadlock, for a
-/// parked thread and for a deposited waker). A green run here would mean
-/// the checker is blind.
+/// Self-check: with the `wake_if_waiting` fence removed, the parker model
+/// must *fail* (the explorer finds the parked thread's lost-wakeup
+/// deadlock). A green run here would mean the checker is blind.
 #[cfg(loom_mutate_park_fence)]
 #[test]
 fn mutation_park_fence_is_caught() {
-    let thread_flavor = std::panic::catch_unwind(models::parker_no_lost_wakeup);
+    let result = std::panic::catch_unwind(models::parker_no_lost_wakeup);
     assert!(
-        thread_flavor.is_err(),
+        result.is_err(),
         "checker failed to find the planted lost-wakeup (missing fence)"
-    );
-    let waker_flavor = std::panic::catch_unwind(models::waker_deposit_no_lost_wakeup);
-    assert!(
-        waker_flavor.is_err(),
-        "checker failed to find the planted lost-wakeup of a deposited waker"
     );
 }
 

@@ -22,12 +22,19 @@
 //!   exit code 2, never a panic — the same convention as the `chaos`
 //!   binary.
 
+use priosched_core::PoolKind;
 use priosched_net::{Server, ServerConfig};
 use std::io::{Read, Write};
 
-const USAGE: &str = "usage: priosched-serve [--addr HOST:PORT] \
-     [--kind work_stealing|centralized|hybrid|structural] [--places N] \
-     [--k N] [--lane-cap N (0 = unbounded)] [--max-conns N]";
+/// The usage line; the `--kind` choices are every [`PoolKind::id`].
+fn usage() -> String {
+    let kinds: Vec<&str> = PoolKind::ALL.iter().map(|kind| kind.id()).collect();
+    format!(
+        "usage: priosched-serve [--addr HOST:PORT] [--kind {}] [--places N] \
+         [--k N] [--lane-cap N (0 = unbounded)] [--max-conns N]",
+        kinds.join("|")
+    )
+}
 
 #[derive(Debug, PartialEq)]
 struct Args {
@@ -98,12 +105,12 @@ fn main() {
     let args = match Args::parse(&argv) {
         Ok(Some(args)) => args,
         Ok(None) => {
-            println!("{USAGE}");
+            println!("{}", usage());
             return;
         }
         Err(e) => {
             eprintln!("priosched-serve: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     };
@@ -155,7 +162,6 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use priosched_core::PoolKind;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -205,6 +211,17 @@ mod tests {
         ] {
             let err = Args::parse(&argv(&bad)).expect_err(&format!("{bad:?} must be rejected"));
             assert!(!err.is_empty());
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_kind_and_each_parses() {
+        let usage = usage();
+        for kind in PoolKind::ALL {
+            let id = kind.id();
+            assert!(usage.contains(id), "{id} missing from {usage:?}");
+            let args = Args::parse(&argv(&["--kind", id])).unwrap().unwrap();
+            assert_eq!(args.config.kind, kind);
         }
     }
 

@@ -5,21 +5,19 @@
 //!
 //! This crate is the open-world scheduler's front door for remote
 //! producers: a line-protocol TCP server whose connections feed a running
-//! pool through the async ingestion path (`priosched_core::async_ingest`).
-//! Each accepted socket gets its **own connection actor** — an async
-//! function holding an [`AsyncIngestHandle`] cloned from the service's
-//! producer lineage — driven by the in-tree `futures-executor` shim on a
-//! lightweight per-connection thread. Dropping the handle on disconnect
-//! is the connection's "no more input" signal, so the service's
-//! quiescence protocol extends to the network unchanged.
+//! pool. Each accepted socket gets its **own connection actor** — a plain
+//! function on its own thread, holding an [`IngestHandle`] minted from the
+//! service's producer lineage. Dropping the handle on disconnect is the
+//! connection's "no more input" signal, so the service's quiescence
+//! protocol extends to the network unchanged.
 //!
 //! # Backpressure, end to end
 //!
 //! The actor reads **one request at a time** and does not read the next
 //! line until the current submission was accepted by the lanes. When the
-//! pool's bounded ingress lanes are full, the actor's submit future is
-//! `Pending` (its waker parked where blocking producers park threads), the
-//! actor stops reading its socket, the kernel's TCP receive window fills,
+//! pool's bounded ingress lanes are full, the actor's blocking submit
+//! parks its thread until a worker drain frees room: the actor stops
+//! reading its socket, the kernel's TCP receive window fills,
 //! and the *client's* sends stall — backpressure propagates to the wire
 //! instead of buffering unboundedly in the server. A quiescent server with
 //! idle connections burns no CPU: actors are blocked in `read`, pool
@@ -95,10 +93,10 @@
 //! their `failed` count and [`priosched_core::FailureReport`]s) into
 //! [`ServeSummary::run`] rather than poisoning shutdown.
 
-use priosched_core::async_ingest::AsyncIngestHandle;
 use priosched_core::stats::PlaceCounter;
 use priosched_core::{
-    panic_message, PoolBuilder, PoolKind, PoolService, RunStats, SpawnCtx, TaskExecutor,
+    panic_message, IngestHandle, PoolBuilder, PoolKind, PoolService, RunStats, SpawnCtx,
+    TaskExecutor,
 };
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -253,7 +251,7 @@ pub struct ServerConfig {
     /// Relaxation bound handed to pool construction.
     pub k: usize,
     /// Per-lane ingress capacity (`None` = unbounded). Bounded lanes are
-    /// what make the submit futures pend — and the clients stall — under
+    /// what make the actors' submits block — and the clients stall — under
     /// overload.
     pub lane_capacity: Option<usize>,
     /// Deadline for completing a request line once its first byte
@@ -603,9 +601,9 @@ fn accept_loop(
                 .unwrap_or_else(|p| p.into_inner())
                 .insert(slot, clone);
         }
-        // The connection's producer identity: one async handle per accept,
+        // The connection's producer identity: one ingest handle per accept,
         // dropped when the actor exits (its "no more input" signal).
-        let handle = service.async_ingest_handle();
+        let handle = service.ingest_handle();
         let svc = Arc::clone(&service);
         let exec = Arc::clone(&exec);
         let ctl2 = Arc::clone(&ctl);
@@ -621,9 +619,7 @@ fn accept_loop(
                     // `wait_connections_closed` — and joining the thread
                     // never re-raises.
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        futures_executor::block_on(connection_actor(
-                            stream, handle, svc, exec, config,
-                        ))
+                        connection_actor(stream, handle, &svc, &exec, config)
                     }))
                     .map_err(|payload| panic_message(&*payload));
                     // Release the registry entry (long-lived servers must
@@ -641,15 +637,15 @@ fn accept_loop(
     (reaped, live)
 }
 
-/// One connection's actor: parse a request, drive it through the async
-/// ingestion handle, reply, repeat until EOF/`QUIT`. Runs under
-/// `futures_executor::block_on` on its own thread; a `Pending` submit
-/// future parks the thread (and stops socket reads — wire backpressure).
-async fn connection_actor(
+/// One connection's actor: parse a request, submit it through the
+/// connection's ingest handle, reply, repeat until EOF/`QUIT`. Runs on its
+/// own thread; a submit into full lanes parks the thread (and stops socket
+/// reads — wire backpressure).
+fn connection_actor(
     stream: TcpStream,
-    mut handle: AsyncIngestHandle<u64>,
-    service: Arc<PoolService<u64>>,
-    exec: Arc<CountdownExec>,
+    mut handle: IngestHandle<u64>,
+    service: &PoolService<u64>,
+    exec: &CountdownExec,
     config: ServerConfig,
 ) -> ConnStats {
     /// Longest accepted request line. The no-unbounded-buffering promise
@@ -738,7 +734,7 @@ async fn connection_actor(
                 stats.errors += 1;
                 format!("ERR {reason}")
             }
-            Ok(Request::Submit { prio, k, value }) => match handle.submit(prio, k, value).await {
+            Ok(Request::Submit { prio, k, value }) => match handle.submit(prio, k, value) {
                 Ok(()) => {
                     stats.accepted += 1;
                     "OK".to_string()
@@ -750,7 +746,7 @@ async fn connection_actor(
             },
             Ok(Request::Batch { k, mut jobs }) => {
                 let n = jobs.len() as u64;
-                match handle.submit_batch(k, &mut jobs).await {
+                match handle.submit_batch(k, &mut jobs) {
                     Ok(()) => {
                         stats.accepted += n;
                         stats.batch_items += n;
@@ -769,7 +765,7 @@ async fn connection_actor(
             }
             Ok(Request::Join) => {
                 stats.joins += 1;
-                match service.join_async().await {
+                match service.join() {
                     Ok(()) => format!("DONE {}", exec.executed()),
                     Err(_aborted) => {
                         stats.errors += 1;

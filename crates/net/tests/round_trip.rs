@@ -56,12 +56,14 @@ impl Client {
 
 /// The headline round trip: N connections submit deterministic countdown
 /// jobs (scalar and batched), JOIN reports exactly the oracle's execution
-/// count, and the shutdown summary agrees — on every structure.
+/// count, and the shutdown summary agrees — on every structure. At lane
+/// capacity 1 each 5-job `BATCH` goes in 1-job chunks, so the actor parks
+/// on full lanes between chunks and a worker drain has to wake it.
 #[test]
 fn load_round_trip_matches_oracle_on_all_structures() {
     for kind in PoolKind::ALL {
-        for batch in [0usize, 5] {
-            let server = server(kind, 2, Some(16));
+        for (batch, cap) in [(0usize, 16usize), (5, 16), (5, 1)] {
+            let server = server(kind, 2, Some(cap));
             let spec = LoadSpec {
                 conns: 3,
                 per_conn: 25,
@@ -69,18 +71,18 @@ fn load_round_trip_matches_oracle_on_all_structures() {
                 batch,
             };
             let report = run_load(server.local_addr(), &spec).expect("load run");
-            assert_eq!(report.submitted, 75, "{kind} batch={batch}");
+            assert_eq!(report.submitted, 75, "{kind} batch={batch} cap={cap}");
             assert!(
                 report.verified(),
-                "{kind} batch={batch}: DONE reported {} executions, oracle {}",
+                "{kind} batch={batch} cap={cap}: DONE reported {} executions, oracle {}",
                 report.executed,
                 report.expected_executions
             );
             let summary = server.shutdown();
-            assert_eq!(summary.accepted(), 75, "{kind} batch={batch}");
+            assert_eq!(summary.accepted(), 75, "{kind} batch={batch} cap={cap}");
             assert_eq!(
                 summary.run.executed, report.expected_executions,
-                "{kind} batch={batch}: shutdown stats diverge from oracle"
+                "{kind} batch={batch} cap={cap}: shutdown stats diverge from oracle"
             );
         }
     }

@@ -1,9 +1,8 @@
 //! Quickstart: prioritized task scheduling, open-world first.
 //!
 //! Headline: start a long-lived pool *service* and submit prioritized
-//! tasks into it from outside — the shape a server frontend uses — first
-//! from producer threads (blocking submits that park under backpressure),
-//! then from async tasks (submit futures that `await` a `Full` lane, the
+//! tasks into it from outside — the shape a server frontend uses — from
+//! producer threads whose blocking submits park under backpressure (the
 //! `priosched-serve` connection-actor shape). Then the classic
 //! closed-world flow: run a fixed root set over all three of the paper's
 //! data structures and compare their statistics — and finally the fifth,
@@ -104,56 +103,6 @@ fn service_demo(places: usize) {
     );
 }
 
-/// Async flow: the same service fed through futures. `submit` maps a
-/// `Full` lane to `Poll::Pending` — the task's waker is deposited where
-/// the blocking path would park a thread, and the next worker drain wakes
-/// it — so a connection actor (or any async task) backpressures by
-/// *awaiting* instead of blocking a thread. Driven here by the in-tree
-/// `futures_executor` shim; any executor works.
-fn async_demo(places: usize) {
-    let exec = Arc::new(TreeWalk {
-        executed: AtomicU64::new(0),
-    });
-    let service = PoolBuilder::new(PoolKind::Hybrid)
-        .places(places)
-        .k(K)
-        .lane_capacity(4) // tiny: the futures hit Full → await constantly
-        .service::<(u64, u64), _>(Arc::clone(&exec));
-
-    // Two async producers multiplexed on ONE reactor thread — no thread
-    // per producer, which is the point of the async path.
-    let mut pool = futures_executor::LocalPool::new();
-    let spawner = pool.spawner();
-    for producer in 0..2u64 {
-        let mut handle = service.async_ingest_handle();
-        spawner.spawn_local(async move {
-            // Backpressure is just `.await`: while every lane is full the
-            // future pends and the worker drain wakes it.
-            handle
-                .submit(0, K, (0u64, producer))
-                .await
-                .expect("service is live");
-            // Batches chunk through the capacity-4 lanes transparently.
-            let mut batch: Vec<(u64, (u64, u64))> =
-                (0..8).map(|i| (MAX_DEPTH, (MAX_DEPTH, i))).collect();
-            handle
-                .submit_batch(K, &mut batch)
-                .await
-                .expect("service is live");
-        });
-    }
-    pool.run(); // both producers complete (their handles drop here)
-    futures_executor::block_on(service.join_async()).expect("no task panics");
-
-    let stats = service.shutdown().expect("clean shutdown");
-    let tree: u64 = (0..=MAX_DEPTH).map(|d| FANOUT.pow(d as u32)).sum();
-    assert_eq!(stats.executed, 2 * tree + 2 * 8);
-    println!(
-        "async:         2 actors on 1 reactor thread -> {:>6} tasks (Full => await, lane cap 4)",
-        stats.executed
-    );
-}
-
 /// Closed-world flow: all roots known up front, one structure per run.
 fn run_with(kind: PoolKind, places: usize) {
     let exec = TreeWalk {
@@ -220,10 +169,6 @@ fn main() {
 
     // Open-world headline: a pool you submit into while it runs.
     service_demo(places);
-    println!();
-
-    // The async frontend shape: futures instead of producer threads.
-    async_demo(places);
     println!();
 
     // Closed-world: the paper's three structures over a fixed root set.

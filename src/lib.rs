@@ -27,8 +27,9 @@
 //!
 //! The `priosched-net` crate (not re-exported here — it is a frontend, not
 //! a library layer) serves the pool over TCP: `priosched-serve` accepts
-//! line-protocol submissions through per-connection async ingest handles
-//! with wire-level backpressure; see `core::async_ingest`.
+//! line-protocol submissions, one connection actor thread per socket, each
+//! submitting through its own `core::IngestHandle`; a full lane blocks the
+//! actor's submit, which stops its socket reads (wire-level backpressure).
 //!
 //! ## Quick start
 //!
