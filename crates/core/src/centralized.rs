@@ -182,7 +182,7 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             !self.handle_live[place].swap(true, Ordering::AcqRel),
             "place {place} already has a live handle"
         );
-        CentralizedHandle {
+        let mut handle = CentralizedHandle {
             place: place as u32,
             // Start scanning at the first retained slot (0 unless segments
             // were reclaimed; everything below was fully taken).
@@ -190,7 +190,7 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             // Items below the current tail that carry our place id were
             // pushed by a previous handle incarnation (e.g. an earlier run
             // on the same pool); ingest them like foreign items so they are
-            // not orphaned.
+            // not orphaned. `adopt_window` takes in those above it.
             adopt_own_below: self.tail.load(Ordering::Acquire),
             scan_cursor: SegmentCursor::default(),
             push_cursor: SegmentCursor::default(),
@@ -202,7 +202,9 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             hint: WalkHint::default(),
             stats: PlaceStats::default(),
             shared: Arc::clone(self),
-        }
+        };
+        handle.adopt_window();
+        handle
     }
 }
 
@@ -287,6 +289,37 @@ impl<T: Send + 'static> CentralizedHandle<T> {
             }
         }
         tail
+    }
+
+    /// Takes in the items a previous handle of this place left in
+    /// `[tail, tail + kmax)`, the furthest a push places one. No scan
+    /// reaches them before the tail passes them, and `ingest` then skips
+    /// them as this handle's own: without this, only a random probe could
+    /// find them, and once below the tail no pop of this place could.
+    fn adopt_window(&mut self) {
+        let end = self.adopt_own_below + self.shared.kmax as u64;
+        let mut pos = self.adopt_own_below;
+        let mut cursor = SegmentCursor::default();
+        while pos < end {
+            let Some(run) = self.shared.array.run(pos, &mut cursor) else {
+                break;
+            };
+            for slot in &run[..run.len().min((end - pos) as usize)] {
+                let ptr = slot.load(Ordering::Acquire);
+                // SAFETY: items are pool-owned and outlive the handle.
+                if let Some(item) = unsafe { ptr.as_ref() } {
+                    if item.place.load(Ordering::Relaxed) == self.place && item.is_live_at(pos) {
+                        let prio = item.prio.load(Ordering::Relaxed);
+                        self.pq.push(ItemRef {
+                            prio,
+                            tag: pos,
+                            ptr,
+                        });
+                    }
+                }
+                pos += 1;
+            }
+        }
     }
 
     /// Random probe into `[tail, tail + kmax)` for the case where the local

@@ -407,8 +407,7 @@ mod tests {
     }
 
     /// What `build` derives or fixes per kind: centralized `kmax` =
-    /// max(k, 512), the MultiQueue's `c` = 2, the structural kind's 1, and
-    /// the rank shadow off.
+    /// max(k, 512), the MultiQueue's `c` = 2 and the structural kind's 1.
     #[test]
     fn default_built_pools_keep_their_configuration() {
         for k in [0usize, 8, 512, 8192] {
@@ -418,11 +417,11 @@ mod tests {
                 other => panic!("expected centralized, got {:?}", other.kind()),
             }
             match build(PoolKind::MultiQueue) {
-                AnyPool::MultiQueue(p) => assert_eq!((p.c(), p.rank_error_enabled()), (2, false)),
+                AnyPool::MultiQueue(p) => assert_eq!(p.c(), 2),
                 other => panic!("expected multiqueue, got {:?}", other.kind()),
             }
             match build(PoolKind::Structural) {
-                AnyPool::Structural(p) => assert_eq!((p.c(), p.rank_error_enabled()), (1, false)),
+                AnyPool::Structural(p) => assert_eq!(p.c(), 1),
                 other => panic!("expected structural, got {:?}", other.kind()),
             }
         }

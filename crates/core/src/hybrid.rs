@@ -87,6 +87,12 @@ struct PlaceShared<T> {
     last_victim: AtomicUsize,
     /// Handle incarnation counter.
     incarnation: AtomicU64,
+    /// Where the place's next handle resumes `next_local_idx`, so tags stay
+    /// unique across incarnations: a stale reference to a recycled item
+    /// must never match the tag it was given anew. A dropped handle stores
+    /// it (Release) before it clears `handle_live`; the next handle loads
+    /// it (Acquire) after it has set that flag.
+    next_local_idx: AtomicU64,
 }
 
 /// The shared component of the hybrid structure. Create, wrap in [`Arc`],
@@ -117,6 +123,7 @@ impl<T: Send + 'static> HybridKPriority<T> {
                         local_head: AtomicPtr::new(ptr::null_mut()),
                         last_victim: AtomicUsize::new(NO_VICTIM),
                         incarnation: AtomicU64::new(0),
+                        next_local_idx: AtomicU64::new(0),
                     })
                 })
                 .collect(),
@@ -209,7 +216,7 @@ impl<T: Send + 'static> TaskPool<T> for HybridKPriority<T> {
             chain_head: ptr::null_mut(),
             chain_tail: ptr::null_mut(),
             tail_fill: 0,
-            next_local_idx: 0,
+            next_local_idx: self.places[place].next_local_idx.load(Ordering::Acquire),
             remaining_k: u64::MAX,
             pq: QuaternaryHeap::with_capacity(256),
             refs: Vec::new(),
@@ -460,8 +467,10 @@ impl<T: Send + 'static> HybridHandle<T> {
     }
 
     /// Victim selection: last successful victim first, chasing each empty
-    /// victim's own `last_victim` (§4.2.3), falling back to random places.
-    /// Allowed to fail spuriously.
+    /// victim's own `last_victim` (§4.2.3), falling back to random places,
+    /// and after `max(2·P, 4)` attempts to every victim not yet walked, in
+    /// order. Single-threaded, it fails only when no victim holds a live
+    /// unpublished task.
     ///
     /// A victim whose chain turned up nothing is not walked again in the
     /// same call (at P = 2 every attempt names the one other place); the
@@ -484,18 +493,27 @@ impl<T: Send + 'static> HybridHandle<T> {
                 }
             }
             if !std::mem::replace(&mut self.walked[candidate], true) && self.spy_on(candidate) > 0 {
-                self.last_victim = candidate;
-                self.shared.places[me]
-                    .last_victim
-                    .store(candidate, Ordering::Relaxed);
-                self.stats.spies += 1;
-                return true;
+                return self.spied(candidate);
             }
             candidate = self.shared.places[candidate]
                 .last_victim
                 .load(Ordering::Relaxed);
         }
-        false
+        // The chase can circle among victims already walked without ever
+        // drawing again, the same circle on every call: walk the rest before
+        // failing, or a victim's unpublished tasks stay out of reach.
+        let rest = (0..p).find(|&v| v != me && !self.walked[v] && self.spy_on(v) > 0);
+        rest.is_some_and(|victim| self.spied(victim))
+    }
+
+    /// Records a spy on `victim` that found work.
+    fn spied(&mut self, victim: usize) -> bool {
+        self.last_victim = victim;
+        self.shared.places[self.place as usize]
+            .last_victim
+            .store(victim, Ordering::Relaxed);
+        self.stats.spies += 1;
+        true
     }
 }
 
@@ -567,6 +585,9 @@ impl<T: Send + 'static> Drop for HybridHandle<T> {
         // Make any still-private tasks globally reachable so a future handle
         // (next incarnation) or other places can run them.
         self.publish();
+        self.shared.places[self.place as usize]
+            .next_local_idx
+            .store(self.next_local_idx, Ordering::Release);
         // Return stashed free items to the shared pool.
         self.cache.drain_to(&self.shared.pool);
         self.shared.handle_live[self.place as usize].store(false, Ordering::Release);

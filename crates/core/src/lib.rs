@@ -92,8 +92,8 @@
 //!   are ever unpublished, batch or no batch.
 //!
 //! In any sequential interleaving a batched history pops the same
-//! multiset, under the same relaxation oracle, as its scalar expansion
-//! (property-tested in `tests/proptests.rs`).
+//! multiset, under the same relaxation bound, as its scalar expansion
+//! (`tests/pool_contract.rs` mixes both in every tape).
 //!
 //! # Ingestion, backpressure, and quiescence
 //!
@@ -227,9 +227,8 @@
 //! policy — and `k` also travels with every push; the rest is fixed per
 //! kind by [`PoolKind::build`] (centralized `kmax = max(k, 512)`, the
 //! MultiQueue's `c = 2`, one queue per place for the structural kind).
-//! Another `c`, or the rank-error shadow, means constructing
-//! [`RelaxedMultiQueue`] directly and handing it to
-//! [`Scheduler::from_pool`].
+//! Another `c` means constructing [`RelaxedMultiQueue`] directly and
+//! handing it to [`Scheduler::from_pool`].
 //!
 //! The two MultiQueue configurations differ in the kind of bound, not
 //! just its size. The paper's structures bound how many *newer* tasks a
@@ -238,11 +237,9 @@
 //! misses only the other places' buffered tasks, ρ = (P−1)·(min(k, 16)−1).
 //! The MultiQueue's two-choice pop is only **probabilistically** close to
 //! the best — the expected rank error stays O(P) but the worst case is
-//! unbounded. The rank-error instrument
-//! ([`RelaxedMultiQueue::with_rank_error`], reported on
-//! [`stats::PlaceStats`]) measures either configuration; the
-//! structural bound is checked against it pop by pop in
-//! `tests/multiqueue_quality.rs`.
+//! unbounded. Every kind's bound is checked pop by pop from outside the
+//! pools, in `tests/pool_contract.rs`: a shadow of the live tasks gives each
+//! pop's exact rank (see [`TaskPool`]).
 //!
 //! # Model-checked properties
 //!

@@ -130,10 +130,10 @@
 //! buffers. Each buffer holds at most `min(k, 16) − 1` tasks, for the
 //! least `k` buffered there, however old they are. So
 //! ρ = (P − 1)·(min(k, 16) − 1), deterministic, and one place is exact at
-//! any `k`. `tests/multiqueue_quality.rs` checks this pop by pop against
-//! the rank-error shadow. Under concurrency step 2's re-check keeps a pop
-//! from taking a top that went stale between the read and the lock (loom
-//! model (b)). Step 3 locks every queue rather than only the least top
+//! any `k`. `tests/pool_contract.rs` checks this pop by pop against a
+//! shadow of every live task that the test keeps itself. Under concurrency
+//! step 2's re-check keeps a pop from taking a top that went stale between
+//! the read and the lock (loom model (b)). Step 3 locks every queue rather than only the least top
 //! that was read: that top can be just as stale, and model (b) finds the
 //! schedule in which taking its minimum unchecked hands out 30 before 20.
 //! Step 2 blocks rather than try-locks as the two-choice pop does: with
@@ -154,35 +154,14 @@
 //!   contention: ×1.5 on `sssp_sparse`, but a pop then takes tops that are
 //!   not minimal, so there is no deterministic ρ — that is the MultiQueue
 //!   with `c = 1`.
-//!
-//! # Rank-error instrument
-//!
-//! Built with [`RelaxedMultiQueue::with_rank_error`], the pool additionally
-//! maintains a **shadow multiset** of every queued priority behind one
-//! global mutex. Each pop then reports its *rank error* — how many
-//! strictly better priorities were queued at the moment it committed —
-//! onto [`PlaceStats`] (`rank_pops`/`rank_sum`/`rank_max` and a log₂
-//! histogram for p99). The shadow lock serializes every operation, so the
-//! instrument is **off by default**, no pool the facade builds has it, and
-//! it must never be enabled in a timing arm; measure a cell twice instead
-//! (uninstrumented for time, instrumented for quality). Buffered tasks are
-//! in the shadow from the push on, so the rank prices what the buffers
-//! hide. Single-threaded the
-//! measurement is exact — with `c = 1` and one place it must read zero,
-//! the self-check `tests/multiqueue_quality.rs` pins — while under
-//! concurrency shadow updates are ordered insert-before-push /
-//! remove-after-pop, so a measured rank can transiently count an element
-//! another thread is still committing: a conservative (never
-//! understating) estimate.
 
 use crate::pool::{PoolHandle, TaskPool};
-use crate::stats::{rank_bucket, PlaceStats};
+use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Mutex, MutexGuard};
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
 use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Default queues-per-place factor `c` (the Multi-Queues paper finds
@@ -247,37 +226,6 @@ impl<T> MqQueue<T> {
     }
 }
 
-/// Shadow multiset of all queued priorities — the rank-error oracle.
-#[derive(Default)]
-struct Shadow {
-    counts: BTreeMap<u64, u64>,
-}
-
-impl Shadow {
-    fn insert(&mut self, prio: u64) {
-        *self.counts.entry(prio).or_insert(0) += 1;
-    }
-
-    fn insert_all(&mut self, prios: impl Iterator<Item = u64>) {
-        for prio in prios {
-            self.insert(prio);
-        }
-    }
-
-    /// Removes one instance of `prio` and returns how many strictly
-    /// better (smaller) priorities were present — the pop's rank error.
-    fn remove_and_rank(&mut self, prio: u64) -> u64 {
-        let rank = self.counts.range(..prio).map(|(_, c)| *c).sum();
-        if let Some(c) = self.counts.get_mut(&prio) {
-            *c -= 1;
-            if *c == 0 {
-                self.counts.remove(&prio);
-            }
-        }
-        rank
-    }
-}
-
 /// One place's insertion buffer (see the module docs) behind its lock,
 /// plus the lock-free mirror of its length, padded to its own cache line:
 /// an empty buffer costs its place one load per operation and an idle
@@ -336,19 +284,18 @@ enum Choice {
     Exact,
 }
 
-/// Shared component: `c·P` lockable sequential queues, one insertion
-/// buffer per place, plus the optional rank-error shadow.
+/// Shared component: `c·P` lockable sequential queues and one insertion
+/// buffer per place.
 pub struct RelaxedMultiQueue<T: Send + 'static> {
     queues: Box<[CachePadded<MqQueue<T>>]>,
     buffers: Box<[CachePadded<MqBuffer<T>>]>,
     nplaces: usize,
     choice: Choice,
-    shadow: Option<Mutex<Shadow>>,
 }
 
 impl<T: Send + 'static> RelaxedMultiQueue<T> {
     /// Creates the MultiQueue for `nplaces` places with `c` queues per
-    /// place and the rank instrument off.
+    /// place.
     ///
     /// # Panics
     /// Panics if `nplaces == 0` or `c == 0`.
@@ -364,7 +311,6 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
                 .collect(),
             nplaces,
             choice: Choice::TwoRandom,
-            shadow: None,
         }
     }
 
@@ -382,22 +328,9 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
         }
     }
 
-    /// The same structure with the rank-error shadow on (see
-    /// "Rank-error instrument" in the module docs): it serializes every
-    /// operation, so measurement runs only.
-    pub fn with_rank_error(mut self) -> Self {
-        self.shadow = Some(Mutex::new(Shadow::default()));
-        self
-    }
-
     /// The configured queues-per-place factor `c`.
     pub fn c(&self) -> usize {
         self.queues.len() / self.nplaces
-    }
-
-    /// Whether the rank-error shadow instrument is active.
-    pub fn rank_error_enabled(&self) -> bool {
-        self.shadow.is_some()
     }
 
     /// Total tasks currently held, on the queues and in the insertion
@@ -575,18 +508,6 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
         self.place
     }
 
-    /// Records a committed pop's rank error against the shadow (no-op
-    /// when the instrument is off).
-    fn record_rank(&mut self, prio: u64) {
-        if let Some(shadow) = &self.shared.shadow {
-            let rank = shadow.lock().remove_and_rank(prio);
-            self.stats.rank_pops += 1;
-            self.stats.rank_sum += rank;
-            self.stats.rank_max = self.stats.rank_max.max(rank);
-            self.stats.rank_hist[rank_bucket(rank)] += 1;
-        }
-    }
-
     /// Takes in `n` pushed entries under `bound` — a scalar push's
     /// `min(k, 16)`, 0 for a batch: buffered while that leaves the buffer
     /// under `bound` and under the bound of anything in it, otherwise
@@ -680,9 +601,6 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
     /// buffer on a random queue, preferring an unlocked one. `k ≤ 1`
     /// therefore lands every push at once.
     fn push(&mut self, prio: u64, k: usize, task: T) {
-        if let Some(shadow) = &self.shared.shadow {
-            shadow.lock().insert(prio);
-        }
         let entry = MqEntry {
             prio,
             seq: self.seq,
@@ -697,7 +615,6 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
             return None;
         };
         self.stats.pops += 1;
-        self.record_rank(entry.prio);
         Some((entry.prio, entry.task))
     }
 
@@ -709,11 +626,6 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
     fn push_batch(&mut self, _k: usize, batch: &mut Vec<(u64, T)>) {
         if batch.is_empty() {
             return;
-        }
-        if let Some(shadow) = &self.shared.shadow {
-            shadow
-                .lock()
-                .insert_all(batch.iter().map(|(prio, _)| *prio));
         }
         let n = batch.len();
         let base_seq = self.seq;
@@ -825,45 +737,6 @@ mod tests {
         let mut h = p.handle(0);
         assert_eq!(h.pop(), None);
         assert_eq!(h.stats().failed_pops, 1);
-    }
-
-    #[test]
-    fn rank_instrument_is_exact_single_threaded() {
-        // c=2 on one place, pushes spread over two queues: the two-choice
-        // pop sometimes takes the worse top, and the instrument must
-        // price that exactly against the shadow.
-        let p = Arc::new(RelaxedMultiQueue::new(1, 2).with_rank_error());
-        assert!(p.rank_error_enabled());
-        let mut h = p.handle(0);
-        for i in 0..200u64 {
-            h.push(i.wrapping_mul(0x9E37_79B9) % 1000, 0, i);
-        }
-        let mut popped = 0;
-        while h.pop().is_some() {
-            popped += 1;
-        }
-        assert_eq!(popped, 200);
-        let s = h.stats();
-        assert_eq!(s.rank_pops, 200);
-        // Mean/max consistency: the histogram holds every measured pop.
-        assert_eq!(s.rank_hist.iter().sum::<u64>(), 200);
-        assert!(s.rank_max as f64 >= s.rank_mean());
-    }
-
-    #[test]
-    fn c1_single_place_measures_zero_rank_error() {
-        let p = Arc::new(RelaxedMultiQueue::new(1, 1).with_rank_error());
-        let mut h = p.handle(0);
-        for i in 0..100u64 {
-            h.push((i * 7919) % 257, 0, i);
-        }
-        while h.pop().is_some() {}
-        let s = h.stats();
-        assert_eq!(s.rank_pops, 100);
-        assert_eq!(s.rank_sum, 0, "one exact queue can never misorder");
-        assert_eq!(s.rank_max, 0);
-        assert_eq!(s.rank_mean(), 0.0);
-        assert_eq!(s.rank_p99(), 0);
     }
 
     #[test]
@@ -995,7 +868,7 @@ mod tests {
     }
 
     fn structural(places: usize) -> Arc<RelaxedMultiQueue<u64>> {
-        Arc::new(RelaxedMultiQueue::structural(places).with_rank_error())
+        Arc::new(RelaxedMultiQueue::structural(places))
     }
 
     #[test]
@@ -1008,7 +881,6 @@ mod tests {
             }
             let out: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
             assert_eq!(out, vec![1, 2, 3, 6, 8, 9], "k = {k}");
-            assert_eq!(h.stats().rank_max, 0);
         }
     }
 
@@ -1054,10 +926,10 @@ mod tests {
         for i in 0..20u64 {
             h1.push(100 + i, 0, 100 + i);
         }
+        // Each of these pops passes over all three, no more.
         for i in 0..20u64 {
             assert_eq!(h1.pop(), Some(100 + i));
         }
-        assert_eq!(h1.stats().rank_max, 3, "all three hidden, no more");
         // An empty view of the queues sends the pop to place 0's buffer.
         let rest: Vec<u64> = std::iter::from_fn(|| h1.pop()).collect();
         assert_eq!(rest, vec![0, 1, 2]);

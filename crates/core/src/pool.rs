@@ -17,14 +17,20 @@ use std::sync::Arc;
 
 /// Contract of every priority scheduling data structure in this crate.
 ///
-/// Guarantees required by the scheduler (§2.1):
-/// * every pushed task is returned by exactly one successful `pop`;
-/// * `pop` may fail spuriously (return `None` while tasks exist) only in
-///   states where some other thread is making progress or where retrying
-///   can observe the missing tasks (the scheduler retries until the global
-///   pending-task count reaches zero);
-/// * the priority ordering of returned tasks is structure-specific — see
-///   each implementation for its ρ-relaxation bound.
+/// Guarantees required by the scheduler (§2.1), each checked for every
+/// [`PoolKind`] by `tests/pool_contract.rs`, from outside the pools:
+/// 1. **Exactly once:** every pushed task is returned by exactly one
+///    successful `pop`, with the priority it was pushed at.
+/// 2. **Reachability:** `pop` may fail spuriously (return `None` while
+///    tasks exist) only in states where some other thread is making
+///    progress or where retrying can observe the missing tasks — one place
+///    popping alone drains every task, whichever handle pushed it, live or
+///    dropped (the scheduler retries until the global pending-task count
+///    reaches zero).
+/// 3. **ρ:** a pop passes over at most the tasks its kind's relaxation
+///    bound allows ([`PoolParams::k`] lists them per kind).
+/// 4. **Exact order at one place** for every kind but the two-choice
+///    MultiQueue.
 pub trait TaskPool<T: Send + 'static>: Send + Sync + 'static {
     /// The place-local view.
     type Handle: PoolHandle<T>;

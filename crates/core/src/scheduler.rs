@@ -774,46 +774,24 @@ mod tests {
         (0..=depth).map(|d| fanout.pow(d as u32)).sum()
     }
 
-    fn drain_tree(kind: PoolKind) {
-        for places in [1, 2, 4] {
-            let exec = TreeSpawner {
-                executed: Counter::new(0),
-                fanout: 3,
-                depth: 7,
-            };
-            let pool = Arc::new(kind.build(places, PoolParams::default()));
-            let stats = Scheduler::from_pool_arc(pool).run(&exec, vec![(0, 64, (0u64, 0u64))]);
-            let expect = tree_total(3, 7);
-            assert_eq!(stats.executed, expect, "{kind} places={places}");
-            assert_eq!(exec.executed.load(Ordering::Relaxed), expect);
-            assert_eq!(stats.dead, 0);
-            assert_eq!(stats.per_place_executed.iter().sum::<u64>(), expect);
+    #[test]
+    fn drains_task_tree_on_every_kind() {
+        let expect = tree_total(3, 7);
+        for kind in PoolKind::ALL {
+            for places in [1, 2, 4] {
+                let exec = TreeSpawner {
+                    executed: Counter::new(0),
+                    fanout: 3,
+                    depth: 7,
+                };
+                let pool = Arc::new(kind.build(places, PoolParams::default()));
+                let stats = Scheduler::from_pool_arc(pool).run(&exec, vec![(0, 64, (0u64, 0u64))]);
+                assert_eq!(stats.executed, expect, "{kind} places={places}");
+                assert_eq!(exec.executed.load(Ordering::Relaxed), expect);
+                assert_eq!(stats.dead, 0);
+                assert_eq!(stats.per_place_executed.iter().sum::<u64>(), expect);
+            }
         }
-    }
-
-    #[test]
-    fn drains_task_tree_workstealing() {
-        drain_tree(PoolKind::WorkStealing);
-    }
-
-    #[test]
-    fn drains_task_tree_centralized() {
-        drain_tree(PoolKind::Centralized);
-    }
-
-    #[test]
-    fn drains_task_tree_hybrid() {
-        drain_tree(PoolKind::Hybrid);
-    }
-
-    #[test]
-    fn drains_task_tree_structural() {
-        drain_tree(PoolKind::Structural);
-    }
-
-    #[test]
-    fn drains_task_tree_multiqueue() {
-        drain_tree(PoolKind::MultiQueue);
     }
 
     /// All tasks dead on arrival must be eliminated, not executed.
@@ -1121,16 +1099,6 @@ impl std::fmt::Display for RunStats {
             self.pool.spies,
             self.pool.publishes,
         )?;
-        if self.pool.rank_pops > 0 {
-            write!(
-                f,
-                "; rank error: {:.2} mean, {} p99, {} max over {} pops",
-                self.pool.rank_mean(),
-                self.pool.rank_p99(),
-                self.pool.rank_max,
-                self.pool.rank_pops,
-            )?;
-        }
         if self.failed > 0 {
             write!(f, "; {} failed (quarantined)", self.failed)?;
         }

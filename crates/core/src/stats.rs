@@ -57,21 +57,6 @@ impl PlaceCounter {
     }
 }
 
-/// Number of log₂ buckets in [`PlaceStats::rank_hist`]: bucket 0 holds
-/// exact pops (rank 0), bucket *i* ≥ 1 holds ranks in `[2^(i-1), 2^i)`,
-/// and the last bucket saturates.
-pub const RANK_BUCKETS: usize = 16;
-
-/// Histogram bucket for a rank-error value (see [`RANK_BUCKETS`]).
-#[inline]
-pub fn rank_bucket(rank: u64) -> usize {
-    if rank == 0 {
-        0
-    } else {
-        ((64 - rank.leading_zeros()) as usize).min(RANK_BUCKETS - 1)
-    }
-}
-
 /// Per-place operation counters.
 ///
 /// All fields count events observed by one place (thread). Aggregate with
@@ -111,25 +96,10 @@ pub struct PlaceStats {
     pub combine_ops: u64,
     /// Always 0; see [`PlaceStats::combine_passes`].
     pub combine_parks: u64,
-    /// Pops measured by the rank-error instrument (a MultiQueue of either
-    /// configuration built with `RelaxedMultiQueue::with_rank_error`). Zero
-    /// when the instrument is off, as it is in every pool the facade builds.
-    pub rank_pops: u64,
-    /// Sum of measured rank errors — how many strictly better priorities
-    /// were queued at each measured pop. `rank_sum / rank_pops` is the
-    /// mean ([`PlaceStats::rank_mean`]).
-    pub rank_sum: u64,
-    /// Largest measured rank error. Aggregates with `max`, not `+`.
-    pub rank_max: u64,
-    /// Log₂ histogram of measured rank errors (see [`rank_bucket`]) —
-    /// enough resolution for a conservative p99
-    /// ([`PlaceStats::rank_p99`]) without giving up `Copy`.
-    pub rank_hist: [u64; RANK_BUCKETS],
 }
 
 impl PlaceStats {
-    /// Element-wise sum — except [`PlaceStats::rank_max`], which takes the
-    /// maximum (it is a high-water mark, not a count).
+    /// Element-wise sum.
     pub fn merge(&mut self, other: &PlaceStats) {
         self.pushes += other.pushes;
         self.pops += other.pops;
@@ -144,42 +114,6 @@ impl PlaceStats {
         self.combine_passes += other.combine_passes;
         self.combine_ops += other.combine_ops;
         self.combine_parks += other.combine_parks;
-        self.rank_pops += other.rank_pops;
-        self.rank_sum += other.rank_sum;
-        self.rank_max = self.rank_max.max(other.rank_max);
-        for (a, b) in self.rank_hist.iter_mut().zip(other.rank_hist.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Mean measured rank error (0.0 when the instrument is off).
-    pub fn rank_mean(&self) -> f64 {
-        if self.rank_pops == 0 {
-            0.0
-        } else {
-            self.rank_sum as f64 / self.rank_pops as f64
-        }
-    }
-
-    /// Conservative 99th-percentile rank error: the upper bound of the
-    /// histogram bucket holding the ⌈0.99·rank_pops⌉-th smallest sample,
-    /// clamped to the exact observed max. 0 when the instrument is off.
-    pub fn rank_p99(&self) -> u64 {
-        if self.rank_pops == 0 {
-            return 0;
-        }
-        let rank = ((0.99 * self.rank_pops as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, &n) in self.rank_hist.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Bucket 0 holds exactly rank 0; bucket i ≥ 1 covers
-                // [2^(i-1), 2^i), so its inclusive upper bound is 2^i - 1.
-                let upper = if idx == 0 { 0 } else { (1u64 << idx) - 1 };
-                return upper.min(self.rank_max);
-            }
-        }
-        self.rank_max
     }
 }
 
@@ -221,10 +155,6 @@ mod tests {
             combine_passes: 10,
             combine_ops: 11,
             combine_parks: 13,
-            rank_pops: 14,
-            rank_sum: 15,
-            rank_max: 16,
-            rank_hist: [1; RANK_BUCKETS],
         };
         let b = a;
         a.merge(&b);
@@ -235,63 +165,5 @@ mod tests {
         assert_eq!(a.combine_passes, 20);
         assert_eq!(a.combine_ops, 22);
         assert_eq!(a.combine_parks, 26);
-        assert_eq!(a.rank_pops, 28);
-        assert_eq!(a.rank_sum, 30);
-        assert_eq!(a.rank_hist, [2; RANK_BUCKETS]);
-    }
-
-    #[test]
-    fn merge_takes_max_of_rank_high_water_mark() {
-        let mut a = PlaceStats {
-            rank_max: 5,
-            ..PlaceStats::default()
-        };
-        a.merge(&PlaceStats {
-            rank_max: 9,
-            ..PlaceStats::default()
-        });
-        assert_eq!(a.rank_max, 9);
-        a.merge(&PlaceStats {
-            rank_max: 2,
-            ..PlaceStats::default()
-        });
-        assert_eq!(a.rank_max, 9);
-    }
-
-    #[test]
-    fn rank_buckets_cover_the_domain() {
-        assert_eq!(rank_bucket(0), 0);
-        assert_eq!(rank_bucket(1), 1);
-        assert_eq!(rank_bucket(2), 2);
-        assert_eq!(rank_bucket(3), 2);
-        assert_eq!(rank_bucket(4), 3);
-        assert_eq!(rank_bucket(u64::MAX), RANK_BUCKETS - 1);
-        // Monotone: a larger rank never lands in a smaller bucket.
-        let mut prev = 0;
-        for r in 0..1 << 17 {
-            let b = rank_bucket(r);
-            assert!(b >= prev);
-            prev = b;
-        }
-    }
-
-    #[test]
-    fn rank_summaries_from_counters() {
-        let mut s = PlaceStats::default();
-        assert_eq!(s.rank_mean(), 0.0);
-        assert_eq!(s.rank_p99(), 0);
-        // 99 exact pops and one rank-7 outlier: the mean is small, the
-        // p99 must sit on the outlier's bucket (clamped to the true max).
-        s.rank_pops = 100;
-        s.rank_sum = 7;
-        s.rank_max = 7;
-        s.rank_hist[rank_bucket(0)] += 99;
-        s.rank_hist[rank_bucket(7)] += 1;
-        assert_eq!(s.rank_mean(), 0.07);
-        assert_eq!(s.rank_p99(), 0, "rank 99 of 100 is still an exact pop");
-        s.rank_hist[rank_bucket(0)] -= 1;
-        s.rank_hist[rank_bucket(7)] += 1;
-        s.rank_sum += 7;
-        assert_eq!(s.rank_p99(), 7, "two outliers push p99 into their bucket");
     }
 }

@@ -7,8 +7,8 @@
 //! published, recycled, or consumed concurrently.
 
 use priosched_core::{
-    CentralizedKPriority, HybridKPriority, IngressLanes, PoolHandle, PriorityWorkStealing,
-    RelaxedMultiQueue, Scheduler, SpawnCtx, TaskExecutor, TaskPool,
+    CentralizedKPriority, HybridKPriority, IngressLanes, PoolHandle, PoolKind, PoolParams,
+    Scheduler, SpawnCtx, TaskExecutor, TaskPool,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,61 +36,42 @@ impl Drop for Tracked {
     }
 }
 
-/// Pushes `total` tracked payloads, pops `take` of them, then drops the
-/// structure; afterwards every payload must have been dropped exactly once.
-fn check_drops<P, F>(make: F, total: usize, take: usize)
-where
-    P: TaskPool<Tracked>,
-    F: FnOnce() -> Arc<P>,
-{
-    let drops = Arc::new(AtomicUsize::new(0));
-    let pool = make();
-    {
-        let mut h = pool.handle(0);
-        for i in 0..total {
-            h.push(i as u64, 4, Tracked::new(&drops));
-        }
-        let mut taken = 0;
-        let mut misses = 0;
-        while taken < take && misses < 10_000 {
-            match h.pop() {
-                Some(t) => {
-                    drop(t);
-                    taken += 1;
-                    misses = 0;
-                }
-                None => misses += 1,
+/// Every kind as the runtime builds it, at two places: pushes 100 tracked
+/// payloads at k = 4, pops 40 of them, then drops the pool; afterwards every
+/// payload must have been dropped exactly once.
+#[test]
+fn every_kind_drops_exactly_once() {
+    let (total, take) = (100, 40);
+    for kind in PoolKind::ALL {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let pool = Arc::new(kind.build(2, PoolParams::with_k(4)));
+        {
+            let mut h = pool.handle(0);
+            for i in 0..total {
+                h.push(i as u64, 4, Tracked::new(&drops));
             }
+            let mut taken = 0;
+            let mut misses = 0;
+            while taken < take && misses < 10_000 {
+                match h.pop() {
+                    Some(t) => {
+                        drop(t);
+                        taken += 1;
+                        misses = 0;
+                    }
+                    None => misses += 1,
+                }
+            }
+            assert_eq!(taken, take, "{kind}: could not pop the requested number");
+            assert_eq!(drops.load(Ordering::Relaxed), take, "{kind}");
         }
-        assert_eq!(taken, take, "could not pop the requested number");
-        assert_eq!(drops.load(Ordering::Relaxed), take);
+        drop(pool);
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            total,
+            "{kind}: payloads left in the structure must be dropped exactly once on drop"
+        );
     }
-    drop(pool);
-    assert_eq!(
-        drops.load(Ordering::Relaxed),
-        total,
-        "payloads left in the structure must be dropped exactly once on drop"
-    );
-}
-
-#[test]
-fn workstealing_drops_exactly_once() {
-    check_drops(|| Arc::new(PriorityWorkStealing::new(2)), 100, 40);
-}
-
-#[test]
-fn centralized_drops_exactly_once() {
-    check_drops(|| Arc::new(CentralizedKPriority::new(2, 16)), 100, 40);
-}
-
-#[test]
-fn hybrid_drops_exactly_once() {
-    check_drops(|| Arc::new(HybridKPriority::new(2)), 100, 40);
-}
-
-#[test]
-fn structural_drops_exactly_once() {
-    check_drops(|| Arc::new(RelaxedMultiQueue::structural(2)), 100, 40);
 }
 
 #[test]

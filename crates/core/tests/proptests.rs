@@ -1,405 +1,14 @@
-//! Property-based tests for the scheduling data structures.
-//!
-//! Strategy: drive each structure single-threadedly (which the
-//! place-handle design makes possible — handles are plain objects) through
-//! arbitrary interleavings of pushes and pops across two places, and check
-//! against a reference multiset:
-//!
-//! 1. **conservation** — every pop returns a previously pushed, not yet
-//!    popped task; at drain time nothing is lost or duplicated;
-//! 2. **ρ-relaxation (centralized)** — whenever a pop returns a task while
-//!    a strictly better one is live, the ignored task is among the last k
-//!    tasks pushed (§2.2: "a pop operation is allowed to ignore the last k
-//!    items added to the data structure");
-//! 3. **single-place strictness** — with one place, pops come out in exact
-//!    priority order for every structure.
-//!
-//! One property drives the *scheduler* instead (threaded): random fan-out
-//! forests with dead tasks, preseeded and streamed, must execute or
-//! eliminate every node exactly once and leave the credit-settled
+//! Property test of the scheduler end to end: random fan-out forests with
+//! dead tasks, preseeded and streamed, must execute or eliminate every node
+//! exactly once on every kind and place count, and leave the credit-settled
 //! outstanding count at zero.
+//!
+//! The pools' own contract (exactly once, reachability, ρ, exact order at
+//! one place) is checked once for every kind in `tests/pool_contract.rs`.
 
-use priosched_core::{
-    run_on_kind, CentralizedKPriority, HybridKPriority, PoolBuilder, PoolHandle, PoolKind,
-    PoolParams, PriorityWorkStealing, RelaxedMultiQueue, SpawnCtx, TaskExecutor, TaskPool,
-};
+use priosched_core::{run_on_kind, PoolBuilder, PoolKind, PoolParams, SpawnCtx, TaskExecutor};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-#[derive(Clone, Debug)]
-enum Op {
-    /// Push with the given priority from place (index % 2), with the k the
-    /// run's choices hold at `kpick` (index % choices).
-    Push { place: u8, prio: u16, kpick: u8 },
-    /// Pop from place (index % 2).
-    Pop { place: u8 },
-    /// Batched push of several priorities from place (index % 2), all with
-    /// the k at `kpick`.
-    PushBatch {
-        place: u8,
-        prios: Vec<u16>,
-        kpick: u8,
-    },
-}
-
-fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            3 => (any::<u8>(), any::<u16>(), any::<u8>())
-                .prop_map(|(place, prio, kpick)| Op::Push { place, prio, kpick }),
-            2 => any::<u8>().prop_map(|place| Op::Pop { place }),
-            1 => (any::<u8>(), proptest::collection::vec(any::<u16>(), 0..24), any::<u8>())
-                .prop_map(|(place, prios, kpick)| Op::PushBatch { place, prios, kpick }),
-        ],
-        0..max_len,
-    )
-}
-
-/// A live entry: payload, the k it was pushed with, global push sequence,
-/// pushing place, and the pushing place's local sequence at push time.
-#[derive(Clone, Copy, Debug)]
-struct LiveEntry {
-    payload: u64,
-    k: u64,
-    global_seq: u64,
-    place: usize,
-    local_seq: u64,
-}
-
-/// Reference multiset: priority -> live entries.
-#[derive(Default)]
-struct Model {
-    live: BTreeMap<u64, Vec<LiveEntry>>,
-    pushes: u64,
-    place_pushes: [u64; 2],
-}
-
-impl Model {
-    fn push(&mut self, prio: u64, payload: u64, place: usize, k: u64) {
-        self.live.entry(prio).or_default().push(LiveEntry {
-            payload,
-            k,
-            global_seq: self.pushes,
-            place,
-            local_seq: self.place_pushes[place],
-        });
-        self.pushes += 1;
-        self.place_pushes[place] += 1;
-    }
-
-    fn remove(&mut self, prio: u64, payload: u64) {
-        let entries = self.live.get_mut(&prio).expect("priority must be live");
-        let idx = entries
-            .iter()
-            .position(|e| e.payload == payload)
-            .expect("payload must be live");
-        entries.remove(idx);
-        if entries.is_empty() {
-            self.live.remove(&prio);
-        }
-    }
-
-    /// Live tasks with strictly better (smaller) priority.
-    fn better_than(&self, prio: u64) -> Vec<LiveEntry> {
-        self.live
-            .range(..prio)
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect()
-    }
-}
-
-/// Which pushes count against an ignored task's relaxation budget.
-#[derive(Clone, Copy, Debug)]
-enum RelaxationScope {
-    /// Centralized: "the last k items added to the data structure" —
-    /// later pushes counted globally.
-    Global,
-    /// Hybrid: "the last k items added by each thread" — later pushes
-    /// counted per pushing place.
-    PerPlace,
-}
-
-/// How many later pushes (in the scope's count) a pop may have let pass an
-/// ignored task, given the k that task was pushed with.
-type Allowed = fn(u64) -> u64;
-
-/// Runs ops on a pool, each push with the k its `kpick` selects from `ks`;
-/// checks conservation, and, when `relaxation` is given, the temporal
-/// relaxation bound.
-fn run_model_check<P: TaskPool<u64>>(
-    pool: Arc<P>,
-    ops: &[Op],
-    ks: &[usize],
-    relaxation: Option<(RelaxationScope, Allowed)>,
-) -> Result<(), TestCaseError> {
-    let mut handles = [pool.handle(0), pool.handle(1)];
-    let mut model = Model::default();
-    let mut next_payload = 0u64;
-    let mut prio_of: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-
-    fn check_popped(
-        payload: u64,
-        model: &mut Model,
-        prio_of: &std::collections::HashMap<u64, u64>,
-        relaxation: Option<(RelaxationScope, Allowed)>,
-    ) -> Result<(), TestCaseError> {
-        let prio = *prio_of.get(&payload).expect("popped task was never pushed");
-        let better = model.better_than(prio);
-        model.remove(prio, payload);
-        if let Some((scope, allowed)) = relaxation {
-            for b in better {
-                let k = allowed(b.k);
-                // Pushes after the ignored task, in the scope the
-                // structure's guarantee speaks about.
-                let after = match scope {
-                    RelaxationScope::Global => model.pushes - 1 - b.global_seq,
-                    RelaxationScope::PerPlace => model.place_pushes[b.place] - 1 - b.local_seq,
-                };
-                prop_assert!(
-                    after <= k,
-                    "pop ignored task {} with {after} later pushes \
-                     ({scope:?} scope, allowed: {k})",
-                    b.payload
-                );
-            }
-        }
-        Ok(())
-    }
-
-    for op in ops {
-        match op {
-            Op::Push { place, prio, kpick } => {
-                let place = (place % 2) as usize;
-                let prio = *prio as u64;
-                let k = ks[*kpick as usize % ks.len()];
-                let payload = next_payload;
-                next_payload += 1;
-                handles[place].push(prio, k, payload);
-                prio_of.insert(payload, prio);
-                model.push(prio, payload, place, k as u64);
-            }
-            Op::Pop { place } => {
-                let place = (place % 2) as usize;
-                if let Some(payload) = handles[place].pop() {
-                    check_popped(payload, &mut model, &prio_of, relaxation)?;
-                }
-            }
-            Op::PushBatch {
-                place,
-                prios,
-                kpick,
-            } => {
-                let place = (place % 2) as usize;
-                let k = ks[*kpick as usize % ks.len()];
-                let mut batch: Vec<(u64, u64)> = Vec::with_capacity(prios.len());
-                for &prio in prios {
-                    let prio = prio as u64;
-                    let payload = next_payload;
-                    next_payload += 1;
-                    batch.push((prio, payload));
-                    prio_of.insert(payload, prio);
-                    model.push(prio, payload, place, k as u64);
-                }
-                handles[place].push_batch(k, &mut batch);
-                prop_assert!(batch.is_empty(), "push_batch must drain its input");
-            }
-        }
-    }
-
-    // Drain everything: conservation.
-    let live_count: usize = model.live.values().map(|v| v.len()).sum();
-    let mut drained = 0usize;
-    let mut misses = 0;
-    while misses < 20_000 && drained < live_count {
-        let mut any = false;
-        for h in handles.iter_mut() {
-            if let Some(payload) = h.pop() {
-                prop_assert!(prio_of.contains_key(&payload), "unknown payload");
-                drained += 1;
-                any = true;
-            }
-        }
-        if !any {
-            misses += 1;
-        }
-    }
-    prop_assert_eq!(drained, live_count, "tasks lost or duplicated at drain");
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn workstealing_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(PriorityWorkStealing::new(2)), &ops, &[4], None)?;
-    }
-
-    #[test]
-    fn centralized_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(CentralizedKPriority::new(2, 16)), &ops, &[4], None)?;
-    }
-
-    #[test]
-    fn hybrid_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(HybridKPriority::new(2)), &ops, &[4], None)?;
-    }
-
-    #[test]
-    fn structural_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(RelaxedMultiQueue::structural(2)), &ops, &[4], None)?;
-    }
-
-    /// The relaxed MultiQueue has no ρ bound to check, but conservation
-    /// (exactly-once, nothing lost at drain) must hold like everywhere
-    /// else; c = 2 queues per place exercises the two-choice pop and the
-    /// exhaustive fallback scan.
-    #[test]
-    fn multiqueue_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(RelaxedMultiQueue::new(2, 2)), &ops, &[4], None)?;
-    }
-
-    /// §2.2's temporal bound for the centralized structure, with uniform
-    /// per-task k = 4: a pop never ignores a better task older than the
-    /// last 4 pushes *to the structure* (global scope).
-    #[test]
-    fn centralized_relaxation_oracle(ops in ops_strategy(200)) {
-        run_model_check(
-            Arc::new(CentralizedKPriority::new(2, 16)),
-            &ops,
-            &[4],
-            Some((RelaxationScope::Global, |k| k)),
-        )?;
-    }
-
-    /// The same with k chosen per push from {1, 2, 4, 16} (k is a per-task
-    /// parameter, §1), which also changes k under the pushing place's walk
-    /// hint from one push to the next. Windows of different sizes overlap,
-    /// so the bound is wider than k: a task ignored by a pop sits at
-    /// `p ≥ tail`, the tail stood above `p - k` when it was placed, and
-    /// every later push landed at or above that tail and below
-    /// `tail + K`, K the largest k in use — at most `k + K - 2` slots
-    /// besides its own.
-    #[test]
-    fn centralized_relaxation_oracle_mixed_k(ops in ops_strategy(200)) {
-        run_model_check(
-            Arc::new(CentralizedKPriority::new(2, 16)),
-            &ops,
-            &[1, 2, 4, 16],
-            Some((RelaxationScope::Global, |k| k + 16 - 2)),
-        )?;
-    }
-
-    /// Hybrid: "pop operations … are allowed to ignore the last k items
-    /// added by each thread" (§2.2) — per-place scope, with uniform k = 4
-    /// (the publish budget admits at most k unpublished successors).
-    #[test]
-    fn hybrid_relaxation_oracle(ops in ops_strategy(200)) {
-        run_model_check(
-            Arc::new(HybridKPriority::new(2)),
-            &ops,
-            &[4],
-            Some((RelaxationScope::PerPlace, |k| k)),
-        )?;
-    }
-
-    /// Batch/scalar equivalence: pushing via `push_batch` yields a
-    /// permutation of the scalar-push history — and with one place, the
-    /// exact same sorted sequence.
-    #[test]
-    fn batched_ops_are_permutation_of_scalar(
-        prios in proptest::collection::vec(any::<u16>(), 0..150),
-        chunk in 1usize..48,
-    ) {
-        fn check<P: TaskPool<u64>>(
-            pool: Arc<P>,
-            prios: &[u16],
-            chunk: usize,
-        ) -> Result<(), TestCaseError> {
-            // Scalar reference on place 0 of a fresh pool: push + drain.
-            let mut scalar_out = Vec::new();
-            {
-                let mut h = pool.handle(0);
-                for (i, &p) in prios.iter().enumerate() {
-                    h.push(p as u64, 4, ((p as u64) << 32) | i as u64);
-                }
-                while let Some(x) = h.pop() {
-                    scalar_out.push(x >> 32);
-                }
-            }
-            // Batched run on place 1 (same pool, now empty): chunked
-            // push_batch, scalar drain.
-            let mut batch_out = Vec::new();
-            {
-                let mut h = pool.handle(1);
-                let mut i = 0u64;
-                for chunk_prios in prios.chunks(chunk) {
-                    let mut batch: Vec<(u64, u64)> = chunk_prios
-                        .iter()
-                        .map(|&p| {
-                            let payload = ((p as u64) << 32) | i;
-                            i += 1;
-                            (p as u64, payload)
-                        })
-                        .collect();
-                    h.push_batch(4, &mut batch);
-                    prop_assert!(batch.is_empty());
-                }
-                while let Some(x) = h.pop() {
-                    batch_out.push(x >> 32);
-                }
-            }
-            // Both drains saw every task exactly once (permutation) …
-            let mut expect: Vec<u64> = prios.iter().map(|&p| p as u64).collect();
-            expect.sort();
-            let mut scalar_sorted = scalar_out.clone();
-            scalar_sorted.sort();
-            let mut batch_sorted = batch_out.clone();
-            batch_sorted.sort();
-            prop_assert_eq!(&scalar_sorted, &expect);
-            prop_assert_eq!(&batch_sorted, &expect);
-            // … and single-place drains are strictly priority-ordered, so
-            // batched and scalar histories coincide exactly.
-            prop_assert_eq!(&scalar_out, &expect);
-            prop_assert_eq!(&batch_out, &expect);
-            Ok(())
-        }
-        check(Arc::new(PriorityWorkStealing::new(2)), &prios, chunk)?;
-        check(Arc::new(CentralizedKPriority::new(2, 64)), &prios, chunk)?;
-        check(Arc::new(HybridKPriority::new(2)), &prios, chunk)?;
-        check(Arc::new(RelaxedMultiQueue::structural(2)), &prios, chunk)?;
-    }
-
-    /// Single place: strict priority order for every structure.
-    #[test]
-    fn single_place_strict_order(prios in proptest::collection::vec(any::<u16>(), 0..100)) {
-        fn check<P: TaskPool<u64>>(pool: Arc<P>, prios: &[u16]) -> Result<(), TestCaseError> {
-            let mut h = pool.handle(0);
-            for (i, &p) in prios.iter().enumerate() {
-                // payload encodes (prio, index) so equal priorities are
-                // distinguishable; pop order must be sorted by prio.
-                h.push(p as u64, 4, ((p as u64) << 32) | i as u64);
-            }
-            let mut out = Vec::new();
-            while let Some(x) = h.pop() {
-                out.push(x >> 32);
-            }
-            let mut expect: Vec<u64> = prios.iter().map(|&p| p as u64).collect();
-            expect.sort();
-            prop_assert_eq!(out, expect);
-            Ok(())
-        }
-        check(Arc::new(PriorityWorkStealing::new(1)), &prios)?;
-        check(Arc::new(CentralizedKPriority::new(1, 32)), &prios)?;
-        check(Arc::new(HybridKPriority::new(1)), &prios)?;
-        check(Arc::new(RelaxedMultiQueue::structural(1)), &prios)?;
-        // MultiQueue: only exact in the degenerate c = 1 single-place
-        // configuration (one queue) — which is precisely the setup the
-        // rank-error instrument self-validates against.
-        check(Arc::new(RelaxedMultiQueue::new(1, 1)), &prios)?;
-    }
-}
 
 /// A forest over node ids `0..size`: the first `roots` nodes are roots, a
 /// live node's children are consecutive ids, a dead node has none (it is

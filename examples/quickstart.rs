@@ -4,17 +4,14 @@
 //! tasks into it from outside — the shape a server frontend uses — from
 //! producer threads whose blocking submits park under backpressure (the
 //! `priosched-serve` connection-actor shape). Then the classic
-//! closed-world flow: run a fixed root set over all three of the paper's
-//! data structures and compare their statistics — and finally the fifth,
-//! *relaxed* structure (the MultiQueue), with its rank-error instrument
-//! switched on to show what the relaxation costs in pop quality.
+//! closed-world flow: run a fixed root set over every structure — the
+//! paper's three, the structural kind and the relaxed MultiQueue — and
+//! compare their statistics.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use priosched::core::multiqueue::DEFAULT_MQ_C;
 use priosched::core::{
-    run_on_kind, PoolBuilder, PoolKind, PoolParams, RelaxedMultiQueue, Scheduler, SpawnCtx,
-    SubmitError, TaskExecutor,
+    run_on_kind, PoolBuilder, PoolKind, PoolParams, SpawnCtx, SubmitError, TaskExecutor,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,37 +123,6 @@ fn run_with(kind: PoolKind, places: usize) {
     );
 }
 
-/// The relaxed flow: the paper's structures promise a *hard* per-pop
-/// bound on how far from the true minimum a popped task can rank (ρ = k
-/// for the centralized structure, ρ = P·k for the hybrid). The
-/// MultiQueue (`PoolKind::MultiQueue`) drops that guarantee: c·P plain
-/// sequential queues, random push, pop from the better of two randomly
-/// probed queues — rank error is O(P) only *in expectation* and
-/// unbounded in the worst case, in exchange for contention that falls as
-/// c grows. The shadow instrument (`with_rank_error()`; a global exact
-/// multiset, so keep it off hot production paths) prices the trade: it
-/// reports how many strictly-better tasks were queued at each pop. The
-/// facade never builds it, so the pool is constructed directly.
-fn multiqueue_demo(places: usize) {
-    let exec = TreeWalk {
-        executed: AtomicU64::new(0),
-    };
-    // DEFAULT_MQ_C = 2 queues per place, what `PoolKind::MultiQueue` uses.
-    let pool = RelaxedMultiQueue::new(places, DEFAULT_MQ_C).with_rank_error();
-    let stats = Scheduler::from_pool(pool).run(&exec, vec![(0u64, K, (0u64, 0u64))]);
-    let expected: u64 = (0..=MAX_DEPTH).map(|d| FANOUT.pow(d as u32)).sum();
-    assert_eq!(stats.executed, expected);
-    println!(
-        "{:<14} executed {:>6} tasks in {:>8.2?}  (rank error: {:.2} mean, {} max over {} pops)",
-        PoolKind::MultiQueue.label(),
-        stats.executed,
-        stats.elapsed,
-        stats.pool.rank_mean(),
-        stats.pool.rank_max,
-        stats.pool.rank_pops,
-    );
-}
-
 fn main() {
     let places = std::thread::available_parallelism()
         .map(|c| c.get().min(8))
@@ -171,18 +137,13 @@ fn main() {
     service_demo(places);
     println!();
 
-    // Closed-world: the paper's three structures over a fixed root set.
-    for kind in PoolKind::PAPER {
+    // Closed-world: every structure over the same fixed root set.
+    for kind in PoolKind::ALL {
         run_with(kind, places);
     }
-
-    // The relaxed fifth structure, instrument on: exact-structure
-    // guarantees traded for contention-shedding, with the cost measured.
-    multiqueue_demo(places);
 
     println!("\nAll structures executed every task exactly once.");
     println!("Note how the hybrid structure substitutes spying for stealing,");
     println!("and publishes its local list roughly every k = {K} pushes,");
-    println!("while the relaxed MultiQueue reports a measured rank error");
-    println!("instead of the exact structures' hard ρ bound.");
+    println!("while the MultiQueue counts a publish per insertion-buffer flush.");
 }
