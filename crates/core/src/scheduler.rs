@@ -774,24 +774,48 @@ mod tests {
         (0..=depth).map(|d| fanout.pow(d as u32)).sum()
     }
 
-    #[test]
-    fn drains_task_tree_on_every_kind() {
+    /// Drains a fanout-3, depth-7 tree on `kind` at 1, 2 and 4 places.
+    fn drain_tree(kind: PoolKind) {
+        assert_eq!(
+            TREE_KINDS,
+            PoolKind::ALL,
+            "a new kind needs its line in `drains_task_tree!`"
+        );
         let expect = tree_total(3, 7);
-        for kind in PoolKind::ALL {
-            for places in [1, 2, 4] {
-                let exec = TreeSpawner {
-                    executed: Counter::new(0),
-                    fanout: 3,
-                    depth: 7,
-                };
-                let pool = Arc::new(kind.build(places, PoolParams::default()));
-                let stats = Scheduler::from_pool_arc(pool).run(&exec, vec![(0, 64, (0u64, 0u64))]);
-                assert_eq!(stats.executed, expect, "{kind} places={places}");
-                assert_eq!(exec.executed.load(Ordering::Relaxed), expect);
-                assert_eq!(stats.dead, 0);
-                assert_eq!(stats.per_place_executed.iter().sum::<u64>(), expect);
-            }
+        for places in [1, 2, 4] {
+            let exec = TreeSpawner {
+                executed: Counter::new(0),
+                fanout: 3,
+                depth: 7,
+            };
+            let pool = Arc::new(kind.build(places, PoolParams::default()));
+            let stats = Scheduler::from_pool_arc(pool).run(&exec, vec![(0, 64, (0u64, 0u64))]);
+            assert_eq!(stats.executed, expect, "{kind} places={places}");
+            assert_eq!(exec.executed.load(Ordering::Relaxed), expect);
+            assert_eq!(stats.dead, 0);
+            assert_eq!(stats.per_place_executed.iter().sum::<u64>(), expect);
         }
+    }
+
+    /// One tree test per kind; each checks that the list covers `PoolKind::ALL`.
+    macro_rules! drains_task_tree {
+        ($($name:ident => $kind:expr),* $(,)?) => {
+            $(
+                #[test]
+                fn $name() {
+                    drain_tree($kind);
+                }
+            )*
+            const TREE_KINDS: &[PoolKind] = &[$($kind),*];
+        };
+    }
+
+    drains_task_tree! {
+        drains_task_tree_workstealing => PoolKind::WorkStealing,
+        drains_task_tree_centralized => PoolKind::Centralized,
+        drains_task_tree_hybrid => PoolKind::Hybrid,
+        drains_task_tree_structural => PoolKind::Structural,
+        drains_task_tree_multiqueue => PoolKind::MultiQueue,
     }
 
     /// All tasks dead on arrival must be eliminated, not executed.

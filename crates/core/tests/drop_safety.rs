@@ -36,42 +36,65 @@ impl Drop for Tracked {
     }
 }
 
-/// Every kind as the runtime builds it, at two places: pushes 100 tracked
+/// `kind` as the runtime builds it, at two places: pushes 100 tracked
 /// payloads at k = 4, pops 40 of them, then drops the pool; afterwards every
 /// payload must have been dropped exactly once.
-#[test]
-fn every_kind_drops_exactly_once() {
+fn drops_exactly_once(kind: PoolKind) {
+    assert_eq!(
+        DROP_KINDS,
+        PoolKind::ALL,
+        "a new kind needs its line in `drops_exactly_once!`"
+    );
     let (total, take) = (100, 40);
-    for kind in PoolKind::ALL {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let pool = Arc::new(kind.build(2, PoolParams::with_k(4)));
-        {
-            let mut h = pool.handle(0);
-            for i in 0..total {
-                h.push(i as u64, 4, Tracked::new(&drops));
-            }
-            let mut taken = 0;
-            let mut misses = 0;
-            while taken < take && misses < 10_000 {
-                match h.pop() {
-                    Some(t) => {
-                        drop(t);
-                        taken += 1;
-                        misses = 0;
-                    }
-                    None => misses += 1,
-                }
-            }
-            assert_eq!(taken, take, "{kind}: could not pop the requested number");
-            assert_eq!(drops.load(Ordering::Relaxed), take, "{kind}");
+    let drops = Arc::new(AtomicUsize::new(0));
+    let pool = Arc::new(kind.build(2, PoolParams::with_k(4)));
+    {
+        let mut h = pool.handle(0);
+        for i in 0..total {
+            h.push(i as u64, 4, Tracked::new(&drops));
         }
-        drop(pool);
-        assert_eq!(
-            drops.load(Ordering::Relaxed),
-            total,
-            "{kind}: payloads left in the structure must be dropped exactly once on drop"
-        );
+        let mut taken = 0;
+        let mut misses = 0;
+        while taken < take && misses < 10_000 {
+            match h.pop() {
+                Some(t) => {
+                    drop(t);
+                    taken += 1;
+                    misses = 0;
+                }
+                None => misses += 1,
+            }
+        }
+        assert_eq!(taken, take, "{kind}: could not pop the requested number");
+        assert_eq!(drops.load(Ordering::Relaxed), take, "{kind}");
     }
+    drop(pool);
+    assert_eq!(
+        drops.load(Ordering::Relaxed),
+        total,
+        "{kind}: payloads left in the structure must be dropped exactly once on drop"
+    );
+}
+
+/// One drop test per kind; each checks that the list covers `PoolKind::ALL`.
+macro_rules! drops_exactly_once {
+    ($($name:ident => $kind:expr),* $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                drops_exactly_once($kind);
+            }
+        )*
+        const DROP_KINDS: &[PoolKind] = &[$($kind),*];
+    };
+}
+
+drops_exactly_once! {
+    workstealing_drops_exactly_once => PoolKind::WorkStealing,
+    centralized_drops_exactly_once => PoolKind::Centralized,
+    hybrid_drops_exactly_once => PoolKind::Hybrid,
+    structural_drops_exactly_once => PoolKind::Structural,
+    multiqueue_drops_exactly_once => PoolKind::MultiQueue,
 }
 
 #[test]
