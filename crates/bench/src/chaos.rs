@@ -4,19 +4,19 @@
 //! purpose, from a seed, and checked against an exact failure-aware
 //! oracle — across all five [`PoolKind`]s:
 //!
-//! 1. **Task panics** ([`scenario_isolate`], [`scenario_abort`]): the
+//! 1. **Task panics** (`scenario_isolate`, `scenario_abort`): the
 //!    chaos executor panics on seeded "bomb" values *before* spawning
 //!    children, so the survivor set is a pure function of the submitted
 //!    values — no matter how the places interleave. Under
 //!    `FaultPolicy::Isolate` the run must finish with
 //!    `executed == oracle` and `failed == bombed chains`, exactly; under
 //!    `AbortRun` the join must report the (single) bomb as a typed error.
-//! 2. **Mid-run producer aborts** ([`scenario_producer_aborts`]):
+//! 2. **Mid-run producer aborts** (`scenario_producer_aborts`):
 //!    producers die at seeded cutoffs (their handles drop early); the
 //!    pool must still reach quiescence having executed exactly the
 //!    chains submitted before each death.
 //! 3. **Oversized / garbage protocol lines and killed sockets**
-//!    ([`scenario_net`]): clients interleave seeded garbage with valid
+//!    (`scenario_net`): clients interleave seeded garbage with valid
 //!    submissions, flood a newline-less line past the cap, stall
 //!    half-open requests into the read deadline, and disconnect without
 //!    `QUIT`; the server must answer every garbage line with `ERR`,

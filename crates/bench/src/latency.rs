@@ -6,10 +6,10 @@
 //! reports percentiles next to the mean.
 //!
 //! The layout is the classic log-linear scheme (as popularized by
-//! HdrHistogram): values below 2^[`SUB_BITS`] get exact unit buckets;
-//! above that, each power-of-two range is split into 2^[`SUB_BITS`]
+//! HdrHistogram): values below 2^`SUB_BITS` get exact unit buckets;
+//! above that, each power-of-two range is split into 2^`SUB_BITS`
 //! linear sub-buckets, bounding the relative quantization error at
-//! 2^-[`SUB_BITS`] (≈ 1.6%). Recording is a shift/mask and an array
+//! 2^-`SUB_BITS` (≈ 1.6%). Recording is a shift/mask and an array
 //! increment — no allocation, no floating point — cheap enough to sit on
 //! the op path being measured. Percentile queries return the *upper*
 //! bound of the hit bucket so a reported p99 never understates the truth.

@@ -111,11 +111,6 @@ impl<T: Send + 'static> CentralizedKPriority<T> {
         }
     }
 
-    /// Paper configuration: `kmax = 512`.
-    pub fn with_defaults(nplaces: usize) -> Self {
-        Self::new(nplaces, DEFAULT_KMAX)
-    }
-
     /// Current tail index (diagnostics/tests).
     pub fn tail(&self) -> u64 {
         self.tail.load(Ordering::Acquire)
@@ -129,43 +124,6 @@ impl<T: Send + 'static> CentralizedKPriority<T> {
     /// Number of global-array segments currently allocated.
     pub fn segments(&self) -> usize {
         self.array.segment_count()
-    }
-
-    /// Frees exhausted leading segments of the global array. Returns the
-    /// number of segments freed.
-    ///
-    /// A segment is exhausted when it lies entirely below the tail and
-    /// every slot's item has been taken (its tag no longer matches the
-    /// slot position — a recycled tag counts as taken, which is exactly
-    /// the ABA-safe reading). This is the quiescent-point realization of
-    /// §4.1.3's reclamation scheme (see [`GlobalArray::reclaim_prefix`]).
-    ///
-    /// # Panics
-    /// Panics if any place handle is live: reclamation requires
-    /// quiescence (e.g. call it between scheduler runs).
-    pub fn reclaim(&self) -> usize {
-        assert!(
-            self.handle_live.iter().all(|h| !h.load(Ordering::Acquire)),
-            "reclaim requires quiescence (no live handles)"
-        );
-        let tail = self.tail.load(Ordering::Acquire);
-        // SAFETY: the handle-liveness check above guarantees exclusivity;
-        // new handles start their scan at the post-reclaim base.
-        let (freed, _new_base) = unsafe {
-            self.array.reclaim_prefix(|base, slots| {
-                if base + slots.len() as u64 > tail {
-                    return false; // still inside the active window
-                }
-                slots.iter().enumerate().all(|(i, slot)| {
-                    let p = slot.load(Ordering::Acquire);
-                    // Below the tail every slot is filled; a live item
-                    // still carries its slot position as tag. (We are
-                    // already inside the reclaim_prefix unsafe region.)
-                    !p.is_null() && (*p).tag.load(Ordering::Acquire) != base + i as u64
-                })
-            })
-        };
-        freed
     }
 }
 
@@ -184,13 +142,13 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
         );
         let mut handle = CentralizedHandle {
             place: place as u32,
-            // Start scanning at the first retained slot (0 unless segments
-            // were reclaimed; everything below was fully taken).
-            head: self.array.base_index(),
+            // Scan the global array from its first slot: segments live as
+            // long as the structure.
+            head: 0,
             // Items below the current tail that carry our place id were
-            // pushed by a previous handle incarnation (e.g. an earlier run
-            // on the same pool); ingest them like foreign items so they are
-            // not orphaned. `adopt_window` takes in those above it.
+            // pushed by a dropped handle of this place; ingest them like
+            // foreign items so they are not orphaned. `adopt_window` takes
+            // in those above it.
             adopt_own_below: self.tail.load(Ordering::Acquire),
             scan_cursor: SegmentCursor::default(),
             push_cursor: SegmentCursor::default(),
@@ -510,7 +468,7 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
 
 impl<T: Send + 'static> Drop for CentralizedHandle<T> {
     fn drop(&mut self) {
-        // Return stashed free items so reclaim/new handles see them.
+        // Return stashed free items to the shared pool for other handles.
         self.cache.drain_to(&self.shared.pool);
         self.shared.handle_live[self.place as usize].store(false, Ordering::Release);
     }
@@ -522,44 +480,6 @@ mod tests {
 
     fn pool(nplaces: usize, kmax: u32) -> Arc<CentralizedKPriority<u64>> {
         Arc::new(CentralizedKPriority::new(nplaces, kmax))
-    }
-
-    #[test]
-    fn single_place_pops_in_priority_order() {
-        let p = pool(1, 8);
-        let mut h = p.handle(0);
-        let prios = [9u64, 3, 7, 1, 8, 2, 2, 5];
-        for &x in &prios {
-            h.push(x, 4, x * 10);
-        }
-        let mut out = Vec::new();
-        while let Some(t) = h.pop() {
-            out.push(t);
-        }
-        // The single place sees all of its own pushes in its local queue, so
-        // pop order is fully sorted.
-        assert_eq!(out, vec![10, 20, 20, 30, 50, 70, 80, 90]);
-    }
-
-    #[test]
-    fn push_pop_interleaved_single_place() {
-        let p = pool(1, 16);
-        let mut h = p.handle(0);
-        h.push(5, 4, 50);
-        h.push(1, 4, 10);
-        assert_eq!(h.pop(), Some(10));
-        h.push(3, 4, 30);
-        assert_eq!(h.pop(), Some(30));
-        assert_eq!(h.pop(), Some(50));
-        assert_eq!(h.pop(), None);
-    }
-
-    #[test]
-    fn empty_pop_returns_none() {
-        let p = pool(2, 8);
-        let mut h = p.handle(0);
-        assert_eq!(h.pop(), None);
-        assert_eq!(h.stats().failed_pops, 1);
     }
 
     #[test]
@@ -801,114 +721,5 @@ mod tests {
         }
         let got = drain_all(&mut [&mut a, &mut b]);
         assert_eq!(got, (0..next).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reclaim_frees_exhausted_segments() {
-        let p = pool(1, 8);
-        {
-            let mut h = p.handle(0);
-            // Push far more than one segment's worth and drain everything.
-            for i in 0..(3 * crate::garray::SEGMENT_LEN as u64 + 100) {
-                h.push(i, 8, i);
-            }
-            while h.pop().is_some() {}
-        }
-        let before = p.segments();
-        assert!(before >= 4, "before = {before}");
-        let freed = p.reclaim();
-        assert!(freed >= 3, "freed = {freed}");
-        assert_eq!(p.segments(), before - freed);
-        // The structure stays fully usable after reclamation.
-        let mut h = p.handle(0);
-        h.push(1, 8, 42);
-        assert_eq!(h.pop(), Some(42));
-        assert_eq!(h.pop(), None);
-    }
-
-    #[test]
-    fn reclaim_keeps_segments_with_live_items() {
-        let p = pool(1, 4);
-        {
-            let mut h = p.handle(0);
-            for i in 0..(crate::garray::SEGMENT_LEN as u64 * 2) {
-                h.push(i, 4, i);
-            }
-            // Drain only half: the first segment still holds live items? No
-            // — pops take best-priority first, which is insertion order
-            // here, so the first segment drains first. Leave a remainder in
-            // the second segment.
-            for _ in 0..crate::garray::SEGMENT_LEN + 10 {
-                h.pop();
-            }
-        }
-        let freed = p.reclaim();
-        assert!(freed >= 1, "fully drained prefix must be reclaimed");
-        // Remaining tasks survive reclamation. Items past the tail are only
-        // reachable through the random probe, so tolerate spurious failures
-        // (allowed by §2.1) while draining.
-        let mut h = p.handle(0);
-        let mut rest = 0;
-        let mut misses = 0;
-        while misses < 10_000 {
-            if h.pop().is_some() {
-                rest += 1;
-                misses = 0;
-            } else {
-                misses += 1;
-            }
-        }
-        assert_eq!(rest, crate::garray::SEGMENT_LEN - 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "quiescence")]
-    fn reclaim_with_live_handle_panics() {
-        let p = pool(1, 4);
-        let _h = p.handle(0);
-        p.reclaim();
-    }
-
-    #[test]
-    fn concurrent_exactly_once_delivery() {
-        let threads = 4usize;
-        let per = 3_000u64;
-        let p = pool(threads, 64);
-        let taken: Vec<std::sync::atomic::AtomicU32> =
-            (0..threads as u64 * per).map(|_| 0.into()).collect();
-        let taken = Arc::new(taken);
-        let total_popped = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let p = Arc::clone(&p);
-                let taken = Arc::clone(&taken);
-                let total_popped = Arc::clone(&total_popped);
-                s.spawn(move || {
-                    let mut h = p.handle(t);
-                    let mut rng = XorShift64::new(t as u64 + 1);
-                    let mut pushed = 0u64;
-                    loop {
-                        if pushed < per && rng.below(2) == 0 {
-                            let payload = t as u64 * per + pushed;
-                            h.push(rng.below(1 << 20), 16, payload);
-                            pushed += 1;
-                        } else if let Some(got) = h.pop() {
-                            let prev = taken[got as usize].fetch_add(1, Ordering::Relaxed);
-                            assert_eq!(prev, 0, "task {got} delivered twice");
-                            total_popped.fetch_add(1, Ordering::Relaxed);
-                        } else if pushed == per {
-                            // Nothing visible to us; others may still hold
-                            // work. Exit when globally done.
-                            if total_popped.load(Ordering::Relaxed) == threads as u64 * per {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(total_popped.load(Ordering::Relaxed), threads as u64 * per);
-        assert!(taken.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 }

@@ -1,14 +1,14 @@
 //! Runtime pool construction — the one place a [`PoolKind`] becomes a pool.
 //!
 //! Harnesses, examples, and tests all want the same thing: "give me a pool
-//! of *this* kind for *P* places with *these* parameters". Before this
-//! module, every one of them carried its own per-kind `match PoolKind`
-//! block; now they either
+//! of *this* kind for *P* places with *these* parameters". Every pool has
+//! one lifecycle — built here, run until its work is done, dropped — and
+//! callers either
 //!
-//! * call [`run_on_kind`] (or [`PoolBuilder::run`]) when they just want to
-//!   schedule an executor — dispatch happens **once**, before the run, and
-//!   the whole scheduling loop stays monomorphized per structure exactly as
-//!   if the concrete type had been named; or
+//! * call [`run_on_kind`] / [`run_stream_on_kind`] to schedule an executor
+//!   on a fresh pool that the call drops when the run ends;
+//! * call [`PoolBuilder::service`] for a long-lived [`PoolService`] whose
+//!   pool lives until the service shuts down; or
 //! * call [`PoolKind::build`] / [`PoolBuilder::build`] when they need to
 //!   drive place handles themselves (lockstep runners, raw-pool probes)
 //!   and receive an [`AnyPool`] — a thin enum over the five kinds
@@ -17,8 +17,15 @@
 //!   branch.
 //!
 //! Each structure's constructor is named exactly once, in
-//! [`PoolKind::build`]; the run helpers unwrap the built [`AnyPool`] back
-//! to its concrete type (`on_concrete!`) before the scheduler sees it.
+//! [`PoolKind::build`]. The scheduling loop (`place_loop` and its
+//! [`crate::SpawnCtx`]) is not generic: it drives one
+//! `&mut dyn PoolHandle<T>`, so every push and pop is a virtual call
+//! whatever the caller does. What the run helpers choose is the vtable
+//! behind it: they unwrap the built [`AnyPool`] back to its concrete type
+//! (`on_concrete!`) before the workers take their handles, so the vtable
+//! points at the concrete handle's methods and not at [`AnyHandle`]'s
+//! `match`. A [`PoolService`]'s workers take [`AnyHandle`]s, one `match`
+//! behind each virtual call.
 //!
 //! Construction semantics are fixed here once, and no caller can set them
 //! otherwise: the centralized structure is built for
@@ -33,7 +40,7 @@ use crate::hybrid::{HybridHandle, HybridKPriority};
 use crate::ingest::IngressLanes;
 use crate::multiqueue::{MultiQueueHandle, RelaxedMultiQueue, DEFAULT_MQ_C};
 use crate::pool::{PoolHandle, PoolKind, PoolParams, TaskPool};
-use crate::scheduler::{RunStats, Scheduler, TaskExecutor};
+use crate::scheduler::{run_scoped, RunStats, TaskExecutor};
 use crate::service::PoolService;
 use crate::stats::PlaceStats;
 use crate::workstealing::{PriorityWorkStealing, WorkStealingHandle};
@@ -41,9 +48,8 @@ use std::sync::Arc;
 
 /// A [`TaskPool`] of any of the five kinds, selected at runtime.
 ///
-/// Obtained from [`PoolKind::build`]. Useful when the caller needs the pool
-/// itself (handle-level drivers); when the pool is only scheduled over,
-/// prefer [`run_on_kind`], which never erases the type at all.
+/// Obtained from [`PoolKind::build`], for callers that drive the pool's
+/// handles themselves; the run helpers unwrap it (see the module docs).
 pub enum AnyPool<T: Send + 'static> {
     /// §3.1 work-stealing.
     WorkStealing(Arc<PriorityWorkStealing<T>>),
@@ -186,13 +192,16 @@ impl PoolKind {
     }
 }
 
-/// Runs `executor` over `roots` on a freshly built pool of `kind`.
+/// Runs `executor` over `roots` on a freshly built pool of `kind`, one
+/// worker thread per place, and returns when every task transitively
+/// spawned has finished; the pool is dropped on the way out.
 ///
-/// Dispatch happens once, here: each arm monomorphizes
-/// [`Scheduler::run`] against the concrete structure, so the scheduling
-/// loop's codegen is identical to naming the type by hand — wall-clock
-/// measurements through this helper are comparable with harnesses that
-/// name the structure themselves.
+/// Once the pool is built, the roots are submitted into fresh unbounded
+/// ingress lanes through one producer handle, dropped before any worker
+/// starts; then the places run over those lanes as in
+/// [`run_stream_on_kind`]. Under [`crate::FaultPolicy::AbortRun`] (the
+/// default) a task panic is resumed on the caller; under `Isolate` it is
+/// reported in [`RunStats::failures`].
 pub fn run_on_kind<T, E>(
     kind: PoolKind,
     places: usize,
@@ -205,18 +214,28 @@ where
     E: TaskExecutor<T>,
 {
     on_concrete!(kind.build(places, params), |pool| {
-        Scheduler::from_pool_arc(pool)
-            .with_fault_policy(params.fault_policy)
-            .run(executor, roots)
+        let lanes = IngressLanes::new(places);
+        let mut seed = lanes.handle();
+        for (prio, k, task) in roots {
+            let accepted = seed.submit(prio, k, task).is_ok();
+            assert!(accepted, "fresh unbounded lanes accept every root");
+        }
+        drop(seed);
+        run_scoped(&pool, params.fault_policy, executor, &lanes)
     })
 }
 
 /// Streamed sibling of [`run_on_kind`]: runs `executor` over everything
 /// submitted through `ingress` handles, before or while the pool drains,
-/// returning at quiescence (see [`Scheduler::run_stream`]).
+/// on a freshly built pool of `kind` that is dropped when the run ends.
 ///
-/// Like [`run_on_kind`], dispatch happens once, before the run — every arm
-/// monomorphizes `run_stream` against the concrete structure.
+/// Returns at **quiescence**: the outstanding-task counter is zero, every
+/// lane is empty, and every [`crate::IngestHandle`] has been dropped. Mint
+/// the producer handles *before* calling this — a run that observes zero
+/// producers and no queued tasks terminates.
+///
+/// # Panics
+/// Panics if `ingress` does not have one lane per place.
 pub fn run_stream_on_kind<T, E>(
     kind: PoolKind,
     places: usize,
@@ -229,13 +248,12 @@ where
     E: TaskExecutor<T>,
 {
     on_concrete!(kind.build(places, params), |pool| {
-        Scheduler::from_pool_arc(pool)
-            .with_fault_policy(params.fault_policy)
-            .run_stream(executor, ingress)
+        run_scoped(&pool, params.fault_policy, executor, ingress)
     })
 }
 
-/// Fluent front door over [`PoolKind::build`] / [`run_on_kind`].
+/// Fluent front door over [`PoolKind::build`] and
+/// [`PoolBuilder::service`].
 ///
 /// ```
 /// use priosched_core::{PoolBuilder, PoolHandle, PoolKind, TaskPool};
@@ -283,16 +301,16 @@ impl PoolBuilder {
     /// `service` and sweep harnesses that build lanes from [`PoolParams`]
     /// honor it: [`run_stream_on_kind`] drains caller-constructed lanes,
     /// whose bound is fixed at [`crate::IngressLanes::with_capacity`] time,
-    /// and [`PoolBuilder::run`]'s lanes are unbounded and hold only its
-    /// roots, submitted before any worker starts.
+    /// and [`run_on_kind`]'s lanes are unbounded and hold only its roots,
+    /// submitted before any worker starts.
     pub fn lane_capacity(mut self, capacity: usize) -> Self {
         self.params.lane_capacity = Some(capacity);
         self
     }
 
     /// Selects what workers do when a task panics (see
-    /// [`crate::FaultPolicy`]): honored by [`PoolBuilder::run`] and
-    /// [`PoolBuilder::service`].
+    /// [`crate::FaultPolicy`]): honored by [`PoolBuilder::service`]; a run
+    /// takes it in its [`PoolParams`].
     pub fn fault_policy(mut self, policy: crate::FaultPolicy) -> Self {
         self.params.fault_policy = policy;
         self
@@ -314,22 +332,13 @@ impl PoolBuilder {
         Arc::new(self.kind.build(self.places, self.params))
     }
 
-    /// Schedules `executor` over `roots` on a fresh pool (monomorphized via
-    /// [`run_on_kind`]).
-    pub fn run<T, E>(&self, executor: &E, roots: Vec<(u64, usize, T)>) -> RunStats
-    where
-        T: Send + 'static,
-        E: TaskExecutor<T>,
-    {
-        run_on_kind(self.kind, self.places, self.params, executor, roots)
-    }
-
     /// Starts a long-lived [`PoolService`] over a freshly built pool of
     /// this builder's kind: one worker thread per place, accepting
     /// [`PoolService::submit`] / external [`crate::IngestHandle`]
     /// submissions until shutdown, with this builder's
-    /// [`PoolBuilder::lane_capacity`] as the backpressure bound. The
-    /// open-world front door for all five structures.
+    /// [`PoolBuilder::lane_capacity`] as the backpressure bound and its
+    /// [`PoolBuilder::fault_policy`]. The one way to start a service; the
+    /// pool is dropped when the service's last worker exits.
     pub fn service<T, E>(&self, executor: Arc<E>) -> PoolService<T>
     where
         T: Send + 'static,
@@ -375,6 +384,20 @@ mod tests {
             out.sort();
             assert_eq!(out, vec![1, 3, 5, 9], "{kind}");
             assert_eq!(h.stats().pushes, 4, "{kind}");
+        }
+    }
+
+    /// A pop from an empty pool fails and counts one failed pop, on every
+    /// kind at every place count.
+    #[test]
+    fn an_empty_pop_fails_and_counts_once() {
+        for kind in PoolKind::ALL {
+            for places in [1usize, 2, 4] {
+                let pool: Arc<AnyPool<u64>> = PoolBuilder::new(kind).places(places).build();
+                let mut h = pool.handle(places - 1);
+                assert_eq!(h.pop(), None, "{kind} places={places}");
+                assert_eq!(h.stats().failed_pops, 1, "{kind} places={places}");
+            }
         }
     }
 
@@ -429,16 +452,6 @@ mod tests {
         let b = PoolBuilder::new(PoolKind::Hybrid).k(8).lane_capacity(32);
         let want = PoolParams::with_k(8).with_lane_capacity(Some(32));
         assert_eq!(b.pool_params(), want);
-    }
-
-    #[test]
-    fn builder_run_matches_direct_run() {
-        let exec = CountDown(AtomicU64::new(0));
-        let stats = PoolBuilder::new(PoolKind::Hybrid)
-            .places(2)
-            .k(4)
-            .run(&exec, vec![(6, 4, 6u64)]);
-        assert_eq!(stats.executed, 7);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //! ([`crate::centralized`], "The window walk").
 //!
 //! Reclamation: the paper frees exhausted segments through a GC scheme \[18\]
-//! plus per-place reference counts. Here segments are owned by the array and
-//! freed on drop, or at a quiescent point through
-//! [`GlobalArray::reclaim_prefix`]; no segment is ever freed while a place
-//! handle is live, so handles may cache raw segment pointers as cursor
-//! hints without any epoch protection.
+//! plus per-place reference counts, while the run goes on. Here segments
+//! are owned by the array and freed when it drops, with the pool at the end
+//! of the run or service that built it; no segment is ever freed while a
+//! place handle is live, so handles may cache raw segment pointers as
+//! cursor hints without any epoch protection. Freeing exhausted segments
+//! inside a long-running service needs the paper's scheme; it is not
+//! implemented.
 
 use crate::item::Item;
 use crate::sync::atomic::{AtomicPtr, Ordering};
@@ -163,50 +165,6 @@ impl<T: Send> GlobalArray<T> {
             seg = unsafe { &*seg }.next.load(Ordering::Acquire);
         }
         n
-    }
-
-    /// Global index of the first retained slot (0 until a reclaim happened).
-    pub fn base_index(&self) -> u64 {
-        let head = self.head.load(Ordering::Acquire);
-        // SAFETY: head is never null.
-        unsafe { &*head }.base
-    }
-
-    /// Frees leading segments for which `segment_dead(base, slots)` returns
-    /// `true`, stopping at the first survivor; at least one segment is
-    /// always retained. Returns `(segments_freed, new_base_index)`.
-    ///
-    /// Quiescent-point reclamation: the paper reclaims
-    /// exhausted arrays concurrently via a GC scheme \[18\] plus per-place
-    /// reference counts on the head indices; we instead reclaim at points
-    /// where the *caller* guarantees exclusivity (no live place handles —
-    /// e.g. between scheduler runs), which keeps every push/pop wait-free
-    /// with respect to reclamation without epoch machinery.
-    ///
-    /// # Safety
-    /// No other thread may access the array during the call, and no cursor
-    /// created before the call may be used afterwards with positions below
-    /// the returned base.
-    pub unsafe fn reclaim_prefix(
-        &self,
-        mut segment_dead: impl FnMut(u64, &[AtomicPtr<Item<T>>]) -> bool,
-    ) -> (usize, u64) {
-        let mut freed = 0usize;
-        loop {
-            let head = self.head.load(Ordering::Acquire);
-            // SAFETY: head is never null, and the caller guarantees
-            // exclusive access for the duration of the call.
-            let seg = unsafe { &*head };
-            let next = seg.next.load(Ordering::Acquire);
-            if next.is_null() || !segment_dead(seg.base, &seg.slots) {
-                return (freed, seg.base);
-            }
-            self.head.store(next, Ordering::Release);
-            // SAFETY: exclusivity (above) means no cursor or scan can
-            // still reach the unlinked segment.
-            drop(unsafe { Box::from_raw(head) });
-            freed += 1;
-        }
     }
 }
 
@@ -355,34 +313,5 @@ mod boundary_tests {
         for pos in [far, 0, far - 1, SEGMENT_LEN as u64, far, 1] {
             assert!(arr.slot(pos, &mut cur).is_some(), "pos {pos}");
         }
-    }
-
-    #[test]
-    fn reclaim_prefix_keeps_last_segment() {
-        let arr: GlobalArray<u32> = GlobalArray::new();
-        let mut cur = SegmentCursor::default();
-        let _ = arr.slot_or_grow(3 * SEGMENT_LEN as u64, &mut cur);
-        assert_eq!(arr.segment_count(), 4);
-        // Everything "dead": must still retain the final segment.
-        let (freed, base) = unsafe { arr.reclaim_prefix(|_, _| true) };
-        assert_eq!(freed, 3);
-        assert_eq!(arr.segment_count(), 1);
-        assert_eq!(base, 3 * SEGMENT_LEN as u64);
-        assert_eq!(arr.base_index(), base);
-        // The array still grows past the retained segment.
-        let mut cur = SegmentCursor::default();
-        let _ = arr.slot_or_grow(base + SEGMENT_LEN as u64, &mut cur);
-        assert_eq!(arr.segment_count(), 2);
-    }
-
-    #[test]
-    fn reclaim_prefix_stops_at_survivor() {
-        let arr: GlobalArray<u32> = GlobalArray::new();
-        let mut cur = SegmentCursor::default();
-        let _ = arr.slot_or_grow(3 * SEGMENT_LEN as u64, &mut cur);
-        // Only the first segment is dead.
-        let (freed, base) = unsafe { arr.reclaim_prefix(|b, _| b == 0) };
-        assert_eq!(freed, 1);
-        assert_eq!(base, SEGMENT_LEN as u64);
     }
 }

@@ -35,8 +35,9 @@ use std::sync::Arc;
 /// chains short while bounding per-segment slack. A segment is allocated
 /// with exactly as many slots as its chain can still take before the
 /// publication budget forces it out (see `HybridHandle::insert_local`), up
-/// to this cap — segments live until the pool drops, and with a small `k`
-/// a full-size one per chain would be 2 KB for a dozen items.
+/// to this cap — segments live until the pool drops, at the end of the run
+/// or service that built it, and with a small `k` a full-size one per chain
+/// would be 2 KB for a dozen items.
 pub const HSEGMENT_LEN: usize = 256;
 
 /// Marker for "no last victim".
@@ -138,58 +139,11 @@ impl<T: Send + 'static> HybridKPriority<T> {
         let mut seg = self.global_head.load(Ordering::Acquire);
         while !seg.is_null() {
             n += 1;
-            // SAFETY: non-null list node; global segments are never freed
-            // outside quiescent `reclaim`, which excludes live readers.
+            // SAFETY: non-null list node; segments are freed only when the
+            // structure drops.
             seg = unsafe { &*seg }.next.load(Ordering::Acquire);
         }
         n - 1 // exclude sentinel
-    }
-
-    /// Frees exhausted leading segments of the global list (all published
-    /// items taken). Returns the number of segments freed.
-    ///
-    /// Quiescent-point counterpart of the paper's concurrent reclamation
-    /// (§4.2.3 refers to the same scheme as §4.1.3): instead of a GC
-    /// scheme plus per-place reference counts, segments are freed only
-    /// while no handle can hold a pointer into them.
-    /// New handles start reading at the sentinel, so reclaimed prefixes
-    /// are never re-visited.
-    ///
-    /// # Panics
-    /// Panics if any place handle is live.
-    pub fn reclaim(&self) -> usize {
-        assert!(
-            self.handle_live.iter().all(|h| !h.load(Ordering::Acquire)),
-            "reclaim requires quiescence (no live handles)"
-        );
-        let sentinel = self.global_head.load(Ordering::Acquire);
-        let mut freed = 0usize;
-        loop {
-            // SAFETY: quiescence; segments are exclusively ours.
-            let first = unsafe { &*sentinel }.next.load(Ordering::Acquire);
-            if first.is_null() {
-                return freed;
-            }
-            let seg = unsafe { &*first };
-            let len = seg.len.load(Ordering::Acquire);
-            let nplaces = self.nplaces as u64;
-            let all_taken = (0..len).all(|idx| {
-                let p = seg.slots[idx].load(Ordering::Acquire);
-                let expected = seg.base_tag + idx as u64 * nplaces;
-                // A live item still carries the tag this slot assigned it.
-                // SAFETY: non-null slots point into the immortal item pool.
-                !p.is_null() && unsafe { &*p }.tag.load(Ordering::Acquire) != expected
-            });
-            if !all_taken {
-                return freed;
-            }
-            let next = seg.next.load(Ordering::Acquire);
-            // SAFETY: quiescence (asserted above) — the sentinel is ours.
-            unsafe { &*sentinel }.next.store(next, Ordering::Release);
-            // SAFETY: unlinked, quiescent — no readers can hold it.
-            drop(unsafe { Box::from_raw(first) });
-            freed += 1;
-        }
     }
 }
 
@@ -603,20 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn single_place_pops_in_priority_order() {
-        let p = pool(1);
-        let mut h = p.handle(0);
-        for &x in &[5u64, 2, 9, 1, 7, 2] {
-            h.push(x, 4, x * 10);
-        }
-        let mut out = Vec::new();
-        while let Some(t) = h.pop() {
-            out.push(t);
-        }
-        assert_eq!(out, vec![10, 20, 20, 50, 70, 90]);
-    }
-
-    #[test]
     fn publish_triggers_after_k_pushes() {
         let p = pool(2);
         let mut h = p.handle(0);
@@ -844,105 +784,6 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn reclaim_frees_consumed_global_segments() {
-        let p = pool(2);
-        {
-            let mut h0 = p.handle(0);
-            let mut h1 = p.handle(1);
-            let n = (HSEGMENT_LEN * 3) as u64;
-            for i in 0..n {
-                h0.push(i, 0, i); // publish immediately
-            }
-            while h1.pop().is_some() {}
-        }
-        let before = p.global_segments();
-        assert!(before >= 3, "before = {before}");
-        let freed = p.reclaim();
-        assert!(freed >= 3, "freed = {freed}");
-        assert_eq!(p.global_segments(), before - freed);
-        // Structure remains usable; new tasks flow end to end.
-        let mut h0 = p.handle(0);
-        h0.push(5, 0, 55);
-        drop(h0);
-        let mut h1 = p.handle(1);
-        assert_eq!(h1.pop(), Some(55));
-    }
-
-    #[test]
-    fn reclaim_stops_at_live_items() {
-        let p = pool(2);
-        {
-            let mut h0 = p.handle(0);
-            for i in 0..(HSEGMENT_LEN as u64 * 2) {
-                h0.push(i, 0, i);
-            }
-            let mut h1 = p.handle(1);
-            // Take only the first segment's worth (pop returns priority
-            // order, which equals insertion order here).
-            for _ in 0..HSEGMENT_LEN {
-                assert!(h1.pop().is_some());
-            }
-        }
-        let freed = p.reclaim();
-        assert!(freed >= 1);
-        let mut h1 = p.handle(1);
-        let mut rest = 0;
-        while h1.pop().is_some() {
-            rest += 1;
-        }
-        assert_eq!(rest, HSEGMENT_LEN);
-    }
-
-    #[test]
-    #[should_panic(expected = "quiescence")]
-    fn reclaim_with_live_handle_panics() {
-        let p = pool(2);
-        let _h = p.handle(0);
-        p.reclaim();
-    }
-
-    #[test]
-    fn concurrent_exactly_once_delivery() {
-        let threads = 4usize;
-        let per = 3_000u64;
-        let p = pool(threads);
-        let taken: Vec<std::sync::atomic::AtomicU32> =
-            (0..threads as u64 * per).map(|_| 0.into()).collect();
-        let taken = Arc::new(taken);
-        let total_popped = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let p = Arc::clone(&p);
-                let taken = Arc::clone(&taken);
-                let total_popped = Arc::clone(&total_popped);
-                s.spawn(move || {
-                    let mut h = p.handle(t);
-                    let mut rng = XorShift64::new(t as u64 + 77);
-                    let mut pushed = 0u64;
-                    loop {
-                        if pushed < per && rng.below(2) == 0 {
-                            let payload = t as u64 * per + pushed;
-                            h.push(rng.below(1 << 20), 8, payload);
-                            pushed += 1;
-                        } else if let Some(got) = h.pop() {
-                            let prev = taken[got as usize].fetch_add(1, Ordering::Relaxed);
-                            assert_eq!(prev, 0, "task {got} delivered twice");
-                            total_popped.fetch_add(1, Ordering::Relaxed);
-                        } else if pushed == per {
-                            if total_popped.load(Ordering::Relaxed) == threads as u64 * per {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(total_popped.load(Ordering::Relaxed), threads as u64 * per);
-        assert!(taken.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
 }
 
 #[cfg(test)]
@@ -1008,13 +849,5 @@ mod boundary_tests {
             got += 1;
         }
         assert!(got > 0, "place 2 found work via random or chained victim");
-    }
-
-    #[test]
-    fn empty_structure_pop_fails_fast() {
-        let p = Arc::new(HybridKPriority::<u64>::new(4));
-        let mut h = p.handle(2);
-        assert_eq!(h.pop(), None);
-        assert_eq!(h.stats().failed_pops, 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Sharded, bounded ingestion lanes: feeding tasks into a *running* pool.
 //!
-//! The paper's runtime (§2) is closed-world — every root is known at
-//! [`crate::scheduler::Scheduler::run`] time and termination is a single
+//! The paper's runtime (§2) is closed-world — every root is known when
+//! [`crate::run_on_kind`] starts and termination is a single
 //! outstanding-task counter hitting zero. A pool that serves external
 //! traffic needs the opposite: producers that are **not** workers must be
 //! able to submit prioritized tasks while the pool is draining, without
@@ -70,7 +70,7 @@
 //! the producers' collective "no more input" signal, after which the usual
 //! drain argument applies.
 //!
-//! The check order matters and is fixed in [`IngressShared::quiescent`]:
+//! The check order matters and is fixed in `IngressShared::quiescent`:
 //! producers first, then the queued count, then (in the scheduler) the
 //! pending counter. Under the usage contract — every producer handle is
 //! minted **before** the streamed run starts, and new handles come only
@@ -444,9 +444,10 @@ impl<T: Send> IngressShared<T> {
 /// Create one with as many lanes as the pool has places, mint
 /// [`IngestHandle`]s for every producer **before** starting the streamed
 /// run (a run that observes zero producers and empty lanes terminates),
-/// then hand it to [`crate::Scheduler::run_stream`] /
-/// [`crate::facade::run_stream_on_kind`]. [`crate::Scheduler::run`] builds
-/// its own, with the roots already submitted and no producer left.
+/// then hand it to [`crate::run_stream_on_kind`]. [`crate::run_on_kind`]
+/// builds its own, with the roots already submitted and no producer left;
+/// a [`crate::PoolService`] owns its lanes and hands out handles with
+/// [`crate::PoolService::ingest_handle`].
 ///
 /// A run that aborts leaves its lanes poisoned for good: submissions fail
 /// with [`SubmitError::Aborted`], and a later run over the same lanes
@@ -521,8 +522,8 @@ impl<T: Send> IngressLanes<T> {
     /// and nothing queued; a handle minted concurrently with that
     /// observation re-arms the lanes for a *subsequent* run — its
     /// submissions stay queued (visible via [`IngressLanes::queued`]) and
-    /// are only drained by the next `run_stream` over these lanes, or
-    /// dropped with them.
+    /// are only drained by the next [`crate::run_stream_on_kind`] over
+    /// these lanes, or dropped with them.
     pub fn handle(&self) -> IngestHandle<T> {
         self.shared.producers.fetch_add(1, Ordering::AcqRel);
         let lane = self.shared.next_lane.fetch_add(1, Ordering::Relaxed) % self.num_lanes();
@@ -553,7 +554,7 @@ impl<T: Send> IngressLanes<T> {
 /// Cloneable; each clone counts toward the producer refcount that gates
 /// streamed termination (see module docs). Drop every handle when the
 /// producer side is done — a retained handle keeps
-/// [`crate::Scheduler::run_stream`] (deliberately) waiting for more input.
+/// [`crate::run_stream_on_kind`] (deliberately) waiting for more input.
 ///
 /// Submission comes in shedding ([`IngestHandle::try_submit`] /
 /// [`IngestHandle::try_submit_batch`]) and blocking

@@ -23,9 +23,11 @@
 //! Beside them sits the relaxed MultiQueue
 //! ([`multiqueue::RelaxedMultiQueue`], arXiv 2109.00657), in two
 //! configurations. That makes five [`PoolKind`]s over four structures,
-//! and all five implement the [`pool::TaskPool`] interface used by the
-//! [`scheduler::Scheduler`] (places, help-first spawning, termination
-//! detection, finish regions — §2 of the paper).
+//! and all five implement the [`pool::TaskPool`] interface the
+//! [`scheduler`] runtime drives (places, help-first spawning, termination
+//! detection, finish regions — §2 of the paper). Every run and every
+//! service builds its pool from a [`PoolKind`] ([`facade`]) and drops it
+//! when its work is done.
 //!
 //! # Priorities
 //!
@@ -50,8 +52,8 @@
 //! releases memory when the data structure is dropped; position-derived tags
 //! make recycling ABA-safe exactly as in §4.1.3/§4.2.3. The substitution
 //! trades memory held until drop for hot paths with no epoch or
-//! hazard-pointer traffic; global segments follow the same rule (freed on
-//! drop or at a quiescent `reclaim`).
+//! hazard-pointer traffic; global segments follow the same rule (freed
+//! when the pool drops, at the end of the run or service that built it).
 //!
 //! # Batch operations
 //!
@@ -97,8 +99,8 @@
 //!
 //! # Ingestion, backpressure, and quiescence
 //!
-//! The paper's runtime is closed-world: all roots are known at
-//! [`scheduler::Scheduler::run`] time and termination is the
+//! The paper's runtime is closed-world: all roots are known when
+//! [`run_on_kind`] starts and termination is the
 //! outstanding-task counter hitting zero (a shared count the per-task
 //! path stays off: finished tasks become per-place credits that pay for
 //! later spawns and are settled when the place's pop fails — see the
@@ -129,10 +131,9 @@
 //! * termination generalizes to **quiescence**: counter zero *and* empty
 //!   lanes *and* zero live producer handles (a refcount — dropping the
 //!   last handle is the producers' "no more input" signal). Every run
-//!   ends this way: [`scheduler::Scheduler::run`] submits its roots
-//!   through one handle into fresh lanes and drops it before the workers
-//!   start; [`scheduler::Scheduler::run_stream`] /
-//!   [`facade::run_stream_on_kind`] run over caller-built lanes; and
+//!   ends this way: [`run_on_kind`] submits its roots through one handle
+//!   into fresh lanes and drops it before the workers start;
+//!   [`run_stream_on_kind`] runs over caller-built lanes; and
 //!   [`service::PoolService`] (or [`PoolBuilder::service`]) is a
 //!   long-lived pool you can `submit`/`join` repeatedly — it holds its
 //!   own producer handle, so its workers stay alive through gaps, and
@@ -176,16 +177,15 @@
 //! # Failure handling
 //!
 //! A task's `execute` may panic; what happens next is the
-//! [`pool::FaultPolicy`] carried in [`PoolParams`] (or set via
-//! [`Scheduler::with_fault_policy`] /
-//! [`service::PoolService::start_with_policy`] /
-//! [`PoolBuilder::fault_policy`]). Under the default
+//! [`pool::FaultPolicy`] carried in [`PoolParams`] (set with
+//! [`PoolParams::with_fault_policy`] or [`PoolBuilder::fault_policy`]).
+//! Under the default
 //! [`pool::FaultPolicy::AbortRun`], the worker records a
 //! [`scheduler::FailureReport`] and raises the lanes' abort gate, which
 //! poisons them (blocked and future producers fail with
 //! [`ingest::SubmitError::Aborted`], payloads handed back) and drains
-//! every worker out; [`Scheduler::run`] and
-//! [`Scheduler::run_stream`], whose callers wait for the run to end,
+//! every worker out; [`run_on_kind`] and
+//! [`run_stream_on_kind`], whose callers wait for the run to end,
 //! resume the panic on the caller, while
 //! [`service::PoolService::join`] returns
 //! `Err(`[`scheduler::PoolAborted`]`)` and
@@ -220,7 +220,8 @@
 //! paper's §5.3 structural relaxation). The [`facade`] module is the
 //! single place a kind becomes a pool. [`run_on_kind`] schedules an
 //! executor on a freshly built pool with **one** dispatch before the run
-//! (the scheduling loop stays monomorphized per structure);
+//! (the workers drive the concrete structure's handles through the
+//! scheduling loop's `dyn PoolHandle`);
 //! [`PoolKind::build`] / [`PoolBuilder`] return a type-erased [`AnyPool`]
 //! for callers that drive place handles themselves. [`PoolParams`] carries
 //! the only construction knobs — `k`, the lane capacity and the fault
@@ -228,7 +229,8 @@
 //! kind by [`PoolKind::build`] (centralized `kmax = max(k, 512)`, the
 //! MultiQueue's `c = 2`, one queue per place for the structural kind).
 //! Another `c` means constructing [`RelaxedMultiQueue`] directly and
-//! handing it to [`Scheduler::from_pool`].
+//! driving its handles, as the `multiqueue_quality` tests do; no run or
+//! service takes a hand-built pool.
 //!
 //! The two MultiQueue configurations differ in the kind of bound, not
 //! just its size. The paper's structures bound how many *newer* tasks a
@@ -262,7 +264,7 @@
 //! | (d) The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
 //! | (d′) What a place buffered in the MultiQueue's insertion buffer is never out of another place's reach: a place-1 pusher whose first push is buffered, whose second lands both under the buffer lock and one queue lock, and whose third is still buffered when its handle drops, races a place-0 popper whose failing scan try-locks that buffer — each task exactly once, and the quiescent pool's scan finds every survivor ([`multiqueue`], "Per-place insertion buffer") | `models::multiqueue_buffer_is_reachable_by_other_places` |
 //! | (e) The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
-//! | (g) Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet). A closed-world [`Scheduler::run`] now has exactly this model's shape: a root submitted through a handle dropped before the two places start, then the real place loops parking untimed | `models::credits_settle_before_quiescence` |
+//! | (g) Per-place completion credits: no place sees the run drained out while a task is poppable or executing, and the settle that takes the shared count to zero wakes the parked peers ([`scheduler`] Termination bullet). A closed-world [`run_on_kind`] has exactly this model's shape: a root submitted through a handle dropped before the two places start, then the real place loops parking untimed | `models::credits_settle_before_quiescence` |
 //! | (h) A join's two-variable predicate (`queued == 0 ∧ pending == 0`) is woken by whichever write comes last: a drain whose task another place finishes and settles before `queued` falls still ends the wait ([`park`] predicate table, [`ingest`] event table) | `models::join_wakes_on_the_last_of_drain_and_finish` |
 //! | (i) The centralized window walk: two pushers resuming from their hints (same window, a window seen full, a tail the peer has moved) and a concurrent popper lose no task and deliver none twice, and the tail only ever passes windows without a null slot ([`centralized`], "The window walk") | `models::centralized_window_walk_exactly_once` |
 //!
@@ -320,9 +322,7 @@ pub use hybrid::HybridKPriority;
 pub use ingest::{IngestHandle, IngressLanes, SubmitError};
 pub use multiqueue::RelaxedMultiQueue;
 pub use pool::{FaultPolicy, PoolHandle, PoolKind, PoolParams, TaskPool};
-pub use scheduler::{
-    panic_message, FailureReport, PoolAborted, RunStats, Scheduler, SpawnCtx, TaskExecutor,
-};
+pub use scheduler::{panic_message, FailureReport, PoolAborted, RunStats, SpawnCtx, TaskExecutor};
 pub use service::{PoolService, ShutdownError};
 pub use workstealing::PriorityWorkStealing;
 

@@ -469,7 +469,7 @@ impl TwoPlaceRun {
 /// (g) Credit ledger: a place never sees the run drained out while a task
 /// is poppable or executing, and the run terminates.
 ///
-/// This is a closed-world run's exact shape: [`crate::Scheduler::run`]
+/// This is a closed-world run's exact shape: [`crate::run_on_kind`]
 /// submits the root of a countdown 2 → 1 → 0 through one handle and drops
 /// it, and two places run the real [`place_loop`] over the lanes and a
 /// shared bag. Place 0 drains the root out of its lane. Whichever place

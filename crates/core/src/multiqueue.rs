@@ -654,20 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn c1_single_place_pops_in_exact_priority_order() {
-        let p = pool(1, 1);
-        let mut h = p.handle(0);
-        for &x in &[3u64, 1, 4, 1, 5, 9, 2, 6] {
-            h.push(x, 0, x * 10);
-        }
-        let mut out = Vec::new();
-        while let Some(t) = h.pop() {
-            out.push(t);
-        }
-        assert_eq!(out, vec![10, 10, 20, 30, 40, 50, 60, 90]);
-    }
-
-    #[test]
     fn fifo_tiebreak_on_equal_priority_with_one_queue() {
         let p = pool(1, 1);
         let mut h = p.handle(0);
@@ -694,31 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn exactly_once_across_places_and_queues() {
-        let p = pool(3, 2);
-        let mut handles: Vec<_> = (0..3).map(|i| p.handle(i)).collect();
-        for i in 0..300u64 {
-            handles[(i % 3) as usize].push(i, 0, i);
-        }
-        assert_eq!(p.queued(), 300);
-        let mut got = Vec::new();
-        loop {
-            let mut any = false;
-            for h in handles.iter_mut() {
-                if let Some(t) = h.pop() {
-                    got.push(t);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        got.sort();
-        assert_eq!(got, (0..300).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn batch_push_round_trips_and_counts() {
         let p = pool(2, 2);
         let mut h = p.handle(0);
@@ -729,14 +690,6 @@ mod tests {
         let mut out: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
         out.sort();
         assert_eq!(out, (0..40).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_pop_fails_and_counts() {
-        let p = pool(2, 2);
-        let mut h = p.handle(0);
-        assert_eq!(h.pop(), None);
-        assert_eq!(h.stats().failed_pops, 1);
     }
 
     #[test]
@@ -872,19 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn structural_single_place_pops_in_priority_order() {
-        for k in [0usize, 4, 512] {
-            let p = structural(1);
-            let mut h = p.handle(0);
-            for &x in &[6u64, 2, 8, 1, 9, 3] {
-                h.push(x, k, x);
-            }
-            let out: Vec<u64> = std::iter::from_fn(|| h.pop()).collect();
-            assert_eq!(out, vec![1, 2, 3, 6, 8, 9], "k = {k}");
-        }
-    }
-
-    #[test]
     fn structural_landed_tasks_are_popped_by_other_places_from_the_queues() {
         let p = structural(2);
         let mut h0 = p.handle(0);
@@ -933,56 +873,5 @@ mod tests {
         // An empty view of the queues sends the pop to place 0's buffer.
         let rest: Vec<u64> = std::iter::from_fn(|| h1.pop()).collect();
         assert_eq!(rest, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn concurrent_stress_exactly_once() {
-        stress_exactly_once(Arc::new(RelaxedMultiQueue::new(4, 2)), 0);
-    }
-
-    #[test]
-    fn structural_concurrent_stress_exactly_once() {
-        stress_exactly_once(Arc::new(RelaxedMultiQueue::structural(4)), 16);
-    }
-
-    /// Four places pushing at bound `k` and popping until every task was
-    /// popped exactly once.
-    fn stress_exactly_once(p: Arc<RelaxedMultiQueue<u64>>, k: usize) {
-        let threads = 4usize;
-        let per = 5_000u64;
-        let taken: Arc<Vec<std::sync::atomic::AtomicU32>> =
-            Arc::new((0..threads as u64 * per).map(|_| 0.into()).collect());
-        let popped = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let p = Arc::clone(&p);
-                let taken = Arc::clone(&taken);
-                let popped = Arc::clone(&popped);
-                s.spawn(move || {
-                    let mut h = p.handle(t);
-                    let mut rng = XorShift64::new(t as u64);
-                    let mut pushed = 0u64;
-                    loop {
-                        if pushed < per && rng.below(2) == 0 {
-                            h.push(rng.below(1000), k, t as u64 * per + pushed);
-                            pushed += 1;
-                        } else if let Some(got) = h.pop() {
-                            use std::sync::atomic::Ordering;
-                            let prev = taken[got as usize].fetch_add(1, Ordering::Relaxed);
-                            assert_eq!(prev, 0);
-                            popped.fetch_add(1, Ordering::Relaxed);
-                        } else if pushed == per {
-                            use std::sync::atomic::Ordering;
-                            if popped.load(Ordering::Relaxed) == threads as u64 * per {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        use std::sync::atomic::Ordering;
-        assert_eq!(popped.load(Ordering::Relaxed), threads as u64 * per);
     }
 }

@@ -170,7 +170,7 @@ pub enum FaultPolicy {
     /// raised before the panicked task's pending decrement, sibling
     /// workers stop at the next loop head, blocked and future producers
     /// get `SubmitError::Aborted`, and the panic payload is re-surfaced —
-    /// `Scheduler::run`/`run_stream` resume the panic on the caller,
+    /// `run_on_kind`/`run_stream_on_kind` resume the panic on the caller,
     /// while `PoolService::join`/`shutdown` report it as a typed error.
     #[default]
     AbortRun,

@@ -26,9 +26,9 @@
 //!   has just finished a task and has not yet failed a pop, so it is
 //!   about to pop again or to settle. A place that spawns as many tasks
 //!   as it finishes therefore does no shared read-modify-write at all.
-//!   Every run is a streamed run: [`Scheduler::run`] submits its roots
-//!   into fresh ingress lanes through one producer handle and drops it
-//!   before the workers start, so termination is always *quiescence* —
+//!   Every run is a streamed run: [`crate::run_on_kind`] submits its
+//!   roots into fresh ingress lanes through one producer handle and drops
+//!   it before the workers start, so termination is always *quiescence* —
 //!   counter zero **and** empty lanes **and** zero live producers (see
 //!   [`crate::ingest`]), which with no producers left is the paper's
 //!   "no new tasks were created". The lanes also hold the counter and
@@ -126,7 +126,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Shared failure state of one run or service: the configured
 /// [`FaultPolicy`], the recorded [`FailureReport`]s, and — under
-/// `AbortRun` — the first panic payload for `Scheduler::run` to resume.
+/// `AbortRun` — the first panic payload for [`run_scoped`] to resume.
 ///
 /// Workers record into the cell *before* the failing task's unit of the
 /// outstanding count becomes a credit, hence before any settle can release
@@ -156,7 +156,7 @@ impl FaultCell {
     }
 
     /// Records one failure; under `AbortRun` also stashes the first panic
-    /// payload so `Scheduler::run`/`run_stream` can resume it.
+    /// payload so [`run_scoped`] can resume it.
     fn record(&self, report: FailureReport, payload: Option<Box<dyn std::any::Any + Send>>) {
         self.failures.lock().push(report);
         // The count is published *after* the report so `failed()` never
@@ -524,8 +524,9 @@ impl<'a, T: Send> SpawnCtx<'a, T> {
     }
 }
 
-/// Aggregated outcome of one [`Scheduler::run`] or
-/// [`Scheduler::run_stream`], or of a [`crate::PoolService`]'s lifetime.
+/// Aggregated outcome of one [`crate::run_on_kind`] or
+/// [`crate::run_stream_on_kind`] run, or of a [`crate::PoolService`]'s
+/// lifetime.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Tasks executed (dead tasks excluded).
@@ -568,43 +569,6 @@ impl RunStats {
             stats.pool.merge(&pool_stats);
         }
         stats
-    }
-}
-
-/// The scheduling system: `P` places over a shared [`TaskPool`].
-pub struct Scheduler<P> {
-    pool: Arc<P>,
-    fault_policy: FaultPolicy,
-}
-
-impl<P> Scheduler<P> {
-    /// Wraps an already shared task pool; the pool's place count determines
-    /// the number of worker threads. Panics abort the run by default — see
-    /// [`Scheduler::with_fault_policy`].
-    pub fn from_pool_arc(pool: Arc<P>) -> Self {
-        Scheduler {
-            pool,
-            fault_policy: FaultPolicy::AbortRun,
-        }
-    }
-
-    /// Creates a scheduler owning a fresh pool.
-    pub fn from_pool(pool: P) -> Self {
-        Self::from_pool_arc(Arc::new(pool))
-    }
-
-    /// Sets what a worker does when a task panics (see [`FaultPolicy`]).
-    /// Under `Isolate`, `run`/`run_stream` return normally with
-    /// `RunStats::failed`/`failures` populated instead of resuming the
-    /// panic.
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = policy;
-        self
-    }
-
-    /// Access to the underlying pool (for diagnostics).
-    pub fn pool(&self) -> &Arc<P> {
-        &self.pool
     }
 }
 
@@ -652,7 +616,7 @@ pub(crate) fn place_loop<T: Send>(
 /// its handle's pool counters.
 pub(crate) type PlaceOutcome = (u64, u64, PlaceStats);
 
-/// The body of place `place`'s worker thread, for [`Scheduler::run_stream`]
+/// The body of place `place`'s worker thread, for [`run_scoped`]
 /// (scoped threads) and [`crate::PoolService`] (detached ones): take the
 /// place's handle, run [`place_loop`], report.
 pub(crate) fn worker<T: Send + 'static, P: TaskPool<T>>(
@@ -667,88 +631,66 @@ pub(crate) fn worker<T: Send + 'static, P: TaskPool<T>>(
     (executed, dead, handle.stats())
 }
 
-impl<Pool> Scheduler<Pool> {
-    /// Runs `roots` to completion and returns aggregated statistics.
-    ///
-    /// The roots are submitted into fresh ingress lanes through one
-    /// producer handle, which is dropped before any worker starts; then
-    /// [`Scheduler::run_stream`] runs over those lanes. With no producer
-    /// left, the run ends when every task transitively spawned has
-    /// finished.
-    pub fn run<T, E>(&self, executor: &E, roots: Vec<(u64, usize, T)>) -> RunStats
-    where
-        T: Send + 'static,
-        E: TaskExecutor<T>,
-        Pool: TaskPool<T>,
-    {
-        let lanes = IngressLanes::new(self.pool.num_places());
-        let mut seed = lanes.handle();
-        for (prio, k, task) in roots {
-            let accepted = seed.submit(prio, k, task).is_ok();
-            assert!(accepted, "fresh unbounded lanes accept every root");
-        }
-        drop(seed);
-        self.run_stream(executor, &lanes)
+/// Runs every task submitted through `ingress` handles — before or while
+/// the places run — on `pool`, one scoped worker thread per place: each
+/// place drains its lane at its pop boundary and schedules what it finds
+/// like any spawned task (same dead-task elimination, same element-wise
+/// `k`/ρ accounting). The body of [`crate::run_on_kind`] and
+/// [`crate::run_stream_on_kind`], which pass the concrete pool they built.
+///
+/// Returns at **quiescence**: the outstanding-task counter is zero, every
+/// lane is empty, and every [`crate::IngestHandle`] has been dropped. Under
+/// [`FaultPolicy::AbortRun`] the first task panic is resumed on the caller
+/// once every worker has stopped.
+///
+/// # Panics
+/// Panics if `ingress` does not have one lane per place of `pool`.
+pub(crate) fn run_scoped<T, E, P>(
+    pool: &Arc<P>,
+    fault_policy: FaultPolicy,
+    executor: &E,
+    ingress: &IngressLanes<T>,
+) -> RunStats
+where
+    T: Send + 'static,
+    E: TaskExecutor<T>,
+    P: TaskPool<T>,
+{
+    let nplaces = pool.num_places();
+    assert_eq!(
+        ingress.num_lanes(),
+        nplaces,
+        "ingress lanes must match the pool's place count"
+    );
+    let shared = &**ingress.shared();
+    let faults = FaultCell::new(fault_policy);
+    let start = Instant::now();
+    let per_place = thread::scope(|s| {
+        let faults = &faults;
+        let joins: Vec<_> = (0..nplaces)
+            .map(|place| s.spawn(move || worker(pool, executor, shared, faults, place)))
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| j.join().expect("worker thread itself panicked"))
+            .collect()
+    });
+    // AbortRun re-raises the panic on the caller. Isolate returns normally
+    // with the failures on the stats.
+    if let Some(payload) = faults.take_payload() {
+        std::panic::resume_unwind(payload);
     }
-
-    /// Runs every task submitted through `ingress` handles — before or
-    /// while the pool is running — to completion: each place drains its
-    /// lane at its pop boundary and schedules what it finds like any
-    /// spawned task (same dead-task elimination, same element-wise `k`/ρ
-    /// accounting).
-    ///
-    /// Returns at **quiescence**: the outstanding-task counter is zero,
-    /// every lane is empty, and every [`crate::IngestHandle`] has been
-    /// dropped. Mint the producer handles *before* calling this — a run
-    /// that observes zero producers and no queued tasks terminates.
-    ///
-    /// # Panics
-    /// Panics if `ingress` was not created with one lane per place of this
-    /// scheduler's pool.
-    pub fn run_stream<T, E>(&self, executor: &E, ingress: &IngressLanes<T>) -> RunStats
-    where
-        T: Send + 'static,
-        E: TaskExecutor<T>,
-        Pool: TaskPool<T>,
-    {
-        let nplaces = self.pool.num_places();
-        assert_eq!(
-            ingress.num_lanes(),
-            nplaces,
-            "ingress lanes must match the pool's place count"
-        );
-        let shared = &**ingress.shared();
-        let faults = FaultCell::new(self.fault_policy);
-        let start = Instant::now();
-        let per_place = thread::scope(|s| {
-            let (pool, faults) = (&self.pool, &faults);
-            let joins: Vec<_> = (0..nplaces)
-                .map(|place| s.spawn(move || worker(pool, executor, shared, faults, place)))
-                .collect();
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("worker thread itself panicked"))
-                .collect()
-        });
-        // AbortRun keeps the historical contract: the run re-raises the
-        // panic on the caller. Isolate returns normally with the failures
-        // on the stats.
-        if let Some(payload) = faults.take_payload() {
-            std::panic::resume_unwind(payload);
-        }
-        // Every place settled on its way out, so the count is exact here —
-        // unless an earlier run over these lanes aborted with tasks left.
-        assert!(shared.aborted() || shared.pending().load(Ordering::Acquire) == 0);
-        RunStats::collect(per_place, &faults, start.elapsed())
-    }
+    // Every place settled on its way out, so the count is exact here —
+    // unless an earlier run over these lanes aborted with tasks left.
+    assert!(shared.aborted() || shared.pending().load(Ordering::Acquire) == 0);
+    RunStats::collect(per_place, &faults, start.elapsed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::HybridKPriority;
+    use crate::facade::{run_on_kind, run_stream_on_kind};
     use crate::pool::{PoolKind, PoolParams};
-    use crate::workstealing::PriorityWorkStealing;
     use std::sync::atomic::AtomicU64 as Counter;
 
     /// Counts executions; spawns `fanout` children per task until `depth`.
@@ -788,8 +730,8 @@ mod tests {
                 fanout: 3,
                 depth: 7,
             };
-            let pool = Arc::new(kind.build(places, PoolParams::default()));
-            let stats = Scheduler::from_pool_arc(pool).run(&exec, vec![(0, 64, (0u64, 0u64))]);
+            let roots = vec![(0, 64, (0u64, 0u64))];
+            let stats = run_on_kind(kind, places, PoolParams::default(), &exec, roots);
             assert_eq!(stats.executed, expect, "{kind} places={places}");
             assert_eq!(exec.executed.load(Ordering::Relaxed), expect);
             assert_eq!(stats.dead, 0);
@@ -831,10 +773,14 @@ mod tests {
 
     #[test]
     fn dead_tasks_are_eliminated() {
-        let pool = Arc::new(PriorityWorkStealing::new(2));
-        let sched = Scheduler::from_pool_arc(pool);
         let roots = (0..50u64).map(|i| (i, 0usize, i)).collect();
-        let stats = sched.run(&AllDead, roots);
+        let stats = run_on_kind(
+            PoolKind::WorkStealing,
+            2,
+            PoolParams::default(),
+            &AllDead,
+            roots,
+        );
         assert_eq!(stats.executed, 0);
         assert_eq!(stats.dead, 50);
     }
@@ -864,9 +810,8 @@ mod tests {
             let rec = OrderRecorder {
                 order: parking_lot::Mutex::new(Vec::new()),
             };
-            let pool = Arc::new(kind.build(1, PoolParams::with_k(16)));
             let roots = prios.iter().map(|&p| (p, 16, p)).collect();
-            let stats = Scheduler::from_pool_arc(pool).run(&rec, roots);
+            let stats = run_on_kind(kind, 1, PoolParams::with_k(16), &rec, roots);
             assert_eq!(*rec.order.lock(), sorted, "{kind}");
             assert_eq!(stats.executed, prios.len() as u64);
         }
@@ -885,11 +830,16 @@ mod tests {
 
     #[test]
     fn task_panic_propagates_without_deadlock() {
-        let sched = Scheduler::from_pool(PriorityWorkStealing::new(2));
         let roots: Vec<(u64, usize, u64)> = (0..50u64).map(|i| (i, 0usize, i)).collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sched.run(&PanicOn13, roots)
-        }));
+        let result = std::panic::catch_unwind(|| {
+            run_on_kind(
+                PoolKind::WorkStealing,
+                2,
+                PoolParams::default(),
+                &PanicOn13,
+                roots,
+            )
+        });
         let err = result.expect_err("panic must propagate");
         let msg = err
             .downcast_ref::<&str>()
@@ -903,10 +853,9 @@ mod tests {
     /// every other task, and the scheduler reports place + priority.
     #[test]
     fn isolate_quarantines_panicking_task_and_finishes() {
-        let sched = Scheduler::from_pool(PriorityWorkStealing::new(2))
-            .with_fault_policy(FaultPolicy::Isolate);
+        let params = PoolParams::default().with_fault_policy(FaultPolicy::Isolate);
         let roots: Vec<(u64, usize, u64)> = (0..50u64).map(|i| (i, 0usize, i)).collect();
-        let stats = sched.run(&PanicOn13, roots);
+        let stats = run_on_kind(PoolKind::WorkStealing, 2, params, &PanicOn13, roots);
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.executed, 49, "every non-bomb task still runs");
         assert_eq!(stats.failures.len(), 1);
@@ -929,7 +878,6 @@ mod tests {
                 fanout: 2,
                 depth: 3,
             };
-            let sched = Scheduler::from_pool(HybridKPriority::new(places));
             let ingress = IngressLanes::new(places);
             ingress.handle().submit(0, 16, (0u64, 0u64)).unwrap();
             let producers = 3usize;
@@ -949,7 +897,13 @@ mod tests {
                         h.submit_batch(16, &mut batch).unwrap();
                     });
                 }
-                sched.run_stream(&exec, &ingress)
+                run_stream_on_kind(
+                    PoolKind::Hybrid,
+                    places,
+                    PoolParams::default(),
+                    &exec,
+                    &ingress,
+                )
             });
             let expect = tree_total(2, 3) + producers as u64 * per;
             assert_eq!(stats.executed, expect, "places={places}");
@@ -961,14 +915,17 @@ mod tests {
     /// immediately.
     #[test]
     fn run_stream_without_producers_terminates() {
-        let sched = Scheduler::from_pool(PriorityWorkStealing::new(2));
         let ingress = IngressLanes::new(2);
-        let stats = sched.run_stream(
-            &TreeSpawner {
-                executed: Counter::new(0),
-                fanout: 1,
-                depth: 0,
-            },
+        let exec = TreeSpawner {
+            executed: Counter::new(0),
+            fanout: 1,
+            depth: 0,
+        };
+        let stats = run_stream_on_kind(
+            PoolKind::WorkStealing,
+            2,
+            PoolParams::default(),
+            &exec,
             &ingress,
         );
         assert_eq!(stats.executed, 0);
@@ -977,27 +934,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match the pool's place count")]
     fn run_stream_rejects_mismatched_lane_count() {
-        let sched = Scheduler::from_pool(PriorityWorkStealing::new(2));
         let ingress: IngressLanes<(u64, u64)> = IngressLanes::new(3);
         let exec = TreeSpawner {
             executed: Counter::new(0),
             fanout: 1,
             depth: 0,
         };
-        let _ = sched.run_stream(&exec, &ingress);
+        let _ = run_stream_on_kind(
+            PoolKind::WorkStealing,
+            2,
+            PoolParams::default(),
+            &exec,
+            &ingress,
+        );
     }
 
     /// Ingested dead tasks are eliminated at pop time like spawned ones.
     #[test]
     fn run_stream_eliminates_dead_ingested_tasks() {
-        let sched = Scheduler::from_pool(HybridKPriority::new(2));
         let ingress = IngressLanes::new(2);
         let mut h = ingress.handle();
         for i in 0..30u64 {
             h.submit(i, 4, i).unwrap();
         }
         drop(h);
-        let stats = sched.run_stream(&AllDead, &ingress);
+        let stats = run_stream_on_kind(
+            PoolKind::Hybrid,
+            2,
+            PoolParams::default(),
+            &AllDead,
+            &ingress,
+        );
         assert_eq!(stats.executed, 0);
         assert_eq!(stats.dead, 30);
     }
@@ -1077,25 +1044,17 @@ mod tests {
         let exec = Nested {
             leaves_done: Counter::new(0),
         };
-        let sched = Scheduler::from_pool(PriorityWorkStealing::new(1));
-        let stats = sched.run(&exec, vec![(0, 4, 0u64)]);
-        // root + waiter + 8 leaves + the late spawn; `run` itself asserts
-        // that the shared count ended at zero.
+        let roots = vec![(0, 4, 0u64)];
+        let stats = run_on_kind(
+            PoolKind::WorkStealing,
+            1,
+            PoolParams::default(),
+            &exec,
+            roots,
+        );
+        // root + waiter + 8 leaves + the late spawn; `run_scoped` itself
+        // asserts that the shared count ended at zero.
         assert_eq!(stats.executed, 11);
-    }
-
-    #[test]
-    fn scheduler_is_reusable_across_runs() {
-        let sched = Scheduler::from_pool_arc(Arc::new(HybridKPriority::new(2)));
-        let exec = TreeSpawner {
-            executed: Counter::new(0),
-            fanout: 2,
-            depth: 5,
-        };
-        let a = sched.run(&exec, vec![(0, 8, (0u64, 0u64))]);
-        let b = sched.run(&exec, vec![(0, 8, (0u64, 0u64))]);
-        assert_eq!(a.executed, b.executed);
-        assert_eq!(exec.executed.load(Ordering::Relaxed), 2 * tree_total(2, 5));
     }
 }
 
@@ -1158,7 +1117,19 @@ mod display_tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
-    use crate::workstealing::PriorityWorkStealing;
+    use crate::facade::run_on_kind;
+    use crate::pool::{PoolKind, PoolParams};
+
+    /// A closed-world run of `roots` on work-stealing at `places`.
+    fn run_nop(places: usize, roots: Vec<(u64, usize, u64)>) -> RunStats {
+        run_on_kind(
+            PoolKind::WorkStealing,
+            places,
+            PoolParams::default(),
+            &Nop,
+            roots,
+        )
+    }
 
     struct Nop;
     impl TaskExecutor<u64> for Nop {
@@ -1167,8 +1138,7 @@ mod edge_tests {
 
     #[test]
     fn empty_roots_terminate_immediately() {
-        let sched = Scheduler::from_pool(PriorityWorkStealing::new(3));
-        let stats = sched.run(&Nop, Vec::<(u64, usize, u64)>::new());
+        let stats = run_nop(3, Vec::new());
         assert_eq!(stats.executed, 0);
         assert_eq!(stats.dead, 0);
         assert_eq!(stats.per_place_executed, vec![0, 0, 0]);
@@ -1176,8 +1146,7 @@ mod edge_tests {
 
     #[test]
     fn single_task_single_place() {
-        let sched = Scheduler::from_pool(PriorityWorkStealing::new(1));
-        let stats = sched.run(&Nop, vec![(5, 0, 42u64)]);
+        let stats = run_nop(1, vec![(5, 0, 42u64)]);
         assert_eq!(stats.executed, 1);
         assert_eq!(stats.pool.pushes, 1);
         assert_eq!(stats.pool.pops, 1);
@@ -1185,9 +1154,7 @@ mod edge_tests {
 
     #[test]
     fn many_roots_spread_over_places() {
-        let sched = Scheduler::from_pool(PriorityWorkStealing::new(4));
-        let roots: Vec<(u64, usize, u64)> = (0..200u64).map(|i| (i, 0usize, i)).collect();
-        let stats = sched.run(&Nop, roots);
+        let stats = run_nop(4, (0..200u64).map(|i| (i, 0usize, i)).collect());
         assert_eq!(stats.executed, 200);
         // The roots are submitted round-robin over the four lanes, so each
         // place drains 50 of them into its own queue; who runs which after

@@ -1,11 +1,13 @@
 //! A long-lived pool service: workers that outlive any single drain.
 //!
-//! [`crate::Scheduler::run`] and [`crate::Scheduler::run_stream`] have a
-//! closed lifecycle — they return at quiescence and the worker threads die
-//! with them. A service frontend (a network ingress, say) wants the
-//! opposite shape: start the workers once, then [`PoolService::submit`]
-//! and [`PoolService::join`] repeatedly, paying thread startup never and
-//! pool construction once.
+//! [`crate::run_on_kind`] and [`crate::run_stream_on_kind`] return at
+//! quiescence; their worker threads and their pool die with them. A
+//! service frontend (a network ingress, say) wants the other shape: start
+//! the workers once, then [`PoolService::submit`] and
+//! [`PoolService::join`] repeatedly, paying thread startup and pool
+//! construction once. The lifecycle of the pool is the same: built from a
+//! [`crate::PoolKind`] by [`crate::PoolBuilder::service`], the one way to
+//! start a service, and dropped when the service's workers exit.
 //!
 //! The service runs the same worker body over the same lanes as those
 //! runs; what differs is that the service *is* a producer: it holds one
@@ -18,8 +20,8 @@
 //! on, becomes the orderly shutdown protocol. The outstanding count and
 //! the abort gate live in the lanes, as they do for a run.
 //!
-//! With a lane capacity ([`PoolService::start_with_policy`], or
-//! [`crate::PoolBuilder::lane_capacity`]) the ingress lanes are bounded:
+//! With a lane capacity ([`crate::PoolBuilder::lane_capacity`]) the
+//! ingress lanes are bounded:
 //! [`PoolService::try_submit`] sheds with a typed [`SubmitError`] when
 //! every lane is full, while the blocking [`PoolService::submit`] parks
 //! the producer until a drain frees room. Either way, **after an abort**
@@ -27,8 +29,8 @@
 //! returned `Err(PoolAborted)` — or the service was dropped without
 //! shutdown) all submission paths fail with [`SubmitError::Aborted`] and
 //! hand the task back, instead of silently accepting work that would be
-//! discarded at shutdown. Start with [`PoolService::start_with_policy`]
-//! and `FaultPolicy::Isolate` to quarantine panicking tasks instead of
+//! discarded at shutdown. Start with [`crate::PoolBuilder::fault_policy`]
+//! set to `FaultPolicy::Isolate` to quarantine panicking tasks instead of
 //! aborting — see the "Failure handling" section of the crate docs.
 //!
 //! The service adds no wait of its own. Its submit methods are its own
@@ -69,9 +71,8 @@ impl std::error::Error for ShutdownError {}
 
 /// A running pool with its worker threads, accepting external submissions.
 ///
-/// Built from any [`TaskPool`] + executor pair via [`PoolService::start`],
-/// or from a runtime-selected structure via
-/// [`crate::PoolBuilder::service`]. See the module docs for the lifecycle.
+/// Started by [`crate::PoolBuilder::service`] over a fresh pool of the
+/// builder's kind. See the module docs for the lifecycle.
 pub struct PoolService<T: Send + 'static> {
     lanes: IngressLanes<T>,
     /// The service's own producer slot; taken (dropped) at shutdown.
@@ -83,32 +84,23 @@ pub struct PoolService<T: Send + 'static> {
 
 impl<T: Send + 'static> PoolService<T> {
     /// Starts one worker thread per place of `pool`, all running the
-    /// §2 loop against `executor`.
+    /// §2 loop against `executor`, behind ingress lanes of capacity
+    /// `lane_capacity` per lane (`None` = unbounded), with `fault_policy`
+    /// deciding what a task panic does (see [`FaultPolicy`]). Once a
+    /// bounded lane is full, submissions shed ([`PoolService::try_submit`])
+    /// or block ([`PoolService::submit`]) — real backpressure against
+    /// producers that outpace the workers. Under `Isolate` a panicking task
+    /// is quarantined into a [`FailureReport`]
+    /// ([`PoolService::failed`]/[`PoolService::shutdown`] stats) and the
+    /// service keeps serving.
     ///
     /// The workers keep running — through any number of drains — until
     /// [`PoolService::shutdown`] (or drop) releases the service's producer
     /// handle and every external [`IngestHandle`] is gone.
-    pub fn start<P, E>(pool: Arc<P>, executor: Arc<E>) -> Self
-    where
-        P: TaskPool<T>,
-        E: TaskExecutor<T> + Send + Sync + 'static,
-    {
-        Self::start_with_policy(pool, executor, None, FaultPolicy::AbortRun)
-    }
-
-    /// Like [`PoolService::start`], with a per-lane ingress capacity
-    /// (`None` = unbounded) and a choice of what the workers do when a
-    /// task panics (see [`FaultPolicy`]). Once a bounded lane is full,
-    /// submissions shed ([`PoolService::try_submit`]) or block
-    /// ([`PoolService::submit`]) — real backpressure against producers
-    /// that outpace the workers. Under `Isolate` a panicking task is
-    /// quarantined into a [`FailureReport`]
-    /// ([`PoolService::failed`]/[`PoolService::shutdown`] stats) and the
-    /// service keeps serving.
     ///
     /// # Panics
     /// Panics if `lane_capacity` is `Some(0)`.
-    pub fn start_with_policy<P, E>(
+    pub(crate) fn start_with_policy<P, E>(
         pool: Arc<P>,
         executor: Arc<E>,
         lane_capacity: Option<usize>,
@@ -319,12 +311,11 @@ impl<T: Send + 'static> Drop for PoolService<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::HybridKPriority;
-    use crate::pool::PoolHandle;
+    use crate::facade::PoolBuilder;
+    use crate::pool::{PoolHandle, PoolKind};
     use crate::scheduler::SpawnCtx;
     use crate::stats::PlaceStats;
     use crate::sync::atomic::{AtomicU64, Ordering};
-    use crate::workstealing::PriorityWorkStealing;
 
     /// Counts executions; spawns a countdown chain below each submitted
     /// value, so submissions transitively create in-pool work.
@@ -341,8 +332,9 @@ mod tests {
     #[test]
     fn submit_join_rounds_then_shutdown() {
         let exec = Arc::new(CountDown(AtomicU64::new(0)));
-        let pool = Arc::new(HybridKPriority::new(2));
-        let mut svc = PoolService::start(pool, Arc::clone(&exec));
+        let mut svc = PoolBuilder::new(PoolKind::Hybrid)
+            .places(2)
+            .service(Arc::clone(&exec));
         assert_eq!(svc.places(), 2);
 
         svc.submit(5, 8, 5u64).unwrap(); // 5,4,3,2,1,0 → 6 executions
@@ -365,10 +357,9 @@ mod tests {
     #[test]
     fn external_producers_feed_through_ingest_handles() {
         let exec = Arc::new(CountDown(AtomicU64::new(0)));
-        let svc = {
-            let pool = Arc::new(PriorityWorkStealing::new(4));
-            PoolService::start(pool, Arc::clone(&exec))
-        };
+        let svc = PoolBuilder::new(PoolKind::WorkStealing)
+            .places(4)
+            .service(Arc::clone(&exec));
         let producers = 4u64;
         let per = 100u64;
         std::thread::scope(|s| {
@@ -406,8 +397,9 @@ mod tests {
 
     #[test]
     fn task_panic_surfaces_as_typed_results() {
-        let pool = Arc::new(PriorityWorkStealing::new(2));
-        let mut svc = PoolService::start(pool, Arc::new(PanicOn13));
+        let mut svc = PoolBuilder::new(PoolKind::WorkStealing)
+            .places(2)
+            .service(Arc::new(PanicOn13));
         svc.submit(13, 0, 13u64).unwrap();
         let aborted = svc.join().expect_err("join must report the abort");
         assert_eq!(aborted.failure.prio, 13);
@@ -436,13 +428,11 @@ mod tests {
                 self.0.execute(t, ctx);
             }
         }
-        let pool = Arc::new(PriorityWorkStealing::new(2));
-        let mut svc = PoolService::start_with_policy(
-            pool,
-            Arc::new(Mixed(Arc::clone(&exec))),
-            Some(8),
-            FaultPolicy::Isolate,
-        );
+        let mut svc = PoolBuilder::new(PoolKind::WorkStealing)
+            .places(2)
+            .lane_capacity(8)
+            .fault_policy(FaultPolicy::Isolate)
+            .service(Arc::new(Mixed(Arc::clone(&exec))));
         svc.submit(13, 0, 13u64).unwrap();
         svc.submit(3, 8, 3u64).unwrap();
         svc.join().expect("isolated failures do not abort");
@@ -459,9 +449,9 @@ mod tests {
 
     #[test]
     fn idle_service_shuts_down_cleanly() {
-        let pool = Arc::new(HybridKPriority::new(3));
-        let svc: PoolService<u64> =
-            PoolService::start(pool, Arc::new(CountDown(AtomicU64::new(0))));
+        let svc: PoolService<u64> = PoolBuilder::new(PoolKind::Hybrid)
+            .places(3)
+            .service(Arc::new(CountDown(AtomicU64::new(0))));
         svc.join().expect("an idle service is trivially drained");
         let stats = svc.shutdown().expect("clean shutdown");
         assert_eq!(stats.executed, 0);
@@ -471,8 +461,7 @@ mod tests {
     #[test]
     fn dropping_service_with_live_external_handle_does_not_hang() {
         let exec = Arc::new(CountDown(AtomicU64::new(0)));
-        let pool = Arc::new(HybridKPriority::new(2));
-        let svc: PoolService<u64> = PoolService::start(pool, exec);
+        let svc: PoolService<u64> = PoolBuilder::new(PoolKind::Hybrid).places(2).service(exec);
         let external = svc.ingest_handle();
         // Implicit drop must abort and join even though `external` still
         // holds a producer slot (quiescence would wait on it forever).
@@ -506,7 +495,8 @@ mod tests {
     #[test]
     fn dropping_service_with_a_dead_worker_does_not_panic() {
         let exec = Arc::new(CountDown(AtomicU64::new(0)));
-        let svc: PoolService<u64> = PoolService::start(Arc::new(BrokenPool), exec);
+        let svc: PoolService<u64> =
+            PoolService::start_with_policy(Arc::new(BrokenPool), exec, None, FaultPolicy::AbortRun);
         // Gate on state: the worker must be dead, not merely about to see
         // the abort gate that `Drop` raises.
         while !svc.workers[0].is_finished() {
@@ -522,8 +512,9 @@ mod tests {
     fn dropping_service_joins_workers() {
         let exec = Arc::new(CountDown(AtomicU64::new(0)));
         {
-            let pool = Arc::new(HybridKPriority::new(2));
-            let mut svc = PoolService::start(pool, Arc::clone(&exec));
+            let mut svc = PoolBuilder::new(PoolKind::Hybrid)
+                .places(2)
+                .service(Arc::clone(&exec));
             svc.submit(3, 8, 3u64).unwrap();
             svc.join().unwrap();
             // No shutdown: Drop must still release the producer slot and

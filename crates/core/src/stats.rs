@@ -24,7 +24,7 @@ const PLACE_COUNTER_STRIPES: usize = 16;
 /// itself. [`PlaceCounter::sum`] is a racy snapshot while places run and
 /// exact once the run has joined — every place settles its completion
 /// credits with an `AcqRel` RMW after its last task, and `join` /
-/// `Scheduler::run` return only after an `Acquire` load has seen the
+/// `run_on_kind` return only after an `Acquire` load has seen the
 /// last of them.
 #[derive(Debug)]
 pub struct PlaceCounter {

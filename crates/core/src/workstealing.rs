@@ -197,20 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn local_pop_is_priority_ordered() {
-        let p = pool(1);
-        let mut h = p.handle(0);
-        for &x in &[3u64, 1, 4, 1, 5] {
-            h.push(x, 0, x * 10);
-        }
-        let mut out = Vec::new();
-        while let Some(t) = h.pop() {
-            out.push(t);
-        }
-        assert_eq!(out, vec![10, 10, 30, 40, 50]);
-    }
-
-    #[test]
     fn fifo_tiebreak_on_equal_priority() {
         let p = pool(1);
         let mut h = p.handle(0);
@@ -242,78 +228,5 @@ mod tests {
         }
         assert_eq!(h1.stats().steals, 1);
         assert_eq!(p.queued(), 50);
-    }
-
-    #[test]
-    fn exactly_once_across_places() {
-        let p = pool(3);
-        let mut handles: Vec<_> = (0..3).map(|i| p.handle(i)).collect();
-        for i in 0..60u64 {
-            handles[(i % 3) as usize].push(i, 0, i);
-        }
-        let mut got = Vec::new();
-        loop {
-            let mut any = false;
-            for h in handles.iter_mut() {
-                if let Some(t) = h.pop() {
-                    got.push(t);
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        got.sort();
-        assert_eq!(got, (0..60).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_pop_fails() {
-        let p = pool(2);
-        let mut h = p.handle(0);
-        assert_eq!(h.pop(), None);
-        assert_eq!(h.stats().failed_pops, 1);
-    }
-
-    #[test]
-    fn concurrent_stress_exactly_once() {
-        let threads = 4usize;
-        let per = 5_000u64;
-        let p = pool(threads);
-        let taken: Arc<Vec<std::sync::atomic::AtomicU32>> =
-            Arc::new((0..threads as u64 * per).map(|_| 0.into()).collect());
-        let popped = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let p = Arc::clone(&p);
-                let taken = Arc::clone(&taken);
-                let popped = Arc::clone(&popped);
-                s.spawn(move || {
-                    let mut h = p.handle(t);
-                    let mut rng = XorShift64::new(t as u64);
-                    let mut pushed = 0u64;
-                    loop {
-                        if pushed < per && rng.below(2) == 0 {
-                            h.push(rng.below(1000), 0, t as u64 * per + pushed);
-                            pushed += 1;
-                        } else if let Some(got) = h.pop() {
-                            use std::sync::atomic::Ordering;
-                            let prev = taken[got as usize].fetch_add(1, Ordering::Relaxed);
-                            assert_eq!(prev, 0);
-                            popped.fetch_add(1, Ordering::Relaxed);
-                        } else if pushed == per {
-                            use std::sync::atomic::Ordering;
-                            if popped.load(Ordering::Relaxed) == threads as u64 * per {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        use std::sync::atomic::Ordering;
-        assert_eq!(popped.load(Ordering::Relaxed), threads as u64 * per);
     }
 }

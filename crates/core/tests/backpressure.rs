@@ -17,8 +17,8 @@
 //!    `SubmitError::Aborted` instead of silently vanishing.
 
 use priosched_core::{
-    run_on_kind, run_stream_on_kind, FaultPolicy, HybridKPriority, IngressLanes, PoolBuilder,
-    PoolKind, PoolParams, PoolService, PriorityWorkStealing, SpawnCtx, SubmitError, TaskExecutor,
+    run_on_kind, run_stream_on_kind, IngressLanes, PoolBuilder, PoolKind, PoolParams, PoolService,
+    SpawnCtx, SubmitError, TaskExecutor,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,8 +208,9 @@ fn quiescent_service_parks_making_no_idle_iterations() {
         }
     }
     let exec = Arc::new(CountDown(AtomicU64::new(0)));
-    let pool = Arc::new(HybridKPriority::new(3));
-    let mut svc = PoolService::start(pool, Arc::clone(&exec));
+    let mut svc = PoolBuilder::new(PoolKind::Hybrid)
+        .places(3)
+        .service(Arc::clone(&exec));
     svc.submit(5, 8, 5u64).unwrap();
     svc.join().unwrap();
     assert_eq!(exec.0.load(Ordering::Relaxed), 6);
@@ -338,8 +339,9 @@ impl TaskExecutor<u64> for PanicOn13 {
 /// submission path fails with `Aborted`, handing the task back.
 #[test]
 fn post_abort_submissions_surface_aborted_with_task_handed_back() {
-    let pool = Arc::new(PriorityWorkStealing::new(2));
-    let mut svc = PoolService::start(pool, Arc::new(PanicOn13));
+    let mut svc = PoolBuilder::new(PoolKind::WorkStealing)
+        .places(2)
+        .service(Arc::new(PanicOn13));
     svc.submit(13, 0, 13u64).unwrap();
     let aborted = svc.join().expect_err("join must report the abort");
     assert!(
@@ -380,12 +382,9 @@ fn dropped_service_releases_blocked_producers() {
             std::thread::sleep(Duration::from_millis(20));
         }
     }
-    let svc: PoolService<u64> = PoolService::start_with_policy(
-        Arc::new(HybridKPriority::new(1)),
-        Arc::new(Stall),
-        Some(1),
-        FaultPolicy::AbortRun,
-    );
+    let svc: PoolService<u64> = PoolBuilder::new(PoolKind::Hybrid)
+        .lane_capacity(1)
+        .service(Arc::new(Stall));
     let mut h = svc.ingest_handle();
     let producer = std::thread::spawn(move || {
         let mut blocked_outcomes = 0u32;

@@ -7,8 +7,8 @@
 //! published, recycled, or consumed concurrently.
 
 use priosched_core::{
-    CentralizedKPriority, HybridKPriority, IngressLanes, PoolHandle, PoolKind, PoolParams,
-    Scheduler, SpawnCtx, TaskExecutor, TaskPool,
+    run_stream_on_kind, CentralizedKPriority, HybridKPriority, IngressLanes, PoolHandle, PoolKind,
+    PoolParams, SpawnCtx, TaskExecutor, TaskPool,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -200,16 +200,21 @@ fn aborted_stream_run_drops_lane_and_pool_tasks_once() {
     }
     drop(h);
 
-    let sched = Scheduler::from_pool(HybridKPriority::new(2));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        sched.run_stream(&PanicOnFirst, &lanes)
+        run_stream_on_kind(
+            PoolKind::Hybrid,
+            2,
+            PoolParams::default(),
+            &PanicOnFirst,
+            &lanes,
+        )
     }));
     assert!(result.is_err(), "the task panic must propagate");
-    // The one popped task was dropped by the panic unwind; the rest sit in
-    // the pool (drained lanes) or still in lanes (abort races the drain).
-    let sched_drops = drops.load(Ordering::Relaxed);
-    assert!(sched_drops >= 1, "the panicked task's payload must be gone");
-    drop(sched);
+    // The one popped task was dropped by the panic unwind, and what the
+    // places drained from their lanes with the run's pool; the rest still
+    // sit in the lanes (abort races the drain).
+    let run_drops = drops.load(Ordering::Relaxed);
+    assert!(run_drops >= 1, "the panicked task's payload must be gone");
     drop(lanes);
     assert_eq!(
         drops.load(Ordering::Relaxed),

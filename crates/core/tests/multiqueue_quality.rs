@@ -22,7 +22,7 @@
 mod common;
 
 use common::{concurrent_exactly_once, Shadow};
-use priosched_core::{PoolBuilder, PoolHandle, PoolKind, RelaxedMultiQueue, TaskPool};
+use priosched_core::{run_on_kind, PoolHandle, PoolKind, PoolParams, RelaxedMultiQueue, TaskPool};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -124,9 +124,7 @@ fn sleepers_spawned_at_one_place_spread_over_all() {
         }
     }
     for kind in [PoolKind::MultiQueue, PoolKind::Structural] {
-        let stats = PoolBuilder::new(kind)
-            .places(4)
-            .run(&Sleep, vec![(0, 512, ROOT)]);
+        let stats = run_on_kind(kind, 4, PoolParams::default(), &Sleep, vec![(0, 512, ROOT)]);
         assert_eq!(stats.executed, 9);
         let per_place = &stats.per_place_executed;
         let busy = per_place.iter().filter(|&&e| e > 0).count();
@@ -161,9 +159,8 @@ fn a_task_waiting_on_its_buffered_child_is_served_by_another_place() {
         }
     }
     for kind in [PoolKind::MultiQueue, PoolKind::Structural] {
-        let stats = PoolBuilder::new(kind)
-            .places(2)
-            .run(&Wait(AtomicBool::new(false)), vec![(1, 512, 1u64)]);
+        let exec = Wait(AtomicBool::new(false));
+        let stats = run_on_kind(kind, 2, PoolParams::default(), &exec, vec![(1, 512, 1u64)]);
         assert_eq!(stats.executed, 2, "{kind}");
         assert_eq!(stats.per_place_executed, vec![1, 1], "{kind}");
     }

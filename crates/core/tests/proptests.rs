@@ -85,7 +85,7 @@ proptest! {
     /// The ledger end to end: whatever mix of credit-paid and
     /// counter-paid spawns, dead tasks and lane drains a forest produces,
     /// `executed + dead` is the forest and the shared count ends at zero —
-    /// `Scheduler::run` asserts that on return, and `PoolService::join`
+    /// `run_on_kind` asserts that on return, and `PoolService::join`
     /// returning is that reading (with empty lanes).
     #[test]
     fn forests_drain_exactly_and_settle_to_zero(

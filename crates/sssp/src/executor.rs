@@ -182,8 +182,7 @@ impl<'g> TaskExecutor<SsspTask> for SsspExecutor<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use priosched_core::{PriorityWorkStealing, Scheduler};
-    use std::sync::Arc;
+    use priosched_core::{run_on_kind, PoolKind, PoolParams};
 
     fn diamond() -> CsrGraph {
         // 0 →(1) 1 →(1) 3, and 0 →(3) 2 →(0.5) 3: best 0-3 path costs 2.
@@ -194,8 +193,14 @@ mod tests {
     fn executor_relaxes_diamond() {
         let g = diamond();
         let exec = SsspExecutor::new(&g, 0, 4);
-        let sched = Scheduler::from_pool_arc(Arc::new(PriorityWorkStealing::new(1)));
-        sched.run(&exec, vec![exec.root(0)]);
+        let roots = vec![exec.root(0)];
+        run_on_kind(
+            PoolKind::WorkStealing,
+            1,
+            PoolParams::default(),
+            &exec,
+            roots,
+        );
         let d = exec.distances().snapshot();
         assert_eq!(d, vec![0.0, 1.0, 2.5, 2.0]);
         // Sequential order relaxes each of the 4 nodes exactly once.

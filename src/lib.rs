@@ -33,10 +33,11 @@
 //!
 //! ## Quick start
 //!
-//! Schedule prioritized tasks over the hybrid k-priority structure:
+//! Schedule prioritized tasks over the hybrid k-priority structure, on two
+//! places, with a pool built for the run and dropped when it ends:
 //!
 //! ```
-//! use priosched::core::{HybridKPriority, Scheduler, SpawnCtx, TaskExecutor};
+//! use priosched::core::{run_on_kind, PoolKind, PoolParams, SpawnCtx, TaskExecutor};
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! // Tasks: numbers to "process"; priority: the number itself.
@@ -51,9 +52,9 @@
 //!     }
 //! }
 //!
-//! let scheduler = Scheduler::from_pool(HybridKPriority::new(2));
 //! let sum = Sum(AtomicU64::new(0));
-//! let stats = scheduler.run(&sum, vec![(10, 64, 10u64)]);
+//! let roots = vec![(10, 64, 10u64)];
+//! let stats = run_on_kind(PoolKind::Hybrid, 2, PoolParams::default(), &sum, roots);
 //! assert_eq!(sum.0.load(Ordering::Relaxed), 55); // 10 + 9 + … + 0
 //! assert_eq!(stats.executed, 11);
 //! ```

@@ -1,13 +1,11 @@
 //! Cross-crate integration: scheduler semantics the paper's model requires
-//! (§2) — finish regions, per-task k coexistence, exactly-once execution
-//! over irregular task graphs, and scheduler reuse.
+//! (§2) — finish regions, per-task k coexistence and exactly-once execution
+//! over irregular task graphs. Every run goes through `run_on_kind`, on a
+//! fresh pool that the run drops when it ends.
 
 use priosched::core::task::{FinishRegion, RegionGuard};
-use priosched::core::{
-    run_on_kind, HybridKPriority, PoolKind, PoolParams, Scheduler, SpawnCtx, TaskExecutor,
-};
+use priosched::core::{run_on_kind, PoolKind, PoolParams, SpawnCtx, TaskExecutor};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Finish-region test: a parent spawns children that each carry a
 /// [`RegionGuard`]; the guard completes the region when the child finishes
@@ -28,16 +26,13 @@ impl TaskExecutor<Task> for Exec {
         match task {
             Task::Parent { children } => {
                 let region = FinishRegion::new();
-                for i in 0..children {
-                    ctx.spawn(
-                        100 + i,
-                        8,
-                        Task::Child {
-                            _guard: region.register(),
-                        },
-                    );
+                // Register every child before the first can run: the
+                // region's count is then exact, whatever the places do.
+                let guards: Vec<RegionGuard> = (0..children).map(|_| region.register()).collect();
+                assert_eq!(region.outstanding(), children);
+                for (i, guard) in (0..children).zip(guards) {
+                    ctx.spawn(100 + i, 8, Task::Child { _guard: guard });
                 }
-                assert!(region.is_open());
                 // Cooperative wait: execute other tasks until all children
                 // transitively finished.
                 let r = region.clone();
@@ -65,8 +60,14 @@ fn finish_region_blocks_until_children_complete() {
             children_done: AtomicU64::new(0),
             parent_observed_done: AtomicU64::new(0),
         };
-        let sched = Scheduler::from_pool(HybridKPriority::new(places));
-        let stats = sched.run(&exec, vec![(0, 8, Task::Parent { children: 20 })]);
+        let roots = vec![(0, 8, Task::Parent { children: 20 })];
+        let stats = run_on_kind(
+            PoolKind::Hybrid,
+            places,
+            PoolParams::default(),
+            &exec,
+            roots,
+        );
         assert_eq!(exec.parent_observed_done.load(Ordering::Relaxed), 1);
         assert_eq!(exec.children_done.load(Ordering::Relaxed), 20);
         assert_eq!(stats.executed, 21, "places={places}");
@@ -148,41 +149,4 @@ fn irregular_dag_exactly_once() {
         );
         assert_eq!(stats.executed, expected);
     }
-}
-
-/// One pool, many runs: handles must recreate cleanly (incarnations) and no
-/// tasks may leak between runs.
-#[test]
-fn pool_reuse_across_many_runs() {
-    let pool = Arc::new(HybridKPriority::new(2));
-    let sched = Scheduler::from_pool_arc(pool);
-    for round in 0..5u64 {
-        let exec = MixedK {
-            executed: AtomicU64::new(0),
-        };
-        let stats = sched.run(&exec, vec![(round, 4, (0u64, 4usize))]);
-        assert_eq!(stats.executed, 127, "round {round}");
-    }
-}
-
-/// Segment reclamation composes with scheduler reuse: run, reclaim at the
-/// quiescent point, run again — no tasks lost, memory actually freed.
-#[test]
-fn reclaim_between_scheduler_runs() {
-    let pool = Arc::new(priosched::core::CentralizedKPriority::with_defaults(2));
-    let sched = Scheduler::from_pool_arc(Arc::clone(&pool));
-    let exec = MixedK {
-        executed: AtomicU64::new(0),
-    };
-    // Enough work to span several global-array segments.
-    for _ in 0..3 {
-        let stats = sched.run(&exec, vec![(0, 64, (0u64, 64usize))]);
-        assert_eq!(stats.executed, 127);
-    }
-    let before = pool.segments();
-    let freed = pool.reclaim();
-    assert!(freed > 0 || before == 1, "freed {freed} of {before}");
-    // The pool keeps working after reclamation.
-    let stats = sched.run(&exec, vec![(0, 64, (0u64, 64usize))]);
-    assert_eq!(stats.executed, 127);
 }
