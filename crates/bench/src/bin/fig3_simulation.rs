@@ -9,8 +9,11 @@
 //!
 //! The simulator is single-threaded regardless of host cores (it *models*
 //! P places), so this figure reproduces at paper scale on any machine.
+//! Every simulation's final distances are checked against Dijkstra from
+//! the same source; a mismatch panics.
 
 use priosched_bench::{mean, write_csv, HarnessConfig};
+use priosched_graph::dijkstra;
 use priosched_sim::{simulate_sssp, SimConfig, TheoryBound};
 
 fn main() {
@@ -32,6 +35,7 @@ fn main() {
     let mut count_c: Vec<usize> = Vec::new();
 
     for (gi, g) in graphs.iter().enumerate() {
+        let oracle = dijkstra(g, 0).dist;
         for (ri, &rho) in rhos.iter().enumerate() {
             let res = simulate_sssp(
                 g,
@@ -42,6 +46,12 @@ fn main() {
                     seed: 7 + gi as u64,
                 },
             );
+            if let Some(v) = (0..oracle.len()).find(|&v| res.dist[v] != oracle[v]) {
+                panic!(
+                    "graph {gi} rho {rho}: oracle mismatch at node {v}: simulated {}, Dijkstra {}",
+                    res.dist[v], oracle[v]
+                );
+            }
             for (ph_idx, ph) in res.phases.iter().enumerate() {
                 if settled_acc[ri].len() <= ph_idx {
                     settled_acc[ri].push(0.0);

@@ -89,7 +89,8 @@ pub struct CentralizedKPriority<T: Send + 'static> {
     tail: CachePadded<AtomicU64>,
     array: GlobalArray<T>,
     pool: ItemPool<T>,
-    handle_live: Box<[AtomicBool]>,
+    /// Whether each place's handle was taken; set once, never cleared.
+    taken: Box<[AtomicBool]>,
 }
 
 impl<T: Send + 'static> CentralizedKPriority<T> {
@@ -107,7 +108,7 @@ impl<T: Send + 'static> CentralizedKPriority<T> {
             tail: CachePadded::new(AtomicU64::new(0)),
             array: GlobalArray::new(),
             pool: ItemPool::new(),
-            handle_live: (0..nplaces).map(|_| AtomicBool::new(false)).collect(),
+            taken: (0..nplaces).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -137,19 +138,14 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
     fn handle(self: &Arc<Self>, place: usize) -> CentralizedHandle<T> {
         assert!(place < self.nplaces, "place {place} out of range");
         assert!(
-            !self.handle_live[place].swap(true, Ordering::AcqRel),
-            "place {place} already has a live handle"
+            !self.taken[place].swap(true, Ordering::AcqRel),
+            "place {place}'s handle was already taken"
         );
-        let mut handle = CentralizedHandle {
+        CentralizedHandle {
             place: place as u32,
             // Scan the global array from its first slot: segments live as
             // long as the structure.
             head: 0,
-            // Items below the current tail that carry our place id were
-            // pushed by a dropped handle of this place; ingest them like
-            // foreign items so they are not orphaned. `adopt_window` takes
-            // in those above it.
-            adopt_own_below: self.tail.load(Ordering::Acquire),
             scan_cursor: SegmentCursor::default(),
             push_cursor: SegmentCursor::default(),
             probe_cursor: SegmentCursor::default(),
@@ -160,9 +156,7 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             hint: WalkHint::default(),
             stats: PlaceStats::default(),
             shared: Arc::clone(self),
-        };
-        handle.adopt_window();
-        handle
+        }
     }
 }
 
@@ -174,7 +168,6 @@ pub struct CentralizedHandle<T: Send + 'static> {
     /// ingested into `pq` (Listing 2: "Each place maintains its own head
     /// index into the global array").
     head: u64,
-    adopt_own_below: u64,
     scan_cursor: SegmentCursor<T>,
     push_cursor: SegmentCursor<T>,
     probe_cursor: SegmentCursor<T>,
@@ -234,8 +227,8 @@ impl<T: Send + 'static> CentralizedHandle<T> {
                 assert!(!ptr.is_null(), "slot below tail must be filled");
                 // SAFETY: items are pool-owned and outlive the handle.
                 let item = unsafe { &*ptr };
-                let foreign =
-                    item.place.load(Ordering::Relaxed) != self.place || pos < self.adopt_own_below;
+                // This place's own items went into `pq` when it pushed them.
+                let foreign = item.place.load(Ordering::Relaxed) != self.place;
                 if foreign && item.is_live_at(pos) {
                     self.pq.push(ItemRef {
                         prio: item.prio.load(Ordering::Relaxed),
@@ -247,37 +240,6 @@ impl<T: Send + 'static> CentralizedHandle<T> {
             }
         }
         tail
-    }
-
-    /// Takes in the items a previous handle of this place left in
-    /// `[tail, tail + kmax)`, the furthest a push places one. No scan
-    /// reaches them before the tail passes them, and `ingest` then skips
-    /// them as this handle's own: without this, only a random probe could
-    /// find them, and once below the tail no pop of this place could.
-    fn adopt_window(&mut self) {
-        let end = self.adopt_own_below + self.shared.kmax as u64;
-        let mut pos = self.adopt_own_below;
-        let mut cursor = SegmentCursor::default();
-        while pos < end {
-            let Some(run) = self.shared.array.run(pos, &mut cursor) else {
-                break;
-            };
-            for slot in &run[..run.len().min((end - pos) as usize)] {
-                let ptr = slot.load(Ordering::Acquire);
-                // SAFETY: items are pool-owned and outlive the handle.
-                if let Some(item) = unsafe { ptr.as_ref() } {
-                    if item.place.load(Ordering::Relaxed) == self.place && item.is_live_at(pos) {
-                        let prio = item.prio.load(Ordering::Relaxed);
-                        self.pq.push(ItemRef {
-                            prio,
-                            tag: pos,
-                            ptr,
-                        });
-                    }
-                }
-                pos += 1;
-            }
-        }
     }
 
     /// Random probe into `[tail, tail + kmax)` for the case where the local
@@ -467,10 +429,11 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
 }
 
 impl<T: Send + 'static> Drop for CentralizedHandle<T> {
+    /// The handle's items stay in the global array, where every other
+    /// place's scan or probe reaches them; the place stays taken.
     fn drop(&mut self) {
         // Return stashed free items to the shared pool for other handles.
         self.cache.drain_to(&self.shared.pool);
-        self.shared.handle_live[self.place as usize].store(false, Ordering::Release);
     }
 }
 
@@ -540,36 +503,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already has a live handle")]
+    #[should_panic(expected = "handle was already taken")]
     fn duplicate_handle_panics() {
         let p = pool(2, 8);
-        let _a = p.handle(0);
+        drop(p.handle(0));
         let _b = p.handle(0);
-    }
-
-    #[test]
-    fn handle_can_be_recreated_after_drop_and_adopts_orphans() {
-        let p = pool(1, 2);
-        {
-            let mut h = p.handle(0);
-            for i in 0..6 {
-                h.push(i, 2, i);
-            }
-            // Drop with tasks still inside (refs in the local queue vanish,
-            // the items stay in the global array).
-        }
-        let mut h = p.handle(0);
-        let mut got = Vec::new();
-        for _ in 0..500 {
-            if let Some(t) = h.pop() {
-                got.push(t);
-            }
-            if got.len() == 6 {
-                break;
-            }
-        }
-        got.sort();
-        assert_eq!(got, (0..6).collect::<Vec<_>>(), "orphaned tasks adopted");
     }
 
     /// Sequential ρ-relaxation oracle: whenever a pop by a non-pushing place

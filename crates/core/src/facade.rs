@@ -7,10 +7,12 @@
 //!
 //! * call [`run_on_kind`] / [`run_stream_on_kind`] to schedule an executor
 //!   on a fresh pool that the call drops when the run ends;
-//! * call [`PoolBuilder::service`] for a long-lived [`PoolService`] whose
-//!   pool lives until the service shuts down; or
+//! * call [`PoolBuilder::service`] for a long-lived [`PoolService`] — the
+//!   same run on a thread of its own — whose pool lives until the service
+//!   shuts down; or
 //! * call [`PoolKind::build`] / [`PoolBuilder::build`] when they need to
-//!   drive place handles themselves (lockstep runners, raw-pool probes)
+//!   drive place handles themselves (lockstep runners, raw-pool probes),
+//!   each place's handle taken once per pool (see [`TaskPool::handle`]),
 //!   and receive an [`AnyPool`] — a thin enum over the five kinds
 //!   whose [`PoolHandle`] forwards every operation, `push_batch` included,
 //!   to the wrapped handle. The per-operation cost is one predictable
@@ -20,12 +22,14 @@
 //! [`PoolKind::build`]. The scheduling loop (`place_loop` and its
 //! [`crate::SpawnCtx`]) is not generic: it drives one
 //! `&mut dyn PoolHandle<T>`, so every push and pop is a virtual call
-//! whatever the caller does. What the run helpers choose is the vtable
-//! behind it: they unwrap the built [`AnyPool`] back to its concrete type
-//! (`on_concrete!`) before the workers take their handles, so the vtable
-//! points at the concrete handle's methods and not at [`AnyHandle`]'s
-//! `match`. A [`PoolService`]'s workers take [`AnyHandle`]s, one `match`
-//! behind each virtual call.
+//! whatever the caller does. What the run helpers and
+//! [`PoolBuilder::service`] choose is the vtable behind it: they unwrap the
+//! built [`AnyPool`] back to its concrete type (`on_concrete!`) before the
+//! workers take their handles, so the vtable points at the concrete
+//! handle's methods and not at [`AnyHandle`]'s `match`. Every worker fleet,
+//! a run's or a service's, is spawned by the same function
+//! (`scheduler::run_scoped`); only callers that drive handles themselves
+//! go through [`AnyHandle`].
 //!
 //! Construction semantics are fixed here once, and no caller can set them
 //! otherwise: the centralized structure is built for
@@ -40,7 +44,7 @@ use crate::hybrid::{HybridHandle, HybridKPriority};
 use crate::ingest::IngressLanes;
 use crate::multiqueue::{MultiQueueHandle, RelaxedMultiQueue, DEFAULT_MQ_C};
 use crate::pool::{PoolHandle, PoolKind, PoolParams, TaskPool};
-use crate::scheduler::{run_scoped, RunStats, TaskExecutor};
+use crate::scheduler::{run_scoped, FaultCell, RunStats, TaskExecutor};
 use crate::service::PoolService;
 use crate::stats::PlaceStats;
 use crate::workstealing::{PriorityWorkStealing, WorkStealingHandle};
@@ -49,7 +53,8 @@ use std::sync::Arc;
 /// A [`TaskPool`] of any of the five kinds, selected at runtime.
 ///
 /// Obtained from [`PoolKind::build`], for callers that drive the pool's
-/// handles themselves; the run helpers unwrap it (see the module docs).
+/// handles themselves; the run helpers and [`PoolBuilder::service`] unwrap
+/// it (see the module docs).
 pub enum AnyPool<T: Send + 'static> {
     /// §3.1 work-stealing.
     WorkStealing(Arc<PriorityWorkStealing<T>>),
@@ -221,7 +226,7 @@ where
             assert!(accepted, "fresh unbounded lanes accept every root");
         }
         drop(seed);
-        run_scoped(&pool, params.fault_policy, executor, &lanes)
+        run_resuming(&pool, params.fault_policy, executor, &lanes)
     })
 }
 
@@ -232,7 +237,9 @@ where
 /// Returns at **quiescence**: the outstanding-task counter is zero, every
 /// lane is empty, and every [`crate::IngestHandle`] has been dropped. Mint
 /// the producer handles *before* calling this — a run that observes zero
-/// producers and no queued tasks terminates.
+/// producers and no queued tasks terminates. Under
+/// [`crate::FaultPolicy::AbortRun`] the first task panic is resumed on the
+/// caller once every worker has stopped.
 ///
 /// # Panics
 /// Panics if `ingress` does not have one lane per place.
@@ -247,9 +254,36 @@ where
     T: Send + 'static,
     E: TaskExecutor<T>,
 {
+    assert_eq!(
+        ingress.num_lanes(),
+        places,
+        "ingress lanes must match the pool's place count"
+    );
     on_concrete!(kind.build(places, params), |pool| {
-        run_scoped(&pool, params.fault_policy, executor, ingress)
+        run_resuming(&pool, params.fault_policy, executor, ingress)
     })
+}
+
+/// [`run_scoped`] on the caller's thread, for a caller that waits on the
+/// run: under [`crate::FaultPolicy::AbortRun`] the first task panic is
+/// resumed here, once every worker has stopped.
+fn run_resuming<T, E, P>(
+    pool: &Arc<P>,
+    policy: crate::FaultPolicy,
+    executor: &E,
+    lanes: &IngressLanes<T>,
+) -> RunStats
+where
+    T: Send + 'static,
+    E: TaskExecutor<T>,
+    P: TaskPool<T>,
+{
+    let faults = FaultCell::new(policy);
+    let stats = run_scoped(pool, &faults, executor, lanes.shared(), || ());
+    if let Some(payload) = faults.take_payload() {
+        std::panic::resume_unwind(payload);
+    }
+    stats
 }
 
 /// Fluent front door over [`PoolKind::build`] and
@@ -333,23 +367,23 @@ impl PoolBuilder {
     }
 
     /// Starts a long-lived [`PoolService`] over a freshly built pool of
-    /// this builder's kind: one worker thread per place, accepting
-    /// [`PoolService::submit`] / external [`crate::IngestHandle`]
-    /// submissions until shutdown, with this builder's
-    /// [`PoolBuilder::lane_capacity`] as the backpressure bound and its
-    /// [`PoolBuilder::fault_policy`]. The one way to start a service; the
-    /// pool is dropped when the service's last worker exits.
+    /// this builder's kind: one background thread running the places, one
+    /// worker thread per place, accepting [`PoolService::submit`] /
+    /// external [`crate::IngestHandle`] submissions until shutdown, with
+    /// this builder's [`PoolBuilder::lane_capacity`] as the backpressure
+    /// bound and its [`PoolBuilder::fault_policy`]. The one way to start a
+    /// service; like [`run_on_kind`] it unwraps the built pool, so the
+    /// workers drive the concrete handles, and the pool is dropped when
+    /// the service's thread exits.
     pub fn service<T, E>(&self, executor: Arc<E>) -> PoolService<T>
     where
         T: Send + 'static,
         E: TaskExecutor<T> + Send + Sync + 'static,
     {
-        PoolService::start_with_policy(
-            self.build::<T>(),
-            executor,
-            self.params.lane_capacity,
-            self.params.fault_policy,
-        )
+        let params = self.params;
+        on_concrete!(self.kind.build(self.places, params), |pool| {
+            PoolService::start(pool, executor, params.lane_capacity, params.fault_policy)
+        })
     }
 }
 

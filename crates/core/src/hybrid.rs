@@ -18,12 +18,14 @@
 //! As in §4.2.3, lists are linked lists of arrays (segments), items are
 //! recycled through the shared pool, and taken-ness is a tag CAS rather than
 //! a flag so recycling is ABA-safe; tags are derived from per-place indices,
-//! made globally unique as `local_index · P + place`.
+//! made globally unique as `local_index · P + place` — unique because a
+//! place's handle is taken once per pool, so one counter that only grows
+//! numbers every task of the place.
 
 use crate::item::{Item, ItemCache, ItemPool, ItemRef};
 use crate::pool::{PoolHandle, TaskPool};
 use crate::stats::PlaceStats;
-use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
 use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
@@ -49,10 +51,6 @@ const SENTINEL_OWNER: u32 = u32::MAX;
 /// A segment of a (local or global) task list.
 struct HSeg<T> {
     owner: u32,
-    /// Handle incarnation of the owner at creation time; a re-created handle
-    /// (new incarnation) re-ingests segments of previous incarnations so
-    /// their tasks are never orphaned.
-    incarnation: u64,
     /// Tag of `slots[0]`; slot `i` carries tag `base_tag + i · P`.
     base_tag: u64,
     /// Published length; slots below it are fully initialized. Frozen once
@@ -63,13 +61,12 @@ struct HSeg<T> {
 }
 
 impl<T> HSeg<T> {
-    fn boxed(owner: u32, incarnation: u64, base_tag: u64, slots: usize) -> Box<Self> {
+    fn boxed(owner: u32, base_tag: u64, slots: usize) -> Box<Self> {
         let slots = (0..slots)
             .map(|_| AtomicPtr::new(ptr::null_mut()))
             .collect();
         Box::new(HSeg {
             owner,
-            incarnation,
             base_tag,
             len: AtomicUsize::new(0),
             next: AtomicPtr::new(ptr::null_mut()),
@@ -86,14 +83,6 @@ struct PlaceShared<T> {
     /// Last place this place successfully spied from (§4.2.3: chased by
     /// other spies when this place has no local work).
     last_victim: AtomicUsize,
-    /// Handle incarnation counter.
-    incarnation: AtomicU64,
-    /// Where the place's next handle resumes `next_local_idx`, so tags stay
-    /// unique across incarnations: a stale reference to a recycled item
-    /// must never match the tag it was given anew. A dropped handle stores
-    /// it (Release) before it clears `handle_live`; the next handle loads
-    /// it (Acquire) after it has set that flag.
-    next_local_idx: AtomicU64,
 }
 
 /// The shared component of the hybrid structure. Create, wrap in [`Arc`],
@@ -104,7 +93,9 @@ pub struct HybridKPriority<T: Send + 'static> {
     global_head: AtomicPtr<HSeg<T>>,
     places: Box<[CachePadded<PlaceShared<T>>]>,
     pool: ItemPool<T>,
-    handle_live: Box<[AtomicBool]>,
+    /// Whether each place's handle was taken; set once, never cleared, so
+    /// one handle's `next_local_idx` numbers every tag of its place.
+    taken: Box<[AtomicBool]>,
 }
 
 impl<T: Send + 'static> HybridKPriority<T> {
@@ -114,7 +105,7 @@ impl<T: Send + 'static> HybridKPriority<T> {
     /// Panics if `nplaces == 0`.
     pub fn new(nplaces: usize) -> Self {
         assert!(nplaces > 0, "need at least one place");
-        let sentinel = Box::into_raw(HSeg::boxed(SENTINEL_OWNER, 0, 0, 0));
+        let sentinel = Box::into_raw(HSeg::boxed(SENTINEL_OWNER, 0, 0));
         HybridKPriority {
             nplaces,
             global_head: AtomicPtr::new(sentinel),
@@ -123,13 +114,11 @@ impl<T: Send + 'static> HybridKPriority<T> {
                     CachePadded::new(PlaceShared {
                         local_head: AtomicPtr::new(ptr::null_mut()),
                         last_victim: AtomicUsize::new(NO_VICTIM),
-                        incarnation: AtomicU64::new(0),
-                        next_local_idx: AtomicU64::new(0),
                     })
                 })
                 .collect(),
             pool: ItemPool::new(),
-            handle_live: (0..nplaces).map(|_| AtomicBool::new(false)).collect(),
+            taken: (0..nplaces).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -157,20 +146,15 @@ impl<T: Send + 'static> TaskPool<T> for HybridKPriority<T> {
     fn handle(self: &Arc<Self>, place: usize) -> HybridHandle<T> {
         assert!(place < self.nplaces, "place {place} out of range");
         assert!(
-            !self.handle_live[place].swap(true, Ordering::AcqRel),
-            "place {place} already has a live handle"
+            !self.taken[place].swap(true, Ordering::AcqRel),
+            "place {place}'s handle was already taken"
         );
-        let incarnation = self.places[place]
-            .incarnation
-            .fetch_add(1, Ordering::AcqRel)
-            + 1;
         HybridHandle {
             place: place as u32,
-            incarnation,
             chain_head: ptr::null_mut(),
             chain_tail: ptr::null_mut(),
             tail_fill: 0,
-            next_local_idx: self.places[place].next_local_idx.load(Ordering::Acquire),
+            next_local_idx: 0,
             remaining_k: u64::MAX,
             pq: QuaternaryHeap::with_capacity(256),
             refs: Vec::new(),
@@ -216,7 +200,6 @@ unsafe impl<T: Send> Sync for HybridKPriority<T> {}
 pub struct HybridHandle<T: Send + 'static> {
     shared: Arc<HybridKPriority<T>>,
     place: u32,
-    incarnation: u64,
     /// Current unpublished local list (owned chain of segments).
     chain_head: *mut HSeg<T>,
     chain_tail: *mut HSeg<T>,
@@ -262,7 +245,7 @@ impl<T: Send + 'static> HybridHandle<T> {
         let tail_full =
             unsafe { self.chain_tail.as_ref() }.is_none_or(|t| self.tail_fill == t.slots.len());
         if tail_full {
-            let seg = Box::into_raw(HSeg::boxed(self.place, self.incarnation, tag, room));
+            let seg = Box::into_raw(HSeg::boxed(self.place, tag, room));
             if self.chain_head.is_null() {
                 self.chain_head = seg;
                 self.shared.places[self.place as usize]
@@ -326,8 +309,8 @@ impl<T: Send + 'static> HybridHandle<T> {
             // SAFETY: global segments live until structure drop.
             let seg = unsafe { &*self.g_seg };
             let len = seg.len.load(Ordering::Acquire);
-            let own = seg.owner == self.place && seg.incarnation == self.incarnation;
-            if !own && seg.owner != SENTINEL_OWNER {
+            // This place's own segments went into `pq` when it pushed them.
+            if seg.owner != self.place && seg.owner != SENTINEL_OWNER {
                 for idx in self.g_idx..len {
                     let ptr = seg.slots[idx].load(Ordering::Acquire);
                     debug_assert!(!ptr.is_null(), "slot below len must be filled");
@@ -535,16 +518,12 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
 }
 
 impl<T: Send + 'static> Drop for HybridHandle<T> {
+    /// Publishes the still-private tasks, so every other place reaches
+    /// them through the global list; the place stays taken.
     fn drop(&mut self) {
-        // Make any still-private tasks globally reachable so a future handle
-        // (next incarnation) or other places can run them.
         self.publish();
-        self.shared.places[self.place as usize]
-            .next_local_idx
-            .store(self.next_local_idx, Ordering::Release);
         // Return stashed free items to the shared pool.
         self.cache.drain_to(&self.shared.pool);
-        self.shared.handle_live[self.place as usize].store(false, Ordering::Release);
     }
 }
 
@@ -662,7 +641,7 @@ mod tests {
         for i in 0..n {
             h.push(i, usize::MAX, i);
         }
-        // Publish by dropping the handle; a new incarnation must recover all.
+        // Publish by dropping the handle; another place must recover all.
         drop(h);
         let mut h1 = p.handle(1);
         let mut count = 0u64;
@@ -721,28 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn recreated_handle_recovers_own_published_tasks() {
-        let p = pool(1);
-        {
-            let mut h = p.handle(0);
-            for i in 0..5u64 {
-                h.push(i, 0, i); // published immediately
-            }
-        }
-        // Same place, new incarnation: must re-ingest its own old segments.
-        let mut h = p.handle(0);
-        let mut got = Vec::new();
-        while let Some(t) = h.pop() {
-            got.push(t);
-        }
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "already has a live handle")]
+    #[should_panic(expected = "handle was already taken")]
     fn duplicate_handle_panics() {
         let p = pool(2);
-        let _a = p.handle(1);
+        drop(p.handle(1));
         let _b = p.handle(1);
     }
 

@@ -245,6 +245,18 @@ pub(crate) struct IngressShared<T: Send> {
 }
 
 impl<T: Send> IngressShared<T> {
+    /// A new producer handle: raises the producer refcount and starts the
+    /// handle on the next round-robin lane, so producers spread across
+    /// lanes even if each submits little.
+    fn mint(self: &Arc<Self>) -> IngestHandle<T> {
+        self.producers.fetch_add(1, Ordering::AcqRel);
+        let lane = self.next_lane.fetch_add(1, Ordering::Relaxed) % self.lanes.len();
+        IngestHandle {
+            shared: Arc::clone(self),
+            lane,
+        }
+    }
+
     /// `true` when no producer can ever submit again and every lane has
     /// been transferred into the pool. Combined with `pending == 0` (read
     /// *after* this, see module docs) this is the termination condition.
@@ -513,8 +525,7 @@ impl<T: Send> IngressLanes<T> {
     }
 
     /// Mints a new producer handle, raising the producer refcount. The
-    /// handle starts on a different lane than the previous one so
-    /// producers spread across lanes even if each submits little.
+    /// handle starts on a different lane than the previous one.
     ///
     /// **Contract:** mint every producer's handle *before* the streamed
     /// run it feeds starts (mid-run producers clone a live handle
@@ -525,12 +536,7 @@ impl<T: Send> IngressLanes<T> {
     /// are only drained by the next [`crate::run_stream_on_kind`] over
     /// these lanes, or dropped with them.
     pub fn handle(&self) -> IngestHandle<T> {
-        self.shared.producers.fetch_add(1, Ordering::AcqRel);
-        let lane = self.shared.next_lane.fetch_add(1, Ordering::Relaxed) % self.num_lanes();
-        IngestHandle {
-            shared: Arc::clone(&self.shared),
-            lane,
-        }
+        self.shared.mint()
     }
 
     /// Tasks submitted but not yet transferred into a pool.
@@ -651,12 +657,7 @@ impl<T: Send> IngestHandle<T> {
 
 impl<T: Send> Clone for IngestHandle<T> {
     fn clone(&self) -> Self {
-        self.shared.producers.fetch_add(1, Ordering::AcqRel);
-        let lane = self.shared.next_lane.fetch_add(1, Ordering::Relaxed) % self.shared.lanes.len();
-        IngestHandle {
-            shared: Arc::clone(&self.shared),
-            lane,
-        }
+        self.shared.mint()
     }
 }
 

@@ -27,7 +27,9 @@
 //! [`scheduler`] runtime drives (places, help-first spawning, termination
 //! detection, finish regions — §2 of the paper). Every run and every
 //! service builds its pool from a [`PoolKind`] ([`facade`]) and drops it
-//! when its work is done.
+//! when its work is done; a service is a run on a thread of its own. Each
+//! place's worker takes the place's handle once and owns it for the run,
+//! as §2 ties a place to one worker thread.
 //!
 //! # Priorities
 //!
@@ -134,10 +136,12 @@
 //!   ends this way: [`run_on_kind`] submits its roots through one handle
 //!   into fresh lanes and drops it before the workers start;
 //!   [`run_stream_on_kind`] runs over caller-built lanes; and
-//!   [`service::PoolService`] (or [`PoolBuilder::service`]) is a
-//!   long-lived pool you can `submit`/`join` repeatedly — it holds its
-//!   own producer handle, so its workers stay alive through gaps, and
-//!   shutdown is dropping that handle and waiting for quiescence.
+//!   [`service::PoolService`] (started by [`PoolBuilder::service`]) is the
+//!   same streamed run on a background thread of its own, a long-lived
+//!   pool you can `submit`/`join` repeatedly — it holds its own producer
+//!   handle, so its workers stay alive through gaps, and shutdown is
+//!   dropping that handle and joining the thread, which returns at
+//!   quiescence.
 //!
 //! ## Parking: idle without burning a core
 //!
@@ -218,7 +222,8 @@
 //! place, a pop between two random tops) and `Structural` (one queue per
 //! place, a pop over every top — [`RelaxedMultiQueue::structural`], the
 //! paper's §5.3 structural relaxation). The [`facade`] module is the
-//! single place a kind becomes a pool. [`run_on_kind`] schedules an
+//! single place a kind becomes a pool. [`run_on_kind`],
+//! [`run_stream_on_kind`] and [`PoolBuilder::service`] schedule an
 //! executor on a freshly built pool with **one** dispatch before the run
 //! (the workers drive the concrete structure's handles through the
 //! scheduling loop's `dyn PoolHandle`);

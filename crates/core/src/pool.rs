@@ -8,9 +8,9 @@
 //! A [`TaskPool`] is the shared, global component; a [`PoolHandle`] is one
 //! place's view, combining access to the global component with exclusive
 //! ownership of the place-local component (local priority queue, cursors,
-//! RNG). Handles are created per worker thread and are `Send` but not
-//! `Sync` — the asymmetric access scheme of §2.1 realized through Rust
-//! ownership.
+//! RNG). Each place's handle is taken once per pool, by its worker thread,
+//! and is `Send` but not `Sync` — the asymmetric access scheme of §2.1
+//! realized through Rust ownership.
 
 use crate::stats::PlaceStats;
 use std::sync::Arc;
@@ -40,9 +40,16 @@ pub trait TaskPool<T: Send + 'static>: Send + Sync + 'static {
 
     /// Creates the handle for `place`.
     ///
+    /// Each place's handle is taken **once per pool**: the place's worker
+    /// owns its local component for the pool's whole life (§2), and a
+    /// handle that is dropped leaves its tasks where the other places reach
+    /// them (guarantee 2), but the place is not handed out again. That
+    /// single owner is what keeps a place's position-derived tags unique.
+    ///
     /// # Panics
-    /// Panics if `place >= num_places()` or if a live handle for this place
-    /// already exists (place-local components are single-owner).
+    /// Panics if `place >= num_places()`. The centralized and hybrid kinds
+    /// also panic when this place's handle was already taken, live or
+    /// dropped.
     fn handle(self: &Arc<Self>, place: usize) -> Self::Handle;
 }
 

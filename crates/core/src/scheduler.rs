@@ -1,7 +1,11 @@
 //! The task-scheduling runtime (§2).
 //!
 //! * **Places**: `P` worker threads, each owning the place-local component
-//!   of the chosen [`TaskPool`] through its [`PoolHandle`].
+//!   of the chosen [`TaskPool`] through its [`PoolHandle`], taken once when
+//!   the thread starts and held until the run ends. One function,
+//!   `run_scoped`, spawns, joins and sums every such fleet: a run's, on
+//!   the caller's thread, and a [`crate::PoolService`]'s, on the service's
+//!   one background thread.
 //! * **Help-first spawning** (§2, citing Guo et al.): `spawn` *stores* the
 //!   new task for later execution by any thread and the current task
 //!   continues — the policy priority scheduling requires, since work-first's
@@ -61,7 +65,7 @@
 //! batched ingest; batching across *executions* is where ordering would
 //! actually be lost.
 
-use crate::ingest::{IngressLanes, IngressShared};
+use crate::ingest::IngressShared;
 use crate::pool::{FaultPolicy, PoolHandle, TaskPool};
 use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +130,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Shared failure state of one run or service: the configured
 /// [`FaultPolicy`], the recorded [`FailureReport`]s, and — under
-/// `AbortRun` — the first panic payload for [`run_scoped`] to resume.
+/// `AbortRun` — the first panic payload, which [`crate::run_on_kind`] and
+/// [`crate::run_stream_on_kind`] resume on their caller.
 ///
 /// Workers record into the cell *before* the failing task's unit of the
 /// outstanding count becomes a credit, hence before any settle can release
@@ -156,11 +161,11 @@ impl FaultCell {
     }
 
     /// Records one failure; under `AbortRun` also stashes the first panic
-    /// payload so [`run_scoped`] can resume it.
+    /// payload for the run's caller to resume.
     fn record(&self, report: FailureReport, payload: Option<Box<dyn std::any::Any + Send>>) {
         self.failures.lock().push(report);
         // The count is published *after* the report so `failed()` never
-        // exceeds what `first_failure()`/`take_failures()` can observe.
+        // exceeds what `first_failure()`/`failures()` can observe.
         self.failed.fetch_add(1, Ordering::Release);
         if let Some(p) = payload {
             let mut slot = self.payload.lock();
@@ -180,9 +185,10 @@ impl FaultCell {
         self.payload.lock().take()
     }
 
-    /// Drains the recorded failure reports.
-    pub(crate) fn take_failures(&self) -> Vec<FailureReport> {
-        std::mem::take(&mut *self.failures.lock())
+    /// Copies the recorded failure reports. They stay in the cell: a
+    /// service's run can end (aborted) before its `join` reads the first.
+    pub(crate) fn failures(&self) -> Vec<FailureReport> {
+        self.failures.lock().clone()
     }
 
     /// Clones the first recorded failure (the one that raised the abort,
@@ -548,30 +554,6 @@ pub struct RunStats {
     pub per_place_executed: Vec<u64>,
 }
 
-impl RunStats {
-    /// Sums what each place's [`worker`] reported, in place order, with the
-    /// failures recorded in `faults`.
-    pub(crate) fn collect(
-        per_place: Vec<PlaceOutcome>,
-        faults: &FaultCell,
-        elapsed: Duration,
-    ) -> RunStats {
-        let mut stats = RunStats {
-            elapsed,
-            failed: faults.failed(),
-            failures: faults.take_failures(),
-            per_place_executed: per_place.iter().map(|(e, _, _)| *e).collect(),
-            ..RunStats::default()
-        };
-        for (executed, dead, pool_stats) in per_place {
-            stats.executed += executed;
-            stats.dead += dead;
-            stats.pool.merge(&pool_stats);
-        }
-        stats
-    }
-}
-
 /// Cap on one park inside [`SpawnCtx::help_while`] (see there).
 const HELP_WAIT_CAP: Duration = Duration::from_micros(200);
 
@@ -612,84 +594,74 @@ pub(crate) fn place_loop<T: Send>(
     (ctx.executed, ctx.dead)
 }
 
-/// What one place's worker reports: tasks executed, tasks found dead, and
-/// its handle's pool counters.
-pub(crate) type PlaceOutcome = (u64, u64, PlaceStats);
-
-/// The body of place `place`'s worker thread, for [`run_scoped`]
-/// (scoped threads) and [`crate::PoolService`] (detached ones): take the
-/// place's handle, run [`place_loop`], report.
-pub(crate) fn worker<T: Send + 'static, P: TaskPool<T>>(
-    pool: &Arc<P>,
-    executor: &dyn TaskExecutor<T>,
-    shared: &IngressShared<T>,
-    faults: &FaultCell,
-    place: usize,
-) -> PlaceOutcome {
-    let mut handle = pool.handle(place);
-    let (executed, dead) = place_loop(&mut handle, executor, shared, faults, place);
-    (executed, dead, handle.stats())
-}
-
-/// Runs every task submitted through `ingress` handles — before or while
-/// the places run — on `pool`, one scoped worker thread per place: each
-/// place drains its lane at its pop boundary and schedules what it finds
-/// like any spawned task (same dead-task elimination, same element-wise
-/// `k`/ρ accounting). The body of [`crate::run_on_kind`] and
-/// [`crate::run_stream_on_kind`], which pass the concrete pool they built.
+/// Runs every task submitted through the lanes of `shared` — before or
+/// while the places run — on `pool`, one worker thread per place, each
+/// named `priosched-place-{p}`, taking its place's handle and running
+/// [`place_loop`]: it drains its lane at its pop boundary and schedules
+/// what it finds like any spawned task (same dead-task elimination, same
+/// element-wise `k`/ρ accounting). The one place workers are spawned:
+/// [`crate::run_on_kind`] and [`crate::run_stream_on_kind`] call it on
+/// the caller's thread, [`crate::PoolService`] on its own. `spawned` runs
+/// once every worker thread has been spawned (or has failed to spawn).
 ///
-/// Returns at **quiescence**: the outstanding-task counter is zero, every
-/// lane is empty, and every [`crate::IngestHandle`] has been dropped. Under
-/// [`FaultPolicy::AbortRun`] the first task panic is resumed on the caller
-/// once every worker has stopped.
-///
-/// # Panics
-/// Panics if `ingress` does not have one lane per place of `pool`.
+/// Returns at **quiescence** — the outstanding-task counter is zero, every
+/// lane is empty, and every [`crate::IngestHandle`] has been dropped — or
+/// once every worker has left an aborted run, with the places' counts
+/// summed and the failures recorded in `faults`. It never resumes a task
+/// panic: under [`FaultPolicy::AbortRun`] the payload stays in `faults`
+/// for the caller.
 pub(crate) fn run_scoped<T, E, P>(
     pool: &Arc<P>,
-    fault_policy: FaultPolicy,
+    faults: &FaultCell,
     executor: &E,
-    ingress: &IngressLanes<T>,
+    shared: &IngressShared<T>,
+    spawned: impl FnOnce(),
 ) -> RunStats
 where
     T: Send + 'static,
     E: TaskExecutor<T>,
     P: TaskPool<T>,
 {
-    let nplaces = pool.num_places();
-    assert_eq!(
-        ingress.num_lanes(),
-        nplaces,
-        "ingress lanes must match the pool's place count"
-    );
-    let shared = &**ingress.shared();
-    let faults = FaultCell::new(fault_policy);
     let start = Instant::now();
-    let per_place = thread::scope(|s| {
-        let faults = &faults;
-        let joins: Vec<_> = (0..nplaces)
-            .map(|place| s.spawn(move || worker(pool, executor, shared, faults, place)))
+    let mut stats = RunStats::default();
+    thread::scope(|s| {
+        let workers: Vec<_> = (0..pool.num_places())
+            .map(|place| {
+                thread::Builder::new()
+                    .name(format!("priosched-place-{place}"))
+                    .spawn_scoped(s, move || {
+                        let mut handle = pool.handle(place);
+                        let (executed, dead) =
+                            place_loop(&mut handle, executor, shared, faults, place);
+                        (executed, dead, handle.stats())
+                    })
+            })
             .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("worker thread itself panicked"))
-            .collect()
+        spawned();
+        for worker in workers {
+            let worker = worker.expect("failed to spawn a place's worker thread");
+            let (executed, dead, pool_stats) =
+                worker.join().expect("worker thread itself panicked");
+            stats.executed += executed;
+            stats.dead += dead;
+            stats.pool.merge(&pool_stats);
+            stats.per_place_executed.push(executed);
+        }
     });
-    // AbortRun re-raises the panic on the caller. Isolate returns normally
-    // with the failures on the stats.
-    if let Some(payload) = faults.take_payload() {
-        std::panic::resume_unwind(payload);
-    }
     // Every place settled on its way out, so the count is exact here —
-    // unless an earlier run over these lanes aborted with tasks left.
+    // unless a run over these lanes aborted with tasks left.
     assert!(shared.aborted() || shared.pending().load(Ordering::Acquire) == 0);
-    RunStats::collect(per_place, &faults, start.elapsed())
+    stats.elapsed = start.elapsed();
+    stats.failed = faults.failed();
+    stats.failures = faults.failures();
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::facade::{run_on_kind, run_stream_on_kind};
+    use crate::ingest::IngressLanes;
     use crate::pool::{PoolKind, PoolParams};
     use std::sync::atomic::AtomicU64 as Counter;
 

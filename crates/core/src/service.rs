@@ -1,24 +1,30 @@
-//! A long-lived pool service: workers that outlive any single drain.
+//! A long-lived pool service: a run on a thread of its own.
 //!
-//! [`crate::run_on_kind`] and [`crate::run_stream_on_kind`] return at
-//! quiescence; their worker threads and their pool die with them. A
-//! service frontend (a network ingress, say) wants the other shape: start
-//! the workers once, then [`PoolService::submit`] and
-//! [`PoolService::join`] repeatedly, paying thread startup and pool
-//! construction once. The lifecycle of the pool is the same: built from a
-//! [`crate::PoolKind`] by [`crate::PoolBuilder::service`], the one way to
-//! start a service, and dropped when the service's workers exit.
+//! [`crate::run_on_kind`] and [`crate::run_stream_on_kind`] run the places
+//! on the caller's thread and return at quiescence; their worker threads
+//! and their pool die with them. A service frontend (a network ingress,
+//! say) wants the other shape: start the workers once, then
+//! [`PoolService::submit`] and [`PoolService::join`] repeatedly, paying
+//! thread startup and pool construction once. A service is that same run,
+//! moved onto one background thread named `priosched-service`:
+//! [`crate::PoolBuilder::service`], the one way to start a service, builds
+//! the pool from a [`crate::PoolKind`] and unwraps it to its concrete type,
+//! and the thread runs the places over the service's lanes as a streamed
+//! run does (`scheduler::run_scoped`, the one place worker threads are
+//! spawned, joined and summed). Starting returns once every worker thread
+//! is spawned, as a run's workers are before its caller goes on; the pool
+//! is dropped when the thread returns.
 //!
-//! The service runs the same worker body over the same lanes as those
-//! runs; what differs is that the service *is* a producer: it holds one
-//! [`IngestHandle`] of its own, so the producer refcount that gates
+//! What differs from a run is that the service *is* a producer: it holds
+//! one [`IngestHandle`] of its own, so the producer refcount that gates
 //! termination (see [`crate::ingest`]) never reaches zero while the
 //! service lives. Workers therefore **park** (see [`crate::park`]) through
 //! arbitrarily long gaps between submissions — a quiescent service
 //! consumes no CPU — and [`PoolService::shutdown`] is nothing but "drop
-//! that last handle, then join": quiescence, the condition every run ends
-//! on, becomes the orderly shutdown protocol. The outstanding count and
-//! the abort gate live in the lanes, as they do for a run.
+//! that last handle, then join the thread": quiescence, the condition
+//! every run ends on, becomes the orderly shutdown protocol, and the run's
+//! [`RunStats`] are the service's lifetime statistics. The outstanding
+//! count and the abort gate live in the lanes, as they do for a run.
 //!
 //! With a lane capacity ([`crate::PoolBuilder::lane_capacity`]) the
 //! ingress lanes are bounded:
@@ -40,13 +46,12 @@
 //! the way out.
 
 use crate::ingest::{IngestHandle, IngressLanes, SubmitError};
+use crate::park::ParkSlot;
 use crate::pool::{FaultPolicy, TaskPool};
-use crate::scheduler::{
-    worker, FailureReport, FaultCell, PlaceOutcome, PoolAborted, RunStats, TaskExecutor,
-};
+use crate::scheduler::{run_scoped, FailureReport, FaultCell, PoolAborted, RunStats, TaskExecutor};
+use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::thread;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Error from [`PoolService::shutdown`] when the pool aborted
 /// (`FaultPolicy::AbortRun` and a task panicked): the aborting failure
@@ -78,29 +83,22 @@ pub struct PoolService<T: Send + 'static> {
     /// The service's own producer slot; taken (dropped) at shutdown.
     handle: Option<IngestHandle<T>>,
     faults: Arc<FaultCell>,
-    workers: Vec<thread::JoinHandle<PlaceOutcome>>,
-    started: Instant,
+    /// The `priosched-service` thread, running the places over `lanes`;
+    /// taken (joined) at shutdown or drop.
+    runner: Option<thread::JoinHandle<RunStats>>,
 }
 
 impl<T: Send + 'static> PoolService<T> {
-    /// Starts one worker thread per place of `pool`, all running the
-    /// §2 loop against `executor`, behind ingress lanes of capacity
-    /// `lane_capacity` per lane (`None` = unbounded), with `fault_policy`
-    /// deciding what a task panic does (see [`FaultPolicy`]). Once a
-    /// bounded lane is full, submissions shed ([`PoolService::try_submit`])
-    /// or block ([`PoolService::submit`]) — real backpressure against
-    /// producers that outpace the workers. Under `Isolate` a panicking task
-    /// is quarantined into a [`FailureReport`]
-    /// ([`PoolService::failed`]/[`PoolService::shutdown`] stats) and the
-    /// service keeps serving.
-    ///
-    /// The workers keep running — through any number of drains — until
-    /// [`PoolService::shutdown`] (or drop) releases the service's producer
-    /// handle and every external [`IngestHandle`] is gone.
+    /// Starts the `priosched-service` thread, which runs the places of
+    /// `pool` against `executor` ([`run_scoped`]) behind fresh lanes of
+    /// capacity `lane_capacity` each (`None` = unbounded), under
+    /// `fault_policy`, until [`PoolService::shutdown`] (or drop) releases
+    /// the service's producer handle and every external [`IngestHandle`]
+    /// is gone; the pool is dropped when the thread returns.
     ///
     /// # Panics
     /// Panics if `lane_capacity` is `Some(0)`.
-    pub(crate) fn start_with_policy<P, E>(
+    pub(crate) fn start<P, E>(
         pool: Arc<P>,
         executor: Arc<E>,
         lane_capacity: Option<usize>,
@@ -110,29 +108,34 @@ impl<T: Send + 'static> PoolService<T> {
         P: TaskPool<T>,
         E: TaskExecutor<T> + Send + Sync + 'static,
     {
-        let nplaces = pool.num_places();
-        let lanes = IngressLanes::with_capacity(nplaces, lane_capacity);
+        let lanes = IngressLanes::with_capacity(pool.num_places(), lane_capacity);
         // Mint the service's own handle before any worker can observe the
         // producer count: a worker started against zero producers would
         // terminate immediately.
         let handle = lanes.handle();
         let faults = Arc::new(FaultCell::new(fault_policy));
-        let workers = (0..nplaces)
-            .map(|place| {
-                let (pool, executor) = (Arc::clone(&pool), Arc::clone(&executor));
-                let (shared, faults) = (Arc::clone(lanes.shared()), Arc::clone(&faults));
-                thread::Builder::new()
-                    .name(format!("priosched-place-{place}"))
-                    .spawn(move || worker(&pool, &*executor, &shared, &faults, place))
-                    .expect("failed to spawn pool-service worker thread")
+        let (shared, cell) = (Arc::clone(lanes.shared()), Arc::clone(&faults));
+        let ready = Arc::new((AtomicBool::new(false), ParkSlot::new()));
+        let signal = Arc::clone(&ready);
+        let runner = thread::Builder::new()
+            .name("priosched-service".to_string())
+            .spawn(move || {
+                run_scoped(&pool, &cell, &*executor, &shared, || {
+                    let (spawned, slot) = &*signal;
+                    spawned.store(true, Ordering::Release);
+                    slot.wake_if_waiting();
+                })
             })
-            .collect();
+            .expect("failed to spawn the pool-service thread");
+        // Return once the workers are spawned, as a run's caller would: a
+        // service used at once must not wait out the thread's start-up.
+        let (spawned, slot) = &*ready;
+        slot.wait_until(|| spawned.load(Ordering::Acquire).then_some(()));
         PoolService {
             lanes,
             handle: Some(handle),
             faults,
-            workers,
-            started: Instant::now(),
+            runner: Some(runner),
         }
     }
 
@@ -235,8 +238,8 @@ impl<T: Send + 'static> PoolService<T> {
     }
 
     /// Drops the service's producer handle, waits for quiescence, joins
-    /// the workers, and returns the aggregated statistics of the service's
-    /// whole lifetime. If the pool aborted on a task panic
+    /// the service's thread, and returns the aggregated statistics of the
+    /// service's whole lifetime. If the pool aborted on a task panic
     /// (`FaultPolicy::AbortRun`), returns a typed [`ShutdownError`]
     /// carrying the failure and the partial stats — never a resumed
     /// panic. Under `Isolate`, quarantined failures ride along on
@@ -248,16 +251,10 @@ impl<T: Send + 'static> PoolService<T> {
     // failure) is worth more to callers than a boxed indirection.
     #[allow(clippy::result_large_err)]
     pub fn shutdown(mut self) -> Result<RunStats, ShutdownError> {
-        let per_place: Vec<_> = self
-            .stop_workers()
-            .into_iter()
-            .map(|joined| joined.expect("pool-service worker thread itself panicked"))
-            .collect();
-        // The payload is intentionally dropped: failures surface as typed
-        // results here, not as a resumed panic.
-        let _ = self.faults.take_payload();
-        let stats = RunStats::collect(per_place, &self.faults, self.started.elapsed());
-        // The gate keeps an abort through the shutdown `stop_workers` marked.
+        let stats = self
+            .stop()
+            .expect("pool-service worker thread itself panicked");
+        // The gate keeps an abort through the shutdown `stop` marked.
         if self.lanes.shared().aborted() {
             if let Some(failure) = stats.failures.first().cloned() {
                 return Err(ShutdownError { failure, stats });
@@ -272,13 +269,15 @@ impl<T: Send + 'static> PoolService<T> {
             .expect("PoolService handle present until shutdown")
     }
 
-    /// Releases the service's producer slot and joins every worker; a
-    /// worker that died outside `run_one`'s `catch_unwind` (a pool or
-    /// scheduler assertion) comes back as `None`, for the caller to raise
+    /// Releases the service's producer slot and joins the service's
+    /// thread. A worker that died outside `run_one`'s `catch_unwind` (a
+    /// pool or scheduler assertion) takes that thread down with it and
+    /// comes back as `None`, for the caller to raise
     /// ([`PoolService::shutdown`]) or discard (`Drop`).
-    fn stop_workers(&mut self) -> Vec<Option<PlaceOutcome>> {
+    fn stop(&mut self) -> Option<RunStats> {
         self.handle = None;
-        let joined = self.workers.drain(..).map(|j| j.join().ok()).collect();
+        let runner = self.runner.take().expect("joined once");
+        let joined = runner.join().ok();
         // The workers are gone; nothing will ever drain these lanes again.
         // Mark them so any straggling submission fails with `ShutDown`
         // instead of queueing into the void.
@@ -291,19 +290,20 @@ impl<T: Send + 'static> Drop for PoolService<T> {
     /// Dropping without [`PoolService::shutdown`] is an *abortive* stop:
     /// the abort gate is raised so workers exit after their current task
     /// (not-yet-executed submissions are discarded with the pool), then
-    /// the workers are joined. Raising abort is what keeps an implicit
-    /// drop — including one during a panic unwind — from hanging forever
-    /// on external [`IngestHandle`]s that will never be dropped; only the
-    /// explicit `shutdown` waits for full quiescence. No panic payload is
-    /// re-raised, a dead worker's included — dropping is not the place to
-    /// unwind, and during an unwind a second panic aborts the process.
+    /// the service's thread is joined. Raising abort is what keeps an
+    /// implicit drop — including one during a panic unwind — from hanging
+    /// forever on external [`IngestHandle`]s that will never be dropped;
+    /// only the explicit `shutdown` waits for full quiescence. No panic
+    /// payload is re-raised, a dead worker's included — dropping is not
+    /// the place to unwind, and during an unwind a second panic aborts the
+    /// process.
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
+        if self.runner.is_some() {
             // Poison the lanes and wake everything: parked workers must
             // observe the abort to exit, and producers blocked on full
             // lanes must fail with `Aborted` rather than sleep forever.
             self.lanes.shared().abort_and_wake();
-            let _ = self.stop_workers();
+            let _ = self.stop();
         }
     }
 }
@@ -496,14 +496,15 @@ mod tests {
     fn dropping_service_with_a_dead_worker_does_not_panic() {
         let exec = Arc::new(CountDown(AtomicU64::new(0)));
         let svc: PoolService<u64> =
-            PoolService::start_with_policy(Arc::new(BrokenPool), exec, None, FaultPolicy::AbortRun);
-        // Gate on state: the worker must be dead, not merely about to see
-        // the abort gate that `Drop` raises.
-        while !svc.workers[0].is_finished() {
+            PoolService::start(Arc::new(BrokenPool), exec, None, FaultPolicy::AbortRun);
+        // Gate on state: the worker, and with it the service's thread, must
+        // be dead, not merely about to see the abort gate that `Drop`
+        // raises.
+        while !svc.runner.as_ref().is_some_and(|r| r.is_finished()) {
             std::thread::yield_now();
         }
         // Drop may run during an unwind, where a second panic aborts the
-        // process: it joins the dead worker and discards its payload.
+        // process: it joins the dead thread and discards its payload.
         let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(svc)));
         assert!(dropped.is_ok(), "Drop re-raised a dead worker's panic");
     }

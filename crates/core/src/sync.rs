@@ -17,10 +17,13 @@
 //!
 //! What is deliberately *not* modeled:
 //!
-//! * [`thread::scope`] is always `std`'s. The scheduler's scoped worker
-//!   fleets drive whole runs — far past any model's state budget; loom
-//!   models target the leaf protocols (parker, free list, MultiQueue
-//!   pop) instead, and those use plain [`thread::spawn`].
+//! * [`thread::scope`] and [`thread::Builder`] are always `std`'s. The
+//!   scheduler's worker fleets — spawned only by `scheduler::run_scoped`,
+//!   one named scoped thread per place, inside a run's caller or a
+//!   service's one background thread — drive whole runs, far past any
+//!   model's state budget; loom models target the leaf protocols (parker,
+//!   free list, MultiQueue pop, one place loop) instead, and those use
+//!   plain [`thread::spawn`].
 //! * `Arc` — refcounts are not part of the checked state (real loom
 //!   models them to catch leaks; the shim does not).
 
@@ -100,13 +103,13 @@ pub mod cell {
 /// Thread spawning, yielding, and sleeping.
 pub mod thread {
     #[cfg(loom)]
-    pub use loom::thread::{sleep, spawn, yield_now, Builder, JoinHandle};
+    pub use loom::thread::{sleep, spawn, yield_now};
     #[cfg(not(loom))]
-    pub use std::thread::{sleep, spawn, yield_now, Builder, JoinHandle};
+    pub use std::thread::{sleep, spawn, yield_now};
 
-    // Scoped worker fleets are not modeled (see the module docs): real
-    // OS threads under both cfgs.
-    pub use std::thread::scope;
+    // Worker fleets and the service thread that runs one are not modeled
+    // (see the module docs): real, named OS threads under both cfgs.
+    pub use std::thread::{scope, Builder, JoinHandle};
 }
 
 #[cfg(not(loom))]

@@ -18,6 +18,8 @@
 //!    waiting on its buffered child is served by the other place); and on a
 //!    fixed tape the mean rank at k = 512, measured against the contract's
 //!    shadow, is no worse than at k = 0.
+//! 3. **Mean rank inside 2·c·P** on that tape, for P ∈ {1, 2, 4, 8} × k ∈
+//!    {0, 8, 512} at c = 2.
 
 mod common;
 
@@ -50,12 +52,14 @@ fn pop_rank(h: &mut impl PoolHandle<u64>, shadow: &mut Shadow) -> Option<usize> 
     )
 }
 
-/// Mean rank error of a single-threaded tape over 8 places taking turns
-/// (each turn: two pushes at bound `k`, one pop), then a round-robin
+/// The MultiQueue's queues per place, as `PoolKind::MultiQueue` builds it.
+const C: usize = 2;
+
+/// Mean rank error of a single-threaded tape over `places` places taking
+/// turns (each turn: two pushes at bound `k`, one pop), then a round-robin
 /// drain, each pop ranked against the shadow.
-fn round_robin_mean_rank(k: usize) -> f64 {
-    let places = 8;
-    let pool = Arc::new(RelaxedMultiQueue::<u64>::new(places, 2));
+fn round_robin_mean_rank(places: usize, k: usize) -> f64 {
+    let pool = Arc::new(RelaxedMultiQueue::<u64>::new(places, C));
     let mut handles: Vec<_> = (0..places).map(|p| pool.handle(p)).collect();
     let mut shadow = Shadow::new(places);
     let mut ranks = Vec::new();
@@ -93,13 +97,31 @@ fn buffered_mean_rank_is_no_worse_than_unbuffered() {
     // on this (deterministic) tape the second effect outweighs the first.
     // A buffer that always wins, or one capped at 64, reads worse than
     // k = 0 here.
-    let unbuffered = round_robin_mean_rank(0);
-    let buffered = round_robin_mean_rank(512);
+    let unbuffered = round_robin_mean_rank(8, 0);
+    let buffered = round_robin_mean_rank(8, 512);
     println!("mean rank error: k = 0 {unbuffered:.2}, k = 512 {buffered:.2}");
     assert!(
         buffered <= unbuffered,
         "k = 512 mean rank {buffered} vs k = 0 {unbuffered}"
     );
+}
+
+/// The mean rank stays inside the O(c·P) envelope of arXiv 2109.00657,
+/// taken as 2·c·P: on this tape the highest mean reads 1.07·c·P (17.13 at
+/// P = 8, k = 0), the lowest 0.23·c·P (P = 1, k = 512).
+#[test]
+fn mean_rank_stays_inside_twice_c_times_p() {
+    for places in [1usize, 2, 4, 8] {
+        for k in [0usize, 8, 512] {
+            let mean = round_robin_mean_rank(places, k);
+            println!("P = {places}, k = {k}: mean rank {mean:.2}");
+            let bound = (2 * C * places) as f64;
+            assert!(
+                mean <= bound,
+                "P = {places}, k = {k}: mean rank {mean} above 2·c·P = {bound}"
+            );
+        }
+    }
 }
 
 /// Load balance out of one buffer: a root spawns eight sleepers with

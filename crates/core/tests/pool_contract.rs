@@ -2,11 +2,13 @@
 //!
 //! Every [`PoolKind`] is built through [`PoolKind::build`], the runtime's own
 //! constructor, and driven through its handles by seeded single-threaded
-//! tapes of `push`, `push_batch`, `pop_entry` and dropping a place's handle
-//! (the place's next operation creates a new one). A shadow multiset
-//! replays each tape, so every pop's rank — how many live tasks with a
-//! strictly better priority it passed over — is known exactly, for every
-//! kind, without any instrument inside the pools. On every tape:
+//! tapes of `push`, `push_batch`, `pop_entry` and dropping a place's handle.
+//! A place's handle is taken at its first step, once per pool as the
+//! runtime takes it, and a drop retires the place for the rest of the tape
+//! (its later steps are skipped); the drainer is never retired. A shadow
+//! multiset replays each tape, so every pop's rank — how many live tasks
+//! with a strictly better priority it passed over — is known exactly, for
+//! every kind, without any instrument inside the pools. On every tape:
 //!
 //! * **(i) Exactly once.** A pop returns a pushed, not yet popped payload,
 //!   at the priority it was pushed with; a pop from an empty pool fails.
@@ -65,7 +67,8 @@ enum Op {
     Pop {
         place: u8,
     },
-    /// Drops the place's handle; its next step creates a new one.
+    /// Drops the place's handle and retires the place: its later steps
+    /// are skipped. A no-op on the drainer.
     Drop {
         place: u8,
     },
@@ -166,6 +169,9 @@ struct Run<'a> {
     cell: &'a Cell,
     pool: Arc<AnyPool<u64>>,
     handles: Vec<Option<AnyHandle<u64>>>,
+    /// Places whose handle was dropped; never the drainer.
+    retired: Vec<bool>,
+    drainer: usize,
     shadow: Shadow,
     /// Structural, mixed k: the least `k` pushed into each place's buffer
     /// since it was last seen empty.
@@ -265,6 +271,9 @@ impl Run<'_> {
 
     fn step(&mut self, op: &Op) -> Result<(), Violation> {
         let place = op.place() as usize % self.cell.places;
+        if self.retired[place] {
+            return Ok(());
+        }
         let mut pushed_k = None;
         match op {
             Op::Push { prio, kpick, .. } => {
@@ -289,14 +298,20 @@ impl Run<'_> {
             Op::Pop { .. } => {
                 self.pop(place)?;
             }
-            Op::Drop { .. } => self.handles[place] = None,
+            Op::Drop { .. } if place != self.drainer => {
+                self.handles[place] = None;
+                self.retired[place] = true;
+            }
+            Op::Drop { .. } => {}
         }
         self.track_buffers(place, pushed_k);
         Ok(())
     }
 
-    /// (ii): `place` pops alone until the shadow is empty, then once more.
-    fn drain(&mut self, place: usize) -> Result<(), Violation> {
+    /// (ii): the drainer pops alone until the shadow is empty, then once
+    /// more.
+    fn drain(&mut self) -> Result<(), Violation> {
+        let place = self.drainer;
         let mut misses = 0;
         while self.shadow.live() > 0 {
             if self.pop(place)? {
@@ -323,13 +338,15 @@ fn run(cell: &Cell, tape: &Tape) -> Result<(), Violation> {
         cell,
         pool,
         handles: (0..cell.places).map(|_| None).collect(),
+        retired: vec![false; cell.places],
+        drainer: tape.drainer as usize % cell.places,
         shadow: Shadow::new(cell.places),
         least_k: vec![None; cell.places],
     };
     for op in &tape.ops {
         run.step(op)?;
     }
-    run.drain(tape.drainer as usize % cell.places)
+    run.drain()
 }
 
 /// `tape` without element `j` of the batch at step `at`, if there is one.
