@@ -34,9 +34,9 @@
 //! Construction semantics are fixed here once, and no caller can set them
 //! otherwise: the centralized structure is built for
 //! `kmax = max(`[`PoolParams::k`]`, 512)` (§4.1.2's kmax, widened when a
-//! sweep asks for more), the MultiQueue with [`DEFAULT_MQ_C`] queues per
-//! place, the structural kind — the MultiQueue's exact configuration — with
-//! one, and the other two take only the place count. For every kind but
+//! sweep asks for more), the MultiQueue and the structural kind — the
+//! MultiQueue's exact configuration — with [`DEFAULT_MQ_C`] queues per
+//! place, and the other two take only the place count. For every kind but
 //! centralized, `k` arrives with each push alone.
 
 use crate::centralized::{CentralizedHandle, CentralizedKPriority, DEFAULT_KMAX};
@@ -172,8 +172,8 @@ impl PoolKind {
     /// The routing is the contract: the centralized structure gets
     /// `kmax = max(params.k, 512)` (clamped to `u32`), so it admits the
     /// requested `k` and never probes less than the paper's window; the
-    /// MultiQueue gets [`DEFAULT_MQ_C`] queues per place and the structural
-    /// kind one; work-stealing and hybrid take only the place count. Every
+    /// MultiQueue and the structural kind get [`DEFAULT_MQ_C`] queues per
+    /// place; work-stealing and hybrid take only the place count. Every
     /// kind's relaxation is governed by the per-task `k` of each push.
     pub fn build<T: Send + 'static>(self, places: usize, params: PoolParams) -> AnyPool<T> {
         match self {
@@ -464,7 +464,8 @@ mod tests {
     }
 
     /// What `build` derives or fixes per kind: centralized `kmax` =
-    /// max(k, 512), the MultiQueue's `c` = 2 and the structural kind's 1.
+    /// max(k, 512), and `c` = [`DEFAULT_MQ_C`] for the MultiQueue and the
+    /// structural kind alike.
     #[test]
     fn default_built_pools_keep_their_configuration() {
         for k in [0usize, 8, 512, 8192] {
@@ -474,11 +475,11 @@ mod tests {
                 other => panic!("expected centralized, got {:?}", other.kind()),
             }
             match build(PoolKind::MultiQueue) {
-                AnyPool::MultiQueue(p) => assert_eq!(p.c(), 2),
+                AnyPool::MultiQueue(p) => assert_eq!(p.c(), DEFAULT_MQ_C),
                 other => panic!("expected multiqueue, got {:?}", other.kind()),
             }
             match build(PoolKind::Structural) {
-                AnyPool::Structural(p) => assert_eq!(p.c(), 1),
+                AnyPool::Structural(p) => assert_eq!(p.c(), DEFAULT_MQ_C),
                 other => panic!("expected structural, got {:?}", other.kind()),
             }
         }

@@ -83,8 +83,8 @@ pub fn parker_no_lost_wakeup() {
 /// (b) Structural exact pop: a queue's minimum is taken only if, under
 /// its lock, it is still no worse than the runner-up top the pop read.
 ///
-/// Two places, one queue each: queue 0 holds {10, 30}, queue 1 holds
-/// {20}, placed on the main thread. Each place pops once, concurrently.
+/// Two places, two queues each: queue 0 holds {10, 30}, queue 1 holds
+/// {20}, placed on the main thread; queues 2 and 3 stay empty. Each place pops once, concurrently.
 /// Both may read queue 0's top as 10 before either locks it; the loser
 /// then finds 30 under the lock, which loses to the runner-up 20 it read,
 /// and reads the tops again. So 10 and 20 are each taken once and 30 never
@@ -106,6 +106,36 @@ pub fn structural_pop_takes_a_true_minimum() {
         let mut popped: Vec<u64> = own.into_iter().chain(other).collect();
         popped.sort_unstable();
         assert_eq!(popped, [10, 20], "each pop must take a true minimum");
+    });
+}
+
+/// (b′) Structural pop behind a sifting pop: a pop publishes the top it
+/// leaves behind before it sifts, and that top is the true next one.
+///
+/// Queue 0 holds {10, 40, 25} — 10 at the root, 40 and 25 its children in
+/// that order — and queue 1 holds {30}. Two places pop once each,
+/// concurrently. Whichever locks queue 0 first takes 10 and publishes 25
+/// before its sift, so the other, reading the tops during that sift, sees
+/// 25 against 30 and waits for queue 0; one that read 10 before the store
+/// finds 25 under the lock. Either way the second pop takes 25. Had the
+/// first pop published its first child (40) instead of the least one, the
+/// second would read 40 against 30 and take 30.
+pub fn structural_pop_behind_a_sifting_pop_takes_the_true_next() {
+    loom::model(|| {
+        let sp = Arc::new(RelaxedMultiQueue::<u64>::structural(2));
+        sp.land_on(0, [(10, 10), (40, 40), (25, 25)]);
+        sp.land_on(1, [(30, 30)]);
+
+        let peer = {
+            let sp = Arc::clone(&sp);
+            thread::spawn(move || sp.handle(1).pop())
+        };
+        let own = sp.handle(0).pop();
+        let other = peer.join().unwrap();
+
+        let mut popped: Vec<u64> = own.into_iter().chain(other).collect();
+        popped.sort_unstable();
+        assert_eq!(popped, [10, 25], "the second pop must take the true next");
     });
 }
 

@@ -20,15 +20,24 @@
 //!   worst case is unbounded, which is exactly the trade this structure
 //!   makes against the paper's ρ-bounded designs.
 //!
-//! Its second configuration, one queue per place and a pop over every
+//! Its second configuration, the same `c·P` queues and a pop over every
 //! top, trades back: a deterministic ρ (see "Exact configuration").
 //!
 //! # Top caching and the empty path
 //!
 //! Each queue carries an `AtomicU64` mirror of its best priority
-//! (`u64::MAX` = empty), rewritten under the queue lock after every
-//! mutation, so the two-choice peek is a pair of loads — no locking on
-//! the compare, locking only to take. A pop that drew two apparently
+//! (`u64::MAX` = empty), written under the queue lock by every mutation,
+//! so the two-choice peek is a pair of loads — no locking on the compare,
+//! locking only to take. A landing stores the new top after it lands. A
+//! pop — every pop of a queue goes through `MqQueue::pop_locked` — stores
+//! the top it will leave, the least of the root's children
+//! ([`DaryHeap::peek_after_pop`](priosched_pq::DaryHeap::peek_after_pop)),
+//! *before* its sift. While a queue's lock
+//! is free its mirror is therefore its heap's top; while a pop holds the
+//! lock it is the top that pop leaves. The pop takes effect at that
+//! store: a place reading the tops during the sift already sees the next
+//! candidate and goes to another queue rather than queuing behind the
+//! sift for an entry that is already gone. A pop that drew two apparently
 //! empty queues (or lost its locks) falls back to an **exhaustive scan**
 //! of all `c·P` queues and then of the other places' non-empty insertion
 //! buffers (next section) before giving up. That scan is what makes the
@@ -108,10 +117,11 @@
 //!
 //! [`RelaxedMultiQueue::structural`] is `PoolKind::Structural`: the
 //! source paper's §5.3 *structural* ρ-relaxation ("a pop never ignores
-//! more than ρ items, regardless of their age"). It keeps one queue per
-//! place, and its pushes are the MultiQueue's: buffered up to
-//! `min(k, 16)`, then landed on a random queue; batches land at once. Only the pop's choice set differs — every queue's top instead of
-//! two random ones:
+//! more than ρ items, regardless of their age"). It keeps the MultiQueue's
+//! [`DEFAULT_MQ_C`] queues per place, and its pushes are the MultiQueue's:
+//! buffered up to `min(k, 16)`, then landed on a random queue; batches
+//! land at once. Only the pop's choice set differs — every queue's top
+//! instead of two random ones:
 //!
 //! 1. the buffered minimum is taken when it is no worse than the least
 //!    top (ties go to the buffer);
@@ -119,7 +129,7 @@
 //!    only if it is still no worse than the runner-up top that was read
 //!    and strictly better than the buffered minimum; otherwise the tops
 //!    are read again;
-//! 3. after `2·P` tops gone stale, every queue is locked in index order
+//! 3. after `2·c·P` tops gone stale, every queue is locked in index order
 //!    and the least head is taken — nothing else waits for a queue lock
 //!    while holding one, so the order cannot deadlock;
 //! 4. only when every top reads empty does the pop go on to the buffer and
@@ -138,9 +148,21 @@
 //! schedule in which taking its minimum unchecked hands out 30 before 20.
 //! Step 2 blocks rather than try-locks as the two-choice pop does: with
 //! every place after the same top, a try-lock loser re-read the tops and
-//! retried the lock while the winner popped — `pool.pop_ns.structural`
-//! 1 150 ns against 650–850 ns blocking, and `sssp_sparse` items/s ×0.85
-//! of the flat-combined heap's against ×0.99 blocking (two cores).
+//! retried the lock while the winner popped, and `sssp_sparse` items/s
+//! fell to about ×0.86 of blocking's (two cores, one queue per place).
+//!
+//! **Why the top is published before the sift, over `c·P` queues.** With
+//! one queue per place and the top stored after the sift, every place
+//! waited on the queue holding the least top, and found that top stale
+//! under the lock on ~4 pops in 10: the mirror still showed the entry
+//! being removed. Publishing the next top first lets a second place move
+//! on to the next-best queue during the sift, and `c = 2` makes it more
+//! likely that the next-best top sits on another queue. ρ does not change:
+//! it depends only on the insertion buffers. Measured by
+//! `scripts/ab.sh` against the previous configuration (10 alternating
+//! pairs of 25 s runs, two cores):
+//!
+//! AB_TABLE_PENDING
 //!
 //! This replaced a flat-combined shared heap with one buffer of up to `k`
 //! per place. Three other replacements were measured against that heap
@@ -223,6 +245,16 @@ impl<T> MqQueue<T> {
     fn refresh_top(&self, heap: &MqHeap<T>) {
         let top = heap.peek().map_or(u64::MAX, |e| e.prio);
         self.top.store(top, Ordering::Release);
+    }
+
+    /// Every pop of a queue: publishes the top the pop leaves behind,
+    /// then sifts. A place reading the tops mid-sift already sees the next
+    /// candidate (see "Top caching" in the module docs). Callers must hold
+    /// the heap lock, as for [`MqQueue::refresh_top`].
+    fn pop_locked(&self, heap: &mut MqHeap<T>) -> Option<MqEntry<T>> {
+        let next = heap.peek_after_pop().map_or(u64::MAX, |e| e.prio);
+        self.top.store(next, Ordering::Release);
+        heap.pop()
     }
 }
 
@@ -314,8 +346,9 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
         }
     }
 
-    /// Creates the structural configuration (arXiv 1312.2501 §5.3): one
-    /// queue per place and a pop that chooses among every queue's top, so
+    /// Creates the structural configuration (arXiv 1312.2501 §5.3):
+    /// [`DEFAULT_MQ_C`] queues per place and a pop that chooses among every
+    /// queue's top, so
     /// a single-threaded pop ignores only the other places' buffered tasks
     /// (see "Exact configuration" in the module docs).
     ///
@@ -324,7 +357,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
     pub fn structural(nplaces: usize) -> Self {
         RelaxedMultiQueue {
             choice: Choice::Exact,
-            ..Self::new(nplaces, 1)
+            ..Self::new(nplaces, DEFAULT_MQ_C)
         }
     }
 
@@ -376,10 +409,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
     /// non-empty; refreshes the top mirror either way.
     fn try_pop_from(&self, idx: usize) -> Option<MqEntry<T>> {
         let q = &self.queues[idx];
-        let mut heap = q.heap.try_lock()?;
-        let entry = heap.pop();
-        q.refresh_top(&heap);
-        entry
+        q.pop_locked(&mut *q.heap.try_lock()?)
     }
 
     /// The least top mirror, its queue, and the least of the others
@@ -401,7 +431,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
     /// `local`: the queue with the least top is locked, and its minimum
     /// taken only while it is no worse than the runner-up top read and
     /// strictly better than `local`; otherwise the tops are read again.
-    /// After `2·P` tops gone stale, every queue is locked in index order and
+    /// After `2·c·P` tops gone stale, every queue is locked in index order and
     /// the least head taken. `None` means the buffer's minimum is no worse
     /// than every top, or every top read empty.
     fn pop_exact(&self, local: Option<u64>, stale_refs: &mut u64) -> Option<MqEntry<T>> {
@@ -418,9 +448,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
             // Under the lock the mirror is the heap's top.
             let now = q.top.load(Ordering::Relaxed);
             if now != u64::MAX && (skip_recheck || now <= runner_up) && beats_local(now) {
-                let entry = heap.pop();
-                q.refresh_top(&heap);
-                return entry;
+                return q.pop_locked(&mut heap);
             }
             *stale_refs += 1;
         }
@@ -432,9 +460,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
         if !beats_local(prio) {
             return None;
         }
-        let entry = heaps[idx].pop();
-        self.queues[idx].refresh_top(&heaps[idx]);
-        entry
+        self.queues[idx].pop_locked(&mut heaps[idx])
     }
 
     /// Lands `entries` on queue `idx`, for models that need a placement the

@@ -201,8 +201,8 @@ pub enum PoolKind {
     /// §3.3/§4.2 — local lists + global list + spying; ρ = P·k.
     Hybrid,
     /// §5.3 structural relaxation: the MultiQueue's exact configuration
-    /// ([`crate::RelaxedMultiQueue::structural`]) — one queue per place, a
-    /// pop over every top; a pop ignores at most the other places'
+    /// ([`crate::RelaxedMultiQueue::structural`]) — `c·P` queues as the
+    /// MultiQueue's, a pop over every top; a pop ignores at most the other places'
     /// buffered tasks, of any age: ρ = (P−1)·(min(k, 16)−1).
     Structural,
     /// Relaxed MultiQueue (arXiv 2109.00657) — c·P sequential queues with

@@ -44,6 +44,11 @@ mod checked {
     }
 
     #[test]
+    fn structural_pop_behind_a_sifting_pop_takes_the_true_next() {
+        models::structural_pop_behind_a_sifting_pop_takes_the_true_next();
+    }
+
+    #[test]
     fn free_list_no_aba_double_pop() {
         models::free_list_no_aba_double_pop();
     }

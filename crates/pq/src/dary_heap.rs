@@ -281,6 +281,16 @@ impl<T: Ord, const D: usize> DaryHeap<T, D> {
         self.sift_up(leaf);
     }
 
+    /// The element [`peek`] returns after one [`pop`], without popping:
+    /// the least of the root's children, the first among equals as the
+    /// sift takes it. `None` when the heap holds fewer than two elements.
+    ///
+    /// [`peek`]: SequentialPriorityQueue::peek
+    /// [`pop`]: SequentialPriorityQueue::pop
+    pub fn peek_after_pop(&self) -> Option<&T> {
+        self.data.get(1..)?.iter().take(D).min()
+    }
+
     /// Checks the heap invariant; used by tests.
     pub fn is_valid_heap(&self) -> bool {
         (1..self.data.len()).all(|i| self.data[(i - 1) / D] <= self.data[i])

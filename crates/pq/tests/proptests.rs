@@ -313,6 +313,58 @@ mod dary {
                 prev = Some(x);
             }
         }
+
+        /// Every prefix of the keys is a heap of its own, so each case
+        /// covers lengths 0, 1 and 2..=D+1 (a root with a partial, then a
+        /// full set of children) before the longer ones.
+        #[test]
+        fn peek_after_pop_is_the_top_a_pop_leaves(
+            keys in proptest::collection::vec(0u8..8, 0..65),
+        ) {
+            for len in 0..=keys.len() {
+                check_peek_after_pop::<2>(&keys[..len])?;
+                check_peek_after_pop::<4>(&keys[..len])?;
+                check_peek_after_pop::<8>(&keys[..len])?;
+            }
+        }
+    }
+
+    /// A key with the position it was pushed at, ordered by key alone:
+    /// among equal keys the test sees *which* element is on top.
+    #[derive(Clone, Debug)]
+    struct Tagged {
+        key: u8,
+        id: usize,
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl Eq for Tagged {}
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    fn check_peek_after_pop<const D: usize>(keys: &[u8]) -> Result<(), TestCaseError> {
+        let mut h: DaryHeap<Tagged, D> = DaryHeap::new();
+        for (id, &key) in keys.iter().enumerate() {
+            h.push(Tagged { key, id });
+        }
+        let mut popped = h.clone();
+        popped.pop();
+        let ahead = h.peek_after_pop().map(|t| (t.key, t.id));
+        let after = popped.peek().map(|t| (t.key, t.id));
+        prop_assert_eq!(ahead, after, "D = {}, keys {:?}", D, keys);
+        Ok(())
     }
 }
 
