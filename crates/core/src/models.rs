@@ -84,12 +84,13 @@ pub fn parker_no_lost_wakeup() {
 /// its lock, it is still no worse than the runner-up top the pop read.
 ///
 /// Two places, two queues each: queue 0 holds {10, 30}, queue 1 holds
-/// {20}, placed on the main thread; queues 2 and 3 stay empty. Each place pops once, concurrently.
-/// Both may read queue 0's top as 10 before either locks it; the loser
-/// then finds 30 under the lock, which loses to the runner-up 20 it read,
-/// and reads the tops again. So 10 and 20 are each taken once and 30 never
-/// is — a single pop of an exact pool would not take 30 either. Under
-/// `loom_mutate_exact_recheck` the loser takes 30.
+/// {20}, placed on the main thread; queues 2 and 3 stay empty. Each place
+/// pops once, concurrently. Both may read queue 0's top as 10 before
+/// either locks it; the loser then finds 30 under the lock, which loses to
+/// the runner-up 20 it read, and reads the tops again. So 10 and 20 are
+/// each taken once and 30 never is — a single pop of an exact pool would
+/// not take 30 either. Under `loom_mutate_exact_recheck` the loser takes
+/// 30.
 pub fn structural_pop_takes_a_true_minimum() {
     loom::model(|| {
         let sp = Arc::new(RelaxedMultiQueue::<u64>::structural(2));

@@ -32,12 +32,12 @@
 //! pop — every pop of a queue goes through `MqQueue::pop_locked` — stores
 //! the top it will leave, the least of the root's children
 //! ([`DaryHeap::peek_after_pop`](priosched_pq::DaryHeap::peek_after_pop)),
-//! *before* its sift. While a queue's lock
-//! is free its mirror is therefore its heap's top; while a pop holds the
-//! lock it is the top that pop leaves. The pop takes effect at that
-//! store: a place reading the tops during the sift already sees the next
-//! candidate and goes to another queue rather than queuing behind the
-//! sift for an entry that is already gone. A pop that drew two apparently
+//! *before* its sift. While a queue's lock is free its mirror is
+//! therefore its heap's top; while a pop holds the lock it is the top
+//! that pop leaves. The pop takes effect at that store: a place reading
+//! the tops during the sift already sees the next candidate and goes to
+//! another queue rather than queuing behind the sift for an entry that is
+//! already gone (loom model (b′)). A pop that drew two apparently
 //! empty queues (or lost its locks) falls back to an **exhaustive scan**
 //! of all `c·P` queues and then of the other places' non-empty insertion
 //! buffers (next section) before giving up. That scan is what makes the
@@ -152,17 +152,28 @@
 //! fell to about ×0.86 of blocking's (two cores, one queue per place).
 //!
 //! **Why the top is published before the sift, over `c·P` queues.** With
-//! one queue per place and the top stored after the sift, every place
-//! waited on the queue holding the least top, and found that top stale
-//! under the lock on ~4 pops in 10: the mirror still showed the entry
-//! being removed. Publishing the next top first lets a second place move
-//! on to the next-best queue during the sift, and `c = 2` makes it more
-//! likely that the next-best top sits on another queue. ρ does not change:
-//! it depends only on the insertion buffers. Measured by
-//! `scripts/ab.sh` against the previous configuration (10 alternating
-//! pairs of 25 s runs, two cores):
+//! one queue per place and the top stored after the sift, both places
+//! waited on the queue holding the least top, and ~4 pops in 10 found that
+//! top stale under the lock (`pool.stale_ref_frac.structural` 0.30): the
+//! mirror still showed the entry being removed. Publishing the next top
+//! first lets the second place move on to the next-best queue during the
+//! sift, and `c = 2` makes it likelier that the next-best top is on
+//! another queue. ρ does not change: it depends only on the insertion
+//! buffers. `scripts/ab.sh` against that configuration (10 alternating
+//! pairs of 25 s runs, two cores; pairs won in brackets):
 //!
-//! AB_TABLE_PENDING
+//! | workload | `items_per_s.structural` | `items_per_s.multiqueue` |
+//! |---|---|---|
+//! | `sssp_sparse` | 0.574 → 0.685 M/s, ×1.23 (10/10) | ×1.03 (7/10) |
+//! | `service_stream` | 4.45 → 5.56 M/s, ×1.25 (10/10) | ×1.06 (6/10) |
+//! | `sssp_dense` | 116 → 117 k/s, ×1.01 (5/10) | ×1.00 (5/10) |
+//! | `net_pipeline` | 4.83 → 4.71 M/s, ×0.96 (3/10) | ×0.99 (4/10) |
+//!
+//! A traced `sssp_sparse` run puts the saving in the stale tops:
+//! `pool.stale_ref_frac.structural` 0.30 → 0.18. The pool probe's
+//! `pool.pop_ns.structural`, where both places pop back to back, did not
+//! fall (881 → 864 ns on `sssp_sparse`; 771 → 860 ns on `service_stream`,
+//! median of three), and each pop now reads twice as many tops.
 //!
 //! This replaced a flat-combined shared heap with one buffer of up to `k`
 //! per place. Three other replacements were measured against that heap
@@ -348,9 +359,8 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
 
     /// Creates the structural configuration (arXiv 1312.2501 §5.3):
     /// [`DEFAULT_MQ_C`] queues per place and a pop that chooses among every
-    /// queue's top, so
-    /// a single-threaded pop ignores only the other places' buffered tasks
-    /// (see "Exact configuration" in the module docs).
+    /// queue's top, so a single-threaded pop ignores only the other places'
+    /// buffered tasks (see "Exact configuration" in the module docs).
     ///
     /// # Panics
     /// Panics if `nplaces == 0`.
@@ -431,9 +441,9 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
     /// `local`: the queue with the least top is locked, and its minimum
     /// taken only while it is no worse than the runner-up top read and
     /// strictly better than `local`; otherwise the tops are read again.
-    /// After `2·c·P` tops gone stale, every queue is locked in index order and
-    /// the least head taken. `None` means the buffer's minimum is no worse
-    /// than every top, or every top read empty.
+    /// After `2·c·P` tops gone stale, every queue is locked in index order
+    /// and the least head taken. `None` means the buffer's minimum is no
+    /// worse than every top, or every top read empty.
     fn pop_exact(&self, local: Option<u64>, stale_refs: &mut u64) -> Option<MqEntry<T>> {
         let beats_local = |prio: u64| local.is_none_or(|l| prio < l);
         for _ in 0..2 * self.queues.len() {
