@@ -265,7 +265,7 @@
 //! |---|---|
 //! | (a) Parking's register → re-check → park — [`park::ParkSlot::wait_until`], the one body every predicate wait runs — never loses a wakeup against the waiter-count-gated `wake_if_waiting` (the seq-cst fence pairing in [`park`]) | `models::parker_no_lost_wakeup` |
 //! | (b) The structural kind's exact pop takes a queue's minimum only after re-checking it, under the queue lock, against the runner-up top it read: two places popping once each from queues holding {10, 30} and {20} take 10 and 20, never 30, whatever went stale between the read and the lock ([`multiqueue`], "Exact configuration") | `models::structural_pop_takes_a_true_minimum` |
-//! | (b′) A pop publishes the top it leaves — the least of the root's children — before its sift: with queues holding {10, 40, 25} (40 the root's first child) and {30}, two places popping once each take 10 and 25, the second one whether it reads the tops before, during or after the first one's sift ([`multiqueue`], "Top caching") | `models::structural_pop_behind_a_sifting_pop_takes_the_true_next` |
+//! | (b′) The top a pop publishes for its queue is the least of the root's children: with queues holding {10, 40, 25} (40 the root's first child) and {30}, two places popping once each take 10 and 25, the second one whether it reads the tops before or after the first one's store (the model does not tell a store before the sift from one after it; [`multiqueue`], "Top caching") | `models::structural_pop_behind_a_sifting_pop_takes_the_true_next` |
 //! | (c) The item free list's versioned head defeats ABA on multi-node pops ([`item`], §4.1.3/§4.2.3 tag discipline) | `models::free_list_no_aba_double_pop` |
 //! | (d) The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
 //! | (d′) What a place buffered in the MultiQueue's insertion buffer is never out of another place's reach: a place-1 pusher whose first push is buffered, whose second lands both under the buffer lock and one queue lock, and whose third is still buffered when its handle drops, races a place-0 popper whose failing scan try-locks that buffer — each task exactly once, and the quiescent pool's scan finds every survivor ([`multiqueue`], "Per-place insertion buffer") | `models::multiqueue_buffer_is_reachable_by_other_places` |

@@ -110,17 +110,23 @@ pub fn structural_pop_takes_a_true_minimum() {
     });
 }
 
-/// (b′) Structural pop behind a sifting pop: a pop publishes the top it
-/// leaves behind before it sifts, and that top is the true next one.
+/// (b′) Structural pop behind a sifting pop: the top a pop publishes for
+/// the queue it leaves is the true next one, the least of the root's
+/// children.
 ///
 /// Queue 0 holds {10, 40, 25} — 10 at the root, 40 and 25 its children in
 /// that order — and queue 1 holds {30}. Two places pop once each,
-/// concurrently. Whichever locks queue 0 first takes 10 and publishes 25
-/// before its sift, so the other, reading the tops during that sift, sees
-/// 25 against 30 and waits for queue 0; one that read 10 before the store
-/// finds 25 under the lock. Either way the second pop takes 25. Had the
-/// first pop published its first child (40) instead of the least one, the
-/// second would read 40 against 30 and take 30.
+/// concurrently. Whichever locks queue 0 first takes 10 and publishes 25,
+/// so the other, reading the tops after that store, sees 25 against 30
+/// and waits for queue 0; one that read 10 before the store finds 25
+/// under the lock. Either way the second pop takes 25. Had the first pop
+/// published its first child (40) instead of the least one, the second
+/// would read 40 against 30 and take 30. The model checks *which* top is
+/// published, not *when*: a store after the sift passes it too, since a
+/// pop that read the stale 10 finds 25 under the lock and takes it
+/// (25 ≤ 30). That the store comes before the sift is what
+/// `pool.stale_ref_frac.structural` measures ([`crate::multiqueue`],
+/// "Top caching").
 pub fn structural_pop_behind_a_sifting_pop_takes_the_true_next() {
     loom::model(|| {
         let sp = Arc::new(RelaxedMultiQueue::<u64>::structural(2));

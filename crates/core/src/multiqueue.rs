@@ -153,7 +153,7 @@
 //!
 //! **Why the top is published before the sift, over `c·P` queues.** With
 //! one queue per place and the top stored after the sift, both places
-//! waited on the queue holding the least top, and ~4 pops in 10 found that
+//! waited on the queue holding the least top, and ~3 pops in 10 found that
 //! top stale under the lock (`pool.stale_ref_frac.structural` 0.30): the
 //! mirror still showed the entry being removed. Publishing the next top
 //! first lets the second place move on to the next-best queue during the
@@ -168,6 +168,13 @@
 //! | `service_stream` | 4.45 → 5.56 M/s, ×1.25 (10/10) | ×1.06 (6/10) |
 //! | `sssp_dense` | 116 → 117 k/s, ×1.01 (5/10) | ×1.00 (5/10) |
 //! | `net_pipeline` | 4.83 → 4.71 M/s, ×0.96 (3/10) | ×0.99 (4/10) |
+//!
+//! The two halves measured apart, `scripts/ab.sh` with the early publish
+//! at `c = 1` as base and `c = 2` as head: `items_per_s.structural`
+//! ×1.09 on `sssp_sparse` (9/10) and on `service_stream` (10/10), ×1.02
+//! on `sssp_dense` and on `net_pipeline` (6/10 each); every other kind
+//! within 0.98–1.06. Reading and locking twice as many queues costs no
+//! workload more than it saves.
 //!
 //! A traced `sssp_sparse` run puts the saving in the stale tops:
 //! `pool.stale_ref_frac.structural` 0.30 → 0.18. The pool probe's

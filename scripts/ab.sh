@@ -3,21 +3,23 @@
 # workload and end-to-end metric whether HEAD's gain over BASE is a claim.
 # Run from anywhere inside the repository:
 #
-#   scripts/ab.sh [--smoke] [--seconds S] BASE HEAD [pairs, default 10] [workload ...]
+#   scripts/ab.sh [--smoke] BASE HEAD [pairs, default 10] [workload ...]
 #
 # Each revision is checked out into a `git worktree` of its own and its
 # benchmark built there, with a target directory of its own. Pair i runs
 # both revisions on seed i, base first in odd pairs and head first in even
-# ones, every workload in turn (default: all of BENCHMARK.json's, at its
-# `run_seconds`); `--smoke` and `--seconds` are passed to the harness.
+# ones, every workload in turn (default: all of BENCHMARK.json's), at its
+# `run_seconds`; `--smoke` is passed to the harness.
 # The last stdout line of each run is its JSON result.
 #
 # Prints one markdown table on stdout. Ratio: the median over pairs of
 # head / base, oriented so that > 1 is better. Won: pairs in which head is
 # strictly better. p: two-sided sign test over the pairs that differ.
 # IQR/median: distance between the quartiles of a side's runs as a share
-# of their median. Claim: at least 9 in 10 pairs won, and the gap between
-# the medians larger than base's IQR/median. `rel_items.<kind>` is the kind's items/s
+# of their median. Claim: at least 9 in 10 pairs won, the gap between the
+# medians in head's favour (as a share of base's median) larger than
+# base's IQR/median, and no more failed operations or incorrect runs on
+# head than on base in that workload. `rel_items.<kind>` is the kind's items/s
 # over the mean of the five kinds' in the same run, which takes out the
 # drift both sides share.
 #
@@ -29,7 +31,7 @@ set -euo pipefail
 # it: a checkout that changes this file mid-run does not change the run.
 {
 usage() {
-  echo "usage: scripts/ab.sh [--smoke] [--seconds S] BASE HEAD [pairs] [workload ...]" >&2
+  echo "usage: scripts/ab.sh [--smoke] BASE HEAD [pairs] [workload ...]" >&2
   exit 2
 }
 
@@ -37,7 +39,6 @@ harness=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --smoke) harness+=(--smoke); shift ;;
-    --seconds) [ $# -ge 2 ] || usage; seconds="$2"; shift 2 ;;
     -*) usage ;;
     *) break ;;
   esac
@@ -52,7 +53,7 @@ shift $(($# < 3 ? $# : 3))
 case "$pairs" in '' | *[!0-9]* | 0) usage ;; esac
 
 spec="$repo/BENCHMARK.json"
-seconds="${seconds:-$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$spec")}"
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$spec")
 if [ $# -gt 0 ]; then
   workloads="$*"
 else
@@ -158,29 +159,32 @@ metrics += [(f"rel_items.{k}", True) for k in kinds]
 
 print(f"A/B: base `{base[:10]}`, head `{head[:10]}`; {pairs} pairs, `run_seconds` = {seconds}, "
       f"`nproc` = {os.cpu_count()}. Ratio > 1 is better; claim = won ≥ {need}/{pairs} "
-      "and median gap > base IQR/median.\n")
+      "and median gap > base IQR/median, with no more failures than base.\n")
 print("| workload | metric | base median | head median | ratio | won | sign p | base IQR/median | head IQR/median | claim |")
 print("|---|---|---|---|---|---|---|---|---|---|")
 notes = []
 for w in dict.fromkeys(w for (w, _) in results):
+    # (failed operations, incorrect runs) per side
+    faults = {}
+    for side in ("base", "head"):
+        runs = results[(w, side)].values()
+        faults[side] = (sum(r["failed"] for r in runs), sum(not r["correct"] for r in runs))
+        if any(faults[side]):
+            notes.append(f"{w} on {side}: {faults[side][0]} failed operations, "
+                         f"{faults[side][1]} runs not correct")
+    worse = any(h > b for b, h in zip(faults["base"], faults["head"]))
     for name, higher in metrics:
         b, h = values(w, "base", name), values(w, "head", name)
         ratios = [ratio(x, y, higher) for x, y in zip(b, h)]
         wins = sum(r > 1 for r in ratios)
         losses = sum(r < 1 for r in ratios)
         mb, mh = statistics.median(b), statistics.median(h)
-        gap = ratio(mb, mh, higher) - 1
+        gap = ((mh - mb) if higher else (mb - mh)) / mb if mb else math.nan
         spread = iqr_frac(b)
-        claim = wins >= need and gap > spread
+        claim = wins >= need and gap > spread and not worse
         print(f"| {w} | {name} | {mb:.6g} | {mh:.6g} | {statistics.median(ratios):.3f} | "
               f"{wins}/{pairs} | {sign_p(wins, losses):.3g} | {spread:.3f} | "
               f"{iqr_frac(h):.3f} | {'yes' if claim else 'no'} |")
-    for side in ("base", "head"):
-        runs = results[(w, side)].values()
-        failed = sum(r["failed"] for r in runs)
-        wrong = sum(not r["correct"] for r in runs)
-        if failed or wrong:
-            notes.append(f"{w} on {side}: {failed} failed operations, {wrong} runs not correct")
 print()
 print("\n".join(notes) if notes else "Every run was correct and failed no operation.")
 EOF
