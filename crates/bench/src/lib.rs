@@ -1,34 +1,45 @@
 #![warn(missing_docs)]
 
-//! Shared harness utilities for the figure-regeneration binaries.
+//! The figure harness, the chaos sweep and the atomics audit.
 //!
-//! Every figure of the paper's evaluation (§5.4.1, §5.5) has a binary in
-//! `src/bin/` that regenerates its series:
+//! One binary, `figs`, regenerates the paper's SSSP figures (§5.4.1, §5.5).
+//! Every run goes through `SsspWorkload::run_phases`, the phase model on one
+//! thread, so it reaches the paper's P = 80 on any host and its counts
+//! repeat exactly; every run is checked against Dijkstra. `--sweep` picks
+//! the axis ([`Sweep`]):
 //!
-//! | binary            | paper figure | series | runs |
-//! |-------------------|--------------|--------|------|
-//! | `fig3_simulation` | Figure 3     | settled/phase, h*_t/phase, theory-vs-simulation | `priosched_sim` phase model |
-//! | `fig4_scaling`    | Figure 4     | time & nodes relaxed vs P (k = 512) | one `SsspWorkload` per graph |
-//! | `fig5_k_sweep`    | Figure 5     | time & nodes relaxed vs k (P fixed) | one `SsspWorkload` per graph |
+//! | `--sweep` | paper figure | axis | structures |
+//! |-----------|--------------|------|------------|
+//! | `places`  | Figure 4 | P ∈ {1, 2, 3, 5, 10, 20, 40, 80}, k = 512 | every `PoolKind`, `RhoWindow` (ρ = k) |
+//! | `k`       | Figure 5 | k ∈ {0, 1, 2, 4, …, 8192} (32768 with `--full`), P = 80 | every `PoolKind`, `RhoWindow` (ρ = k) |
+//! | `rho`     | Figure 3 | ρ ∈ {0, 128, 512}, P = 80 | `RhoWindow` |
 //!
-//! For the SSSP figures, time comes from the threaded `run_workload` and
-//! "nodes relaxed" from the deterministic `SsspWorkload::lockstep`
-//! (`priosched_workloads`); every run is checked against Dijkstra.
+//! Each row is the mean over the graphs of nodes relaxed, the useless share
+//! of them, phases, settled nodes per phase, and Theorem 5's lower bound on
+//! settled nodes per phase, evaluated on the run's own phases for the same
+//! (n, p, P). Stdout carries only that table, so it diffs exactly; notes and
+//! CSV paths (`DIR/figs_<sweep>.csv`, and for `rho` Figure 3's per-phase
+//! `fig3{a,b,c}_*.csv`) go to stderr. Wall-clock time is not measured here:
+//! every timing comes from the standalone `benchmark/` package.
 //!
-//! All binaries accept the same flags (parsed by [`HarnessConfig`]; a bad
-//! flag is a usage error, exit code 2):
+//! Flags (parsed by [`HarnessConfig`]; a bad flag is a usage error, exit
+//! code 2): `--sweep places|k|rho` (required), `--full` (the paper's
+//! workload: n = 10000, p = 0.5, 20 graphs; the default is a scaled
+//! workload of the same shape), `--n N`, `--p P`, `--graphs G`, `--out DIR`.
 //!
-//! * `--full` — the paper's workload: n = 10000, p = 0.5, 20 graphs
-//!   (several GiB of CSR and minutes of runtime; the default is a scaled
-//!   workload with the same shapes);
-//! * `--n N`, `--p P`, `--graphs G`, `--places P`, `--out DIR`.
+//! CI diffs each sweep at `--n 300 --graphs 2` against the tables committed
+//! under `crates/bench/figs/`; after an intended ordering change, regenerate
+//! them from the repository root with
 //!
-//! Output goes to stdout (human-readable tables) and `results/*.csv`
-//! (machine-readable, one row per point).
+//! ```text
+//! for s in places k rho; do
+//!     cargo run --release -p priosched-bench --bin figs -- \
+//!         --sweep $s --n 300 --graphs 2 --out results > crates/bench/figs/$s.txt
+//! done
+//! ```
 //!
 //! Also here: the `chaos` fault-injection sweep (over [`chaos`]) and the
-//! `atomics_audit` CI gate. Throughput and latency numbers come from the
-//! standalone `benchmark/` package, not from this crate.
+//! `atomics_audit` CI gate.
 
 use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
 use std::io::Write;
@@ -44,17 +55,54 @@ pub mod latency;
 /// (§5.4.1: "exactly the same 20 random graphs").
 pub const GRAPH_SEED_BASE: u64 = 1000;
 
+/// The axis `figs` sweeps.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Sweep {
+    /// Figure 4: places at k = 512.
+    #[default]
+    Places,
+    /// Figure 5: k at P = 80.
+    K,
+    /// Figure 3: the window's ρ at P = 80.
+    Rho,
+}
+
+impl Sweep {
+    /// The sweep's `(P, k)` points; for [`Sweep::Rho`] the second value is
+    /// ρ. `full` extends the k axis to the paper's 32768.
+    pub fn points(self, full: bool) -> Vec<(usize, usize)> {
+        match self {
+            Sweep::Places => [1, 2, 3, 5, 10, 20, 40, 80].map(|p| (p, 512)).to_vec(),
+            Sweep::K => {
+                let top = if full { 15 } else { 13 };
+                let powers = (0..=top).map(|e| 1 << e);
+                std::iter::once(0).chain(powers).map(|k| (80, k)).collect()
+            }
+            Sweep::Rho => vec![(80, 0), (80, 128), (80, 512)],
+        }
+    }
+
+    /// The flag value that selects this sweep.
+    pub fn name(self) -> &'static str {
+        match self {
+            Sweep::Places => "places",
+            Sweep::K => "k",
+            Sweep::Rho => "rho",
+        }
+    }
+}
+
 /// Common harness configuration.
 #[derive(Clone, Debug)]
 pub struct HarnessConfig {
+    /// The axis to sweep.
+    pub sweep: Sweep,
     /// Nodes per graph.
     pub n: usize,
     /// Edge probability.
     pub p: f64,
     /// Number of replicated graphs (paper: 20).
     pub graphs: usize,
-    /// Maximum place count to sweep (paper machine: 80).
-    pub places: usize,
     /// Output directory for CSVs.
     pub out_dir: PathBuf,
     /// Whether `--full` (paper-scale) was requested.
@@ -64,18 +112,18 @@ pub struct HarnessConfig {
 impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
+            sweep: Sweep::default(),
             n: 2000,
             p: 0.5,
             graphs: 5,
-            places: 8,
             out_dir: PathBuf::from("results"),
             full: false,
         }
     }
 }
 
-const USAGE: &str =
-    "flags: --full | --n N (≥ 1) | --p P (in [0, 1]) | --graphs G (≥ 1) | --places P (≥ 1) | --out DIR";
+const USAGE: &str = "flags: --sweep places|k|rho (required) | --full | --n N (≥ 2) | \
+                     --p P (in (0, 1]) | --graphs G (≥ 1) | --out DIR";
 
 impl HarnessConfig {
     /// Parses the arguments after the program name. `Ok(None)` means
@@ -92,6 +140,7 @@ impl HarnessConfig {
             }
         }
         let mut cfg = HarnessConfig::default();
+        let mut sweep = None;
         let mut args = argv.iter();
         while let Some(arg) = args.next() {
             let mut take = |name: &str| -> Result<&String, String> {
@@ -99,22 +148,27 @@ impl HarnessConfig {
                     .ok_or_else(|| format!("{name} requires a value"))
             };
             match arg.as_str() {
+                "--sweep" => {
+                    let v = take("--sweep")?;
+                    let all = [Sweep::Places, Sweep::K, Sweep::Rho];
+                    let found = all.into_iter().find(|s| s.name() == v);
+                    sweep = Some(found.ok_or_else(|| format!("--sweep: bad value {v:?}"))?);
+                }
                 "--full" => {
                     cfg.full = true;
                     cfg.n = 10_000;
                     cfg.p = 0.5;
                     cfg.graphs = 20;
-                    cfg.places = 80;
                 }
-                "--n" => cfg.n = num("--n", take("--n")?, 1..=usize::MAX)?,
-                "--p" => cfg.p = num("--p", take("--p")?, 0.0..=1.0)?,
+                "--n" => cfg.n = num("--n", take("--n")?, 2..=usize::MAX)?,
+                "--p" => cfg.p = num("--p", take("--p")?, f64::MIN_POSITIVE..=1.0)?,
                 "--graphs" => cfg.graphs = num("--graphs", take("--graphs")?, 1..=usize::MAX)?,
-                "--places" => cfg.places = num("--places", take("--places")?, 1..=usize::MAX)?,
                 "--out" => cfg.out_dir = PathBuf::from(take("--out")?),
                 "--help" | "-h" => return Ok(None),
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
+        cfg.sweep = sweep.ok_or("--sweep is required")?;
         Ok(Some(cfg))
     }
 
@@ -136,54 +190,24 @@ impl HarnessConfig {
         }
     }
 
-    /// Generates the replicated graph set (seeded, reproducible).
-    pub fn graph_set(&self) -> Vec<CsrGraph> {
-        (0..self.graphs)
-            .map(|i| {
-                let g = erdos_renyi(&ErdosRenyiConfig {
-                    n: self.n,
-                    p: self.p,
-                    seed: GRAPH_SEED_BASE + i as u64,
-                });
-                if !g.is_connected() {
-                    eprintln!(
-                        "warning: graph {i} (n={}, p={}) is disconnected; \
-                         relaxation counts will undershoot n",
-                        self.n, self.p
-                    );
-                }
-                g
-            })
-            .collect()
-    }
-
-    /// Describes the environment, flagging host limitations honestly.
-    pub fn banner(&self, figure: &str) {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        println!("=== {figure} ===");
-        println!(
-            "workload: {} graphs, n = {}, p = {}, seeds {}..{}",
-            self.graphs,
-            self.n,
-            self.p,
-            GRAPH_SEED_BASE,
-            GRAPH_SEED_BASE + self.graphs as u64 - 1
-        );
-        println!("host: {cores} hardware thread(s); paper testbed: 80-core Xeon, 1 TB RAM");
-        if self.places > cores {
-            println!(
-                "note: sweeping up to {} places on {cores} hardware thread(s): \
-                 wall-clock scaling will flatten from oversubscription, while \
-                 'nodes relaxed' (ordering quality) remains meaningful",
-                self.places
-            );
-        }
-        if !self.full {
-            println!("scaled workload; pass --full for the paper's n = 10000 / 20 graphs");
-        }
-        println!();
+    /// The replicated graphs (seeded, reproducible), generated one at a
+    /// time so a sweep holds one graph in memory.
+    pub fn graph_set(&self) -> impl Iterator<Item = CsrGraph> + '_ {
+        (0..self.graphs).map(|i| {
+            let g = erdos_renyi(&ErdosRenyiConfig {
+                n: self.n,
+                p: self.p,
+                seed: GRAPH_SEED_BASE + i as u64,
+            });
+            if !g.is_connected() {
+                eprintln!(
+                    "warning: graph {i} (n={}, p={}) is disconnected; \
+                     relaxation counts will undershoot n",
+                    self.n, self.p
+                );
+            }
+            g
+        })
     }
 }
 
@@ -219,27 +243,6 @@ pub fn write_csv(
     Ok(path)
 }
 
-/// The paper's place sweep for Figure 4, filtered to `max`.
-pub fn fig4_place_sweep(max: usize) -> Vec<usize> {
-    [1usize, 2, 3, 5, 10, 20, 40, 80]
-        .into_iter()
-        .filter(|&p| p <= max.max(1))
-        .collect()
-}
-
-/// The paper's k sweep for Figure 5 (x-axis: 0, 1, 2, 4, …, 32768),
-/// optionally truncated for scaled runs.
-pub fn fig5_k_sweep(full: bool) -> Vec<usize> {
-    let mut ks = vec![0usize, 1];
-    let mut k = 2;
-    let cap = if full { 32_768 } else { 8_192 };
-    while k <= cap {
-        ks.push(k);
-        k *= 2;
-    }
-    ks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,23 +262,27 @@ mod tests {
 
     #[test]
     fn well_formed_flags_parse() {
-        let cfg = parse("--n 300 --p 0.25 --graphs 2 --places 4 --out x")
+        let cfg = parse("--sweep k --n 300 --p 0.25 --graphs 2 --out x")
             .unwrap()
             .unwrap();
-        assert_eq!((cfg.n, cfg.p, cfg.graphs, cfg.places), (300, 0.25, 2, 4));
-        assert_eq!(cfg.out_dir, PathBuf::from("x"));
-        let full = parse("--full").unwrap().unwrap();
-        assert!(full.full && full.n == 10_000 && full.places == 80);
+        assert_eq!((cfg.n, cfg.p, cfg.graphs), (300, 0.25, 2));
+        assert_eq!((cfg.sweep, cfg.out_dir), (Sweep::K, PathBuf::from("x")));
+        let full = parse("--full --sweep rho").unwrap().unwrap();
+        assert!(full.full && full.n == 10_000 && full.graphs == 20);
+        assert_eq!(full.sweep, Sweep::Rho);
         assert!(parse("--help").unwrap().is_none());
         assert!(parse("-h").unwrap().is_none());
     }
 
     #[test]
     fn bad_flags_are_usage_errors_not_panics() {
-        let bad_lines = "--n 0|--graphs 0|--places 0|--p 1.5|--p NaN|--n ten|--places|--bogus";
+        let bad_lines = "--n 1|--graphs 0|--p 0|--p 1.5|--p NaN|--n ten|--sweep|--sweep x|\
+                         --places 4|--bogus";
         for bad in bad_lines.split('|') {
-            assert!(!parse(bad).expect_err(bad).is_empty());
+            let line = format!("--sweep places {bad}");
+            assert!(!parse(&line).expect_err(&line).is_empty());
         }
+        assert!(!parse("--n 300").expect_err("no sweep").is_empty());
     }
 
     #[test]
@@ -286,8 +293,8 @@ mod tests {
             graphs: 2,
             ..HarnessConfig::default()
         };
-        let a = cfg.graph_set();
-        let b = cfg.graph_set();
+        let a: Vec<_> = cfg.graph_set().collect();
+        let b: Vec<_> = cfg.graph_set().collect();
         assert_eq!(a.len(), 2);
         assert_eq!(
             a[0].undirected_edges().collect::<Vec<_>>(),
@@ -301,20 +308,20 @@ mod tests {
     }
 
     #[test]
-    fn fig4_sweep_respects_cap() {
-        assert_eq!(fig4_place_sweep(8), vec![1, 2, 3, 5]);
-        assert_eq!(fig4_place_sweep(80), vec![1, 2, 3, 5, 10, 20, 40, 80]);
-        assert_eq!(fig4_place_sweep(0), vec![1]);
-    }
-
-    #[test]
-    fn fig5_sweep_is_paper_axis() {
-        let full = fig5_k_sweep(true);
-        assert_eq!(full[0], 0);
-        assert_eq!(*full.last().unwrap(), 32_768);
-        assert!(full.contains(&512));
-        let scaled = fig5_k_sweep(false);
-        assert!(*scaled.last().unwrap() <= 8_192);
+    fn sweeps_are_the_papers_axes() {
+        let places = Sweep::Places.points(false);
+        assert_eq!(
+            places.iter().map(|p| p.0).collect::<Vec<_>>(),
+            [1, 2, 3, 5, 10, 20, 40, 80]
+        );
+        assert!(places.iter().all(|p| p.1 == 512));
+        for (full, top) in [(false, 8192), (true, 32_768)] {
+            let ks: Vec<usize> = Sweep::K.points(full).iter().map(|p| p.1).collect();
+            assert_eq!((ks[0], ks[1], ks[2], ks[3]), (0, 1, 2, 4));
+            assert_eq!(*ks.last().unwrap(), top);
+            assert!(ks.contains(&512));
+        }
+        assert_eq!(Sweep::Rho.points(false), [(80, 0), (80, 128), (80, 512)]);
     }
 
     #[test]

@@ -233,41 +233,25 @@ mod tests {
     }
 
     /// End-to-end: the theoretical settled lower bound must not exceed the
-    /// simulated settled count by more than statistical noise, phase by
-    /// phase (this is the Figure 3c comparison).
+    /// settled count of an exact phase run by more than statistical noise,
+    /// phase by phase (this is the Figure 3c comparison).
     #[test]
     fn bound_is_consistent_with_simulation() {
-        use crate::simulator::{simulate_sssp, SimConfig};
-        use priosched_graph::{erdos_renyi, ErdosRenyiConfig};
-        let n = 400;
-        let p = 0.5;
-        let g = erdos_renyi(&ErdosRenyiConfig { n, p, seed: 17 });
-        let res = simulate_sssp(
-            &g,
-            0,
-            &SimConfig {
-                p: 16,
-                rho: 0,
-                seed: 3,
-            },
-        );
+        use crate::RhoWindow;
+        use priosched_workloads::SsspWorkload;
+        use std::sync::Arc;
+        let (n, p) = (400, 0.5);
+        let w = SsspWorkload::random(n, p, 17);
+        let run = w.run_phases(&Arc::new(RhoWindow::new(16, 0)), 0).unwrap();
         let tb = TheoryBound::new(n, p);
-        let mut violations = 0usize;
-        for ph in &res.phases {
-            if ph.relaxed < 2 {
-                continue;
-            }
-            // Reconstruct the sorted distance spread via h* (the record does
-            // not keep every distance); use the weaker h* bound, which is
-            // valid for the same phase.
-            let bound = ph.relaxed as f64 - tb.useless_upper_bound_hstar(ph.h_star, ph.relaxed);
-            // Lower bound on expected settled; per-phase randomness allows
-            // occasional dips below, so count gross violations only.
-            if (ph.settled as f64) < bound - 3.0 {
-                violations += 1;
-            }
-        }
-        let frac = violations as f64 / res.phases.len().max(1) as f64;
+        // A lower bound on the expected settled count; per-phase randomness
+        // allows occasional dips below, so count gross violations only.
+        let violations = run
+            .phases
+            .iter()
+            .filter(|ph| (ph.settled as f64) < tb.settled_lower_bound(&ph.dists) - 3.0)
+            .count();
+        let frac = violations as f64 / run.phases.len().max(1) as f64;
         assert!(
             frac < 0.1,
             "settled fell far below the theoretical lower bound in {frac:.0}% of phases"

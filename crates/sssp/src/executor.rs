@@ -2,10 +2,9 @@
 
 use crate::distances::AtomicDistances;
 use priosched_core::stats::PlaceCounter;
-use priosched_core::{PoolHandle, RunStats, SpawnCtx, TaskExecutor, TaskPool};
+use priosched_core::{PoolHandle, SpawnCtx, TaskExecutor, TaskPool};
 use priosched_graph::CsrGraph;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One pending node relaxation: "each node that has to be relaxed
 /// corresponds to a task in the scheduling system" (§5.1).
@@ -13,7 +12,7 @@ use std::time::Instant;
 /// `dist_bits` is the tentative distance the task was spawned with (also its
 /// priority key). The task is *dead* when the node's current distance no
 /// longer equals it — a better instance has superseded this one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SsspTask {
     /// Node to relax.
     pub node: u32,
@@ -80,18 +79,24 @@ impl<'g> SsspExecutor<'g> {
         &self.dist
     }
 
-    /// Listing 5's `relaxNode` at `place`: re-checks `task` against the
-    /// distance now stored, which may have improved since the dead check (a
-    /// loser counts as late-dead), then appends each edge's decrease to `batch`.
+    /// Listing 5's in-task re-check at `place`: whether `task` still holds
+    /// the distance now stored, which may have improved since the dead
+    /// check. A loser counts as late-dead.
     #[inline]
-    fn relax(&self, place: usize, task: SsspTask, batch: &mut Vec<(u64, SsspTask)>) {
-        let d_bits = self.dist.load_bits(task.node);
-        if d_bits != task.dist_bits {
+    fn is_current(&self, place: usize, task: &SsspTask) -> bool {
+        let current = self.dist.load_bits(task.node) == task.dist_bits;
+        if !current {
             self.late_dead.add(place, 1);
-            return;
         }
+        current
+    }
+
+    /// Listing 5's edge scan at `place`: relaxes `task.node` at the distance
+    /// it was queued with and appends each edge's decrease to `batch`.
+    #[inline]
+    fn scan(&self, place: usize, task: SsspTask, batch: &mut Vec<(u64, SsspTask)>) {
         self.relaxed.add(place, 1);
-        let d = f64::from_bits(d_bits);
+        let d = f64::from_bits(task.dist_bits);
         for e in self.graph.neighbors(task.node) {
             let new_bits = (d + e.weight as f64).to_bits();
             // "Check if path through this node is shorter … try to update
@@ -108,52 +113,105 @@ impl<'g> SsspExecutor<'g> {
         }
     }
 
-    /// The scheduler's loop (§2) on the calling thread: the places of
-    /// `pool` take one pop each per round, round-robin, until nothing is
-    /// pending; `roots` go in through place 0. OS timeslicing on a host
-    /// with few cores runs each worker alone for long stretches and hides
-    /// the interleaving that produces useless work on the paper's 80 cores;
-    /// this loop restores it deterministically, the task-granular analog of
-    /// "in each phase up to P nodes are relaxed" (§5.2.1). The counts repeat
-    /// exactly; the wall time means nothing.
-    pub fn run_lockstep<P: TaskPool<SsspTask>>(
+    /// The paper's phase model (§5.2.1) on the calling thread, over the
+    /// places of `pool`; `roots` go in through place 0. Each round has two
+    /// steps: every place pops until it holds a live task (a dead pop is
+    /// counted and popped past, as a scheduler place does), then the
+    /// round's tasks are relaxed side by side, each at its queued distance,
+    /// and each place pushes what its task spawned. A node that one task of
+    /// the round improves while another relaxes it is relaxed again later:
+    /// that is the useless work, and even an exact pool has some at P > 1.
+    /// `oracle` holds the final distances, against which a relaxation is
+    /// counted as settled. With one thread the counts depend only on the
+    /// order the pool hands tasks out, so they repeat exactly on any host.
+    pub fn run_phases<P: TaskPool<SsspTask>>(
         &self,
         pool: &Arc<P>,
         roots: Vec<(u64, usize, SsspTask)>,
-    ) -> RunStats {
-        let start = Instant::now();
+        oracle: &[f64],
+    ) -> PhaseRun {
         let mut handles: Vec<P::Handle> = (0..pool.num_places()).map(|p| pool.handle(p)).collect();
-        let mut pending = roots.len() as u64;
+        let mut pending = roots.len();
         for (prio, k, task) in roots {
             handles[0].push(prio, k, task);
         }
-        let mut stats = RunStats {
-            per_place_executed: vec![0; handles.len()],
-            ..RunStats::default()
-        };
+        let mut run = PhaseRun::default();
+        let mut round = Vec::with_capacity(handles.len());
         let mut batch = Vec::new();
         while pending > 0 {
             for (place, h) in handles.iter_mut().enumerate() {
-                let Some(task) = h.pop() else { continue };
-                pending -= 1;
-                // With one thread, the dead check and the in-task re-check
-                // see the same distance: `relax` never finds a late-dead task.
-                if self.is_dead(&task) {
-                    stats.dead += 1;
-                    continue;
+                while let Some(task) = h.pop() {
+                    pending -= 1;
+                    if !self.is_dead(&task) {
+                        round.push((place, task));
+                        break;
+                    }
+                    run.dead += 1;
                 }
-                stats.per_place_executed[place] += 1;
-                self.relax(place, task, &mut batch);
-                pending += batch.len() as u64;
-                h.push_batch(self.k, &mut batch);
             }
+            if round.is_empty() {
+                continue;
+            }
+            let (mut dists, mut settled) = (Vec::with_capacity(round.len()), 0);
+            for (place, task) in round.drain(..) {
+                let d = f64::from_bits(task.dist_bits);
+                dists.push(d);
+                settled += usize::from(d == oracle[task.node as usize]);
+                self.scan(place, task, &mut batch);
+                pending += batch.len();
+                handles[place].push_batch(self.k, &mut batch);
+            }
+            dists.sort_by(f64::total_cmp);
+            run.phases.push(PhaseRecord { settled, dists });
         }
-        stats.executed = stats.per_place_executed.iter().sum();
-        for h in &handles {
-            stats.pool.merge(&h.stats());
+        run
+    }
+}
+
+/// One round of [`SsspExecutor::run_phases`]: a phase of §5.2.1, one row of
+/// Figure 3's panels.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PhaseRecord {
+    /// Relaxations at the node's final distance.
+    pub settled: usize,
+    /// Queued distances of the phase's relaxations, sorted: Theorem 5's
+    /// `d_t(j)`.
+    pub dists: Vec<f64>,
+}
+
+impl PhaseRecord {
+    /// Nodes relaxed in the phase (at most P).
+    pub fn relaxed(&self) -> usize {
+        self.dists.len()
+    }
+
+    /// `h*_t`: the spread of the phase's distances (0 below two relaxations).
+    pub fn h_star(&self) -> f64 {
+        match (self.dists.first(), self.dists.last()) {
+            (Some(lo), Some(hi)) => hi - lo,
+            _ => 0.0,
         }
-        stats.elapsed = start.elapsed();
-        stats
+    }
+}
+
+/// What [`SsspExecutor::run_phases`] counted.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PhaseRun {
+    /// One record per round that relaxed a node.
+    pub phases: Vec<PhaseRecord>,
+    /// Pops whose task a shorter path had superseded.
+    pub dead: u64,
+}
+
+impl PhaseRun {
+    /// Nodes relaxed over all phases, repeats included.
+    pub fn relaxed(&self) -> usize {
+        self.phases.iter().map(PhaseRecord::relaxed).sum()
+    }
+
+    /// Relaxations at a distance that was not final (§5.2.2).
+    pub fn useless(&self) -> usize {
+        self.phases.iter().map(|ph| ph.relaxed() - ph.settled).sum()
     }
 }
 
@@ -173,7 +231,9 @@ impl<'g> TaskExecutor<SsspTask> for SsspExecutor<'g> {
     /// the same point between pops.
     fn execute(&self, task: SsspTask, ctx: &mut SpawnCtx<'_, SsspTask>) {
         let mut batch = ctx.take_batch_buf();
-        self.relax(ctx.place(), task, &mut batch);
+        if self.is_current(ctx.place(), &task) {
+            self.scan(ctx.place(), task, &mut batch);
+        }
         ctx.spawn_batch(self.k, &mut batch);
         ctx.put_batch_buf(batch);
     }

@@ -16,17 +16,17 @@
 //! measure as "nodes relaxed" beyond the graph's `n`.
 //!
 //! This crate is Listing 5 and nothing else: [`SsspTask`], the relaxation
-//! in [`SsspExecutor`] (written once, shared by the threaded `execute` and
-//! [`SsspExecutor::run_lockstep`]) and [`AtomicDistances`]. Runs go through
-//! `priosched_workloads::SsspWorkload`, which holds the Dijkstra oracle:
-//! `run_workload` runs it threaded, `SsspWorkload::lockstep` on one thread,
-//! and both verify.
+//! in [`SsspExecutor`] (its edge scan written once, shared by the threaded
+//! `execute` and the phase driver [`SsspExecutor::run_phases`]) and
+//! [`AtomicDistances`]. Runs go through `priosched_workloads::SsspWorkload`,
+//! which holds the Dijkstra oracle: `run_workload` runs it threaded,
+//! `SsspWorkload::run_phases` in phases on one thread, and both verify.
 
 pub mod distances;
 pub mod executor;
 
 pub use distances::AtomicDistances;
-pub use executor::{SsspExecutor, SsspTask};
+pub use executor::{PhaseRecord, PhaseRun, SsspExecutor, SsspTask};
 
 #[cfg(test)]
 mod integration_tests {

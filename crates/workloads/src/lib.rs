@@ -10,9 +10,10 @@
 //! one-off example:
 //!
 //! * [`SsspWorkload`] — the paper's evaluation application (§5.1), and
-//!   the one way to run it: threaded through [`run_workload`], or
-//!   round-robin on one thread through [`SsspWorkload::lockstep`] (the
-//!   figures' deterministic "nodes relaxed" count) — both oracle-checked;
+//!   the one way to run it: threaded through [`run_workload`], or in the
+//!   paper's phases on one thread over any pool through
+//!   [`SsspWorkload::run_phases`] (the figures' deterministic counts) —
+//!   both oracle-checked;
 //! * [`BfsWorkload`] — unit-weight BFS à la the Multi-Queues evaluation:
 //!   dense equal-priority frontiers, verified against sequential BFS;
 //! * [`CholeskyWorkload`] — tile Cholesky as a prioritized task DAG, the
@@ -58,6 +59,7 @@ pub use cholesky::CholeskyWorkload;
 pub use knapsack::KnapsackWorkload;
 pub use mo_sssp::MoSsspWorkload;
 pub use mst::MstWorkload;
+pub use priosched_sssp::{PhaseRecord, PhaseRun};
 pub use sssp::SsspWorkload;
 
 use priosched_core::stats::PlaceStats;

@@ -1,12 +1,12 @@
 //! The paper's evaluation workload (§5.1) as a [`Workload`]: parallel SSSP
 //! where every node relaxation is a task, verified against sequential
-//! Dijkstra. Threaded runs go through [`crate::run_workload`], lockstep runs
-//! through [`SsspWorkload::lockstep`].
+//! Dijkstra. Threaded runs go through [`crate::run_workload`], phase runs
+//! through [`SsspWorkload::run_phases`].
 
-use crate::{report, Workload, WorkloadReport};
-use priosched_core::{PoolKind, PoolParams, RunStats};
+use crate::Workload;
+use priosched_core::{PoolParams, RunStats, TaskPool};
 use priosched_graph::{dijkstra, erdos_renyi, CsrGraph, ErdosRenyiConfig};
-use priosched_sssp::{SsspExecutor, SsspTask};
+use priosched_sssp::{PhaseRun, SsspExecutor, SsspTask};
 use std::sync::Arc;
 
 /// An SSSP instance (graph + source) with its Dijkstra oracle.
@@ -50,16 +50,48 @@ impl SsspWorkload {
         &self.oracle
     }
 
-    /// Runs the workload once on `places` handles of a fresh pool of
-    /// `kind`, serviced round-robin on the calling thread (see
-    /// [`SsspExecutor::run_lockstep`]), and verifies it like
-    /// [`crate::run_workload`]. Its counts repeat exactly; its wall time
-    /// means nothing.
-    pub fn lockstep(&self, kind: PoolKind, places: usize, params: PoolParams) -> WorkloadReport {
-        let exec = self.executor(&params);
-        let pool = Arc::new(kind.build(places, params));
-        let run = exec.run_lockstep(&pool, self.seed(&exec, &params));
-        report(self, &exec, kind, places, params, run)
+    /// Reachable nodes: what Dijkstra relaxes.
+    pub fn reachable(&self) -> u64 {
+        self.reachable
+    }
+
+    /// Runs the workload in phases over every place of `pool`, spawning at
+    /// relaxation bound `k` (see [`SsspExecutor::run_phases`]), and checks
+    /// the distances against Dijkstra's. Its counts repeat exactly.
+    pub fn run_phases<P: TaskPool<SsspTask>>(
+        &self,
+        pool: &Arc<P>,
+        k: usize,
+    ) -> Result<PhaseRun, String> {
+        let exec = SsspExecutor::new(&self.graph, self.source, k);
+        let run = exec.run_phases(pool, vec![exec.root(self.source)], &self.oracle);
+        self.check(&exec)?;
+        Ok(run)
+    }
+
+    /// The oracle check every run passes: Dijkstra's distances, and at
+    /// least one relaxation per reachable node.
+    fn check(&self, exec: &SsspExecutor<'_>) -> Result<(), String> {
+        let dist = exec.distances().snapshot();
+        if dist != self.oracle {
+            let diverging = dist
+                .iter()
+                .zip(&self.oracle)
+                .filter(|(a, b)| a != b)
+                .count();
+            return Err(format!(
+                "{diverging} of {} distances diverge from Dijkstra",
+                dist.len()
+            ));
+        }
+        if exec.relaxed() < self.reachable {
+            return Err(format!(
+                "only {} relaxations for {} reachable nodes",
+                exec.relaxed(),
+                self.reachable
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -83,26 +115,7 @@ impl Workload for SsspWorkload {
     }
 
     fn verify(&self, exec: &SsspExecutor<'_>, _run: &RunStats) -> Result<(), String> {
-        let dist = exec.distances().snapshot();
-        if dist != self.oracle {
-            let diverging = dist
-                .iter()
-                .zip(&self.oracle)
-                .filter(|(a, b)| a != b)
-                .count();
-            return Err(format!(
-                "{diverging} of {} distances diverge from Dijkstra",
-                dist.len()
-            ));
-        }
-        if exec.relaxed() < self.reachable {
-            return Err(format!(
-                "only {} relaxations for {} reachable nodes",
-                exec.relaxed(),
-                self.reachable
-            ));
-        }
-        Ok(())
+        self.check(exec)
     }
 
     fn metrics(&self, exec: &SsspExecutor<'_>, _run: &RunStats) -> Vec<(&'static str, f64)> {
@@ -120,6 +133,7 @@ impl Workload for SsspWorkload {
 mod tests {
     use super::*;
     use crate::run_workload;
+    use priosched_core::PoolKind;
 
     #[test]
     fn sssp_workload_verifies_on_hybrid() {
@@ -133,34 +147,29 @@ mod tests {
             .any(|(name, v)| *name == "relaxed" && *v >= 120.0));
     }
 
-    /// Nodes relaxed by a run that matched Dijkstra.
-    fn relaxed(report: &WorkloadReport) -> f64 {
-        let metrics = &report.expect_verified().metrics;
-        metrics.iter().find(|(n, _)| *n == "relaxed").unwrap().1
+    fn phases(w: &SsspWorkload, kind: PoolKind, places: usize, k: usize) -> PhaseRun {
+        let pool = Arc::new(kind.build(places, PoolParams::with_k(k)));
+        w.run_phases(&pool, k).unwrap()
     }
 
     #[test]
     fn lockstep_is_deterministic_and_matches_dijkstra_on_every_kind() {
         let w = SsspWorkload::random(150, 0.08, 44);
         for kind in PoolKind::ALL {
-            let pass = || {
-                let report = w.lockstep(kind, 8, PoolParams::with_k(32));
-                (relaxed(&report), report.dead)
-            };
-            assert_eq!(pass(), pass(), "{kind}");
+            assert_eq!(phases(&w, kind, 8, 32), phases(&w, kind, 8, 32), "{kind}");
         }
     }
 
     /// One place makes every structure but the MultiQueue a strict priority
     /// queue (the MultiQueue's c = 2 queues stay relaxed even at one place),
-    /// so the lockstep run is Dijkstra's order.
+    /// so the phase run is Dijkstra's order.
     #[test]
     fn lockstep_single_place_is_dijkstra_order() {
         let w = SsspWorkload::random(200, 0.05, 45);
         for kind in PoolKind::ALL {
             if kind != PoolKind::MultiQueue {
-                let report = w.lockstep(kind, 1, PoolParams::with_k(512));
-                assert_eq!(relaxed(&report), w.reachable as f64, "{kind}");
+                let run = phases(&w, kind, 1, 512);
+                assert_eq!(run.relaxed() as u64, w.reachable, "{kind}");
             }
         }
     }

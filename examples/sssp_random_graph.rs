@@ -7,6 +7,7 @@
 use priosched::core::{PoolKind, PoolParams};
 use priosched::graph::{dijkstra, erdos_renyi, ErdosRenyiConfig};
 use priosched::workloads::{run_workload, SsspWorkload};
+use std::sync::Arc;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -42,18 +43,19 @@ fn main() {
         // Threaded run: correctness + wall time on this host.
         let res = run_workload(&workload, kind, places, params);
         res.expect_verified();
-        // Lockstep run: deterministic interleaving, the useless-work signal.
-        let ordered = workload.lockstep(kind, places, params);
-        let metrics = &ordered.expect_verified().metrics;
-        let relaxed = metrics.iter().find(|(n, _)| *n == "relaxed");
-        let relaxed = relaxed.expect("an SSSP report carries `relaxed`").1 as i64;
-        let useless = relaxed - reachable as i64;
+        // Phase run: `places` places relaxing side by side in the paper's
+        // phase model, deterministic — the useless-work signal.
+        let pool = Arc::new(kind.build(places, params));
+        let phases = workload.run_phases(&pool, k).expect("matches Dijkstra");
+        let relaxed = phases.relaxed();
         println!(
-            "{:<14} {:>10.2?}  relaxed {:>7}  (+{useless} useless under {places}-way interleaving, dead {})",
+            "{:<14} {:>10.2?}  relaxed {:>7}  (+{} useless in {}-place phases, dead {})",
             kind.label(),
             res.elapsed,
             relaxed,
-            ordered.dead,
+            relaxed - reachable,
+            places,
+            phases.dead,
         );
     }
 

@@ -7,7 +7,7 @@
 //! 2014, arXiv:1312.2501): three lock-free priority scheduling data
 //! structures with different scalability/ordering trade-offs, the
 //! task-scheduling runtime they plug into, the parallel SSSP evaluation
-//! application, the phase-model simulator, and the analytical bounds.
+//! application, the phase model, and the analytical bounds.
 //!
 //! This crate is a facade re-exporting the workspace members:
 //!
@@ -17,9 +17,10 @@
 //! * [`sssp`] — the paper's SSSP application, exactly Listing 5: the
 //!   node-relaxation task, its executor and the shared distances; run it
 //!   through [`workloads::SsspWorkload`] (threaded via
-//!   `workloads::run_workload`, round-robin on one thread via
-//!   `SsspWorkload::lockstep`), which checks every run against Dijkstra;
-//! * [`sim`] — phase simulator + Theorem 5 bounds;
+//!   `workloads::run_workload`, or in the paper's phases on one thread over
+//!   any pool via `SsspWorkload::run_phases`), which checks every run
+//!   against Dijkstra;
+//! * [`sim`] — the phase model's ρ-window pool + Theorem 5 bounds;
 //! * [`workloads`] — first-class benchmark workloads (SSSP, BFS, tile
 //!   Cholesky, branch-and-bound knapsack, bi-objective SSSP, MST), each
 //!   verified against a sequential oracle on every structure, preseeded

@@ -5,8 +5,9 @@
 
 use priosched::core::{PoolKind, PoolParams};
 use priosched::graph::{bellman_ford, erdos_renyi, CsrGraph, ErdosRenyiConfig};
-use priosched::sim::{simulate_sssp, SimConfig};
+use priosched::sim::RhoWindow;
 use priosched::workloads::{run_workload, SsspWorkload};
+use std::sync::Arc;
 
 #[test]
 fn grid_of_structures_places_and_k() {
@@ -26,15 +27,15 @@ fn lockstep_and_threaded_agree_with_each_other() {
     let params = PoolParams::with_k(64);
     for kind in PoolKind::PAPER {
         run_workload(&w, kind, 4, params).expect_verified();
-        w.lockstep(kind, 4, params).expect_verified();
+        w.run_phases(&Arc::new(kind.build(4, params)), 64).unwrap();
     }
 }
 
 #[test]
 fn three_independent_solvers_agree() {
     // Dijkstra (pq-based), Bellman–Ford (sweep-based), the parallel
-    // scheduler (hybrid), and the phase simulator all compute the same
-    // distances on the same graph.
+    // scheduler (hybrid), and the phase model over a ρ-window all compute
+    // the same distances on the same graph.
     let w = SsspWorkload::new(
         erdos_renyi(&ErdosRenyiConfig {
             n: 140,
@@ -45,20 +46,10 @@ fn three_independent_solvers_agree() {
     );
     let a = w.oracle();
     let b = bellman_ford(w.graph(), 3);
-    // The scheduler's run is checked against the same Dijkstra distances.
-    run_workload(&w, PoolKind::Hybrid, 3, PoolParams::with_k(32)).expect_verified();
-    let d = simulate_sssp(
-        w.graph(),
-        3,
-        &SimConfig {
-            p: 8,
-            rho: 64,
-            seed: 1,
-        },
-    )
-    .dist;
     assert_eq!(a, b);
-    assert_eq!(a, d);
+    // Both runs are checked against the same Dijkstra distances.
+    run_workload(&w, PoolKind::Hybrid, 3, PoolParams::with_k(32)).expect_verified();
+    w.run_phases(&Arc::new(RhoWindow::new(8, 64)), 0).unwrap();
 }
 
 #[test]
@@ -89,12 +80,11 @@ fn pathological_graphs() {
 #[test]
 fn useless_work_ordering_between_structures_holds_deterministically() {
     // The paper's headline (Fig. 4 right): work-stealing performs the most
-    // useless work; the k-structures bound it. Deterministic via lockstep.
+    // useless work; the k-structures bound it. Deterministic in phases.
     let w = SsspWorkload::random(400, 0.5, 507);
-    let relaxed = |kind| {
-        let report = w.lockstep(kind, 32, PoolParams::with_k(64));
-        let metrics = &report.expect_verified().metrics;
-        metrics.iter().find(|(n, _)| *n == "relaxed").unwrap().1
+    let relaxed = |kind: PoolKind| {
+        let pool = Arc::new(kind.build(32, PoolParams::with_k(64)));
+        w.run_phases(&pool, 64).unwrap().relaxed()
     };
     let ws = relaxed(PoolKind::WorkStealing);
     let ce = relaxed(PoolKind::Centralized);
@@ -105,30 +95,10 @@ fn useless_work_ordering_between_structures_holds_deterministically() {
 
 #[test]
 fn simulator_total_relaxations_bounded_by_phases() {
-    let g = erdos_renyi(&ErdosRenyiConfig {
-        n: 250,
-        p: 0.06,
-        seed: 508,
-    });
-    let res = simulate_sssp(
-        &g,
-        0,
-        &SimConfig {
-            p: 10,
-            rho: 32,
-            seed: 2,
-        },
-    );
-    assert!(
-        res.total_relaxed >= 250 - 5,
-        "most nodes relaxed at least once"
-    );
-    assert!(res.total_relaxed <= 10 * res.phases.len());
-    assert_eq!(
-        res.total_useless,
-        res.phases
-            .iter()
-            .map(|ph| ph.relaxed - ph.settled)
-            .sum::<usize>()
-    );
+    let w = SsspWorkload::random(250, 0.06, 508);
+    let run = w.run_phases(&Arc::new(RhoWindow::new(10, 32)), 0).unwrap();
+    assert!(run.relaxed() >= 250 - 5, "most nodes relaxed at least once");
+    assert!(run.relaxed() <= 10 * run.phases.len());
+    let settled: usize = run.phases.iter().map(|ph| ph.settled).sum();
+    assert_eq!(settled as u64, w.reachable());
 }
