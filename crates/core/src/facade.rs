@@ -11,7 +11,7 @@
 //!   same run on a thread of its own — whose pool lives until the service
 //!   shuts down; or
 //! * call [`PoolKind::build`] / [`PoolBuilder::build`] when they need to
-//!   drive place handles themselves (lockstep runners, raw-pool probes),
+//!   drive place handles themselves (the phase driver, raw-pool probes),
 //!   each place's handle taken once per pool (see [`TaskPool::handle`]),
 //!   and receive an [`AnyPool`] — a thin enum over the five kinds
 //!   whose [`PoolHandle`] forwards every operation, `push_batch` included,

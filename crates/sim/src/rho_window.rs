@@ -3,7 +3,7 @@
 use priosched_core::stats::PlaceStats;
 use priosched_core::{PoolHandle, TaskPool};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The simulated ρ-relaxed structure of §5.4 as a [`TaskPool`]: one ordered
 /// set behind one mutex, shared by every place. A pop returns the least item
@@ -54,6 +54,12 @@ impl<T> RhoWindow<T> {
             }),
         }
     }
+
+    fn window(&self) -> MutexGuard<'_, Window<T>> {
+        self.window
+            .lock()
+            .expect("a place panicked while holding the window")
+    }
 }
 
 impl<T: Ord + Clone> Window<T> {
@@ -74,8 +80,8 @@ impl<T: Ord + Clone> Window<T> {
                 .iter()
                 .nth_back(rho - 1)
                 .expect("more than ρ items");
-            let mut visible = self.items.iter().filter(|item| item.2 < hidden);
-            visible.next().expect("an item older than the hidden ones")
+            let least_visible = self.items.iter().find(|item| item.2 < hidden);
+            least_visible.expect("an item older than the hidden ones")
         };
         let (prio, task, seq) = self.items.take(&item.clone()).expect("held");
         self.seqs.remove(&seq);
@@ -108,12 +114,12 @@ pub struct RhoHandle<T> {
 
 impl<T: Ord + Clone + Send + 'static> PoolHandle<T> for RhoHandle<T> {
     fn push(&mut self, prio: u64, _k: usize, task: T) {
-        self.pool.window.lock().unwrap().push(prio, task);
+        self.pool.window().push(prio, task);
         self.stats.pushes += 1;
     }
 
     fn pop_entry(&mut self) -> Option<(u64, T)> {
-        let popped = self.pool.window.lock().unwrap().pop(self.pool.rho);
+        let popped = self.pool.window().pop(self.pool.rho);
         match popped {
             Some(_) => self.stats.pops += 1,
             None => self.stats.failed_pops += 1,
