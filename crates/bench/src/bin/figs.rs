@@ -1,6 +1,6 @@
 //! Figures 3–5: the phase model over every structure (§5.4.1, §5.5).
 //!
-//! `figs --sweep places|k|rho` runs every graph through
+//! `figs --sweep places|k` runs every graph through
 //! `SsspWorkload::run_phases` on each structure of the sweep and prints one
 //! row per (structure, P, k): nodes relaxed, the useless share, phases,
 //! settled nodes per phase and Theorem 5's lower bound on them. The driver
@@ -12,6 +12,10 @@ use priosched_core::{PoolKind, PoolParams};
 use priosched_sim::{RhoWindow, TheoryBound};
 use priosched_workloads::{PhaseRun, SsspWorkload};
 use std::sync::Arc;
+
+/// The window's ρ values whose per-phase panels the k sweep writes as
+/// Figure 3.
+const FIG3_RHOS: [usize; 3] = [0, 128, 512];
 
 /// A structure a row runs on: a pool kind, or the window with ρ = the row's k.
 #[derive(Clone, Copy)]
@@ -51,17 +55,10 @@ struct Cell {
 fn main() {
     let cfg = HarnessConfig::from_args();
     let sweep = cfg.sweep;
-    let structures: Vec<Structure> = match sweep {
-        Sweep::Rho => vec![Structure::Window],
-        _ => PoolKind::ALL
-            .map(Structure::Kind)
-            .into_iter()
-            .chain([Structure::Window])
-            .collect(),
-    };
-    let rows: Vec<(Structure, usize, usize)> = structures
-        .iter()
-        .flat_map(|&s| {
+    let kinds = PoolKind::ALL.map(Structure::Kind).into_iter();
+    let rows: Vec<(Structure, usize, usize)> = kinds
+        .chain([Structure::Window])
+        .flat_map(|s| {
             sweep
                 .points(cfg.full)
                 .into_iter()
@@ -74,18 +71,22 @@ fn main() {
     let theory = TheoryBound::new(cfg.n, cfg.p);
 
     let mut cells: Vec<Vec<Cell>> = rows.iter().map(|_| Vec::new()).collect();
-    // Figure 3's per-phase panels, for the rho sweep: per row and phase,
-    // the settled, h* and bound sums over the graphs, and the graph count.
+    // Figure 3's per-phase panels, for the k sweep's window rows at
+    // FIG3_RHOS: per row and phase, the settled, h* and bound sums over the
+    // graphs, and the graph count.
+    let fig3 = |&(s, _, k): &(Structure, usize, usize)| {
+        sweep == Sweep::K && matches!(s, Structure::Window) && FIG3_RHOS.contains(&k)
+    };
     let mut panels: Vec<Vec<[f64; 4]>> = rows.iter().map(|_| Vec::new()).collect();
     for graph in cfg.graph_set() {
         let w = SsspWorkload::new(graph, 0);
-        for (row, &(s, places, k)) in rows.iter().enumerate() {
+        for (row, point @ &(s, places, k)) in rows.iter().enumerate() {
             let run = s.run(&w, places, k);
             let mut bound = 0.0;
             for (t, ph) in run.phases.iter().enumerate() {
                 let lb = theory.settled_lower_bound(&ph.dists);
                 bound += lb;
-                if sweep == Sweep::Rho {
+                if fig3(point) {
                     if panels[row].len() == t {
                         panels[row].push([0.0; 4]);
                     }
@@ -136,9 +137,10 @@ fn main() {
     }
     let header = "structure,places,k,relaxed,useless_pct,phases,settled_per_phase,bound_per_phase";
     let mut csvs = vec![(format!("figs_{}.csv", sweep.name()), header, csv)];
-    if sweep == Sweep::Rho {
+    if sweep == Sweep::K {
         let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
-        for (&(_, _, rho), phases) in rows.iter().zip(&panels) {
+        let window = rows.iter().zip(&panels).filter(|(point, _)| fig3(point));
+        for (&(_, _, rho), phases) in window {
             for (t, [settled, h_star, bound, n]) in phases.iter().enumerate() {
                 a.push(format!("{t},{rho},{:.4}", settled / n));
                 b.push(format!("{t},{rho},{:.6}", h_star / n));

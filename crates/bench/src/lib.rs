@@ -11,28 +11,29 @@
 //! | `--sweep` | paper figure | axis | structures |
 //! |-----------|--------------|------|------------|
 //! | `places`  | Figure 4 | P ∈ {1, 2, 3, 5, 10, 20, 40, 80}, k = 512 | every `PoolKind`, `RhoWindow` (ρ = k) |
-//! | `k`       | Figure 5 | k ∈ {0, 1, 2, 4, …, 8192} (32768 with `--full`), P = 80 | every `PoolKind`, `RhoWindow` (ρ = k) |
-//! | `rho`     | Figure 3 | ρ ∈ {0, 128, 512}, P = 80 | `RhoWindow` |
+//! | `k`       | Figures 5 and 3 | k ∈ {0, 1, 2, 4, …, 8192} (32768 with `--full`), P = 80 | every `PoolKind`, `RhoWindow` (ρ = k) |
 //!
 //! Each row is the mean over the graphs of nodes relaxed, the useless share
 //! of them, phases, settled nodes per phase, and Theorem 5's lower bound on
 //! settled nodes per phase, evaluated on the run's own phases for the same
 //! (n, p, P). Stdout carries only that table, so it diffs exactly; notes and
-//! CSV paths (`DIR/figs_<sweep>.csv`, and for `rho` Figure 3's per-phase
-//! `fig3{a,b,c}_*.csv`) go to stderr. Wall-clock time is not measured here:
-//! every timing comes from the standalone `benchmark/` package.
+//! CSV paths (`DIR/figs_<sweep>.csv`, and for `k` Figure 3's per-phase
+//! `fig3{a,b,c}_*.csv` from the `RhoWindow` rows at ρ ∈ {0, 128, 512}) go to
+//! stderr. Wall-clock time is not measured here: every timing comes from the
+//! standalone `benchmark/` package.
 //!
 //! Flags (parsed by [`HarnessConfig`]; a bad flag is a usage error, exit
-//! code 2): `--sweep places|k|rho` (required), `--full` (the paper's
-//! workload: n = 10000, p = 0.5, 20 graphs; the default is a scaled
-//! workload of the same shape), `--n N`, `--p P`, `--graphs G`, `--out DIR`.
+//! code 2): `--sweep places|k` (required), `--full` (the paper's workload:
+//! n = 10000, p = 0.5, 20 graphs; the default is a scaled workload of the
+//! same shape, n = 2000 and 5 graphs), `--n N`, `--p P`, `--graphs G`,
+//! `--out DIR`; `--n`, `--p` and `--graphs` override `--full`'s values.
 //!
 //! CI diffs each sweep at `--n 300 --graphs 2` against the tables committed
 //! under `crates/bench/figs/`; after an intended ordering change, regenerate
 //! them from the repository root with
 //!
 //! ```text
-//! for s in places k rho; do
+//! for s in places k; do
 //!     cargo run --release -p priosched-bench --bin figs -- \
 //!         --sweep $s --n 300 --graphs 2 --out results > crates/bench/figs/$s.txt
 //! done
@@ -56,20 +57,17 @@ pub mod latency;
 pub const GRAPH_SEED_BASE: u64 = 1000;
 
 /// The axis `figs` sweeps.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sweep {
     /// Figure 4: places at k = 512.
-    #[default]
     Places,
-    /// Figure 5: k at P = 80.
+    /// Figure 5 (and Figure 3, from the window's rows): k at P = 80.
     K,
-    /// Figure 3: the window's ρ at P = 80.
-    Rho,
 }
 
 impl Sweep {
-    /// The sweep's `(P, k)` points; for [`Sweep::Rho`] the second value is
-    /// ρ. `full` extends the k axis to the paper's 32768.
+    /// The sweep's `(P, k)` points. `full` extends the k axis to the
+    /// paper's 32768.
     pub fn points(self, full: bool) -> Vec<(usize, usize)> {
         match self {
             Sweep::Places => [1, 2, 3, 5, 10, 20, 40, 80].map(|p| (p, 512)).to_vec(),
@@ -78,7 +76,6 @@ impl Sweep {
                 let powers = (0..=top).map(|e| 1 << e);
                 std::iter::once(0).chain(powers).map(|k| (80, k)).collect()
             }
-            Sweep::Rho => vec![(80, 0), (80, 128), (80, 512)],
         }
     }
 
@@ -87,7 +84,6 @@ impl Sweep {
         match self {
             Sweep::Places => "places",
             Sweep::K => "k",
-            Sweep::Rho => "rho",
         }
     }
 }
@@ -109,20 +105,7 @@ pub struct HarnessConfig {
     pub full: bool,
 }
 
-impl Default for HarnessConfig {
-    fn default() -> Self {
-        HarnessConfig {
-            sweep: Sweep::default(),
-            n: 2000,
-            p: 0.5,
-            graphs: 5,
-            out_dir: PathBuf::from("results"),
-            full: false,
-        }
-    }
-}
-
-const USAGE: &str = "flags: --sweep places|k|rho (required) | --full | --n N (≥ 2) | \
+const USAGE: &str = "flags: --sweep places|k (required) | --full | --n N (≥ 2) | \
                      --p P (in (0, 1]) | --graphs G (≥ 1) | --out DIR";
 
 impl HarnessConfig {
@@ -139,8 +122,8 @@ impl HarnessConfig {
                 _ => Err(format!("{flag}: bad value {v:?}")),
             }
         }
-        let mut cfg = HarnessConfig::default();
-        let mut sweep = None;
+        let (mut sweep, mut full, mut out_dir) = (None, false, PathBuf::from("results"));
+        let (mut n, mut p, mut graphs) = (None, None, None);
         let mut args = argv.iter();
         while let Some(arg) = args.next() {
             let mut take = |name: &str| -> Result<&String, String> {
@@ -150,26 +133,27 @@ impl HarnessConfig {
             match arg.as_str() {
                 "--sweep" => {
                     let v = take("--sweep")?;
-                    let all = [Sweep::Places, Sweep::K, Sweep::Rho];
+                    let all = [Sweep::Places, Sweep::K];
                     let found = all.into_iter().find(|s| s.name() == v);
                     sweep = Some(found.ok_or_else(|| format!("--sweep: bad value {v:?}"))?);
                 }
-                "--full" => {
-                    cfg.full = true;
-                    cfg.n = 10_000;
-                    cfg.p = 0.5;
-                    cfg.graphs = 20;
-                }
-                "--n" => cfg.n = num("--n", take("--n")?, 2..=usize::MAX)?,
-                "--p" => cfg.p = num("--p", take("--p")?, f64::MIN_POSITIVE..=1.0)?,
-                "--graphs" => cfg.graphs = num("--graphs", take("--graphs")?, 1..=usize::MAX)?,
-                "--out" => cfg.out_dir = PathBuf::from(take("--out")?),
+                "--full" => full = true,
+                "--n" => n = Some(num("--n", take("--n")?, 2..=usize::MAX)?),
+                "--p" => p = Some(num("--p", take("--p")?, f64::MIN_POSITIVE..=1.0)?),
+                "--graphs" => graphs = Some(num("--graphs", take("--graphs")?, 1..=usize::MAX)?),
+                "--out" => out_dir = PathBuf::from(take("--out")?),
                 "--help" | "-h" => return Ok(None),
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        cfg.sweep = sweep.ok_or("--sweep is required")?;
-        Ok(Some(cfg))
+        Ok(Some(HarnessConfig {
+            sweep: sweep.ok_or("--sweep is required")?,
+            n: n.unwrap_or(if full { 10_000 } else { 2000 }),
+            p: p.unwrap_or(0.5),
+            graphs: graphs.unwrap_or(if full { 20 } else { 5 }),
+            out_dir,
+            full,
+        }))
     }
 
     /// [`HarnessConfig::parse`] over the process arguments: `--help` prints
@@ -249,7 +233,7 @@ mod tests {
 
     #[test]
     fn default_is_scaled_down() {
-        let cfg = HarnessConfig::default();
+        let cfg = parse("--sweep k").unwrap().unwrap();
         assert!(cfg.n < 10_000);
         assert!(cfg.graphs < 20);
         assert!(!cfg.full);
@@ -267,9 +251,11 @@ mod tests {
             .unwrap();
         assert_eq!((cfg.n, cfg.p, cfg.graphs), (300, 0.25, 2));
         assert_eq!((cfg.sweep, cfg.out_dir), (Sweep::K, PathBuf::from("x")));
-        let full = parse("--full --sweep rho").unwrap().unwrap();
+        let full = parse("--full --sweep places").unwrap().unwrap();
         assert!(full.full && full.n == 10_000 && full.graphs == 20);
-        assert_eq!(full.sweep, Sweep::Rho);
+        assert_eq!(full.sweep, Sweep::Places);
+        let smaller = parse("--n 400 --full --sweep k").unwrap().unwrap();
+        assert_eq!((smaller.n, smaller.graphs), (400, 20));
         assert!(parse("--help").unwrap().is_none());
         assert!(parse("-h").unwrap().is_none());
     }
@@ -277,7 +263,7 @@ mod tests {
     #[test]
     fn bad_flags_are_usage_errors_not_panics() {
         let bad_lines = "--n 1|--graphs 0|--p 0|--p 1.5|--p NaN|--n ten|--sweep|--sweep x|\
-                         --places 4|--bogus";
+                         --sweep rho|--places 4|--bogus";
         for bad in bad_lines.split('|') {
             let line = format!("--sweep places {bad}");
             assert!(!parse(&line).expect_err(&line).is_empty());
@@ -287,12 +273,9 @@ mod tests {
 
     #[test]
     fn graph_set_is_reproducible() {
-        let cfg = HarnessConfig {
-            n: 60,
-            p: 0.2,
-            graphs: 2,
-            ..HarnessConfig::default()
-        };
+        let cfg = parse("--sweep k --n 60 --p 0.2 --graphs 2")
+            .unwrap()
+            .unwrap();
         let a: Vec<_> = cfg.graph_set().collect();
         let b: Vec<_> = cfg.graph_set().collect();
         assert_eq!(a.len(), 2);
@@ -319,9 +302,8 @@ mod tests {
             let ks: Vec<usize> = Sweep::K.points(full).iter().map(|p| p.1).collect();
             assert_eq!((ks[0], ks[1], ks[2], ks[3]), (0, 1, 2, 4));
             assert_eq!(*ks.last().unwrap(), top);
-            assert!(ks.contains(&512));
+            assert!([0, 128, 512].iter().all(|rho| ks.contains(rho)));
         }
-        assert_eq!(Sweep::Rho.points(false), [(80, 0), (80, 128), (80, 512)]);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! `SsspWorkload::run_phases`), and runs over any pool; this crate adds
 //!
 //! * [`RhoWindow`] — the simulated structure as a pool: a pop takes the
-//!   least item outside the ρ newest, except that the global minimum is
-//!   visible once per phase;
+//!   least item outside the ρ newest, except that place 0, where every
+//!   phase starts, always sees the global minimum;
 //! * [`theory`] — Theorem 5's upper bound on useless work per phase, in
 //!   both the exact pairwise form and the simplified `h*` form (Remark 1),
 //!   evaluated in the log domain so the `(n−2)!/(n−1−L)!` exponents never
 //!   overflow.
 //!
-//! Together they regenerate all three panels of Figure 3 (`figs --sweep rho`
-//! in `priosched-bench`).
+//! Together they regenerate all three panels of Figure 3 (`figs --sweep k`
+//! in `priosched-bench`, from its window rows at ρ ∈ {0, 128, 512}).
 
 pub mod rho_window;
 pub mod theory;
@@ -118,6 +118,29 @@ mod simulator {
         fn deterministic_per_seed() {
             let w = SsspWorkload::random(100, 0.1, 8);
             assert_eq!(phases(&w, 6, 12), phases(&w, 6, 12));
+        }
+
+        /// Place 0 relaxes the least live node every phase, whatever the
+        /// round pushed and however many dead tasks it popped past, so every
+        /// phase settles a node (§5.4) and at P = 1 the run is Dijkstra's
+        /// order for any ρ.
+        #[test]
+        fn every_phase_settles_the_least_node() {
+            for w in [
+                SsspWorkload::random(200, 0.05, 1),
+                SsspWorkload::random(300, 0.5, 1000),
+            ] {
+                for rho in [0usize, 16, 128, 512] {
+                    let run = phases(&w, 1, rho);
+                    assert_eq!(run.useless(), 0, "P=1 ρ={rho}");
+                    assert_eq!(run.relaxed() as u64, w.reachable(), "P=1 ρ={rho}");
+                    for places in [4, 80] {
+                        let run = phases(&w, places, rho);
+                        let ok = run.phases.iter().all(|ph| ph.settled >= 1);
+                        assert!(ok, "P={places} ρ={rho}: a phase settled nothing");
+                    }
+                }
+            }
         }
 
         #[test]

@@ -10,9 +10,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// outside the ρ most recently pushed items still held ("the ρ newest active
 /// nodes might be ignored"), except that
 ///
-/// * the least item is eligible at the first pop after a push — the
-///   paper's "global minimum is always visible", once per phase of
-///   `SsspExecutor::run_phases`, whose pushes all come between its pops;
+/// * a pop at place 0 returns the least item — the paper's "global minimum
+///   is always visible". `SsspExecutor::run_phases` starts every round at
+///   place 0, which pops past dead tasks until it holds a live one, so each
+///   phase relaxes the least live node, however the round's pushes and
+///   dead pops fell;
 /// * when every item is hidden, the pop returns the least.
 ///
 /// So every pop passes over at most ρ better items, and at ρ = 0 the pool is
@@ -32,8 +34,6 @@ struct Window<T> {
     /// The push sequences of the items held.
     seqs: BTreeSet<u64>,
     next_seq: u64,
-    /// Set by a push, cleared by a pop.
-    min_visible: bool,
 }
 
 impl<T> RhoWindow<T> {
@@ -50,7 +50,6 @@ impl<T> RhoWindow<T> {
                 items: BTreeSet::new(),
                 seqs: BTreeSet::new(),
                 next_seq: 0,
-                min_visible: false,
             }),
         }
     }
@@ -67,11 +66,11 @@ impl<T: Ord + Clone> Window<T> {
         self.items.insert((prio, task, self.next_seq));
         self.seqs.insert(self.next_seq);
         self.next_seq += 1;
-        self.min_visible = true;
     }
 
-    fn pop(&mut self, rho: usize) -> Option<(u64, T)> {
-        let item = if rho == 0 || self.min_visible || self.seqs.len() <= rho {
+    /// Pops the least item outside the ρ newest, or the least if `least`.
+    fn pop(&mut self, rho: usize, least: bool) -> Option<(u64, T)> {
+        let item = if least || rho == 0 || self.seqs.len() <= rho {
             self.items.first()?
         } else {
             // The oldest hidden item: everything pushed since is hidden too.
@@ -85,7 +84,6 @@ impl<T: Ord + Clone> Window<T> {
         };
         let (prio, task, seq) = self.items.take(&item.clone()).expect("held");
         self.seqs.remove(&seq);
-        self.min_visible = false;
         Some((prio, task))
     }
 }
@@ -101,6 +99,7 @@ impl<T: Ord + Clone + Send + 'static> TaskPool<T> for RhoWindow<T> {
         assert!(place < self.places, "place {place} out of range");
         RhoHandle {
             pool: Arc::clone(self),
+            place,
             stats: PlaceStats::default(),
         }
     }
@@ -109,6 +108,7 @@ impl<T: Ord + Clone + Send + 'static> TaskPool<T> for RhoWindow<T> {
 /// One place's view of a [`RhoWindow`]; every place sees the same window.
 pub struct RhoHandle<T> {
     pool: Arc<RhoWindow<T>>,
+    place: usize,
     stats: PlaceStats,
 }
 
@@ -119,7 +119,7 @@ impl<T: Ord + Clone + Send + 'static> PoolHandle<T> for RhoHandle<T> {
     }
 
     fn pop_entry(&mut self) -> Option<(u64, T)> {
-        let popped = self.pool.window().pop(self.pool.rho);
+        let popped = self.pool.window().pop(self.pool.rho, self.place == 0);
         match popped {
             Some(_) => self.stats.pops += 1,
             None => self.stats.failed_pops += 1,
@@ -140,7 +140,7 @@ mod tests {
 
     /// Seeded push/pop tapes over four places against a shadow of the items
     /// held: no pop passes over more than ρ better items (none at ρ = 0),
-    /// the first pop after a push takes the minimum, and one place drains
+    /// every pop at place 0 takes the minimum, and one other place drains
     /// what is left, each item exactly once.
     #[test]
     fn pops_pass_over_at_most_rho_better_items() {
@@ -150,14 +150,12 @@ mod tests {
                 let mut handles: Vec<_> = (0..4).map(|p| pool.handle(p)).collect();
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 let mut shadow: Vec<(u64, u64)> = Vec::new(); // (prio, id)
-                let mut after_push = false;
                 for id in 0..400u64 {
                     let place = rng.gen_range(0..4) as usize;
                     if rng.gen_bool(0.55) {
                         let prio = rng.gen_range(0..64);
                         handles[place].push(prio, 0, id);
                         shadow.push((prio, id));
-                        after_push = true;
                         continue;
                     }
                     let Some((prio, got)) = handles[place].pop_entry() else {
@@ -171,12 +169,11 @@ mod tests {
                     assert_eq!(shadow.swap_remove(at).0, prio, "popped at its priority");
                     let better = shadow.iter().filter(|&&(p, _)| p < prio).count();
                     assert!(better <= rho, "ρ={rho} seed {seed}: passed over {better}");
-                    if after_push {
+                    if place == 0 {
                         assert_eq!(better, 0, "ρ={rho} seed {seed}: minimum hidden");
                     }
-                    after_push = false;
                 }
-                while let Some(got) = handles[0].pop() {
+                while let Some(got) = handles[3].pop() {
                     let at = shadow
                         .iter()
                         .position(|&(_, i)| i == got)
@@ -188,20 +185,21 @@ mod tests {
         }
     }
 
-    /// Past the first pop after a push, the ρ newest items stay hidden even
-    /// when they are the best.
+    /// Place 0 takes the least item; every other place passes over the ρ
+    /// newest, until every item held is hidden.
     #[test]
-    fn newest_items_are_hidden_after_the_first_pop() {
-        let pool = Arc::new(RhoWindow::new(1, 2));
-        let mut h = pool.handle(0);
-        for prio in [5, 6, 1, 2] {
-            h.push(prio, 0, prio);
+    fn only_place_zero_sees_past_the_newest_items() {
+        let pool = Arc::new(RhoWindow::new(2, 2));
+        let (mut h0, mut h1) = (pool.handle(0), pool.handle(1));
+        for prio in [5, 6, 7, 1, 2] {
+            h0.push(prio, 0, prio);
         }
-        assert_eq!(h.pop(), Some(1), "the minimum, at the first pop");
-        assert_eq!(h.pop(), Some(5), "2 is among the two newest");
-        assert_eq!(h.pop(), Some(2), "every item hidden: the least");
-        assert_eq!(h.pop(), Some(6));
-        assert_eq!(h.pop(), None);
+        assert_eq!(h1.pop(), Some(5), "1 and 2 are the two newest");
+        assert_eq!(h0.pop(), Some(1), "place 0: the minimum");
+        assert_eq!(h1.pop(), Some(6), "7 and 2 are the two newest");
+        assert_eq!(h1.pop(), Some(2), "every item hidden: the least");
+        assert_eq!(h1.pop(), Some(7));
+        assert_eq!(h1.pop(), None);
     }
 
     #[test]
