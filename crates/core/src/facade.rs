@@ -350,17 +350,6 @@ impl PoolBuilder {
         self
     }
 
-    /// Replaces the whole parameter set.
-    pub fn params(mut self, params: PoolParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// The configured parameter set.
-    pub fn pool_params(&self) -> PoolParams {
-        self.params
-    }
-
     /// Builds the type-erased pool, shared and ready for handles.
     pub fn build<T: Send + 'static>(&self) -> Arc<AnyPool<T>> {
         Arc::new(self.kind.build(self.places, self.params))
@@ -483,10 +472,15 @@ mod tests {
                 other => panic!("expected structural, got {:?}", other.kind()),
             }
         }
-        // The builder's setters compose into the same parameter block.
-        let b = PoolBuilder::new(PoolKind::Hybrid).k(8).lane_capacity(32);
-        let want = PoolParams::with_k(8).with_lane_capacity(Some(32));
-        assert_eq!(b.pool_params(), want);
+        // The builder's setters reach what it builds, whatever their order.
+        let b = PoolBuilder::new(PoolKind::Centralized).lane_capacity(32);
+        match &*b.k(8192).places(3).build::<u64>() {
+            AnyPool::Centralized(p) => assert_eq!((p.kmax(), p.num_places()), (8192, 3)),
+            other => panic!("expected centralized, got {:?}", other.kind()),
+        }
+        let svc = b.places(2).service(Arc::new(CountDown(AtomicU64::new(0))));
+        assert_eq!((svc.lane_capacity(), svc.places()), (Some(32), 2));
+        svc.shutdown().expect("an idle service shuts down cleanly");
     }
 
     #[test]

@@ -554,6 +554,37 @@ pub struct RunStats {
     pub per_place_executed: Vec<u64>,
 }
 
+impl std::fmt::Display for RunStats {
+    /// One-line summary: task counts, timing, and load balance.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let places = self.per_place_executed.len().max(1);
+        let max = self.per_place_executed.iter().copied().max().unwrap_or(0);
+        let balance = if max == 0 {
+            1.0
+        } else {
+            self.executed as f64 / (places as f64 * max as f64)
+        };
+        write!(
+            f,
+            "{} tasks ({} dead) on {} place(s) in {:.2?}; balance {:.2}; \
+             pushes {}, steals {}, spies {}, publishes {}",
+            self.executed,
+            self.dead,
+            places,
+            self.elapsed,
+            balance,
+            self.pool.pushes,
+            self.pool.steals,
+            self.pool.spies,
+            self.pool.publishes,
+        )?;
+        if self.failed > 0 {
+            write!(f, "; {} failed (quarantined)", self.failed)?;
+        }
+        Ok(())
+    }
+}
+
 /// Cap on one park inside [`SpawnCtx::help_while`] (see there).
 const HELP_WAIT_CAP: Duration = Duration::from_micros(200);
 
@@ -1027,37 +1058,6 @@ mod tests {
         // root + waiter + 8 leaves + the late spawn; `run_scoped` itself
         // asserts that the shared count ended at zero.
         assert_eq!(stats.executed, 11);
-    }
-}
-
-impl std::fmt::Display for RunStats {
-    /// One-line summary: task counts, timing, and load balance.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let places = self.per_place_executed.len().max(1);
-        let max = self.per_place_executed.iter().copied().max().unwrap_or(0);
-        let balance = if max == 0 {
-            1.0
-        } else {
-            self.executed as f64 / (places as f64 * max as f64)
-        };
-        write!(
-            f,
-            "{} tasks ({} dead) on {} place(s) in {:.2?}; balance {:.2}; \
-             pushes {}, steals {}, spies {}, publishes {}",
-            self.executed,
-            self.dead,
-            places,
-            self.elapsed,
-            balance,
-            self.pool.pushes,
-            self.pool.steals,
-            self.pool.spies,
-            self.pool.publishes,
-        )?;
-        if self.failed > 0 {
-            write!(f, "; {} failed (quarantined)", self.failed)?;
-        }
-        Ok(())
     }
 }
 

@@ -12,8 +12,8 @@
 //! crate code, not a transliteration of it.
 //!
 //! Code outside this module must not name `std::sync::atomic`,
-//! `std::thread`, or `parking_lot` directly (test modules excepted); the
-//! `atomics-audit` binary in `crates/bench` fails CI when one slips in.
+//! `std::thread`, or `parking_lot` directly (test modules excepted);
+//! `tests/atomics_audit.rs` fails when one slips in.
 //!
 //! What is deliberately *not* modeled:
 //!

@@ -8,7 +8,9 @@
 //!   bomb task exists, so exactly one [`FailureReport`]).
 //! * **Isolate**: the run finishes; quarantined and completed tasks
 //!   partition the submissions exactly: `failed + executed ==
-//!   submitted`, with one failure report per bomb.
+//!   submitted`, with one failure report per bomb. When each task spawns
+//!   its countdown chain, a chain from `v` whose largest bomb is `b ≤ v`
+//!   runs `v − b` tasks and fails once, and the drained service parks.
 //!
 //! Both properties hold for arbitrary task multisets, producer counts,
 //! and all five [`PoolKind`]s — proptest shrinks any interleaving that
@@ -67,21 +69,34 @@ fn watchdog<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
 
 /// Panics on bomb tasks (the sentinel, or any value `≡ 3 (mod 7)` when
 /// `value_bombs` is on) — in `is_dead` when `in_is_dead` is on, else in
-/// `execute` — and counts everything else. No spawning: the submission
-/// multiset is the full task population, so the isolate partition check
-/// is exact.
+/// `execute` — and counts everything else. With `chains` on, a task `v > 0`
+/// that survives spawns `v − 1`, so a bomb cuts its chain short; without,
+/// the submission multiset is the full task population.
 struct Bombable {
     executed: AtomicU64,
     value_bombs: bool,
     in_is_dead: bool,
+    chains: bool,
 }
 
 impl Bombable {
-    fn new(value_bombs: bool, in_is_dead: bool) -> Self {
+    fn new(value_bombs: bool, in_is_dead: bool, chains: bool) -> Self {
         Bombable {
             executed: AtomicU64::new(0),
             value_bombs,
             in_is_dead,
+            chains,
+        }
+    }
+
+    /// `(executed, failed)` for a submission of `v` under value bombs.
+    fn oracle(&self, v: u64) -> (u64, u64) {
+        if !self.chains {
+            return if self.is_bomb(v) { (0, 1) } else { (1, 0) };
+        }
+        match (0..=v).rev().find(|&b| self.is_bomb(b)) {
+            Some(b) => (v - b, 1),
+            None => (v + 1, 0),
         }
     }
 
@@ -91,11 +106,14 @@ impl Bombable {
 }
 
 impl TaskExecutor<u64> for Bombable {
-    fn execute(&self, v: u64, _ctx: &mut SpawnCtx<'_, u64>) {
+    fn execute(&self, v: u64, ctx: &mut SpawnCtx<'_, u64>) {
         if self.is_bomb(v) {
             panic!("fault bomb {v}");
         }
         self.executed.fetch_add(1, Ordering::AcqRel);
+        if self.chains && v > 0 {
+            ctx.spawn(v - 1, 8, v - 1);
+        }
     }
 
     fn is_dead(&self, &v: &u64) -> bool {
@@ -142,7 +160,7 @@ fn drive_producers(svc: &PoolService<u64>, values: &[u16], producers: usize) -> 
 /// carry the panic exactly once.
 fn abort_case(values: Vec<u16>, producers: usize, in_is_dead: bool) -> Result<(), TestCaseError> {
     for kind in PoolKind::ALL {
-        let exec = Arc::new(Bombable::new(false, in_is_dead));
+        let exec = Arc::new(Bombable::new(false, in_is_dead, false));
         let svc: PoolService<u64> = PoolBuilder::new(kind)
             .places(2)
             .k(8)
@@ -178,12 +196,27 @@ fn abort_case(values: Vec<u16>, producers: usize, in_is_dead: bool) -> Result<()
 
 /// Isolate: bombs are a pure function of the value, so quarantined and
 /// completed tasks must partition the submissions exactly — `failed +
-/// executed == submitted` — with one report per bomb.
-fn isolate_case(values: Vec<u16>, producers: usize, in_is_dead: bool) -> Result<(), TestCaseError> {
-    let want_failed = values.iter().filter(|&&v| u64::from(v) % 7 == 3).count() as u64;
-    let want_executed = values.len() as u64 - want_failed;
+/// executed == submitted` — with one report per bomb. With `chains` the
+/// values are cut to chains of at most 24 tasks and the counts are the
+/// oracle's; with `check_parked` each drained service must stop counting
+/// idle iterations.
+fn isolate_case(
+    mut values: Vec<u16>,
+    producers: usize,
+    in_is_dead: bool,
+    chains: bool,
+    check_parked: bool,
+) -> Result<(), TestCaseError> {
+    if chains {
+        values.iter_mut().for_each(|v| *v %= 24);
+    }
+    let oracle = Bombable::new(true, in_is_dead, chains);
+    let (want_executed, want_failed) = values
+        .iter()
+        .map(|&v| oracle.oracle(v.into()))
+        .fold((0, 0), |(e, f), (de, df)| (e + de, f + df));
     for kind in PoolKind::ALL {
-        let exec = Arc::new(Bombable::new(true, in_is_dead));
+        let exec = Arc::new(Bombable::new(true, in_is_dead, chains));
         let svc: PoolService<u64> = PoolBuilder::new(kind)
             .places(2)
             .k(8)
@@ -198,16 +231,25 @@ fn isolate_case(values: Vec<u16>, producers: usize, in_is_dead: bool) -> Result<
             errors
         );
         svc.join().expect("Isolate finishes the run");
+        if check_parked {
+            // Workers run down a short backoff before they park.
+            std::thread::sleep(Duration::from_millis(80));
+            let parked_at = svc.idle_iters();
+            std::thread::sleep(Duration::from_millis(40));
+            prop_assert_eq!(svc.idle_iters(), parked_at, "{}: spins when drained", kind);
+        }
         let stats = svc.shutdown().expect("clean Isolate shutdown");
         prop_assert_eq!(stats.failed, want_failed, "{}", kind);
         prop_assert_eq!(stats.executed, want_executed, "{}", kind);
         prop_assert_eq!(stats.dead, 0, "{}", kind);
-        prop_assert_eq!(
-            stats.failed + stats.executed,
-            values.len() as u64,
-            "{}: quarantined + completed must partition the submissions",
-            kind
-        );
+        if !chains {
+            prop_assert_eq!(
+                stats.failed + stats.executed,
+                values.len() as u64,
+                "{}: quarantined + completed must partition the submissions",
+                kind
+            );
+        }
         prop_assert_eq!(stats.failures.len() as u64, want_failed, "{}", kind);
         for f in &stats.failures {
             prop_assert!(
@@ -245,10 +287,20 @@ proptest! {
         values in proptest::collection::vec(any::<u16>(), 0..60),
         producers in 1usize..4,
         in_is_dead in any::<bool>(),
+        chains in any::<bool>(),
     ) {
         quiet_bomb_panics();
-        watchdog(move || isolate_case(values, producers, in_is_dead))?;
+        watchdog(move || isolate_case(values, producers, in_is_dead, chains, false))?;
     }
+}
+
+/// A service drained past quarantined panics parks like any other: its
+/// workers stop counting idle iterations.
+#[test]
+fn isolated_chains_leave_a_parked_service() {
+    quiet_bomb_panics();
+    let values = (0..30).map(|i| i * 5).collect();
+    watchdog(move || isolate_case(values, 2, false, true, true)).unwrap();
 }
 
 /// Closed world: bombs in `is_dead` on every kind under both policies.
@@ -261,7 +313,7 @@ fn is_dead_bomb_in_a_closed_world_run_is_contained() {
     watchdog(|| {
         for kind in PoolKind::ALL {
             for policy in [FaultPolicy::AbortRun, FaultPolicy::Isolate] {
-                let exec = Bombable::new(true, true);
+                let exec = Bombable::new(true, true, false);
                 let roots = (0..40u64).map(|v| (v, 8, v)).collect();
                 let params = PoolParams::with_k(8).with_fault_policy(policy);
                 let run = std::panic::catch_unwind(AssertUnwindSafe(|| {

@@ -19,7 +19,7 @@
 //!   (condvar-gated — no polling); without it the server runs until its
 //!   stdin closes.
 //! * Malformed flags are **usage errors**: a diagnostic on stderr and
-//!   exit code 2, never a panic — the same convention as the `chaos`
+//!   exit code 2, never a panic — the same convention as the `figs`
 //!   binary.
 
 use priosched_core::PoolKind;

@@ -47,8 +47,7 @@
 //! count, so a client can verify the server end-to-end:
 //! `DONE <executed>` after quiescence must equal
 //! `Σ (value_i + 1)` over everything accepted — the oracle the round-trip
-//! tests, the chaos harness and the benchmark's `net_pipeline` workload
-//! check.
+//! tests and the benchmark's `net_pipeline` workload check.
 //!
 //! # Shutdown
 //!
@@ -1018,6 +1017,8 @@ mod tests {
             "SUBMIT 1 2",
             "SUBMIT 1 2 x",
             "SUBMIT 1 2 3 4",
+            "SUBMIT x y z",
+            "JOINT 3",
             "BATCH",
             "BATCH 8",
             "BATCH 8 1-2",

@@ -88,17 +88,20 @@ fn load_round_trip_matches_oracle_on_all_structures() {
     }
 }
 
-/// The acceptance bar from the issue: a quiescent server with idle
-/// connections spins **zero** idle-loop iterations — workers parked,
-/// actors blocked in `read`, nothing advancing the idle meter.
+/// A quiescent server with idle connections spins **zero** idle-loop
+/// iterations — workers parked, actors blocked in `read`, nothing
+/// advancing the idle meter. A client that drops its socket without
+/// `QUIT` after its `OK`s loses none of its jobs: `DONE` and the shutdown
+/// summary count them.
 #[test]
 fn quiescent_server_with_idle_connections_makes_no_idle_iterations() {
     let server = server(PoolKind::Hybrid, 3, Some(64));
-    let mut clients: Vec<Client> = (0..4).map(|_| Client::connect(&server)).collect();
+    let mut clients: Vec<Client> = (0..5).map(|_| Client::connect(&server)).collect();
     for (i, c) in clients.iter_mut().enumerate() {
         assert_eq!(c.request(&format!("SUBMIT {i} 32 {i}")), "OK");
     }
-    assert!(clients[0].request("JOIN").starts_with("DONE "));
+    drop(clients.pop());
+    assert_eq!(clients[0].request("JOIN"), "DONE 15");
     // The pool has drained; give the workers time to run down their
     // backoff and park, then the meter must freeze despite 4 open
     // connections.
@@ -112,9 +115,10 @@ fn quiescent_server_with_idle_connections_makes_no_idle_iterations() {
     );
     // And the parked fleet must wake for the next submission.
     assert_eq!(clients[1].request("SUBMIT 2 32 2"), "OK");
-    assert!(clients[1].request("JOIN").starts_with("DONE "));
+    assert_eq!(clients[1].request("JOIN"), "DONE 18");
     drop(clients);
-    server.shutdown();
+    let summary = server.shutdown();
+    assert_eq!((summary.accepted(), summary.run.executed), (6, 18));
 }
 
 /// Protocol errors are per-request: a malformed line gets `ERR …` and the

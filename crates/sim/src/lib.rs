@@ -16,8 +16,8 @@
 //!   evaluated in the log domain so the `(n−2)!/(n−1−L)!` exponents never
 //!   overflow.
 //!
-//! Together they regenerate all three panels of Figure 3 (`figs --sweep k`
-//! in `priosched-bench`, from its window rows at ρ ∈ {0, 128, 512}).
+//! Together they regenerate all three panels of Figure 3 (`figs --sweep k`,
+//! the root package's bin, from its window rows at ρ ∈ {0, 128, 512}).
 
 pub mod rho_window;
 pub mod theory;

@@ -1,12 +1,10 @@
-#![warn(missing_docs)]
-
-//! The figure harness, the chaos sweep and the atomics audit.
+//! Figures 3–5: the phase model over every structure (§5.4.1, §5.5).
 //!
-//! One binary, `figs`, regenerates the paper's SSSP figures (§5.4.1, §5.5).
-//! Every run goes through `SsspWorkload::run_phases`, the phase model on one
-//! thread, so it reaches the paper's P = 80 on any host and its counts
-//! repeat exactly; every run is checked against Dijkstra. `--sweep` picks
-//! the axis ([`Sweep`]):
+//! `figs --sweep places|k` runs every graph through
+//! `SsspWorkload::run_phases`, the phase model on one thread, on each
+//! structure of the sweep, so it reaches the paper's P = 80 on any host and
+//! its counts repeat exactly; every run is checked against Dijkstra.
+//! `--sweep` picks the axis ([`Sweep`]):
 //!
 //! | `--sweep` | paper figure | axis | structures |
 //! |-----------|--------------|------|------------|
@@ -29,36 +27,38 @@
 //! `--out DIR`; `--n`, `--p` and `--graphs` override `--full`'s values.
 //!
 //! CI diffs each sweep at `--n 300 --graphs 2` against the tables committed
-//! under `crates/bench/figs/`; after an intended ordering change, regenerate
-//! them from the repository root with
+//! under `figs/`; after an intended ordering change, regenerate them from
+//! the repository root with
 //!
 //! ```text
 //! for s in places k; do
-//!     cargo run --release -p priosched-bench --bin figs -- \
-//!         --sweep $s --n 300 --graphs 2 --out results > crates/bench/figs/$s.txt
+//!     cargo run --release --bin figs -- \
+//!         --sweep $s --n 300 --graphs 2 --out results > figs/$s.txt
 //! done
 //! ```
-//!
-//! Also here: the `chaos` fault-injection sweep (over [`chaos`]) and the
-//! `atomics_audit` CI gate.
 
+use priosched_core::{PoolKind, PoolParams};
 use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
+use priosched_sim::{RhoWindow, TheoryBound};
+use priosched_workloads::{PhaseRun, SsspWorkload};
 use std::io::Write;
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::str::FromStr;
-
-pub mod chaos;
-pub mod latency;
+use std::sync::Arc;
 
 /// Seed base for the replicated graphs: graph `i` uses `GRAPH_SEED_BASE+i`,
 /// identical across every figure so all experiments see the same graphs
 /// (§5.4.1: "exactly the same 20 random graphs").
-pub const GRAPH_SEED_BASE: u64 = 1000;
+const GRAPH_SEED_BASE: u64 = 1000;
+
+/// The window's ρ values whose per-phase panels the k sweep writes as
+/// Figure 3.
+const FIG3_RHOS: [usize; 3] = [0, 128, 512];
 
 /// The axis `figs` sweeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Sweep {
+enum Sweep {
     /// Figure 4: places at k = 512.
     Places,
     /// Figure 5 (and Figure 3, from the window's rows): k at P = 80.
@@ -68,7 +68,7 @@ pub enum Sweep {
 impl Sweep {
     /// The sweep's `(P, k)` points. `full` extends the k axis to the
     /// paper's 32768.
-    pub fn points(self, full: bool) -> Vec<(usize, usize)> {
+    fn points(self, full: bool) -> Vec<(usize, usize)> {
         match self {
             Sweep::Places => [1, 2, 3, 5, 10, 20, 40, 80].map(|p| (p, 512)).to_vec(),
             Sweep::K => {
@@ -80,7 +80,7 @@ impl Sweep {
     }
 
     /// The flag value that selects this sweep.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Sweep::Places => "places",
             Sweep::K => "k",
@@ -88,21 +88,21 @@ impl Sweep {
     }
 }
 
-/// Common harness configuration.
+/// The parsed command line.
 #[derive(Clone, Debug)]
-pub struct HarnessConfig {
+struct HarnessConfig {
     /// The axis to sweep.
-    pub sweep: Sweep,
+    sweep: Sweep,
     /// Nodes per graph.
-    pub n: usize,
+    n: usize,
     /// Edge probability.
-    pub p: f64,
+    p: f64,
     /// Number of replicated graphs (paper: 20).
-    pub graphs: usize,
+    graphs: usize,
     /// Output directory for CSVs.
-    pub out_dir: PathBuf,
+    out_dir: PathBuf,
     /// Whether `--full` (paper-scale) was requested.
-    pub full: bool,
+    full: bool,
 }
 
 const USAGE: &str = "flags: --sweep places|k (required) | --full | --n N (≥ 2) | \
@@ -111,7 +111,7 @@ const USAGE: &str = "flags: --sweep places|k (required) | --full | --n N (≥ 2)
 impl HarnessConfig {
     /// Parses the arguments after the program name. `Ok(None)` means
     /// `--help` was asked for; `Err` carries a usage diagnostic.
-    pub fn parse(argv: &[String]) -> Result<Option<Self>, String> {
+    fn parse(argv: &[String]) -> Result<Option<Self>, String> {
         fn num<T: FromStr + PartialOrd>(
             flag: &str,
             v: &str,
@@ -159,7 +159,7 @@ impl HarnessConfig {
     /// [`HarnessConfig::parse`] over the process arguments: `--help` prints
     /// the usage line and exits 0; a bad flag prints the diagnostic and the
     /// usage line on stderr and exits 2.
-    pub fn from_args() -> Self {
+    fn from_args() -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         match Self::parse(&argv) {
             Ok(Some(cfg)) => cfg,
@@ -176,7 +176,7 @@ impl HarnessConfig {
 
     /// The replicated graphs (seeded, reproducible), generated one at a
     /// time so a sweep holds one graph in memory.
-    pub fn graph_set(&self) -> impl Iterator<Item = CsrGraph> + '_ {
+    fn graph_set(&self) -> impl Iterator<Item = CsrGraph> + '_ {
         (0..self.graphs).map(|i| {
             let g = erdos_renyi(&ErdosRenyiConfig {
                 n: self.n,
@@ -196,7 +196,7 @@ impl HarnessConfig {
 }
 
 /// Mean of an f64 iterator (0 for empty input).
-pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
+fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut sum = 0.0;
     let mut count = 0usize;
     for v in values {
@@ -211,7 +211,7 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// Writes a CSV with a header row; creates the output directory if needed.
-pub fn write_csv(
+fn write_csv(
     dir: &std::path::Path,
     file: &str,
     header: &str,
@@ -225,6 +225,160 @@ pub fn write_csv(
         writeln!(f, "{row}")?;
     }
     Ok(path)
+}
+
+/// A structure a row runs on: a pool kind, or the window with ρ = the row's k.
+#[derive(Clone, Copy)]
+enum Structure {
+    Kind(PoolKind),
+    Window,
+}
+
+impl Structure {
+    fn label(self) -> &'static str {
+        match self {
+            Structure::Kind(kind) => kind.label(),
+            Structure::Window => "RhoWindow",
+        }
+    }
+
+    fn run(self, w: &SsspWorkload, places: usize, k: usize) -> PhaseRun {
+        let run = match self {
+            Structure::Kind(kind) => {
+                w.run_phases(&Arc::new(kind.build(places, PoolParams::with_k(k))), k)
+            }
+            Structure::Window => w.run_phases(&Arc::new(RhoWindow::new(places, k)), k),
+        };
+        run.unwrap_or_else(|e| panic!("{} at P = {places}, k = {k}: {e}", self.label()))
+    }
+}
+
+/// One graph's run of a row.
+struct Cell {
+    relaxed: f64,
+    reachable: f64,
+    phases: f64,
+    settled: f64,
+    bound: f64,
+}
+
+fn main() {
+    let cfg = HarnessConfig::from_args();
+    let sweep = cfg.sweep;
+    let kinds = PoolKind::ALL.map(Structure::Kind).into_iter();
+    let rows: Vec<(Structure, usize, usize)> = kinds
+        .chain([Structure::Window])
+        .flat_map(|s| {
+            sweep
+                .points(cfg.full)
+                .into_iter()
+                .map(move |(p, k)| (s, p, k))
+        })
+        .collect();
+    if !cfg.full {
+        eprintln!("scaled workload; pass --full for the paper's n = 10000 / 20 graphs");
+    }
+    let theory = TheoryBound::new(cfg.n, cfg.p);
+
+    let mut cells: Vec<Vec<Cell>> = rows.iter().map(|_| Vec::new()).collect();
+    // Figure 3's per-phase panels, for the k sweep's window rows at
+    // FIG3_RHOS: per row and phase, the settled, h* and bound sums over the
+    // graphs, and the graph count.
+    let fig3 = |&(s, _, k): &(Structure, usize, usize)| {
+        sweep == Sweep::K && matches!(s, Structure::Window) && FIG3_RHOS.contains(&k)
+    };
+    let mut panels: Vec<Vec<[f64; 4]>> = rows.iter().map(|_| Vec::new()).collect();
+    for graph in cfg.graph_set() {
+        let w = SsspWorkload::new(graph, 0);
+        for (row, point @ &(s, places, k)) in rows.iter().enumerate() {
+            let run = s.run(&w, places, k);
+            let mut bound = 0.0;
+            for (t, ph) in run.phases.iter().enumerate() {
+                let lb = theory.settled_lower_bound(&ph.dists);
+                bound += lb;
+                if fig3(point) {
+                    if panels[row].len() == t {
+                        panels[row].push([0.0; 4]);
+                    }
+                    let acc = &mut panels[row][t];
+                    acc[0] += ph.settled as f64;
+                    acc[1] += ph.h_star();
+                    acc[2] += lb;
+                    acc[3] += 1.0;
+                }
+            }
+            cells[row].push(Cell {
+                relaxed: run.relaxed() as f64,
+                reachable: w.reachable() as f64,
+                phases: run.phases.len() as f64,
+                settled: run.phases.iter().map(|ph| ph.settled as f64).sum(),
+                bound,
+            });
+        }
+    }
+
+    println!(
+        "figs --sweep {}: G(n = {}, p = {}), {} graph(s) from seed {}, source 0",
+        sweep.name(),
+        cfg.n,
+        cfg.p,
+        cfg.graphs,
+        GRAPH_SEED_BASE
+    );
+    println!(
+        "{:<14} {:>3} {:>6} {:>10} {:>9} {:>8} {:>10} {:>10}",
+        "structure", "P", "k/ρ", "relaxed", "useless%", "phases", "settled/ph", "bound/ph"
+    );
+    let mut csv = Vec::new();
+    for (&(s, places, k), cells) in rows.iter().zip(&cells) {
+        let avg = |f: fn(&Cell) -> f64| mean(cells.iter().map(f));
+        let (relaxed, reachable, phases) =
+            (avg(|c| c.relaxed), avg(|c| c.reachable), avg(|c| c.phases));
+        let useless = 100.0 * (relaxed - reachable) / reachable;
+        let (settled, bound) = (avg(|c| c.settled) / phases, avg(|c| c.bound) / phases);
+        println!(
+            "{:<14} {places:>3} {k:>6} {relaxed:>10.1} {useless:>9.2} {phases:>8.1} {settled:>10.3} {bound:>10.3}",
+            s.label()
+        );
+        csv.push(format!(
+            "{},{places},{k},{relaxed:.1},{useless:.4},{phases:.1},{settled:.4},{bound:.4}",
+            s.label()
+        ));
+    }
+    let header = "structure,places,k,relaxed,useless_pct,phases,settled_per_phase,bound_per_phase";
+    let mut csvs = vec![(format!("figs_{}.csv", sweep.name()), header, csv)];
+    if sweep == Sweep::K {
+        let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+        let window = rows.iter().zip(&panels).filter(|(point, _)| fig3(point));
+        for (&(_, _, rho), phases) in window {
+            for (t, [settled, h_star, bound, n]) in phases.iter().enumerate() {
+                a.push(format!("{t},{rho},{:.4}", settled / n));
+                b.push(format!("{t},{rho},{:.6}", h_star / n));
+                if rho == 0 {
+                    c.push(format!("{t},{:.4},{:.4}", settled / n, bound / n));
+                }
+            }
+        }
+        csvs.push((
+            "fig3a_settled_per_phase.csv".into(),
+            "phase,rho,settled_mean",
+            a,
+        ));
+        csvs.push((
+            "fig3b_hstar_per_phase.csv".into(),
+            "phase,rho,h_star_mean",
+            b,
+        ));
+        csvs.push((
+            "fig3c_theory_vs_sim.csv".into(),
+            "phase,sim_settled,theory_lower_bound",
+            c,
+        ));
+    }
+    for (file, header, rows) in csvs {
+        let path = write_csv(&cfg.out_dir, &file, header, &rows).unwrap();
+        eprintln!("CSV: {}", path.display());
+    }
 }
 
 #[cfg(test)]
@@ -314,7 +468,7 @@ mod tests {
 
     #[test]
     fn write_csv_round_trip() {
-        let dir = std::env::temp_dir().join("priosched-bench-test");
+        let dir = std::env::temp_dir().join("priosched-figs-test");
         let path = write_csv(
             &dir,
             "t.csv",

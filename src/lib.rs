@@ -26,6 +26,10 @@
 //!   verified against a sequential oracle on every structure, preseeded
 //!   or through sharded ingestion (`run_workload_streamed`).
 //!
+//! This package's `figs` binary (`src/bin/figs.rs`) reproduces the paper's
+//! SSSP figures 3–5 through the phase model; CI diffs its tables against
+//! `figs/`.
+//!
 //! The `priosched-net` crate (not re-exported here — it is a frontend, not
 //! a library layer) serves the pool over TCP: `priosched-serve` accepts
 //! line-protocol submissions, one connection actor thread per socket, each
