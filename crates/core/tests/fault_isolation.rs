@@ -89,14 +89,14 @@ impl Bombable {
         }
     }
 
-    /// `(executed, failed)` for a submission of `v` under value bombs.
+    /// `(executed, failed)` for a submission of `v` under value bombs: its
+    /// chain (`v` alone without `chains`) runs down to its largest bomb
+    /// `b`, `v − b` tasks, and fails there once.
     fn oracle(&self, v: u64) -> (u64, u64) {
-        if !self.chains {
-            return if self.is_bomb(v) { (0, 1) } else { (1, 0) };
-        }
-        match (0..=v).rev().find(|&b| self.is_bomb(b)) {
+        let last = if self.chains { 0 } else { v };
+        match (last..=v).rev().find(|&b| self.is_bomb(b)) {
             Some(b) => (v - b, 1),
-            None => (v + 1, 0),
+            None => (v - last + 1, 0),
         }
     }
 

@@ -376,7 +376,8 @@ fn main() {
         ));
     }
     for (file, header, rows) in csvs {
-        let path = write_csv(&cfg.out_dir, &file, header, &rows).unwrap();
+        let path = write_csv(&cfg.out_dir, &file, header, &rows)
+            .unwrap_or_else(|e| panic!("cannot write {file}: {e}"));
         eprintln!("CSV: {}", path.display());
     }
 }
