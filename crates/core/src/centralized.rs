@@ -72,7 +72,7 @@ use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
+use priosched_pq::{RadixHeap, SequentialPriorityQueue};
 use std::sync::Arc;
 
 /// Default maximum per-task `k` (§4.1.2: "We chose kmax = 512 for our
@@ -149,7 +149,7 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             scan_cursor: SegmentCursor::default(),
             push_cursor: SegmentCursor::default(),
             probe_cursor: SegmentCursor::default(),
-            pq: QuaternaryHeap::with_capacity(256),
+            pq: RadixHeap::new(),
             refs: Vec::new(),
             cache: ItemCache::new(),
             rng: XorShift64::new(0xC3A5_0000 ^ place as u64),
@@ -171,7 +171,7 @@ pub struct CentralizedHandle<T: Send + 'static> {
     scan_cursor: SegmentCursor<T>,
     push_cursor: SegmentCursor<T>,
     probe_cursor: SegmentCursor<T>,
-    pq: QuaternaryHeap<ItemRef<T>>,
+    pq: RadixHeap<ItemRef<T>>,
     /// Scratch for [`PoolHandle::push_batch`] (empty between calls), so a
     /// batch costs no allocation.
     refs: Vec<ItemRef<T>>,

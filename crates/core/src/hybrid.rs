@@ -28,7 +28,7 @@ use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
+use priosched_pq::{RadixHeap, SequentialPriorityQueue};
 use std::ptr;
 use std::sync::Arc;
 
@@ -156,7 +156,7 @@ impl<T: Send + 'static> TaskPool<T> for HybridKPriority<T> {
             tail_fill: 0,
             next_local_idx: 0,
             remaining_k: u64::MAX,
-            pq: QuaternaryHeap::with_capacity(256),
+            pq: RadixHeap::new(),
             refs: Vec::new(),
             cache: ItemCache::new(),
             g_seg: self.global_head.load(Ordering::Acquire),
@@ -209,7 +209,7 @@ pub struct HybridHandle<T: Send + 'static> {
     next_local_idx: u64,
     /// Publication budget (Listing 3); `u64::MAX` plays the role of ∞.
     remaining_k: u64,
-    pq: QuaternaryHeap<ItemRef<T>>,
+    pq: RadixHeap<ItemRef<T>>,
     /// Scratch for [`PoolHandle::push_batch`] (empty between calls), so a
     /// batch costs no allocation.
     refs: Vec<ItemRef<T>>,

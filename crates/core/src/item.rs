@@ -43,6 +43,7 @@
 
 use crate::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::cell::UnsafeCell;
+use priosched_pq::RadixKey;
 use std::mem::MaybeUninit;
 use std::ptr;
 
@@ -570,6 +571,14 @@ impl<T> PartialOrd for ItemRef<T> {
 impl<T> Ord for ItemRef<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.prio, self.tag).cmp(&(other.prio, other.tag))
+    }
+}
+
+/// The priority: references with a smaller one compare smaller, whatever
+/// their tags.
+impl<T> RadixKey for ItemRef<T> {
+    fn radix_key(&self) -> u64 {
+        self.prio
     }
 }
 

@@ -9,18 +9,63 @@
 //! implementation of a priority queue can be used, since each priority
 //! queue is only accessed in the context of a single place".
 //!
-//! What exists:
+//! What exists, and which pool uses it:
 //!
 //! * [`DaryHeap`] — the one array-backed heap, arity as a const generic,
 //!   hole-based sifts and a bottom-up `pop` (see [`dary_heap`]). Two
 //!   aliases name the arities in use: [`QuaternaryHeap`] (`D = 4`) is the
-//!   queue under all five pools; [`BinaryHeap`] (`D = 2`) serves the
+//!   queue of the work-stealing, MultiQueue and structural pools and the
+//!   small end of [`RadixHeap`]; [`BinaryHeap`] (`D = 2`) serves the
 //!   sequential oracles (Dijkstra, the benchmark's tape oracle) and is the
 //!   arity baseline of the benchmark's `pq.*` metrics.
+//! * [`RadixHeap`] — an exact radix heap over a [`RadixKey`]: 64 buckets
+//!   by the highest bit in which a key differs from the last refill's,
+//!   and a `QuaternaryHeap` for everything at or below it (see
+//!   [`radix_heap`]). The reference queue of the centralized and hybrid
+//!   pools, where every place queues a reference to every task it sees.
 //! * [`PairingHeap`] — pointer-based pairing heap with two-pass melding; a
 //!   structurally independent implementation kept as the differential
 //!   oracle of the proptests (and priced by the benchmark's
 //!   `pq.*.pairing` metrics). No pool uses it.
+//!
+//! # Which queue under which pool
+//!
+//! The centralized and hybrid places hold the most references: on the
+//! benchmark's `sssp_sparse` one place's queue reaches ~213k of them, and
+//! a run makes ~360k push/pop pairs per place. Their keys are SSSP
+//! distances, `f64` bit patterns that rise almost monotonically, which is
+//! the case a radix heap is built for. Replaying one place's recorded
+//! push/pop trace of that workload through each queue (same pop order
+//! from all three):
+//!
+//! | queue under the trace                     | replay |
+//! |-------------------------------------------|--------|
+//! | `QuaternaryHeap`                          | TRACE_DARY |
+//! | `RadixHeap`, chunked buckets              | TRACE_CHUNKED |
+//! | radix heap with growable `Vec` buckets    | TRACE_VEC |
+//!
+//! The `Vec`-bucket variant is faster still, but each bucket keeps its
+//! high-water capacity, and `sssp_sparse`'s peak RSS rose from ~195 to
+//! 255–359 MB; chunks returned to a spare list as soon as a refill drains
+//! them bring it to ~185 MB instead.
+//!
+//! The other three pools stay on `QuaternaryHeap`, each for a measured
+//! reason:
+//!
+//! * MultiQueue and structural pop under a queue lock, and their pops
+//!   need the top a pop leaves ([`DaryHeap::peek_after_pop`]). A radix
+//!   heap's refill and the bucket scan that look-ahead needs run inside
+//!   that lock: on the radix heap `items_per_s.structural` fell ×0.86 on
+//!   `sssp_sparse` and ×0.83 on `service_stream`, and `multiqueue` ×0.92
+//!   on `service_stream`.
+//! * Work-stealing's steal takes [`split_half`]'s half, which depends on
+//!   the layout: the radix heap's half moved `useful_frac.work_stealing`.
+//!
+//! Which queue a pool uses is a constant at its import, not a knob.
+//!
+//! [`split_half`]: SequentialPriorityQueue::split_half
+//!
+//! # Arity
 //!
 //! The pools' arity was chosen on the scheduler's own access pattern, the
 //! *hold model*: a heap held at a fixed size, one `pop` then one `push`
@@ -50,22 +95,21 @@
 //! implementation (and every arity) pops the same sequence; only ties and
 //! `split_half`'s choice of half depend on the layout.
 //!
-//! Beyond the textbook operations, the trait carries two operations the
-//! scheduler needs:
-//!
-//! * [`SequentialPriorityQueue::split_half`] — remove roughly half of the
-//!   elements (an arbitrary half, *not* the best half) and return them as a
-//!   new queue. This implements the steal-half policy of the priority
-//!   work-stealing structure (§3.1, citing Hendler & Shavit).
-//! * [`SequentialPriorityQueue::retain`] — drop entries that no longer need
-//!   to be scheduled. This backs the lazy dead-task elimination described in
-//!   §5.1.
+//! Beyond the textbook operations, the trait carries
+//! [`SequentialPriorityQueue::split_half`], which the scheduler needs:
+//! remove roughly half of the elements (an arbitrary half, *not* the best
+//! half) and return them as a new queue. This implements the steal-half
+//! policy of the priority work-stealing structure (§3.1, citing Hendler &
+//! Shavit). Dead tasks need no operation of their own: the pools drop them
+//! when they are popped (§5.1).
 
 pub mod dary_heap;
 pub mod pairing_heap;
+pub mod radix_heap;
 
 pub use dary_heap::{BinaryHeap, DaryHeap, QuaternaryHeap};
 pub use pairing_heap::PairingHeap;
+pub use radix_heap::{RadixHeap, RadixKey};
 
 /// A sequential min-priority queue.
 ///
@@ -102,13 +146,6 @@ pub trait SequentialPriorityQueue<T: Ord>: Default {
     /// Used by the work-stealing structure: "it chooses a random place and
     /// steals half the tasks from that place's priority queue" (§3.1).
     fn split_half(&mut self) -> Self;
-
-    /// Keeps only the elements for which `keep` returns `true`.
-    ///
-    /// Backs lazy dead-task elimination (§5.1): entries whose task has become
-    /// irrelevant (e.g. an SSSP node whose tentative distance has improved
-    /// since the entry was created) can be swept without popping them.
-    fn retain<F: FnMut(&T) -> bool>(&mut self, keep: F);
 
     /// Moves all elements of `other` into `self`, leaving `other` empty.
     fn append(&mut self, other: &mut Self);
@@ -185,6 +222,12 @@ mod trait_tests {
     fn dary_heap_basics() {
         exercise::<QuaternaryHeap<i64>>();
         exercise_extend_batch::<QuaternaryHeap<i64>>();
+    }
+
+    #[test]
+    fn radix_heap_basics() {
+        exercise::<RadixHeap<i64>>();
+        exercise_extend_batch::<RadixHeap<i64>>();
     }
 }
 
@@ -265,14 +308,6 @@ mod binary_heap {
             let mut h: BinaryHeap<i64> = BinaryHeap::new();
             let stolen = h.split_half();
             assert!(h.is_empty() && stolen.is_empty());
-        }
-
-        #[test]
-        fn retain_drops_and_reheapifies() {
-            let mut h: BinaryHeap<i64> = (0..20).collect();
-            h.retain(|x| x % 3 == 0);
-            assert!(h.is_valid_heap());
-            assert_eq!(popped(h), vec![0, 3, 6, 9, 12, 15, 18]);
         }
 
         #[test]

@@ -148,15 +148,6 @@ impl<T: Ord> SequentialPriorityQueue<T> for PairingHeap<T> {
         stolen
     }
 
-    fn retain<F: FnMut(&T) -> bool>(&mut self, mut keep: F) {
-        let items = self.drain_nodes();
-        for x in items {
-            if keep(&x) {
-                self.push(x);
-            }
-        }
-    }
-
     fn append(&mut self, other: &mut Self) {
         let other_root = other.root.take();
         let other_len = std::mem::take(&mut other.len);
@@ -255,13 +246,6 @@ mod tests {
             all.sort();
             assert_eq!(all, (0..n).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn retain_keeps_only_matching() {
-        let mut h: PairingHeap<i64> = (0..30).collect();
-        h.retain(|x| x % 5 == 0);
-        assert_eq!(popped(h), vec![0, 5, 10, 15, 20, 25]);
     }
 
     #[test]

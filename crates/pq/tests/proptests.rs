@@ -2,13 +2,14 @@
 //!
 //! Every implementation is model-checked against `std::collections::BinaryHeap`
 //! (wrapped as a min-heap) over arbitrary operation sequences, and the
-//! scheduler-facing extras (`split_half`, `retain`, `append`) are checked for
+//! scheduler-facing extras (`split_half`, `append`) are checked for
 //! multiset preservation and invariant maintenance. The `owning` module
 //! replays the same tapes over an element that owns memory and counts its
 //! live instances — with and without a comparator that panics mid-sift —
-//! because `DaryHeap`'s sifts move elements through raw pointers.
+//! because `DaryHeap`'s sifts move elements through raw pointers, and
+//! `RadixHeap` moves them between its buckets and its `DaryHeap`.
 
-use priosched_pq::{BinaryHeap, PairingHeap, SequentialPriorityQueue};
+use priosched_pq::{BinaryHeap, PairingHeap, RadixHeap, RadixKey, SequentialPriorityQueue};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 
@@ -17,7 +18,6 @@ enum Op {
     Push(i32),
     Pop,
     SplitHalf,
-    RetainEven,
     AppendBatch(Vec<i32>),
     ExtendBatch(Vec<i32>),
     Clear,
@@ -39,7 +39,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => any::<i32>().prop_map(Op::Push),
         3 => Just(Op::Pop),
         1 => Just(Op::SplitHalf),
-        1 => Just(Op::RetainEven),
         1 => proptest::collection::vec(any::<i32>(), 0..8).prop_map(Op::AppendBatch),
         2 => proptest::collection::vec(any::<i32>(), 0..40).prop_map(Op::ExtendBatch),
         // About one op in a hundred: a tape that keeps clearing its heap
@@ -89,11 +88,6 @@ fn apply_op<E: Elem, Q: SequentialPriorityQueue<E>>(q: &mut Q, model: &mut Model
             assert!(stolen.len() - q.len() <= 1);
             q.append(&mut stolen);
             assert!(stolen.is_empty());
-        }
-        Op::RetainEven => {
-            q.retain(|x| x.key() % 2 == 0);
-            let kept: Vec<i32> = model.sorted().into_iter().filter(|x| x % 2 == 0).collect();
-            model.heap = kept.iter().map(|&x| Reverse(x)).collect();
         }
         Op::AppendBatch(batch) => {
             let mut other = Q::new();
@@ -154,6 +148,11 @@ proptest! {
     #[test]
     fn pairing_heap_matches_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
         run_ops::<i32, PairingHeap<i32>>(&ops);
+    }
+
+    #[test]
+    fn radix_heap_matches_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
+        run_ops::<i32, RadixHeap<i32>>(&ops);
     }
 
     #[test]
@@ -256,6 +255,7 @@ mod batch {
             batch_equals_scalar::<PairingHeap<i32>>(&init, &batch)?;
             batch_equals_scalar::<DaryHeap<i32, 4>>(&init, &batch)?;
             batch_equals_scalar::<DaryHeap<i32, 8>>(&init, &batch)?;
+            batch_equals_scalar::<RadixHeap<i32>>(&init, &batch)?;
         }
 
         /// The structural invariant survives `extend_batch` at every batch
@@ -369,9 +369,10 @@ mod dary {
 }
 
 /// The op tapes over an element that owns heap memory, for `DaryHeap`'s
-/// pointer-moving sifts: a ledger of live instances catches a leak or a
-/// double drop, and a fuse in the comparator makes the *n*-th comparison
-/// unwind out of whatever sift is running.
+/// pointer-moving sifts and `RadixHeap`'s moves between its buckets and
+/// its small end: a ledger of live instances catches a leak or a double
+/// drop, and a fuse in the comparator makes the *n*-th comparison unwind
+/// out of whatever sift or refill is running.
 mod owning {
     use super::*;
     use priosched_pq::DaryHeap;
@@ -419,6 +420,29 @@ mod owning {
         }
     }
 
+    impl RadixKey for Tracked {
+        fn radix_key(&self) -> u64 {
+            self.key.radix_key()
+        }
+    }
+
+    /// A queue whose elements the ledger can list.
+    trait Held: SequentialPriorityQueue<Tracked> {
+        fn held(&self) -> Vec<u64>;
+    }
+
+    impl<const D: usize> Held for DaryHeap<Tracked, D> {
+        fn held(&self) -> Vec<u64> {
+            self.as_slice().iter().map(|e| e.id).collect()
+        }
+    }
+
+    impl Held for RadixHeap<Tracked> {
+        fn held(&self) -> Vec<u64> {
+            self.iter().map(|e| e.id).collect()
+        }
+    }
+
     impl Ord for Tracked {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
             if let Some(left) = FUSE.get() {
@@ -455,9 +479,9 @@ mod owning {
 
     /// The whole tape, then half the heap popped and the rest dropped
     /// with the heap: nothing may outlive it, nothing may drop twice.
-    fn tape_leaves_nothing_behind<const D: usize>(ops: &[Op]) {
+    fn tape_leaves_nothing_behind<Q: Held>(ops: &[Op]) {
         assert_ledger_settled();
-        let (mut q, mut model) = apply_ops::<Tracked, DaryHeap<Tracked, D>>(ops);
+        let (mut q, mut model) = apply_ops::<Tracked, Q>(ops);
         assert_eq!(live().len(), q.len());
         for _ in 0..q.len() / 2 {
             assert_eq!(q.pop().map(|e| e.key()), model.pop());
@@ -470,9 +494,9 @@ mod owning {
     /// interrupts, the heap afterwards holds exactly the elements that
     /// are still alive, each once (`Hole`'s `Drop` wrote the one in
     /// flight back), and dropping it settles the ledger.
-    fn tape_survives_a_panicking_comparator<const D: usize>(ops: &[Op], fuse: u64) {
+    fn tape_survives_a_panicking_comparator<Q: Held>(ops: &[Op], fuse: u64) {
         assert_ledger_settled();
-        let mut q: DaryHeap<Tracked, D> = DaryHeap::new();
+        let mut q = Q::new();
         let mut model = Model::default();
         FUSE.set(Some(fuse));
         let unwound = catch_unwind(AssertUnwindSafe(|| {
@@ -483,7 +507,7 @@ mod owning {
         .is_err();
         // A tape with fewer comparisons than the fuse runs to its end.
         assert_eq!(unwound, FUSE.take().is_none());
-        let held: Vec<u64> = q.as_slice().iter().map(|e| e.id).collect();
+        let held = q.held();
         let distinct: BTreeSet<u64> = held.iter().copied().collect();
         assert_eq!(
             distinct.len(),
@@ -503,9 +527,10 @@ mod owning {
         fn owning_tapes_leak_and_double_drop_nothing(
             ops in proptest::collection::vec(op_strategy(), 0..120),
         ) {
-            tape_leaves_nothing_behind::<2>(&ops);
-            tape_leaves_nothing_behind::<4>(&ops);
-            tape_leaves_nothing_behind::<8>(&ops);
+            tape_leaves_nothing_behind::<DaryHeap<Tracked, 2>>(&ops);
+            tape_leaves_nothing_behind::<DaryHeap<Tracked, 4>>(&ops);
+            tape_leaves_nothing_behind::<DaryHeap<Tracked, 8>>(&ops);
+            tape_leaves_nothing_behind::<RadixHeap<Tracked>>(&ops);
         }
 
         #[test]
@@ -513,9 +538,10 @@ mod owning {
             ops in proptest::collection::vec(op_strategy(), 1..120),
             fuse in 0u64..600,
         ) {
-            tape_survives_a_panicking_comparator::<2>(&ops, fuse);
-            tape_survives_a_panicking_comparator::<4>(&ops, fuse);
-            tape_survives_a_panicking_comparator::<8>(&ops, fuse);
+            tape_survives_a_panicking_comparator::<DaryHeap<Tracked, 2>>(&ops, fuse);
+            tape_survives_a_panicking_comparator::<DaryHeap<Tracked, 4>>(&ops, fuse);
+            tape_survives_a_panicking_comparator::<DaryHeap<Tracked, 8>>(&ops, fuse);
+            tape_survives_a_panicking_comparator::<RadixHeap<Tracked>>(&ops, fuse);
         }
     }
 }
@@ -587,6 +613,101 @@ mod arity_independence {
                 prop_assert_eq!(four.pop(), Some(expect));
             }
             prop_assert!(two.is_empty() && four.is_empty());
+        }
+    }
+}
+
+/// `RadixHeap` against `QuaternaryHeap`, pop for pop, on tapes shaped like
+/// a centralized or hybrid place's queue under SSSP: keys mostly above the
+/// last popped one, about one push in ten below it (a reference ingested
+/// late), ties on the key broken by a unique tag, and keys at 0 and near
+/// `u64::MAX`, where the bucket index takes its extreme values.
+mod radix_differential {
+    use super::*;
+    use priosched_pq::QuaternaryHeap;
+
+    /// `(key, unique tag)`, as a pool's `(prio, tag)` reference orders.
+    type Key = (u64, u32);
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// The last popped key plus `low << shift`.
+        Above(u8, u16),
+        /// The last popped key minus this, saturating at 0.
+        Below(u16),
+        /// The key of the previous push again, with a new tag.
+        Repeat,
+        /// `0` or `u64::MAX - x`.
+        Edge(bool, u8),
+        Pop,
+        /// Several `Above` keys through `extend_batch`.
+        Batch(Vec<(u8, u16)>),
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            14 => (0u8..40, any::<u16>()).prop_map(|(s, x)| Step::Above(s, x)),
+            2 => any::<u16>().prop_map(Step::Below),
+            2 => Just(Step::Repeat),
+            1 => (any::<bool>(), any::<u8>()).prop_map(|(z, x)| Step::Edge(z, x)),
+            15 => Just(Step::Pop),
+            2 => proptest::collection::vec((0u8..40, any::<u16>()), 0..24).prop_map(Step::Batch),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn radix_heap_pops_as_the_quaternary_heap_on_sssp_tapes(
+            steps in proptest::collection::vec(step_strategy(), 0..400),
+        ) {
+            let mut radix: RadixHeap<Key> = RadixHeap::new();
+            let mut dary: QuaternaryHeap<Key> = QuaternaryHeap::new();
+            let (mut last_popped, mut last_pushed, mut tag) = (0u64, 0u64, 0u32);
+            let mut fresh = |key: u64| {
+                tag += 1;
+                (key, tag)
+            };
+            let above = |popped: u64, (shift, low): (u8, u16)| {
+                popped.saturating_add((low as u64) << shift)
+            };
+            for step in &steps {
+                let key = match *step {
+                    Step::Above(shift, low) => above(last_popped, (shift, low)),
+                    Step::Below(x) => last_popped.saturating_sub(x as u64),
+                    Step::Repeat => last_pushed,
+                    Step::Edge(zero, x) => if zero { 0 } else { u64::MAX - x as u64 },
+                    Step::Pop => {
+                        let popped = radix.pop();
+                        prop_assert_eq!(popped, dary.pop());
+                        if let Some((key, _)) = popped {
+                            last_popped = key;
+                        }
+                        prop_assert_eq!(radix.peek(), dary.peek());
+                        continue;
+                    }
+                    Step::Batch(ref batch) => {
+                        let keys: Vec<Key> =
+                            batch.iter().map(|&b| fresh(above(last_popped, b))).collect();
+                        radix.extend_batch(keys.iter().copied());
+                        dary.extend_batch(keys);
+                        prop_assert_eq!(radix.len(), dary.len());
+                        prop_assert_eq!(radix.peek(), dary.peek());
+                        continue;
+                    }
+                };
+                last_pushed = key;
+                let key = fresh(key);
+                radix.push(key);
+                dary.push(key);
+                prop_assert_eq!(radix.len(), dary.len());
+                prop_assert_eq!(radix.peek(), dary.peek());
+            }
+            while let Some(expect) = dary.pop() {
+                prop_assert_eq!(radix.pop(), Some(expect));
+            }
+            prop_assert!(radix.is_empty());
         }
     }
 }

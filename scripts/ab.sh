@@ -3,7 +3,7 @@
 # workload and end-to-end metric whether HEAD's gain over BASE is a claim.
 # Run from anywhere inside the repository:
 #
-#   scripts/ab.sh [--smoke] BASE HEAD [pairs, default 10] [workload ...]
+#   scripts/ab.sh [--smoke] [--touched KIND[,KIND]] BASE HEAD [pairs, default 10] [workload ...]
 #
 # Each revision is checked out into a `git worktree` of its own and its
 # benchmark built there, with a target directory of its own. Pair i runs
@@ -20,8 +20,10 @@
 # medians in head's favour (as a share of base's median) larger than
 # base's IQR/median, and no more failed operations or incorrect runs on
 # head than on base in that workload. `rel_items.<kind>` is the kind's items/s
-# over the mean of the five kinds' in the same run, which takes out the
-# drift both sides share.
+# over the mean of the other kinds' in the same run, which takes out the
+# drift both sides share. By default that mean is over all five kinds; with
+# `--touched`, over the kinds the change did not touch, so that a gain of a
+# touched kind does not read as a fall of the untouched ones.
 #
 # Worktrees and builds go to AB_WORK (default: a fresh temporary directory,
 # removed at exit); the raw results are kept under target/ab/.
@@ -31,14 +33,16 @@ set -euo pipefail
 # it: a checkout that changes this file mid-run does not change the run.
 {
 usage() {
-  echo "usage: scripts/ab.sh [--smoke] BASE HEAD [pairs] [workload ...]" >&2
+  echo "usage: scripts/ab.sh [--smoke] [--touched KIND[,KIND]] BASE HEAD [pairs] [workload ...]" >&2
   exit 2
 }
 
 harness=()
+touched=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --smoke) harness+=(--smoke); shift ;;
+    --touched) [ $# -ge 2 ] || usage; touched="$2"; shift 2 ;;
     -*) usage ;;
     *) break ;;
   esac
@@ -54,6 +58,15 @@ case "$pairs" in '' | *[!0-9]* | 0) usage ;; esac
 
 spec="$repo/BENCHMARK.json"
 seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$spec")
+python3 - "$spec" "$touched" <<'CHECK' || usage
+import json, sys
+kinds = [m["name"].split(".", 1)[1] for m in json.load(open(sys.argv[1]))["end_to_end"]
+         if m["name"].startswith("items_per_s.")]
+touched = [k for k in sys.argv[2].split(",") if k]
+unknown = [k for k in touched if k not in kinds]
+if unknown or len(set(touched)) == len(kinds):
+    sys.exit(f"--touched: {','.join(unknown) or 'every kind'} (kinds: {', '.join(kinds)})")
+CHECK
 if [ $# -gt 0 ]; then
   workloads="$*"
 else
@@ -106,13 +119,16 @@ for i in $(seq 1 "$pairs"); do
 done
 echo "raw results: $runs" >&2
 
-python3 - "$spec" "$runs" "$base" "$head" "$pairs" "$seconds" <<'EOF'
+python3 - "$spec" "$runs" "$base" "$head" "$pairs" "$seconds" "$touched" <<'EOF'
 import json, math, os, statistics, sys
 
-spec_path, runs_path, base, head, pairs, seconds = sys.argv[1:]
+spec_path, runs_path, base, head, pairs, seconds, touched = sys.argv[1:]
 spec = json.load(open(spec_path))
 pairs = int(pairs)
 kinds = [m["name"].split(".", 1)[1] for m in spec["end_to_end"] if m["name"].startswith("items_per_s.")]
+touched = [k for k in touched.split(",") if k]
+# The kinds whose mean items/s is rel_items' denominator.
+reference = [k for k in kinds if k not in touched]
 
 # results[(workload, side)][pair] = the run's JSON result
 results = {}
@@ -126,7 +142,7 @@ def values(workload, side, name):
     for i in range(1, pairs + 1):
         m = runs[i]["metrics"]
         if name.startswith("rel_items."):
-            items = [m[f"items_per_s.{k}"]["value"] for k in kinds]
+            items = [m[f"items_per_s.{k}"]["value"] for k in reference]
             out.append(m[f"items_per_s.{name[len('rel_items.'):]}"]["value"] / statistics.mean(items))
         else:
             out.append(m[name]["value"])
@@ -159,7 +175,8 @@ metrics += [(f"rel_items.{k}", True) for k in kinds]
 
 print(f"A/B: base `{base[:10]}`, head `{head[:10]}`; {pairs} pairs, `run_seconds` = {seconds}, "
       f"`nproc` = {os.cpu_count()}. Ratio > 1 is better; claim = won ≥ {need}/{pairs} "
-      "and median gap > base IQR/median, with no more failures than base.\n")
+      "and median gap > base IQR/median, with no more failures than base. "
+      f"`rel_items` divides by the mean of {', '.join(reference)}.\n")
 print("| workload | metric | base median | head median | ratio | won | sign p | base IQR/median | head IQR/median | claim |")
 print("|---|---|---|---|---|---|---|---|---|---|")
 notes = []
