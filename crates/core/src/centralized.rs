@@ -16,7 +16,12 @@
 //!   scans the global array from its private `head` up to `tail`, a segment
 //!   run at a time, and ingests references to all items it has not seen
 //!   (skipping its own, which were inserted at push time), then repeatedly
-//!   takes its local best via the tag CAS (Listing 2).
+//!   takes its local best via the tag CAS (Listing 2). The queue is a
+//!   [`RadixHeap`] keyed by the reference's priority: every place queues
+//!   every task it sees, so it holds the most entries of any pool's queue,
+//!   and SSSP's nearly monotone priorities make most pushes O(1) bucket
+//!   appends. It pops in the same `(prio, tag)` order as the 4-ary heap it
+//!   replaced ([`priosched_pq`]'s crate docs give the numbers).
 //! * When the local queue is empty, up to `k` fresh tasks may still sit in
 //!   `[tail, tail + kmax)`; a single random probe may take one of them —
 //!   pops are allowed to fail spuriously (§2.1).

@@ -15,6 +15,14 @@
 //!   anything (§4.2.2) — so up to `k` unpublished tasks *per place* may be
 //!   missed: ρ = P·k.
 //!
+//! The local priority queue is a [`RadixHeap`] of [`ItemRef`]s keyed by
+//! priority, as in the centralized structure: each place queues a
+//! reference to every published task, and a reference that arrives late
+//! (ingested or spied below the last popped priority) goes to the radix
+//! heap's exact small end, so the pop order is the `(prio, tag)` order of
+//! the 4-ary heap it replaced ([`priosched_pq`]'s crate docs give the
+//! numbers).
+//!
 //! As in §4.2.3, lists are linked lists of arrays (segments), items are
 //! recycled through the shared pool, and taken-ness is a tag CAS rather than
 //! a flag so recycling is ABA-safe; tags are derived from per-place indices,

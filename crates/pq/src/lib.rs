@@ -31,23 +31,26 @@
 //! # Which queue under which pool
 //!
 //! The centralized and hybrid places hold the most references: on the
-//! benchmark's `sssp_sparse` one place's queue reaches ~213k of them, and
-//! a run makes ~360k push/pop pairs per place. Their keys are SSSP
+//! benchmark's `sssp_sparse` shape (n = 200 000, mean degree 8, k = 8,
+//! 2 places) one centralized place made 359 779 pushes and as many pops,
+//! and its queue peaked at 215 243 references. Their keys are SSSP
 //! distances, `f64` bit patterns that rise almost monotonically, which is
-//! the case a radix heap is built for. Replaying one place's recorded
-//! push/pop trace of that workload through each queue (same pop order
-//! from all three):
+//! the case a radix heap is built for. That place's recorded push/pop
+//! trace, replayed through each queue with 24-byte entries (the size of a
+//! pool's reference), pops the same sequence from all three. Median of
+//! fifteen replays per place, range over the two places, on the 2-core
+//! shared box; peak bytes the queue held:
 //!
-//! | queue under the trace                     | replay |
-//! |-------------------------------------------|--------|
-//! | `QuaternaryHeap`                          | TRACE_DARY |
-//! | `RadixHeap`, chunked buckets              | TRACE_CHUNKED |
-//! | radix heap with growable `Vec` buckets    | TRACE_VEC |
+//! | queue under the trace                  | replay (ms) | peak bytes |
+//! |----------------------------------------|-------------|------------|
+//! | `QuaternaryHeap`                       | 144–148     | 9.0 MiB    |
+//! | `RadixHeap`, 256-entry chunks          | 79–93       | 5.1 MiB    |
+//! | radix heap with growable `Vec` buckets | 44–52       | 16.6–17.3 MiB |
 //!
-//! The `Vec`-bucket variant is faster still, but each bucket keeps its
-//! high-water capacity, and `sssp_sparse`'s peak RSS rose from ~195 to
-//! 255–359 MB; chunks returned to a spare list as soon as a refill drains
-//! them bring it to ~185 MB instead.
+//! The `Vec`-bucket variant is faster still, but every bucket keeps its
+//! high-water capacity, so a place's queue holds three times what the
+//! chunked one does. End to end the chunked heap lowered `sssp_sparse`'s
+//! peak RSS from ~196 to ~186 MB (CHANGES.md, PR 41).
 //!
 //! The other three pools stay on `QuaternaryHeap`, each for a measured
 //! reason:

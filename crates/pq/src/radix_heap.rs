@@ -22,16 +22,16 @@
 //! it at once. Over a strict total order the heap therefore pops the same
 //! sequence as any other queue of this crate.
 //!
-//! Buckets are chains of [`CHUNK`]-entry vectors. A chunk goes back to the
+//! Buckets are chains of 256-entry vectors (`CHUNK`). A chunk goes back to the
 //! heap's spare list as soon as a refill has drained it, so the buckets
 //! together hold no more chunks than their elements fill, plus one partly
 //! filled chunk per bucket. (Growable vector buckets keep each bucket's
 //! high-water capacity; see the crate docs for what that cost.)
 //!
-//! The only comparisons are `b0`'s, and a refill gathers the elements bound
-//! for `b0` before it inserts them, so a panicking [`Ord`] leaves every
-//! element in the heap exactly once, as [`DaryHeap`](crate::DaryHeap)'s
-//! sifts do.
+//! The only comparisons are `b0`'s, so a panicking [`Ord`] leaks nothing
+//! and duplicates nothing: `b0`'s sifts leave it a permutation of what it
+//! held (see [`DaryHeap`](crate::DaryHeap)), and a refill that unwinds
+//! drops the elements it had not yet moved with the chunks that held them.
 
 use crate::{QuaternaryHeap, SequentialPriorityQueue};
 
@@ -75,7 +75,7 @@ impl<A: RadixKey, B> RadixKey for (A, B) {
 }
 
 /// Entries per bucket chunk.
-pub const CHUNK: usize = 256;
+const CHUNK: usize = 256;
 
 /// Exact min-queue with O(1) pushes above the last refill's key; see the
 /// [module docs](self).
@@ -95,9 +95,6 @@ pub struct RadixHeap<T> {
     in_buckets: usize,
     /// Drained chunks, empty and with their capacity, for reuse.
     spare: Vec<Vec<T>>,
-    /// Elements a refill moves to `b0`, gathered so they go in as one
-    /// batch (empty between refills).
-    low: Vec<T>,
 }
 
 impl<T> Default for RadixHeap<T> {
@@ -109,20 +106,11 @@ impl<T> Default for RadixHeap<T> {
             occupied: 0,
             in_buckets: 0,
             spare: Vec::new(),
-            low: Vec::new(),
         }
     }
 }
 
 impl<T: Ord + RadixKey> RadixHeap<T> {
-    /// Every element, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.b0
-            .as_slice()
-            .iter()
-            .chain(self.buckets.iter().flatten().flatten())
-    }
-
     /// Appends `item`, whose key is above `last`, to its bucket.
     fn file(&mut self, key: u64, item: T) {
         debug_assert!(key > self.last);
@@ -151,25 +139,27 @@ impl<T: Ord + RadixKey> RadixHeap<T> {
         let i = self.occupied.trailing_zeros() as usize;
         self.occupied &= !(1 << i);
         let chain = std::mem::take(&mut self.buckets[i]);
-        self.in_buckets -= chain.iter().map(Vec::len).sum::<usize>();
-        self.last = chain
-            .iter()
-            .flatten()
-            .map(RadixKey::radix_key)
-            .min()
-            .expect("an occupied bucket holds an element");
+        // A loop per chunk: a flattened iterator's `min` replayed a
+        // recorded `sssp_sparse` queue trace measurably slower.
+        let mut last = u64::MAX;
+        for chunk in &chain {
+            self.in_buckets -= chunk.len();
+            for item in chunk {
+                last = last.min(item.radix_key());
+            }
+        }
+        self.last = last;
         for mut chunk in chain {
             for item in chunk.drain(..) {
                 let key = item.radix_key();
-                if key == self.last {
-                    self.low.push(item);
+                if key == last {
+                    self.b0.push(item);
                 } else {
                     self.file(key, item);
                 }
             }
             self.spare.push(chunk);
         }
-        self.b0.extend_batch(self.low.drain(..));
     }
 }
 

@@ -426,23 +426,6 @@ mod owning {
         }
     }
 
-    /// A queue whose elements the ledger can list.
-    trait Held: SequentialPriorityQueue<Tracked> {
-        fn held(&self) -> Vec<u64>;
-    }
-
-    impl<const D: usize> Held for DaryHeap<Tracked, D> {
-        fn held(&self) -> Vec<u64> {
-            self.as_slice().iter().map(|e| e.id).collect()
-        }
-    }
-
-    impl Held for RadixHeap<Tracked> {
-        fn held(&self) -> Vec<u64> {
-            self.iter().map(|e| e.id).collect()
-        }
-    }
-
     impl Ord for Tracked {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
             if let Some(left) = FUSE.get() {
@@ -479,7 +462,7 @@ mod owning {
 
     /// The whole tape, then half the heap popped and the rest dropped
     /// with the heap: nothing may outlive it, nothing may drop twice.
-    fn tape_leaves_nothing_behind<Q: Held>(ops: &[Op]) {
+    fn tape_leaves_nothing_behind<Q: SequentialPriorityQueue<Tracked>>(ops: &[Op]) {
         assert_ledger_settled();
         let (mut q, mut model) = apply_ops::<Tracked, Q>(ops);
         assert_eq!(live().len(), q.len());
@@ -494,7 +477,10 @@ mod owning {
     /// interrupts, the heap afterwards holds exactly the elements that
     /// are still alive, each once (`Hole`'s `Drop` wrote the one in
     /// flight back), and dropping it settles the ledger.
-    fn tape_survives_a_panicking_comparator<Q: Held>(ops: &[Op], fuse: u64) {
+    fn tape_survives_a_panicking_comparator<Q: SequentialPriorityQueue<Tracked>>(
+        ops: &[Op],
+        fuse: u64,
+    ) {
         assert_ledger_settled();
         let mut q = Q::new();
         let mut model = Model::default();
@@ -507,8 +493,8 @@ mod owning {
         .is_err();
         // A tape with fewer comparisons than the fuse runs to its end.
         assert_eq!(unwound, FUSE.take().is_none());
-        let held = q.held();
-        let distinct: BTreeSet<u64> = held.iter().copied().collect();
+        let held = q.drain_unordered();
+        let distinct: BTreeSet<u64> = held.iter().map(|e| e.id).collect();
         assert_eq!(
             distinct.len(),
             held.len(),
@@ -516,6 +502,7 @@ mod owning {
         );
         assert_eq!(distinct, live());
         assert_eq!(DOUBLE_DROPS.get(), 0);
+        drop(held);
         drop(q);
         assert_ledger_settled();
     }
