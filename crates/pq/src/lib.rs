@@ -52,17 +52,24 @@
 //! chunked one does. End to end the chunked heap lowered `sssp_sparse`'s
 //! peak RSS from ~196 to ~186 MB (CHANGES.md, PR 41).
 //!
-//! The other three pools stay on `QuaternaryHeap`, each for a measured
-//! reason:
+//! The other three pools stay on `QuaternaryHeap`. A scratch copy with
+//! every pool on the radix heap (MultiQueue and structural reading
+//! `peek_after_pop` from `b0`, or from a scan of the lowest bucket when
+//! `b0` holds one element) read, over 6 alternating 25 s pairs:
 //!
-//! * MultiQueue and structural pop under a queue lock, and their pops
-//!   need the top a pop leaves ([`DaryHeap::peek_after_pop`]). A radix
-//!   heap's refill and the bucket scan that look-ahead needs run inside
-//!   that lock: on the radix heap `items_per_s.structural` fell ×0.86 on
-//!   `sssp_sparse` and ×0.83 on `service_stream`, and `multiqueue` ×0.92
-//!   on `service_stream`.
-//! * Work-stealing's steal takes [`split_half`]'s half, which depends on
-//!   the layout: the radix heap's half moved `useful_frac.work_stealing`.
+//! * structural ×0.97 on `sssp_sparse` (1/6 pairs won) and ×0.87 on
+//!   `service_stream` (0/6): its exact pop runs the refill and that scan
+//!   under a queue lock;
+//! * work-stealing ×1.24 and ×1.09 (6/6 each), but [`split_half`] takes
+//!   a different half of a radix heap, which changes what a thief steals
+//!   and so the kind's useless work (`useful_frac.work_stealing` moved;
+//!   the `sssp_random_graph` example's phase run relaxed 2 287 nodes
+//!   instead of 2 387);
+//! * MultiQueue ×1.09 on `sssp_sparse` (6/6) and ×1.00 on
+//!   `service_stream`.
+//!
+//! The last two are gains for changes of their own, each judged on ten
+//! pairs (ROADMAP item 8).
 //!
 //! Which queue a pool uses is a constant at its import, not a knob.
 //!
