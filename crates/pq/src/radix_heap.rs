@@ -22,10 +22,10 @@
 //! it at once. Over a strict total order the heap therefore pops the same
 //! sequence as any other queue of this crate.
 //!
-//! Buckets are chains of 256-entry vectors (`CHUNK`). A chunk goes back to the
-//! heap's spare list as soon as a refill has drained it, so the buckets
-//! together hold no more chunks than their elements fill, plus one partly
-//! filled chunk per bucket. (Growable vector buckets keep each bucket's
+//! Buckets are chains of 256-entry vectors (`CHUNK`). A chunk goes back to
+//! the heap's spare list as soon as a refill has drained it, so the
+//! buckets together hold no more chunks than their elements fill, plus one
+//! partly filled chunk per bucket. (Growable vector buckets keep each bucket's
 //! high-water capacity; see the crate docs for what that cost.)
 //!
 //! The only comparisons are `b0`'s, so a panicking [`Ord`] leaks nothing

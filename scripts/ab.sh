@@ -20,10 +20,10 @@
 # medians in head's favour (as a share of base's median) larger than
 # base's IQR/median, and no more failed operations or incorrect runs on
 # head than on base in that workload. `rel_items.<kind>` is the kind's items/s
-# over the mean of the other kinds' in the same run, which takes out the
-# drift both sides share. By default that mean is over all five kinds; with
-# `--touched`, over the kinds the change did not touch, so that a gain of a
-# touched kind does not read as a fall of the untouched ones.
+# over a mean of kinds' items/s in the same run, which takes out the drift
+# both sides share: by default the mean of all five kinds; with `--touched`,
+# of the kinds not named, so that a gain of a touched kind does not read as
+# a fall of the untouched ones.
 #
 # Worktrees and builds go to AB_WORK (default: a fresh temporary directory,
 # removed at exit); the raw results are kept under target/ab/.
