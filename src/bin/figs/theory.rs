@@ -9,8 +9,9 @@
 //!        (1 − (p·h_t(i,j))^L / L!) ^ ((n−2)!/(n−1−L)!) ]
 //! ```
 //!
-//! with `h_t(i,j) = d_t(j) − d_t(i)` (Theorem 5), and a weaker variant using
-//! `h*_t = d_t(P) − d_t(1)` everywhere (Remark 1). The exponent
+//! with `h_t(i,j) = d_t(j) − d_t(i)` (Theorem 5). Remark 1's weaker variant,
+//! `h*_t = d_t(P) − d_t(1)` for every pair, is not evaluated; Figure 3b plots
+//! `h*_t` itself (`PhaseRecord::h_star`). The exponent
 //! `(n−2)!/(n−1−L)! = (n−2)(n−3)…(n−L)` is the number of simple paths of
 //! length `L` between two fixed nodes; it reaches ~`n^(L−1)` and must be
 //! handled in the log domain.
@@ -106,21 +107,6 @@ impl TheoryBound {
         w
     }
 
-    /// Remark 1's simplified form: every pair uses `h* = max − min`.
-    /// `relaxed` is the number of nodes relaxed in the phase.
-    pub fn useless_upper_bound_hstar(&self, h_star: f64, relaxed: usize) -> f64 {
-        if relaxed <= 1 {
-            return 0.0;
-        }
-        let s = self.ln_no_path_probability(h_star);
-        let mut w = 0.0f64;
-        for j in 1..relaxed {
-            // q(j) ≥ exp(j · S): j earlier nodes, each pair bounded via h*.
-            w += 1.0 - (j as f64 * s).exp();
-        }
-        w
-    }
-
     /// Lower bound on settled nodes in a phase (Figure 3, right panel):
     /// `relaxed − W_t`, clamped to `[0, relaxed]`.
     pub fn settled_lower_bound(&self, dists_sorted: &[f64]) -> f64 {
@@ -187,19 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn hstar_form_is_weaker_than_pairwise() {
-        let tb = TheoryBound::new(300, 0.5);
-        let dists: Vec<f64> = (0..20).map(|i| 0.2 + i as f64 * 2e-3).collect();
-        let exact = tb.useless_upper_bound(&dists);
-        let h_star = dists.last().unwrap() - dists.first().unwrap();
-        let weak = tb.useless_upper_bound_hstar(h_star, dists.len());
-        assert!(
-            weak >= exact - 1e-9,
-            "h* bound {weak} must dominate pairwise {exact}"
-        );
-    }
-
-    #[test]
     fn settled_bound_within_range() {
         let tb = TheoryBound::new(200, 0.5);
         let dists: Vec<f64> = (0..15).map(|i| 0.1 + i as f64 * 5e-3).collect();
@@ -237,7 +210,7 @@ mod tests {
     /// phase by phase (this is the Figure 3c comparison).
     #[test]
     fn bound_is_consistent_with_simulation() {
-        use crate::RhoWindow;
+        use crate::rho_window::RhoWindow;
         use priosched_workloads::SsspWorkload;
         use std::sync::Arc;
         let (n, p) = (400, 0.5);

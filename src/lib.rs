@@ -20,15 +20,14 @@
 //!   `workloads::run_workload`, or in the paper's phases on one thread over
 //!   any pool via `SsspWorkload::run_phases`), which checks every run
 //!   against Dijkstra;
-//! * [`sim`] — the phase model's ρ-window pool + Theorem 5 bounds;
 //! * [`workloads`] — first-class benchmark workloads (SSSP, BFS, tile
 //!   Cholesky, branch-and-bound knapsack, bi-objective SSSP, MST), each
 //!   verified against a sequential oracle on every structure, preseeded
 //!   or through sharded ingestion (`run_workload_streamed`).
 //!
-//! This package's `figs` binary (`src/bin/figs.rs`) reproduces the paper's
-//! SSSP figures 3–5 through the phase model; CI diffs its tables against
-//! `figs/`.
+//! This package's `figs` binary (`src/bin/figs/`) reproduces the paper's
+//! SSSP figures 3–5 through the phase model, with its own ρ-window pool and
+//! Theorem 5's bound; CI diffs its tables against `figs/`.
 //!
 //! The `priosched-net` crate (not re-exported here — it is a frontend, not
 //! a library layer) serves the pool over TCP: `priosched-serve` accepts
@@ -78,7 +77,6 @@
 pub use priosched_core as core;
 pub use priosched_graph as graph;
 pub use priosched_pq as pq;
-pub use priosched_sim as sim;
 pub use priosched_sssp as sssp;
 pub use priosched_workloads as workloads;
 
