@@ -16,13 +16,21 @@
 //! substitution preserves the scheduling policy the evaluation measures
 //! (local priority order + random steal-half): which tasks a place sees,
 //! and in what order, does not depend on how the queue is guarded.
+//!
+//! A place's queue is a [`RadixHeap`] keyed by priority: SSSP's distance
+//! keys rise almost monotonically, which a radix heap files in O(1) where a
+//! 4-ary heap sifts. Its `split_half` keeps the pivot and refiles nothing,
+//! and the thief's half always holds the victim's least task (every other
+//! element of the small end, the root first, then every other element of
+//! each bucket), so the steal returns that task and the thief appends the
+//! rest into its own empty queue without refiling it either.
 
 use crate::pool::{PoolHandle, TaskPool};
 use crate::stats::PlaceStats;
 use crate::sync::Mutex;
 use crate::util::XorShift64;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
+use priosched_pq::{RadixHeap, RadixKey, SequentialPriorityQueue};
 use std::sync::Arc;
 
 /// Queue entry: priority, per-place insertion sequence (deterministic
@@ -50,8 +58,15 @@ impl<T> Ord for WsEntry<T> {
     }
 }
 
+/// Keyed by the priority, the first component of the order.
+impl<T> RadixKey for WsEntry<T> {
+    fn radix_key(&self) -> u64 {
+        self.prio
+    }
+}
+
 /// One place's lockable queue, padded to its own cache line.
-type PlaceQueue<T> = CachePadded<Mutex<QuaternaryHeap<WsEntry<T>>>>;
+type PlaceQueue<T> = CachePadded<Mutex<RadixHeap<WsEntry<T>>>>;
 
 /// Shared component: one lockable priority queue per place.
 pub struct PriorityWorkStealing<T: Send + 'static> {
@@ -67,7 +82,7 @@ impl<T: Send + 'static> PriorityWorkStealing<T> {
         assert!(nplaces > 0, "need at least one place");
         PriorityWorkStealing {
             queues: (0..nplaces)
-                .map(|_| CachePadded::new(Mutex::new(QuaternaryHeap::new())))
+                .map(|_| CachePadded::new(Mutex::new(RadixHeap::new())))
                 .collect(),
         }
     }
@@ -206,6 +221,27 @@ mod tests {
         assert_eq!(h.pop(), Some(100));
         assert_eq!(h.pop(), Some(200));
         assert_eq!(h.pop(), Some(300));
+    }
+
+    /// The thief's half holds the victim's least task, and the steal
+    /// returns it. Here the victim's small end holds that one task, so the
+    /// parity that carries on from it leaves the next-least, the first
+    /// bucket element, with the victim.
+    #[test]
+    fn steal_hands_the_thief_the_victims_least_task() {
+        let p = pool(2);
+        let mut h0 = p.handle(0);
+        let mut h1 = p.handle(1);
+        // Distinct priorities in a scrambled order, all above the first.
+        for i in 0..1000u64 {
+            let prio = 1 + (i * 7919) % 1000;
+            h0.push(prio << 20, 0, prio);
+        }
+        assert_eq!(h0.pop(), Some(1));
+        assert_eq!(h1.pop(), Some(2));
+        assert_eq!(h1.stats().steals, 1);
+        assert_eq!(h0.pop(), Some(3));
+        assert_eq!(p.queued(), 997);
     }
 
     #[test]

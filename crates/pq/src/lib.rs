@@ -14,15 +14,16 @@
 //! * [`DaryHeap`] — the one array-backed heap, arity as a const generic,
 //!   hole-based sifts and a bottom-up `pop` (see [`dary_heap`]). Two
 //!   aliases name the arities in use: [`QuaternaryHeap`] (`D = 4`) is the
-//!   queue of the work-stealing, MultiQueue and structural pools and the
-//!   small end of [`RadixHeap`]; [`BinaryHeap`] (`D = 2`) serves the
+//!   queue of the MultiQueue and structural pools and the small end of
+//!   [`RadixHeap`]; [`BinaryHeap`] (`D = 2`) serves the
 //!   sequential oracles (Dijkstra, the benchmark's tape oracle) and is the
 //!   arity baseline of the benchmark's `pq.*` metrics.
 //! * [`RadixHeap`] — an exact radix heap over a [`RadixKey`]: 64 buckets
 //!   by the highest bit in which a key differs from the last refill's,
 //!   and a `QuaternaryHeap` for everything at or below it (see
-//!   [`radix_heap`]). The reference queue of the centralized and hybrid
-//!   pools, where every place queues a reference to every task it sees.
+//!   [`radix_heap`]). The queue of the work-stealing places, and the
+//!   reference queue of the centralized and hybrid pools, where every place
+//!   queues a reference to every task it sees.
 //! * [`PairingHeap`] — pointer-based pairing heap with two-pass melding; a
 //!   structurally independent implementation kept as the differential
 //!   oracle of the proptests (and priced by the benchmark's
@@ -52,24 +53,27 @@
 //! chunked one does. End to end the chunked heap lowered `sssp_sparse`'s
 //! peak RSS from ~196 to ~186 MB (CHANGES.md, PR 41).
 //!
-//! The other three pools stay on `QuaternaryHeap`. A scratch copy with
-//! every pool on the radix heap (MultiQueue and structural reading
-//! `peek_after_pop` from `b0`, or from a scan of the lowest bucket when
-//! `b0` holds one element) read, over 6 alternating 25 s pairs:
+//! A scratch copy with every pool on the radix heap (MultiQueue and
+//! structural reading `peek_after_pop` from `b0`, or from a scan of the
+//! lowest bucket when `b0` holds one element) read, over 6 alternating
+//! 25 s pairs:
 //!
 //! * structural ×0.97 on `sssp_sparse` (1/6 pairs won) and ×0.87 on
 //!   `service_stream` (0/6): its exact pop runs the refill and that scan
 //!   under a queue lock;
-//! * work-stealing ×1.24 and ×1.09 (6/6 each), but [`split_half`] takes
-//!   a different half of a radix heap, which changes what a thief steals
-//!   and so the kind's useless work (`useful_frac.work_stealing` moved;
-//!   the `sssp_random_graph` example's phase run relaxed 2 287 nodes
-//!   instead of 2 387);
+//! * work-stealing ×1.24 and ×1.09 (6/6 each);
 //! * MultiQueue ×1.09 on `sssp_sparse` (6/6) and ×1.00 on
 //!   `service_stream`.
 //!
-//! The last two are gains for changes of their own, each judged on ten
-//! pairs (ROADMAP item 8).
+//! Work-stealing has since moved to the radix heap.
+//! A steal takes [`split_half`]'s half, and a radix heap's half differs
+//! from a 4-ary heap's: the thief gets `b0`'s `DaryHeap` half, so still
+//! the victim's least task, then every other element of each bucket, and
+//! neither side refiles anything. What a thief holds changes, and so the
+//! kind's useless work: the `sssp_random_graph` example's phase run
+//! relaxes 2 320 nodes instead of 2 387. MultiQueue and structural stay on
+//! `QuaternaryHeap`; MultiQueue's move is a change of its own, judged on
+//! ten pairs (ROADMAP item 8).
 //!
 //! Which queue a pool uses is a constant at its import, not a knob.
 //!

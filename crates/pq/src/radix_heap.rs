@@ -1,5 +1,5 @@
-//! Exact radix heap over `u64` keys — the place-local reference queue of
-//! the centralized and hybrid pools.
+//! Exact radix heap over `u64` keys — the place-local queue of the
+//! work-stealing, centralized and hybrid pools.
 //!
 //! A radix heap (Ahuja, Mehlhorn, Orlin, Tarjan) keeps a pivot key `last`
 //! and files every element above it into one of 64 buckets, by the highest
@@ -23,10 +23,10 @@
 //! sequence as any other queue of this crate.
 //!
 //! Buckets are chains of 256-entry vectors (`CHUNK`). A chunk goes back to
-//! the heap's spare list as soon as a refill has drained it, so the
-//! buckets together hold no more chunks than their elements fill, plus one
-//! partly filled chunk per bucket. (Growable vector buckets keep each bucket's
-//! high-water capacity; see the crate docs for what that cost.)
+//! the heap's spare list as soon as a refill or a split has drained it, so
+//! the buckets together hold no more chunks than their elements fill, plus
+//! one partly filled chunk per bucket. (Growable vector buckets keep each
+//! bucket's high-water capacity; see the crate docs for what that cost.)
 //!
 //! The only comparisons are `b0`'s, so a panicking [`Ord`] leaks nothing
 //! and duplicates nothing: `b0`'s sifts leave it a permutation of what it
@@ -110,23 +110,25 @@ impl<T> Default for RadixHeap<T> {
     }
 }
 
+/// Appends `item` to `chain`, opening a chunk from `spare` (or a new one)
+/// when the last is full.
+fn chain_push<T>(chain: &mut Vec<Vec<T>>, spare: &mut Vec<Vec<T>>, item: T) {
+    match chain.last_mut() {
+        Some(chunk) if chunk.len() < CHUNK => chunk.push(item),
+        _ => {
+            let mut chunk = spare.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+            chunk.push(item);
+            chain.push(chunk);
+        }
+    }
+}
+
 impl<T: Ord + RadixKey> RadixHeap<T> {
     /// Appends `item`, whose key is above `last`, to its bucket.
     fn file(&mut self, key: u64, item: T) {
         debug_assert!(key > self.last);
         let i = 63 - (key ^ self.last).leading_zeros() as usize;
-        let chain = &mut self.buckets[i];
-        match chain.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(item),
-            _ => {
-                let mut chunk = self
-                    .spare
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(CHUNK));
-                chunk.push(item);
-                chain.push(chunk);
-            }
-        }
+        chain_push(&mut self.buckets[i], &mut self.spare, item);
         self.occupied |= 1 << i;
         self.in_buckets += 1;
     }
@@ -209,26 +211,73 @@ impl<T: Ord + RadixKey> SequentialPriorityQueue<T> for RadixHeap<T> {
         self.in_buckets = 0;
     }
 
-    /// Takes every other element of [`drain_unordered`]'s order, the first
-    /// included, and pushes the rest back.
+    /// Keeps the pivot and files nothing again. The thief takes `b0`'s
+    /// [`DaryHeap`] half (every other slot, the root first), so it gets the
+    /// least element, and then every other element of each bucket, by one
+    /// parity that carries on from `b0`'s: it ends with ⌈n/2⌉ elements.
+    /// Both halves keep `last`, so each element stays in the bucket of the
+    /// same index; a side whose `b0` the split left empty refills it. The
+    /// thief's chunks come from this heap's spare list.
     ///
-    /// [`drain_unordered`]: SequentialPriorityQueue::drain_unordered
+    /// [`DaryHeap`]: crate::DaryHeap
     fn split_half(&mut self) -> Self {
-        let mut stolen = Self::new();
-        for (i, item) in self.drain_unordered().into_iter().enumerate() {
-            if i % 2 == 0 {
-                stolen.push(item);
-            } else {
-                self.push(item);
+        let mut stolen = Self {
+            b0: self.b0.split_half(),
+            last: self.last,
+            ..Self::default()
+        };
+        // The thief took ⌈|b0|/2⌉; the next element is its if |b0| was even.
+        let mut to_thief = stolen.b0.len() == self.b0.len();
+        let mut rest = self.occupied;
+        self.occupied = 0;
+        self.in_buckets = 0;
+        while rest != 0 {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            for mut chunk in std::mem::take(&mut self.buckets[i]) {
+                for item in chunk.drain(..) {
+                    if to_thief {
+                        chain_push(&mut stolen.buckets[i], &mut self.spare, item);
+                        stolen.in_buckets += 1;
+                    } else {
+                        chain_push(&mut self.buckets[i], &mut self.spare, item);
+                        self.in_buckets += 1;
+                    }
+                    to_thief = !to_thief;
+                }
+                self.spare.push(chunk);
+            }
+            if !self.buckets[i].is_empty() {
+                self.occupied |= 1 << i;
+            }
+            if !stolen.buckets[i].is_empty() {
+                stolen.occupied |= 1 << i;
+            }
+        }
+        for side in [&mut *self, &mut stolen] {
+            if side.b0.is_empty() && side.occupied != 0 {
+                side.refill();
             }
         }
         stolen
     }
 
+    /// Into an empty heap, moves `other`'s `b0`, pivot and chains, and each
+    /// heap keeps its own spare chunks: a thief appends its half into its
+    /// own empty queue without filing anything again. Otherwise pushes
+    /// `other`'s elements one by one.
     fn append(&mut self, other: &mut Self) {
-        for item in other.drain_unordered() {
-            self.push(item);
+        if !self.is_empty() {
+            for item in other.drain_unordered() {
+                self.push(item);
+            }
+            return;
         }
+        std::mem::swap(&mut self.b0, &mut other.b0);
+        std::mem::swap(&mut self.buckets, &mut other.buckets);
+        self.last = other.last;
+        self.occupied = std::mem::take(&mut other.occupied);
+        self.in_buckets = std::mem::take(&mut other.in_buckets);
     }
 
     fn drain_unordered(&mut self) -> Vec<T> {
@@ -300,6 +349,120 @@ mod tests {
             assert!(held + h.spare.len() <= n / CHUNK + 2 * 64);
         }
         assert_eq!(h.len(), n);
+    }
+
+    /// Checks the heap's invariants: `b0` at or below `last`, every bucket
+    /// element above it and in the bucket its key names, and the counts.
+    fn check<T: Ord + RadixKey>(h: &RadixHeap<T>) {
+        assert!(h.b0.is_valid_heap());
+        assert!(h.b0.as_slice().iter().all(|x| x.radix_key() <= h.last));
+        let mut held = 0;
+        for (i, chain) in h.buckets.iter().enumerate() {
+            assert_eq!(chain.is_empty(), h.occupied & (1 << i) == 0);
+            for item in chain.iter().flatten() {
+                let key = item.radix_key();
+                assert!(key > h.last);
+                assert_eq!(63 - (key ^ h.last).leading_zeros() as usize, i);
+                held += 1;
+            }
+        }
+        assert_eq!(held, h.in_buckets);
+        assert_eq!(h.b0.is_empty(), h.len() == 0);
+    }
+
+    /// `n` elements after 5 000 steps of the hold model, tagged by a
+    /// counter so that every element is distinct.
+    fn sssp_hold(n: usize) -> RadixHeap<(u64, u32)> {
+        let mut h = RadixHeap::new();
+        h.extend_batch((0..n as u32).map(|t| (t as u64 * 1000, t)));
+        let (mut x, mut tag) = (1u64, n as u32);
+        for _ in 0..5_000 {
+            let (least, _) = h.pop().unwrap();
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            tag += 1;
+            h.push((least + (x >> 44), tag));
+        }
+        h
+    }
+
+    /// What `h` holds, sorted.
+    fn contents<T: Ord + Copy>(h: &RadixHeap<T>) -> Vec<T> {
+        let mut v: Vec<T> = h.b0.as_slice().to_vec();
+        v.extend(h.buckets.iter().flatten().flatten().copied());
+        v.sort();
+        v
+    }
+
+    /// With `extra` + 1 elements pushed onto the pivot key, `b0` holds two
+    /// or more and neither side refills: both keep the pivot, every element
+    /// stays in its bucket, the thief holds ⌈n/2⌉ and the least element,
+    /// and nothing is lost or duplicated. With one element in `b0` (no
+    /// extra push) the victim refills and still peeks its least.
+    #[test]
+    fn split_of_an_sssp_hold_keeps_the_pivot_and_loses_nothing() {
+        // Both parities of the bucket count for each `b0` size.
+        let cases = [3 * CHUNK + 17, 3 * CHUNK + 18]
+            .map(|size| [None, Some(0), Some(1), Some(2), Some(3)].map(|extra| (size, extra)));
+        for (size, extra) in cases.into_iter().flatten() {
+            let mut h = sssp_hold(size);
+            let last = h.last;
+            for t in 0..extra.map_or(0, |e| e + 1) {
+                h.push((last, u32::MAX - t));
+            }
+            let (n, least, all) = (h.len(), *h.peek().unwrap(), contents(&h));
+            let stolen = h.split_half();
+            check(&h);
+            check(&stolen);
+            assert_eq!((stolen.len(), h.len()), (n.div_ceil(2), n / 2));
+            assert_eq!(stolen.peek(), Some(&least));
+            assert_eq!(stolen.last, last);
+            if extra.is_some() {
+                assert_eq!(h.last, last);
+            }
+            let (kept, taken) = (contents(&h), contents(&stolen));
+            assert_eq!(h.peek(), kept.first());
+            let mut got = kept;
+            got.extend(taken);
+            got.sort();
+            assert_eq!(got, all);
+        }
+    }
+
+    /// A thief's append into its own empty queue moves the stolen chains
+    /// chunk for chunk, and the queue keeps its spare chunks.
+    #[test]
+    fn append_into_an_empty_heap_moves_the_chains_and_keeps_its_spare() {
+        let mut queue: RadixHeap<(u64, u32)> = RadixHeap::new();
+        queue.extend_batch((0..3 * CHUNK as u32).map(|t| (t as u64 * 7, t)));
+        while queue.pop().is_some() {}
+        let spare = queue.spare.len();
+        assert!(spare > 0);
+        let mut victim = sssp_hold(3 * CHUNK + 17);
+        let mut stolen = victim.split_half();
+        let chunks: Vec<*const (u64, u32)> = stolen
+            .buckets
+            .iter()
+            .flatten()
+            .map(|chunk| chunk.as_ptr())
+            .collect();
+        let (all, stolen_spare) = (contents(&stolen), stolen.spare.len());
+        assert!(!chunks.is_empty());
+        queue.append(&mut stolen);
+        check(&queue);
+        assert!(stolen.is_empty());
+        assert_eq!(stolen.spare.len(), stolen_spare);
+        assert_eq!(queue.spare.len(), spare);
+        let moved: Vec<*const (u64, u32)> = queue
+            .buckets
+            .iter()
+            .flatten()
+            .map(|chunk| chunk.as_ptr())
+            .collect();
+        assert_eq!(moved, chunks);
+        assert_eq!(contents(&queue), all);
+        assert_eq!(popped(queue), all);
     }
 
     #[test]

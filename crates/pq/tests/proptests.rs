@@ -605,10 +605,13 @@ mod arity_independence {
 }
 
 /// `RadixHeap` against `QuaternaryHeap`, pop for pop, on tapes shaped like
-/// a centralized or hybrid place's queue under SSSP: keys mostly above the
-/// last popped one, about one push in ten below it (a reference ingested
-/// late), ties on the key broken by a unique tag, and keys at 0 and near
-/// `u64::MAX`, where the bucket index takes its extreme values.
+/// a place's queue under SSSP: keys mostly above the last popped one, about
+/// one push in ten below it (a reference ingested late), ties on the key
+/// broken by a unique tag, and keys at 0 and near `u64::MAX`, where the
+/// bucket index takes its extreme values. A work-stealing place's queue is
+/// also split by thieves: the `Split` step checks the halves and then puts
+/// them back together, so that the tape goes on over the heap the split
+/// left.
 mod radix_differential {
     use super::*;
     use priosched_pq::QuaternaryHeap;
@@ -629,6 +632,11 @@ mod radix_differential {
         Pop,
         /// Several `Above` keys through `extend_batch`.
         Batch(Vec<(u8, u16)>),
+        /// A steal, `split_half`. One half pops out in order; the other,
+        /// the thief's if `true`, goes on with the tape (the thief's moved
+        /// into an empty queue first, as a thief's `append` does), and the
+        /// popped half is put back.
+        Split(bool),
     }
 
     fn step_strategy() -> impl Strategy<Value = Step> {
@@ -639,6 +647,7 @@ mod radix_differential {
             1 => (any::<bool>(), any::<u8>()).prop_map(|(z, x)| Step::Edge(z, x)),
             15 => Just(Step::Pop),
             2 => proptest::collection::vec((0u8..40, any::<u16>()), 0..24).prop_map(Step::Batch),
+            1 => any::<bool>().prop_map(Step::Split),
         ]
     }
 
@@ -671,6 +680,38 @@ mod radix_differential {
                         if let Some((key, _)) = popped {
                             last_popped = key;
                         }
+                        prop_assert_eq!(radix.peek(), dary.peek());
+                        continue;
+                    }
+                    Step::Split(thief_goes_on) => {
+                        let n = radix.len();
+                        let stolen = radix.split_half();
+                        prop_assert_eq!((stolen.len(), radix.len()), (n.div_ceil(2), n / 2));
+                        prop_assert_eq!(stolen.peek(), dary.peek());
+                        let victim = std::mem::take(&mut radix);
+                        let (mut on, mut off) =
+                            if thief_goes_on { (stolen, victim) } else { (victim, stolen) };
+                        // Pops in strictly rising order: each was the least
+                        // of what the half held.
+                        let held = off.len();
+                        let out: Vec<Key> = std::iter::from_fn(|| off.pop()).collect();
+                        prop_assert_eq!(out.len(), held);
+                        prop_assert!(out.windows(2).all(|w| w[0] < w[1]));
+                        let least = dary
+                            .as_slice()
+                            .iter()
+                            .filter(|x| out.binary_search(x).is_err())
+                            .min();
+                        prop_assert_eq!(on.peek(), least);
+                        let mut back = RadixHeap::new();
+                        back.extend_batch(out);
+                        if thief_goes_on {
+                            radix.append(&mut on);
+                        } else {
+                            radix = on;
+                        }
+                        radix.append(&mut back);
+                        prop_assert_eq!(radix.len(), dary.len());
                         prop_assert_eq!(radix.peek(), dary.peek());
                         continue;
                     }
