@@ -161,6 +161,8 @@ impl<T: Send + 'static> PoolHandle<T> for WorkStealingHandle<T> {
                 self.stats.steals += 1;
                 let first = stolen.pop();
                 if !stolen.is_empty() {
+                    // `append` asserts that this place's queue is empty: its
+                    // pop above has just failed, and only its owner pushes.
                     self.shared.queues[self.place].lock().append(&mut stolen);
                 }
                 if first.is_some() {

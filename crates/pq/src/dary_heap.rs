@@ -281,6 +281,36 @@ impl<T: Ord, const D: usize> DaryHeap<T, D> {
         self.sift_up(leaf);
     }
 
+    /// Removes ⌈len/2⌉ elements and returns them as a new heap.
+    ///
+    /// Elements at even positions of the backing array are taken; because
+    /// a heap's array interleaves "good" and "bad" elements at every
+    /// level, this yields two halves of comparable priority mix, which is
+    /// what the steal-half policy wants (the thief should get useful work,
+    /// not just the victim's worst tasks). Both halves are re-heapified in
+    /// O(n). [`RadixHeap::split_half`](crate::RadixHeap::split_half) splits
+    /// its small end with it.
+    pub fn split_half(&mut self) -> Self {
+        let n = self.data.len();
+        if n <= 1 {
+            // Stealing from a queue with one element takes that element:
+            // ⌈1/2⌉ = 1. The victim keeps nothing.
+            return Self::wrap(std::mem::take(&mut self.data));
+        }
+        let mut stolen = Vec::with_capacity(n / 2 + 1);
+        let mut kept = Vec::with_capacity(n - n / 2);
+        for (i, x) in std::mem::take(&mut self.data).into_iter().enumerate() {
+            if i % 2 == 0 {
+                stolen.push(x);
+            } else {
+                kept.push(x);
+            }
+        }
+        self.data = kept;
+        self.heapify();
+        DaryHeap::from_vec(stolen)
+    }
+
     /// The element [`peek`] returns after one [`pop`], without popping:
     /// the least of the root's children, the first among equals as the
     /// sift takes it. `None` when the heap holds fewer than two elements.
@@ -327,48 +357,6 @@ impl<T: Ord, const D: usize> SequentialPriorityQueue<T> for DaryHeap<T, D> {
 
     fn len(&self) -> usize {
         self.data.len()
-    }
-
-    fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Removes ⌈len/2⌉ elements and returns them as a new heap.
-    ///
-    /// Elements at even positions of the backing array are taken; because
-    /// a heap's array interleaves "good" and "bad" elements at every
-    /// level, this yields two halves of comparable priority mix, which is
-    /// what the steal-half policy wants (the thief should get useful work,
-    /// not just the victim's worst tasks). Both halves are re-heapified in
-    /// O(n).
-    fn split_half(&mut self) -> Self {
-        let n = self.data.len();
-        if n <= 1 {
-            // Stealing from a queue with one element takes that element:
-            // ⌈1/2⌉ = 1. The victim keeps nothing.
-            return Self::wrap(std::mem::take(&mut self.data));
-        }
-        let mut stolen = Vec::with_capacity(n / 2 + 1);
-        let mut kept = Vec::with_capacity(n - n / 2);
-        for (i, x) in std::mem::take(&mut self.data).into_iter().enumerate() {
-            if i % 2 == 0 {
-                stolen.push(x);
-            } else {
-                kept.push(x);
-            }
-        }
-        self.data = kept;
-        self.heapify();
-        DaryHeap::from_vec(stolen)
-    }
-
-    fn append(&mut self, other: &mut Self) {
-        if other.data.len() > self.data.len() {
-            std::mem::swap(&mut self.data, &mut other.data);
-        }
-        let old = self.data.len();
-        self.data.append(&mut other.data);
-        self.repair_tail(old);
     }
 
     fn drain_unordered(&mut self) -> Vec<T> {
@@ -431,17 +419,6 @@ mod tests {
             assert!(h.is_valid_heap());
             assert!(stolen.is_valid_heap());
         }
-    }
-
-    #[test]
-    fn append_keeps_the_heap_order() {
-        let mut h: DaryHeap<i64, 4> = (0..15).map(|x| 2 * x).collect();
-        let mut other: DaryHeap<i64, 4> = [1, 3].into_iter().collect();
-        h.append(&mut other);
-        assert!(other.is_empty());
-        assert!(h.is_valid_heap());
-        let out = popped(h);
-        assert_eq!(out[..4], [0, 1, 2, 3]);
     }
 
     #[test]

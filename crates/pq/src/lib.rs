@@ -77,7 +77,7 @@
 //!
 //! Which queue a pool uses is a constant at its import, not a knob.
 //!
-//! [`split_half`]: SequentialPriorityQueue::split_half
+//! [`split_half`]: RadixHeap::split_half
 //!
 //! # Arity
 //!
@@ -109,13 +109,14 @@
 //! implementation (and every arity) pops the same sequence; only ties and
 //! `split_half`'s choice of half depend on the layout.
 //!
-//! Beyond the textbook operations, the trait carries
-//! [`SequentialPriorityQueue::split_half`], which the scheduler needs:
-//! remove roughly half of the elements (an arbitrary half, *not* the best
-//! half) and return them as a new queue. This implements the steal-half
-//! policy of the priority work-stealing structure (§3.1, citing Hendler &
-//! Shavit). Dead tasks need no operation of their own: the pools drop them
-//! when they are popped (§5.1).
+//! The trait carries only the textbook operations and the batch pair
+//! (`extend_batch`, `drain_unordered`). The steal-half policy of the
+//! priority work-stealing structure (§3.1, citing Hendler & Shavit) is
+//! [`RadixHeap::split_half`], on the one queue work-stealing uses: it
+//! removes ⌈len/2⌉ elements (an arbitrary half, *not* the best half) and
+//! returns them as a new heap, which the thief moves into its own empty
+//! queue with [`RadixHeap::append`]. Dead tasks need no operation of their
+//! own: the pools drop them when they are popped (§5.1).
 
 pub mod dary_heap;
 pub mod pairing_heap;
@@ -151,19 +152,6 @@ pub trait SequentialPriorityQueue<T: Ord>: Default {
         self.len() == 0
     }
 
-    /// Removes all elements.
-    fn clear(&mut self);
-
-    /// Removes roughly half of the elements (⌈len/2⌉ of them, an arbitrary
-    /// half by priority) and returns them as a new queue of the same type.
-    ///
-    /// Used by the work-stealing structure: "it chooses a random place and
-    /// steals half the tasks from that place's priority queue" (§3.1).
-    fn split_half(&mut self) -> Self;
-
-    /// Moves all elements of `other` into `self`, leaving `other` empty.
-    fn append(&mut self, other: &mut Self);
-
     /// Inserts every element of `iter`, repairing the queue invariant once
     /// per batch instead of once per element.
     ///
@@ -183,8 +171,10 @@ pub trait SequentialPriorityQueue<T: Ord>: Default {
 
     /// Drains the queue in an arbitrary order into a vector.
     ///
-    /// Primarily for tests and for rebuilding after bulk operations; callers
-    /// that need sorted output should `pop` repeatedly instead.
+    /// The callers are tests: the proptests' tapes merge a stolen half back
+    /// with `extend_batch(stolen.drain_unordered())`, and the owning tapes
+    /// count what a heap held. Callers that need sorted output should `pop`
+    /// repeatedly instead.
     fn drain_unordered(&mut self) -> Vec<T>;
 }
 
@@ -322,23 +312,6 @@ mod binary_heap {
             let mut h: BinaryHeap<i64> = BinaryHeap::new();
             let stolen = h.split_half();
             assert!(h.is_empty() && stolen.is_empty());
-        }
-
-        #[test]
-        fn append_merges_and_empties_other() {
-            let mut a: BinaryHeap<i64> = [5, 1].into_iter().collect();
-            let mut b: BinaryHeap<i64> = [4, 2, 0].into_iter().collect();
-            a.append(&mut b);
-            assert!(b.is_empty());
-            assert_eq!(popped(a), vec![0, 1, 2, 4, 5]);
-        }
-
-        #[test]
-        fn clear_empties() {
-            let mut h: BinaryHeap<i64> = (0..10).collect();
-            h.clear();
-            assert!(h.is_empty());
-            assert_eq!(h.pop(), None);
         }
 
         #[test]

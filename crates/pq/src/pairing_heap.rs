@@ -2,9 +2,8 @@
 //!
 //! A second, structurally independent implementation of
 //! [`SequentialPriorityQueue`]: the differential oracle the proptests run
-//! [`crate::DaryHeap`] against. No pool uses it — `push` and `append` are
-//! O(1), but a `pop` costs an order of magnitude more than the array
-//! heap's.
+//! [`crate::DaryHeap`] against. No pool uses it — `push` is O(1), but a
+//! `pop` costs an order of magnitude more than the array heap's.
 
 use crate::SequentialPriorityQueue;
 
@@ -81,19 +80,6 @@ impl<T: Ord> PairingHeap<T> {
         }
         self.root.as_ref().is_none_or(check)
     }
-
-    /// Iterative drain of the tree into a vector (arbitrary order); avoids
-    /// recursion so deep heaps cannot overflow the stack.
-    fn drain_nodes(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack: Vec<Node<T>> = self.root.take().into_iter().collect();
-        while let Some(mut node) = stack.pop() {
-            out.push(node.item);
-            stack.append(&mut node.children);
-        }
-        self.len = 0;
-        out
-    }
 }
 
 impl<T: Ord> SequentialPriorityQueue<T> for PairingHeap<T> {
@@ -125,41 +111,16 @@ impl<T: Ord> SequentialPriorityQueue<T> for PairingHeap<T> {
         self.len
     }
 
-    fn clear(&mut self) {
-        // Drop iteratively to avoid recursive Drop blowing the stack on
-        // degenerate (list-shaped) heaps.
-        let _ = self.drain_nodes();
-    }
-
-    fn split_half(&mut self) -> Self {
-        let items = self.drain_nodes();
-        let n = items.len();
-        let mut stolen = PairingHeap::new();
-        let mut kept = PairingHeap::new();
-        for (i, x) in items.into_iter().enumerate() {
-            if i % 2 == 0 {
-                stolen.push(x);
-            } else {
-                kept.push(x);
-            }
-        }
-        debug_assert_eq!(stolen.len(), n.div_ceil(2));
-        *self = kept;
-        stolen
-    }
-
-    fn append(&mut self, other: &mut Self) {
-        let other_root = other.root.take();
-        let other_len = std::mem::take(&mut other.len);
-        self.root = match (self.root.take(), other_root) {
-            (Some(a), Some(b)) => Some(Node::meld(a, b)),
-            (a, b) => a.or(b),
-        };
-        self.len += other_len;
-    }
-
+    /// Iterative, so that deep heaps cannot overflow the stack.
     fn drain_unordered(&mut self) -> Vec<T> {
-        self.drain_nodes()
+        let mut out = Vec::with_capacity(self.len);
+        let mut stack: Vec<Node<T>> = self.root.take().into_iter().collect();
+        while let Some(mut node) = stack.pop() {
+            out.push(node.item);
+            stack.append(&mut node.children);
+        }
+        self.len = 0;
+        out
     }
 
     /// Bulk insertion via multi-pass melding: the batch becomes singleton
@@ -231,30 +192,6 @@ mod tests {
             h.pop();
             assert_eq!(h.len(), i as usize);
         }
-    }
-
-    #[test]
-    fn split_half_sizes_and_multiset() {
-        for n in 0..33usize {
-            let mut h: PairingHeap<usize> = (0..n).collect();
-            let stolen = h.split_half();
-            assert_eq!(stolen.len(), n.div_ceil(2));
-            assert_eq!(h.len(), n / 2);
-            let mut all: Vec<usize> = h.drain_unordered();
-            let mut s = stolen;
-            all.extend(s.drain_unordered());
-            all.sort();
-            assert_eq!(all, (0..n).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn append_moves_everything() {
-        let mut a: PairingHeap<i64> = [3, 1].into_iter().collect();
-        let mut b: PairingHeap<i64> = [2, 0].into_iter().collect();
-        a.append(&mut b);
-        assert_eq!(b.len(), 0);
-        assert_eq!(popped(a), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -163,54 +163,10 @@ impl<T: Ord + RadixKey> RadixHeap<T> {
             self.spare.push(chunk);
         }
     }
-}
 
-impl<T: Ord + RadixKey> SequentialPriorityQueue<T> for RadixHeap<T> {
-    fn new() -> Self {
-        Self::default()
-    }
-
-    fn push(&mut self, item: T) {
-        let key = item.radix_key();
-        if self.b0.is_empty() {
-            // `b0` is empty only when the whole heap is.
-            self.last = key;
-        }
-        if key <= self.last {
-            self.b0.push(item);
-        } else {
-            self.file(key, item);
-        }
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        let item = self.b0.pop()?;
-        if self.b0.is_empty() && self.occupied != 0 {
-            self.refill();
-        }
-        Some(item)
-    }
-
-    fn peek(&self) -> Option<&T> {
-        self.b0.peek()
-    }
-
-    fn len(&self) -> usize {
-        self.b0.len() + self.in_buckets
-    }
-
-    fn clear(&mut self) {
-        self.b0.clear();
-        for chain in &mut self.buckets {
-            for mut chunk in chain.drain(..) {
-                chunk.clear();
-                self.spare.push(chunk);
-            }
-        }
-        self.occupied = 0;
-        self.in_buckets = 0;
-    }
-
+    /// Steal-half (§3.1): removes ⌈len/2⌉ elements and returns them as a
+    /// new heap.
+    ///
     /// Keeps the pivot and files nothing again. The thief takes `b0`'s
     /// [`DaryHeap`] half (every other slot, the root first), so it gets the
     /// least element, and then every other element of each bucket, by one
@@ -220,7 +176,7 @@ impl<T: Ord + RadixKey> SequentialPriorityQueue<T> for RadixHeap<T> {
     /// thief's chunks come from this heap's spare list.
     ///
     /// [`DaryHeap`]: crate::DaryHeap
-    fn split_half(&mut self) -> Self {
+    pub fn split_half(&mut self) -> Self {
         let mut stolen = Self {
             b0: self.b0.split_half(),
             last: self.last,
@@ -262,22 +218,54 @@ impl<T: Ord + RadixKey> SequentialPriorityQueue<T> for RadixHeap<T> {
         stolen
     }
 
-    /// Into an empty heap, moves `other`'s `b0`, pivot and chains, and each
-    /// heap keeps its own spare chunks: a thief appends its half into its
-    /// own empty queue without filing anything again. Otherwise pushes
-    /// `other`'s elements one by one.
-    fn append(&mut self, other: &mut Self) {
-        if !self.is_empty() {
-            for item in other.drain_unordered() {
-                self.push(item);
-            }
-            return;
-        }
+    /// Moves `other`'s `b0`, pivot and chains into this heap, which must
+    /// be empty, and each heap keeps its own spare chunks: a thief appends
+    /// its half into its own empty queue without filing anything again.
+    ///
+    /// # Panics
+    /// If this heap is not empty.
+    pub fn append(&mut self, other: &mut Self) {
+        assert!(self.is_empty(), "append into a non-empty radix heap");
         std::mem::swap(&mut self.b0, &mut other.b0);
         std::mem::swap(&mut self.buckets, &mut other.buckets);
         self.last = other.last;
         self.occupied = std::mem::take(&mut other.occupied);
         self.in_buckets = std::mem::take(&mut other.in_buckets);
+    }
+}
+
+impl<T: Ord + RadixKey> SequentialPriorityQueue<T> for RadixHeap<T> {
+    fn new() -> Self {
+        Self::default()
+    }
+
+    fn push(&mut self, item: T) {
+        let key = item.radix_key();
+        if self.b0.is_empty() {
+            // `b0` is empty only when the whole heap is.
+            self.last = key;
+        }
+        if key <= self.last {
+            self.b0.push(item);
+        } else {
+            self.file(key, item);
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        let item = self.b0.pop()?;
+        if self.b0.is_empty() && self.occupied != 0 {
+            self.refill();
+        }
+        Some(item)
+    }
+
+    fn peek(&self) -> Option<&T> {
+        self.b0.peek()
+    }
+
+    fn len(&self) -> usize {
+        self.b0.len() + self.in_buckets
     }
 
     fn drain_unordered(&mut self) -> Vec<T> {
@@ -463,6 +451,16 @@ mod tests {
         assert_eq!(moved, chunks);
         assert_eq!(contents(&queue), all);
         assert_eq!(popped(queue), all);
+    }
+
+    #[test]
+    #[should_panic(expected = "append into a non-empty radix heap")]
+    fn append_into_a_non_empty_heap_panics() {
+        let mut queue = RadixHeap::new();
+        queue.push(5u64);
+        let mut other = RadixHeap::new();
+        other.extend_batch([1u64, 300, 7000]);
+        queue.append(&mut other);
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Property-based tests for the sequential priority queues.
 //!
 //! Every implementation is model-checked against `std::collections::BinaryHeap`
-//! (wrapped as a min-heap) over arbitrary operation sequences, and the
-//! scheduler-facing extras (`split_half`, `append`) are checked for
-//! multiset preservation and invariant maintenance. The `owning` module
+//! (wrapped as a min-heap) over arbitrary operation sequences. The tapes'
+//! `SplitHalf` op runs steal-half where a queue has it (`DaryHeap` and
+//! `RadixHeap`), checks the halves' sizes and merges the stolen half back
+//! with `extend_batch`. The `owning` module
 //! replays the same tapes over an element that owns memory and counts its
 //! live instances — with and without a comparator that panics mid-sift —
 //! because `DaryHeap`'s sifts move elements through raw pointers, and
 //! `RadixHeap` moves them between its buckets and its `DaryHeap`.
 
-use priosched_pq::{BinaryHeap, PairingHeap, RadixHeap, RadixKey, SequentialPriorityQueue};
+use priosched_pq::{
+    BinaryHeap, DaryHeap, PairingHeap, RadixHeap, RadixKey, SequentialPriorityQueue,
+};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 
@@ -18,9 +21,7 @@ enum Op {
     Push(i32),
     Pop,
     SplitHalf,
-    AppendBatch(Vec<i32>),
     ExtendBatch(Vec<i32>),
-    Clear,
 }
 
 /// What the op tapes store: built from the tape's `i32`, ordered by it.
@@ -34,16 +35,35 @@ impl Elem for i32 {
     }
 }
 
+/// Steal-half for the queues that have one; `None` where a queue has none.
+trait Split: Sized {
+    fn split(&mut self) -> Option<Self>;
+}
+
+impl<T: Ord, const D: usize> Split for DaryHeap<T, D> {
+    fn split(&mut self) -> Option<Self> {
+        Some(self.split_half())
+    }
+}
+
+impl<T: Ord + RadixKey> Split for RadixHeap<T> {
+    fn split(&mut self) -> Option<Self> {
+        Some(self.split_half())
+    }
+}
+
+impl<T: Ord> Split for PairingHeap<T> {
+    fn split(&mut self) -> Option<Self> {
+        None
+    }
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => any::<i32>().prop_map(Op::Push),
         3 => Just(Op::Pop),
         1 => Just(Op::SplitHalf),
-        1 => proptest::collection::vec(any::<i32>(), 0..8).prop_map(Op::AppendBatch),
         2 => proptest::collection::vec(any::<i32>(), 0..40).prop_map(Op::ExtendBatch),
-        // About one op in a hundred: a tape that keeps clearing its heap
-        // never builds one deep enough to be worth sifting.
-        1 => (0u32..8).prop_map(|x| if x == 0 { Op::Clear } else { Op::Pop }),
     ]
 }
 
@@ -69,7 +89,7 @@ impl Model {
 
 /// Applies one op to the queue and the model, checking what the op itself
 /// promises (pop value, split sizes).
-fn apply_op<E: Elem, Q: SequentialPriorityQueue<E>>(q: &mut Q, model: &mut Model, op: &Op) {
+fn apply_op<E: Elem, Q: SequentialPriorityQueue<E> + Split>(q: &mut Q, model: &mut Model, op: &Op) {
     match op {
         Op::Push(x) => {
             q.push(E::from(*x));
@@ -79,23 +99,15 @@ fn apply_op<E: Elem, Q: SequentialPriorityQueue<E>>(q: &mut Q, model: &mut Model
             assert_eq!(q.pop().map(|e| e.key()), model.pop());
         }
         Op::SplitHalf => {
-            let mut stolen = q.split_half();
             // Steal-half is a structural operation with no model analog;
             // check the size contract and put everything back.
-            let total = q.len() + stolen.len();
-            assert_eq!(total, model.heap.len());
-            assert!(stolen.len() >= q.len());
-            assert!(stolen.len() - q.len() <= 1);
-            q.append(&mut stolen);
-            assert!(stolen.is_empty());
-        }
-        Op::AppendBatch(batch) => {
-            let mut other = Q::new();
-            for &x in batch {
-                other.push(E::from(x));
-                model.push(x);
+            if let Some(mut stolen) = q.split() {
+                let total = q.len() + stolen.len();
+                assert_eq!(total, model.heap.len());
+                assert!(stolen.len() >= q.len());
+                assert!(stolen.len() - q.len() <= 1);
+                q.extend_batch(stolen.drain_unordered());
             }
-            q.append(&mut other);
         }
         Op::ExtendBatch(batch) => {
             q.extend_batch(batch.iter().map(|&x| E::from(x)));
@@ -103,16 +115,12 @@ fn apply_op<E: Elem, Q: SequentialPriorityQueue<E>>(q: &mut Q, model: &mut Model
                 model.push(x);
             }
         }
-        Op::Clear => {
-            q.clear();
-            model.heap.clear();
-        }
     }
 }
 
 /// Replays a tape against the model, checking length and minimum after
 /// every op; returns the queue and the model as the tape left them.
-fn apply_ops<E: Elem, Q: SequentialPriorityQueue<E>>(ops: &[Op]) -> (Q, Model) {
+fn apply_ops<E: Elem, Q: SequentialPriorityQueue<E> + Split>(ops: &[Op]) -> (Q, Model) {
     let mut q = Q::new();
     let mut model = Model::default();
     for op in ops {
@@ -123,7 +131,7 @@ fn apply_ops<E: Elem, Q: SequentialPriorityQueue<E>>(ops: &[Op]) -> (Q, Model) {
     (q, model)
 }
 
-fn run_ops<E: Elem, Q: SequentialPriorityQueue<E>>(ops: &[Op]) {
+fn run_ops<E: Elem, Q: SequentialPriorityQueue<E> + Split>(ops: &[Op]) {
     let (mut q, mut model) = apply_ops::<E, Q>(ops);
     // Drain both and compare the full pop order.
     let mut q_out = Vec::new();
@@ -185,18 +193,6 @@ proptest! {
     }
 
     #[test]
-    fn pairing_split_half_preserves_multiset(items in proptest::collection::vec(any::<i32>(), 0..200)) {
-        let mut h: PairingHeap<i32> = items.iter().copied().collect();
-        let mut stolen = h.split_half();
-        let mut all = h.drain_unordered();
-        all.extend(stolen.drain_unordered());
-        all.sort();
-        let mut expect = items.clone();
-        expect.sort();
-        prop_assert_eq!(all, expect);
-    }
-
-    #[test]
     fn heaps_agree_with_each_other(items in proptest::collection::vec(any::<i32>(), 0..200)) {
         let mut a: BinaryHeap<i32> = items.iter().copied().collect();
         let mut b: PairingHeap<i32> = items.iter().copied().collect();
@@ -212,7 +208,6 @@ proptest! {
 
 mod batch {
     use super::*;
-    use priosched_pq::DaryHeap;
 
     fn batch_equals_scalar<Q: SequentialPriorityQueue<i32>>(
         init: &[i32],
@@ -283,7 +278,6 @@ mod batch {
 
 mod dary {
     use super::*;
-    use priosched_pq::DaryHeap;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
@@ -375,7 +369,6 @@ mod dary {
 /// out of whatever sift or refill is running.
 mod owning {
     use super::*;
-    use priosched_pq::DaryHeap;
     use std::cell::{Cell, RefCell};
     use std::collections::BTreeSet;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -462,7 +455,7 @@ mod owning {
 
     /// The whole tape, then half the heap popped and the rest dropped
     /// with the heap: nothing may outlive it, nothing may drop twice.
-    fn tape_leaves_nothing_behind<Q: SequentialPriorityQueue<Tracked>>(ops: &[Op]) {
+    fn tape_leaves_nothing_behind<Q: SequentialPriorityQueue<Tracked> + Split>(ops: &[Op]) {
         assert_ledger_settled();
         let (mut q, mut model) = apply_ops::<Tracked, Q>(ops);
         assert_eq!(live().len(), q.len());
@@ -477,7 +470,7 @@ mod owning {
     /// interrupts, the heap afterwards holds exactly the elements that
     /// are still alive, each once (`Hole`'s `Drop` wrote the one in
     /// flight back), and dropping it settles the ledger.
-    fn tape_survives_a_panicking_comparator<Q: SequentialPriorityQueue<Tracked>>(
+    fn tape_survives_a_panicking_comparator<Q: SequentialPriorityQueue<Tracked> + Split>(
         ops: &[Op],
         fuse: u64,
     ) {
@@ -538,7 +531,6 @@ mod owning {
 /// change arity without changing the order tasks are handed out in.
 mod arity_independence {
     use super::*;
-    use priosched_pq::DaryHeap;
 
     /// `(priority, unique sequence number)`: few priorities, so ties on
     /// the first component are everywhere, and no two keys are equal.
@@ -635,7 +627,7 @@ mod radix_differential {
         /// A steal, `split_half`. One half pops out in order; the other,
         /// the thief's if `true`, goes on with the tape (the thief's moved
         /// into an empty queue first, as a thief's `append` does), and the
-        /// popped half is put back.
+        /// popped half is pushed back with `extend_batch`.
         Split(bool),
     }
 
@@ -703,14 +695,12 @@ mod radix_differential {
                             .filter(|x| out.binary_search(x).is_err())
                             .min();
                         prop_assert_eq!(on.peek(), least);
-                        let mut back = RadixHeap::new();
-                        back.extend_batch(out);
                         if thief_goes_on {
                             radix.append(&mut on);
                         } else {
                             radix = on;
                         }
-                        radix.append(&mut back);
+                        radix.extend_batch(out);
                         prop_assert_eq!(radix.len(), dary.len());
                         prop_assert_eq!(radix.peek(), dary.peek());
                         continue;

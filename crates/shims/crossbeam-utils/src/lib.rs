@@ -25,11 +25,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         CachePadded { value }
     }
-
-    /// Returns the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> Deref for CachePadded<T> {
@@ -118,7 +113,6 @@ mod tests {
         let x = CachePadded::new(7u64);
         assert_eq!(*x, 7);
         assert_eq!(std::mem::align_of::<CachePadded<u8>>(), 128);
-        assert_eq!(x.into_inner(), 7);
     }
 
     #[test]

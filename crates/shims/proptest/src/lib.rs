@@ -160,7 +160,7 @@ pub mod prelude {
     pub use crate::arbitrary::any;
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
 /// Derives a deterministic 64-bit seed from a test's qualified name
@@ -211,19 +211,6 @@ macro_rules! prop_assert_eq {
     ($a:expr, $b:expr, $($fmt:tt)*) => {{
         let (left, right) = (&$a, &$b);
         $crate::prop_assert!(left == right, $($fmt)*);
-    }};
-}
-
-/// Inequality assertion counterpart of [`prop_assert!`].
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr $(,)?) => {{
-        let (left, right) = (&$a, &$b);
-        $crate::prop_assert!(
-            left != right,
-            "assertion failed: `left != right` (both `{:?}`)",
-            left
-        );
     }};
 }
 

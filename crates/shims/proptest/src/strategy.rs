@@ -49,18 +49,6 @@ pub trait Strategy {
         }
     }
 
-    /// Like `prop_filter_map` but with a boolean predicate.
-    fn prop_filter<F: Fn(&Self::Value) -> bool>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-    {
-        Filter {
-            inner: self,
-            whence,
-            f,
-        }
-    }
-
     /// Type-erases the strategy (needed by [`crate::prop_oneof!`]).
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
@@ -146,26 +134,6 @@ impl<S: Strategy, U, F: Fn(S::Value) -> Option<U>> Strategy for FilterMap<S, F> 
             }
         }
         panic!("prop_filter_map rejected every sample: {}", self.whence);
-    }
-}
-
-/// See [`Strategy::prop_filter`].
-pub struct Filter<S, F> {
-    inner: S,
-    whence: &'static str,
-    f: F,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-    fn sample(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..FILTER_RETRIES {
-            let v = self.inner.sample(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter rejected every sample: {}", self.whence);
     }
 }
 

@@ -1,10 +1,9 @@
 //! In-tree shim for the subset of `rand` 0.8 used by this workspace.
 //!
 //! The offline build environment has no crates.io access, so the trait
-//! surface the graph generator and simulator rely on — `RngCore`,
-//! `SeedableRng::seed_from_u64`, `Rng::{gen, gen_bool, gen_range}`, and
-//! `seq::SliceRandom::shuffle` — is implemented here. Generators live in
-//! the `rand_chacha` shim.
+//! surface the graph generator and the `figs` bin rely on — `RngCore`,
+//! `SeedableRng::seed_from_u64` and `Rng::{gen, gen_bool, gen_range}` — is
+//! implemented here. Generators live in the `rand_chacha` shim.
 
 /// Core randomness source: everything derives from `next_u64`.
 pub trait RngCore {
@@ -89,30 +88,8 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
-/// Slice shuffling (the `rand::seq` subset used by the simulator).
-pub mod seq {
-    use super::RngCore;
-
-    /// Extension trait adding in-place shuffling to slices.
-    pub trait SliceRandom {
-        /// Uniform Fisher–Yates shuffle.
-        fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
-    }
-
-    impl<T> SliceRandom for [T] {
-        fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
-            for i in (1..self.len()).rev() {
-                // Uniform j in [0, i] via multiply-shift.
-                let j = ((rng.next_u64() as u128 * (i as u128 + 1)) >> 64) as usize;
-                self.swap(i, j);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::seq::SliceRandom;
     use super::*;
 
     struct Counter(u64);
@@ -140,16 +117,6 @@ mod tests {
         let mut rng = Counter(7);
         assert!(!rng.gen_bool(0.0));
         assert!(rng.gen_bool(1.0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Counter(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        v.shuffle(&mut rng);
-        let mut sorted = v.clone();
-        sorted.sort();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]
