@@ -53,6 +53,22 @@
 //! chunked one does. End to end the chunked heap lowered `sssp_sparse`'s
 //! peak RSS from ~196 to ~186 MB (CHANGES.md, PR 41).
 //!
+//! End to end, with every radix-heap pool on the variant: `sssp_sparse`,
+//! alternating pairs on seeds 1…n of 8 s runs against the chunked heap,
+//! 2 cores. Ratio is the median over pairs of variant / chunked
+//! `items_per_s`, > 1 better; pairs the variant won in brackets:
+//!
+//! | variant of `radix_heap.rs` | pairs | work-stealing | centralized | hybrid | `peak_rss_mb` |
+//! |---|---|---|---|---|---|
+//! | growable `Vec` buckets, a bucket freed at its refill | 8 | ×0.729 (0/8) | ×1.003 (4/8) | ×0.987 (4/8) | 184.9 → 251.6 (0/8) |
+//! | growable `Vec` buckets that keep their capacity | 6 | ×1.020 (3/6) | ×1.176 (6/6) | ×1.211 (6/6) | 185.8 → 319.2 (0/6) |
+//! | 256-entry chunks without the spare list | 8 | ×0.887 (0/8) | ×0.952 (1/8) | ×0.948 (1/8) | 184.9 → 183.8 (4/8) |
+//!
+//! The replay's gain does reach centralized and hybrid, but only in the
+//! variant whose peak RSS is +72 %, far past the benchmark's 0.15 bound
+//! on `peak_rss_mb`; and the spare list pays for itself on every
+//! radix-heap pool. So the chunk chains and the spare list stay.
+//!
 //! A scratch copy with every pool on the radix heap (MultiQueue and
 //! structural reading `peek_after_pop` from `b0`, or from a scan of the
 //! lowest bucket when `b0` holds one element) read, over 6 alternating
