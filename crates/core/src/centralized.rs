@@ -155,7 +155,6 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             push_cursor: SegmentCursor::default(),
             probe_cursor: SegmentCursor::default(),
             pq: RadixHeap::new(),
-            refs: Vec::new(),
             cache: ItemCache::new(),
             rng: XorShift64::new(0xC3A5_0000 ^ place as u64),
             hint: WalkHint::default(),
@@ -177,9 +176,6 @@ pub struct CentralizedHandle<T: Send + 'static> {
     push_cursor: SegmentCursor<T>,
     probe_cursor: SegmentCursor<T>,
     pq: RadixHeap<ItemRef<T>>,
-    /// Scratch for [`PoolHandle::push_batch`] (empty between calls), so a
-    /// batch costs no allocation.
-    refs: Vec<ItemRef<T>>,
     /// Place-local stash of free items; refilled/flushed in batches so
     /// the shared free list is touched once per batch, not per task.
     cache: ItemCache<T>,
@@ -280,8 +276,7 @@ impl<T: Send + 'static> CentralizedHandle<T> {
     /// Creates one item and places it into the k-window of the caller's
     /// cached tail `t` (Listing 1's loop with the tail read hoisted; the
     /// module docs say why a stale tail or hint is sound). Returns the
-    /// reference to enqueue locally — scalar `push` inserts it directly,
-    /// `push_batch` defers to one bulk repair.
+    /// reference for the caller to enqueue locally.
     ///
     /// The walk resumes after the slot this place last filled in
     /// `[t, t + k)`, or starts at a random offset when the hint is for
@@ -403,8 +398,7 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
 
     /// Batch push (Listing 1 amortized): one item-pool refill and one tail
     /// read for the whole batch, each element resuming the window walk
-    /// where the previous one stopped, and a single bulk repair of the
-    /// local reference queue at the end.
+    /// where the previous one stopped.
     ///
     /// Relaxation accounting is unchanged: every element is placed inside
     /// `[tail, tail + k)` exactly as a scalar push would place it, so each
@@ -420,12 +414,10 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
         // One shared-free-list interaction for the whole batch.
         self.cache.prefetch(&self.shared.pool, n);
         let mut t = self.shared.tail.load(Ordering::Acquire);
-        let mut refs = std::mem::take(&mut self.refs);
         for (prio, task) in batch.drain(..) {
-            refs.push(self.place_item(prio, k, task, &mut t));
+            let r = self.place_item(prio, k, task, &mut t);
+            self.pq.push(r);
         }
-        self.pq.extend_batch(refs.drain(..));
-        self.refs = refs;
     }
 
     fn stats(&self) -> PlaceStats {

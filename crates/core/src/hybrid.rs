@@ -165,7 +165,6 @@ impl<T: Send + 'static> TaskPool<T> for HybridKPriority<T> {
             next_local_idx: 0,
             remaining_k: u64::MAX,
             pq: RadixHeap::new(),
-            refs: Vec::new(),
             cache: ItemCache::new(),
             g_seg: self.global_head.load(Ordering::Acquire),
             g_idx: 0,
@@ -218,9 +217,6 @@ pub struct HybridHandle<T: Send + 'static> {
     /// Publication budget (Listing 3); `u64::MAX` plays the role of ∞.
     remaining_k: u64,
     pq: RadixHeap<ItemRef<T>>,
-    /// Scratch for [`PoolHandle::push_batch`] (empty between calls), so a
-    /// batch costs no allocation.
-    refs: Vec<ItemRef<T>>,
     /// Place-local stash of free items; refilled/flushed in batches so
     /// the shared free list is touched once per batch, not per task.
     cache: ItemCache<T>,
@@ -386,7 +382,7 @@ impl<T: Send + 'static> HybridHandle<T> {
 
     /// Creates, tags and appends one task to the local list, charging the
     /// publication budget and publishing when it is exhausted (Listing 3
-    /// minus the local-queue insertion, which batch callers defer).
+    /// minus the local-queue insertion, which the caller does).
     fn insert_local(&mut self, prio: u64, k: u64, task: T) -> ItemRef<T> {
         let ptr = self.cache.acquire(&self.shared.pool);
         // SAFETY: freshly acquired item, ours until published below.
@@ -502,8 +498,7 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
     /// batch, the publication budget charged element-wise so the batch
     /// publishes at exactly the points the equivalent scalar pushes would
     /// (preserving ρ = P·k — at most `k` tasks of this place ever sit
-    /// unpublished, batch or no batch), and a single bulk repair of the
-    /// local queue at the end instead of one sift per task.
+    /// unpublished, batch or no batch).
     fn push_batch(&mut self, k: usize, batch: &mut Vec<(u64, T)>) {
         if batch.is_empty() {
             return;
@@ -512,12 +507,10 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
         let k = (k as u64).min(u32::MAX as u64);
         // One shared-free-list refill round for the whole batch.
         self.cache.prefetch(&self.shared.pool, n);
-        let mut refs = std::mem::take(&mut self.refs);
         for (prio, task) in batch.drain(..) {
-            refs.push(self.insert_local(prio, k, task));
+            let r = self.insert_local(prio, k, task);
+            self.pq.push(r);
         }
-        self.pq.extend_batch(refs.drain(..));
-        self.refs = refs;
     }
 
     fn stats(&self) -> PlaceStats {

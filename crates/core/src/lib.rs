@@ -67,8 +67,8 @@
 //!
 //! * [`pool::PoolHandle::push_batch`] moves a whole task batch into each
 //!   structure — one lock acquisition per batch (work-stealing), one
-//!   window pass per ≤ k placements plus one local-queue repair
-//!   (centralized), one publication CAS per exhausted budget (hybrid);
+//!   window pass per ≤ k placements (centralized), one publication CAS
+//!   per exhausted budget (hybrid);
 //! * [`item::ItemPool::acquire_batch`] / [`item::ItemPool::release_batch`]
 //!   pop/push whole free-list chains with a single CAS, and
 //!   [`item::ItemCache`] gives each place a private stash so scalar

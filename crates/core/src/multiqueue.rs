@@ -199,7 +199,7 @@ use crate::pool::{PoolHandle, TaskPool};
 use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Mutex, MutexGuard};
-use crate::util::XorShift64;
+use crate::util::{SeqEntry, XorShift64};
 use crossbeam_utils::CachePadded;
 use priosched_pq::{QuaternaryHeap, SequentialPriorityQueue};
 use std::sync::Arc;
@@ -214,31 +214,6 @@ pub const DEFAULT_MQ_C: usize = 2;
 /// hidden set at `P·15` however large `k` is.
 const MQ_BUFFER_MAX: usize = 16;
 
-/// Queue entry: priority, per-place insertion sequence (deterministic
-/// tiebreak within a place), task.
-struct MqEntry<T> {
-    prio: u64,
-    seq: u64,
-    task: T,
-}
-
-impl<T> PartialEq for MqEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
-    }
-}
-impl<T> Eq for MqEntry<T> {}
-impl<T> PartialOrd for MqEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for MqEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.prio, self.seq).cmp(&(other.prio, other.seq))
-    }
-}
-
 /// One of the `c·P` queues: the heap behind its try-lock plus the
 /// lock-free mirror of its best priority (`u64::MAX` = empty), padded to
 /// its own cache line so two-choice peeks never false-share.
@@ -247,7 +222,7 @@ struct MqQueue<T> {
     top: AtomicU64,
 }
 
-type MqHeap<T> = QuaternaryHeap<MqEntry<T>>;
+type MqHeap<T> = QuaternaryHeap<SeqEntry<T>>;
 
 impl<T> MqQueue<T> {
     fn new() -> Self {
@@ -269,7 +244,7 @@ impl<T> MqQueue<T> {
     /// then sifts. A place reading the tops mid-sift already sees the next
     /// candidate (see "Top caching" in the module docs). Callers must hold
     /// the heap lock, as for [`MqQueue::refresh_top`].
-    fn pop_locked(&self, heap: &mut MqHeap<T>) -> Option<MqEntry<T>> {
+    fn pop_locked(&self, heap: &mut MqHeap<T>) -> Option<SeqEntry<T>> {
         let next = heap.peek_after_pop().map_or(u64::MAX, |e| e.prio);
         self.top.store(next, Ordering::Release);
         heap.pop()
@@ -287,7 +262,7 @@ struct MqBuffer<T> {
 
 /// The buffered pushes, in push order, on no queue yet.
 struct MqSlots<T> {
-    entries: Vec<MqEntry<T>>,
+    entries: Vec<SeqEntry<T>>,
     /// Smallest `min(k, MQ_BUFFER_MAX)` among the pushes of `entries`.
     bound: usize,
 }
@@ -310,7 +285,7 @@ impl<T> MqBuffer<T> {
     }
 
     /// Removes entry `at` of the (locked) slots.
-    fn take(&self, slots: &mut MqSlots<T>, at: usize) -> MqEntry<T> {
+    fn take(&self, slots: &mut MqSlots<T>, at: usize) -> SeqEntry<T> {
         let entry = slots.entries.remove(at);
         self.refresh_len(slots);
         entry
@@ -319,7 +294,7 @@ impl<T> MqBuffer<T> {
 
 /// Index and priority of the best entry of `entries` — the oldest among
 /// equals, a buffer being in push order.
-fn buffer_min<T>(entries: &[MqEntry<T>]) -> Option<(usize, u64)> {
+fn buffer_min<T>(entries: &[SeqEntry<T>]) -> Option<(usize, u64)> {
     let prios = entries.iter().map(|e| e.prio).enumerate();
     prios.min_by_key(|&(_, prio)| prio)
 }
@@ -416,7 +391,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
     }
 
     /// Lands `entries` on one queue under one lock and one top refresh.
-    fn land(&self, rng: &mut XorShift64, entries: impl Iterator<Item = MqEntry<T>>) {
+    fn land(&self, rng: &mut XorShift64, entries: impl Iterator<Item = SeqEntry<T>>) {
         let (q, mut heap) = self.lock_for_push(rng);
         heap.extend_batch(entries);
         q.refresh_top(&heap);
@@ -424,7 +399,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
 
     /// Takes the best entry of queue `idx` if its lock is free and it is
     /// non-empty; refreshes the top mirror either way.
-    fn try_pop_from(&self, idx: usize) -> Option<MqEntry<T>> {
+    fn try_pop_from(&self, idx: usize) -> Option<SeqEntry<T>> {
         let q = &self.queues[idx];
         q.pop_locked(&mut *q.heap.try_lock()?)
     }
@@ -451,7 +426,7 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
     /// After `2·c·P` tops gone stale, every queue is locked in index order
     /// and the least head taken. `None` means the buffer's minimum is no
     /// worse than every top, or every top read empty.
-    fn pop_exact(&self, local: Option<u64>, stale_refs: &mut u64) -> Option<MqEntry<T>> {
+    fn pop_exact(&self, local: Option<u64>, stale_refs: &mut u64) -> Option<SeqEntry<T>> {
         let beats_local = |prio: u64| local.is_none_or(|l| prio < l);
         for _ in 0..2 * self.queues.len() {
             let (best, top, runner_up) = self.best_tops();
@@ -488,14 +463,14 @@ impl<T: Send + 'static> RelaxedMultiQueue<T> {
         let mut heap = q.heap.lock();
         let seqs = heap.len() as u64..;
         let entries = entries.into_iter().zip(seqs);
-        heap.extend_batch(entries.map(|((prio, task), seq)| MqEntry { prio, seq, task }));
+        heap.extend_batch(entries.map(|((prio, task), seq)| SeqEntry { prio, seq, task }));
         q.refresh_top(&heap);
     }
 
     /// The authoritative emptiness check behind a failing pop of `place`:
     /// every queue from offset `start` under a try-lock, then every other
     /// place's insertion buffer that is not empty, likewise.
-    fn scan(&self, place: usize, start: usize) -> Option<MqEntry<T>> {
+    fn scan(&self, place: usize, start: usize) -> Option<SeqEntry<T>> {
         let nq = self.queues.len();
         for idx in (0..nq).map(|off| (start + off) % nq) {
             if let Some(entry) = self.try_pop_from(idx) {
@@ -556,7 +531,7 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
     /// under `bound` and under the bound of anything in it, otherwise
     /// landed behind it on one queue under one lock. Landing a non-empty
     /// buffer is a publish.
-    fn admit(&mut self, bound: usize, n: usize, entries: impl Iterator<Item = MqEntry<T>>) {
+    fn admit(&mut self, bound: usize, n: usize, entries: impl Iterator<Item = SeqEntry<T>>) {
         self.seq += n as u64;
         self.stats.pushes += n as u64;
         let shared = &*self.shared;
@@ -582,7 +557,7 @@ impl<T: Send + 'static> MultiQueueHandle<T> {
     }
 
     /// The pop's search: the buffered minimum, a queue's, or the scan's.
-    fn take_best(&mut self) -> Option<MqEntry<T>> {
+    fn take_best(&mut self) -> Option<SeqEntry<T>> {
         let shared = &*self.shared;
         let nq = shared.queues.len();
         let buffer = &shared.buffers[self.place];
@@ -644,7 +619,7 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
     /// buffer on a random queue, preferring an unlocked one. `k ≤ 1`
     /// therefore lands every push at once.
     fn push(&mut self, prio: u64, k: usize, task: T) {
-        let entry = MqEntry {
+        let entry = SeqEntry {
             prio,
             seq: self.seq,
             task,
@@ -675,7 +650,7 @@ impl<T: Send + 'static> PoolHandle<T> for MultiQueueHandle<T> {
         let entries = batch
             .drain(..)
             .enumerate()
-            .map(|(o, (prio, task))| MqEntry {
+            .map(|(o, (prio, task))| SeqEntry {
                 prio,
                 seq: base_seq + o as u64,
                 task,

@@ -84,8 +84,8 @@ pub trait PoolHandle<T: Send>: Send {
     /// relaxation accounting (each batch element counts individually
     /// against `k`/ρ budgets; batching amortizes *synchronization*, never
     /// *ordering slack*). Implementations amortize the shared-state work:
-    /// one lock acquisition, one item-pool refill, one publication CAS,
-    /// and one local-queue repair per batch instead of per task.
+    /// one lock acquisition, one item-pool refill or one publication CAS
+    /// per batch instead of per task.
     ///
     /// The default implementation loops over scalar `push`.
     fn push_batch(&mut self, k: usize, batch: &mut Vec<(u64, T)>) {

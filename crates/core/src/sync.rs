@@ -57,7 +57,6 @@ pub mod cell {
     #[cfg(not(loom))]
     mod imp {
         /// Zero-cost stand-in for `loom::cell::UnsafeCell`.
-        #[derive(Debug, Default)]
         #[repr(transparent)]
         pub struct UnsafeCell<T: ?Sized>(std::cell::UnsafeCell<T>);
 
@@ -66,12 +65,6 @@ pub mod cell {
             #[inline]
             pub fn new(data: T) -> UnsafeCell<T> {
                 UnsafeCell(std::cell::UnsafeCell::new(data))
-            }
-
-            /// Consumes the cell and returns the inner value.
-            #[inline]
-            pub fn into_inner(self) -> T {
-                self.0.into_inner()
             }
         }
 
@@ -89,23 +82,16 @@ pub mod cell {
             pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
                 f(self.0.get())
             }
-
-            /// Exclusive access (no scheduling point: `&mut self` proves
-            /// no concurrent accessor exists).
-            #[inline]
-            pub fn get_mut(&mut self) -> &mut T {
-                self.0.get_mut()
-            }
         }
     }
 }
 
-/// Thread spawning, yielding, and sleeping.
+/// Thread spawning.
 pub mod thread {
     #[cfg(loom)]
-    pub use loom::thread::{sleep, spawn, yield_now};
+    pub use loom::thread::spawn;
     #[cfg(not(loom))]
-    pub use std::thread::{sleep, spawn, yield_now};
+    pub use std::thread::spawn;
 
     // Worker fleets and the service thread that runs one are not modeled
     // (see the module docs): real, named OS threads under both cfgs.
@@ -123,8 +109,6 @@ pub use pl::{Mutex, MutexGuard};
 /// not exist (a model-thread panic aborts the whole execution).
 #[cfg(loom)]
 mod pl {
-    use std::fmt;
-
     /// Mutual exclusion primitive (model-checked under `--cfg loom`).
     pub struct Mutex<T: ?Sized>(loom::sync::Mutex<T>);
 
@@ -135,17 +119,6 @@ mod pl {
         /// Creates an unlocked mutex.
         pub fn new(value: T) -> Self {
             Mutex(loom::sync::Mutex::new(value))
-        }
-
-        /// Consumes the mutex, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-        }
-    }
-
-    impl<T: Default> Default for Mutex<T> {
-        fn default() -> Self {
-            Mutex::new(T::default())
         }
     }
 
@@ -158,11 +131,6 @@ mod pl {
         /// Attempts to acquire the lock without blocking.
         pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
             self.0.try_lock().ok().map(MutexGuard)
-        }
-
-        /// Mutable access without locking (requires exclusive ownership).
-        pub fn get_mut(&mut self) -> &mut T {
-            self.0.get_mut().unwrap_or_else(|e| e.into_inner())
         }
     }
 
@@ -178,12 +146,6 @@ mod pl {
             &mut self.0
         }
     }
-
-    impl<T: ?Sized> fmt::Debug for Mutex<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Mutex { .. }")
-        }
-    }
 }
 
 /// `std`-flavor lock + condvar (the poisoning `LockResult` API), for the
@@ -191,7 +153,7 @@ mod pl {
 /// condvar.
 pub mod stdsync {
     #[cfg(loom)]
-    pub use loom::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+    pub use loom::sync::{Condvar, Mutex, MutexGuard};
     #[cfg(not(loom))]
-    pub use std::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+    pub use std::sync::{Condvar, Mutex, MutexGuard};
 }

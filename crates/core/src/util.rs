@@ -1,5 +1,40 @@
 //! Small internal utilities.
 
+use priosched_pq::RadixKey;
+
+/// Entry of a place-local queue (work-stealing, MultiQueue): priority,
+/// per-place insertion sequence (deterministic tiebreak within a place),
+/// task. Ordered by `(prio, seq)`.
+pub(crate) struct SeqEntry<T> {
+    pub(crate) prio: u64,
+    pub(crate) seq: u64,
+    pub(crate) task: T,
+}
+
+impl<T> PartialEq for SeqEntry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.prio == other.prio && self.seq == other.seq
+    }
+}
+impl<T> Eq for SeqEntry<T> {}
+impl<T> PartialOrd for SeqEntry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for SeqEntry<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.prio, self.seq).cmp(&(other.prio, other.seq))
+    }
+}
+
+/// Keyed by the priority, the first component of the order.
+impl<T> RadixKey for SeqEntry<T> {
+    fn radix_key(&self) -> u64 {
+        self.prio
+    }
+}
+
 /// xorshift64* PRNG: one multiply + three shifts per draw.
 ///
 /// The randomized placement of the centralized push (Listing 1) and victim

@@ -28,45 +28,13 @@
 use crate::pool::{PoolHandle, TaskPool};
 use crate::stats::PlaceStats;
 use crate::sync::Mutex;
-use crate::util::XorShift64;
+use crate::util::{SeqEntry, XorShift64};
 use crossbeam_utils::CachePadded;
-use priosched_pq::{RadixHeap, RadixKey, SequentialPriorityQueue};
+use priosched_pq::{RadixHeap, SequentialPriorityQueue};
 use std::sync::Arc;
 
-/// Queue entry: priority, per-place insertion sequence (deterministic
-/// tiebreak), task.
-struct WsEntry<T> {
-    prio: u64,
-    seq: u64,
-    task: T,
-}
-
-impl<T> PartialEq for WsEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
-    }
-}
-impl<T> Eq for WsEntry<T> {}
-impl<T> PartialOrd for WsEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for WsEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.prio, self.seq).cmp(&(other.prio, other.seq))
-    }
-}
-
-/// Keyed by the priority, the first component of the order.
-impl<T> RadixKey for WsEntry<T> {
-    fn radix_key(&self) -> u64 {
-        self.prio
-    }
-}
-
 /// One place's lockable queue, padded to its own cache line.
-type PlaceQueue<T> = CachePadded<Mutex<RadixHeap<WsEntry<T>>>>;
+type PlaceQueue<T> = CachePadded<Mutex<RadixHeap<SeqEntry<T>>>>;
 
 /// Shared component: one lockable priority queue per place.
 pub struct PriorityWorkStealing<T: Send + 'static> {
@@ -125,7 +93,7 @@ impl<T: Send + 'static> PoolHandle<T> for WorkStealingHandle<T> {
     /// Local push; `k` is ignored — work-stealing offers no relaxation
     /// bound to parameterize (§3.1).
     fn push(&mut self, prio: u64, _k: usize, task: T) {
-        let entry = WsEntry {
+        let entry = SeqEntry {
             prio,
             seq: self.seq,
             task,
@@ -175,9 +143,9 @@ impl<T: Send + 'static> PoolHandle<T> for WorkStealingHandle<T> {
         None
     }
 
-    /// Batch push: one lock acquisition and one heap repair for the whole
-    /// batch (vs. one of each per task), preserving per-place FIFO
-    /// tiebreak order via the sequence counter.
+    /// Batch push: one lock acquisition for the whole batch (vs. one per
+    /// task), preserving per-place FIFO tiebreak order via the sequence
+    /// counter.
     fn push_batch(&mut self, _k: usize, batch: &mut Vec<(u64, T)>) {
         if batch.is_empty() {
             return;
@@ -190,7 +158,7 @@ impl<T: Send + 'static> PoolHandle<T> for WorkStealingHandle<T> {
             batch
                 .drain(..)
                 .enumerate()
-                .map(|(i, (prio, task))| WsEntry {
+                .map(|(i, (prio, task))| SeqEntry {
                     prio,
                     seq: base_seq + i as u64,
                     task,

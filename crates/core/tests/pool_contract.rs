@@ -439,6 +439,45 @@ fn threaded_exactly_once(kind: PoolKind) {
     }
 }
 
+/// At one place a batch push stores what the same pushes made one by one
+/// store: for work-stealing, centralized and hybrid, a pool fed batches and
+/// a pool fed the same tasks by scalar pushes pop the same
+/// `(prio, payload)` sequence, ties included, between batches and in the
+/// final drain. At k = 3 a 37-task batch moves centralized's tail and runs
+/// hybrid's publication budget out several times in its middle.
+#[test]
+fn batch_push_pops_as_scalar_pushes_at_one_place() {
+    const K: usize = 3;
+    const BATCH: u64 = 37;
+    for kind in [
+        PoolKind::WorkStealing,
+        PoolKind::Centralized,
+        PoolKind::Hybrid,
+    ] {
+        let batched = Arc::new(kind.build(1, PoolParams::with_k(K)));
+        let scalar = Arc::new(kind.build(1, PoolParams::with_k(K)));
+        let (mut b, mut s) = (batched.handle(0), scalar.handle(0));
+        for round in 0..4u64 {
+            let mut batch: Vec<(u64, u64)> = (round * BATCH..(round + 1) * BATCH)
+                .map(|id| (id * 7 % 5, id))
+                .collect();
+            for &(prio, id) in &batch {
+                s.push(prio, K, id);
+            }
+            b.push_batch(K, &mut batch);
+            let pops = if round == 3 { usize::MAX } else { 10 };
+            for _ in 0..pops {
+                let popped = b.pop_entry();
+                assert_eq!(popped, s.pop_entry(), "{kind:?}, round {round}");
+                if popped.is_none() {
+                    break;
+                }
+            }
+        }
+        assert_eq!(b.pop_entry(), None, "{kind:?}: drained");
+    }
+}
+
 macro_rules! contract {
     ($($module:ident => $kind:expr),* $(,)?) => {$(
         mod $module {

@@ -7,14 +7,14 @@
 //!   false sharing between per-place shared records;
 //! * [`Backoff`] — exponential spin/yield backoff for poll loops.
 
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
 /// Pads and aligns a value to the length of a cache line.
 ///
 /// 128 bytes covers the common cases: x86_64 prefetches cache-line pairs
 /// (effectively 128 B) and Apple/ARM big cores use 128-B lines; on 64-B-line
 /// machines the extra padding is harmless.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Debug)]
 #[repr(align(128))]
 pub struct CachePadded<T> {
     value: T,
@@ -34,20 +34,9 @@ impl<T> Deref for CachePadded<T> {
     }
 }
 
-impl<T> DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.value
-    }
-}
-
-impl<T> From<T> for CachePadded<T> {
-    fn from(value: T) -> Self {
-        CachePadded::new(value)
-    }
-}
-
 /// Exponential backoff for spin loops: spin for a while, then start
 /// yielding to the OS scheduler.
+#[derive(Default)]
 pub struct Backoff {
     step: std::cell::Cell<u32>,
 }
@@ -58,9 +47,7 @@ const YIELD_LIMIT: u32 = 10;
 impl Backoff {
     /// Creates a backoff in its initial (shortest-wait) state.
     pub fn new() -> Self {
-        Backoff {
-            step: std::cell::Cell::new(0),
-        }
+        Self::default()
     }
 
     /// Resets to the initial state (call after useful work was found).
@@ -95,12 +82,6 @@ impl Backoff {
     /// that can block should.
     pub fn is_completed(&self) -> bool {
         self.step.get() > YIELD_LIMIT
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

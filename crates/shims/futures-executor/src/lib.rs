@@ -1,399 +1,4 @@
-#![warn(missing_docs)]
-
-//! In-tree shim for the subset of `futures-executor` this workspace uses.
-//!
-//! The build environment is offline, so instead of tokio (or the real
-//! `futures` stack) the async ingestion frontend runs on this minimal
-//! executor: [`block_on`] drives one future on the calling thread, and
-//! [`LocalPool`] is a small multi-task reactor loop — spawn any number of
-//! `!Send` futures, then [`LocalPool::run`] polls ready tasks and **parks**
-//! the thread between wakes (no polling loop; wakes may arrive from other
-//! threads, e.g. a pool worker's lane drain firing a deposited waker).
-//!
-//! Only the surface the workspace needs is implemented: `block_on`,
-//! `LocalPool::{new, spawner, run, run_until, try_run_one}`, and
-//! `LocalSpawner::spawn_local`. Swapping back to the registry crate is a
-//! one-line change in the workspace manifest.
-
-use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
-
-/// Wakeable shared by every task of one pool (and by [`block_on`]): a
-/// ready queue plus a condvar the executor thread parks on.
-struct Reactor {
-    /// Indices of tasks whose wakers fired since the last poll round.
-    ready: Mutex<VecDeque<usize>>,
-    condvar: Condvar,
-}
-
-impl Reactor {
-    fn new() -> Arc<Self> {
-        Arc::new(Reactor {
-            ready: Mutex::new(VecDeque::new()),
-            condvar: Condvar::new(),
-        })
-    }
-
-    fn push_ready(&self, id: usize) {
-        let mut q = self.ready.lock().unwrap_or_else(|p| p.into_inner());
-        if !q.contains(&id) {
-            q.push_back(id);
-        }
-        drop(q);
-        self.condvar.notify_one();
-    }
-
-    fn pop_ready(&self) -> Option<usize> {
-        self.ready
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop_front()
-    }
-
-    /// Blocks the executor thread until some waker enqueues a task.
-    fn wait_ready(&self) -> usize {
-        let mut q = self.ready.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(id) = q.pop_front() {
-                return id;
-            }
-            q = self.condvar.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-}
-
-/// One task's waker: enqueues its id on the shared reactor. `Send + Sync`
-/// (wakers cross threads); the task futures themselves never leave the
-/// executor thread.
-struct TaskWaker {
-    reactor: Arc<Reactor>,
-    id: usize,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.reactor.push_ready(self.id);
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.reactor.push_ready(self.id);
-    }
-}
-
-/// Runs a future to completion on the calling thread, parking between
-/// wakes (never spinning). The entry point for "drive this one async
-/// operation synchronously" — e.g. one connection actor per thread.
-pub fn block_on<F: Future>(fut: F) -> F::Output {
-    let reactor = Reactor::new();
-    let waker = Waker::from(Arc::new(TaskWaker {
-        reactor: Arc::clone(&reactor),
-        id: 0,
-    }));
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = std::pin::pin!(fut);
-    loop {
-        if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
-            return out;
-        }
-        // Consume one wake (there may be several queued; any of them
-        // justifies exactly one re-poll).
-        let _ = reactor.wait_ready();
-    }
-}
-
-/// A spawned task: the future, boxed and pinned, or `None` once complete.
-type TaskSlot = Option<Pin<Box<dyn Future<Output = ()>>>>;
-
-/// Shared between a [`LocalPool`] and its [`LocalSpawner`]s: futures
-/// spawned but not yet adopted by the pool's task list.
-type Inbox = std::rc::Rc<std::cell::RefCell<Vec<Pin<Box<dyn Future<Output = ()>>>>>>;
-
-/// A single-threaded pool of futures — the multi-task reactor loop.
-///
-/// Tasks are spawned through [`LocalPool::spawner`] (before or during a
-/// run; a task may spawn further tasks), then [`LocalPool::run`] polls
-/// until all are complete. Between wakes the executor thread sleeps on a
-/// condvar; wakers are `Send` and may fire from any thread.
-pub struct LocalPool {
-    reactor: Arc<Reactor>,
-    tasks: Vec<TaskSlot>,
-    live: usize,
-    inbox: Inbox,
-}
-
-impl Default for LocalPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LocalPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        LocalPool {
-            reactor: Reactor::new(),
-            tasks: Vec::new(),
-            live: 0,
-            inbox: Inbox::default(),
-        }
-    }
-
-    /// A handle for spawning tasks onto this pool. Cloneable; tasks may
-    /// hold one and spawn from inside a poll.
-    pub fn spawner(&self) -> LocalSpawner {
-        LocalSpawner {
-            inbox: Inbox::clone(&self.inbox),
-        }
-    }
-
-    /// Adopts spawned futures as tasks and marks them ready for their
-    /// first poll.
-    fn adopt_spawned(&mut self) {
-        let mut inbox = self.inbox.borrow_mut();
-        for fut in inbox.drain(..) {
-            let id = self.tasks.len();
-            self.tasks.push(Some(fut));
-            self.live += 1;
-            self.reactor.push_ready(id);
-        }
-    }
-
-    /// Polls task `id` once (no-op if it already completed, or if `id` is
-    /// not a spawned task at all — e.g. a straggler wake for
-    /// [`LocalPool::run_until`]'s main future delivered after it
-    /// finished; the `Waker` contract allows wakes at any time).
-    fn poll_task(&mut self, id: usize) {
-        let Some(mut fut) = self.tasks.get_mut(id).and_then(Option::take) else {
-            return; // stale wake of a finished (or foreign) task
-        };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            reactor: Arc::clone(&self.reactor),
-            id,
-        }));
-        match fut.as_mut().poll(&mut Context::from_waker(&waker)) {
-            Poll::Ready(()) => self.live -= 1,
-            Poll::Pending => self.tasks[id] = Some(fut),
-        }
-    }
-
-    /// Polls at most one ready task without blocking. Returns `true` if a
-    /// task was polled (useful for interleaving with other work).
-    pub fn try_run_one(&mut self) -> bool {
-        self.adopt_spawned();
-        let Some(id) = self.reactor.pop_ready() else {
-            return false;
-        };
-        self.poll_task(id);
-        self.adopt_spawned();
-        true
-    }
-
-    /// Runs every spawned task to completion, parking the thread between
-    /// wakes. Returns when no live task remains.
-    pub fn run(&mut self) {
-        self.adopt_spawned();
-        while self.live > 0 {
-            let id = self.reactor.wait_ready();
-            self.poll_task(id);
-            self.adopt_spawned();
-        }
-    }
-
-    /// Drives `fut` to completion, running spawned tasks whenever the main
-    /// future is pending, and returns its output (spawned tasks may still
-    /// be incomplete — finish them with [`LocalPool::run`]).
-    pub fn run_until<F: Future>(&mut self, fut: F) -> F::Output {
-        // The main future gets a dedicated id one past any spawned task's
-        // (ids only grow; reserving usize::MAX keeps it disjoint forever).
-        const MAIN: usize = usize::MAX;
-        let waker = Waker::from(Arc::new(TaskWaker {
-            reactor: Arc::clone(&self.reactor),
-            id: MAIN,
-        }));
-        let mut cx = Context::from_waker(&waker);
-        let mut fut = std::pin::pin!(fut);
-        loop {
-            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
-                return out;
-            }
-            loop {
-                self.adopt_spawned();
-                let id = self.reactor.wait_ready();
-                if id == MAIN {
-                    break; // re-poll the main future
-                }
-                self.poll_task(id);
-            }
-        }
-    }
-}
-
-/// Spawns futures onto its [`LocalPool`] (single-threaded: neither the
-/// spawner nor the futures need to be `Send`).
-#[derive(Clone)]
-pub struct LocalSpawner {
-    inbox: Inbox,
-}
-
-impl LocalSpawner {
-    /// Queues `fut` as a new task; it is adopted (and first polled) by the
-    /// pool's next run/turn.
-    pub fn spawn_local<F: Future<Output = ()> + 'static>(&self, fut: F) {
-        self.inbox.borrow_mut().push(Box::pin(fut));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    #[test]
-    fn block_on_ready_future() {
-        assert_eq!(block_on(async { 21 * 2 }), 42);
-    }
-
-    /// Pends once, waking itself from another thread after a delay — the
-    /// executor must park, not spin, and still complete.
-    struct CrossThreadWake {
-        fired: Arc<AtomicBool>,
-        armed: bool,
-    }
-
-    impl Future for CrossThreadWake {
-        type Output = ();
-        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-            if self.fired.load(Ordering::Acquire) {
-                return Poll::Ready(());
-            }
-            if !self.armed {
-                self.armed = true;
-                let fired = Arc::clone(&self.fired);
-                let waker = cx.waker().clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    fired.store(true, Ordering::Release);
-                    waker.wake();
-                });
-            }
-            Poll::Pending
-        }
-    }
-
-    #[test]
-    fn block_on_parks_until_cross_thread_wake() {
-        block_on(CrossThreadWake {
-            fired: Arc::new(AtomicBool::new(false)),
-            armed: false,
-        });
-    }
-
-    #[test]
-    fn local_pool_runs_many_tasks_and_late_spawns() {
-        let mut pool = LocalPool::new();
-        let spawner = pool.spawner();
-        let count = Rc::new(Cell::new(0u32));
-        for _ in 0..10 {
-            let count = Rc::clone(&count);
-            let nested = spawner.clone();
-            spawner.spawn_local(async move {
-                count.set(count.get() + 1);
-                // A task spawning a task mid-run must also complete.
-                let count = Rc::clone(&count);
-                nested.spawn_local(async move {
-                    count.set(count.get() + 1);
-                });
-            });
-        }
-        pool.run();
-        assert_eq!(count.get(), 20);
-    }
-
-    #[test]
-    fn local_pool_tasks_park_and_wake_across_threads() {
-        let mut pool = LocalPool::new();
-        let spawner = pool.spawner();
-        let done = Rc::new(Cell::new(0u32));
-        for _ in 0..4 {
-            let done = Rc::clone(&done);
-            spawner.spawn_local(async move {
-                CrossThreadWake {
-                    fired: Arc::new(AtomicBool::new(false)),
-                    armed: false,
-                }
-                .await;
-                done.set(done.get() + 1);
-            });
-        }
-        pool.run();
-        assert_eq!(done.get(), 4);
-    }
-
-    #[test]
-    fn run_until_returns_main_output_with_side_tasks() {
-        let mut pool = LocalPool::new();
-        let spawner = pool.spawner();
-        let side = Rc::new(Cell::new(false));
-        {
-            let side = Rc::clone(&side);
-            spawner.spawn_local(async move { side.set(true) });
-        }
-        let out = pool.run_until(async {
-            CrossThreadWake {
-                fired: Arc::new(AtomicBool::new(false)),
-                armed: false,
-            }
-            .await;
-            7
-        });
-        assert_eq!(out, 7);
-        assert!(side.get(), "side task runs while main pends");
-    }
-
-    #[test]
-    fn straggler_wake_for_finished_main_future_is_harmless() {
-        // A future may fire its waker after returning Ready (the Waker
-        // contract allows wakes at any time). run_until's main id must
-        // not break a later run()/try_run_one().
-        let mut pool = LocalPool::new();
-        let stash: Rc<Cell<Option<Waker>>> = Rc::new(Cell::new(None));
-        struct StashWaker(Rc<Cell<Option<Waker>>>);
-        impl Future for StashWaker {
-            type Output = ();
-            fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-                self.0.set(Some(cx.waker().clone()));
-                Poll::Ready(())
-            }
-        }
-        pool.run_until(StashWaker(Rc::clone(&stash)));
-        stash.take().expect("waker stashed").wake(); // straggler
-        let spawner = pool.spawner();
-        let ran = Rc::new(Cell::new(false));
-        {
-            let ran = Rc::clone(&ran);
-            spawner.spawn_local(async move { ran.set(true) });
-        }
-        pool.run(); // must not panic on the foreign ready id
-        assert!(ran.get());
-    }
-
-    #[test]
-    fn try_run_one_is_non_blocking() {
-        let mut pool = LocalPool::new();
-        assert!(!pool.try_run_one(), "empty pool has nothing ready");
-        let spawner = pool.spawner();
-        let ran = Rc::new(Cell::new(false));
-        {
-            let ran = Rc::clone(&ran);
-            spawner.spawn_local(async move { ran.set(true) });
-        }
-        assert!(pool.try_run_one());
-        assert!(ran.get());
-        assert!(!pool.try_run_one());
-    }
-}
+//! Empty placeholder: no workspace code calls this package. It remains
+//! only because the benchmark's committed lockfile lists it (through
+//! `priosched-net`'s dependency edge); the package, its workspace entries
+//! and that edge go when that lockfile is regenerated.

@@ -9,18 +9,12 @@
 //! of the *atomic* side supplies the reordering).
 
 /// Model `UnsafeCell` with loom's closure-based access API.
-#[derive(Debug)]
 pub struct UnsafeCell<T: ?Sized>(std::cell::UnsafeCell<T>);
 
 impl<T> UnsafeCell<T> {
     /// Wrap a value.
     pub fn new(data: T) -> UnsafeCell<T> {
         UnsafeCell(std::cell::UnsafeCell::new(data))
-    }
-
-    /// Consume and return the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner()
     }
 }
 
@@ -40,10 +34,5 @@ impl<T: ?Sized> UnsafeCell<T> {
     pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
         crate::rt::cell_access();
         f(self.0.get())
-    }
-
-    /// Exclusive access without a scheduling point.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut()
     }
 }

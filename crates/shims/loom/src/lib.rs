@@ -12,9 +12,9 @@
 //! # What is modeled
 //!
 //! - **Scheduling**: a depth-first search over thread interleavings with
-//!   a bounded number of preemptions ([`Builder::max_preemptions`]).
+//!   a bounded number of preemptions (`LOOM_MAX_PREEMPTIONS`).
 //!   Every atomic access, fence, `UnsafeCell` access, mutex/condvar
-//!   operation, spawn, join, and yield is a scheduling point.
+//!   operation, spawn, and join is a scheduling point.
 //! - **Memory**: operational TSO (x86). Non-SeqCst stores sit in a
 //!   per-thread FIFO store buffer until a flush point (SeqCst store or
 //!   fence, any RMW, lock edges, spawn, thread exit) or until the
@@ -54,56 +54,11 @@ pub mod thread;
 
 pub mod sync;
 
-pub use rt::Config;
-
-/// Configure exploration bounds before running a model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Builder {
-    cfg: Config,
-}
-
-impl Builder {
-    /// Default bounds (overridable via `LOOM_*` environment variables).
-    pub fn new() -> Builder {
-        Builder::default()
-    }
-
-    /// Cap the number of explored executions; exceeding it panics.
-    pub fn max_branches(mut self, n: u64) -> Builder {
-        self.cfg.max_branches = n;
-        self
-    }
-
-    /// Bound voluntary preemptions per execution (bounded model checking;
-    /// 2–3 catches almost all real interleaving bugs at tractable cost).
-    pub fn max_preemptions(mut self, n: usize) -> Builder {
-        self.cfg.max_preemptions = n;
-        self
-    }
-
-    /// Per-execution operation budget; a livelock backstop.
-    pub fn max_steps(mut self, n: usize) -> Builder {
-        self.cfg.max_steps = n;
-        self
-    }
-
-    /// Per-thread budget of explored timed-wait wakeups.
-    pub fn timeout_wakes(mut self, n: usize) -> Builder {
-        self.cfg.timeout_wake_budget = n;
-        self
-    }
-
-    /// Exhaustively run `f` under every schedule within the bounds.
-    pub fn check(self, f: impl Fn() + Send + Sync + 'static) {
-        rt::model_with(self.cfg, f);
-    }
-}
-
 /// Explore every bounded interleaving of `f`; panics (with a printed,
 /// replayable schedule) if any execution panics, deadlocks, or exceeds a
 /// budget.
 pub fn model(f: impl Fn() + Send + Sync + 'static) {
-    Builder::new().check(f)
+    rt::model(f)
 }
 
 #[cfg(test)]
@@ -313,7 +268,7 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(|| {
             super::model(|| {
                 let m = Arc::new(Mutex::new(false));
-                let cv = Arc::new(Condvar::new());
+                let cv = Arc::new(Condvar::default());
                 let flag = Arc::new(AtomicU64::new(0));
                 let (m2, cv2, f2) = (Arc::clone(&m), Arc::clone(&cv), Arc::clone(&flag));
                 let t = super::thread::spawn(move || {
@@ -338,7 +293,7 @@ mod tests {
     fn condvar_handoff_correct_pattern_passes() {
         super::model(|| {
             let m = Arc::new(Mutex::new(false));
-            let cv = Arc::new(Condvar::new());
+            let cv = Arc::new(Condvar::default());
             let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
             let t = super::thread::spawn(move || {
                 let mut g = m2.lock().unwrap();

@@ -5,7 +5,7 @@
 //!
 //! Model threads are real OS threads, but only one — the *active* thread —
 //! runs at any time. Before each visible operation (atomic access, fence,
-//! cell access, mutex/condvar op, spawn/join/yield) the active thread
+//! cell access, mutex/condvar op, spawn/join) the active thread
 //! reaches a *decision point*: it computes the set of enabled actions and
 //! consults the DFS trail to pick one — first which thread runs, then,
 //! once that thread holds the baton, which buffered stores land in front
@@ -83,8 +83,6 @@ enum Wait {
 enum Status {
     /// Runnable.
     Ready,
-    /// Voluntarily yielded: runnable only when no `Ready` thread exists.
-    Yielded,
     Blocked(Wait),
     Finished,
 }
@@ -135,19 +133,18 @@ struct Frame {
     act: Action,
 }
 
-/// Exploration limits; see [`crate::Builder`] for the public knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct Config {
+/// Exploration limits: the defaults, overridden by the `LOOM_*` variables.
+struct Config {
     /// Cap on explored executions before the model panics.
-    pub max_branches: u64,
+    max_branches: u64,
     /// Preemption bound per execution.
-    pub max_preemptions: usize,
+    max_preemptions: usize,
     /// Per-execution operation budget (livelock backstop).
-    pub max_steps: usize,
+    max_steps: usize,
     /// Per-thread budget of explored timed-wait wakeups.
-    pub timeout_wake_budget: usize,
+    timeout_wake_budget: usize,
     /// Print exploration statistics to stderr.
-    pub log: bool,
+    log: bool,
 }
 
 impl Default for Config {
@@ -309,13 +306,9 @@ fn enabled_actions(st: &RtState, me: usize) -> Vec<Action> {
         // `settle_drains`).
         acts.push(Action::Run(me));
     } else {
-        let any_ready = st.threads.iter().any(|t| matches!(t.status, Status::Ready));
         for (i, t) in st.threads.iter().enumerate() {
-            match t.status {
-                Status::Ready => acts.push(Action::Run(i)),
-                // A yielded thread runs only when nothing else can.
-                Status::Yielded if !any_ready => acts.push(Action::Run(i)),
-                _ => {}
+            if matches!(t.status, Status::Ready) {
+                acts.push(Action::Run(i));
             }
         }
     }
@@ -430,9 +423,6 @@ fn decide_to_run(st: &mut RtState, me: usize) -> usize {
             Action::Run(t) => {
                 if t != me && matches!(st.threads[me].status, Status::Ready) {
                     st.preemptions += 1;
-                }
-                if matches!(st.threads[t].status, Status::Yielded) {
-                    st.threads[t].status = Status::Ready;
                 }
                 return t;
             }
@@ -594,17 +584,6 @@ pub(crate) fn atomic_cas(loc: Loc, expected: u64, new: u64) -> Result<u64, u64> 
     }
 }
 
-/// `into_inner`-style read with exclusive access: every buffer is flushed
-/// first so the result reflects all stores from all threads.
-pub(crate) fn atomic_unsync_read(loc: Loc) -> u64 {
-    let mut st = lock_rt();
-    check_loc(&st, loc);
-    for t in 0..st.buffers.len() {
-        flush_buffer(&mut st, t);
-    }
-    st.mem[loc.idx]
-}
-
 pub(crate) fn fence(order: Ordering) {
     let me = cur();
     let mut st = op_point(None);
@@ -746,7 +725,7 @@ pub(crate) fn condvar_wait(cv: Loc, m: Loc, timed: bool) -> bool {
     timed_out
 }
 
-pub(crate) fn condvar_notify(cv: Loc, all: bool) {
+pub(crate) fn condvar_notify_all(cv: Loc) {
     let mut st = op_point(None);
     check_loc(&st, cv);
     let waiters: Vec<(usize, usize)> = st
@@ -760,39 +739,12 @@ pub(crate) fn condvar_notify(cv: Loc, all: bool) {
         .collect();
     for (i, mutex) in waiters {
         contend(&mut st, i, mutex);
-        if !all {
-            break;
-        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Threads
 // ---------------------------------------------------------------------------
-
-pub(crate) fn yield_now() {
-    let me = cur();
-    let mut st = lock_rt();
-    if std::thread::panicking() {
-        return;
-    }
-    if st.abort.is_some() {
-        drop(st);
-        panic::resume_unwind(Box::new(AbortMarker));
-    }
-    st.steps += 1;
-    if st.steps > st.cfg.max_steps {
-        let msg = format!(
-            "step budget exceeded ({} ops in one execution): livelock, or \
-             raise LOOM_MAX_STEPS",
-            st.cfg.max_steps
-        );
-        abort_with(&mut st, msg);
-    }
-    st.threads[me].status = Status::Yielded;
-    let st = yield_to_other(st, me, None);
-    drop(st);
-}
 
 fn alloc_thread(st: &mut RtState) -> usize {
     st.threads.push(ThreadState {
@@ -906,12 +858,13 @@ fn reset_execution(st: &mut RtState) {
 }
 
 /// Explore every schedule of `f` within the configured bounds.
-pub fn model_with(mut cfg: Config, f: impl Fn() + Send + Sync + 'static) {
+pub(crate) fn model(f: impl Fn() + Send + Sync + 'static) {
     let _serial = MODEL_LOCK
         .get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner());
 
+    let mut cfg = Config::default();
     if let Some(v) = env_u64("LOOM_MAX_BRANCHES") {
         cfg.max_branches = v;
     }

@@ -34,11 +34,6 @@ impl<T> Mutex<T> {
             data: UnsafeCell::new(data),
         }
     }
-
-    /// Consume the mutex and return its data.
-    pub fn into_inner(self) -> LockResult<T> {
-        Ok(self.data.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -55,11 +50,6 @@ impl<T: ?Sized> Mutex<T> {
         } else {
             Err(TryLockError::WouldBlock)
         }
-    }
-
-    /// Exclusive access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> LockResult<&mut T> {
-        Ok(self.data.get_mut())
     }
 }
 
@@ -93,7 +83,6 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
 
 /// Result of a timed condvar wait; mirrors `std::sync::WaitTimeoutResult`
 /// (which has no public constructor, hence this local type).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WaitTimeoutResult(bool);
 
 impl WaitTimeoutResult {
@@ -107,21 +96,14 @@ impl WaitTimeoutResult {
 ///
 /// Untimed waits never wake spuriously: a lost notification therefore
 /// shows up as a model deadlock instead of being papered over. Timed
-/// waits may be woken by a scheduler-chosen timeout.
+/// waits may be woken by a scheduler-chosen timeout. Registration with
+/// the execution is deferred to first use.
 #[derive(Default)]
 pub struct Condvar {
     id_cell: std::sync::OnceLock<rt::Loc>,
 }
 
 impl Condvar {
-    /// Create a condvar; registration with the execution is deferred to
-    /// first use so `Condvar::new()` stays const-free but cheap.
-    pub fn new() -> Condvar {
-        Condvar {
-            id_cell: std::sync::OnceLock::new(),
-        }
-    }
-
     fn id(&self) -> rt::Loc {
         *self.id_cell.get_or_init(rt::condvar_register)
     }
@@ -147,17 +129,8 @@ impl Condvar {
         Ok((MutexGuard { lock }, WaitTimeoutResult(timed_out)))
     }
 
-    /// Wake one waiter (the lowest-numbered, deterministically).
-    pub fn notify_one(&self) {
-        rt::condvar_notify(self.id(), false);
-    }
-
     /// Wake all waiters.
     pub fn notify_all(&self) {
-        rt::condvar_notify(self.id(), true);
+        rt::condvar_notify_all(self.id());
     }
 }
-
-// `loom::sync::Arc` mirrors the real loom crate's re-export; the std Arc
-// is fine under the model (refcounts are not part of the checked state).
-pub use std::sync::Arc;

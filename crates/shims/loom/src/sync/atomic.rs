@@ -44,11 +44,6 @@ macro_rules! int_atomic {
                 rt::atomic_store(self.loc, v as u64, order);
             }
 
-            /// Atomic swap (flushes the store buffer, like any RMW).
-            pub fn swap(&self, v: $ty, _order: Ordering) -> $ty {
-                rt::atomic_rmw(self.loc, |_| v as u64) as $ty
-            }
-
             /// Atomic compare-exchange.
             pub fn compare_exchange(
                 &self,
@@ -62,17 +57,6 @@ macro_rules! int_atomic {
                     .map_err(|v| v as $ty)
             }
 
-            /// Weak CAS; the model never fails spuriously.
-            pub fn compare_exchange_weak(
-                &self,
-                current: $ty,
-                new: $ty,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                self.compare_exchange(current, new, success, failure)
-            }
-
             /// Atomic add, returning the previous value.
             pub fn fetch_add(&self, v: $ty, _order: Ordering) -> $ty {
                 rt::atomic_rmw(self.loc, |x| (x as $ty).wrapping_add(v) as u64) as $ty
@@ -81,31 +65,6 @@ macro_rules! int_atomic {
             /// Atomic subtract, returning the previous value.
             pub fn fetch_sub(&self, v: $ty, _order: Ordering) -> $ty {
                 rt::atomic_rmw(self.loc, |x| (x as $ty).wrapping_sub(v) as u64) as $ty
-            }
-
-            /// Atomic bitwise OR, returning the previous value.
-            pub fn fetch_or(&self, v: $ty, _order: Ordering) -> $ty {
-                rt::atomic_rmw(self.loc, |x| ((x as $ty) | v) as u64) as $ty
-            }
-
-            /// Atomic bitwise AND, returning the previous value.
-            pub fn fetch_and(&self, v: $ty, _order: Ordering) -> $ty {
-                rt::atomic_rmw(self.loc, |x| ((x as $ty) & v) as u64) as $ty
-            }
-
-            /// Atomic max, returning the previous value.
-            pub fn fetch_max(&self, v: $ty, _order: Ordering) -> $ty {
-                rt::atomic_rmw(self.loc, |x| (x as $ty).max(v) as u64) as $ty
-            }
-
-            /// Atomic min, returning the previous value.
-            pub fn fetch_min(&self, v: $ty, _order: Ordering) -> $ty {
-                rt::atomic_rmw(self.loc, |x| (x as $ty).min(v) as u64) as $ty
-            }
-
-            /// Consume with exclusive access (flushes every buffer first).
-            pub fn into_inner(self) -> $ty {
-                rt::atomic_unsync_read(self.loc) as $ty
             }
         }
 
@@ -139,7 +98,6 @@ int_atomic!(
 );
 
 /// Model `AtomicBool`.
-#[derive(Debug)]
 pub struct AtomicBool {
     loc: rt::Loc,
 }
@@ -166,55 +124,9 @@ impl AtomicBool {
     pub fn swap(&self, v: bool, _order: Ordering) -> bool {
         rt::atomic_rmw(self.loc, |_| v as u64) != 0
     }
-
-    /// Atomic compare-exchange.
-    pub fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        _success: Ordering,
-        _failure: Ordering,
-    ) -> Result<bool, bool> {
-        rt::atomic_cas(self.loc, current as u64, new as u64)
-            .map(|v| v != 0)
-            .map_err(|v| v != 0)
-    }
-
-    /// Weak CAS; never fails spuriously in the model.
-    pub fn compare_exchange_weak(
-        &self,
-        current: bool,
-        new: bool,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<bool, bool> {
-        self.compare_exchange(current, new, success, failure)
-    }
-
-    /// Atomic OR, returning the previous value.
-    pub fn fetch_or(&self, v: bool, _order: Ordering) -> bool {
-        rt::atomic_rmw(self.loc, |x| x | (v as u64)) != 0
-    }
-
-    /// Atomic AND, returning the previous value.
-    pub fn fetch_and(&self, v: bool, _order: Ordering) -> bool {
-        rt::atomic_rmw(self.loc, |x| x & (v as u64)) != 0
-    }
-
-    /// Consume with exclusive access.
-    pub fn into_inner(self) -> bool {
-        rt::atomic_unsync_read(self.loc) != 0
-    }
-}
-
-impl Default for AtomicBool {
-    fn default() -> AtomicBool {
-        AtomicBool::new(false)
-    }
 }
 
 /// Model `AtomicPtr`; the pointer is stored as its address.
-#[derive(Debug)]
 pub struct AtomicPtr<T> {
     loc: rt::Loc,
     _marker: PhantomData<*mut T>,
@@ -243,11 +155,6 @@ impl<T> AtomicPtr<T> {
         rt::atomic_store(self.loc, p as usize as u64, order);
     }
 
-    /// Atomic swap.
-    pub fn swap(&self, p: *mut T, _order: Ordering) -> *mut T {
-        rt::atomic_rmw(self.loc, |_| p as usize as u64) as usize as *mut T
-    }
-
     /// Atomic compare-exchange.
     pub fn compare_exchange(
         &self,
@@ -259,21 +166,5 @@ impl<T> AtomicPtr<T> {
         rt::atomic_cas(self.loc, current as usize as u64, new as usize as u64)
             .map(|v| v as usize as *mut T)
             .map_err(|v| v as usize as *mut T)
-    }
-
-    /// Weak CAS; never fails spuriously in the model.
-    pub fn compare_exchange_weak(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        self.compare_exchange(current, new, success, failure)
-    }
-
-    /// Consume with exclusive access.
-    pub fn into_inner(self) -> *mut T {
-        rt::atomic_unsync_read(self.loc) as usize as *mut T
     }
 }

@@ -4,7 +4,6 @@ use crate::rt;
 use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Handle to a spawned model thread.
 pub struct JoinHandle<T> {
@@ -45,50 +44,5 @@ where
         tid,
         slot,
         _not_copy: PhantomData,
-    }
-}
-
-/// Voluntary reschedule point; the yielding thread runs again only when no
-/// other thread is runnable (prevents spin loops from monopolising the
-/// explored schedule).
-pub fn yield_now() {
-    rt::yield_now();
-}
-
-/// Model time does not advance; sleeping is just a yield.
-pub fn sleep(_dur: Duration) {
-    rt::yield_now();
-}
-
-/// `std::thread::Builder` lookalike; the name is accepted and dropped.
-#[derive(Default)]
-pub struct Builder {
-    _name: Option<String>,
-}
-
-impl Builder {
-    /// Create a builder.
-    pub fn new() -> Builder {
-        Builder::default()
-    }
-
-    /// Names are ignored by the model.
-    pub fn name(mut self, name: String) -> Builder {
-        self._name = Some(name);
-        self
-    }
-
-    /// Stack size is ignored by the model.
-    pub fn stack_size(self, _size: usize) -> Builder {
-        self
-    }
-
-    /// Spawn via [`spawn`]; never fails.
-    pub fn spawn<F, T>(self, f: F) -> std::io::Result<JoinHandle<T>>
-    where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
-    {
-        Ok(spawn(f))
     }
 }

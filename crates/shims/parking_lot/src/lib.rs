@@ -6,11 +6,9 @@
 //! leaves plain data (task queues) behind, and the scheduler's abort path
 //! already contains panics — see `scheduler::SpawnCtx::run_one`.
 
-use std::fmt;
 use std::sync::{Mutex as StdMutex, MutexGuard as StdGuard, TryLockError};
 
 /// Mutual exclusion primitive (non-poisoning facade over `std`).
-#[derive(Default)]
 pub struct Mutex<T: ?Sized> {
     inner: StdMutex<T>,
 }
@@ -25,14 +23,6 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex {
             inner: StdMutex::new(value),
-        }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
         }
     }
 }
@@ -57,14 +47,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(TryLockError::WouldBlock) => None,
         }
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
@@ -77,12 +59,6 @@ impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
     }
 }
 

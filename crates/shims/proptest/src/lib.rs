@@ -48,7 +48,7 @@ pub mod arbitrary {
             }
         )*};
     }
-    int_arbitrary!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+    int_arbitrary!(u8, u16, i32);
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> Self {
@@ -104,7 +104,6 @@ pub mod test_runner {
     //! Config and error types for the [`crate::proptest!`] runner.
 
     /// Per-test configuration.
-    #[derive(Clone, Debug)]
     pub struct ProptestConfig {
         /// Number of random cases to run.
         pub cases: u32,
@@ -132,7 +131,7 @@ pub mod test_runner {
     }
 
     /// A failed property: carries the failure message.
-    #[derive(Clone, Debug)]
+    #[derive(Debug)]
     pub struct TestCaseError {
         message: String,
     }
@@ -151,14 +150,12 @@ pub mod test_runner {
             f.write_str(&self.message)
         }
     }
-
-    impl std::error::Error for TestCaseError {}
 }
 
 pub mod prelude {
     //! Everything a test file needs with one import.
     pub use crate::arbitrary::any;
-    pub use crate::strategy::{BoxedStrategy, Just, Strategy};
+    pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
     pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
@@ -293,8 +290,8 @@ mod self_tests {
 
         #[test]
         fn oneof_respects_value_sets(v in prop_oneof![
-            3 => Just(1i32),
-            1 => (10i32..20).prop_map(|x| x),
+            3 => Just(1u32),
+            1 => (10u32..20).prop_map(|x| x),
         ]) {
             prop_assert!(v == 1 || (10..20).contains(&v));
         }

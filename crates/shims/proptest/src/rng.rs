@@ -1,7 +1,6 @@
 //! Deterministic generator driving case sampling.
 
 /// xoshiro256++-based test RNG, seeded per (test, case).
-#[derive(Clone, Debug)]
 pub struct TestRng {
     s: [u64; 4],
 }

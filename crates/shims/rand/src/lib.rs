@@ -9,11 +9,6 @@
 pub trait RngCore {
     /// Next 64 uniformly random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Next 32 uniformly random bits (upper half of a 64-bit draw).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Seedable generators (only the `seed_from_u64` entry point is needed).
@@ -22,28 +17,13 @@ pub trait SeedableRng: Sized {
     fn seed_from_u64(state: u64) -> Self;
 }
 
-/// Types samplable uniformly from their "standard" distribution:
-/// full range for integers, `[0, 1)` for floats.
+/// Types samplable uniformly from their "standard" distribution, `[0, 1)`
+/// for the two float types.
 pub trait Standard: Sized {
     /// Draws one value.
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
-impl Standard for u64 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-impl Standard for u32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-impl Standard for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
 impl Standard for f64 {
     /// Uniform in `[0, 1)` with 53 random mantissa bits.
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
@@ -53,7 +33,7 @@ impl Standard for f64 {
 impl Standard for f32 {
     /// Uniform in `[0, 1)` with 24 random mantissa bits.
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 

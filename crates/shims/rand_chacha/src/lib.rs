@@ -14,7 +14,6 @@
 use rand::{RngCore, SeedableRng};
 
 /// Deterministic seedable generator (xoshiro256++ under a ChaCha8Rng name).
-#[derive(Clone, Debug)]
 pub struct ChaCha8Rng {
     s: [u64; 4],
 }

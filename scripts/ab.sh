@@ -12,21 +12,24 @@
 # `run_seconds`; `--smoke` is passed to the harness.
 # The last stdout line of each run is its JSON result.
 #
-# Prints one markdown table on stdout. Ratio: the median over pairs of
-# head / base, oriented so that > 1 is better. Won: pairs in which head is
-# strictly better. p: two-sided sign test over the pairs that differ.
-# IQR/median: distance between the quartiles of a side's runs as a share
-# of their median. Claim: at least 9 in 10 pairs won, the gap between the
-# medians in head's favour (as a share of base's median) larger than
-# base's IQR/median, and no more failed operations or incorrect runs on
-# head than on base in that workload. `rel_items.<kind>` is the kind's items/s
-# over a mean of kinds' items/s in the same run, which takes out the drift
-# both sides share: by default the mean of all five kinds; with `--touched`,
-# of the kinds not named, so that a gain of a touched kind does not read as
-# a fall of the untouched ones.
+# Prints one markdown table on stdout, then the path of the raw results.
+# Ratio: the median over pairs of head / base, oriented so that > 1 is
+# better. Won: pairs in which head is strictly better. p: two-sided sign
+# test over the pairs that differ. IQR/median: distance between the
+# quartiles of a side's runs as a share of their median. Claim: at least
+# 9 in 10 pairs won, the gap between the medians in head's favour (as a
+# share of base's median) larger than base's IQR/median, and no more
+# failed operations or incorrect runs on head than on base in that
+# workload. `rel_items.<kind>` is the kind's items/s over a mean of kinds'
+# items/s in the same run, which takes out the drift both sides share: by
+# default the mean of all five kinds; with `--touched`, of the kinds not
+# named, so that a gain of a touched kind does not read as a fall of the
+# untouched ones.
 #
 # Worktrees and builds go to AB_WORK (default: a fresh temporary directory,
-# removed at exit); the raw results are kept under target/ab/.
+# removed at exit). Every run's raw results are kept under target/ab/, in a
+# file named by the two revisions, the workloads, the pair count and the
+# time the runs started, so a later run never overwrites an earlier one.
 set -euo pipefail
 
 # The whole script is one block, which bash reads before it runs any of
@@ -104,8 +107,7 @@ for side in base head; do
 done
 
 mkdir -p "$repo/target/ab"
-runs="$repo/target/ab/${base:0:10}-${head:0:10}.jsonl"
-: > "$runs"
+runs="$repo/target/ab/${base:0:10}-${head:0:10}-$(echo $workloads | tr ' ' '+')-${pairs}p-$(date -u +%Y%m%dT%H%M%SZ).jsonl"
 for i in $(seq 1 "$pairs"); do
   order=$([ $((i % 2)) -eq 1 ] && echo "base head" || echo "head base")
   for w in $workloads; do
@@ -117,7 +119,6 @@ for i in $(seq 1 "$pairs"); do
     done
   done
 done
-echo "raw results: $runs" >&2
 
 python3 - "$spec" "$runs" "$base" "$head" "$pairs" "$seconds" "$touched" <<'EOF'
 import json, math, os, statistics, sys
@@ -205,5 +206,7 @@ for w in dict.fromkeys(w for (w, _) in results):
 print()
 print("\n".join(notes) if notes else "Every run was correct and failed no operation.")
 EOF
+echo
+echo "Raw results: $runs"
 exit
 }
